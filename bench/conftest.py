@@ -1,0 +1,6 @@
+"""Make the package source importable for the benchmark's own tests."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
