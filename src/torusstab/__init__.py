@@ -34,8 +34,8 @@ from .ftseries import (
     AnalyticityWidths,
     FourierTaylorSeries,
     HamiltonianVectorField,
-    SeriesEvaluator,
     TWO_PI,
+    theta_gradient_majorant,
 )
 from .smoothing import (
     FourierNormReport,
@@ -81,14 +81,12 @@ from .stabpipe import (
 from .dynamics import (
     EscapeRecord,
     Trajectory,
-    action_drift,
     ballistic_bound,
     default_dt,
     escape_time,
     integrate,
     linear_frequency,
     sample_initial_conditions,
-    theta_gradient_majorant,
 )
 from .experiment import (
     ExperimentConfig,

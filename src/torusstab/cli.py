@@ -1,9 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 2 for precondition/model violations, 3 for
-numerical faults.  All computation is serial and deterministic; the
-TORUSSTAB_WORKERS environment variable is reserved for future parallel
-sweeps and is currently ignored (results never depend on it).
+numerical faults.  All computation is serial and deterministic.
 """
 
 from __future__ import annotations
@@ -12,7 +10,7 @@ import argparse
 import sys
 
 from .dynamics import default_dt, escape_time
-from .errors import NumericalFault, PreconditionError
+from .errors import NumericalFault, PipelineStageError
 from .experiment import (
     ExperimentConfig,
     build_test_hamiltonian,
@@ -305,12 +303,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PreconditionError, ValueError) as exc:
+    except (ValueError, NumericalFault, PipelineStageError) as exc:
+        # a pipeline stage failure takes the exit code of its cause
+        cause = exc.cause if isinstance(exc, PipelineStageError) else exc
+        if isinstance(cause, NumericalFault):
+            print(f"numerical fault: {exc}", file=sys.stderr)
+            return 3
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericalFault as exc:
-        print(f"numerical fault: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

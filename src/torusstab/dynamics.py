@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFault, StepFailureError
-from .ftseries import TWO_PI, HamiltonianVectorField
+from .ftseries import HamiltonianVectorField, theta_gradient_majorant
 
 FIXED_POINT_TOL = 1e-13
 MAX_SWEEPS = 50
@@ -35,15 +35,6 @@ def default_dt(H):
     """min(0.01, 0.01/||omega||_inf): resolves the fast angle."""
     wmax = float(np.max(np.abs(linear_frequency(H)))) if len(H) else 0.0
     return 0.01 if wmax == 0.0 else min(0.01, 0.01 / wmax)
-
-
-def theta_gradient_majorant(H, radius):
-    """sup of ||d_theta H||_inf on the tube of the given action radius,
-    as the coefficient majorant sum |c| 2 pi |k|_1 radius^{|m|_1}."""
-    total = 0.0
-    for (k, m), c in H.items():
-        total += abs(c) * TWO_PI * sum(abs(v) for v in k) * radius ** sum(m)
-    return total
 
 
 def ballistic_bound(H, threshold, radius):
@@ -89,6 +80,7 @@ class Trajectory:
         return float(np.max(np.abs(self.energy - e0)) / max(abs(e0), 1.0))
 
     def action_drift(self):
+        """sup over samples of ||I(t) - I(0)||_inf."""
         return float(np.max(np.abs(self.I - self.I[0]), initial=0.0))
 
 
@@ -140,11 +132,6 @@ def integrate(H, start, t_end, dt, record_every=None, r_max=None):
     )
 
 
-def action_drift(traj):
-    """sup over samples of ||I(t) - I(0)||_inf."""
-    return traj.action_drift()
-
-
 @dataclass(frozen=True)
 class EscapeRecord:
     """Per-rho Monte-Carlo escape-time measurements with censoring flags."""
@@ -168,9 +155,6 @@ class EscapeRecord:
     @property
     def censored_fraction(self):
         return float(np.mean(self.censored))
-
-    def max_drift(self):
-        return self.max_drift_at_cap
 
 
 def sample_initial_conditions(d, rho, n_samples, seed):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -53,9 +53,6 @@ class ExperimentConfig:
     dynamics_only: bool = True
     epsilon: float = 0.1
     T0: float = 1.0
-    kmax: int | None = None
-    mmax: int | None = None
-    outdir: str = "out"
     constants: BoundConstants = field(default_factory=BoundConstants)
 
     def __post_init__(self):
@@ -85,7 +82,8 @@ _CONFIG_FLOATS = {
 }
 _CONFIG_INTS = {"d", "j_max", "seed", "max_steps", "n_samples"}
 _CONFIG_OPT_FLOATS = {"dt", "t_cap"}
-_CONFIG_OPT_INTS = {"kmax", "mmax"}
+# xi is an ExperimentConfig key that also reaches BoundConstants
+_CONFIG_CONSTANTS = {f.name for f in fields(BoundConstants)} - {"xi"}
 
 
 def parse_config(text):
@@ -105,23 +103,17 @@ def parse_config(text):
             kwargs[key] = int(value)
         elif key in _CONFIG_OPT_FLOATS:
             kwargs[key] = None if value.lower() == "none" else float(value)
-        elif key in _CONFIG_OPT_INTS:
-            kwargs[key] = None if value.lower() == "none" else int(value)
         elif key == "rho_list":
             kwargs[key] = tuple(float(v) for v in value.split(","))
         elif key == "omega":
             kwargs[key] = tuple(float(v) for v in value.split(","))
         elif key == "dynamics_only":
             kwargs[key] = value.lower() in ("1", "true", "yes")
-        elif key == "outdir":
-            kwargs[key] = value
-        elif key.startswith("C_") or key == "xi_const":
+        elif key in _CONFIG_CONSTANTS:
             constants[key] = float(value)
         else:
             raise ValueError(f"unknown config key: {key}")
-    if constants:
-        xi = kwargs.get("xi", 2.0)
-        kwargs["constants"] = BoundConstants(xi=xi, **constants)
+    kwargs["constants"] = BoundConstants(xi=kwargs.get("xi", 2.0), **constants)
     return ExperimentConfig(**kwargs)
 
 

@@ -48,6 +48,10 @@ class AnalyticityWidths:
         if not (self.rho > 0 and math.isfinite(self.rho)):
             raise ValueError(f"rho must be positive and finite, got {self.rho}")
 
+    def weight(self, nk, nm):
+        """Majorant weight rho^{|m|_1} e^{sigma |k|_1} of a term of orders (nk, nm)."""
+        return self.rho**nm * math.exp(self.sigma * nk)
+
 
 class FourierTaylorSeries:
     """Immutable sparse series; all operations return new values."""
@@ -228,21 +232,15 @@ class FourierTaylorSeries:
 
     def evaluate(self, theta, I, reality_tol=1e-12):
         """Pointwise value; raises if the imaginary residual is not negligible."""
-        theta = tuple(float(v) for v in theta)
-        I = tuple(float(v) for v in I)
-        if len(theta) != self.d or len(I) != self.d:
+        theta = np.asarray(theta, dtype=float)
+        I = np.asarray(I, dtype=float)
+        if theta.shape != (self.d,) or I.shape != (self.d,):
             raise ValueError("point dimension mismatch")
-        total = 0j
-        scale = 0.0
-        for (k, m), c in self._terms.items():
-            phase = cmath.exp(TWO_PI * 1j * sum(ki * ti for ki, ti in zip(k, theta)))
-            mono = 1.0
-            for Ii, mi in zip(I, m):
-                if mi:
-                    mono *= Ii**mi
-            term = c * phase * mono
-            total += term
-            scale += abs(term)
+        kernel = HamiltonianVectorField(self, check_real=False)
+        E, pw = kernel._phases_and_table(theta, I)
+        P = kernel._powers(pw, kernel.M)[0]
+        total = complex((E[0] * P) @ kernel.C)
+        scale = float(np.abs(P) @ np.abs(kernel.C))
         if abs(total.imag) > reality_tol * max(scale, 1.0):
             raise RealityViolationError(
                 f"imaginary residual {total.imag:.3e} exceeds {reality_tol:.1e} "
@@ -252,59 +250,66 @@ class FourierTaylorSeries:
 
     # -- norms, truncation, structure ----------------------------------------
 
+    def _orders(self):
+        """(key, |k|_1, |m|_1, c) for every term."""
+        for key, c in self._terms.items():
+            yield key, sum(map(abs, key[0])), sum(key[1]), c
+
+    def select(self, keep):
+        """Sub-series of the terms with keep(|k|_1, |m|_1, c) true."""
+        return FourierTaylorSeries(
+            self.d, {key: c for key, nk, nm, c in self._orders() if keep(nk, nm, c)}
+        )
+
+    def mass(self, weight=None, where=None):
+        """sum |c| weight(|k|_1, |m|_1) over the terms with where(|k|_1, |m|_1, c)
+        true; weight defaults to 1 and where to every term.  inf on overflow."""
+        total = 0.0
+        try:
+            for _, nk, nm, c in self._orders():
+                if where is None or where(nk, nm, c):
+                    total += abs(c) if weight is None else abs(c) * weight(nk, nm)
+        except OverflowError:
+            return math.inf
+        return total
+
     def coefficient_mass(self):
-        return sum(abs(c) for c in self._terms.values())
+        return self.mass()
 
     def weighted_norm(self, widths):
         """Coefficient majorant sum |c| rho^{|m|_1} e^{sigma |k|_1}; inf on overflow."""
-        total = 0.0
-        for (k, m), c in self._terms.items():
-            try:
-                w = abs(c) * widths.rho ** sum(m) * math.exp(widths.sigma * sum(abs(v) for v in k))
-            except OverflowError:
-                return math.inf
-            total += w
-        return total
+        return self.mass(widths.weight)
 
     def truncate(self, kmax=None, mmax=None):
         """Drop |k|_1 > kmax or |m|_1 > mmax; reports the removed coefficient mass."""
-        kept = {}
-        dropped = 0.0
-        for (k, m), c in self._terms.items():
-            if (kmax is not None and sum(abs(v) for v in k) > kmax) or (
-                mmax is not None and sum(m) > mmax
-            ):
-                dropped += abs(c)
-            else:
-                kept[(k, m)] = c
-        return TruncationResult(FourierTaylorSeries(self.d, kept), dropped)
 
-    def select(self, predicate):
-        """Sub-series of terms with predicate(k, m) true."""
-        return FourierTaylorSeries(
-            self.d, {key: c for key, c in self._terms.items() if predicate(*key)}
+        def cut(nk, nm, c):
+            return (kmax is not None and nk > kmax) or (mmax is not None and nm > mmax)
+
+        return TruncationResult(
+            self.select(lambda nk, nm, c: not cut(nk, nm, c)), self.mass(where=cut)
         )
 
     def fourier_zero_part(self):
-        return self.select(lambda k, m: all(v == 0 for v in k))
+        return self.select(lambda nk, nm, c: nk == 0)
 
     def fourier_nonzero_part(self):
-        return self.select(lambda k, m: any(v != 0 for v in k))
+        return self.select(lambda nk, nm, c: nk > 0)
 
     def pure_angle_part(self):
-        return self.select(lambda k, m: sum(m) == 0)
+        return self.select(lambda nk, nm, c: nm == 0)
 
     def is_pure_angle(self):
-        return all(sum(m) == 0 for _, m in self._terms)
+        return self.max_taylor_order() == 0
 
     def max_fourier_order(self):
-        return max((sum(abs(v) for v in k) for k, _ in self._terms), default=0)
+        return max((nk for _, nk, _, _ in self._orders()), default=0)
 
     def min_taylor_order(self):
-        return min((sum(m) for _, m in self._terms), default=0)
+        return min((nm for _, _, nm, _ in self._orders()), default=0)
 
     def max_taylor_order(self):
-        return max((sum(m) for _, m in self._terms), default=0)
+        return max((nm for _, _, nm, _ in self._orders()), default=0)
 
     def taylor_monomials(self):
         """Sorted list of action multi-indices carrying at least one term."""
@@ -381,17 +386,14 @@ class FourierTaylorSeries:
         with open(path) as fh:
             return cls.from_text(fh.read())
 
-    # -- compiled evaluation --------------------------------------------------
-
-    def compile(self):
-        return SeriesEvaluator(self)
-
     def vector_field(self, check_real=True):
         return HamiltonianVectorField(self, check_real=check_real)
 
 
-def poisson_bracket(f, g):
-    return f.poisson_bracket(g)
+def theta_gradient_majorant(H, radius):
+    """sup of ||d_theta H||_inf on the tube of the given action radius,
+    as the coefficient majorant sum |c| 2 pi |k|_1 radius^{|m|_1}."""
+    return H.mass(lambda nk, nm: TWO_PI * nk * radius**nm)
 
 
 def _term_arrays(series):
@@ -408,31 +410,13 @@ def _term_arrays(series):
     return K, M, C
 
 
-class SeriesEvaluator:
-    """Vectorized pointwise evaluation at batches of real points."""
-
-    def __init__(self, series):
-        self.d = series.d
-        self.K, self.M, self.C = _term_arrays(series)
-
-    def __call__(self, theta, I):
-        theta = np.atleast_2d(np.asarray(theta, dtype=float))
-        I = np.atleast_2d(np.asarray(I, dtype=float))
-        if len(self.C) == 0:
-            out = np.zeros(theta.shape[0])
-        else:
-            E = np.exp(TWO_PI * 1j * (theta @ self.K.T))
-            P = np.prod(I[:, None, :] ** self.M[None, :, :], axis=2)
-            out = ((E * P) @ self.C).real
-        return out[0] if out.shape == (1,) else out
-
-
 class HamiltonianVectorField:
     """Batched Hamiltonian vector field (theta_dot, I_dot) of a real series.
 
     theta_dot = dH/dI, I_dot = -dH/dtheta.  Built for long integration loops:
     one complex exponential per term per call, action powers from a cumulative
-    table, shared across all gradient components.
+    table, shared across all gradient components.  The same kernel gives the
+    energy and FourierTaylorSeries.evaluate.
     """
 
     def __init__(self, series, check_real=True):
@@ -451,31 +435,28 @@ class HamiltonianVectorField:
             Mr[:, j] = np.maximum(Mr[:, j] - 1, 0)
             self.Mred.append(Mr)
 
-    def _power_table(self, I):
-        N = I.shape[0]
-        pw = np.empty((N, self.d, self.pmax + 1))
+    def _phases_and_table(self, theta, I):
+        """Phases e^{2 pi i k.theta} per point and term, and the table I_j^p."""
+        theta = np.atleast_2d(np.asarray(theta, dtype=float))
+        I = np.atleast_2d(np.asarray(I, dtype=float))
+        E = np.exp(TWO_PI * 1j * (theta @ self.K.T))
+        pw = np.empty((I.shape[0], self.d, self.pmax + 1))
         pw[:, :, 0] = 1.0
         for p in range(1, self.pmax + 1):
             pw[:, :, p] = pw[:, :, p - 1] * I
-        return pw
+        return E, pw
 
     def _powers(self, pw, M):
-        N = pw.shape[0]
-        out = np.ones((N, len(M)))
+        out = np.ones((pw.shape[0], len(M)))
         for j in range(self.d):
             out *= pw[:, j, :][:, M[:, j]]
         return out
 
     def __call__(self, theta, I):
-        theta = np.atleast_2d(np.asarray(theta, dtype=float))
-        I = np.atleast_2d(np.asarray(I, dtype=float))
-        N = theta.shape[0]
+        E, pw = self._phases_and_table(theta, I)
+        N = E.shape[0]
         theta_dot = np.zeros((N, self.d))
         I_dot = np.zeros((N, self.d))
-        if self.n == 0:
-            return theta_dot, I_dot
-        E = np.exp(TWO_PI * 1j * (theta @ self.K.T))
-        pw = self._power_table(I)
         EP = E * self._powers(pw, self.M)
         for j in range(self.d):
             I_dot[:, j] = -(EP @ self.Ck[j]).real
@@ -483,10 +464,5 @@ class HamiltonianVectorField:
         return theta_dot, I_dot
 
     def energy(self, theta, I):
-        theta = np.atleast_2d(np.asarray(theta, dtype=float))
-        I = np.atleast_2d(np.asarray(I, dtype=float))
-        if self.n == 0:
-            return np.zeros(theta.shape[0])
-        E = np.exp(TWO_PI * 1j * (theta @ self.K.T))
-        P = self._powers(self._power_table(I), self.M)
-        return ((E * P) @ self.C).real
+        E, pw = self._phases_and_table(theta, I)
+        return ((E * self._powers(pw, self.M)) @ self.C).real

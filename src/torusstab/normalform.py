@@ -11,7 +11,7 @@ a pure average: the integrable part only gains k=0 terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -106,21 +106,6 @@ def solve_homological(f_nr, omega, divisor_floor=DIVISOR_FLOOR):
     return FourierTaylorSeries(f_nr.d, terms)
 
 
-def _weighted_chop(series, widths, chop):
-    """Split off terms whose weighted-norm contribution is below chop."""
-    if chop <= 0.0:
-        return series, 0.0
-    kept = {}
-    dropped = 0.0
-    for (k, m), c in series.items():
-        w = abs(c) * widths.rho ** sum(m) * math.exp(widths.sigma * sum(abs(v) for v in k))
-        if w < chop:
-            dropped += w
-        else:
-            kept[(k, m)] = c
-    return FourierTaylorSeries(series.d, kept), dropped
-
-
 def lie_transform(
     H,
     chi,
@@ -141,10 +126,16 @@ def lie_transform(
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    measure = (
-        (lambda s: s.weighted_norm(widths)) if widths is not None else
-        (lambda s: s.coefficient_mass())
-    )
+    weight = widths.weight if widths is not None else None
+    prunes = kmax is not None or mmax is not None or (weight is not None and chop > 0.0)
+
+    def pruned(nk, nm, c):
+        return (
+            (kmax is not None and nk > kmax)
+            or (mmax is not None and nm > mmax)
+            or (weight is not None and abs(c) * weight(nk, nm) < chop)
+        )
+
     result = H
     bracket = H
     dropped = 0.0
@@ -153,17 +144,10 @@ def lie_transform(
     fact = 1.0
     for n in range(1, order + 1):
         bracket = bracket.poisson_bracket(chi)
-        if kmax is not None or mmax is not None:
-            truncated = bracket.select(
-                lambda k, m: (kmax is not None and sum(abs(v) for v in k) > kmax)
-                or (mmax is not None and sum(m) > mmax)
-            )
-            bracket, _ = bracket.truncate(kmax=kmax, mmax=mmax)
-            dropped += measure(truncated)
-        if widths is not None and chop > 0.0:
-            bracket, chop_mass = _weighted_chop(bracket, widths, chop)
-            dropped += chop_mass
-        mass = measure(bracket)
+        if prunes:
+            dropped += bracket.mass(weight, where=pruned)
+            bracket = bracket.select(lambda nk, nm, c: not pruned(nk, nm, c))
+        mass = bracket.mass(weight)
         if prev_mass is not None and prev_mass > 0.0 and mass > divergence_factor * prev_mass:
             raise LieDivergenceError(
                 f"bracket norm grew by {mass / prev_mass:.2e} at order {n}"
@@ -201,9 +185,6 @@ def resonant_normal_form(
     if max_iter is None:
         max_iter = 2 * K
 
-    def in_cutoff(k, m):
-        return 0 < sum(abs(v) for v in k) <= K
-
     f0 = H.fourier_nonzero_part()
     f0_norm = f0.weighted_norm(widths)
     if f0_norm > params.smallness_threshold:
@@ -222,7 +203,7 @@ def resonant_normal_form(
     iterations = 0
     while True:
         f_star = current.fourier_nonzero_part()
-        f_nr = f_star.select(in_cutoff)
+        f_nr = f_star.select(lambda nk, nm, c: 0 < nk <= K)
         star_norm = f_star.weighted_norm(inner) + dropped
         contraction = star_norm / f0_norm if f0_norm > 0.0 else 0.0
         # at least one averaging pass: the change of variables must actually

@@ -13,7 +13,7 @@ throughout by a computable coefficient majorant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,22 +61,17 @@ def smooth(g, s):
     if not g.is_pure_angle():
         raise ValueError("smoothing operates on pure-angle series only")
     cutoff = 1.0 / s
-    kept = {}
-    dropped = 0.0
-    for (k, m), c in g.items():
-        if sum(abs(v) for v in k) <= cutoff:
-            kept[(k, m)] = c
-        else:
-            dropped += abs(c)
-    g_s = FourierTaylorSeries(g.d, kept)
-    lhs = sum(
-        abs(c) * math.exp(s * sum(abs(v) for v in k)) for (k, _), c in g_s.items()
-    )
-    rhs = sum(
-        abs(c) * math.exp(s * sum(abs(v) for v in k))
-        for (k, _), c in g.items()
-        if sum(abs(v) for v in k) <= cutoff
-    )
+
+    def kept(nk, nm, c):
+        return nk <= cutoff
+
+    def at_s(nk, nm):
+        return math.exp(s * nk)
+
+    g_s = g.select(kept)
+    lhs = g_s.mass(at_s)
+    rhs = g.mass(at_s, where=kept)
+    dropped = g.mass(where=lambda nk, nm, c: nk > cutoff)
     residual = abs(lhs - rhs) / max(abs(rhs), 1e-300)
     return SmoothingResult(
         g_s=g_s,
@@ -95,24 +90,14 @@ def holder_norm_majorant(g, hc):
     """
     if not g.is_pure_angle():
         raise ValueError("Holder majorant operates on pure-angle series only")
-    total = 0.0
-    for (k, _), c in g.items():
-        try:
-            total += abs(c) * (1.0 + (TWO_PI * sum(abs(v) for v in k)) ** hc.ell)
-        except OverflowError:
-            return math.inf
+    total = g.mass(lambda nk, nm: 1.0 + (TWO_PI * nk) ** hc.ell)
     return (1.0 + 2.0 ** (1.0 - hc.mu)) * total
 
 
 def cp_tail_majorant(g, s, p):
     """C^p-style majorant of g - g_s: mass of dropped modes weighted (2 pi |k|_1)^p."""
     cutoff = 1.0 / s
-    total = 0.0
-    for (k, _), c in g.items():
-        nk = sum(abs(v) for v in k)
-        if nk > cutoff:
-            total += abs(c) * (TWO_PI * nk) ** p
-    return total
+    return g.mass(lambda nk, nm: (TWO_PI * nk) ** p, where=lambda nk, nm, c: nk > cutoff)
 
 
 def lacunary_series(d, ell, j_max=10, seed=0, amplitude=1.0, modes_per_shell=2):

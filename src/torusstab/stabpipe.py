@@ -12,19 +12,24 @@ configured constant, never as calibrated truths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import (
     DominanceViolationError,
+    NumericalFault,
     PipelineStageError,
     PreconditionError,
 )
 from .freqlib import diophantine_constant
-from .ftseries import TWO_PI, AnalyticityWidths, FourierTaylorSeries
+from .ftseries import AnalyticityWidths, FourierTaylorSeries, theta_gradient_majorant
 from .normalform import NormalFormParams, resonant_normal_form
 from .smoothing import holder_norm_majorant
 
 RHO_MAX = math.exp(-6.0)
+
+# what a stage may fail with: a precondition or a numerical fault; anything
+# else is a programming error and is not wrapped in a PipelineStageError
+_STAGE_FAULTS = (ValueError, NumericalFault)
 
 
 @dataclass(frozen=True)
@@ -135,18 +140,18 @@ def taylor_split(f, hc, rho):
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
-    low = f.select(lambda k, m: sum(m) < 2)
-    if low:
+    if f and f.min_taylor_order() < 2:
         raise PreconditionError(
             "perturbation carries Taylor orders < 2; the torus would not be invariant"
         )
     top = hc.q - 2
-    P = f.select(lambda k, m: 2 <= sum(m) <= top)
-    Z = f.select(lambda k, m: sum(m) > top)
-    z_bound = sum(
-        abs(c) * TWO_PI * sum(abs(v) for v in k) * rho ** sum(m) for (k, m), c in Z.items()
+    Z = f.select(lambda nk, nm, c: nm > top)
+    return TaylorSplit(
+        P=f.select(lambda nk, nm, c: 2 <= nm <= top),
+        Z=Z,
+        Z_bound=theta_gradient_majorant(Z, rho),
+        rho=float(rho),
     )
-    return TaylorSplit(P=P, Z=Z, Z_bound=z_bound, rho=float(rho))
 
 
 def smooth_coefficients(split, s):
@@ -159,23 +164,12 @@ def smooth_coefficients(split, s):
         raise ValueError(f"s must lie in (0, 1], got {s}")
     cutoff = 1.0 / s
     half = split.rho / 2.0
-    kept = {}
-    grad_I = 0.0
-    grad_theta = 0.0
-    dropped = 0.0
-    for (k, m), c in split.P.items():
-        if sum(abs(v) for v in k) <= cutoff:
-            kept[(k, m)] = c
-        else:
-            dropped += abs(c)
-            order = sum(m)
-            grad_I += abs(c) * order * half ** (order - 1)
-            grad_theta += abs(c) * TWO_PI * sum(abs(v) for v in k) * half**order
+    tail = split.P.select(lambda nk, nm, c: nk > cutoff)
     return SmoothedSplit(
-        P_s=FourierTaylorSeries(split.P.d, kept),
-        grad_I_gap=grad_I,
-        grad_theta_gap=grad_theta,
-        dropped_mass=dropped,
+        P_s=split.P.select(lambda nk, nm, c: nk <= cutoff),
+        grad_I_gap=tail.mass(lambda nk, nm: nm * half ** (nm - 1)),
+        grad_theta_gap=theta_gradient_majorant(tail, half),
+        dropped_mass=tail.mass(),
         s=float(s),
     )
 
@@ -345,7 +339,7 @@ def perturbation_of(H, omega, tol=1e-9):
     w = omega.as_array() if hasattr(omega, "as_array") else omega
     linear = FourierTaylorSeries.linear(w)
     f = H - linear
-    stray = f.select(lambda k, m: all(v == 0 for v in k) and sum(m) <= 1)
+    stray = f.select(lambda nk, nm, c: nk == 0 and nm <= 1)
     if stray and stray.coefficient_mass() > tol * max(H.coefficient_mass(), 1.0):
         raise PreconditionError(
             "Hamiltonian linear part does not match the supplied frequency"
@@ -405,7 +399,7 @@ def run_pipeline(
     try:
         split = taylor_split(f, hc, rho)
         cmax = coefficient_norm_max(split.P, hc)
-    except Exception as exc:  # noqa: BLE001 - stage tagging
+    except _STAGE_FAULTS as exc:
         raise PipelineStageError("taylor_split", exc) from exc
 
     schedule = parameter_schedule(rho, gamma, tau, hc, consts, cmax)
@@ -425,7 +419,7 @@ def run_pipeline(
 
     try:
         smoothed = smooth_coefficients(split, schedule.s)
-    except Exception as exc:  # noqa: BLE001
+    except _STAGE_FAULTS as exc:
         raise PipelineStageError("smooth_coefficients", exc) from exc
 
     try:
@@ -436,7 +430,7 @@ def run_pipeline(
                 f"supplied gamma = {gamma} exceeds the certified gamma_K = "
                 f"{cert.gamma_K:.6e} at K = {schedule.K}"
             )
-    except Exception as exc:  # noqa: BLE001
+    except _STAGE_FAULTS as exc:
         raise PipelineStageError("certificate", exc) from exc
 
     try:
@@ -455,7 +449,7 @@ def run_pipeline(
             order=nf_order,
             rel_chop=nf_rel_chop,
         )
-    except Exception as exc:  # noqa: BLE001
+    except _STAGE_FAULTS as exc:
         raise PipelineStageError("normal_form", exc) from exc
 
     try:
@@ -466,7 +460,7 @@ def run_pipeline(
             * abs(schedule.b * math.log(rho)) ** (hc.ell - 1.0)
         )
         prediction = predicted_stability_time(rho, hc, tau, consts)
-    except Exception as exc:  # noqa: BLE001
+    except _STAGE_FAULTS as exc:
         raise PipelineStageError("remainder_bounds", exc) from exc
 
     return PipelineReport(

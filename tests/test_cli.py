@@ -95,6 +95,18 @@ class TestPredict:
         assert float(out["t_theorem"]) == pytest.approx(1.5087649965990064e9, rel=1e-9)
         assert float(out["exponent"]) == pytest.approx(3.5)
 
+    def test_pipeline_precondition_exit_code(self, tmp_path, capsys):
+        # an order-1 perturbation term fails the Taylor-split precondition
+        H = FourierTaylorSeries.linear(golden_frequency(2)) + (
+            FourierTaylorSeries.cosine(2, (1, 0), m=(1, 0), amplitude=1e-12)
+        )
+        src = tmp_path / "H.txt"
+        H.save(src)
+        assert main(["predict", "--rho", "1e-3", "--input", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
 
 class TestEscape:
     def test_builtin_hamiltonian(self, capsys):

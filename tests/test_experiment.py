@@ -40,6 +40,16 @@ class TestConfig:
             ExperimentConfig(rho_list=(0.1, 0.05), dynamics_only=False)
         ExperimentConfig(rho_list=(1e-3, 1e-4), dynamics_only=False)
 
+    @pytest.mark.parametrize("key", ["xi_const", "C_9", "kmax", "mmax", "outdir"])
+    def test_unknown_keys_rejected_by_name(self, key):
+        with pytest.raises(ValueError, match=f"unknown config key: {key}"):
+            parse_config(f"{key} = 3")
+
+    def test_xi_reaches_constants(self):
+        cfg = parse_config("xi = 3")
+        assert cfg.xi == 3.0
+        assert cfg.constants.xi == 3.0
+
     def test_parse_round_values(self):
         cfg = parse_config(
             """

@@ -11,8 +11,13 @@ from torusstab import (
     AnalyticityWidths,
     FourierTaylorSeries,
     HamiltonianVectorField,
+    HolderClass,
     RealityViolationError,
     TWO_PI,
+    cp_tail_majorant,
+    holder_norm_majorant,
+    smooth,
+    theta_gradient_majorant,
 )
 
 D = 2
@@ -243,6 +248,58 @@ class TestNormsAndStructure:
             g.evaluate((0.1, 0.2), (0, 0))
 
 
+def l1(v):
+    return sum(abs(x) for x in v)
+
+
+def close(a, b):
+    return math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0)
+
+
+class TestSharedReductions:
+    """Every order-weighted reduction against its per-term reference sum."""
+
+    @given(
+        f=series_strategy(max_terms=8),
+        sigma=st.floats(0.05, 2.0),
+        rho=st.floats(0.05, 2.0),
+        s=st.floats(0.05, 1.0),
+        p=st.integers(0, 3),
+        kmax=st.integers(0, 6),
+        mmax=st.integers(0, 6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_reductions_match_reference_sums(self, f, sigma, rho, s, p, kmax, mmax):
+        terms = list(f.items())
+        assert close(
+            f.weighted_norm(AnalyticityWidths(sigma, rho)),
+            sum(abs(c) * rho ** sum(m) * math.exp(sigma * l1(k)) for (k, m), c in terms),
+        )
+        res = f.truncate(kmax=kmax, mmax=mmax)
+        cut = [(k, m) for (k, m), _ in terms if l1(k) > kmax or sum(m) > mmax]
+        assert close(res.dropped_mass, sum(abs(f.terms[key]) for key in cut))
+        assert len(res.series) == len(terms) - len(cut)
+        assert close(
+            theta_gradient_majorant(f, rho),
+            sum(abs(c) * TWO_PI * l1(k) * rho ** sum(m) for (k, m), c in terms),
+        )
+        assert close(
+            cp_tail_majorant(f, s, p),
+            sum(abs(c) * (TWO_PI * l1(k)) ** p for (k, m), c in terms if l1(k) > 1.0 / s),
+        )
+        g = f.pure_angle_part()
+        hc = HolderClass(6.5, 2)
+        assert close(
+            holder_norm_majorant(g, hc),
+            (1.0 + 2.0 ** (1.0 - hc.mu))
+            * sum(abs(c) * (1.0 + (TWO_PI * l1(k)) ** hc.ell) for (k, _), c in g.items()),
+        )
+        assert close(
+            smooth(g, s).dropped_tail_mass,
+            sum(abs(c) for (k, _), c in g.items() if l1(k) > 1.0 / s),
+        )
+
+
 class TestSerialization:
     def test_round_trip_bit_exact(self):
         f = FourierTaylorSeries(
@@ -279,11 +336,10 @@ class TestEvaluators:
         f = FourierTaylorSeries.cosine(D, (1, -1), m=(1, 0)) + FourierTaylorSeries.sine(
             D, (0, 2), m=(0, 3)
         )
-        ev = f.compile()
         rng = np.random.default_rng(7)
         thetas = rng.random((20, 2))
         Is = rng.uniform(-1, 1, (20, 2))
-        batch = ev(thetas, Is)
+        batch = f.vector_field().energy(thetas, Is)
         for i in range(20):
             assert batch[i] == pytest.approx(f.evaluate(thetas[i], Is[i]), abs=1e-12)
 

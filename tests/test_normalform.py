@@ -87,9 +87,7 @@ class TestLieTransform:
         H = FourierTaylorSeries.linear(OMEGA) + f
         chi = solve_homological(f, OMEGA)
         res = lie_transform(H, chi, order=1)
-        low = res.series.fourier_nonzero_part().select(
-            lambda k, m: sum(abs(v) for v in k) <= 1
-        )
+        low = res.series.fourier_nonzero_part().select(lambda nk, nm, c: nk <= 1)
         # what survives at |k| <= 1 is the order-1 piece of {f, chi}, O(eps^2)
         assert low.coefficient_mass() <= 1e-5 * f.coefficient_mass()
 
@@ -113,6 +111,34 @@ class TestLieTransform:
         assert res.series.max_fourier_order() <= 1
         assert res.dropped_mass > 0.0
 
+    def test_chop_mass_summed_over_removed_terms(self):
+        # at a 1e-16 relative chop the removed mass is ~1e-15 of the norm, so
+        # it must be summed over the removed terms, not taken as a difference
+        f = FourierTaylorSeries.cosine(D, (1, 0), m=(2, 0), amplitude=1e-3) + (
+            FourierTaylorSeries.cosine(D, (1, -2), m=(0, 3), amplitude=1e-4)
+        )
+        H = FourierTaylorSeries.linear(OMEGA) + f
+        chi = solve_homological(f, OMEGA)
+        w = AnalyticityWidths(0.5, 0.4)
+        chop = 1e-16 * H.weighted_norm(w)
+        res = lie_transform(H, chi, order=4, widths=w, chop=chop)
+        removed = 0.0
+        kept_any = False
+        bracket = H
+        for _ in range(4):
+            bracket = bracket.poisson_bracket(chi)
+            kept = {}
+            for (k, m), c in bracket.items():
+                mass = abs(c) * w.rho ** sum(m) * math.exp(w.sigma * sum(abs(v) for v in k))
+                if mass < chop:
+                    removed += mass
+                else:
+                    kept[(k, m)] = c
+            kept_any = kept_any or bool(kept)
+            bracket = FourierTaylorSeries(D, kept)
+        assert kept_any and removed > 0.0
+        assert res.dropped_mass == pytest.approx(removed, rel=1e-12)
+
 
 class TestResonantNormalForm:
     def test_acceptance_instance_certified(self):
@@ -127,7 +153,7 @@ class TestResonantNormalForm:
     def test_low_modes_removed(self):
         H, params = acceptance_instance()
         nf = resonant_normal_form(H, OMEGA, params)
-        low = nf.f_star.select(lambda k, m: 0 < sum(abs(v) for v in k) <= params.K)
+        low = nf.f_star.select(lambda nk, nm, c: 0 < nk <= params.K)
         assert low.coefficient_mass() <= 1e-11 * nf.f_initial_norm
 
     def test_integrable_part_contains_original_mean(self):
