@@ -20,14 +20,15 @@ from .ftseries import HamiltonianVectorField, theta_gradient_majorant
 FIXED_POINT_TOL = 1e-13
 MAX_SWEEPS = 50
 MAX_RECORDED_SAMPLES = 100_000
+# steps between energy-drift checks of an escape run
+ENERGY_CHECK_EVERY = 1000
 
 
 def linear_frequency(H):
     """The frequency vector of the k=0, |m|=1 part of H."""
     w = np.zeros(H.d)
-    for (k, m), c in H.items():
-        if all(v == 0 for v in k) and sum(m) == 1:
-            w[m.index(1)] = c.real
+    rows = ~H.K.any(axis=1) & (H.M.sum(axis=1) == 1)
+    w[H.M[rows].argmax(axis=1)] = H.C[rows].real
     return w
 
 
@@ -169,24 +170,13 @@ def sample_initial_conditions(d, rho, n_samples, seed):
     return thetas, Is
 
 
-def escape_time(
-    H,
-    rho,
-    threshold,
-    t_cap,
-    n_samples,
-    seed,
-    dt=None,
-    margin=None,
-    energy_check_every=1000,
-):
+def escape_time(H, rho, threshold, t_cap, n_samples, seed, dt=None):
     """Monte-Carlo lower estimate of the escape time from drift `threshold`.
 
     Integrates the batch synchronously, freezing each sample at its first
     crossing; censored samples carry t_cap.  Every uncensored time must pass
     the ballistic a-priori bound (sup of ||I_dot|| on the reachable tube of
-    radius rho*(1+margin), margin defaulting to threshold/rho), otherwise an
-    integration fault is raised.
+    radius rho + threshold), otherwise an integration fault is raised.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
@@ -196,8 +186,6 @@ def escape_time(
         raise ValueError("t_cap must be positive")
     if dt is None:
         dt = default_dt(H)
-    if margin is None:
-        margin = threshold / rho
     field = HamiltonianVectorField(H)
     d = H.d
     theta0, I0 = sample_initial_conditions(d, rho, n_samples, seed)
@@ -228,12 +216,12 @@ def escape_time(
             I = I[keep]
             if len(active) == 0:
                 break
-        if n % energy_check_every == 0 or n == n_steps:
+        if n % ENERGY_CHECK_EVERY == 0 or n == n_steps:
             e = field.energy(theta, I)
             if len(e):
                 rel = np.max(np.abs(e - e0[active]) / np.maximum(np.abs(e0[active]), 1.0))
                 max_energy_drift = max(max_energy_drift, float(rel))
-    bound = ballistic_bound(H.fourier_nonzero_part(), threshold, rho * (1.0 + margin))
+    bound = ballistic_bound(H.fourier_nonzero_part(), threshold, rho * (1.0 + threshold / rho))
     bad = (~censored) & (escape_times < bound * (1.0 - 1e-12))
     if bad.any():
         idx = int(np.argmax(bad))

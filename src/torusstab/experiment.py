@@ -41,7 +41,6 @@ class ExperimentConfig:
     gamma: float = 0.5
     omega: tuple | None = None  # None -> golden frequency for d=2
     rho_list: tuple = (0.1, 0.05, 0.025)
-    xi: float = 2.0
     amplitude: float = 1e-12
     j_max: int = 8
     seed: int = 0
@@ -67,6 +66,10 @@ class ExperimentConfig:
         object.__setattr__(self, "rho_list", rhos)
 
     @property
+    def xi(self):
+        return self.constants.xi
+
+    @property
     def holder(self):
         return HolderClass(self.ell, self.d)
 
@@ -77,26 +80,29 @@ class ExperimentConfig:
         return golden_frequency(self.d)
 
 
-_CONFIG_FLOATS = {
-    "ell", "tau", "gamma", "xi", "amplitude", "threshold_factor", "epsilon", "T0",
-}
+_CONFIG_FLOATS = {"ell", "tau", "gamma", "amplitude", "threshold_factor", "epsilon", "T0"}
 _CONFIG_INTS = {"d", "j_max", "seed", "max_steps", "n_samples"}
 _CONFIG_OPT_FLOATS = {"dt", "t_cap"}
-# xi is an ExperimentConfig key that also reaches BoundConstants
-_CONFIG_CONSTANTS = {f.name for f in fields(BoundConstants)} - {"xi"}
+_CONFIG_CONSTANTS = {f.name for f in fields(BoundConstants)}
+
+
+def _key_values(text):
+    """(key, value) pairs of flat `key = value` text with `#` comments."""
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"malformed line: {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        yield key, value
 
 
 def parse_config(text):
     """Parse flat `key = value` config text into an ExperimentConfig."""
     kwargs = {}
     constants = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"malformed config line: {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
+    for key, value in _key_values(text):
         if key in _CONFIG_FLOATS:
             kwargs[key] = float(value)
         elif key in _CONFIG_INTS:
@@ -113,7 +119,7 @@ def parse_config(text):
             constants[key] = float(value)
         else:
             raise ValueError(f"unknown config key: {key}")
-    kwargs["constants"] = BoundConstants(xi=kwargs.get("xi", 2.0), **constants)
+    kwargs["constants"] = BoundConstants(**constants)
     return ExperimentConfig(**kwargs)
 
 
@@ -122,17 +128,14 @@ def load_config(path):
         return parse_config(fh.read())
 
 
-def load_constants(path, xi=2.0):
+def load_constants(path):
     """Flat key=value file of C-constants."""
     values = {}
     with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, value = (part.strip() for part in line.split("=", 1))
+        for key, value in _key_values(fh.read()):
+            if key not in _CONFIG_CONSTANTS:
+                raise ValueError(f"unknown constants key: {key}")
             values[key] = float(value)
-    values.setdefault("xi", xi)
     return BoundConstants(**values)
 
 
@@ -278,9 +281,7 @@ def _sweep_row(config, H, omega, hc, rho, dt):
     error = ""
     if not config.dynamics_only:
         try:
-            report = run_pipeline(
-                H, omega, config.gamma, config.tau, hc, rho, consts, k_cap=None
-            )
+            report = run_pipeline(H, omega, config.gamma, config.tau, hc, rho, consts)
             flags = ";".join(
                 f"{name}:{int(ok)}" for name, ok in sorted(report.schedule.flags.items())
             )

@@ -5,10 +5,13 @@ A series is a finite map (k, m) -> c representing
     f(theta, I) = sum c_{k,m} e^{2 pi i k.theta} I^m,
 
 with k an integer Fourier mode and m a non-negative Taylor multi-index.
-The torus is R^d/Z^d, so small divisors carry a 2 pi factor.  Storage is
-canonical: zero coefficients are never kept, and two series are equal iff
-their term maps are equal.  A real-valued series satisfies
-c_{-k,m} = conj(c_{k,m}) for every stored term.
+The torus is R^d/Z^d, so small divisors carry a 2 pi factor.  The terms
+are stored as three read-only arrays, K (n x d modes), M (n x d Taylor
+indices) and C (n coefficients), sorted by (k, m) with no repeated key and
+no zero coefficient; two series are equal iff their arrays are equal.
+Products and brackets are broadcast over term pairs and merged by a sort.
+A real-valued series satisfies c_{-k,m} = conj(c_{k,m}) for every stored
+term.
 
 Weighted norms use the computable coefficient majorant
 
@@ -31,6 +34,9 @@ import numpy as np
 from .errors import RealityViolationError
 
 TWO_PI = 2.0 * math.pi
+# term pairs formed at once by a series product: it bounds the product's
+# working memory, whatever the operands' sizes
+PAIR_BLOCK = 1 << 18
 
 TruncationResult = namedtuple("TruncationResult", ["series", "dropped_mass"])
 
@@ -49,34 +55,50 @@ class AnalyticityWidths:
             raise ValueError(f"rho must be positive and finite, got {self.rho}")
 
     def weight(self, nk, nm):
-        """Majorant weight rho^{|m|_1} e^{sigma |k|_1} of a term of orders (nk, nm)."""
-        return self.rho**nm * math.exp(self.sigma * nk)
+        """Majorant weights rho^{|m|_1} e^{sigma |k|_1} of terms of orders (nk, nm)."""
+        return self.rho**nm * np.exp(self.sigma * nk)
 
 
 class FourierTaylorSeries:
     """Immutable sparse series; all operations return new values."""
 
-    __slots__ = ("d", "_terms")
+    __slots__ = ("d", "K", "M", "C")
 
     def __init__(self, d, terms=None):
+        """Series from a map (k, m) -> c; the indices are validated."""
         d = int(d)
         if d < 1:
             raise ValueError("dimension must be >= 1")
-        acc = {}
-        if terms:
-            for (k, m), c in terms.items():
-                k = tuple(int(v) for v in k)
-                m = tuple(int(v) for v in m)
-                if len(k) != d or len(m) != d:
-                    raise ValueError(f"index length mismatch for d={d}: k={k}, m={m}")
-                if any(v < 0 for v in m):
-                    raise ValueError(f"Taylor multi-index must be non-negative, got {m}")
-                c = complex(c)
-                if c != 0:
-                    key = (k, m)
-                    acc[key] = acc.get(key, 0j) + c
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "_terms", {key: c for key, c in acc.items() if c != 0})
+        rows, coeffs = [], []
+        for (k, m), c in (terms or {}).items():
+            k = tuple(int(v) for v in k)
+            m = tuple(int(v) for v in m)
+            if len(k) != d or len(m) != d:
+                raise ValueError(f"index length mismatch for d={d}: k={k}, m={m}")
+            if any(v < 0 for v in m):
+                raise ValueError(f"Taylor multi-index must be non-negative, got {m}")
+            rows.append(k + m)
+            coeffs.append(complex(c))
+        KM = np.array(rows, dtype=np.int64).reshape(len(rows), 2 * d)
+        self._set(d, *_merge((KM[:, :d], KM[:, d:], np.array(coeffs, dtype=complex))))
+
+    def _set(self, d, K, M, C):
+        """Store terms sorted by (k, m) with distinct keys: signed zeros are
+        cleared (as 0j + c does), zero terms dropped, the arrays locked."""
+        C = C + 0j
+        keep = C != 0
+        if not keep.all():
+            K, M, C = K[keep], M[keep], C[keep]
+        for a in (K, M, C):
+            a.flags.writeable = False
+        self.d, self.K, self.M, self.C = d, K, M, C
+
+    @classmethod
+    def _of(cls, d, K, M, C):
+        """Series of terms already sorted by (k, m) with distinct keys."""
+        out = cls.__new__(cls)
+        out._set(d, K, M, C)
+        return out
 
     # -- construction helpers -------------------------------------------------
 
@@ -129,30 +151,34 @@ class FourierTaylorSeries:
 
     @property
     def terms(self):
-        return MappingProxyType(self._terms)
+        return MappingProxyType(dict(self.items()))
 
     def items(self):
-        return self._terms.items()
-
-    def sorted_items(self):
-        return sorted(self._terms.items(), key=lambda kv: kv[0])
+        """((k, m), c) for every term, in (k, m) order."""
+        keys = zip(map(tuple, self.K.tolist()), map(tuple, self.M.tolist()))
+        return list(zip(keys, self.C.tolist()))
 
     def __len__(self):
-        return len(self._terms)
+        return len(self.C)
 
     def __bool__(self):
-        return bool(self._terms)
+        return len(self.C) > 0
 
     def __eq__(self, other):
         if not isinstance(other, FourierTaylorSeries):
             return NotImplemented
-        return self.d == other.d and self._terms == other._terms
+        return (
+            self.d == other.d
+            and np.array_equal(self.K, other.K)
+            and np.array_equal(self.M, other.M)
+            and np.array_equal(self.C, other.C)
+        )
 
     def __hash__(self):
-        return hash((self.d, frozenset(self._terms.items())))
+        return hash((self.d, self.K.tobytes(), self.M.tobytes(), self.C.tobytes()))
 
     def __repr__(self):
-        return f"FourierTaylorSeries(d={self.d}, nterms={len(self._terms)})"
+        return f"FourierTaylorSeries(d={self.d}, nterms={len(self)})"
 
     # -- algebra --------------------------------------------------------------
 
@@ -164,34 +190,32 @@ class FourierTaylorSeries:
         if isinstance(other, (int, float, complex)):
             other = FourierTaylorSeries.constant(self.d, other)
         self._check_same_d(other)
-        acc = dict(self._terms)
-        for key, c in other._terms.items():
-            acc[key] = acc.get(key, 0j) + c
-        return FourierTaylorSeries(self.d, acc)
+        return self._of(self.d, *_merge((self.K, self.M, self.C), (other.K, other.M, other.C)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FourierTaylorSeries(self.d, {key: -c for key, c in self._terms.items()})
+        return self._of(self.d, self.K, self.M, -self.C)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, FourierTaylorSeries) else -complex(other))
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
-            return FourierTaylorSeries(
-                self.d, {key: c * other for key, c in self._terms.items()}
-            )
+            return self._of(self.d, self.K, self.M, self.C * other)
         self._check_same_d(other)
-        acc = {}
-        for (k1, m1), c1 in self._terms.items():
-            for (k2, m2), c2 in other._terms.items():
-                key = (
-                    tuple(a + b for a, b in zip(k1, k2)),
-                    tuple(a + b for a, b in zip(m1, m2)),
-                )
-                acc[key] = acc.get(key, 0j) + c1 * c2
-        return FourierTaylorSeries(self.d, acc)
+        d = self.d
+        K, M, C = self.K[:0], self.M[:0], self.C[:0]
+        rows = max(1, PAIR_BLOCK // max(len(other), 1))
+        for i in range(0, len(self), rows):
+            block = slice(i, i + rows)
+            pairs = (
+                (self.K[block, None] + other.K).reshape(-1, d),
+                (self.M[block, None] + other.M).reshape(-1, d),
+                (self.C[block, None] * other.C).ravel(),
+            )
+            K, M, C = _merge((K, M, C), pairs)
+        return self._of(d, K, M, C)
 
     __rmul__ = __mul__
 
@@ -201,23 +225,19 @@ class FourierTaylorSeries:
         """Exact d/d theta_axis: multiplies c_{k,m} by 2 pi i k_axis."""
         if not 0 <= axis < self.d:
             raise ValueError(f"axis {axis} out of range for d={self.d}")
-        acc = {}
-        for (k, m), c in self._terms.items():
-            if k[axis] != 0:
-                acc[(k, m)] = c * (TWO_PI * 1j * k[axis])
-        return FourierTaylorSeries(self.d, acc)
+        rows = self.K[:, axis] != 0
+        K = self.K[rows]
+        return self._of(self.d, K, self.M[rows], self.C[rows] * (TWO_PI * 1j * K[:, axis]))
 
     def partial_I(self, axis):
         """Exact d/d I_axis: shifts m_axis down with factor m_axis."""
         if not 0 <= axis < self.d:
             raise ValueError(f"axis {axis} out of range for d={self.d}")
-        acc = {}
-        for (k, m), c in self._terms.items():
-            if m[axis] > 0:
-                mm = tuple(v - 1 if j == axis else v for j, v in enumerate(m))
-                key = (k, mm)
-                acc[key] = acc.get(key, 0j) + c * m[axis]
-        return FourierTaylorSeries(self.d, acc)
+        rows = self.M[:, axis] > 0
+        M = self.M[rows]
+        C = self.C[rows] * M[:, axis]
+        M[:, axis] -= 1  # a uniform shift keeps the (k, m) order
+        return self._of(self.d, self.K[rows], M, C)
 
     def poisson_bracket(self, other):
         """{f, g} = sum_i (d_theta_i f d_I_i g - d_I_i f d_theta_i g)."""
@@ -251,27 +271,31 @@ class FourierTaylorSeries:
     # -- norms, truncation, structure ----------------------------------------
 
     def _orders(self):
-        """(key, |k|_1, |m|_1, c) for every term."""
-        for key, c in self._terms.items():
-            yield key, sum(map(abs, key[0])), sum(key[1]), c
+        """|k|_1 and |m|_1 of every term."""
+        return np.abs(self.K).sum(axis=1), self.M.sum(axis=1)
 
     def select(self, keep):
-        """Sub-series of the terms with keep(|k|_1, |m|_1, c) true."""
-        return FourierTaylorSeries(
-            self.d, {key: c for key, nk, nm, c in self._orders() if keep(nk, nm, c)}
-        )
+        """Sub-series of the terms where the mask keep(|k|_1, |m|_1, c) is true;
+        keep receives one array entry per term."""
+        rows = keep(*self._orders(), self.C)
+        return self._of(self.d, self.K[rows], self.M[rows], self.C[rows])
 
     def mass(self, weight=None, where=None):
-        """sum |c| weight(|k|_1, |m|_1) over the terms with where(|k|_1, |m|_1, c)
-        true; weight defaults to 1 and where to every term.  inf on overflow."""
-        total = 0.0
-        try:
-            for _, nk, nm, c in self._orders():
-                if where is None or where(nk, nm, c):
-                    total += abs(c) if weight is None else abs(c) * weight(nk, nm)
-        except OverflowError:
-            return math.inf
-        return total
+        """sum |c| weight(|k|_1, |m|_1) over the terms where the mask
+        where(|k|_1, |m|_1, c) is true; both receive arrays, weight defaults
+        to 1 and where to every term.  inf if a weight overflows."""
+        nk, nm = self._orders()
+        a = np.abs(self.C)
+        if where is not None:
+            rows = where(nk, nm, self.C)
+            a, nk, nm = a[rows], nk[rows], nm[rows]
+        with np.errstate(over="ignore", invalid="ignore"):
+            if weight is not None:
+                w = weight(nk, nm)
+                if not np.all(np.isfinite(w)):
+                    return math.inf
+                a = a * w
+            return float(a.sum())
 
     def coefficient_mass(self):
         return self.mass()
@@ -282,12 +306,14 @@ class FourierTaylorSeries:
 
     def truncate(self, kmax=None, mmax=None):
         """Drop |k|_1 > kmax or |m|_1 > mmax; reports the removed coefficient mass."""
+        kcap = math.inf if kmax is None else kmax
+        mcap = math.inf if mmax is None else mmax
 
         def cut(nk, nm, c):
-            return (kmax is not None and nk > kmax) or (mmax is not None and nm > mmax)
+            return (nk > kcap) | (nm > mcap)
 
         return TruncationResult(
-            self.select(lambda nk, nm, c: not cut(nk, nm, c)), self.mass(where=cut)
+            self.select(lambda nk, nm, c: ~cut(nk, nm, c)), self.mass(where=cut)
         )
 
     def fourier_zero_part(self):
@@ -303,34 +329,29 @@ class FourierTaylorSeries:
         return self.max_taylor_order() == 0
 
     def max_fourier_order(self):
-        return max((nk for _, nk, _, _ in self._orders()), default=0)
+        return int(self._orders()[0].max(initial=0))
 
     def min_taylor_order(self):
-        return min((nm for _, _, nm, _ in self._orders()), default=0)
+        return int(self._orders()[1].min()) if self else 0
 
     def max_taylor_order(self):
-        return max((nm for _, _, nm, _ in self._orders()), default=0)
+        return int(self._orders()[1].max(initial=0))
 
     def taylor_monomials(self):
         """Sorted list of action multi-indices carrying at least one term."""
-        return sorted({m for _, m in self._terms})
+        return [tuple(m) for m in np.unique(self.M, axis=0).tolist()]
 
     def angle_coefficient(self, m):
         """The pure-angle coefficient series a_m(theta) of I^m."""
-        m = tuple(m)
-        z = (0,) * self.d
-        return FourierTaylorSeries(
-            self.d, {(k, z): c for (k, mm), c in self._terms.items() if mm == m}
-        )
+        rows = np.all(self.M == np.asarray(m, dtype=np.int64), axis=1)
+        return self._of(self.d, self.K[rows], np.zeros_like(self.M[rows]), self.C[rows])
 
     def is_real(self, tol=1e-12):
         """Check c_{-k,m} = conj(c_{k,m}) up to tol relative to the total mass."""
         scale = max(self.coefficient_mass(), 1e-300)
-        for (k, m), c in self._terms.items():
-            mirror = self._terms.get((tuple(-v for v in k), m), 0j)
-            if abs(mirror - c.conjugate()) > tol * scale:
-                return False
-        return True
+        # c_{k,m} - conj(c_{-k,m}) at every key of the series or its mirror
+        _, _, gap = _merge((self.K, self.M, self.C), (-self.K, self.M, -self.C.conj()))
+        return not np.any(np.abs(gap) > tol * scale)
 
     # -- serialization --------------------------------------------------------
 
@@ -341,7 +362,7 @@ class FourierTaylorSeries:
         precision.  Lines starting with `#` are comments.
         """
         lines = [f"# d={self.d}"]
-        for (k, m), c in self.sorted_items():
+        for (k, m), c in self.items():
             lines.append(
                 " ".join(str(v) for v in k)
                 + " | "
@@ -390,24 +411,27 @@ class FourierTaylorSeries:
         return HamiltonianVectorField(self, check_real=check_real)
 
 
+def _merge(*parts):
+    """Concatenate (K, M, C) term arrays, sort the terms by (k, m) and sum
+    repeated keys; the sort is stable, so each key's terms reach
+    np.add.reduceat in input order."""
+    K, M, C = (np.concatenate(a) for a in zip(*parts))
+    KM = np.hstack([K, M])
+    order = np.lexsort(KM.T[::-1])
+    KM, C = KM[order], C[order]
+    first = np.ones(len(C), dtype=bool)
+    first[1:] = np.any(KM[1:] != KM[:-1], axis=1)
+    starts = np.flatnonzero(first)
+    if len(starts) < len(C):
+        C = np.add.reduceat(C, starts)
+    rows = order[starts]
+    return K[rows], M[rows], C
+
+
 def theta_gradient_majorant(H, radius):
     """sup of ||d_theta H||_inf on the tube of the given action radius,
     as the coefficient majorant sum |c| 2 pi |k|_1 radius^{|m|_1}."""
     return H.mass(lambda nk, nm: TWO_PI * nk * radius**nm)
-
-
-def _term_arrays(series):
-    items = series.sorted_items()
-    n = len(items)
-    d = series.d
-    K = np.zeros((n, d), dtype=np.int64)
-    M = np.zeros((n, d), dtype=np.int64)
-    C = np.zeros(n, dtype=complex)
-    for i, ((k, m), c) in enumerate(items):
-        K[i] = k
-        M[i] = m
-        C[i] = c
-    return K, M, C
 
 
 class HamiltonianVectorField:
@@ -423,7 +447,7 @@ class HamiltonianVectorField:
         if check_real and not series.is_real(tol=1e-9):
             raise RealityViolationError("vector field requires a real-valued series")
         self.d = series.d
-        self.K, self.M, self.C = _term_arrays(series)
+        self.K, self.M, self.C = series.K, series.M, series.C
         self.n = len(self.C)
         self.pmax = int(self.M.max()) if self.n else 0
         # per-axis coefficient arrays for the two gradients

@@ -26,6 +26,8 @@ from .errors import (
 from .ftseries import TWO_PI, AnalyticityWidths, FourierTaylorSeries
 
 DIVISOR_FLOOR = 1e-12
+# bracket growth between consecutive Lie-series orders taken as divergence
+DIVERGENCE_FACTOR = 1e3
 
 
 @dataclass(frozen=True)
@@ -92,7 +94,7 @@ class NormalFormResult:
         return self.angle_shift_bound / self.params.widths.sigma
 
 
-def solve_homological(f_nr, omega, divisor_floor=DIVISOR_FLOOR):
+def solve_homological(f_nr, omega):
     """Solve omega . d_theta chi = f_nr mode-wise: chi_{k,m} = f_{k,m}/(2 pi i omega.k)."""
     w = omega.as_array() if hasattr(omega, "as_array") else np.asarray(omega, dtype=float)
     terms = {}
@@ -100,41 +102,28 @@ def solve_homological(f_nr, omega, divisor_floor=DIVISOR_FLOOR):
         if all(v == 0 for v in k):
             raise MeanNotRemovedError(f"k=0 mode present at m={m}; remove the mean first")
         divisor = float(np.dot(k, w))
-        if abs(divisor) < divisor_floor:
-            raise SmallDivisorError(k, abs(divisor), divisor_floor)
+        if abs(divisor) < DIVISOR_FLOOR:
+            raise SmallDivisorError(k, abs(divisor), DIVISOR_FLOOR)
         terms[(k, m)] = c / (TWO_PI * 1j * divisor)
     return FourierTaylorSeries(f_nr.d, terms)
 
 
-def lie_transform(
-    H,
-    chi,
-    order=6,
-    kmax=None,
-    mmax=None,
-    widths=None,
-    chop=0.0,
-    divergence_factor=1e3,
-):
+def lie_transform(H, chi, order=6, widths=None, chop=0.0):
     """Truncated Lie series H o Psi = sum_{n<=order} ad_chi^n H / n!.
 
     Psi is the time-1 Hamiltonian flow of chi, so ad_chi H = {H, chi}.
     Term masses are measured with the weighted norm at `widths` when given
     (coefficient mass otherwise); terms below `chop` in that measure are
-    dropped and reported, and a growth factor above `divergence_factor`
+    dropped and reported, and a growth factor above DIVERGENCE_FACTOR
     between consecutive brackets aborts with a divergence error.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     weight = widths.weight if widths is not None else None
-    prunes = kmax is not None or mmax is not None or (weight is not None and chop > 0.0)
+    prunes = weight is not None and chop > 0.0
 
     def pruned(nk, nm, c):
-        return (
-            (kmax is not None and nk > kmax)
-            or (mmax is not None and nm > mmax)
-            or (weight is not None and abs(c) * weight(nk, nm) < chop)
-        )
+        return np.abs(c) * weight(nk, nm) < chop
 
     result = H
     bracket = H
@@ -146,9 +135,9 @@ def lie_transform(
         bracket = bracket.poisson_bracket(chi)
         if prunes:
             dropped += bracket.mass(weight, where=pruned)
-            bracket = bracket.select(lambda nk, nm, c: not pruned(nk, nm, c))
+            bracket = bracket.select(lambda nk, nm, c: ~pruned(nk, nm, c))
         mass = bracket.mass(weight)
-        if prev_mass is not None and prev_mass > 0.0 and mass > divergence_factor * prev_mass:
+        if prev_mass is not None and prev_mass > 0.0 and mass > DIVERGENCE_FACTOR * prev_mass:
             raise LieDivergenceError(
                 f"bracket norm grew by {mass / prev_mass:.2e} at order {n}"
             )
@@ -161,17 +150,7 @@ def lie_transform(
     return LieResult(series=result, tail_mass=tail, dropped_mass=dropped)
 
 
-def resonant_normal_form(
-    H,
-    omega,
-    params,
-    max_iter=None,
-    order=6,
-    kmax=None,
-    mmax=None,
-    rel_chop=0.0,
-    divisor_floor=DIVISOR_FLOOR,
-):
+def resonant_normal_form(H, omega, params, max_iter=None, order=6, rel_chop=0.0):
     """Iterated averaging: remove modes 0 < |k|_1 <= K until the remainder
     certificate contraction <= e^{-K sigma/6} holds, or max_iter is reached.
 
@@ -203,7 +182,7 @@ def resonant_normal_form(
     iterations = 0
     while True:
         f_star = current.fourier_nonzero_part()
-        f_nr = f_star.select(lambda nk, nm, c: 0 < nk <= K)
+        f_nr = f_star.select(lambda nk, nm, c: (nk > 0) & (nk <= K))
         star_norm = f_star.weighted_norm(inner) + dropped
         contraction = star_norm / f0_norm if f0_norm > 0.0 else 0.0
         # at least one averaging pass: the change of variables must actually
@@ -215,10 +194,8 @@ def resonant_normal_form(
             break
         if not f_nr:
             break  # only high modes remain; no further progress possible
-        chi = solve_homological(f_nr, omega, divisor_floor=divisor_floor)
-        lie = lie_transform(
-            current, chi, order=order, kmax=kmax, mmax=mmax, widths=widths, chop=chop
-        )
+        chi = solve_homological(f_nr, omega)
+        lie = lie_transform(current, chi, order=order, widths=widths, chop=chop)
         current = lie.series
         dropped += lie.dropped_mass + lie.tail_mass
         generators.append(chi)

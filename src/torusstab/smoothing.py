@@ -66,7 +66,7 @@ def smooth(g, s):
         return nk <= cutoff
 
     def at_s(nk, nm):
-        return math.exp(s * nk)
+        return np.exp(s * nk)
 
     g_s = g.select(kept)
     lhs = g_s.mass(at_s)

@@ -147,7 +147,7 @@ def taylor_split(f, hc, rho):
     top = hc.q - 2
     Z = f.select(lambda nk, nm, c: nm > top)
     return TaylorSplit(
-        P=f.select(lambda nk, nm, c: 2 <= nm <= top),
+        P=f.select(lambda nk, nm, c: (nm >= 2) & (nm <= top)),
         Z=Z,
         Z_bound=theta_gradient_majorant(Z, rho),
         rho=float(rho),
@@ -339,7 +339,7 @@ def perturbation_of(H, omega, tol=1e-9):
     w = omega.as_array() if hasattr(omega, "as_array") else omega
     linear = FourierTaylorSeries.linear(w)
     f = H - linear
-    stray = f.select(lambda nk, nm, c: nk == 0 and nm <= 1)
+    stray = f.select(lambda nk, nm, c: (nk == 0) & (nm <= 1))
     if stray and stray.coefficient_mass() > tol * max(H.coefficient_mass(), 1.0):
         raise PreconditionError(
             "Hamiltonian linear part does not match the supplied frequency"
@@ -355,19 +355,7 @@ def coefficient_norm_max(P, hc):
     return best
 
 
-def run_pipeline(
-    H,
-    omega,
-    gamma,
-    tau,
-    hc,
-    rho,
-    consts=None,
-    nf_order=6,
-    nf_rel_chop=1e-16,
-    nf_max_iter=None,
-    k_cap=None,
-):
+def run_pipeline(H, omega, gamma, tau, hc, rho, consts=None, nf_rel_chop=1e-16):
     """Full pipeline: split -> schedule -> coefficient smoothing -> certificate
     check -> resonant normal form -> remainder bounds -> predicted times.
 
@@ -423,8 +411,7 @@ def run_pipeline(
         raise PipelineStageError("smooth_coefficients", exc) from exc
 
     try:
-        cap = k_cap if k_cap is not None else schedule.K
-        cert = diophantine_constant(omega, tau, schedule.K, cap=cap)
+        cert = diophantine_constant(omega, tau, schedule.K, cap=schedule.K)
         if cert.gamma_K < gamma:
             raise PreconditionError(
                 f"supplied gamma = {gamma} exceeds the certified gamma_K = "
@@ -442,12 +429,7 @@ def run_pipeline(
             M=0.0,
         )
         nf = resonant_normal_form(
-            FourierTaylorSeries.linear(omega) + smoothed.P_s,
-            omega,
-            params,
-            max_iter=nf_max_iter,
-            order=nf_order,
-            rel_chop=nf_rel_chop,
+            FourierTaylorSeries.linear(omega) + smoothed.P_s, omega, params, rel_chop=nf_rel_chop
         )
     except _STAGE_FAULTS as exc:
         raise PipelineStageError("normal_form", exc) from exc

@@ -107,6 +107,19 @@ class TestPredict:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "text, named",
+        [("C_1 = 2\nC_9 = 1\n", "C_9"), ("C_1 = 2\nC_2 3\n", "C_2 3")],
+    )
+    def test_bad_constants_file_exit_code(self, tmp_path, capsys, text, named):
+        consts = tmp_path / "consts.txt"
+        consts.write_text(text)
+        assert main(["predict", "--rho", "1e-3", "--constants", str(consts)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert named in captured.err
+        assert "Traceback" not in captured.err + captured.out
+
 
 class TestEscape:
     def test_builtin_hamiltonian(self, capsys):

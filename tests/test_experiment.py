@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from torusstab import (
+    BoundConstants,
     ExperimentConfig,
     FourierTaylorSeries,
     HolderClass,
@@ -49,6 +50,9 @@ class TestConfig:
         cfg = parse_config("xi = 3")
         assert cfg.xi == 3.0
         assert cfg.constants.xi == 3.0
+
+    def test_xi_is_the_constants_xi(self):
+        assert ExperimentConfig(constants=BoundConstants(xi=3.0)).xi == 3.0
 
     def test_parse_round_values(self):
         cfg = parse_config(

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torusstab import ftseries
 from torusstab import (
     AnalyticityWidths,
     FourierTaylorSeries,
@@ -302,6 +303,117 @@ class TestSharedReductions:
             smooth(g, s).dropped_tail_mass,
             sum(abs(c) for (k, _), c in g.items() if l1(k) > 1.0 / s),
         )
+
+
+def dict_product(f, g):
+    """Per-term reference product: every term pair summed into a dict."""
+    acc = {}
+    for (k1, m1), c1 in f.items():
+        for (k2, m2), c2 in g.items():
+            key = (
+                tuple(a + b for a, b in zip(k1, k2)),
+                tuple(a + b for a, b in zip(m1, m2)),
+            )
+            acc[key] = acc.get(key, 0j) + c1 * c2
+    return FourierTaylorSeries(D, acc)
+
+
+def dict_sum(f, g, sign=1.0):
+    acc = dict(f.items())
+    for key, c in g.items():
+        acc[key] = acc.get(key, 0j) + sign * c
+    return FourierTaylorSeries(D, acc)
+
+
+def dict_partial_theta(f, axis):
+    return FourierTaylorSeries(
+        D, {(k, m): c * (TWO_PI * 1j * k[axis]) for (k, m), c in f.items()}
+    )
+
+
+def dict_partial_I(f, axis):
+    acc = {}
+    for (k, m), c in f.items():
+        if m[axis] > 0:
+            mm = tuple(v - 1 if j == axis else v for j, v in enumerate(m))
+            acc[(k, mm)] = acc.get((k, mm), 0j) + c * m[axis]
+    return FourierTaylorSeries(D, acc)
+
+
+def dict_bracket(f, g):
+    out = FourierTaylorSeries.zero(D)
+    for i in range(D):
+        out = dict_sum(out, dict_product(dict_partial_theta(f, i), dict_partial_I(g, i)))
+        out = dict_sum(
+            out, dict_product(dict_partial_I(f, i), dict_partial_theta(g, i)), -1.0
+        )
+    return out
+
+
+def assert_matches(result, reference, scale):
+    # the array store may sum repeated keys in another order than the dict
+    assert (result - reference).coefficient_mass() <= 1e-13 * max(scale, 1e-300)
+
+
+class TestArrayStore:
+    """The sorted (K, M, C) arrays against the per-term dict algebra."""
+
+    def _check(self, f, g):
+        def mass(a, b):  # sum |c_a| |c_b| over the term pairs of a * b
+            return a.coefficient_mass() * b.coefficient_mass()
+
+        assert_matches(f * g, dict_product(f, g), mass(f, g))
+        assert_matches(f + g, dict_sum(f, g), f.coefficient_mass() + g.coefficient_mass())
+        bracket_mass = sum(
+            mass(f.partial_theta(i), g.partial_I(i)) + mass(f.partial_I(i), g.partial_theta(i))
+            for i in range(D)
+        )
+        assert_matches(f.poisson_bracket(g), dict_bracket(f, g), bracket_mass)
+
+    @given(f=series_strategy(max_terms=8), g=series_strategy(max_terms=8))
+    @settings(max_examples=40, deadline=None)
+    def test_algebra_matches_dict_reference(self, f, g):
+        self._check(f, g)
+
+    @given(f=series_strategy(max_terms=8), g=series_strategy(max_terms=8))
+    @settings(max_examples=20, deadline=None)
+    def test_blocked_product_matches_dict_reference(self, f, g):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ftseries, "PAIR_BLOCK", 3)
+            self._check(f, g)
+
+    def test_store_is_sorted_and_read_only(self):
+        f = FourierTaylorSeries.cosine(D, (2, -1), m=(1, 0)) + FourierTaylorSeries.monomial(
+            D, (0, 2)
+        )
+        keys = [k + m for (k, m), _ in f.items()]
+        assert keys == sorted(set(keys))
+        with pytest.raises(ValueError):
+            f.C[0] = 5.0
+        with pytest.raises(ValueError):
+            f.K[0, 0] = 5
+
+    def test_vector_field_shares_arrays(self):
+        H = FourierTaylorSeries.linear((1.0, 1.5)) + FourierTaylorSeries.cosine(
+            D, (1, -1), m=(2, 0)
+        )
+        field = HamiltonianVectorField(H)
+        assert field.C is H.C and field.K is H.K and field.M is H.M
+
+    @given(f=series_strategy(max_terms=6), real=st.booleans(), tol=st.sampled_from([0.0, 1e-12, 0.5]))
+    @settings(max_examples=60, deadline=None)
+    def test_is_real_matches_mirror_check(self, f, real, tol):
+        if real:
+            f = f + FourierTaylorSeries(
+                D, {(tuple(-v for v in k), m): c.conjugate() for (k, m), c in f.items()}
+            )
+        terms = dict(f.items())
+        scale = max(f.coefficient_mass(), 1e-300)
+        expected = all(
+            abs(terms.get((tuple(-v for v in k), m), 0j) - c.conjugate()) <= tol * scale
+            for (k, m), c in terms.items()
+        )
+        assert f.is_real(tol=tol) == expected
 
 
 class TestSerialization:
