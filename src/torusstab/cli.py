@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 2 for precondition/model violations, 3 for
-numerical faults.  All computation is serial and deterministic.
+Exit codes: 0 on success, 2 for precondition/model violations and files
+that cannot be read or written, 3 for numerical faults.  All computation is
+serial and deterministic.
 """
 
 from __future__ import annotations
@@ -303,7 +304,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, NumericalFault, PipelineStageError) as exc:
+    except (ValueError, OSError, NumericalFault, PipelineStageError) as exc:
         # a pipeline stage failure takes the exit code of its cause
         cause = exc.cause if isinstance(exc, PipelineStageError) else exc
         if isinstance(cause, NumericalFault):

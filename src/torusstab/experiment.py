@@ -16,7 +16,7 @@ import numpy as np
 
 from .dynamics import default_dt, escape_time
 from .errors import InsufficientDataError, PipelineStageError
-from .freqlib import Frequency, golden_frequency
+from .freqlib import golden_frequency
 from .ftseries import FourierTaylorSeries
 from .smoothing import HolderClass, lacunary_series
 from .stabpipe import (
@@ -35,11 +35,9 @@ CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    d: int = 2
     ell: float = 6.5
     tau: float = 1.0
     gamma: float = 0.5
-    omega: tuple | None = None  # None -> golden frequency for d=2
     rho_list: tuple = (0.1, 0.05, 0.025)
     amplitude: float = 1e-12
     j_max: int = 8
@@ -71,23 +69,39 @@ class ExperimentConfig:
 
     @property
     def holder(self):
-        return HolderClass(self.ell, self.d)
-
-    @property
-    def frequency(self):
-        if self.omega is not None:
-            return Frequency(self.omega)
-        return golden_frequency(self.d)
+        return HolderClass(self.ell, 2)
 
 
-_CONFIG_FLOATS = {"ell", "tau", "gamma", "amplitude", "threshold_factor", "epsilon", "T0"}
-_CONFIG_INTS = {"d", "j_max", "seed", "max_steps", "n_samples"}
-_CONFIG_OPT_FLOATS = {"dt", "t_cap"}
-_CONFIG_CONSTANTS = {f.name for f in fields(BoundConstants)}
+def _float_list(value):
+    return tuple(float(v) for v in value.split(","))
 
 
-def _key_values(text):
-    """(key, value) pairs of flat `key = value` text with `#` comments."""
+def _optional_float(value):
+    return None if value.lower() == "none" else float(value)
+
+
+def _flag(value):
+    return value.lower() in ("1", "true", "yes")
+
+
+# every key a file may set, with the conversion of its value
+_CONSTANT_KEYS = dict.fromkeys((f.name for f in fields(BoundConstants)), float)
+_CONFIG_KEYS = {
+    **dict.fromkeys(
+        ("ell", "tau", "gamma", "amplitude", "threshold_factor", "epsilon", "T0"), float
+    ),
+    **dict.fromkeys(("j_max", "seed", "max_steps", "n_samples"), int),
+    **dict.fromkeys(("dt", "t_cap"), _optional_float),
+    "rho_list": _float_list,
+    "dynamics_only": _flag,
+    **_CONSTANT_KEYS,
+}
+
+
+def _key_values(text, keys, kind):
+    """{key: converted value} of flat `key = value` text with `#` comments;
+    `keys` maps every allowed key to the conversion of its value."""
+    values = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -95,32 +109,20 @@ def _key_values(text):
         if "=" not in line:
             raise ValueError(f"malformed line: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        yield key, value
+        if key not in keys:
+            raise ValueError(f"unknown {kind} key: {key}")
+        try:
+            values[key] = keys[key](value)
+        except ValueError:
+            raise ValueError(f"bad value for {kind} key {key}: {value!r}") from None
+    return values
 
 
 def parse_config(text):
     """Parse flat `key = value` config text into an ExperimentConfig."""
-    kwargs = {}
-    constants = {}
-    for key, value in _key_values(text):
-        if key in _CONFIG_FLOATS:
-            kwargs[key] = float(value)
-        elif key in _CONFIG_INTS:
-            kwargs[key] = int(value)
-        elif key in _CONFIG_OPT_FLOATS:
-            kwargs[key] = None if value.lower() == "none" else float(value)
-        elif key == "rho_list":
-            kwargs[key] = tuple(float(v) for v in value.split(","))
-        elif key == "omega":
-            kwargs[key] = tuple(float(v) for v in value.split(","))
-        elif key == "dynamics_only":
-            kwargs[key] = value.lower() in ("1", "true", "yes")
-        elif key in _CONFIG_CONSTANTS:
-            constants[key] = float(value)
-        else:
-            raise ValueError(f"unknown config key: {key}")
-    kwargs["constants"] = BoundConstants(**constants)
-    return ExperimentConfig(**kwargs)
+    kwargs = _key_values(text, _CONFIG_KEYS, "config")
+    constants = {key: kwargs.pop(key) for key in _CONSTANT_KEYS if key in kwargs}
+    return ExperimentConfig(constants=BoundConstants(**constants), **kwargs)
 
 
 def load_config(path):
@@ -130,43 +132,22 @@ def load_config(path):
 
 def load_constants(path):
     """Flat key=value file of C-constants."""
-    values = {}
     with open(path) as fh:
-        for key, value in _key_values(fh.read()):
-            if key not in _CONFIG_CONSTANTS:
-                raise ValueError(f"unknown constants key: {key}")
-            values[key] = float(value)
-    return BoundConstants(**values)
+        return BoundConstants(**_key_values(fh.read(), _CONSTANT_KEYS, "constants"))
 
 
-def build_test_hamiltonian(hc, seed=0, amplitude=1e-12, d=2, j_max=8, modes_per_shell=2):
-    """H = omega.I + sum_{2 <= |m|_1 <= q-2} a_m(theta) I^m with lacunary a_m.
+def build_test_hamiltonian(hc, seed=0, amplitude=1e-12, j_max=8):
+    """H = omega.I + sum_{2 <= |m|_1 <= q-2} a_m(theta) I^m with lacunary a_m, for d=2.
 
     omega is the golden frequency; each coefficient a_m is a lacunary series
     with |a^_k| = amplitude 2^{-j ell} at |k|_1 = 2^j and phases drawn from a
     per-monomial derived seed, so the whole series lies in C^ell by
     construction and is byte-reproducible.
     """
-    if d != 2:
-        raise ValueError("test Hamiltonians are defined for d=2")
-    omega = golden_frequency(d)
-    H = FourierTaylorSeries.linear(omega)
-    monomials = sorted(
-        tuple(m)
-        for m in _compositions(d, 2, hc.q - 2)
-    )
-    for idx, m in enumerate(monomials):
-        a_m = lacunary_series(
-            d,
-            hc.ell,
-            j_max=j_max,
-            seed=[seed, idx],
-            amplitude=amplitude,
-            modes_per_shell=modes_per_shell,
-        )
-        H = H + FourierTaylorSeries(
-            d, {(k, m): c for (k, _), c in a_m.items()}
-        )
+    H = FourierTaylorSeries.linear(golden_frequency(2))
+    for idx, m in enumerate(sorted(_compositions(2, 2, hc.q - 2))):
+        a_m = lacunary_series(2, hc.ell, j_max=j_max, seed=[seed, idx], amplitude=amplitude)
+        H = H + FourierTaylorSeries(2, {(k, m): c for (k, _), c in a_m.items()})
     return H
 
 
@@ -247,9 +228,9 @@ def sweep(config, csv_path=None):
     continues.
     """
     hc = config.holder
-    omega = config.frequency
+    omega = golden_frequency(2)
     H = build_test_hamiltonian(
-        hc, seed=config.seed, amplitude=config.amplitude, d=config.d, j_max=config.j_max
+        hc, seed=config.seed, amplitude=config.amplitude, j_max=config.j_max
     )
     dt = config.dt if config.dt is not None else default_dt(H)
     rows = []

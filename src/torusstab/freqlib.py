@@ -116,15 +116,7 @@ def diophantine_constant(freq, tau, K, cap=DEFAULT_ENUMERATION_CAP):
 
 
 def is_completely_nonresonant(freq, alpha, K, cap=DEFAULT_ENUMERATION_CAP):
-    """True iff |omega.k| >= alpha for every 0 < |k|_1 <= K."""
+    """True iff |omega.k| >= alpha for every 0 < |k|_1 <= K: gamma_K at tau = 0."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    K = int(K)
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    if K > cap:
-        raise EnumerationBudgetError(
-            f"enumeration budget: K={K} exceeds cap {cap}; raise the cap explicitly"
-        )
-    ks = _lattice_half_ball(freq.d, K)
-    return bool(np.min(np.abs(ks @ freq.as_array())) >= alpha)
+    return diophantine_constant(freq, 0.0, K, cap).gamma_K >= alpha

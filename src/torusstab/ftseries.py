@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -37,8 +36,6 @@ TWO_PI = 2.0 * math.pi
 # term pairs formed at once by a series product: it bounds the product's
 # working memory, whatever the operands' sizes
 PAIR_BLOCK = 1 << 18
-
-TruncationResult = namedtuple("TruncationResult", ["series", "dropped_mass"])
 
 
 @dataclass(frozen=True)
@@ -268,7 +265,7 @@ class FourierTaylorSeries:
             )
         return total.real
 
-    # -- norms, truncation, structure ----------------------------------------
+    # -- norms, selection, structure ----------------------------------------
 
     def _orders(self):
         """|k|_1 and |m|_1 of every term."""
@@ -303,18 +300,6 @@ class FourierTaylorSeries:
     def weighted_norm(self, widths):
         """Coefficient majorant sum |c| rho^{|m|_1} e^{sigma |k|_1}; inf on overflow."""
         return self.mass(widths.weight)
-
-    def truncate(self, kmax=None, mmax=None):
-        """Drop |k|_1 > kmax or |m|_1 > mmax; reports the removed coefficient mass."""
-        kcap = math.inf if kmax is None else kmax
-        mcap = math.inf if mmax is None else mmax
-
-        def cut(nk, nm, c):
-            return (nk > kcap) | (nm > mcap)
-
-        return TruncationResult(
-            self.select(lambda nk, nm, c: ~cut(nk, nm, c)), self.mass(where=cut)
-        )
 
     def fourier_zero_part(self):
         return self.select(lambda nk, nm, c: nk == 0)

@@ -95,17 +95,27 @@ class NormalFormResult:
 
 
 def solve_homological(f_nr, omega):
-    """Solve omega . d_theta chi = f_nr mode-wise: chi_{k,m} = f_{k,m}/(2 pi i omega.k)."""
+    """Solve omega . d_theta chi = f_nr mode-wise: chi_{k,m} = f_{k,m}/(2 pi i omega.k).
+
+    The first term in (k, m) order with |omega.k| below DIVISOR_FLOOR raises:
+    MeanNotRemovedError if its k is 0, SmallDivisorError otherwise.
+    """
     w = omega.as_array() if hasattr(omega, "as_array") else np.asarray(omega, dtype=float)
-    terms = {}
-    for (k, m), c in f_nr.items():
-        if all(v == 0 for v in k):
+    # np.vecdot rounds each row as np.dot(k, w) does; K @ w rounds some rows
+    # differently (another fused multiply-add order)
+    divisor = np.vecdot(f_nr.K, w)
+    small = np.flatnonzero(np.abs(divisor) < DIVISOR_FLOOR)
+    if len(small):
+        i = small[0]
+        k = tuple(f_nr.K[i].tolist())
+        if not any(k):
+            m = tuple(f_nr.M[i].tolist())
             raise MeanNotRemovedError(f"k=0 mode present at m={m}; remove the mean first")
-        divisor = float(np.dot(k, w))
-        if abs(divisor) < DIVISOR_FLOOR:
-            raise SmallDivisorError(k, abs(divisor), DIVISOR_FLOOR)
-        terms[(k, m)] = c / (TWO_PI * 1j * divisor)
-    return FourierTaylorSeries(f_nr.d, terms)
+        raise SmallDivisorError(k, abs(float(divisor[i])), DIVISOR_FLOOR)
+    # c / (i x) written out: numpy's complex division would round differently
+    x = TWO_PI * divisor
+    C = f_nr.C
+    return FourierTaylorSeries._of(f_nr.d, f_nr.K, f_nr.M, C.imag / x - 1j * (C.real / x))
 
 
 def lie_transform(H, chi, order=6, widths=None, chop=0.0):
@@ -229,14 +239,7 @@ def resonant_normal_form(H, omega, params, max_iter=None, order=6, rel_chop=0.0)
     )
 
 
-def apply_transform(
-    generators,
-    point,
-    direction="forward",
-    rtol=1e-12,
-    atol=1e-14,
-    r_max=None,
-):
+def apply_transform(generators, point, direction="forward"):
     """Compose the time +-1 Hamiltonian flows of the generators at a real point.
 
     `forward` maps normal-form coordinates to original ones (time +1 flows in
@@ -262,15 +265,11 @@ def apply_transform(
             (0.0, t_final),
             np.concatenate([theta, I]),
             method="DOP853",
-            rtol=rtol,
-            atol=atol,
+            rtol=1e-12,
+            atol=1e-14,
         )
         if not sol.success:
             raise DomainEscapeError(f"generator flow failed: {sol.message}")
         y = sol.y[:, -1]
         theta, I = y[:d], y[d:]
-        if r_max is not None and np.max(np.abs(I)) > r_max:
-            raise DomainEscapeError(
-                f"flow left the action domain: max|I| = {np.max(np.abs(I)):.3e} > {r_max:.3e}"
-            )
     return theta, I

@@ -23,7 +23,7 @@ from .errors import (
 from .freqlib import diophantine_constant
 from .ftseries import AnalyticityWidths, FourierTaylorSeries, theta_gradient_majorant
 from .normalform import NormalFormParams, resonant_normal_form
-from .smoothing import holder_norm_majorant
+from .smoothing import holder_norm_majorant, sharp_cutoff
 
 RHO_MAX = math.exp(-6.0)
 
@@ -39,19 +39,16 @@ class BoundConstants:
     The theory guarantees only that such constants exist, not their values,
     so defaults are 1 and predictions are shapes times a configured factor."""
 
-    C_A: float = 1.0
     C_B: float = 1.0
     C_0: float = 1.0
     C_1: float = 1.0
-    C_2: float = 1.0
-    C_3: float = 1.0
     C_4: float = 1.0
     C_5: float = 1.0
     C_6: float = 1.0
     xi: float = 2.0
 
     def __post_init__(self):
-        for name in ("C_A", "C_B", "C_0", "C_1", "C_2", "C_3", "C_4", "C_5", "C_6"):
+        for name in ("C_B", "C_0", "C_1", "C_4", "C_5", "C_6"):
             v = getattr(self, name)
             if not (v > 0 and math.isfinite(v)):
                 raise ValueError(f"{name} must be positive and finite, got {v}")
@@ -160,13 +157,10 @@ def smooth_coefficients(split, s):
     Also returns gap majorants for the action and angle gradients of P - P_s
     on the half-radius tube, from the dropped coefficient tails.
     """
-    if not 0.0 < s <= 1.0:
-        raise ValueError(f"s must lie in (0, 1], got {s}")
-    cutoff = 1.0 / s
+    P_s, tail = sharp_cutoff(split.P, s)
     half = split.rho / 2.0
-    tail = split.P.select(lambda nk, nm, c: nk > cutoff)
     return SmoothedSplit(
-        P_s=split.P.select(lambda nk, nm, c: nk <= cutoff),
+        P_s=P_s,
         grad_I_gap=tail.mass(lambda nk, nm: nm * half ** (nm - 1)),
         grad_theta_gap=theta_gradient_majorant(tail, half),
         dropped_mass=tail.mass(),

@@ -109,7 +109,11 @@ class TestPredict:
 
     @pytest.mark.parametrize(
         "text, named",
-        [("C_1 = 2\nC_9 = 1\n", "C_9"), ("C_1 = 2\nC_2 3\n", "C_2 3")],
+        [
+            ("C_1 = 2\nC_9 = 1\n", "C_9"),
+            ("C_1 = 2\nC_2 3\n", "C_2 3"),
+            ("C_1 = abc\n", "C_1: 'abc'"),
+        ],
     )
     def test_bad_constants_file_exit_code(self, tmp_path, capsys, text, named):
         consts = tmp_path / "consts.txt"
@@ -152,3 +156,23 @@ class TestSweepFitPlots:
         assert main(["plots", "--csv", str(csv), "--outdir", str(outdir)]) == 0
         assert (outdir / "pred.dat").exists()
         assert (outdir / "plot.gp").exists()
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["predict", "--rho", "1e-3", "--constants", "{missing}"],
+            ["sweep", "--config", "{directory}"],
+            ["fit", "--csv", "{missing}"],
+            ["predict", "--rho", "1e-3", "--input", "{missing}"],
+        ],
+    )
+    def test_unreadable_file_exit_code(self, tmp_path, capsys, argv):
+        paths = {"missing": str(tmp_path / "missing.txt"), "directory": str(tmp_path)}
+        argv = [arg.format(**paths) for arg in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert argv[-1] in captured.err
+        assert "Traceback" not in captured.err + captured.out

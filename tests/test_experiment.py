@@ -20,7 +20,7 @@ from torusstab import (
     read_sweep_csv,
     sweep,
 )
-from torusstab.experiment import SweepRow
+from torusstab.experiment import SweepRow, load_constants
 
 HC65 = HolderClass(6.5, 2)
 
@@ -29,7 +29,6 @@ class TestConfig:
     def test_defaults(self):
         cfg = ExperimentConfig()
         assert cfg.rho_list == (0.1, 0.05, 0.025)
-        assert cfg.frequency == golden_frequency(2)
         assert cfg.holder.ell == 6.5
 
     def test_rho_list_must_decrease(self):
@@ -41,7 +40,9 @@ class TestConfig:
             ExperimentConfig(rho_list=(0.1, 0.05), dynamics_only=False)
         ExperimentConfig(rho_list=(1e-3, 1e-4), dynamics_only=False)
 
-    @pytest.mark.parametrize("key", ["xi_const", "C_9", "kmax", "mmax", "outdir"])
+    @pytest.mark.parametrize(
+        "key", ["xi_const", "C_9", "C_A", "C_2", "C_3", "kmax", "mmax", "outdir", "d", "omega"]
+    )
     def test_unknown_keys_rejected_by_name(self, key):
         with pytest.raises(ValueError, match=f"unknown config key: {key}"):
             parse_config(f"{key} = 3")
@@ -71,6 +72,20 @@ class TestConfig:
         assert cfg.seed == 42
         assert cfg.dt is None
         assert cfg.constants.C_1 == 2.0
+
+    @pytest.mark.parametrize(
+        "line, key",
+        [("seed = x", "seed"), ("C_1 = abc", "C_1"), ("rho_list = 0.1, y", "rho_list")],
+    )
+    def test_bad_value_names_key(self, line, key):
+        with pytest.raises(ValueError, match=f"bad value for config key {key}: '"):
+            parse_config(line)
+
+    def test_bad_constants_value_names_key(self, tmp_path):
+        path = tmp_path / "consts.txt"
+        path.write_text("C_0 = 2\nC_1 = abc\n")
+        with pytest.raises(ValueError, match="bad value for constants key C_1: 'abc'"):
+            load_constants(path)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):

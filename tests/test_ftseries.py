@@ -217,14 +217,6 @@ class TestNormsAndStructure:
             1 + 1e-12
         )
 
-    def test_truncate_reports_dropped_mass(self):
-        f = FourierTaylorSeries(
-            D, {((3, 0), (0, 0)): 1.0, ((1, 0), (0, 0)): 2.0, ((0, 0), (0, 4)): 0.5}
-        )
-        res = f.truncate(kmax=2, mmax=3)
-        assert len(res.series) == 1
-        assert res.dropped_mass == pytest.approx(1.5)
-
     def test_parts_partition(self):
         f = FourierTaylorSeries.cosine(D, (1, 0), m=(1, 0)) + FourierTaylorSeries.monomial(
             D, (2, 0)
@@ -270,20 +262,14 @@ class TestSharedReductions:
         rho=st.floats(0.05, 2.0),
         s=st.floats(0.05, 1.0),
         p=st.integers(0, 3),
-        kmax=st.integers(0, 6),
-        mmax=st.integers(0, 6),
     )
     @settings(max_examples=60, deadline=None)
-    def test_reductions_match_reference_sums(self, f, sigma, rho, s, p, kmax, mmax):
+    def test_reductions_match_reference_sums(self, f, sigma, rho, s, p):
         terms = list(f.items())
         assert close(
             f.weighted_norm(AnalyticityWidths(sigma, rho)),
             sum(abs(c) * rho ** sum(m) * math.exp(sigma * l1(k)) for (k, m), c in terms),
         )
-        res = f.truncate(kmax=kmax, mmax=mmax)
-        cut = [(k, m) for (k, m), _ in terms if l1(k) > kmax or sum(m) > mmax]
-        assert close(res.dropped_mass, sum(abs(f.terms[key]) for key in cut))
-        assert len(res.series) == len(terms) - len(cut)
         assert close(
             theta_gradient_majorant(f, rho),
             sum(abs(c) * TWO_PI * l1(k) * rho ** sum(m) for (k, m), c in terms),

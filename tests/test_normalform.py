@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusstab import (
+    TWO_PI,
     AnalyticityWidths,
     FourierTaylorSeries,
     MeanNotRemovedError,
@@ -18,6 +21,7 @@ from torusstab import (
     solve_homological,
     apply_transform,
 )
+from torusstab.normalform import DIVISOR_FLOOR
 
 D = 2
 OMEGA = golden_frequency(2)
@@ -77,6 +81,48 @@ class TestHomological:
         with pytest.raises(SmallDivisorError) as exc:
             solve_homological(f, (1.0, 2.0))
         assert abs(sum(exc.value.k)) >= 0  # carries the offending mode
+
+    @pytest.mark.parametrize(
+        "k_first, error", [((-2, 1), SmallDivisorError), ((2, -1), MeanNotRemovedError)]
+    )
+    def test_first_small_term_raises(self, k_first, error):
+        # omega = (1, 2) is resonant at k = +-(2, -1); (-2, 1) sorts before
+        # the mean term, (2, -1) after it
+        f = FourierTaylorSeries(D, {(k_first, (1, 0)): 1.0, ((0, 0), (2, 0)): 1.0})
+        with pytest.raises(error):
+            solve_homological(f, (1.0, 2.0))
+
+    @given(
+        terms=st.dictionaries(
+            st.tuples(
+                st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
+                st.tuples(st.integers(0, 3), st.integers(0, 3)),
+            ),
+            st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
+            max_size=12,
+        ),
+        omega=st.sampled_from([OMEGA.omega, (1.0, 2.0), (0.7, -2.3)]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_term_quotient(self, terms, omega):
+        f = FourierTaylorSeries(D, terms)
+        w = np.array(omega)
+        expected = {}
+        try:
+            for (k, m), c in f.items():
+                if not any(k):
+                    raise MeanNotRemovedError(f"k=0 mode present at m={m}")
+                divisor = float(np.dot(k, w))
+                if abs(divisor) < DIVISOR_FLOOR:
+                    raise SmallDivisorError(k, abs(divisor), DIVISOR_FLOOR)
+                expected[(k, m)] = c / (TWO_PI * 1j * divisor)
+        except (MeanNotRemovedError, SmallDivisorError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                solve_homological(f, omega)
+            assert str(exc) in str(raised.value)
+            return
+        chi = solve_homological(f, omega)
+        assert chi == FourierTaylorSeries(D, expected)
 
 
 class TestLieTransform:

@@ -16,6 +16,8 @@ from torusstab import (
     holder_norm_majorant,
     lacunary_series,
     smooth,
+    smooth_coefficients,
+    taylor_split,
     verify_smoothing_estimate,
 )
 
@@ -81,6 +83,26 @@ class TestSmooth:
         lo, hi = sorted((s1, s2))
         # smaller s keeps more modes, so drops no more mass
         assert smooth(g, lo).dropped_tail_mass <= smooth(g, hi).dropped_tail_mass + 1e-15
+
+
+class TestOneCutoff:
+    def test_boundary_modes_agree(self):
+        # s = 1/4 keeps |k|_1 = 4 and drops |k|_1 = 5, in every smoothing path
+        g = (
+            FourierTaylorSeries.cosine(D, (4, 0), amplitude=0.5)
+            + FourierTaylorSeries.cosine(D, (-1, 3), amplitude=0.25, phase=0.3)
+            + FourierTaylorSeries.cosine(D, (5, 0), amplitude=2.0)
+            + FourierTaylorSeries.cosine(D, (2, -3), amplitude=0.125, phase=1.1)
+        )
+        res = smooth(g, 0.25)
+        split = taylor_split(g * FourierTaylorSeries.monomial(D, (2, 0)), HolderClass(6.5, 2), 0.2)
+        sm = smooth_coefficients(split, 0.25)
+        kept = {(4, 0), (-4, 0), (-1, 3), (1, -3)}
+        assert set(map(tuple, res.g_s.K.tolist())) == kept
+        assert sm.P_s.taylor_monomials() == [(2, 0)]
+        assert sm.P_s.angle_coefficient((2, 0)) == res.g_s
+        assert res.dropped_tail_mass == sm.dropped_mass == cp_tail_majorant(g, 0.25, 0)
+        assert res.dropped_tail_mass == pytest.approx(2.0 + 0.125, rel=1e-15)  # |k|_1 = 5
 
 
 class TestMajorants:
