@@ -110,9 +110,7 @@ def cmd_nf(args):
         widths=AnalyticityWidths(args.sigma, args.rho),
         xi=args.xi,
     )
-    result = resonant_normal_form(
-        H, freq, params, order=args.order, rel_chop=args.rel_chop
-    )
+    result = resonant_normal_form(H, freq, params)
     if args.output:
         result.h.save(args.output)
     print(f"contraction = {result.contraction!r}")
@@ -121,6 +119,7 @@ def cmd_nf(args):
     print(f"angle_shift_ratio = {result.angle_shift_ratio!r}")
     print(f"iterations = {result.iterations}")
     print(f"certified = {int(result.certified)}")
+    print(f"stop = {result.stop}")
     return 0 if result.certified else 1
 
 
@@ -245,8 +244,6 @@ def build_parser():
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--xi", type=float, default=2.0)
-    p.add_argument("--order", type=int, default=6)
-    p.add_argument("--rel-chop", type=float, default=0.0)
     p.add_argument("--output", help="write the integrable part here")
     p.set_defaults(func=cmd_nf)
 

@@ -27,9 +27,12 @@ from .stabpipe import (
     run_pipeline,
 )
 
-CSV_HEADER = "# torusstab sweep schema v1"
+CSV_HEADER = "# torusstab sweep schema v2"
+# v2 appends `error`, last so that its commas need no quoting; v1 rows (8
+# columns) still read, with an empty error
 CSV_COLUMNS = (
-    "rho,t_pred,t_diff_ref,min_escape,censored_fraction,max_drift,schedule_flags,contraction"
+    "rho,t_pred,t_diff_ref,min_escape,censored_fraction,max_drift,schedule_flags,contraction,"
+    "error"
 )
 
 
@@ -195,28 +198,26 @@ class SweepRow:
                 num(self.max_drift),
                 self.schedule_flags or "-",
                 num(self.contraction),
+                self.error,
             ]
         )
 
     @classmethod
     def from_csv(cls, line):
-        parts = line.strip().split(",")
-        if len(parts) != 8:
+        parts = line.strip().split(",", 8)
+        if len(parts) < 8:
             raise ValueError(f"malformed sweep row: {line!r}")
-        def num(sv):
-            v = float(sv)
-            return v
-
         min_escape = float(parts[3])
         return cls(
             rho=float(parts[0]),
-            t_pred=num(parts[1]),
-            t_diff_ref=num(parts[2]),
+            t_pred=float(parts[1]),
+            t_diff_ref=float(parts[2]),
             min_escape=None if math.isnan(min_escape) else min_escape,
-            censored_fraction=num(parts[4]),
-            max_drift=num(parts[5]),
+            censored_fraction=float(parts[4]),
+            max_drift=float(parts[5]),
             schedule_flags=parts[6],
-            contraction=num(parts[7]),
+            contraction=float(parts[7]),
+            error=parts[8] if len(parts) == 9 else "",
         )
 
 

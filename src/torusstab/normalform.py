@@ -28,6 +28,9 @@ from .ftseries import TWO_PI, AnalyticityWidths, FourierTaylorSeries
 DIVISOR_FLOOR = 1e-12
 # bracket growth between consecutive Lie-series orders taken as divergence
 DIVERGENCE_FACTOR = 1e3
+# share of the target remainder e^{-K sigma/6} |||f|||_{sigma,rho} below which
+# a Lie-series term is dropped (and counted in the contraction)
+CHOP_SHARE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -80,6 +83,7 @@ class NormalFormResult:
     action_shift_bound: float
     angle_shift_bound: float
     certified: bool
+    stop: str  # "certified", "stalled" or "capped"
     iterations: int
     f_initial_norm: float
     dropped_mass: float
@@ -160,19 +164,23 @@ def lie_transform(H, chi, order=6, widths=None, chop=0.0):
     return LieResult(series=result, tail_mass=tail, dropped_mass=dropped)
 
 
-def resonant_normal_form(H, omega, params, max_iter=None, order=6, rel_chop=0.0):
+def resonant_normal_form(H, omega, params):
     """Iterated averaging: remove modes 0 < |k|_1 <= K until the remainder
-    certificate contraction <= e^{-K sigma/6} holds, or max_iter is reached.
+    certificate contraction <= e^{-K sigma/6} holds.
+
+    Each Lie step drops terms below CHOP_SHARE * e^{-K sigma/6} * |||f|||_{sigma,rho}
+    and counts them in the contraction.  The loop stops, with the reason in
+    `stop`, when the certificate holds ("certified"), when an iteration fails
+    to lower the contraction ("stalled"), or after 2K iterations ("capped");
+    only "certified" gives certified=True.
 
     Raises SmallnessViolationError if the perturbation fails the entry bound
-    |||f|||_{sigma,rho} <= alpha rho / (256 xi K).  A result that stops on
-    max_iter is returned with certified=False.
+    |||f|||_{sigma,rho} <= alpha rho / (256 xi K).  That bound also keeps the
+    action and angle shifts within 1/(32 xi) and 1/(24 xi) of rho and sigma.
     """
     widths = params.widths
     inner = AnalyticityWidths(widths.sigma / 6.0, widths.rho / 2.0)
     K = params.K
-    if max_iter is None:
-        max_iter = 2 * K
 
     f0 = H.fourier_nonzero_part()
     f0_norm = f0.weighted_norm(widths)
@@ -182,14 +190,12 @@ def resonant_normal_form(H, omega, params, max_iter=None, order=6, rel_chop=0.0)
             f"{params.smallness_threshold:.6e}"
         )
     target = params.target_contraction
-    chop = rel_chop * f0_norm if rel_chop > 0.0 else 0.0
+    chop = CHOP_SHARE * target * f0_norm
 
     current = H
     generators = []
     dropped = 0.0
-    certified = False
-    contraction = 0.0
-    iterations = 0
+    previous = math.inf
     while True:
         f_star = current.fourier_nonzero_part()
         f_nr = f_star.select(lambda nk, nm, c: (nk > 0) & (nk <= K))
@@ -197,42 +203,33 @@ def resonant_normal_form(H, omega, params, max_iter=None, order=6, rel_chop=0.0)
         contraction = star_norm / f0_norm if f0_norm > 0.0 else 0.0
         # at least one averaging pass: the change of variables must actually
         # remove the sub-cutoff modes, not merely certify the domain shrink
-        if contraction <= target and not (iterations == 0 and f_nr):
-            certified = True
+        if contraction <= target and (generators or not f_nr):
+            stop = "certified"
             break
-        if iterations >= max_iter:
+        if contraction >= previous:
+            stop = "stalled"
             break
-        if not f_nr:
-            break  # only high modes remain; no further progress possible
+        if len(generators) >= 2 * K:
+            stop = "capped"
+            break
+        previous = contraction
         chi = solve_homological(f_nr, omega)
-        lie = lie_transform(current, chi, order=order, widths=widths, chop=chop)
+        lie = lie_transform(current, chi, widths=widths, chop=chop)
         current = lie.series
         dropped += lie.dropped_mass + lie.tail_mass
         generators.append(chi)
-        iterations += 1
 
-    h = current.fourier_zero_part()
-    f_star = current.fourier_nonzero_part()
-    action_shift = 8.0 * K / params.alpha * f0_norm
-    angle_shift = (
-        32.0 * K / (3.0 * params.alpha * widths.rho) * f0_norm * widths.sigma
-    )
-    tol = 1e-12
-    certified = bool(
-        certified
-        and action_shift / widths.rho <= 1.0 / (32.0 * params.xi) * (1.0 + tol)
-        and angle_shift / widths.sigma <= 1.0 / (24.0 * params.xi) * (1.0 + tol)
-    )
     return NormalFormResult(
-        h=h,
+        h=current.fourier_zero_part(),
         f_star=f_star,
         generators=tuple(generators),
         contraction=contraction,
         target_contraction=target,
-        action_shift_bound=action_shift,
-        angle_shift_bound=angle_shift,
-        certified=certified,
-        iterations=iterations,
+        action_shift_bound=8.0 * K / params.alpha * f0_norm,
+        angle_shift_bound=32.0 * K / (3.0 * params.alpha * widths.rho) * f0_norm * widths.sigma,
+        certified=stop == "certified",
+        stop=stop,
+        iterations=len(generators),
         f_initial_norm=f0_norm,
         dropped_mass=dropped,
         params=params,

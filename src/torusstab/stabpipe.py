@@ -314,6 +314,7 @@ class PipelineReport:
             lines.append(f"nf.contraction = {nf.contraction!r}")
             lines.append(f"nf.target_contraction = {nf.target_contraction!r}")
             lines.append(f"nf.certified = {int(nf.certified)}")
+            lines.append(f"nf.stop = {nf.stop}")
         if self.bounds is not None:
             lines.append(f"bound.analytic = {self.bounds.analytic!r}")
             lines.append(f"bound.smoothing_gap = {self.bounds.smoothing_gap!r}")
@@ -349,7 +350,7 @@ def coefficient_norm_max(P, hc):
     return best
 
 
-def run_pipeline(H, omega, gamma, tau, hc, rho, consts=None, nf_rel_chop=1e-16):
+def run_pipeline(H, omega, gamma, tau, hc, rho, consts=None):
     """Full pipeline: split -> schedule -> coefficient smoothing -> certificate
     check -> resonant normal form -> remainder bounds -> predicted times.
 
@@ -422,9 +423,7 @@ def run_pipeline(H, omega, gamma, tau, hc, rho, consts=None, nf_rel_chop=1e-16):
             xi=consts.xi,
             M=0.0,
         )
-        nf = resonant_normal_form(
-            FourierTaylorSeries.linear(omega) + smoothed.P_s, omega, params, rel_chop=nf_rel_chop
-        )
+        nf = resonant_normal_form(FourierTaylorSeries.linear(omega) + smoothed.P_s, omega, params)
     except _STAGE_FAULTS as exc:
         raise PipelineStageError("normal_form", exc) from exc
 

@@ -32,6 +32,7 @@ from torusstab import (
     predicted_stability_time,
     remainder_bounds,
     resonant_normal_form,
+    run_pipeline,
     smooth,
     solve_homological,
     verify_smoothing_estimate,
@@ -104,6 +105,27 @@ def test_normal_form_contraction(report):
     report("normal-form-contraction", ok,
            f"contraction={nf.contraction:.2e} <= {math.exp(-1):.3f}, "
            f"shifts=({nf.action_shift_ratio:.1e}, {nf.angle_shift_ratio:.1e})")
+
+
+def test_pipeline_certifies_down_the_ladder(report):
+    """Built-in H (seed 0) certifies at rho in {1e-3, 3e-4, 1e-4}."""
+    hc = HolderClass(6.5, D)
+    H = build_test_hamiltonian(hc, seed=0, amplitude=1e-12, j_max=8)
+    ok = True
+    details = []
+    for rho in (1e-3, 3e-4, 1e-4):
+        rep = run_pipeline(H, OMEGA, 0.5, 1.0, hc, rho)
+        nf = rep.normal_form
+        if nf is None:
+            ok = False
+            details.append(f"rho={rho:g}: {rep.failure}")
+            continue
+        ok = ok and rep.certified and nf.contraction <= nf.target_contraction
+        details.append(
+            f"rho={rho:g}: {nf.stop} after {nf.iterations} iterations, "
+            f"contraction/target={nf.contraction / nf.target_contraction:.3f}"
+        )
+    report("pipeline-certifies", ok, "; ".join(details))
 
 
 def test_homological_and_symplectic_exactness(report):

@@ -74,7 +74,16 @@ class TestNF:
         assert rc == 0
         out = parse_kv(capsys.readouterr().out)
         assert out["certified"] == "1"
+        assert out["stop"] == "certified"
         assert float(out["contraction"]) <= math.exp(-1.0)
+
+    @pytest.mark.parametrize("flag", ["--order", "--rel-chop"])
+    def test_chop_and_order_flags_removed(self, tmp_path, flag):
+        # the chop and the stop rule follow from the certificate target
+        with pytest.raises(SystemExit) as exc:
+            main(["nf", "--input", str(tmp_path / "H.txt"), "--alpha", "0.2", "--K", "5",
+                  "--sigma", "1.2", "--rho", "0.5", flag, "1"])
+        assert exc.value.code == 2
 
     def test_smallness_violation_exit(self, tmp_path, capsys):
         H = FourierTaylorSeries.linear(golden_frequency(2)) + (

@@ -141,7 +141,17 @@ class TestSweep:
         assert [r.t_pred for r in parsed] == [r.t_pred for r in rows]
         assert parsed[0].min_escape is None
         header = csv.read_text().splitlines()[0]
-        assert header.startswith("# torusstab sweep schema")
+        assert header == "# torusstab sweep schema v2"
+
+    def test_failed_schedule_error_kept_in_csv(self, tmp_path):
+        # amplitude 1e-3 puts the smoothing width s out of range at rho = 1e-3
+        cfg = ExperimentConfig(
+            rho_list=(1e-3,), amplitude=1e-3, t_cap=0.02, n_samples=2, dynamics_only=False
+        )
+        csv = tmp_path / "sweep.csv"
+        (row,) = sweep(cfg, csv_path=csv)
+        assert row.error == "schedule flags failed: s_in_range"
+        assert read_sweep_csv(csv)[0].error == row.error
 
     def test_row_round_trip(self):
         row = SweepRow(
@@ -153,11 +163,19 @@ class TestSweep:
             max_drift=1e-14,
             schedule_flags="dynamics-only",
             contraction=math.nan,
+            error="schedule flags failed: Ks_ok, rho_ok; dynamics: a, b",
         )
         back = SweepRow.from_csv(row.to_csv())
         assert back.rho == row.rho
         assert back.t_pred == row.t_pred
         assert back.min_escape is None
+        assert back.error == row.error
+
+    def test_v1_row_still_parses(self):
+        back = SweepRow.from_csv("0.05,123.456,789.0,nan,1.0,1e-14,dynamics-only,nan")
+        assert back.t_pred == 123.456
+        assert back.schedule_flags == "dynamics-only"
+        assert back.error == ""
 
 
 class TestFit:

@@ -21,6 +21,7 @@ from torusstab import (
     solve_homological,
     apply_transform,
 )
+from torusstab import normalform
 from torusstab.normalform import DIVISOR_FLOOR
 
 D = 2
@@ -80,7 +81,9 @@ class TestHomological:
         f = FourierTaylorSeries.cosine(D, (2, -1))
         with pytest.raises(SmallDivisorError) as exc:
             solve_homological(f, (1.0, 2.0))
-        assert abs(sum(exc.value.k)) >= 0  # carries the offending mode
+        # cosine carries k = +-(2, -1); (-2, 1) is first in (k, m) order
+        assert exc.value.k == (-2, 1)
+        assert exc.value.divisor < DIVISOR_FLOOR
 
     @pytest.mark.parametrize(
         "k_first, error", [((-2, 1), SmallDivisorError), ((2, -1), MeanNotRemovedError)]
@@ -182,7 +185,7 @@ class TestResonantNormalForm:
     def test_acceptance_instance_certified(self):
         H, params = acceptance_instance()
         nf = resonant_normal_form(H, OMEGA, params)
-        assert nf.certified
+        assert nf.certified and nf.stop == "certified"
         assert nf.contraction <= math.exp(-1.0)
         assert nf.iterations >= 1
         assert nf.action_shift_ratio <= 1.0 / 64.0
@@ -211,14 +214,20 @@ class TestResonantNormalForm:
         H = FourierTaylorSeries.linear(OMEGA) + FourierTaylorSeries.monomial(D, (2, 0))
         params = NormalFormParams(alpha=0.2, K=5, widths=AnalyticityWidths(1.2, 0.5))
         nf = resonant_normal_form(H, OMEGA, params)
-        assert nf.certified
+        assert nf.certified and nf.stop == "certified"
         assert nf.iterations == 0
         assert not nf.f_star
 
-    def test_max_iter_uncertified(self):
+    def test_chop_above_cancellation_stalls(self, monkeypatch):
+        # a chop ten times the target remainder drops the first Lie step's own
+        # cancellation term, so that step cannot lower the contraction
+        monkeypatch.setattr(normalform, "CHOP_SHARE", 10.0)
         H, params = acceptance_instance()
-        nf = resonant_normal_form(H, OMEGA, params, max_iter=0)
+        nf = resonant_normal_form(H, OMEGA, params)
+        assert nf.stop == "stalled"
+        assert nf.iterations == 1
         assert not nf.certified
+        assert nf.contraction > nf.target_contraction
 
 
 class TestApplyTransform:

@@ -1,5 +1,7 @@
-"""The package's public names, pinned: removing or adding one edits this list."""
+"""The package's public names and the parameters of its public functions, pinned:
+removing or adding a name or a parameter edits these lists."""
 
+import inspect
 import types
 
 import torusstab
@@ -28,6 +30,47 @@ PUBLIC_NAMES = [
     "theta_gradient_majorant", "verify_smoothing_estimate",
 ]
 
+PUBLIC_PARAMETERS = {
+    "apply_transform": ('generators', 'point', 'direction'),
+    "ballistic_bound": ('H', 'threshold', 'radius'),
+    "build_test_hamiltonian": ('hc', 'seed', 'amplitude', 'j_max'),
+    "coefficient_norm_max": ('P', 'hc'),
+    "cp_tail_majorant": ('g', 's', 'p'),
+    "default_dt": ('H',),
+    "diffusion_time_reference": ('rho', 'hc', 'tau', 'epsilon', 'T0'),
+    "diophantine_constant": ('freq', 'tau', 'K', 'cap'),
+    "dominance_threshold": ('tau',),
+    "emit_plots": ('rows', 'outdir'),
+    "escape_time": ('H', 'rho', 'threshold', 't_cap', 'n_samples', 'seed', 'dt'),
+    "fit_exponent": ('rhos', 'times', 'model', 'log_exponent'),
+    "fit_exponent_rows": ('rows', 'model', 'source', 'log_exponent'),
+    "fourier_norm_bound_check": ('g', 'hc', 's_list'),
+    "golden_frequency": ('d',),
+    "holder_norm_majorant": ('g', 'hc'),
+    "integrate": ('H', 'start', 't_end', 'dt', 'record_every', 'r_max'),
+    "is_completely_nonresonant": ('freq', 'alpha', 'K', 'cap'),
+    "lacunary_series": ('d', 'ell', 'j_max', 'seed', 'amplitude'),
+    "lie_transform": ('H', 'chi', 'order', 'widths', 'chop'),
+    "linear_frequency": ('H',),
+    "load_config": ('path',),
+    "parameter_schedule": ('rho', 'gamma', 'tau', 'hc', 'consts', 'coeff_norm_max'),
+    "parse_config": ('text',),
+    "perturbation_of": ('H', 'omega', 'tol'),
+    "predicted_stability_time": ('rho', 'hc', 'tau', 'consts'),
+    "read_sweep_csv": ('path',),
+    "remainder_bounds": ('schedule', 'consts', 'hc'),
+    "resonant_normal_form": ('H', 'omega', 'params'),
+    "run_pipeline": ('H', 'omega', 'gamma', 'tau', 'hc', 'rho', 'consts'),
+    "sample_initial_conditions": ('d', 'rho', 'n_samples', 'seed'),
+    "smooth": ('g', 's'),
+    "smooth_coefficients": ('split', 's'),
+    "solve_homological": ('f_nr', 'omega'),
+    "sweep": ('config', 'csv_path'),
+    "taylor_split": ('f', 'hc', 'rho'),
+    "theta_gradient_majorant": ('H', 'radius'),
+    "verify_smoothing_estimate": ('g', 'hc', 'p', 's_list'),
+}
+
 
 def test_public_names_are_pinned():
     names = sorted(
@@ -36,3 +79,12 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(getattr(torusstab, name), types.ModuleType)
     )
     assert names == PUBLIC_NAMES
+
+
+def test_public_function_parameters_are_pinned():
+    functions = {
+        name: tuple(inspect.signature(getattr(torusstab, name)).parameters)
+        for name in PUBLIC_NAMES
+        if inspect.isfunction(getattr(torusstab, name))
+    }
+    assert functions == PUBLIC_PARAMETERS

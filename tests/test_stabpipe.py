@@ -215,6 +215,7 @@ class TestPipeline:
         assert report.prediction.t_theorem > 0
         text = report.to_text()
         assert "nf.certified = 1" in text
+        assert "nf.stop = certified" in text
         assert "failure = none" in text
 
     def test_flagged_schedule_reported_not_raised(self):
