@@ -11,7 +11,6 @@ times against the predictions.
 from .errors import (
     DomainEscapeError,
     DominanceViolationError,
-    EnumerationBudgetError,
     InsufficientDataError,
     LieDivergenceError,
     MeanNotRemovedError,

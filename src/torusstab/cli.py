@@ -59,7 +59,7 @@ def _constants(args):
 
 def cmd_dioph(args):
     freq = _frequency(args)
-    cert = diophantine_constant(freq, args.tau, args.K, cap=args.cap)
+    cert = diophantine_constant(freq, args.tau, args.K)
     print(f"omega = {','.join(repr(w) for w in freq.omega)}")
     print(f"tau = {args.tau!r}")
     print(f"K = {cert.K}")
@@ -77,7 +77,6 @@ def cmd_smooth(args):
     print(f"s = {res.s!r}")
     print(f"fourier_norm_at_s = {res.fourier_norm_at_s!r}")
     print(f"dropped_tail_mass = {res.dropped_tail_mass!r}")
-    print(f"equality_residual = {res.equality_residual!r}")
     return 0
 
 
@@ -210,11 +209,10 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dioph", help="certify a Diophantine constant by enumeration")
+    p = sub.add_parser("dioph", help="certify a Diophantine constant by exact lattice search")
     p.add_argument("--omega", help="comma-separated frequency (default: golden, d=2)")
     p.add_argument("--tau", type=float, default=1.0)
     p.add_argument("--K", type=int, required=True)
-    p.add_argument("--cap", type=int, default=200)
     p.set_defaults(func=cmd_dioph)
 
     p = sub.add_parser("smooth", help="sharp Fourier cutoff of a pure-angle series")

@@ -13,10 +13,6 @@ class NumericalFault(RuntimeError):
     """A numerical invariant broke during a computation."""
 
 
-class EnumerationBudgetError(PreconditionError):
-    """Lattice enumeration would exceed the configured budget cap."""
-
-
 class RealityViolationError(NumericalFault):
     """A nominally real-valued series produced a complex result."""
 

@@ -2,20 +2,20 @@
 
 All mode sizes are measured in the l1 norm |k|_1 = |k_1| + ... + |k_d|,
 matching the cutoff used by the smoothing equality.  Certificates come
-from exhaustive lattice enumeration, never from heuristics.
+from an exact branch-and-bound search of the lattice ball, never from
+heuristics.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnumerationBudgetError
-
-DEFAULT_ENUMERATION_CAP = 200
-_MAX_LATTICE_POINTS = 50_000_000
+# prefixes per block of the lattice search; bounds its working memory
+PREFIX_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -67,56 +67,68 @@ def golden_frequency(d):
     return Frequency((1.0, (1.0 + math.sqrt(5.0)) / 2.0))
 
 
-def _lattice_half_ball(d, K):
-    """All k with 0 < |k|_1 <= K, one representative per {k, -k} pair.
-
-    The representative has its first nonzero component positive.  Returns an
-    (n, d) integer array in a deterministic order.
-    """
-    side = 2 * K + 1
-    if side**d > _MAX_LATTICE_POINTS:
-        raise EnumerationBudgetError(
-            f"lattice ball (2K+1)^d = {side}^{d} exceeds the enumeration budget"
-        )
-    grids = np.meshgrid(*(np.arange(-K, K + 1),) * d, indexing="ij")
-    ks = np.stack([g.ravel() for g in grids], axis=1)
-    norms = np.abs(ks).sum(axis=1)
-    ks = ks[(norms > 0) & (norms <= K)]
-    # keep the representative whose first nonzero entry is positive
-    first_nonzero_sign = np.zeros(len(ks), dtype=int)
-    for j in range(d):
-        col = ks[:, j]
-        undecided = first_nonzero_sign == 0
-        first_nonzero_sign[undecided] = np.sign(col[undecided])
-    return ks[first_nonzero_sign > 0]
+def _prefix_blocks(d, j, K):
+    """Every k in Z^d with k_j = 0 and |k|_1 <= K, as (n, d) arrays of at most
+    PREFIX_BLOCK rows."""
+    for outer in itertools.product(range(-K, K + 1), repeat=d - 2):
+        r = K - sum(map(abs, outer))
+        for lo in range(-r, r + 1, PREFIX_BLOCK):
+            last = np.arange(lo, min(lo + PREFIX_BLOCK, r + 1))
+            block = np.empty((len(last), d - 1), dtype=np.int64)
+            block[:, :-1] = outer
+            block[:, -1] = last
+            yield np.insert(block, j, 0, axis=1)
 
 
-def diophantine_constant(freq, tau, K, cap=DEFAULT_ENUMERATION_CAP):
-    """Exhaustive Diophantine constant over the l1 ball of radius K.
+def _smallest(ks, w, tau):
+    """(gamma, k): the least |omega.k| |k|_1^tau over the nonzero rows of ks, taken
+    at their representatives (first nonzero entry positive); ties go to the
+    lexicographically smallest representative."""
+    first = ks[np.arange(len(ks)), np.argmax(ks != 0, axis=1)]
+    ks = ks[first != 0] * np.sign(first[first != 0])[:, None]
+    norms = np.abs(ks).sum(axis=1).astype(float)
+    values = np.abs(ks @ w) * norms**tau
+    tied = ks[values == values.min()]
+    return float(values.min()), tied[np.lexsort(tied.T[::-1])[0]]
 
-    Raises EnumerationBudgetError if K exceeds the configured cap rather than
-    silently approximating.
+
+def diophantine_constant(freq, tau, K):
+    """Exact Diophantine constant over the l1 ball of radius K.
+
+    Branch and bound along the axis j of the largest |omega_j|: as |k|_1^tau >= 1,
+    only k with |omega.k| <= gamma can attain gamma.  The unit vectors lie in the
+    ball, so gamma <= min_i |omega_i| <= |omega_j|, and each prefix (the other d-1
+    coordinates) tries at most five k_j near the root of omega.k = 0: O(K^{d-1})
+    work, in blocks of PREFIX_BLOCK prefixes that carry the best (gamma, k) on.
     """
     K = int(K)
     if K < 1:
         raise ValueError("K must be >= 1")
     if tau < 0:
         raise ValueError("tau must be >= 0")
-    if K > cap:
-        raise EnumerationBudgetError(
-            f"enumeration budget: K={K} exceeds cap {cap}; raise the cap explicitly"
-        )
-    ks = _lattice_half_ball(freq.d, K)
-    norms = np.abs(ks).sum(axis=1).astype(float)
-    values = np.abs(ks @ freq.as_array()) * norms**tau
-    i = int(np.argmin(values))
-    return DiophantineCertificate(
-        tau=float(tau), K=K, gamma_K=float(values[i]), attained_k=tuple(int(v) for v in ks[i])
-    )
+    w = freq.as_array()
+    j = int(np.argmax(np.abs(w)))
+    units = np.eye(freq.d, dtype=np.int64)
+    gamma, k = _smallest(units, w, tau)
+    for prefixes in _prefix_blocks(freq.d, j, K):
+        room = K - np.abs(prefixes).sum(axis=1)
+        root = -(prefixes @ w) / w[j]
+        half = gamma / abs(w[j])
+        # one extra integer each side: rounding at the ends drops no candidate
+        lo = np.maximum(np.ceil(root - half) - 1, -room).astype(np.int64)
+        hi = np.minimum(np.floor(root + half) + 1, room).astype(np.int64)
+        counts = np.maximum(hi - lo + 1, 0)
+        rows = np.repeat(np.arange(len(prefixes)), counts)
+        ks = prefixes[rows]
+        ks[:, j] = lo[rows] + np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+        # the unit vectors ride along so that ks @ w never has a single row, for
+        # which numpy takes a vector dot product that can round differently
+        gamma, k = _smallest(np.vstack([units, k, ks]), w, tau)
+    return DiophantineCertificate(float(tau), K, gamma, tuple(int(v) for v in k))
 
 
-def is_completely_nonresonant(freq, alpha, K, cap=DEFAULT_ENUMERATION_CAP):
+def is_completely_nonresonant(freq, alpha, K):
     """True iff |omega.k| >= alpha for every 0 < |k|_1 <= K: gamma_K at tau = 0."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    return diophantine_constant(freq, 0.0, K, cap).gamma_K >= alpha
+    return diophantine_constant(freq, 0.0, K).gamma_K >= alpha

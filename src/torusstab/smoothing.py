@@ -51,7 +51,6 @@ class SmoothingResult:
     s: float
     fourier_norm_at_s: float
     dropped_tail_mass: float
-    equality_residual: float
 
 
 def sharp_cutoff(g, s):
@@ -67,16 +66,11 @@ def smooth(g, s):
     if not g.is_pure_angle():
         raise ValueError("smoothing operates on pure-angle series only")
     g_s, tail = sharp_cutoff(g, s)
-    norm = g_s.mass(lambda nk, nm: np.exp(s * nk))
-    # both sides of the equality are this one sum, so the residual is 0 for
-    # every finite norm: it is not an independent check of the cutoff
-    residual = abs(norm - norm) / max(abs(norm), 1e-300)
     return SmoothingResult(
         g_s=g_s,
         s=float(s),
-        fourier_norm_at_s=norm,
+        fourier_norm_at_s=g_s.mass(lambda nk, nm: np.exp(s * nk)),
         dropped_tail_mass=tail.mass(),
-        equality_residual=residual,
     )
 
 

@@ -406,7 +406,7 @@ def run_pipeline(H, omega, gamma, tau, hc, rho, consts=None):
         raise PipelineStageError("smooth_coefficients", exc) from exc
 
     try:
-        cert = diophantine_constant(omega, tau, schedule.K, cap=schedule.K)
+        cert = diophantine_constant(omega, tau, schedule.K)
         if cert.gamma_K < gamma:
             raise PreconditionError(
                 f"supplied gamma = {gamma} exceeds the certified gamma_K = "

@@ -23,9 +23,23 @@ class TestDioph:
         assert float(out["gamma_K"]) == pytest.approx(1.0)
         assert float(out["alpha"]) == pytest.approx(0.2)
 
-    def test_budget_exit_code(self, capsys):
-        assert main(["dioph", "--K", "500"]) == 2
-        assert "error:" in capsys.readouterr().err
+    def test_any_K(self, capsys):
+        assert main(["dioph", "--K", "2700"]) == 0
+        out = parse_kv(capsys.readouterr().out)
+        assert out["gamma_K"] == "1.0"
+        assert out["attained_k"] == "1,0"
+
+    def test_bad_K_exit_code(self, capsys):
+        assert main(["dioph", "--K", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
+
+    def test_cap_flag_removed(self):
+        # the search is exact and cheap at any K, so there is no cap to raise
+        with pytest.raises(SystemExit) as exc:
+            main(["dioph", "--K", "5", "--cap", "10"])
+        assert exc.value.code == 2
 
     def test_explicit_omega(self, capsys):
         assert main(["dioph", "--omega", "1.0,1.4142135623730951", "--K", "5"]) == 0
@@ -34,7 +48,7 @@ class TestDioph:
 
 
 class TestSmooth:
-    def test_smooth_and_output(self, tmp_path, capsys):
+    def test_smooth_and_output(self, tmp_path, capsys, cutoff_gap):
         g = lacunary_series(2, 6.5, j_max=6, seed=0)
         src = tmp_path / "g.txt"
         dst = tmp_path / "gs.txt"
@@ -42,9 +56,10 @@ class TestSmooth:
         assert main(["smooth", "--input", str(src), "--s", "0.1",
                      "--output", str(dst)]) == 0
         out = parse_kv(capsys.readouterr().out)
-        assert float(out["equality_residual"]) <= 1e-12
+        assert "equality_residual" not in out
         gs = FourierTaylorSeries.load(dst)
         assert gs.max_fourier_order() <= 10
+        assert cutoff_gap(g, gs) <= float(out["dropped_tail_mass"]) * (1.0 + 1e-12)
 
     def test_bad_s_exit_code(self, tmp_path, capsys):
         src = tmp_path / "g.txt"

@@ -1,4 +1,4 @@
-"""Frequency vectors and exhaustive non-resonance certificates."""
+"""Frequency vectors and exact non-resonance certificates."""
 
 import math
 
@@ -9,13 +9,62 @@ from hypothesis import strategies as st
 
 from torusstab import (
     DiophantineCertificate,
-    EnumerationBudgetError,
     Frequency,
     diophantine_constant,
     golden_frequency,
     is_completely_nonresonant,
 )
-from torusstab.freqlib import _lattice_half_ball
+from torusstab import freqlib
+
+
+def _lattice_half_ball(d, K):
+    """Reference: all k with 0 < |k|_1 <= K from the full (2K+1)^d meshgrid, one
+    representative per {k, -k} pair (first nonzero entry positive), in
+    lexicographic order."""
+    grids = np.meshgrid(*(np.arange(-K, K + 1),) * d, indexing="ij")
+    ks = np.stack([g.ravel() for g in grids], axis=1)
+    norms = np.abs(ks).sum(axis=1)
+    ks = ks[(norms > 0) & (norms <= K)]
+    first_nonzero_sign = np.zeros(len(ks), dtype=int)
+    for j in range(d):
+        col = ks[:, j]
+        undecided = first_nonzero_sign == 0
+        first_nonzero_sign[undecided] = np.sign(col[undecided])
+    return ks[first_nonzero_sign > 0]
+
+
+def _reference_constant(omega, tau, K):
+    """Reference gamma_K and minimiser by brute force over the half ball; np.argmin
+    returns the first minimiser, the lexicographically smallest on ties."""
+    ks = _lattice_half_ball(len(omega), K)
+    norms = np.abs(ks).sum(axis=1).astype(float)
+    values = np.abs(ks @ np.asarray(omega, dtype=float)) * norms**tau
+    i = int(np.argmin(values))
+    return float(values[i]), tuple(int(v) for v in ks[i])
+
+
+def _exactness_cases(n, seed):
+    """Seeded (omega, tau, K) in d = 2 and 3, tau in {0, 0.5, 1, 2, random}: omega
+    generic, with a zero component, or integer multiples of 1 or 0.1 (exact
+    ties, and ties that rounding makes at the ends of the search window)."""
+    rng = np.random.default_rng(seed)
+    cases = [((1.0, 0.0), 1.0, 7), ((0.0, 1.0), 1.0, 7), ((1.0, 2.0), 0.5, 9),
+             ((1.0, math.sqrt(2.0), math.sqrt(3.0)), 1.0, 8), ((1.0, 1.0, 0.0), 0.0, 4),
+             ((-0.8, 0.7000000000000001, 0.5), 0.0, 7)]
+    while len(cases) < n:
+        d = int(rng.choice([2, 3]))
+        kind = rng.integers(4)
+        if kind < 2:
+            omega = rng.integers(-9, 10, size=d) * (1.0 if kind == 0 else 0.1)
+            omega[0] += not omega.any()
+        else:
+            omega = rng.normal(size=d)
+            if kind == 2:
+                omega[rng.integers(d)] = 0.0
+        tau = float(rng.choice([0.0, 0.5, 1.0, 2.0, rng.uniform(0.0, 3.0)]))
+        K = int(rng.integers(1, 40 if d == 2 else 12))
+        cases.append((tuple(omega), tau, K))
+    return cases
 
 
 class TestFrequency:
@@ -43,6 +92,8 @@ class TestFrequency:
 
 
 class TestLatticeHalfBall:
+    """The meshgrid reference that the lattice search is compared against."""
+
     def test_count_d2(self):
         # full punctured ball has 2K(K+1) points for d=2; half keeps exactly half
         for K in (1, 2, 5, 9):
@@ -66,10 +117,24 @@ class TestDiophantineConstant:
         # |F_{n+1} - phi F_n| |k|_1 = phi^{-n} F_{n+2} -> phi^2/sqrt(5) > 1,
         # so the minimizer is always k = (1, 0); frozen via 50-digit arithmetic
         freq = golden_frequency(2)
-        for K in (1, 5, 34, 200):
+        for K in (1, 5, 34, 200, 2700, 10**5):
             cert = diophantine_constant(freq, 1.0, K)
-            assert cert.gamma_K == pytest.approx(1.0, rel=1e-14)
-            assert tuple(abs(v) for v in cert.attained_k) == (1, 0)
+            assert cert.gamma_K == 1.0
+            assert cert.attained_k == (1, 0)
+
+    def test_matches_meshgrid_reference_exactly(self):
+        for omega, tau, K in _exactness_cases(400, seed=0):
+            cert = diophantine_constant(Frequency(omega), tau, K)
+            assert (cert.gamma_K, cert.attained_k) == _reference_constant(omega, tau, K), (
+                omega, tau, K)
+
+    def test_blocks_carry_best_and_tie_break(self, monkeypatch):
+        # three prefixes per block: the winner and its ties span many blocks
+        monkeypatch.setattr(freqlib, "PREFIX_BLOCK", 3)
+        for omega, tau, K in _exactness_cases(40, seed=1):
+            cert = diophantine_constant(Frequency(omega), tau, K)
+            assert (cert.gamma_K, cert.attained_k) == _reference_constant(omega, tau, K), (
+                omega, tau, K)
 
     def test_golden_tau_half_oracle(self):
         freq = golden_frequency(2)
@@ -89,13 +154,6 @@ class TestDiophantineConstant:
     def test_alpha_property(self):
         cert = DiophantineCertificate(tau=1.0, K=10, gamma_K=0.5, attained_k=(1, 0))
         assert cert.alpha == 0.05
-
-    def test_budget_cap(self):
-        with pytest.raises(EnumerationBudgetError):
-            diophantine_constant(golden_frequency(2), 1.0, 201)
-        # raising the cap explicitly is allowed
-        cert = diophantine_constant(golden_frequency(2), 1.0, 201, cap=250)
-        assert cert.K == 201
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

@@ -8,8 +8,8 @@ import torusstab
 
 PUBLIC_NAMES = [
     "AnalyticityWidths", "BoundConstants", "DiophantineCertificate",
-    "DomainEscapeError", "DominanceViolationError", "EnumerationBudgetError",
-    "EscapeRecord", "ExperimentConfig", "FitReport", "FourierNormReport",
+    "DomainEscapeError", "DominanceViolationError", "EscapeRecord",
+    "ExperimentConfig", "FitReport", "FourierNormReport",
     "FourierTaylorSeries", "Frequency", "HamiltonianVectorField", "HolderClass",
     "InsufficientDataError", "LieDivergenceError", "LieResult", "MeanNotRemovedError",
     "NormalFormParams", "NormalFormResult", "NumericalFault", "ParameterSchedule",
@@ -38,7 +38,7 @@ PUBLIC_PARAMETERS = {
     "cp_tail_majorant": ('g', 's', 'p'),
     "default_dt": ('H',),
     "diffusion_time_reference": ('rho', 'hc', 'tau', 'epsilon', 'T0'),
-    "diophantine_constant": ('freq', 'tau', 'K', 'cap'),
+    "diophantine_constant": ('freq', 'tau', 'K'),
     "dominance_threshold": ('tau',),
     "emit_plots": ('rows', 'outdir'),
     "escape_time": ('H', 'rho', 'threshold', 't_cap', 'n_samples', 'seed', 'dt'),
@@ -48,7 +48,7 @@ PUBLIC_PARAMETERS = {
     "golden_frequency": ('d',),
     "holder_norm_majorant": ('g', 'hc'),
     "integrate": ('H', 'start', 't_end', 'dt', 'record_every', 'r_max'),
-    "is_completely_nonresonant": ('freq', 'alpha', 'K', 'cap'),
+    "is_completely_nonresonant": ('freq', 'alpha', 'K'),
     "lacunary_series": ('d', 'ell', 'j_max', 'seed', 'amplitude'),
     "lie_transform": ('H', 'chi', 'order', 'widths', 'chop'),
     "linear_frequency": ('H',),
