@@ -161,6 +161,7 @@ def cmd_escape(args):
     print(f"rho = {record.rho!r}")
     print(f"threshold = {record.threshold!r}")
     print(f"dt = {record.dt!r}")
+    print(f"method = {record.method}")
     print(f"t_cap = {record.t_cap!r}")
     print(f"n_samples = {record.n_samples}")
     print(f"censored_fraction = {record.censored_fraction!r}")

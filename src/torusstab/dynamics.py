@@ -1,10 +1,17 @@
 """Long-time symplectic integration and Monte-Carlo escape measurement.
 
-The integrator is the implicit midpoint rule (symplectic and second order
-for general non-separable Hamiltonians), with a fixed-point inner
-iteration.  Escape measurement samples initial conditions from a seeded,
-counter-based RNG; aggregation uses only order-independent reductions, so
-results are scheduling-invariant and bit-reproducible.
+The integrator splits H = omega.I + f (Strang, as in Wisdom-Holman): a
+step is an exact half rotation theta += omega h/2, one implicit-midpoint
+step on the field of f alone (a fixed-point iteration), and another half
+rotation.  It is symplectic, symmetric and second order for general
+non-separable f, and exact when f = 0.  On a small f the fixed point is
+reached in one sweep, since the rotation no longer moves the iterate.
+
+Escape measurement samples initial conditions from a seeded, counter-based
+RNG; aggregation uses only order-independent reductions, so results do not
+depend on scheduling.  Runs with the same inputs, batch size and BLAS build
+give the same bits; a row's last bits may differ between batch sizes (the
+matrix products round a row differently in a batch of another shape).
 """
 
 from __future__ import annotations
@@ -14,8 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFault, StepFailureError
+from .errors import NumericalFault, RealityViolationError, StepFailureError
 from .ftseries import HamiltonianVectorField, theta_gradient_majorant
+
+METHOD = "split-midpoint"
 
 FIXED_POINT_TOL = 1e-13
 MAX_SWEEPS = 50
@@ -64,6 +73,27 @@ def _midpoint_step(field, theta, I, dt, tol=FIXED_POINT_TOL, max_sweeps=MAX_SWEE
     return 2.0 * wt - theta, 2.0 * wI - I
 
 
+def _split(H):
+    """(omega, vector field of f) for a real H = omega.I + f, where omega.I
+    is the k=0, |m|_1=1 part of H."""
+    if not H.is_real(tol=1e-9):
+        raise RealityViolationError("vector field requires a real-valued series")
+    f = H.select(lambda nk, nm, c: (nk > 0) | (nm != 1))
+    return linear_frequency(H), HamiltonianVectorField(f, check_real=False)
+
+
+def _split_step(field, omega, theta, I, dt):
+    """One split step on a batch: half rotation, midpoint step on f, half rotation."""
+    half = 0.5 * dt * omega
+    theta, I = _midpoint_step(field, theta + half, I, dt)
+    return theta + half, I
+
+
+def _energy(field, omega, theta, I):
+    """H = f + omega.I per point."""
+    return field.energy(theta, I) + I @ omega
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Recorded samples of one integration run; theta reduced mod 1."""
@@ -86,7 +116,7 @@ class Trajectory:
 
 
 def integrate(H, start, t_end, dt, record_every=None, r_max=None):
-    """Implicit-midpoint integration of a real Hamiltonian series.
+    """Split implicit-midpoint integration of a real Hamiltonian series.
 
     dt may be negative for backward runs.  The final step is shortened to
     land exactly on t_end.  Recording is decimated to at most
@@ -96,7 +126,7 @@ def integrate(H, start, t_end, dt, record_every=None, r_max=None):
         raise ValueError("dt must be nonzero")
     if t_end * dt <= 0:
         raise ValueError("t_end and dt must have the same sign")
-    field = HamiltonianVectorField(H)
+    omega, field = _split(H)
     theta0, I0 = start
     theta = np.asarray(theta0, dtype=float).reshape(1, -1).copy()
     I = np.asarray(I0, dtype=float).reshape(1, -1).copy()
@@ -106,12 +136,12 @@ def integrate(H, start, t_end, dt, record_every=None, r_max=None):
     ts = [0.0]
     thetas = [theta[0] % 1.0]
     Is = [I[0].copy()]
-    energies = [float(field.energy(theta, I)[0])]
+    energies = [float(_energy(field, omega, theta, I)[0])]
     t = 0.0
     domain_exit = False
     for n in range(1, n_steps + 1):
         step_dt = dt if n < n_steps else t_end - t
-        theta, I = _midpoint_step(field, theta, I, step_dt)
+        theta, I = _split_step(field, omega, theta, I, step_dt)
         t += step_dt
         if r_max is not None and np.max(np.abs(I)) > r_max:
             domain_exit = True
@@ -119,7 +149,7 @@ def integrate(H, start, t_end, dt, record_every=None, r_max=None):
             ts.append(t)
             thetas.append(theta[0] % 1.0)
             Is.append(I[0].copy())
-            energies.append(float(field.energy(theta, I)[0]))
+            energies.append(float(_energy(field, omega, theta, I)[0]))
         if domain_exit:
             break
     return Trajectory(
@@ -128,7 +158,7 @@ def integrate(H, start, t_end, dt, record_every=None, r_max=None):
         I=np.array(Is),
         energy=np.array(energies),
         dt=float(dt),
-        method="implicit-midpoint",
+        method=METHOD,
         domain_exit=domain_exit,
     )
 
@@ -147,6 +177,7 @@ class EscapeRecord:
     max_energy_drift: float
     seed: int
     dt: float
+    method: str
 
     @property
     def min_escape(self):
@@ -186,7 +217,7 @@ def escape_time(H, rho, threshold, t_cap, n_samples, seed, dt=None):
         raise ValueError("t_cap must be positive")
     if dt is None:
         dt = default_dt(H)
-    field = HamiltonianVectorField(H)
+    omega, field = _split(H)
     d = H.d
     theta0, I0 = sample_initial_conditions(d, rho, n_samples, seed)
     theta = theta0.copy()
@@ -195,13 +226,13 @@ def escape_time(H, rho, threshold, t_cap, n_samples, seed, dt=None):
     escape_times = np.full(n_samples, float(t_cap))
     censored = np.ones(n_samples, dtype=bool)
     max_drift = np.zeros(n_samples)
-    e0 = field.energy(theta0, I0)
+    e0 = _energy(field, omega, theta0, I0)
     max_energy_drift = 0.0
     n_steps = max(1, int(math.ceil(t_cap / dt - 1e-9)))
     t = 0.0
     for n in range(1, n_steps + 1):
         step_dt = dt if n < n_steps else t_cap - t
-        theta, I = _midpoint_step(field, theta, I, step_dt)
+        theta, I = _split_step(field, omega, theta, I, step_dt)
         t += step_dt
         drift = np.max(np.abs(I - I0[active]), axis=1)
         max_drift[active] = np.maximum(max_drift[active], drift)
@@ -217,7 +248,7 @@ def escape_time(H, rho, threshold, t_cap, n_samples, seed, dt=None):
             if len(active) == 0:
                 break
         if n % ENERGY_CHECK_EVERY == 0 or n == n_steps:
-            e = field.energy(theta, I)
+            e = _energy(field, omega, theta, I)
             if len(e):
                 rel = np.max(np.abs(e - e0[active]) / np.maximum(np.abs(e0[active]), 1.0))
                 max_energy_drift = max(max_energy_drift, float(rel))
@@ -241,4 +272,5 @@ def escape_time(H, rho, threshold, t_cap, n_samples, seed, dt=None):
         max_energy_drift=max_energy_drift,
         seed=int(seed),
         dt=float(dt),
+        method=METHOD,
     )

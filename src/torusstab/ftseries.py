@@ -253,17 +253,16 @@ class FourierTaylorSeries:
         I = np.asarray(I, dtype=float)
         if theta.shape != (self.d,) or I.shape != (self.d,):
             raise ValueError("point dimension mismatch")
-        kernel = HamiltonianVectorField(self, check_real=False)
-        E, pw = kernel._phases_and_table(theta, I)
-        P = kernel._powers(pw, kernel.M)[0]
-        total = complex((E[0] * P) @ kernel.C)
-        scale = float(np.abs(P) @ np.abs(kernel.C))
-        if abs(total.imag) > reality_tol * max(scale, 1.0):
+        # the kernel sums real parts, and Im f = Re(-i f)
+        real = HamiltonianVectorField(self, check_real=False).energy(theta, I)[0]
+        imag = HamiltonianVectorField(self * -1j, check_real=False).energy(theta, I)[0]
+        scale = float(np.abs(self.C) @ np.prod(np.abs(I) ** self.M, axis=1))
+        if abs(imag) > reality_tol * max(scale, 1.0):
             raise RealityViolationError(
-                f"imaginary residual {total.imag:.3e} exceeds {reality_tol:.1e} "
+                f"imaginary residual {imag:.3e} exceeds {reality_tol:.1e} "
                 f"relative to term mass {scale:.3e}"
             )
-        return total.real
+        return float(real)
 
     # -- norms, selection, structure ----------------------------------------
 
@@ -422,56 +421,80 @@ def theta_gradient_majorant(H, radius):
 class HamiltonianVectorField:
     """Batched Hamiltonian vector field (theta_dot, I_dot) of a real series.
 
-    theta_dot = dH/dI, I_dot = -dH/dtheta.  Built for long integration loops:
-    one complex exponential per term per call, action powers from a cumulative
-    table, shared across all gradient components.  The same kernel gives the
-    energy and FourierTaylorSeries.evaluate.
+    theta_dot = dH/dI, I_dot = -dH/dtheta, all real parts of the series sum.
+    A term whose mode k has a negative first nonzero entry is folded onto
+    (-k, m, conj c) at construction, which leaves Re c e^{2 pi i k.theta} I^m
+    unchanged, so for any series the kernel sums the half spectrum
+
+        Re f = sum (a cos 2 pi k.theta - b sin 2 pi k.theta) I^m,  c = a + ib,
+
+    with one real cosine and sine per point and folded term per call.  The
+    energy and the d components of I_dot come out of one product of the
+    stacked [cos P, sin P] (P the action powers I^m) with a weight matrix;
+    each theta_dot_j takes one more, with the powers I^{m - e_j}.  The same
+    kernel gives FourierTaylorSeries.evaluate.  `n` counts the folded terms.
     """
 
     def __init__(self, series, check_real=True):
         if check_real and not series.is_real(tol=1e-9):
             raise RealityViolationError("vector field requires a real-valued series")
-        self.d = series.d
-        self.K, self.M, self.C = series.K, series.M, series.C
-        self.n = len(self.C)
-        self.pmax = int(self.M.max()) if self.n else 0
-        # per-axis coefficient arrays for the two gradients
-        self.Ck = [self.C * (TWO_PI * 1j * self.K[:, j]) for j in range(self.d)]
-        self.CI = [self.C * self.M[:, j] for j in range(self.d)]
-        self.Mred = []
-        for j in range(self.d):
-            Mr = self.M.copy()
-            Mr[:, j] = np.maximum(Mr[:, j] - 1, 0)
-            self.Mred.append(Mr)
+        self.d = d = series.d
+        K, M, C = series.K, series.M, series.C
+        first = K[np.arange(len(K)), (K != 0).argmax(axis=1)]  # 0 for k = 0
+        neg = first < 0
+        K, M, C = _merge((np.where(neg[:, None], -K, K), M, np.where(neg, C.conj(), C)))
+        keep = C != 0
+        K, M, C = K[keep], M[keep], C[keep]
+        a, b = C.real, C.imag
+        self.n = n = len(C)
+        self.Kt = K.T.astype(float)
+        self.pmax = int(M.max()) if n else 0
+        # action exponents: m for the energy and I_dot, m - e_j for theta_dot_j
+        self.exps = np.repeat(M[None], 1 + d, axis=0)
+        for j in range(d):
+            self.exps[1 + j, :, j] = np.maximum(M[:, j] - 1, 0)
+        # columns: the energy sum (a cos - b sin) P, then
+        # I_dot_j = sum 2 pi k_j (b cos + a sin) P
+        self.W = np.empty((2 * n, 1 + d))
+        self.W[:n, 0], self.W[n:, 0] = a, -b
+        for j in range(d):
+            self.W[:n, 1 + j] = TWO_PI * K[:, j] * b
+            self.W[n:, 1 + j] = TWO_PI * K[:, j] * a
+        # theta_dot_j = sum m_j (a cos - b sin) I^{m - e_j}
+        self.W_theta = [np.concatenate([M[:, j] * a, -M[:, j] * b]) for j in range(d)]
 
-    def _phases_and_table(self, theta, I):
-        """Phases e^{2 pi i k.theta} per point and term, and the table I_j^p."""
+    def _table(self, theta, I):
+        """[cos, sin] of 2 pi k.theta as an (N, 2, n) array, and the table I_j^p as (N, d, p)."""
         theta = np.atleast_2d(np.asarray(theta, dtype=float))
         I = np.atleast_2d(np.asarray(I, dtype=float))
-        E = np.exp(TWO_PI * 1j * (theta @ self.K.T))
-        pw = np.empty((I.shape[0], self.d, self.pmax + 1))
-        pw[:, :, 0] = 1.0
-        for p in range(1, self.pmax + 1):
-            pw[:, :, p] = pw[:, :, p - 1] * I
-        return E, pw
+        phase = TWO_PI * (theta @ self.Kt)
+        cs = np.empty((theta.shape[0], 2, self.n))
+        np.cos(phase, out=cs[:, 0])
+        np.sin(phase, out=cs[:, 1])
+        return cs, I[:, :, None] ** np.arange(self.pmax + 1)
 
-    def _powers(self, pw, M):
-        out = np.ones((pw.shape[0], len(M)))
-        for j in range(self.d):
-            out *= pw[:, j, :][:, M[:, j]]
-        return out
+    def _powers(self, pw, exps):
+        """prod_j I_j^{e_j} per point, for exponent rows exps[..., term, j]."""
+        P = pw[:, 0, exps[..., 0]]
+        for j in range(1, self.d):
+            P *= pw[:, j, exps[..., j]]
+        return P
+
+    @staticmethod
+    def _weighted(cs, P, W):
+        """[cos P, sin P] @ W, for P of shape (N, 1, n)."""
+        N, _, n = cs.shape
+        return (cs * P).reshape(N, 2 * n) @ W
 
     def __call__(self, theta, I):
-        E, pw = self._phases_and_table(theta, I)
-        N = E.shape[0]
-        theta_dot = np.zeros((N, self.d))
-        I_dot = np.zeros((N, self.d))
-        EP = E * self._powers(pw, self.M)
+        cs, pw = self._table(theta, I)
+        P = self._powers(pw, self.exps)
+        I_dot = self._weighted(cs, P[:, :1], self.W)[:, 1:]
+        theta_dot = np.empty_like(I_dot)
         for j in range(self.d):
-            I_dot[:, j] = -(EP @ self.Ck[j]).real
-            theta_dot[:, j] = ((E * self._powers(pw, self.Mred[j])) @ self.CI[j]).real
+            theta_dot[:, j] = self._weighted(cs, P[:, 1 + j : 2 + j], self.W_theta[j])
         return theta_dot, I_dot
 
     def energy(self, theta, I):
-        E, pw = self._phases_and_table(theta, I)
-        return ((E * self._powers(pw, self.M)) @ self.C).real
+        cs, pw = self._table(theta, I)
+        return self._weighted(cs, self._powers(pw, self.exps[:1]), self.W[:, 0])

@@ -2,7 +2,7 @@
 printing a single PASS/FAIL line (bypassing capture) plus a hard assert.
 
 Run with plain `pytest`; the no-escape check integrates ~160k batched
-implicit-midpoint steps and dominates the runtime (several minutes).
+split steps and dominates the runtime (about two minutes).
 """
 
 import math

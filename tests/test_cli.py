@@ -157,6 +157,8 @@ class TestEscape:
         out = parse_kv(capsys.readouterr().out)
         assert out["censored_fraction"] == "1.0"
         assert out["min_escape"] == "none"
+        assert out["method"] == "split-midpoint"
+        assert list(out).index("method") == list(out).index("dt") + 1
 
 
 class TestSweepFitPlots:

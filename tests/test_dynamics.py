@@ -1,4 +1,4 @@
-"""Implicit-midpoint integration and Monte-Carlo escape measurement."""
+"""Split implicit-midpoint integration and Monte-Carlo escape measurement."""
 
 import math
 
@@ -7,6 +7,7 @@ import pytest
 
 from torusstab import (
     FourierTaylorSeries,
+    HamiltonianVectorField,
     HolderClass,
     ballistic_bound,
     default_dt,
@@ -17,7 +18,7 @@ from torusstab import (
     sample_initial_conditions,
     theta_gradient_majorant,
 )
-from torusstab.dynamics import _midpoint_step
+from torusstab.dynamics import _midpoint_step, _split, _split_step
 
 D = 2
 OMEGA = golden_frequency(2)
@@ -142,6 +143,64 @@ class TestIntegrate:
         e2 = np.max(np.abs(I2 - ref_I))
         assert e2 <= e1 / 3.0  # global order 2 over the same interval
 
+    def test_split_step_second_order(self):
+        # the whole step: half rotation, midpoint on f, half rotation
+        H = coupled_hamiltonian(0.1)
+        omega, field = _split(H)
+        start = (np.array([[0.2, 0.6]]), np.array([[0.1, -0.2]]))
+
+        def run(dt, n):
+            th, Ii = start
+            for _ in range(n):
+                th, Ii = _split_step(field, omega, th, Ii, dt)
+            return np.hstack([th, Ii])
+
+        ref = run(1e-4, 400)
+        e1 = np.max(np.abs(run(0.04, 1) - ref))
+        e2 = np.max(np.abs(run(0.02, 2) - ref))
+        e4 = np.max(np.abs(run(0.01, 4) - ref))
+        assert e2 <= e1 / 3.0 and e4 <= e2 / 3.0
+
+    def test_split_energy_is_f_kernel_plus_rotation(self):
+        H = coupled_hamiltonian(0.1)
+        omega, field = _split(H)
+        assert field.n == 2  # the two conjugate pairs of f; omega.I is not in the kernel
+        assert np.array_equal(omega, OMEGA.omega)
+        traj = integrate(H, ((0.2, 0.6), (0.1, -0.2)), t_end=0.05, dt=0.01)
+        assert traj.method == "split-midpoint"
+        for theta, I, e in zip(traj.theta, traj.I, traj.energy):
+            assert e == pytest.approx(H.evaluate(theta, I), rel=0, abs=1e-15)
+
+
+def count_field_calls(monkeypatch):
+    calls = []
+    original = HamiltonianVectorField.__call__
+
+    def counted(self, theta, I):
+        calls.append(np.atleast_2d(theta).shape[0])
+        return original(self, theta, I)
+
+    monkeypatch.setattr(HamiltonianVectorField, "__call__", counted)
+    return calls
+
+
+class TestOneSweepPerStep:
+    """At amplitude 1e-12 the first sweep moves the iterate by only
+    h/2 |grad f|, below the fixed-point tolerance: one field call per step."""
+
+    def test_escape_time(self, monkeypatch):
+        H = coupled_hamiltonian(1e-12)
+        calls = count_field_calls(monkeypatch)
+        rec = escape_time(H, 0.05, threshold=0.025, t_cap=0.5, n_samples=6, seed=1)
+        assert rec.censored_fraction == 1.0
+        assert calls == [6] * math.ceil(0.5 / rec.dt - 1e-9)
+
+    def test_integrate(self, monkeypatch):
+        H = coupled_hamiltonian(1e-12)
+        calls = count_field_calls(monkeypatch)
+        integrate(H, ((0.3, 0.7), (0.05, -0.05)), t_end=0.5, dt=0.01)
+        assert calls == [1] * 50
+
 
 class TestSampling:
     def test_deterministic_and_prefix_stable(self):
@@ -164,6 +223,7 @@ class TestEscapeTime:
         assert rec.min_escape is None
         assert rec.max_drift_at_cap <= 1e-10
         assert rec.max_energy_drift <= 1e-12
+        assert rec.method == "split-midpoint"
 
     def test_strong_forcing_escapes(self):
         H = FourierTaylorSeries.linear(OMEGA) + FourierTaylorSeries.sine(

@@ -379,12 +379,13 @@ class TestArrayStore:
         with pytest.raises(ValueError):
             f.K[0, 0] = 5
 
-    def test_vector_field_shares_arrays(self):
-        H = FourierTaylorSeries.linear((1.0, 1.5)) + FourierTaylorSeries.cosine(
-            D, (1, -1), m=(2, 0)
-        )
-        field = HamiltonianVectorField(H)
-        assert field.C is H.C and field.K is H.K and field.M is H.M
+    @given(f=series_strategy(max_terms=8, real=True))
+    @settings(max_examples=40, deadline=None)
+    def test_vector_field_folds_conjugate_pairs(self, f):
+        # a real series stores each k != 0 term beside its conjugate at -k
+        k_zero = int(np.count_nonzero(~f.K.any(axis=1)))
+        assert HamiltonianVectorField(f).n == (len(f) + k_zero) // 2
+        assert (len(f) + k_zero) % 2 == 0
 
     @given(f=series_strategy(max_terms=6), real=st.booleans(), tol=st.sampled_from([0.0, 1e-12, 0.5]))
     @example(  # |gap| = tol * scale exactly, where abs() and np.abs() differ by one ulp
@@ -469,6 +470,41 @@ class TestEvaluators:
             assert Id[0, j] == pytest.approx(
                 -H.partial_theta(j).evaluate(theta[0], I[0]), abs=1e-13
             )
+
+    @given(f=series_strategy(max_terms=8), real=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_folded_kernel_matches_complex_sum(self, f, real):
+        # the kernel keeps Re of the full sum, for real and non-real series
+        if real:
+            f = f + FourierTaylorSeries(
+                D, {(tuple(-v for v in k), m): c.conjugate() for (k, m), c in f.items()}
+            )
+        rng = np.random.default_rng(len(f))
+        theta = rng.random((7, D))
+        I = rng.uniform(-1.5, 1.5, (7, D))
+        field = HamiltonianVectorField(f, check_real=False)
+        td, Id = field(theta, I)
+        e = field.energy(theta, I)
+
+        def direct(g):  # Re sum c e^{2 pi i k.theta} I^m, term by term
+            out = np.zeros(len(theta), dtype=complex)
+            for (k, m), c in g.items():
+                out += c * np.exp(TWO_PI * 1j * (theta @ k)) * np.prod(I**m, axis=1)
+            return out.real
+
+        def tol(g):  # 1e-13 x coefficient mass at the largest |I| drawn (see close())
+            return 1e-13 * g.mass(lambda nk, nm: 1.5**nm) + sys.float_info.min
+
+        assert np.all(np.abs(e - direct(f)) <= tol(f))
+        for j in range(D):
+            g_I, g_theta = f.partial_I(j), f.partial_theta(j)
+            assert np.all(np.abs(td[:, j] - direct(g_I)) <= tol(g_I))
+            assert np.all(np.abs(Id[:, j] + direct(g_theta)) <= tol(g_theta))
+            if not real:
+                continue  # evaluate rejects a non-real series
+            for i in range(len(theta)):
+                assert abs(td[i, j] - g_I.evaluate(theta[i], I[i])) <= tol(g_I)
+                assert abs(Id[i, j] + g_theta.evaluate(theta[i], I[i])) <= tol(g_theta)
 
     def test_vector_field_rejects_complex(self):
         g = FourierTaylorSeries.harmonic(D, (1, 0), coeff=1j)
