@@ -39,14 +39,14 @@ from .stabpipe import (
 )
 
 
-def _parse_floats(text):
-    return tuple(float(v) for v in text.split(","))
-
-
 def _frequency(args):
     if args.omega is None:
         return golden_frequency(2)
-    return Frequency(_parse_floats(args.omega))
+    try:
+        omega = tuple(float(v) for v in args.omega.split(","))
+    except ValueError:
+        raise ValueError(f"bad value for --omega: {args.omega!r}") from None
+    return Frequency(omega)
 
 
 def _constants(args):

@@ -217,6 +217,8 @@ def escape_time(H, rho, threshold, t_cap, n_samples, seed, dt=None):
         raise ValueError("t_cap must be positive")
     if dt is None:
         dt = default_dt(H)
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     omega, field = _split(H)
     d = H.d
     theta0, I0 = sample_initial_conditions(d, rho, n_samples, seed)

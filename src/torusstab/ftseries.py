@@ -426,13 +426,23 @@ class HamiltonianVectorField:
     (-k, m, conj c) at construction, which leaves Re c e^{2 pi i k.theta} I^m
     unchanged, so for any series the kernel sums the half spectrum
 
-        Re f = sum (a cos 2 pi k.theta - b sin 2 pi k.theta) I^m,  c = a + ib,
+        Re f = sum_m A_m(theta) I^m,
+        A_m = sum_k (a cos 2 pi k.theta - b sin 2 pi k.theta),  c_{k,m} = a + ib.
 
-    with one real cosine and sine per point and folded term per call.  The
-    energy and the d components of I_dot come out of one product of the
-    stacked [cos P, sin P] (P the action powers I^m) with a weight matrix;
-    each theta_dot_j takes one more, with the powers I^{m - e_j}.  The same
-    kernel gives FourierTaylorSeries.evaluate.  `n` counts the folded terms.
+    A call takes cos and sin once per point and distinct mode k (u of them)
+    and the action powers once per distinct Taylor index m (v of them).  One
+    product of [cos | sin] (N x 2u) with a weight matrix (2u x (1+d) v) gives
+    per point every A_m and B_{m,j} = sum_k 2 pi k_j (b cos + a sin), and
+
+        energy = sum_m A_m I^m,  I_dot_j = sum_m B_{m,j} I^m,
+        theta_dot_j = sum_m A_m m_j I^{m - e_j}.
+
+    The weight matrix is stored and applied in column blocks of consecutive
+    Taylor indices.  A block holds at most PAIR_BLOCK entries (or the columns
+    of one index) and only the rows of the modes its terms use, so a call's
+    product has at most N PAIR_BLOCK / 2 entries per block, and the weights
+    at most max(2 (1+d), PAIR_BLOCK / u) per term.  The same kernel gives
+    FourierTaylorSeries.evaluate.  `n` counts the folded terms.
     """
 
     def __init__(self, series, check_real=True):
@@ -445,56 +455,79 @@ class HamiltonianVectorField:
         K, M, C = _merge((np.where(neg[:, None], -K, K), M, np.where(neg, C.conj(), C)))
         keep = C != 0
         K, M, C = K[keep], M[keep], C[keep]
+        self.n = len(C)
+        modes, mode = np.unique(K, axis=0, return_inverse=True)
+        powers, power = np.unique(M, axis=0, return_inverse=True)
+        u, v = len(modes), len(powers)
+        self.Kt = modes.T.astype(float)
+        self.pmax = int(M.max(initial=0))
+        # action exponents: m for the energy and I_dot, m - e_j with the
+        # factor m_j for theta_dot_j
+        self.exps = np.repeat(powers[None], 1 + d, axis=0)
+        for j in range(d):
+            self.exps[1 + j, :, j] = np.maximum(powers[:, j] - 1, 0)
+        self.factors = np.vstack([np.ones(v), powers.T])
+        # weight columns per Taylor index: A_m, then B_{m,1..d}
         a, b = C.real, C.imag
-        self.n = n = len(C)
-        self.Kt = K.T.astype(float)
-        self.pmax = int(M.max()) if n else 0
-        # action exponents: m for the energy and I_dot, m - e_j for theta_dot_j
-        self.exps = np.repeat(M[None], 1 + d, axis=0)
-        for j in range(d):
-            self.exps[1 + j, :, j] = np.maximum(M[:, j] - 1, 0)
-        # columns: the energy sum (a cos - b sin) P, then
-        # I_dot_j = sum 2 pi k_j (b cos + a sin) P
-        self.W = np.empty((2 * n, 1 + d))
-        self.W[:n, 0], self.W[n:, 0] = a, -b
-        for j in range(d):
-            self.W[:n, 1 + j] = TWO_PI * K[:, j] * b
-            self.W[n:, 1 + j] = TWO_PI * K[:, j] * a
-        # theta_dot_j = sum m_j (a cos - b sin) I^{m - e_j}
-        self.W_theta = [np.concatenate([M[:, j] * a, -M[:, j] * b]) for j in range(d)]
+        weights = np.hstack([a[:, None], TWO_PI * K * b[:, None]])
+        weights_sin = np.hstack([-b[:, None], TWO_PI * K * a[:, None]])
+        width = max(1, PAIR_BLOCK // (2 * (1 + d) * max(u, 1)))
+        order = np.argsort(power, kind="stable")
+        bounds = np.searchsorted(power[order], np.arange(0, v + width, width))
+        self.blocks = []
+        for l0, lo, hi in zip(range(0, v, width), bounds[:-1], bounds[1:]):
+            terms = order[lo:hi]
+            rows, row = np.unique(mode[terms], return_inverse=True)
+            ub, vb = len(rows), min(width, v - l0)
+            W = np.zeros((2 * ub, 1 + d, vb))
+            col = power[terms] - l0
+            W[row, :, col] = weights[terms]
+            W[ub + row, :, col] = weights_sin[terms]
+            W = W.reshape(2 * ub, (1 + d) * vb)
+            rows = None if ub == u else np.concatenate([rows, u + rows])
+            self.blocks.append((rows, W, W[:, :vb], slice(l0, l0 + vb)))
 
-    def _table(self, theta, I):
-        """[cos, sin] of 2 pi k.theta as an (N, 2, n) array, and the table I_j^p as (N, d, p)."""
+    def _angles(self, theta):
+        """[cos | sin] of 2 pi k.theta per point and distinct mode, as (N, 2u)."""
         theta = np.atleast_2d(np.asarray(theta, dtype=float))
-        I = np.atleast_2d(np.asarray(I, dtype=float))
-        phase = TWO_PI * (theta @ self.Kt)
-        cs = np.empty((theta.shape[0], 2, self.n))
-        np.cos(phase, out=cs[:, 0])
-        np.sin(phase, out=cs[:, 1])
-        return cs, I[:, :, None] ** np.arange(self.pmax + 1)
+        turns = theta @ self.Kt
+        turns -= np.rint(turns)  # exact; cos and sin run faster on |phase| <= pi
+        phase = TWO_PI * turns
+        u = phase.shape[1]
+        cs = np.empty((len(phase), 2 * u))
+        np.cos(phase, out=cs[:, :u])
+        np.sin(phase, out=cs[:, u:])
+        return cs
 
-    def _powers(self, pw, exps):
-        """prod_j I_j^{e_j} per point, for exponent rows exps[..., term, j]."""
+    def _powers(self, I, exps):
+        """prod_j I_j^{e_j} per point, for exponent rows exps[..., index, j]."""
+        I = np.atleast_2d(np.asarray(I, dtype=float))
+        pw = I[:, :, None] ** np.arange(self.pmax + 1)
         P = pw[:, 0, exps[..., 0]]
         for j in range(1, self.d):
             P *= pw[:, j, exps[..., j]]
         return P
 
     @staticmethod
-    def _weighted(cs, P, W):
-        """[cos P, sin P] @ W, for P of shape (N, 1, n)."""
-        N, _, n = cs.shape
-        return (cs * P).reshape(N, 2 * n) @ W
+    def _product(cs, rows, W):
+        return (cs if rows is None else cs[:, rows]) @ W
 
     def __call__(self, theta, I):
-        cs, pw = self._table(theta, I)
-        P = self._powers(pw, self.exps)
-        I_dot = self._weighted(cs, P[:, :1], self.W)[:, 1:]
-        theta_dot = np.empty_like(I_dot)
-        for j in range(self.d):
-            theta_dot[:, j] = self._weighted(cs, P[:, 1 + j : 2 + j], self.W_theta[j])
+        cs = self._angles(theta)
+        P = self._powers(I, self.exps) * self.factors
+        N, d = len(cs), self.d
+        theta_dot, I_dot = np.zeros((N, d)), np.zeros((N, d))
+        for rows, W, _, cols in self.blocks:
+            AB = self._product(cs, rows, W).reshape(N, 1 + d, -1)
+            Pb = P[:, :, cols]
+            theta_dot += np.einsum("nv,njv->nj", AB[:, 0], Pb[:, 1:])
+            I_dot += np.einsum("njv,nv->nj", AB[:, 1:], Pb[:, 0])
         return theta_dot, I_dot
 
     def energy(self, theta, I):
-        cs, pw = self._table(theta, I)
-        return self._weighted(cs, self._powers(pw, self.exps[:1]), self.W[:, 0])
+        cs = self._angles(theta)
+        P = self._powers(I, self.exps[0])
+        e = np.zeros(len(cs))
+        for rows, _, W_energy, cols in self.blocks:
+            e += np.einsum("nv,nv->n", self._product(cs, rows, W_energy), P[:, cols])
+        return e

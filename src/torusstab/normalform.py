@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     DomainEscapeError,
@@ -242,6 +241,9 @@ def apply_transform(generators, point, direction="forward"):
     `forward` maps normal-form coordinates to original ones (time +1 flows in
     listed order); `inverse` undoes it (time -1 flows in reverse order).
     """
+    # imported here so that importing the package loads numpy only
+    from scipy.integrate import solve_ivp
+
     if direction not in ("forward", "inverse"):
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
     theta, I = point

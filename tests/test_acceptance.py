@@ -2,7 +2,7 @@
 printing a single PASS/FAIL line (bypassing capture) plus a hard assert.
 
 Run with plain `pytest`; the no-escape check integrates ~160k batched
-split steps and dominates the runtime (about two minutes).
+split steps and dominates the runtime (about a minute and a half).
 """
 
 import math

@@ -46,6 +46,21 @@ class TestDioph:
         out = parse_kv(capsys.readouterr().out)
         assert float(out["gamma_K"]) == pytest.approx(0.8284271247461901)
 
+    @pytest.mark.parametrize("command", ["dioph", "nf", "predict"])
+    def test_bad_omega_names_the_flag(self, tmp_path, capsys, command):
+        src = tmp_path / "H.txt"
+        FourierTaylorSeries.linear(golden_frequency(2)).save(src)
+        argv = {
+            "dioph": ["dioph", "--K", "5"],
+            "nf": ["nf", "--input", str(src), "--alpha", "0.2", "--K", "5",
+                   "--sigma", "1.2", "--rho", "0.5"],
+            "predict": ["predict", "--rho", "1e-3", "--input", str(src)],
+        }[command]
+        assert main(argv + ["--omega", "1,abc"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: bad value for --omega: '1,abc'\n"
+        assert captured.out == ""
+
 
 class TestSmooth:
     def test_smooth_and_output(self, tmp_path, capsys, cutoff_gap):
@@ -159,6 +174,14 @@ class TestEscape:
         assert out["min_escape"] == "none"
         assert out["method"] == "split-midpoint"
         assert list(out).index("method") == list(out).index("dt") + 1
+
+    @pytest.mark.parametrize("dt", ["0", "-0.01", "nan"])
+    def test_bad_dt_exit_code(self, capsys, dt):
+        assert main(["escape", "--rho", "0.1", "--t-cap", "1", "--dt", dt]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: dt ")
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
 
 
 class TestSweepFitPlots:

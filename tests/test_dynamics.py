@@ -252,3 +252,10 @@ class TestEscapeTime:
             escape_time(H, 0.05, threshold=0.01, t_cap=-1.0, n_samples=1, seed=0)
         with pytest.raises(ValueError):
             escape_time(H, 0.05, threshold=0.01, t_cap=1.0, n_samples=0, seed=0)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, math.inf])
+    def test_dt_validation(self, dt):
+        # dt = 0 used to divide by zero, and a negative dt ran one step of t_cap
+        with pytest.raises(ValueError, match="dt"):
+            escape_time(coupled_hamiltonian(), 0.05, threshold=0.01, t_cap=1.0,
+                        n_samples=1, seed=0, dt=dt)

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from torusstab import ftseries
@@ -47,6 +47,17 @@ def series_strategy(draw, max_terms=5, real=False):
             neg = tuple(-v for v in k)
             terms[(neg, m)] = terms.get((neg, m), 0j) + c.conjugate()
     return FourierTaylorSeries(D, terms)
+
+
+@st.composite
+def pooled_series(draw):
+    """Up to 12 terms over 6 modes (two pairs of opposite ones) and 4 Taylor indices."""
+    k = st.sampled_from([(0, 0), (1, 0), (-1, 0), (2, -1), (-2, 1), (0, 3)])
+    m = st.sampled_from([(0, 0), (1, 0), (0, 2), (2, 1)])
+    coeff = st.complex_numbers(
+        min_magnitude=0.0, max_magnitude=3.0, allow_nan=False, allow_infinity=False
+    )
+    return FourierTaylorSeries(D, draw(st.dictionaries(st.tuples(k, m), coeff, max_size=12)))
 
 
 class TestConstruction:
@@ -398,9 +409,7 @@ class TestArrayStore:
     @settings(max_examples=60, deadline=None)
     def test_is_real_matches_mirror_check(self, f, real, tol):
         if real:
-            f = f + FourierTaylorSeries(
-                D, {(tuple(-v for v in k), m): c.conjugate() for (k, m), c in f.items()}
-            )
+            f = f + mirror(f)
         terms = dict(f.items())
         scale = max(f.coefficient_mass(), 1e-300)
         expected = all(
@@ -441,6 +450,37 @@ class TestSerialization:
             FourierTaylorSeries.from_text("1 0 | 0 0\n")
 
 
+def mirror(f):
+    """The conjugate terms c_{-k,m} = conj(c_{k,m}); f + mirror(f) is real."""
+    return FourierTaylorSeries(
+        D, {(tuple(-v for v in k), m): c.conjugate() for (k, m), c in f.items()}
+    )
+
+
+def direct_sum(g, theta, I):
+    """Re sum c e^{2 pi i k.theta} I^m at each point, term by term."""
+    out = np.zeros(len(theta), dtype=complex)
+    for (k, m), c in g.items():
+        out += c * np.exp(TWO_PI * 1j * (theta @ k)) * np.prod(I**m, axis=1)
+    return out.real
+
+
+def kernel_tol(g):
+    """1e-13 x the coefficient mass at |I| = 1.5, the largest drawn (see close())."""
+    return 1e-13 * g.mass(lambda nk, nm: 1.5**nm) + sys.float_info.min
+
+
+def assert_kernel_matches_direct_sum(field, f, theta, I):
+    """The energy, theta_dot and I_dot of f's kernel against the direct sums
+    of f and of its exact partial_I and partial_theta."""
+    td, Id = field(theta, I)
+    assert np.all(np.abs(field.energy(theta, I) - direct_sum(f, theta, I)) <= kernel_tol(f))
+    for j in range(D):
+        g_I, g_theta = f.partial_I(j), f.partial_theta(j)
+        assert np.all(np.abs(td[:, j] - direct_sum(g_I, theta, I)) <= kernel_tol(g_I))
+        assert np.all(np.abs(Id[:, j] + direct_sum(g_theta, theta, I)) <= kernel_tol(g_theta))
+
+
 class TestEvaluators:
     def test_compiled_matches_scalar(self):
         f = FourierTaylorSeries.cosine(D, (1, -1), m=(1, 0)) + FourierTaylorSeries.sine(
@@ -476,35 +516,52 @@ class TestEvaluators:
     def test_folded_kernel_matches_complex_sum(self, f, real):
         # the kernel keeps Re of the full sum, for real and non-real series
         if real:
-            f = f + FourierTaylorSeries(
-                D, {(tuple(-v for v in k), m): c.conjugate() for (k, m), c in f.items()}
-            )
+            f = f + mirror(f)
         rng = np.random.default_rng(len(f))
         theta = rng.random((7, D))
         I = rng.uniform(-1.5, 1.5, (7, D))
         field = HamiltonianVectorField(f, check_real=False)
+        assert_kernel_matches_direct_sum(field, f, theta, I)
+        if not real:
+            return  # evaluate rejects a non-real series
         td, Id = field(theta, I)
-        e = field.energy(theta, I)
-
-        def direct(g):  # Re sum c e^{2 pi i k.theta} I^m, term by term
-            out = np.zeros(len(theta), dtype=complex)
-            for (k, m), c in g.items():
-                out += c * np.exp(TWO_PI * 1j * (theta @ k)) * np.prod(I**m, axis=1)
-            return out.real
-
-        def tol(g):  # 1e-13 x coefficient mass at the largest |I| drawn (see close())
-            return 1e-13 * g.mass(lambda nk, nm: 1.5**nm) + sys.float_info.min
-
-        assert np.all(np.abs(e - direct(f)) <= tol(f))
         for j in range(D):
             g_I, g_theta = f.partial_I(j), f.partial_theta(j)
-            assert np.all(np.abs(td[:, j] - direct(g_I)) <= tol(g_I))
-            assert np.all(np.abs(Id[:, j] + direct(g_theta)) <= tol(g_theta))
-            if not real:
-                continue  # evaluate rejects a non-real series
             for i in range(len(theta)):
-                assert abs(td[i, j] - g_I.evaluate(theta[i], I[i])) <= tol(g_I)
-                assert abs(Id[i, j] + g_theta.evaluate(theta[i], I[i])) <= tol(g_theta)
+                assert abs(td[i, j] - g_I.evaluate(theta[i], I[i])) <= kernel_tol(g_I)
+                assert abs(Id[i, j] + g_theta.evaluate(theta[i], I[i])) <= kernel_tol(g_theta)
+
+    @pytest.mark.parametrize("block", [None, 1, 40])
+    @given(f=pooled_series(), real=st.booleans())
+    @example(f=FourierTaylorSeries.zero(D), real=False)
+    @example(  # k = 0 only: one mode, cos = 1 and sin = 0
+        f=FourierTaylorSeries(D, {((0, 0), (0, 0)): 1.5, ((0, 0), (2, 1)): -0.5 + 0.25j}),
+        real=False,
+    )
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_kernel_with_repeated_modes_and_indices(self, monkeypatch, block, f, real):
+        # terms share modes and Taylor indices, so the per-mode cos/sin and the
+        # per-index powers are each reused by several terms; block = 1 puts
+        # every Taylor index in its own weight block, 40 a few in each
+        if block is not None:
+            monkeypatch.setattr(ftseries, "PAIR_BLOCK", block)
+        if real:
+            f = f + mirror(f)
+        folded = {}
+        for (k, m), c in f.items():
+            if next((v for v in k if v), 0) < 0:
+                k, c = tuple(-v for v in k), c.conjugate()
+            folded[(k, m)] = folded.get((k, m), 0j) + c
+        folded = {key: c for key, c in folded.items() if c != 0}
+        field = HamiltonianVectorField(f, check_real=False)
+        assert field.n == len(folded)
+        if block == 1:
+            assert len(field.blocks) == len({m for _, m in folded})
+        rng = np.random.default_rng(len(f))
+        theta = rng.random((7, D))
+        I = rng.uniform(-1.5, 1.5, (7, D))
+        assert_kernel_matches_direct_sum(field, f, theta, I)
 
     def test_vector_field_rejects_complex(self):
         g = FourierTaylorSeries.harmonic(D, (1, 0), coeff=1j)

@@ -2,7 +2,11 @@
 removing or adding a name or a parameter edits these lists."""
 
 import inspect
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import torusstab
 
@@ -88,3 +92,23 @@ def test_public_function_parameters_are_pinned():
         if inspect.isfunction(getattr(torusstab, name))
     }
     assert functions == PUBLIC_PARAMETERS
+
+
+def test_import_loads_no_scipy():
+    # scipy is needed only by apply_transform's ODE solver, and loads on its first call
+    child = """
+import sys
+import torusstab, torusstab.cli
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+from torusstab import FourierTaylorSeries, apply_transform
+chi = FourierTaylorSeries.cosine(2, (1, 0), amplitude=1e-3)
+apply_transform([chi], ((0.1, 0.2), (0.0, 0.0)))
+print("scipy.integrate" in sys.modules)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", child], env=env, capture_output=True, text=True, check=True,
+        timeout=120,
+    )
+    assert out.stdout.split("\n")[:2] == ["[]", "True"]
