@@ -9,7 +9,10 @@ The torus is R^d/Z^d, so small divisors carry a 2 pi factor.  The terms
 are stored as three read-only arrays, K (n x d modes), M (n x d Taylor
 indices) and C (n coefficients), sorted by (k, m) with no repeated key and
 no zero coefficient; two series are equal iff their arrays are equal.
-Products and brackets are broadcast over term pairs and merged by a sort.
+Each (k, m) is packed into one int64 key (Kronecker substitution in a mixed
+radix from the columns' ranges; a ValueError names the spans if a key could
+reach 2^63), terms are merged by one stable sort of the keys, and a product
+adds its operands' keys.
 A real-valued series satisfies c_{-k,m} = conj(c_{k,m}) for every stored
 term.
 
@@ -201,18 +204,17 @@ class FourierTaylorSeries:
         if isinstance(other, (int, float, complex)):
             return self._of(self.d, self.K, self.M, self.C * other)
         self._check_same_d(other)
-        d = self.d
-        K, M, C = self.K[:0], self.M[:0], self.C[:0]
+        (ka, kb), places, spans, lo = _pack((self.K, self.M), (other.K, other.M))
+        keys, C = ka[:0], self.C[:0]
         rows = max(1, PAIR_BLOCK // max(len(other), 1))
         for i in range(0, len(self), rows):
             block = slice(i, i + rows)
-            pairs = (
-                (self.K[block, None] + other.K).reshape(-1, d),
-                (self.M[block, None] + other.M).reshape(-1, d),
-                (self.C[block, None] * other.C).ravel(),
-            )
-            K, M, C = _merge((K, M, C), pairs)
-        return self._of(d, K, M, C)
+            keys = np.concatenate([keys, (ka[block, None] + kb).ravel()])
+            C = np.concatenate([C, (self.C[block, None] * other.C).ravel()])
+            kept, C = _sort_sum(keys, C)
+            keys = keys[kept]
+        digits = keys[:, None] // places % spans + lo
+        return self._of(self.d, digits[:, : self.d], digits[:, self.d :], C)
 
     __rmul__ = __mul__
 
@@ -395,20 +397,44 @@ class FourierTaylorSeries:
         return HamiltonianVectorField(self, check_real=check_real)
 
 
-def _merge(*parts):
-    """Concatenate (K, M, C) term arrays, sort the terms by (k, m) and sum
-    repeated keys; the sort is stable, so each key's terms reach
-    np.add.reduceat in input order."""
-    K, M, C = (np.concatenate(a) for a in zip(*parts))
-    KM = np.hstack([K, M])
-    order = np.lexsort(KM.T[::-1])
-    KM, C = KM[order], C[order]
+def _pack(*operands):
+    """Pack the (k, m) rows of each (K, M) operand into int64 keys, in one
+    mixed radix in which the operands' keys add up to the key of their sum
+    and keys order as rows.  Returns the keys per operand and the place
+    values, spans and lowest entries that unpack a sum's key."""
+    cols = [[*K.T, *M.T] for K, M in operands]
+    lows = [[int(c.min()) if len(c) else 0 for c in op] for op in cols]
+    lo = [sum(v) for v in zip(*lows)]
+    hi = [sum(int(c.max()) if len(c) else 0 for c in v) for v in zip(*cols)]
+    spans = [h - l + 1 for l, h in zip(lo, hi)]
+    if math.prod(spans) >= 1 << 63 or min(lo) < -(1 << 63) or max(hi) >= 1 << 63:
+        raise ValueError(f"(k, m) keys overflow int64: column spans {spans}")
+    places = [math.prod(spans[j + 1 :]) for j in range(len(spans))]
+    keys = [np.zeros(len(op[0]), dtype=np.int64) for op in cols]
+    for key, op, low in zip(keys, cols, lows):
+        for c, l, place in zip(op, low, places):
+            key += (c - l) * place
+    return keys, np.array(places), np.array(spans), lo
+
+
+def _sort_sum(keys, C):
+    """Stably sort terms by key and sum repeated keys, each key's terms in
+    input order; returns the input row of every distinct key and the sums."""
+    order = np.argsort(keys, kind="stable")
+    keys, C = keys[order], C[order]
     first = np.ones(len(C), dtype=bool)
-    first[1:] = np.any(KM[1:] != KM[:-1], axis=1)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
     starts = np.flatnonzero(first)
     if len(starts) < len(C):
         C = np.add.reduceat(C, starts)
-    rows = order[starts]
+    return order[starts], C
+
+
+def _merge(*parts):
+    """Concatenate (K, M, C) term arrays, sort the terms by (k, m) and sum
+    repeated keys."""
+    K, M, C = (np.concatenate(a) for a in zip(*parts))
+    rows, C = _sort_sum(_pack((K, M))[0][0], C)
     return K[rows], M[rows], C
 
 

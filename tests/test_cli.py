@@ -146,6 +146,17 @@ class TestPredict:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    def test_key_overflow_exit_code(self, tmp_path, capsys):
+        # modes +-(2^31, 2^31): the packed (k, m) keys would pass 2^63
+        big = 1 << 31
+        src = tmp_path / "H.txt"
+        src.write_text(f"# d=2\n{big} {big} | 0 0 | 1.0 0.0\n{-big} {-big} | 0 0 | 1.0 0.0\n")
+        assert main(["predict", "--rho", "1e-3", "--input", str(src)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "column spans" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+
     @pytest.mark.parametrize(
         "text, named",
         [

@@ -419,6 +419,135 @@ class TestArrayStore:
         assert f.is_real(tol=tol) == expected
 
 
+def lexsort_merge(*parts):
+    """Reference canonicaliser: a four-key lexsort of the (k, m) columns and
+    a row-wise key comparison, with the same stable order of repeated keys."""
+    K, M, C = (np.concatenate(a) for a in zip(*parts))
+    KM = np.hstack([K, M])
+    order = np.lexsort(KM.T[::-1])
+    KM, C = KM[order], C[order]
+    first = np.ones(len(C), dtype=bool)
+    first[1:] = np.any(KM[1:] != KM[:-1], axis=1)
+    starts = np.flatnonzero(first)
+    if len(starts) < len(C):
+        C = np.add.reduceat(C, starts)
+    rows = order[starts]
+    return K[rows], M[rows], C
+
+
+def arrays(f):
+    return f.K, f.M, f.C
+
+
+def lexsort_sum(f, g):
+    return FourierTaylorSeries._of(f.d, *lexsort_merge(arrays(f), arrays(g)))
+
+
+def lexsort_product(f, g):
+    """Reference product: K/M pair arrays merged into the running result in
+    blocks of PAIR_BLOCK pairs."""
+    d = f.d
+    K, M, C = f.K[:0], f.M[:0], f.C[:0]
+    rows = max(1, ftseries.PAIR_BLOCK // max(len(g), 1))
+    for i in range(0, len(f), rows):
+        block = slice(i, i + rows)
+        pairs = (
+            (f.K[block, None] + g.K).reshape(-1, d),
+            (f.M[block, None] + g.M).reshape(-1, d),
+            (f.C[block, None] * g.C).ravel(),
+        )
+        K, M, C = lexsort_merge((K, M, C), pairs)
+    return FourierTaylorSeries._of(d, K, M, C)
+
+
+def lexsort_bracket(f, g):
+    out = FourierTaylorSeries.zero(f.d)
+    for i in range(f.d):
+        out = lexsort_sum(out, lexsort_product(f.partial_theta(i), g.partial_I(i)))
+        out = lexsort_sum(out, -lexsort_product(f.partial_I(i), g.partial_theta(i)))
+    return out
+
+
+def lexsort_is_real(f, tol):
+    scale = max(f.coefficient_mass(), 1e-300)
+    _, _, gap = lexsort_merge(arrays(f), (-f.K, f.M, -f.C.conj()))
+    return not np.any(np.abs(gap) > tol * scale)
+
+
+def assert_same_terms(got, want):
+    """Equal K and M, and equal bits of every coefficient."""
+    for a, b in zip(got[:2], want[:2]):
+        assert a.shape == b.shape and np.array_equal(a, b)
+    bits = [np.ascontiguousarray(c).view(np.int64) for c in (got[2], want[2])]
+    assert np.array_equal(*bits)
+
+
+WIDE = 1 << 20
+
+
+@st.composite
+def term_arrays(draw, bounds, max_rows=40):
+    """Unsorted (K, M, C) term arrays with repeated keys; column j of K lies
+    in [-bounds[j], bounds[j]] and often at its ends, M in [0, 2]."""
+    d = len(bounds)
+    k = st.tuples(*(st.sampled_from([-b, -1, 0, 1, b]) | st.integers(-b, b) for b in bounds))
+    m = st.tuples(*(st.integers(0, 2),) * d)
+    coeff = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
+    rows = draw(st.lists(st.tuples(k, m, coeff), max_size=max_rows))
+    K = np.array([r[0] for r in rows], dtype=np.int64).reshape(-1, d)
+    M = np.array([r[1] for r in rows], dtype=np.int64).reshape(-1, d)
+    return K, M, np.array([r[2] for r in rows], dtype=complex)
+
+
+@st.composite
+def packed_key_cases(draw):
+    """Dimension 1-3 and three term arrays; up to two mode columns reach
+    |k| = 2^20, so that the keys of a product still fit in int64."""
+    d = draw(st.integers(min_value=1, max_value=3))
+    wide = draw(st.sets(st.integers(min_value=0, max_value=d - 1), max_size=2))
+    bounds = [WIDE if j in wide else 3 for j in range(d)]
+    return d, [draw(term_arrays(bounds)) for _ in range(3)]
+
+
+def empty_case(d):
+    empty = (np.zeros((0, d), dtype=np.int64),) * 2 + (np.zeros(0, dtype=complex),)
+    return d, [empty] * 3
+
+
+class TestPackedKeys:
+    """The packed int64 keys against the lexsort canonicaliser, bit for bit."""
+
+    @pytest.mark.parametrize("block", [None, 3])
+    @given(case=packed_key_cases())
+    @example(case=empty_case(2))
+    @example(case=empty_case(3))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_matches_lexsort_reference_bit_for_bit(self, monkeypatch, block, case):
+        if block is not None:
+            monkeypatch.setattr(ftseries, "PAIR_BLOCK", block)
+        d, parts = case
+        assert_same_terms(ftseries._merge(*parts), lexsort_merge(*parts))
+        f, g, h = (FourierTaylorSeries._of(d, *lexsort_merge(p)) for p in parts)
+        assert_same_terms(arrays(f * g), arrays(lexsort_product(f, g)))
+        assert_same_terms(arrays(f + g), arrays(lexsort_sum(f, g)))
+        assert_same_terms(arrays(f.poisson_bracket(g)), arrays(lexsort_bracket(f, g)))
+        # h plus its conjugate terms at -k is real up to the rounding of sums
+        near_real = FourierTaylorSeries._of(d, *lexsort_merge(parts[2], (-h.K, h.M, h.C.conj())))
+        for series in (f, near_real):
+            for tol in (0.0, 1e-15, 1e-12, 0.5):
+                assert series.is_real(tol=tol) == lexsort_is_real(series, tol)
+
+    def test_key_overflow_rejected_by_name(self):
+        big = 1 << 31
+        with pytest.raises(ValueError, match=r"column spans \[4294967297, 4294967297, 1, 1\]"):
+            FourierTaylorSeries(D, {((big, big), (0, 0)): 1.0, ((-big, -big), (0, 0)): 1.0})
+        # each operand's keys fit, the product's do not
+        half = FourierTaylorSeries.cosine(D, (1 << 30, 1 << 30))
+        with pytest.raises(ValueError, match="overflow int64: column spans"):
+            half * half
+
+
 class TestSerialization:
     def test_round_trip_bit_exact(self):
         f = FourierTaylorSeries(
