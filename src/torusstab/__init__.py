@@ -59,7 +59,6 @@ from .normalform import (
 )
 from .stabpipe import (
     RHO_MAX,
-    BoundConstants,
     ParameterSchedule,
     PipelineReport,
     RemainderBounds,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .dynamics import default_dt, escape_time
+from .dynamics import escape_time
 from .errors import NumericalFault, PipelineStageError
 from .experiment import (
     ExperimentConfig,
@@ -31,12 +31,7 @@ from .smoothing import (
     smooth,
     verify_smoothing_estimate,
 )
-from .stabpipe import (
-    BoundConstants,
-    diffusion_time_reference,
-    predicted_stability_time,
-    run_pipeline,
-)
+from .stabpipe import diffusion_time_reference, predicted_stability_time, run_pipeline
 
 
 def _frequency(args):
@@ -47,14 +42,6 @@ def _frequency(args):
     except ValueError:
         raise ValueError(f"bad value for --omega: {args.omega!r}") from None
     return Frequency(omega)
-
-
-def _constants(args):
-    if getattr(args, "constants", None):
-        from .experiment import load_constants
-
-        return load_constants(args.constants)
-    return BoundConstants()
 
 
 def cmd_dioph(args):
@@ -107,7 +94,6 @@ def cmd_nf(args):
         alpha=args.alpha,
         K=args.K,
         widths=AnalyticityWidths(args.sigma, args.rho),
-        xi=args.xi,
     )
     result = resonant_normal_form(H, freq, params)
     if args.output:
@@ -124,14 +110,13 @@ def cmd_nf(args):
 
 def cmd_predict(args):
     hc = HolderClass(args.ell, args.d)
-    consts = _constants(args)
     if args.input:
         H = FourierTaylorSeries.load(args.input)
         freq = _frequency(args)
-        report = run_pipeline(H, freq, args.gamma, args.tau, hc, args.rho, consts)
+        report = run_pipeline(H, freq, args.gamma, args.tau, hc, args.rho)
         sys.stdout.write(report.to_text())
         return 0 if report.certified else 1
-    pred = predicted_stability_time(args.rho, hc, args.tau, consts)
+    pred = predicted_stability_time(args.rho, hc, args.tau)
     t_diff = diffusion_time_reference(args.rho, hc, args.tau, args.epsilon, args.T0)
     print(f"t_star = {pred.t_star!r}")
     print(f"t_theorem = {pred.t_theorem!r}")
@@ -147,7 +132,6 @@ def cmd_escape(args):
     else:
         hc = HolderClass(args.ell, 2)
         H = build_test_hamiltonian(hc, seed=args.seed, amplitude=args.amplitude)
-    dt = args.dt if args.dt is not None else default_dt(H)
     threshold = args.threshold if args.threshold is not None else 0.5 * args.rho
     record = escape_time(
         H,
@@ -156,7 +140,7 @@ def cmd_escape(args):
         t_cap=args.t_cap,
         n_samples=args.n_samples,
         seed=args.seed,
-        dt=dt,
+        dt=args.dt,
     )
     print(f"rho = {record.rho!r}")
     print(f"threshold = {record.threshold!r}")
@@ -242,7 +226,6 @@ def build_parser():
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--xi", type=float, default=2.0)
     p.add_argument("--output", help="write the integrable part here")
     p.set_defaults(func=cmd_nf)
 
@@ -258,7 +241,6 @@ def build_parser():
     p.add_argument("--T0", type=float, default=1.0)
     p.add_argument("--input", help="Hamiltonian series file for the full pipeline")
     p.add_argument("--omega", help="comma-separated frequency (default: golden)")
-    p.add_argument("--constants", help="key=value file of C-constants")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("escape", help="Monte-Carlo escape-time measurement")

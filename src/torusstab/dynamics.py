@@ -94,6 +94,11 @@ def _energy(field, omega, theta, I):
     return field.energy(theta, I) + I @ omega
 
 
+def _relative_drift(e, e0):
+    """max |e - e0| / max(|e0|, 1), with e0 one value or one per entry of e."""
+    return float(np.max(np.abs(e - e0) / np.maximum(np.abs(e0), 1.0)))
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Recorded samples of one integration run; theta reduced mod 1."""
@@ -107,12 +112,7 @@ class Trajectory:
     domain_exit: bool
 
     def relative_energy_drift(self):
-        e0 = self.energy[0]
-        return float(np.max(np.abs(self.energy - e0)) / max(abs(e0), 1.0))
-
-    def action_drift(self):
-        """sup over samples of ||I(t) - I(0)||_inf."""
-        return float(np.max(np.abs(self.I - self.I[0]), initial=0.0))
+        return _relative_drift(self.energy, self.energy[0])
 
 
 def integrate(H, start, t_end, dt, record_every=None, r_max=None):
@@ -252,8 +252,7 @@ def escape_time(H, rho, threshold, t_cap, n_samples, seed, dt=None):
         if n % ENERGY_CHECK_EVERY == 0 or n == n_steps:
             e = _energy(field, omega, theta, I)
             if len(e):
-                rel = np.max(np.abs(e - e0[active]) / np.maximum(np.abs(e0[active]), 1.0))
-                max_energy_drift = max(max_energy_drift, float(rel))
+                max_energy_drift = max(max_energy_drift, _relative_drift(e, e0[active]))
     bound = ballistic_bound(H.fourier_nonzero_part(), threshold, rho * (1.0 + threshold / rho))
     bad = (~censored) & (escape_times < bound * (1.0 - 1e-12))
     if bad.any():

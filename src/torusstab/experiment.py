@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .freqlib import golden_frequency
 from .ftseries import FourierTaylorSeries
 from .smoothing import HolderClass, lacunary_series
 from .stabpipe import (
-    BoundConstants,
     RHO_MAX,
     predicted_stability_time,
     diffusion_time_reference,
@@ -53,7 +52,6 @@ class ExperimentConfig:
     dynamics_only: bool = True
     epsilon: float = 0.1
     T0: float = 1.0
-    constants: BoundConstants = field(default_factory=BoundConstants)
 
     def __post_init__(self):
         rhos = tuple(float(r) for r in self.rho_list)
@@ -65,10 +63,6 @@ class ExperimentConfig:
                 "set dynamics_only for larger radii"
             )
         object.__setattr__(self, "rho_list", rhos)
-
-    @property
-    def xi(self):
-        return self.constants.xi
 
     @property
     def holder(self):
@@ -88,7 +82,6 @@ def _flag(value):
 
 
 # every key a file may set, with the conversion of its value
-_CONSTANT_KEYS = dict.fromkeys((f.name for f in fields(BoundConstants)), float)
 _CONFIG_KEYS = {
     **dict.fromkeys(
         ("ell", "tau", "gamma", "amplitude", "threshold_factor", "epsilon", "T0"), float
@@ -97,7 +90,6 @@ _CONFIG_KEYS = {
     **dict.fromkeys(("dt", "t_cap"), _optional_float),
     "rho_list": _float_list,
     "dynamics_only": _flag,
-    **_CONSTANT_KEYS,
 }
 
 
@@ -123,20 +115,12 @@ def _key_values(text, keys, kind):
 
 def parse_config(text):
     """Parse flat `key = value` config text into an ExperimentConfig."""
-    kwargs = _key_values(text, _CONFIG_KEYS, "config")
-    constants = {key: kwargs.pop(key) for key in _CONSTANT_KEYS if key in kwargs}
-    return ExperimentConfig(constants=BoundConstants(**constants), **kwargs)
+    return ExperimentConfig(**_key_values(text, _CONFIG_KEYS, "config"))
 
 
 def load_config(path):
     with open(path) as fh:
         return parse_config(fh.read())
-
-
-def load_constants(path):
-    """Flat key=value file of C-constants."""
-    with open(path) as fh:
-        return BoundConstants(**_key_values(fh.read(), _CONSTANT_KEYS, "constants"))
 
 
 def build_test_hamiltonian(hc, seed=0, amplitude=1e-12, j_max=8):
@@ -254,8 +238,7 @@ def sweep(config, csv_path=None):
 
 
 def _sweep_row(config, H, omega, hc, rho, dt):
-    consts = config.constants
-    pred = predicted_stability_time(rho, hc, config.tau, consts)
+    pred = predicted_stability_time(rho, hc, config.tau)
     t_pred = pred.t_theorem
     t_diff = diffusion_time_reference(rho, hc, config.tau, config.epsilon, config.T0)
     flags = "dynamics-only"
@@ -263,7 +246,7 @@ def _sweep_row(config, H, omega, hc, rho, dt):
     error = ""
     if not config.dynamics_only:
         try:
-            report = run_pipeline(H, omega, config.gamma, config.tau, hc, rho, consts)
+            report = run_pipeline(H, omega, config.gamma, config.tau, hc, rho)
             flags = ";".join(
                 f"{name}:{int(ok)}" for name, ok in sorted(report.schedule.flags.items())
             )

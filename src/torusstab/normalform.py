@@ -3,9 +3,10 @@
 The certificate targets: remainder contraction e^{-K sigma/6} between the
 (sigma, rho) and (sigma/6, rho/2) domains, and identity-closeness ratios
 1/(32 xi) and 1/(24 xi) for the action and angle shifts of the change of
-variables.  For a Diophantine
-frequency every mode 0 < |k|_1 <= K is non-resonant, so the normal form is
-a pure average: the integrable part only gains k=0 terms.
+variables, with the theorem's constant xi fixed at XI = 2.  The integrable
+part of H = omega.I + f is linear, so no Hessian bound enters.  For a
+Diophantine frequency every mode 0 < |k|_1 <= K is non-resonant, so the
+normal form is a pure average: the integrable part only gains k=0 terms.
 """
 
 from __future__ import annotations
@@ -30,35 +31,31 @@ DIVERGENCE_FACTOR = 1e3
 # share of the target remainder e^{-K sigma/6} |||f|||_{sigma,rho} below which
 # a Lie-series term is dropped (and counted in the contraction)
 CHOP_SHARE = 1e-3
+# the theorem's constant xi > 1 in the entry bound alpha rho / (256 xi K)
+XI = 2.0
 
 
 @dataclass(frozen=True)
 class NormalFormParams:
-    """Non-resonance threshold alpha, cutoff K, widths, xi > 1, Hessian bound M."""
+    """Non-resonance threshold alpha, cutoff K and analyticity widths."""
 
     alpha: float
     K: int
     widths: AnalyticityWidths
-    xi: float = 2.0
-    M: float = 0.0
 
     def __post_init__(self):
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
         if self.K < 1:
             raise ValueError("K must be >= 1")
-        if self.xi <= 1:
-            raise ValueError("xi must exceed 1")
         if self.K * self.widths.sigma < 6.0:
             raise ValueError(
                 f"K*sigma = {self.K * self.widths.sigma:.3f} violates K*sigma >= 6"
             )
-        if self.M > 0 and self.widths.rho > self.alpha / (2 * self.xi * self.M * self.K):
-            raise ValueError("rho exceeds alpha/(2 xi M K) for M > 0")
 
     @property
     def smallness_threshold(self):
-        return self.alpha * self.widths.rho / (256.0 * self.xi * self.K)
+        return self.alpha * self.widths.rho / (256.0 * XI * self.K)
 
     @property
     def target_contraction(self):

@@ -4,9 +4,10 @@ parameter schedule, remainder bounds, and predicted stability times.
 The schedule follows the choices a = 1/(tau+1), b = 6(a ell + 1),
 K = ceil((rho_tilde/rho)^a), s = (rho/rho_tilde)^a |b log rho|,
 alpha = gamma/K^tau, with rho_tilde chosen so that the smallness condition
-saturates exactly (at the real-valued K).  All C-constants are configured
-scale factors with default 1; predictions are reported as shape times
-configured constant, never as calibrated truths.
+saturates exactly (at the real-valued K).  The theory proves each bound
+only up to a constant it does not compute, so every bound and predicted
+time here is the theorem's shape with its constant set to 1: a shape, never
+a calibrated value.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import (
 )
 from .freqlib import diophantine_constant
 from .ftseries import AnalyticityWidths, FourierTaylorSeries, theta_gradient_majorant
-from .normalform import NormalFormParams, resonant_normal_form
+from .normalform import XI, NormalFormParams, resonant_normal_form
 from .smoothing import holder_norm_majorant, sharp_cutoff
 
 RHO_MAX = math.exp(-6.0)
@@ -30,30 +31,6 @@ RHO_MAX = math.exp(-6.0)
 # what a stage may fail with: a precondition or a numerical fault; anything
 # else is a programming error and is not wrapped in a PipelineStageError
 _STAGE_FAULTS = (ValueError, NumericalFault)
-
-
-@dataclass(frozen=True)
-class BoundConstants:
-    """Configured scale factors for every bound shape.
-
-    The theory guarantees only that such constants exist, not their values,
-    so defaults are 1 and predictions are shapes times a configured factor."""
-
-    C_B: float = 1.0
-    C_0: float = 1.0
-    C_1: float = 1.0
-    C_4: float = 1.0
-    C_5: float = 1.0
-    C_6: float = 1.0
-    xi: float = 2.0
-
-    def __post_init__(self):
-        for name in ("C_B", "C_0", "C_1", "C_4", "C_5", "C_6"):
-            v = getattr(self, name)
-            if not (v > 0 and math.isfinite(v)):
-                raise ValueError(f"{name} must be positive and finite, got {v}")
-        if self.xi <= 1:
-            raise ValueError("xi must exceed 1")
 
 
 @dataclass(frozen=True)
@@ -168,7 +145,7 @@ def smooth_coefficients(split, s):
     )
 
 
-def parameter_schedule(rho, gamma, tau, hc, consts, coeff_norm_max):
+def parameter_schedule(rho, gamma, tau, hc, coeff_norm_max):
     """Compute (a, b, rho_tilde, K, s, alpha) and the validity flags.
 
     Flags report failures as diagnostics; no exception is raised here.  The
@@ -184,14 +161,14 @@ def parameter_schedule(rho, gamma, tau, hc, consts, coeff_norm_max):
         raise ValueError("coeff_norm_max must be positive")
     a = 1.0 / (tau + 1.0)
     b = 6.0 * (a * hc.ell + 1.0)
-    denom = 256.0 * consts.xi * consts.C_0 * consts.C_B * coeff_norm_max
+    denom = 256.0 * XI * coeff_norm_max
     rho_tilde = (gamma / denom) ** (1.0 / (a * (tau + 1.0)))
     K_real = (rho_tilde / rho) ** a
     K = max(1, math.ceil(K_real))
     s = (rho / rho_tilde) ** a * abs(b * math.log(rho))
     alpha = gamma / float(K) ** tau
-    smallness_lhs = consts.C_0 * consts.C_B * coeff_norm_max * rho**2
-    smallness_rhs = gamma * rho / (256.0 * consts.xi * K_real ** (tau + 1.0))
+    smallness_lhs = coeff_norm_max * rho**2
+    smallness_rhs = gamma * rho / (256.0 * XI * K_real ** (tau + 1.0))
     flags = {
         "smallness_ok": bool(smallness_lhs <= smallness_rhs * (1.0 + 1e-9)),
         "rho_ok": bool(rho < min(s, RHO_MAX)),
@@ -220,7 +197,7 @@ def dominance_threshold(tau):
     return 3.0 + 2.0 / tau
 
 
-def remainder_bounds(schedule, consts, hc):
+def remainder_bounds(schedule, hc):
     """The three drift-rate bound shapes and the dominant tag.
 
     Raises DominanceViolationError when ell <= 3 + 2/tau, and a precondition
@@ -239,18 +216,18 @@ def remainder_bounds(schedule, consts, hc):
     a, b, ell = schedule.a, schedule.b, hc.ell
     log_b = abs(b * math.log(rho))
     return RemainderBounds(
-        analytic=consts.C_1 * rho ** (2.0 + b / 6.0 - a) / log_b,
-        smoothing_gap=consts.C_4 * rho ** (2.0 + a * (ell - 1.0)) * log_b ** (ell - 1.0),
-        taylor=consts.C_5 * rho ** (ell - 1.0),
+        analytic=rho ** (2.0 + b / 6.0 - a) / log_b,
+        smoothing_gap=rho ** (2.0 + a * (ell - 1.0)) * log_b ** (ell - 1.0),
+        taylor=rho ** (ell - 1.0),
     )
 
 
-def predicted_stability_time(rho, hc, tau, consts):
+def predicted_stability_time(rho, hc, tau):
     """Stability-time prediction, in both internal and headline forms.
 
-    t_star = 1/(6 C_6 rho^{1+a(ell-1)} |b log rho|^{ell-1}) and
-    t_theorem = C_1 / (rho^{1+(ell-1)/(tau+1)} |log rho|^{ell-1}); the rho
-    exponents are identical, the constants differ by b^{ell-1}.
+    t_star = 1/(6 rho^{1+a(ell-1)} |b log rho|^{ell-1}) and
+    t_theorem = 1 / (rho^{1+(ell-1)/(tau+1)} |log rho|^{ell-1}); the rho
+    exponents are identical, the constants differ by 6 b^{ell-1}.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
@@ -259,8 +236,8 @@ def predicted_stability_time(rho, hc, tau, consts):
     ell = hc.ell
     exponent = 1.0 + (ell - 1.0) / (tau + 1.0)
     log_abs = abs(math.log(rho))
-    t_star = 1.0 / (6.0 * consts.C_6 * rho ** (1.0 + a * (ell - 1.0)) * (b * log_abs) ** (ell - 1.0))
-    t_theorem = consts.C_1 / (rho**exponent * log_abs ** (ell - 1.0))
+    t_star = 1.0 / (6.0 * rho ** (1.0 + a * (ell - 1.0)) * (b * log_abs) ** (ell - 1.0))
+    t_theorem = 1.0 / (rho**exponent * log_abs ** (ell - 1.0))
     return StabilityPrediction(
         t_star=t_star,
         t_theorem=t_theorem,
@@ -350,18 +327,17 @@ def coefficient_norm_max(P, hc):
     return best
 
 
-def run_pipeline(H, omega, gamma, tau, hc, rho, consts=None):
+def run_pipeline(H, omega, gamma, tau, hc, rho):
     """Full pipeline: split -> schedule -> coefficient smoothing -> certificate
     check -> resonant normal form -> remainder bounds -> predicted times.
 
     A schedule with failed flags produces a report with `failure` naming them;
     failures in later stages raise PipelineStageError with the stage tag.
     """
-    consts = consts or BoundConstants()
     f = perturbation_of(H, omega)
     if not f:
         # integrable case: nothing to certify, infinite predicted time
-        schedule = parameter_schedule(rho, gamma, tau, hc, consts, coeff_norm_max=1e-300)
+        schedule = parameter_schedule(rho, gamma, tau, hc, coeff_norm_max=1e-300)
         return PipelineReport(
             rho=float(rho),
             coeff_norm_max=0.0,
@@ -372,7 +348,7 @@ def run_pipeline(H, omega, gamma, tau, hc, rho, consts=None):
             bounds=None,
             drift_rate=0.0,
             prediction=replace(
-                predicted_stability_time(rho, hc, tau, consts),
+                predicted_stability_time(rho, hc, tau),
                 t_star=math.inf,
                 t_theorem=math.inf,
             ),
@@ -385,7 +361,7 @@ def run_pipeline(H, omega, gamma, tau, hc, rho, consts=None):
     except _STAGE_FAULTS as exc:
         raise PipelineStageError("taylor_split", exc) from exc
 
-    schedule = parameter_schedule(rho, gamma, tau, hc, consts, cmax)
+    schedule = parameter_schedule(rho, gamma, tau, hc, cmax)
     if not schedule.valid:
         return PipelineReport(
             rho=float(rho),
@@ -420,21 +396,18 @@ def run_pipeline(H, omega, gamma, tau, hc, rho, consts=None):
             alpha=schedule.alpha,
             K=schedule.K,
             widths=AnalyticityWidths(schedule.s, rho),
-            xi=consts.xi,
-            M=0.0,
         )
         nf = resonant_normal_form(FourierTaylorSeries.linear(omega) + smoothed.P_s, omega, params)
     except _STAGE_FAULTS as exc:
         raise PipelineStageError("normal_form", exc) from exc
 
     try:
-        bounds = remainder_bounds(schedule, consts, hc)
+        bounds = remainder_bounds(schedule, hc)
         drift_rate = (
-            consts.C_6
-            * rho ** (2.0 + schedule.a * (hc.ell - 1.0))
+            rho ** (2.0 + schedule.a * (hc.ell - 1.0))
             * abs(schedule.b * math.log(rho)) ** (hc.ell - 1.0)
         )
-        prediction = predicted_stability_time(rho, hc, tau, consts)
+        prediction = predicted_stability_time(rho, hc, tau)
     except _STAGE_FAULTS as exc:
         raise PipelineStageError("remainder_bounds", exc) from exc
 

@@ -12,7 +12,6 @@ import pytest
 
 from torusstab import (
     AnalyticityWidths,
-    BoundConstants,
     DominanceViolationError,
     FourierTaylorSeries,
     HolderClass,
@@ -97,7 +96,7 @@ def test_normal_form_contraction(report):
     H = FourierTaylorSeries.linear(OMEGA) + FourierTaylorSeries.cosine(
         D, (1, 0), m=(2, 0), amplitude=1e-6
     )
-    params = NormalFormParams(alpha=0.2, K=5, widths=AnalyticityWidths(1.2, 0.5), xi=2.0)
+    params = NormalFormParams(alpha=0.2, K=5, widths=AnalyticityWidths(1.2, 0.5))
     nf = resonant_normal_form(H, OMEGA, params)
     ok = (
         nf.certified
@@ -174,26 +173,25 @@ def test_homological_and_symplectic_exactness(report):
 def test_schedule_and_exponent_identities(report):
     """a, b, K*s and the stability exponent; dominance over 6 decades; gate."""
     hc = HolderClass(6.5, D)
-    consts = BoundConstants()
     tau = 1.0
     checks = []
     for exp in range(7, 13):
         rho = 10.0**-exp
-        sch = parameter_schedule(rho, 0.5, tau, hc, consts, 1e-3)
+        sch = parameter_schedule(rho, 0.5, tau, hc, 1e-3)
         checks.append(sch.a == 1.0 / (tau + 1.0))
         checks.append(sch.b == 6.0 * (sch.a * hc.ell + 1.0))
         target = sch.b * abs(math.log(rho))
         checks.append(abs(sch.K * sch.s - target) / target <= 1.0 / sch.K)
         checks.append(sch.valid)
-        bounds = remainder_bounds(sch, consts, hc)
+        bounds = remainder_bounds(sch, hc)
         checks.append(bounds.dominant == "smoothing_gap")
-    pred = predicted_stability_time(1e-8, hc, tau, consts)
+    pred = predicted_stability_time(1e-8, hc, tau)
     checks.append(pred.exponent == 1.0 + (hc.ell - 1.0) / (tau + 1.0))
     checks.append(dominance_threshold(1.0) == 5.0)
     gate_raises = False
     try:
-        sch_bad = parameter_schedule(1e-8, 0.5, 0.5, hc, consts, 1e-3)
-        remainder_bounds(sch_bad, BoundConstants(), hc)
+        sch_bad = parameter_schedule(1e-8, 0.5, 0.5, hc, 1e-3)
+        remainder_bounds(sch_bad, hc)
     except DominanceViolationError:
         gate_raises = True
     checks.append(gate_raises)
@@ -205,10 +203,9 @@ def test_schedule_and_exponent_identities(report):
 def test_fit_correctness(report):
     """Exponent recovery: power-with-log to 1e-6, pure power to 1e-10."""
     hc = HolderClass(6.5, D)
-    consts = BoundConstants()
     rhos = np.array([10.0**-e for e in range(3, 10)])
     t_pred = np.array(
-        [predicted_stability_time(r, hc, 1.0, consts).t_theorem for r in rhos]
+        [predicted_stability_time(r, hc, 1.0).t_theorem for r in rhos]
     )
     rep_log = fit_exponent(rhos, t_pred, model="power-with-log",
                            log_exponent=hc.ell - 1.0)
@@ -250,13 +247,12 @@ def test_ballistic_sanity(report):
 def test_no_escape_property(report):
     """Zero of 150 seeded samples drifts rho/2 before the predicted time."""
     hc = HolderClass(6.5, D)
-    consts = BoundConstants()
     H = build_test_hamiltonian(hc, seed=0, amplitude=1e-12, j_max=8)
     dt = default_dt(H)
     details = []
     ok = True
     for rho in (0.1, 0.05, 0.025):
-        t_pred = predicted_stability_time(rho, hc, 1.0, consts).t_theorem
+        t_pred = predicted_stability_time(rho, hc, 1.0).t_theorem
         t_cap = min(t_pred, 10**6 * dt)
         rec = escape_time(H, rho, threshold=0.5 * rho, t_cap=t_cap,
                           n_samples=50, seed=0, dt=dt)

@@ -107,9 +107,10 @@ class TestNF:
         assert out["stop"] == "certified"
         assert float(out["contraction"]) <= math.exp(-1.0)
 
-    @pytest.mark.parametrize("flag", ["--order", "--rel-chop"])
+    @pytest.mark.parametrize("flag", ["--order", "--rel-chop", "--xi"])
     def test_chop_and_order_flags_removed(self, tmp_path, flag):
-        # the chop and the stop rule follow from the certificate target
+        # the chop and the stop rule follow from the certificate target, and
+        # xi is the module constant normalform.XI
         with pytest.raises(SystemExit) as exc:
             main(["nf", "--input", str(tmp_path / "H.txt"), "--alpha", "0.2", "--K", "5",
                   "--sigma", "1.2", "--rho", "0.5", flag, "1"])
@@ -157,22 +158,11 @@ class TestPredict:
         assert "column spans" in captured.err
         assert "Traceback" not in captured.err + captured.out
 
-    @pytest.mark.parametrize(
-        "text, named",
-        [
-            ("C_1 = 2\nC_9 = 1\n", "C_9"),
-            ("C_1 = 2\nC_2 3\n", "C_2 3"),
-            ("C_1 = abc\n", "C_1: 'abc'"),
-        ],
-    )
-    def test_bad_constants_file_exit_code(self, tmp_path, capsys, text, named):
-        consts = tmp_path / "consts.txt"
-        consts.write_text(text)
-        assert main(["predict", "--rho", "1e-3", "--constants", str(consts)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error:")
-        assert named in captured.err
-        assert "Traceback" not in captured.err + captured.out
+    def test_constants_flag_removed(self, tmp_path):
+        # every bound is the theorem's shape with its constant set to 1
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "--rho", "1e-3", "--constants", str(tmp_path / "f")])
+        assert exc.value.code == 2
 
 
 class TestEscape:
@@ -217,12 +207,29 @@ class TestSweepFitPlots:
         assert (outdir / "pred.dat").exists()
         assert (outdir / "plot.gp").exists()
 
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("seed = 2\nC_1 = 1\n", "C_1"),
+            ("seed = 2\nell 3\n", "ell 3"),
+            ("seed = abc\n", "seed: 'abc'"),
+        ],
+    )
+    def test_bad_config_file_exit_code(self, tmp_path, capsys, text, named):
+        config = tmp_path / "cfg.txt"
+        config.write_text(text)
+        assert main(["sweep", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert named in captured.err
+        assert "Traceback" not in captured.err + captured.out
+
 
 class TestFileErrors:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["predict", "--rho", "1e-3", "--constants", "{missing}"],
+            ["escape", "--rho", "0.1", "--t-cap", "1", "--input", "{missing}"],
             ["sweep", "--config", "{directory}"],
             ["fit", "--csv", "{missing}"],
             ["predict", "--rho", "1e-3", "--input", "{missing}"],

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from torusstab import (
-    BoundConstants,
     ExperimentConfig,
     FourierTaylorSeries,
     HolderClass,
@@ -20,7 +19,7 @@ from torusstab import (
     read_sweep_csv,
     sweep,
 )
-from torusstab.experiment import SweepRow, load_constants
+from torusstab.experiment import SweepRow
 
 HC65 = HolderClass(6.5, 2)
 
@@ -41,19 +40,13 @@ class TestConfig:
         ExperimentConfig(rho_list=(1e-3, 1e-4), dynamics_only=False)
 
     @pytest.mark.parametrize(
-        "key", ["xi_const", "C_9", "C_A", "C_2", "C_3", "kmax", "mmax", "outdir", "d", "omega"]
+        "key",
+        ["xi", "xi_const", "C_1", "C_B", "C_9", "C_A", "C_2", "C_3", "kmax", "mmax", "outdir",
+         "d", "omega"],
     )
     def test_unknown_keys_rejected_by_name(self, key):
         with pytest.raises(ValueError, match=f"unknown config key: {key}"):
             parse_config(f"{key} = 3")
-
-    def test_xi_reaches_constants(self):
-        cfg = parse_config("xi = 3")
-        assert cfg.xi == 3.0
-        assert cfg.constants.xi == 3.0
-
-    def test_xi_is_the_constants_xi(self):
-        assert ExperimentConfig(constants=BoundConstants(xi=3.0)).xi == 3.0
 
     def test_parse_round_values(self):
         cfg = parse_config(
@@ -64,28 +57,20 @@ class TestConfig:
             seed = 42
             dt = none
             dynamics_only = true
-            C_1 = 2.0
             """
         )
         assert cfg.ell == 5.5
         assert cfg.rho_list == (0.2, 0.1)
         assert cfg.seed == 42
         assert cfg.dt is None
-        assert cfg.constants.C_1 == 2.0
 
     @pytest.mark.parametrize(
         "line, key",
-        [("seed = x", "seed"), ("C_1 = abc", "C_1"), ("rho_list = 0.1, y", "rho_list")],
+        [("seed = x", "seed"), ("rho_list = 0.1, y", "rho_list")],
     )
     def test_bad_value_names_key(self, line, key):
         with pytest.raises(ValueError, match=f"bad value for config key {key}: '"):
             parse_config(line)
-
-    def test_bad_constants_value_names_key(self, tmp_path):
-        path = tmp_path / "consts.txt"
-        path.write_text("C_0 = 2\nC_1 = abc\n")
-        with pytest.raises(ValueError, match="bad value for constants key C_1: 'abc'"):
-            load_constants(path)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):

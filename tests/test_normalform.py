@@ -32,7 +32,7 @@ def acceptance_instance(eps=1e-6):
     H = FourierTaylorSeries.linear(OMEGA) + FourierTaylorSeries.cosine(
         D, (1, 0), m=(2, 0), amplitude=eps
     )
-    params = NormalFormParams(alpha=0.2, K=5, widths=AnalyticityWidths(1.2, 0.5), xi=2.0)
+    params = NormalFormParams(alpha=0.2, K=5, widths=AnalyticityWidths(1.2, 0.5))
     return H, params
 
 
@@ -41,14 +41,8 @@ class TestParams:
         with pytest.raises(ValueError):
             NormalFormParams(alpha=0.1, K=5, widths=AnalyticityWidths(1.0, 0.5))
 
-    def test_hessian_radius_constraint(self):
-        with pytest.raises(ValueError):
-            NormalFormParams(
-                alpha=0.1, K=6, widths=AnalyticityWidths(1.0, 0.5), xi=2.0, M=1.0
-            )
-
     def test_thresholds(self):
-        p = NormalFormParams(alpha=0.2, K=5, widths=AnalyticityWidths(1.2, 0.5), xi=2.0)
+        p = NormalFormParams(alpha=0.2, K=5, widths=AnalyticityWidths(1.2, 0.5))
         assert p.smallness_threshold == pytest.approx(0.2 * 0.5 / (256 * 2 * 5))
         assert p.target_contraction == pytest.approx(math.exp(-1.0))
 

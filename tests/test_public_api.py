@@ -11,7 +11,7 @@ from pathlib import Path
 import torusstab
 
 PUBLIC_NAMES = [
-    "AnalyticityWidths", "BoundConstants", "DiophantineCertificate",
+    "AnalyticityWidths", "DiophantineCertificate",
     "DomainEscapeError", "DominanceViolationError", "EscapeRecord",
     "ExperimentConfig", "FitReport", "FourierNormReport",
     "FourierTaylorSeries", "Frequency", "HamiltonianVectorField", "HolderClass",
@@ -57,14 +57,14 @@ PUBLIC_PARAMETERS = {
     "lie_transform": ('H', 'chi', 'order', 'widths', 'chop'),
     "linear_frequency": ('H',),
     "load_config": ('path',),
-    "parameter_schedule": ('rho', 'gamma', 'tau', 'hc', 'consts', 'coeff_norm_max'),
+    "parameter_schedule": ('rho', 'gamma', 'tau', 'hc', 'coeff_norm_max'),
     "parse_config": ('text',),
     "perturbation_of": ('H', 'omega', 'tol'),
-    "predicted_stability_time": ('rho', 'hc', 'tau', 'consts'),
+    "predicted_stability_time": ('rho', 'hc', 'tau'),
     "read_sweep_csv": ('path',),
-    "remainder_bounds": ('schedule', 'consts', 'hc'),
+    "remainder_bounds": ('schedule', 'hc'),
     "resonant_normal_form": ('H', 'omega', 'params'),
-    "run_pipeline": ('H', 'omega', 'gamma', 'tau', 'hc', 'rho', 'consts'),
+    "run_pipeline": ('H', 'omega', 'gamma', 'tau', 'hc', 'rho'),
     "sample_initial_conditions": ('d', 'rho', 'n_samples', 'seed'),
     "smooth": ('g', 's'),
     "smooth_coefficients": ('split', 's'),

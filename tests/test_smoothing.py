@@ -122,6 +122,20 @@ class TestMajorants:
         )
         assert cp_tail_majorant(g, 0.25, 2) == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_cp_tail_bounds_grid_derivatives(self, cutoff_gap, p):
+        # mode by mode |d^p/d theta_j^p e^{2 pi i k.theta}| = (2 pi |k_j|)^p <= (2 pi |k|_1)^p,
+        # so sup |d_j^p (g - g_s)| over the 64 x 64 grid stays below the majorant
+        g = lacunary_series(D, 6.5, j_max=8, seed=3)
+        for s in (0.5, 0.1, 1 / 40, 1 / 100):
+            g_s = smooth(g, s).g_s
+            bound = cp_tail_majorant(g, s, p)
+            for axis in range(D):
+                dg, dg_s = g, g_s
+                for _ in range(p):
+                    dg, dg_s = dg.partial_theta(axis), dg_s.partial_theta(axis)
+                assert cutoff_gap(dg, dg_s) <= bound * (1.0 + 1e-12)
+
 
 class TestLacunary:
     def test_deterministic_in_seed(self):

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from torusstab import (
-    BoundConstants,
     DominanceViolationError,
     FourierTaylorSeries,
     HolderClass,
@@ -78,7 +77,7 @@ class TestParameterSchedule:
         # rho = 1e-12, gamma = 0.5, tau = 1, ell = 6 with the coefficient norm
         # chosen so rho_tilde = 1: then K = 10^6 and s = 6.631445e-4
         gamma = 0.5
-        sch = parameter_schedule(1e-12, gamma, 1.0, HC6, BoundConstants(), gamma / 512.0)
+        sch = parameter_schedule(1e-12, gamma, 1.0, HC6, gamma / 512.0)
         assert sch.a == pytest.approx(0.5)
         assert sch.b == pytest.approx(24.0)
         assert sch.rho_tilde == pytest.approx(1.0, rel=1e-12)
@@ -90,7 +89,7 @@ class TestParameterSchedule:
     def test_cutoff_width_product_identity(self):
         # K * s = b |log rho| up to the integer ceiling on K
         for rho in (1e-12, 3.7e-9, 2.2e-7):
-            sch = parameter_schedule(rho, 0.5, 1.0, HC65, BoundConstants(), 1e-3)
+            sch = parameter_schedule(rho, 0.5, 1.0, HC65, 1e-3)
             target = sch.b * abs(math.log(rho))
             assert abs(sch.K * sch.s - target) <= target / sch.K + 1e-9
 
@@ -99,20 +98,20 @@ class TestParameterSchedule:
         # at the real-valued K; the flag must therefore always pass
         for rho in (1e-10, 1e-6, 1e-4):
             for cmax in (1e-8, 1e-3, 10.0):
-                sch = parameter_schedule(rho, 0.5, 1.0, HC65, BoundConstants(), cmax)
+                sch = parameter_schedule(rho, 0.5, 1.0, HC65, cmax)
                 assert sch.flags["smallness_ok"]
 
     def test_large_rho_flagged(self):
-        sch = parameter_schedule(0.1, 0.5, 1.0, HC65, BoundConstants(), 1e-3)
+        sch = parameter_schedule(0.1, 0.5, 1.0, HC65, 1e-3)
         assert not sch.flags["rho_ok"]
         assert not sch.valid
         assert "rho_ok" in sch.failed_flags()
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            parameter_schedule(-0.1, 0.5, 1.0, HC65, BoundConstants(), 1.0)
+            parameter_schedule(-0.1, 0.5, 1.0, HC65, 1.0)
         with pytest.raises(ValueError):
-            parameter_schedule(0.01, 0.0, 1.0, HC65, BoundConstants(), 1.0)
+            parameter_schedule(0.01, 0.0, 1.0, HC65, 1.0)
 
 
 class TestRemainderBounds:
@@ -122,40 +121,38 @@ class TestRemainderBounds:
 
     def test_gate_violation_raises(self):
         # ell = 6.5 passes at tau = 1 (gate 5) but fails at tau = 0.5 (gate 7)
-        sch = parameter_schedule(1e-8, 0.5, 0.5, HC65, BoundConstants(), 1e-3)
+        sch = parameter_schedule(1e-8, 0.5, 0.5, HC65, 1e-3)
         with pytest.raises(DominanceViolationError):
-            remainder_bounds(sch, BoundConstants(), HC65)
+            remainder_bounds(sch, HC65)
 
     def test_smoothing_gap_dominates_over_six_decades(self):
-        consts = BoundConstants()
         for exp in range(7, 13):
             rho = 10.0**-exp
-            sch = parameter_schedule(rho, 0.5, 1.0, HC65, consts, 1e-3)
+            sch = parameter_schedule(rho, 0.5, 1.0, HC65, 1e-3)
             assert sch.valid, (rho, sch.failed_flags())
-            bounds = remainder_bounds(sch, consts, HC65)
+            bounds = remainder_bounds(sch, HC65)
             assert bounds.dominant == "smoothing_gap"
             assert bounds.smoothing_gap >= bounds.analytic
             assert bounds.smoothing_gap >= bounds.taylor
 
     def test_invalid_schedule_rejected(self):
-        sch = parameter_schedule(0.1, 0.5, 1.0, HC65, BoundConstants(), 1e-3)
+        sch = parameter_schedule(0.1, 0.5, 1.0, HC65, 1e-3)
         with pytest.raises(PreconditionError):
-            remainder_bounds(sch, BoundConstants(), HC65)
+            remainder_bounds(sch, HC65)
 
 
 class TestPredictedTimes:
     def test_headline_oracle(self):
         # rho = 1e-4, ell = 6, tau = 1, constants 1:
         # 1/(rho^3.5 |log rho|^5) = 1.5087649965990064e9
-        pred = predicted_stability_time(1e-4, HC6, 1.0, BoundConstants())
+        pred = predicted_stability_time(1e-4, HC6, 1.0)
         assert pred.exponent == pytest.approx(3.5)
         assert pred.log_exponent == pytest.approx(5.0)
         assert pred.t_theorem == pytest.approx(1.5087649965990064e9, rel=1e-12)
 
     def test_internal_and_headline_forms_share_exponent(self):
-        consts = BoundConstants()
-        p1 = predicted_stability_time(1e-6, HC65, 1.0, consts)
-        p2 = predicted_stability_time(1e-7, HC65, 1.0, consts)
+        p1 = predicted_stability_time(1e-6, HC65, 1.0)
+        p2 = predicted_stability_time(1e-7, HC65, 1.0)
         # both forms must scale with the same rho power once the log factor
         # is divided out
         for attr in ("t_star", "t_theorem"):
@@ -166,22 +163,16 @@ class TestPredictedTimes:
                 p1.exponent, rel=1e-12
             )
 
-    def test_constant_scaling(self):
-        base = predicted_stability_time(1e-5, HC65, 1.0, BoundConstants())
-        doubled = predicted_stability_time(1e-5, HC65, 1.0, BoundConstants(C_1=2.0))
-        assert doubled.t_theorem == pytest.approx(2.0 * base.t_theorem, rel=1e-14)
-
     def test_diffusion_reference_above_prediction(self):
-        consts = BoundConstants()
         for exp in (4, 6, 8):
             rho = 10.0**-exp
-            pred = predicted_stability_time(rho, HC65, 1.0, consts)
+            pred = predicted_stability_time(rho, HC65, 1.0)
             t_diff = diffusion_time_reference(rho, HC65, 1.0, 0.1, 1.0)
             assert t_diff > pred.t_theorem
 
     def test_rho_domain(self):
         with pytest.raises(ValueError):
-            predicted_stability_time(1.5, HC65, 1.0, BoundConstants())
+            predicted_stability_time(1.5, HC65, 1.0)
 
 
 class TestPerturbationExtraction:
