@@ -27,7 +27,6 @@ from .freqlib import (
     Frequency,
     diophantine_constant,
     golden_frequency,
-    is_completely_nonresonant,
 )
 from .ftseries import (
     AnalyticityWidths,

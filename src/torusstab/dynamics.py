@@ -7,6 +7,10 @@ rotation.  It is symplectic, symmetric and second order for general
 non-separable f, and exact when f = 0.  On a small f the fixed point is
 reached in one sweep, since the rotation no longer moves the iterate.
 
+`integrate`'s step loop only steps and records (t, theta, I).  The energy
+never feeds back into a step, so Trajectory.energy is evaluated after the
+run, at theta mod 1, in batches bounded by ftseries.PAIR_BLOCK.
+
 Escape measurement samples initial conditions from a seeded, counter-based
 RNG; aggregation uses only order-independent reductions, so results do not
 depend on scheduling.  Runs with the same inputs, batch size and BLAS build
@@ -21,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ftseries
 from .errors import NumericalFault, RealityViolationError, StepFailureError
 from .ftseries import HamiltonianVectorField, theta_gradient_majorant
 
@@ -60,10 +65,12 @@ def _midpoint_step(field, theta, I, dt, tol=FIXED_POINT_TOL, max_sweeps=MAX_SWEE
     wI = I
     for _ in range(max_sweeps):
         td, Id = field(wt, wI)
-        nt = theta + 0.5 * dt * td
-        nI = I + 0.5 * dt * Id
-        delta = max(np.max(np.abs(nt - wt)), np.max(np.abs(nI - wI)))
-        wt, wI = nt, nI
+        td *= 0.5 * dt
+        td += theta
+        Id *= 0.5 * dt
+        Id += I
+        delta = max(np.abs(td - wt).max(), np.abs(Id - wI).max())
+        wt, wI = td, Id
         if delta <= tol:
             break
     else:
@@ -94,6 +101,16 @@ def _energy(field, omega, theta, I):
     return field.energy(theta, I) + I @ omega
 
 
+def _recorded_energy(field, omega, theta, I):
+    """_energy over many rows, in chunks whose [cos | sin] array holds at
+    most PAIR_BLOCK entries."""
+    rows = max(1, ftseries.PAIR_BLOCK // (2 * max(field.Kt.shape[1], 1)))
+    e = np.empty(len(theta))
+    for lo in range(0, len(theta), rows):
+        e[lo : lo + rows] = _energy(field, omega, theta[lo : lo + rows], I[lo : lo + rows])
+    return e
+
+
 def _relative_drift(e, e0):
     """max |e - e0| / max(|e0|, 1), with e0 one value or one per entry of e."""
     return float(np.max(np.abs(e - e0) / np.maximum(np.abs(e0), 1.0)))
@@ -121,11 +138,18 @@ def integrate(H, start, t_end, dt, record_every=None, r_max=None):
     dt may be negative for backward runs.  The final step is shortened to
     land exactly on t_end.  Recording is decimated to at most
     MAX_RECORDED_SAMPLES samples unless record_every is given.
+
+    Trajectory.energy is evaluated after the run, at theta mod 1, in batches
+    whose [cos | sin] array holds at most ftseries.PAIR_BLOCK entries.
     """
-    if dt == 0:
-        raise ValueError("dt must be nonzero")
+    if dt == 0 or not math.isfinite(dt):
+        raise ValueError(f"dt must be nonzero and finite, got {dt!r}")
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end!r}")
     if t_end * dt <= 0:
         raise ValueError("t_end and dt must have the same sign")
+    if record_every is not None and record_every < 1:
+        raise ValueError(f"record_every must be >= 1, got {record_every!r}")
     omega, field = _split(H)
     theta0, I0 = start
     theta = np.asarray(theta0, dtype=float).reshape(1, -1).copy()
@@ -133,10 +157,13 @@ def integrate(H, start, t_end, dt, record_every=None, r_max=None):
     n_steps = max(1, int(math.ceil(abs(t_end / dt) - 1e-9)))
     if record_every is None:
         record_every = max(1, -(-n_steps // MAX_RECORDED_SAMPLES))
-    ts = [0.0]
-    thetas = [theta[0] % 1.0]
-    Is = [I[0].copy()]
-    energies = [float(_energy(field, omega, theta, I)[0])]
+    # the start, every record_every-th step, and a last or exiting step
+    rows = n_steps // record_every + 2
+    ts = np.empty(rows)
+    thetas = np.empty((rows, H.d))
+    Is = np.empty((rows, H.d))
+    ts[0], thetas[0], Is[0] = 0.0, theta[0], I[0]
+    k = 1
     t = 0.0
     domain_exit = False
     for n in range(1, n_steps + 1):
@@ -146,17 +173,17 @@ def integrate(H, start, t_end, dt, record_every=None, r_max=None):
         if r_max is not None and np.max(np.abs(I)) > r_max:
             domain_exit = True
         if n % record_every == 0 or n == n_steps or domain_exit:
-            ts.append(t)
-            thetas.append(theta[0] % 1.0)
-            Is.append(I[0].copy())
-            energies.append(float(_energy(field, omega, theta, I)[0]))
+            ts[k], thetas[k], Is[k] = t, theta[0], I[0]
+            k += 1
         if domain_exit:
             break
+    ts, thetas, Is = ts[:k], thetas[:k], Is[:k]
+    thetas %= 1.0
     return Trajectory(
-        t=np.array(ts),
-        theta=np.array(thetas),
-        I=np.array(Is),
-        energy=np.array(energies),
+        t=ts,
+        theta=thetas,
+        I=Is,
+        energy=_recorded_energy(field, omega, thetas, Is),
         dt=float(dt),
         method=METHOD,
         domain_exit=domain_exit,

@@ -41,9 +41,6 @@ class Frequency:
     def as_array(self):
         return np.array(self.omega, dtype=float)
 
-    def scaled(self, factor):
-        return Frequency(tuple(factor * w for w in self.omega))
-
 
 @dataclass(frozen=True)
 class DiophantineCertificate:
@@ -125,10 +122,3 @@ def diophantine_constant(freq, tau, K):
         # which numpy takes a vector dot product that can round differently
         gamma, k = _smallest(np.vstack([units, k, ks]), w, tau)
     return DiophantineCertificate(float(tau), K, gamma, tuple(int(v) for v in k))
-
-
-def is_completely_nonresonant(freq, alpha, K):
-    """True iff |omega.k| >= alpha for every 0 < |k|_1 <= K: gamma_K at tau = 0."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    return diophantine_constant(freq, 0.0, K).gamma_K >= alpha

@@ -308,9 +308,6 @@ class FourierTaylorSeries:
     def fourier_nonzero_part(self):
         return self.select(lambda nk, nm, c: nk > 0)
 
-    def pure_angle_part(self):
-        return self.select(lambda nk, nm, c: nm == 0)
-
     def is_pure_angle(self):
         return self.max_taylor_order() == 0
 

@@ -18,6 +18,7 @@ from torusstab import (
     sample_initial_conditions,
     theta_gradient_majorant,
 )
+from torusstab import ftseries
 from torusstab.dynamics import _midpoint_step, _split, _split_step
 
 D = 2
@@ -123,6 +124,27 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(H, ((0, 0), (0, 0)), t_end=1.0, dt=-0.01)
 
+    @pytest.mark.parametrize(
+        "t_end, dt, record_every, name",
+        [
+            (1.0, math.nan, None, "dt"),
+            (1.0, math.inf, None, "dt"),
+            (math.inf, 0.01, None, "t_end"),
+            (-math.inf, -0.01, None, "t_end"),
+            (math.nan, 0.01, None, "t_end"),
+            (1.0, 0.01, 0, "record_every"),
+            (1.0, 0.01, -1, "record_every"),
+        ],
+    )
+    def test_bad_input_rejected_by_name(self, monkeypatch, t_end, dt, record_every, name):
+        # nan dt and infinite t_end used to fail in int(), record_every = 0 only
+        # after stepping, and record_every = -1 was taken as every step
+        calls = count_field_calls(monkeypatch)
+        with pytest.raises(ValueError, match=f"^{name} "):
+            integrate(coupled_hamiltonian(), ((0, 0), (0, 0)), t_end=t_end, dt=dt,
+                      record_every=record_every)
+        assert calls == []
+
     def test_midpoint_step_second_order(self):
         # halving dt reduces the one-step error by about 2^3 (local order 3)
         H = coupled_hamiltonian(0.1)
@@ -200,6 +222,69 @@ class TestOneSweepPerStep:
         calls = count_field_calls(monkeypatch)
         integrate(H, ((0.3, 0.7), (0.05, -0.05)), t_end=0.5, dt=0.01)
         assert calls == [1] * 50
+
+
+def count_energy_calls(monkeypatch):
+    calls = []
+    original = HamiltonianVectorField.energy
+
+    def counted(self, theta, I):
+        calls.append(np.atleast_2d(theta).shape[0])
+        return original(self, theta, I)
+
+    monkeypatch.setattr(HamiltonianVectorField, "energy", counted)
+    return calls
+
+
+class TestRecording:
+    """integrate steps and records (t, theta, I) in its loop, and evaluates
+    the energies after the run in chunks of at most PAIR_BLOCK // (2u) rows."""
+
+    START = ((0.3, 0.7), (0.05, -0.05))
+
+    @pytest.mark.parametrize("block", [None, 12])
+    def test_energy_calls_after_the_run(self, monkeypatch, block):
+        # coupled_hamiltonian has u = 2 modes: PAIR_BLOCK = 12 gives 3-row chunks
+        if block is not None:
+            monkeypatch.setattr(ftseries, "PAIR_BLOCK", block)
+        H = coupled_hamiltonian(1e-12)
+        field_calls = count_field_calls(monkeypatch)
+        energy_calls = count_energy_calls(monkeypatch)
+        traj = integrate(H, self.START, t_end=0.5, dt=0.01, record_every=1)
+        assert field_calls == [1] * 50
+        chunk = 51 if block is None else 3
+        assert len(traj.t) == 51
+        assert energy_calls == [chunk] * (51 // chunk) + ([51 % chunk] if 51 % chunk else [])
+
+    def test_chunked_energy_matches_evaluate(self, monkeypatch):
+        # 3-row chunks over 14 records: two full boundaries inside the record
+        monkeypatch.setattr(ftseries, "PAIR_BLOCK", 12)
+        H = coupled_hamiltonian(0.1)
+        traj = integrate(H, ((0.2, 0.6), (0.1, -0.2)), t_end=0.13, dt=0.01)
+        assert len(traj.t) == 14
+        for theta, I, e in zip(traj.theta, traj.I, traj.energy):
+            assert e == pytest.approx(H.evaluate(theta, I), rel=0, abs=1e-15)
+
+    def test_record_matches_hand_loop(self):
+        # a shortened last step and decimation: 38 steps, recorded every 3rd and the last
+        H = coupled_hamiltonian(1e-2)
+        t_end, dt, every = 0.375, 0.01, 3
+        traj = integrate(H, self.START, t_end=t_end, dt=dt, record_every=every)
+        omega, field = _split(H)
+        theta, I = np.array([self.START[0]], float), np.array([self.START[1]], float)
+        ts, thetas, Is = [0.0], [theta[0] % 1.0], [I[0].copy()]
+        t, n_steps = 0.0, 38
+        for n in range(1, n_steps + 1):
+            step_dt = dt if n < n_steps else t_end - t
+            theta, I = _split_step(field, omega, theta, I, step_dt)
+            t += step_dt
+            if n % every == 0 or n == n_steps:
+                ts.append(t)
+                thetas.append(theta[0] % 1.0)
+                Is.append(I[0].copy())
+        assert traj.t.tobytes() == np.array(ts).tobytes()
+        assert traj.theta.tobytes() == np.array(thetas).tobytes()
+        assert traj.I.tobytes() == np.array(Is).tobytes()
 
 
 class TestSampling:

@@ -12,7 +12,6 @@ from torusstab import (
     Frequency,
     diophantine_constant,
     golden_frequency,
-    is_completely_nonresonant,
 )
 from torusstab import freqlib
 
@@ -85,10 +84,6 @@ class TestFrequency:
             Frequency((0.0, 0.0))
         with pytest.raises(ValueError):
             Frequency((1.0, math.inf))
-
-    def test_scaled(self):
-        freq = Frequency((1.0, 2.0)).scaled(3.0)
-        assert freq.omega == (3.0, 6.0)
 
 
 class TestLatticeHalfBall:
@@ -182,17 +177,3 @@ class TestDiophantineConstant:
             prev = diophantine_constant(freq, tau, K - 1)
             assert cert.gamma_K <= prev.gamma_K + 1e-15
 
-
-class TestCompletelyNonresonant:
-    def test_golden(self):
-        freq = golden_frequency(2)
-        assert is_completely_nonresonant(freq, 0.2, 5)
-        assert not is_completely_nonresonant(freq, 2.0, 5)
-
-    def test_resonant_frequency(self):
-        assert not is_completely_nonresonant(Frequency((1.0, 2.0)), 0.1, 3)
-
-    def test_certificate_consistency(self):
-        freq = Frequency((1.0, math.sqrt(3.0)))
-        cert = diophantine_constant(freq, 1.0, 8)
-        assert is_completely_nonresonant(freq, cert.alpha, 8)

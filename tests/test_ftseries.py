@@ -289,7 +289,7 @@ class TestSharedReductions:
             cp_tail_majorant(f, s, p),
             sum(abs(c) * (TWO_PI * l1(k)) ** p for (k, m), c in terms if l1(k) > 1.0 / s),
         )
-        g = f.pure_angle_part()
+        g = f.select(lambda nk, nm, c: nm == 0)
         hc = HolderClass(6.5, 2)
         assert close(
             holder_norm_majorant(g, hc),

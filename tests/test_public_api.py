@@ -26,7 +26,7 @@ PUBLIC_NAMES = [
     "diffusion_time_reference", "diophantine_constant", "dominance_threshold",
     "emit_plots", "escape_time", "fit_exponent", "fit_exponent_rows",
     "fourier_norm_bound_check", "golden_frequency", "holder_norm_majorant", "integrate",
-    "is_completely_nonresonant", "lacunary_series", "lie_transform", "linear_frequency",
+    "lacunary_series", "lie_transform", "linear_frequency",
     "load_config", "parameter_schedule", "parse_config", "perturbation_of",
     "predicted_stability_time", "read_sweep_csv", "remainder_bounds",
     "resonant_normal_form", "run_pipeline", "sample_initial_conditions", "smooth",
@@ -52,7 +52,6 @@ PUBLIC_PARAMETERS = {
     "golden_frequency": ('d',),
     "holder_norm_majorant": ('g', 'hc'),
     "integrate": ('H', 'start', 't_end', 'dt', 'record_every', 'r_max'),
-    "is_completely_nonresonant": ('freq', 'alpha', 'K'),
     "lacunary_series": ('d', 'ell', 'j_max', 'seed', 'amplitude'),
     "lie_transform": ('H', 'chi', 'order', 'widths', 'chop'),
     "linear_frequency": ('H',),
