@@ -236,26 +236,24 @@ def escape_time(H, rho, threshold, t_cap, n_samples, seed, dt=None):
     the ballistic a-priori bound (sup of ||I_dot|| on the reachable tube of
     radius rho + threshold), otherwise an integration fault is raised.
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    for name, value in (("rho", rho), ("threshold", threshold), ("t_cap", t_cap)):
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if t_cap <= 0:
-        raise ValueError("t_cap must be positive")
     if dt is None:
         dt = default_dt(H)
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     omega, field = _split(H)
     d = H.d
-    theta0, I0 = sample_initial_conditions(d, rho, n_samples, seed)
-    theta = theta0.copy()
-    I = I0.copy()
+    theta, I0 = sample_initial_conditions(d, rho, n_samples, seed)
+    I = I0
     active = np.arange(n_samples)
     escape_times = np.full(n_samples, float(t_cap))
     censored = np.ones(n_samples, dtype=bool)
     max_drift = np.zeros(n_samples)
-    e0 = _energy(field, omega, theta0, I0)
+    e0 = _energy(field, omega, theta, I0)
     max_energy_drift = 0.0
     n_steps = max(1, int(math.ceil(t_cap / dt - 1e-9)))
     t = 0.0
@@ -263,23 +261,22 @@ def escape_time(H, rho, threshold, t_cap, n_samples, seed, dt=None):
         step_dt = dt if n < n_steps else t_cap - t
         theta, I = _split_step(field, omega, theta, I, step_dt)
         t += step_dt
-        drift = np.max(np.abs(I - I0[active]), axis=1)
-        max_drift[active] = np.maximum(max_drift[active], drift)
+        drift = np.max(np.abs(I - I0), axis=1)
+        np.maximum(max_drift, drift, out=max_drift)
         hit = drift >= threshold
         if hit.any():
             escaped = active[hit]
             escape_times[escaped] = t
             censored[escaped] = False
             keep = ~hit
-            active = active[keep]
-            theta = theta[keep]
-            I = I[keep]
+            active, theta, I, I0, max_drift, e0 = (
+                a[keep] for a in (active, theta, I, I0, max_drift, e0)
+            )
             if len(active) == 0:
                 break
         if n % ENERGY_CHECK_EVERY == 0 or n == n_steps:
             e = _energy(field, omega, theta, I)
-            if len(e):
-                max_energy_drift = max(max_energy_drift, _relative_drift(e, e0[active]))
+            max_energy_drift = max(max_energy_drift, _relative_drift(e, e0))
     bound = ballistic_bound(H.fourier_nonzero_part(), threshold, rho * (1.0 + threshold / rho))
     bad = (~censored) & (escape_times < bound * (1.0 - 1e-12))
     if bad.any():
@@ -288,7 +285,8 @@ def escape_time(H, rho, threshold, t_cap, n_samples, seed, dt=None):
             f"sample {idx} escaped at t={escape_times[idx]:.6e}, faster than the "
             f"ballistic bound {bound:.6e}"
         )
-    max_drift_at_cap = float(np.max(max_drift[censored], initial=0.0))
+    # the samples still active are the censored ones
+    max_drift_at_cap = float(np.max(max_drift, initial=0.0))
     return EscapeRecord(
         rho=float(rho),
         threshold=float(threshold),

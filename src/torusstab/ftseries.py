@@ -452,8 +452,9 @@ class HamiltonianVectorField:
         Re f = sum_m A_m(theta) I^m,
         A_m = sum_k (a cos 2 pi k.theta - b sin 2 pi k.theta),  c_{k,m} = a + ib.
 
-    A call takes cos and sin once per point and distinct mode k (u of them)
-    and the action powers once per distinct Taylor index m (v of them).  One
+    A call takes one tan of the half phase per point and distinct mode k (u
+    of them), cos and sin from the half-angle formulas, and the action powers
+    by running products once per distinct Taylor index m (v of them).  One
     product of [cos | sin] (N x 2u) with a weight matrix (2u x (1+d) v) gives
     per point every A_m and B_{m,j} = sum_k 2 pi k_j (b cos + a sin), and
 
@@ -511,21 +512,27 @@ class HamiltonianVectorField:
             self.blocks.append((rows, W, W[:, :vb], slice(l0, l0 + vb)))
 
     def _angles(self, theta):
-        """[cos | sin] of 2 pi k.theta per point and distinct mode, as (N, 2u)."""
+        """[cos | sin] of 2 pi k.theta per point and distinct mode, as (N, 2u),
+        from t = tan(pi k.theta): q = 2/(1 + t^2), cos = q - 1, sin = t q."""
         theta = np.atleast_2d(np.asarray(theta, dtype=float))
         turns = theta @ self.Kt
-        turns -= np.rint(turns)  # exact; cos and sin run faster on |phase| <= pi
-        phase = TWO_PI * turns
-        u = phase.shape[1]
-        cs = np.empty((len(phase), 2 * u))
-        np.cos(phase, out=cs[:, :u])
-        np.sin(phase, out=cs[:, u:])
+        turns -= np.rint(turns)  # exact; |turns| <= 1/2 keeps |t| <= 1.7e16
+        t = np.tan(np.pi * turns, out=turns)
+        u = t.shape[1]
+        cs = np.empty((len(t), 2 * u))
+        q, sin = cs[:, :u], cs[:, u:]
+        np.divide(2.0, 1.0 + np.multiply(t, t, out=q), out=q)
+        np.multiply(t, q, out=sin)
+        q -= 1.0  # q - 1 = cos
         return cs
 
     def _powers(self, I, exps):
         """prod_j I_j^{e_j} per point, for exponent rows exps[..., index, j]."""
         I = np.atleast_2d(np.asarray(I, dtype=float))
-        pw = I[:, :, None] ** np.arange(self.pmax + 1)
+        pw = np.empty(I.shape + (self.pmax + 1,))
+        pw[:, :, 0] = 1.0
+        pw[:, :, 1:] = I[:, :, None]
+        np.multiply.accumulate(pw, axis=2, out=pw)
         P = pw[:, 0, exps[..., 0]]
         for j in range(1, self.d):
             P *= pw[:, j, exps[..., j]]

@@ -184,6 +184,24 @@ class TestEscape:
         assert captured.out == ""
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["--rho", "0.1", "--threshold", "nan", "--t-cap", "0.05"], "threshold"),
+            (["--rho", "nan", "--t-cap", "0.05"], "rho"),
+            (["--rho", "0.1", "--t-cap", "inf"], "t_cap"),
+            (["--rho", "0.1", "--t-cap", "nan"], "t_cap"),
+            (["--rho", "-0.1", "--t-cap", "0.05"], "rho"),
+            (["--rho", "0", "--t-cap", "0.05"], "rho"),
+        ],
+    )
+    def test_bad_input_exit_code(self, capsys, flags, name):
+        assert main(["escape", *flags, "--n-samples", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {name} must be positive and finite")
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+
 
 class TestSweepFitPlots:
     def test_end_to_end(self, tmp_path, capsys):

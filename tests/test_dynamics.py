@@ -330,13 +330,34 @@ class TestEscapeTime:
         assert r1.max_drift_at_cap == r2.max_drift_at_cap
 
     def test_input_validation(self):
-        H = coupled_hamiltonian()
-        with pytest.raises(ValueError):
-            escape_time(H, 0.05, threshold=0.0, t_cap=1.0, n_samples=1, seed=0)
-        with pytest.raises(ValueError):
-            escape_time(H, 0.05, threshold=0.01, t_cap=-1.0, n_samples=1, seed=0)
-        with pytest.raises(ValueError):
-            escape_time(H, 0.05, threshold=0.01, t_cap=1.0, n_samples=0, seed=0)
+        with pytest.raises(ValueError, match="n_samples"):
+            escape_time(coupled_hamiltonian(), 0.05, threshold=0.01, t_cap=1.0,
+                        n_samples=0, seed=0)
+
+    @pytest.mark.parametrize(
+        "rho, threshold, t_cap, name",
+        [
+            (math.nan, 0.01, 1.0, "rho"),
+            (0.0, 0.01, 1.0, "rho"),
+            (-0.1, 0.01, 1.0, "rho"),
+            (math.inf, 0.01, 1.0, "rho"),
+            (0.05, math.nan, 1.0, "threshold"),
+            (0.05, math.inf, 1.0, "threshold"),
+            (0.05, 0.0, 1.0, "threshold"),
+            (0.05, 0.01, math.nan, "t_cap"),
+            (0.05, 0.01, math.inf, "t_cap"),
+            (0.05, 0.01, -1.0, "t_cap"),
+        ],
+    )
+    def test_bad_input_rejected_by_name(self, monkeypatch, rho, threshold, t_cap, name):
+        # a nan threshold used to censor every sample (a false "no escape"),
+        # a nan rho or an infinite t_cap raised OverflowError, a nan t_cap
+        # failed in int(), and rho <= 0 was blamed on the threshold
+        calls = count_field_calls(monkeypatch)
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            escape_time(coupled_hamiltonian(), rho, threshold=threshold, t_cap=t_cap,
+                        n_samples=2, seed=0)
+        assert calls == []
 
     @pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, math.inf])
     def test_dt_validation(self, dt):

@@ -16,6 +16,7 @@ from torusstab import (
     HolderClass,
     RealityViolationError,
     TWO_PI,
+    build_test_hamiltonian,
     cp_tail_majorant,
     holder_norm_majorant,
     smooth,
@@ -705,3 +706,51 @@ class TestEvaluators:
         e = field.energy(theta, I)
         for i in range(2):
             assert e[i] == pytest.approx(H.evaluate(theta[i], I[i]), abs=1e-13)
+
+
+class TestHalfAngleKernel:
+    """The tables behind the kernel: cos/sin from one tan of the half phase,
+    and action powers by running products."""
+
+    MODES = [(1, 0), (0, 1), (1, 1), (2, -1), (3, 5), (-4, 1), (0, 0)]
+
+    def field(self, m=(0, 0)):
+        terms = {(k, m): 1.0 + 0.5j for k in self.MODES}
+        return HamiltonianVectorField(FourierTaylorSeries(D, terms), check_real=False)
+
+    def test_angles_match_cos_sin(self):
+        field = self.field()
+        rng = np.random.default_rng(3)
+        quarters = np.array([0.0, 0.25, -0.25, 0.5, -0.5, 0.75, 1.0, 2.5, -7.75])
+        theta = np.vstack([
+            rng.random((200, D)),
+            rng.uniform(-50.0, 50.0, (200, D)),
+            np.stack(np.meshgrid(quarters, quarters), axis=-1).reshape(-1, D),
+        ])
+        turns = theta @ field.Kt
+        turns -= np.rint(turns)
+        # the grid puts k.theta on 0, +-1/4 and +-1/2 exactly
+        assert {0.0, 0.25, -0.25, 0.5, -0.5} <= set(turns.ravel())
+        u = field.Kt.shape[1]
+        cs = field._angles(theta)
+        assert np.all(np.abs(cs[:, :u] - np.cos(TWO_PI * turns)) <= 1e-15)
+        assert np.all(np.abs(cs[:, u:] - np.sin(TWO_PI * turns)) <= 1e-15)
+
+    def test_powers_match_pow_for_negative_actions(self):
+        field = self.field(m=(6, 6))
+        exps = np.array([(m, 0) for m in range(7)] + [(0, m) for m in range(7)])
+        rng = np.random.default_rng(4)
+        I = np.vstack([rng.uniform(-1.5, -0.01, (50, D)), rng.uniform(-1.5, 1.5, (50, D))])
+        expected = np.hstack([I[:, :1] ** np.arange(7), I[:, 1:] ** np.arange(7)])
+        P = field._powers(I, exps)
+        assert np.all(np.abs(P - expected) <= 1e-15 * np.abs(expected))
+
+    def test_kernel_matches_direct_sum_up_to_the_top_shell(self):
+        # the test Hamiltonian's modes reach |k|_1 = 2^8 = 256, far beyond the
+        # hypothesis draws; at amplitude 1 every term counts
+        H = build_test_hamiltonian(HolderClass(6.5, 2), seed=1, amplitude=1.0, j_max=8)
+        assert int(np.abs(H.K).sum(axis=1).max()) == 256
+        rng = np.random.default_rng(5)
+        theta = rng.random((40, D))
+        I = rng.uniform(-1.5, 1.5, (40, D))
+        assert_kernel_matches_direct_sum(HamiltonianVectorField(H), H, theta, I)
