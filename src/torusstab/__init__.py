@@ -9,7 +9,6 @@ times against the predictions.
 """
 
 from .errors import (
-    DomainEscapeError,
     DominanceViolationError,
     InsufficientDataError,
     LieDivergenceError,

@@ -45,10 +45,6 @@ class StepFailureError(NumericalFault):
     """Implicit-midpoint inner iteration failed to converge."""
 
 
-class DomainEscapeError(NumericalFault):
-    """A generator flow left the analyticity domain."""
-
-
 class DominanceViolationError(PreconditionError):
     """Regularity too low for the smoothing-gap term to dominate."""
 

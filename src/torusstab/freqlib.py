@@ -77,6 +77,11 @@ def _prefix_blocks(d, j, K):
             yield np.insert(block, j, 0, axis=1)
 
 
+def _check_tau(tau):
+    if not (math.isfinite(tau) and tau >= 0):
+        raise ValueError(f"tau must be finite and >= 0, got {tau!r}")
+
+
 def _smallest(ks, w, tau):
     """(gamma, k): the least |omega.k| |k|_1^tau over the nonzero rows of ks, taken
     at their representatives (first nonzero entry positive); ties go to the
@@ -101,8 +106,7 @@ def diophantine_constant(freq, tau, K):
     K = int(K)
     if K < 1:
         raise ValueError("K must be >= 1")
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
+    _check_tau(tau)
     w = freq.as_array()
     j = int(np.argmax(np.abs(w)))
     units = np.eye(freq.d, dtype=np.int64)

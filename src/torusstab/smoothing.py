@@ -29,6 +29,10 @@ class HolderClass:
     d: int
 
     def __post_init__(self):
+        if self.d < 1:
+            raise ValueError(f"d must be >= 1, got {self.d!r}")
+        if not math.isfinite(self.ell):
+            raise ValueError(f"ell must be finite, got {self.ell!r}")
         if not self.ell > 2 * self.d + 1:
             raise ValueError(
                 f"regularity ell={self.ell} must exceed 2d+1={2 * self.d + 1} for d={self.d}"

@@ -21,7 +21,7 @@ from .errors import (
     PipelineStageError,
     PreconditionError,
 )
-from .freqlib import diophantine_constant
+from .freqlib import _check_tau, diophantine_constant
 from .ftseries import AnalyticityWidths, FourierTaylorSeries, theta_gradient_majorant
 from .normalform import XI, NormalFormParams, resonant_normal_form
 from .smoothing import holder_norm_majorant, sharp_cutoff
@@ -153,12 +153,10 @@ def parameter_schedule(rho, gamma, tau, hc, coeff_norm_max):
     the cutoff would otherwise break the structurally-saturated inequality
     by an O(1/K) factor).
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if coeff_norm_max <= 0:
-        raise ValueError("coeff_norm_max must be positive")
+    for name, value in (("rho", rho), ("gamma", gamma), ("coeff_norm_max", coeff_norm_max)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    _check_tau(tau)
     a = 1.0 / (tau + 1.0)
     b = 6.0 * (a * hc.ell + 1.0)
     denom = 256.0 * XI * coeff_norm_max
@@ -231,6 +229,7 @@ def predicted_stability_time(rho, hc, tau):
     """
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
+    _check_tau(tau)
     a = 1.0 / (tau + 1.0)
     b = 6.0 * (a * hc.ell + 1.0)
     ell = hc.ell
@@ -249,10 +248,11 @@ def predicted_stability_time(rho, hc, tau):
 
 def diffusion_time_reference(rho, hc, tau, epsilon, T0):
     """Reference diffusion time T0 / rho^{1+(ell-1)/(tau+1)+epsilon}."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
-    if T0 <= 0:
-        raise ValueError("T0 must be positive")
+    _check_tau(tau)
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
+    if not (math.isfinite(T0) and T0 > 0):
+        raise ValueError(f"T0 must be positive and finite, got {T0!r}")
     return T0 / rho ** (1.0 + (hc.ell - 1.0) / (tau + 1.0) + epsilon)
 
 
@@ -265,7 +265,6 @@ class PipelineReport:
     smoothed: SmoothedSplit | None
     normal_form: object
     bounds: RemainderBounds | None
-    drift_rate: float
     prediction: StabilityPrediction | None
     failure: str | None
 
@@ -297,7 +296,6 @@ class PipelineReport:
             lines.append(f"bound.smoothing_gap = {self.bounds.smoothing_gap!r}")
             lines.append(f"bound.taylor = {self.bounds.taylor!r}")
             lines.append(f"bound.dominant = {self.bounds.dominant}")
-        lines.append(f"drift_rate = {self.drift_rate!r}")
         if self.prediction is not None:
             lines.append(f"t_star = {self.prediction.t_star!r}")
             lines.append(f"t_theorem = {self.prediction.t_theorem!r}")
@@ -346,7 +344,6 @@ def run_pipeline(H, omega, gamma, tau, hc, rho):
             smoothed=None,
             normal_form=None,
             bounds=None,
-            drift_rate=0.0,
             prediction=replace(
                 predicted_stability_time(rho, hc, tau),
                 t_star=math.inf,
@@ -371,7 +368,6 @@ def run_pipeline(H, omega, gamma, tau, hc, rho):
             smoothed=None,
             normal_form=None,
             bounds=None,
-            drift_rate=math.nan,
             prediction=None,
             failure="schedule flags failed: " + ", ".join(schedule.failed_flags()),
         )
@@ -403,10 +399,6 @@ def run_pipeline(H, omega, gamma, tau, hc, rho):
 
     try:
         bounds = remainder_bounds(schedule, hc)
-        drift_rate = (
-            rho ** (2.0 + schedule.a * (hc.ell - 1.0))
-            * abs(schedule.b * math.log(rho)) ** (hc.ell - 1.0)
-        )
         prediction = predicted_stability_time(rho, hc, tau)
     except _STAGE_FAULTS as exc:
         raise PipelineStageError("remainder_bounds", exc) from exc
@@ -419,7 +411,6 @@ def run_pipeline(H, omega, gamma, tau, hc, rho):
         smoothed=smoothed,
         normal_form=nf,
         bounds=bounds,
-        drift_rate=drift_rate,
         prediction=prediction,
         failure=None,
     )

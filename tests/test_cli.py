@@ -165,6 +165,36 @@ class TestPredict:
         assert exc.value.code == 2
 
 
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["predict", "--rho", "1e-3", "--tau", "-1"], "tau"),
+            (["predict", "--rho", "1e-3", "--tau", "nan"], "tau"),
+            (["predict", "--rho", "1e-3", "--ell", "inf"], "ell"),
+            (["predict", "--rho", "1e-3", "--epsilon", "nan"], "epsilon"),
+            (["predict", "--rho", "1e-3", "--T0", "nan"], "T0"),
+            (["dioph", "--K", "5", "--tau", "nan"], "tau"),
+            (["smooth-verify", "--d", "0"], "d"),
+            (["predict", "--rho", "1e-3", "--tau", "-1", "--input"], "tau"),
+            (["predict", "--rho", "nan", "--input"], "rho"),
+            (["predict", "--rho", "1e-3", "--gamma", "nan", "--input"], "gamma"),
+            (["nf", "--alpha", "nan", "--K", "5", "--sigma", "1.2", "--rho", "0.5", "--input"],
+             "alpha"),
+        ],
+    )
+    def test_rejected_by_name(self, tmp_path, capsys, argv, name):
+        if argv[-1] == "--input":
+            src = tmp_path / "H.txt"
+            FourierTaylorSeries.linear(golden_frequency(2)).save(src)
+            argv = argv + [str(src)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {name} must ")
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+
+
 class TestEscape:
     def test_builtin_hamiltonian(self, capsys):
         rc = main(["escape", "--rho", "0.05", "--t-cap", "0.2",

@@ -225,6 +225,22 @@ class TestResonantNormalForm:
 
 
 class TestApplyTransform:
+    def test_matches_closed_form_flow(self):
+        # chi = a I_1 sin 2 pi theta_1 flows by tan pi theta_1(t) =
+        # tan pi theta_1(0) e^{2 pi a t}, with chi (hence I_1 sin 2 pi theta_1)
+        # conserved and theta_2, I_2 fixed; one midpoint step per substep
+        # instead of the triple jump is off by 6.5e-9 here
+        a = 0.01
+        chi = FourierTaylorSeries.sine(D, (1, 0), m=(1, 0), amplitude=a)
+        theta0, I0 = np.array([0.1, 0.4]), np.array([0.05, -0.02])
+        theta1 = math.atan(math.tan(math.pi * theta0[0]) * math.exp(TWO_PI * a)) / math.pi
+        I1 = I0[0] * math.sin(TWO_PI * theta0[0]) / math.sin(TWO_PI * theta1)
+        theta, I = apply_transform((chi,), (theta0, I0), "forward")
+        exact = np.array([theta1, theta0[1], I1, I0[1]])
+        assert np.max(np.abs(np.concatenate([theta, I]) - exact)) <= 1e-12
+        back = apply_transform((chi,), (theta, I), "inverse")
+        assert np.max(np.abs(np.concatenate(back) - np.concatenate([theta0, I0]))) <= 1e-13
+
     def test_round_trip(self):
         H, params = acceptance_instance()
         nf = resonant_normal_form(H, OMEGA, params)

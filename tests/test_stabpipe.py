@@ -193,7 +193,7 @@ class TestPipeline:
         report = run_pipeline(H, OMEGA, 0.5, 1.0, HC65, 1e-8)
         assert report.failure is None
         assert report.prediction.t_theorem == math.inf
-        assert report.drift_rate == 0.0
+        assert report.bounds is None
 
     def test_certifying_run(self):
         H = build_test_hamiltonian(HC65, seed=0, amplitude=1e-12, j_max=4)
