@@ -12,7 +12,9 @@ no zero coefficient; two series are equal iff their arrays are equal.
 Each (k, m) is packed into one int64 key (Kronecker substitution in a mixed
 radix from the columns' ranges; a ValueError names the spans if a key could
 reach 2^63), terms are merged by one stable sort of the keys, and a product
-adds its operands' keys.
+adds its operands' keys.  A Poisson bracket is one pass over the term pairs:
+each pair's key, less the place value of m_i, takes its axis-i entry with
+an exact integer weight, and zero-weight entries are dropped.
 A real-valued series satisfies c_{-k,m} = conj(c_{k,m}) for every stored
 term.
 
@@ -36,8 +38,8 @@ import numpy as np
 from .errors import RealityViolationError
 
 TWO_PI = 2.0 * math.pi
-# term pairs formed at once by a series product: it bounds the product's
-# working memory, whatever the operands' sizes
+# term pairs formed at once by a series product (entries, d per pair, by a
+# Poisson bracket): it bounds their working memory, whatever the operands' sizes
 PAIR_BLOCK = 1 << 18
 
 
@@ -209,10 +211,10 @@ class FourierTaylorSeries:
         rows = max(1, PAIR_BLOCK // max(len(other), 1))
         for i in range(0, len(self), rows):
             block = slice(i, i + rows)
-            keys = np.concatenate([keys, (ka[block, None] + kb).ravel()])
-            C = np.concatenate([C, (self.C[block, None] * other.C).ravel()])
-            kept, C = _sort_sum(keys, C)
-            keys = keys[kept]
+            _, keys, C = _sort_sum(
+                np.concatenate([keys, (ka[block, None] + kb).ravel()]),
+                np.concatenate([C, (self.C[block, None] * other.C).ravel()]),
+            )
         digits = keys[:, None] // places % spans + lo
         return self._of(self.d, digits[:, : self.d], digits[:, self.d :], C)
 
@@ -239,13 +241,43 @@ class FourierTaylorSeries:
         return self._of(self.d, self.K[rows], M, C)
 
     def poisson_bracket(self, other):
-        """{f, g} = sum_i (d_theta_i f d_I_i g - d_I_i f d_theta_i g)."""
+        """{f, g} = sum_i (d_theta_i f d_I_i g - d_I_i f d_theta_i g), in one
+        pass over the term pairs.
+
+        The pair of f's term a and g's term b gives, for each axis i,
+
+            2 pi i c_a c_b (k_a,i m_b,i - m_a,i k_b,i)  at  (k_a + k_b, m_a + m_b - e_i).
+
+        The weight in brackets is an exact integer; entries whose weight is 0
+        are dropped before they are summed, so terms that cancel exactly
+        leave no roundoff residue.  This also drops every entry with
+        m_a,i + m_b,i = 0.  Pairs are formed in blocks of at most PAIR_BLOCK
+        entries, each summed into the running result by one sort, and the
+        2 pi i factor is applied to the final sums.
+        """
         self._check_same_d(other)
-        out = FourierTaylorSeries.zero(self.d)
-        for i in range(self.d):
-            out = out + self.partial_theta(i) * other.partial_I(i)
-            out = out - self.partial_I(i) * other.partial_theta(i)
-        return out
+        d = self.d
+        (ka, kb), places, spans, lo = _pack((self.K, self.M), (other.K, other.M), below=1)
+
+        def entries(block, keys, C):
+            """The running result (keys, C), then every pair's entry of axis 0, 1, ..."""
+            pair_keys = (ka[block, None] + kb).ravel()
+            pair_C = (self.C[block, None] * other.C).ravel()
+            parts_keys, parts_C = [keys], [C]
+            for i in range(d):
+                w = self.K[block, i, None] * other.M[:, i] - self.M[block, i, None] * other.K[:, i]
+                nz = np.flatnonzero(w)
+                w = w.ravel()[nz]
+                parts_keys.append(pair_keys[nz] - places[d + i])
+                parts_C.append(pair_C[nz] * w)
+            return np.concatenate(parts_keys), np.concatenate(parts_C)
+
+        keys, C = ka[:0], self.C[:0]
+        rows = max(1, PAIR_BLOCK // (d * max(len(other), 1)))
+        for r in range(0, len(self), rows):
+            _, keys, C = _sort_sum(*entries(slice(r, r + rows), keys, C))
+        digits = keys[:, None] // places % spans + lo
+        return self._of(d, digits[:, :d], digits[:, d:], C * (TWO_PI * 1j))
 
     # -- evaluation -----------------------------------------------------------
 
@@ -278,22 +310,20 @@ class FourierTaylorSeries:
         rows = keep(*self._orders(), self.C)
         return self._of(self.d, self.K[rows], self.M[rows], self.C[rows])
 
-    def mass(self, weight=None, where=None):
-        """sum |c| weight(|k|_1, |m|_1) over the terms where the mask
-        where(|k|_1, |m|_1, c) is true; both receive arrays, weight defaults
-        to 1 and where to every term.  inf if a weight overflows."""
-        nk, nm = self._orders()
+    def masses(self, weight=None):
+        """|c| weight(|k|_1, |m|_1) of every term; weight receives arrays and
+        defaults to 1, and a term whose weight overflows gets inf."""
         a = np.abs(self.C)
-        if where is not None:
-            rows = where(nk, nm, self.C)
-            a, nk, nm = a[rows], nk[rows], nm[rows]
+        if weight is None:
+            return a
         with np.errstate(over="ignore", invalid="ignore"):
-            if weight is not None:
-                w = weight(nk, nm)
-                if not np.all(np.isfinite(w)):
-                    return math.inf
-                a = a * w
-            return float(a.sum())
+            w = weight(*self._orders())
+            return np.where(np.isfinite(w), a * w, math.inf)
+
+    def mass(self, weight=None):
+        """sum |c| weight(|k|_1, |m|_1) over the terms; inf if a weight overflows."""
+        with np.errstate(over="ignore"):
+            return float(self.masses(weight).sum())
 
     def coefficient_mass(self):
         return self.mass()
@@ -394,13 +424,17 @@ class FourierTaylorSeries:
         return HamiltonianVectorField(self, check_real=check_real)
 
 
-def _pack(*operands):
+def _pack(*operands, below=0):
     """Pack the (k, m) rows of each (K, M) operand into int64 keys, in one
     mixed radix in which the operands' keys add up to the key of their sum
-    and keys order as rows.  Returns the keys per operand and the place
-    values, spans and lowest entries that unpack a sum's key."""
+    and keys order as rows.  The m columns' range reaches `below` under the
+    sum's minimum, so a sum's key less `below` m_i place values still
+    unpacks.  Returns the keys per operand and the place values, spans and
+    lowest entries that unpack a sum's key."""
     cols = [[*K.T, *M.T] for K, M in operands]
     lows = [[int(c.min()) if len(c) else 0 for c in op] for op in cols]
+    d = len(cols[0]) // 2
+    lows[0][d:] = [v - below for v in lows[0][d:]]
     lo = [sum(v) for v in zip(*lows)]
     hi = [sum(int(c.max()) if len(c) else 0 for c in v) for v in zip(*cols)]
     spans = [h - l + 1 for l, h in zip(lo, hi)]
@@ -416,22 +450,23 @@ def _pack(*operands):
 
 def _sort_sum(keys, C):
     """Stably sort terms by key and sum repeated keys, each key's terms in
-    input order; returns the input row of every distinct key and the sums."""
+    input order; returns the input row of every distinct key, the distinct
+    keys in order and their sums."""
     order = np.argsort(keys, kind="stable")
     keys, C = keys[order], C[order]
     first = np.ones(len(C), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     starts = np.flatnonzero(first)
     if len(starts) < len(C):
-        C = np.add.reduceat(C, starts)
-    return order[starts], C
+        keys, C = keys[starts], np.add.reduceat(C, starts)
+    return order[starts], keys, C
 
 
 def _merge(*parts):
     """Concatenate (K, M, C) term arrays, sort the terms by (k, m) and sum
     repeated keys."""
     K, M, C = (np.concatenate(a) for a in zip(*parts))
-    rows, C = _sort_sum(_pack((K, M))[0][0], C)
+    rows, _, C = _sort_sum(_pack((K, M))[0][0], C)
     return K[rows], M[rows], C
 
 

@@ -138,9 +138,6 @@ def lie_transform(H, chi, order=6, widths=None, chop=0.0):
     weight = widths.weight if widths is not None else None
     prunes = weight is not None and chop > 0.0
 
-    def pruned(nk, nm, c):
-        return np.abs(c) * weight(nk, nm) < chop
-
     result = H
     bracket = H
     dropped = 0.0
@@ -149,10 +146,17 @@ def lie_transform(H, chi, order=6, widths=None, chop=0.0):
     fact = 1.0
     for n in range(1, order + 1):
         bracket = bracket.poisson_bracket(chi)
+        masses = bracket.masses(weight)
         if prunes:
-            dropped += bracket.mass(weight, where=pruned)
-            bracket = bracket.select(lambda nk, nm, c: ~pruned(nk, nm, c))
-        mass = bracket.mass(weight)
+            pruned = masses < chop
+            dropped += float(masses[pruned].sum())
+            kept = ~pruned
+            masses = masses[kept]
+            bracket = FourierTaylorSeries._of(
+                bracket.d, bracket.K[kept], bracket.M[kept], bracket.C[kept]
+            )
+        with np.errstate(over="ignore"):
+            mass = float(masses.sum())
         if prev_mass is not None and prev_mass > 0.0 and mass > DIVERGENCE_FACTOR * prev_mass:
             raise LieDivergenceError(
                 f"bracket norm grew by {mass / prev_mass:.2e} at order {n}"

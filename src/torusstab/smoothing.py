@@ -100,8 +100,11 @@ def lacunary_series(d, ell, j_max=10, seed=0, amplitude=1.0):
     two random modes (each with its mirror) per shell.
 
     Lives exactly in C^ell for non-integer ell; the canonical family for slope
-    verification.  Deterministic in the seed.
+    verification.  Deterministic in the seed.  A non-finite amplitude raises
+    ValueError.
     """
+    if not math.isfinite(amplitude):
+        raise ValueError(f"amplitude must be finite, got {amplitude!r}")
     rng = np.random.default_rng(seed)
     terms = {}
     z = (0,) * d

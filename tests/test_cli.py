@@ -181,6 +181,8 @@ class TestBadInput:
             (["predict", "--rho", "1e-3", "--gamma", "nan", "--input"], "gamma"),
             (["nf", "--alpha", "nan", "--K", "5", "--sigma", "1.2", "--rho", "0.5", "--input"],
              "alpha"),
+            (["escape", "--amplitude", "nan", "--rho", "0.1", "--t-cap", "0.1",
+              "--n-samples", "2"], "amplitude"),
         ],
     )
     def test_rejected_by_name(self, tmp_path, capsys, argv, name):
