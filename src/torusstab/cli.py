@@ -118,7 +118,6 @@ def cmd_predict(args):
         return 0 if report.certified else 1
     pred = predicted_stability_time(args.rho, hc, args.tau)
     t_diff = diffusion_time_reference(args.rho, hc, args.tau, args.epsilon, args.T0)
-    print(f"t_star = {pred.t_star!r}")
     print(f"t_theorem = {pred.t_theorem!r}")
     print(f"exponent = {pred.exponent!r}")
     print(f"log_exponent = {pred.log_exponent!r}")

@@ -8,6 +8,7 @@ byte-reproducible for a fixed config and seed.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -57,6 +58,10 @@ class ExperimentConfig:
         rhos = tuple(float(r) for r in self.rho_list)
         if any(b >= a for a, b in zip(rhos, rhos[1:])):
             raise ValueError("rho_list must be strictly decreasing")
+        for name in ("dt", "t_cap"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be None or positive and finite, got {value!r}")
         if not self.dynamics_only and any(r >= RHO_MAX for r in rhos):
             raise ValueError(
                 f"pipeline runs require every rho < e^-6 = {RHO_MAX:.4e}; "
@@ -78,7 +83,10 @@ def _optional_float(value):
 
 
 def _flag(value):
-    return value.lower() in ("1", "true", "yes")
+    value = value.lower()
+    if value not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"not a flag: {value!r}")
+    return value in ("1", "true", "yes")
 
 
 # every key a file may set, with the conversion of its value
@@ -132,28 +140,15 @@ def build_test_hamiltonian(hc, seed=0, amplitude=1e-12, j_max=8):
     construction and is byte-reproducible.
     """
     H = FourierTaylorSeries.linear(golden_frequency(2))
-    for idx, m in enumerate(sorted(_compositions(2, 2, hc.q - 2))):
+    for idx, m in enumerate(_compositions(2, 2, hc.q - 2)):
         a_m = lacunary_series(2, hc.ell, j_max=j_max, seed=[seed, idx], amplitude=amplitude)
         H = H + FourierTaylorSeries(2, {(k, m): c for (k, _), c in a_m.items()})
     return H
 
 
 def _compositions(d, lo, hi):
-    """All m in N^d with lo <= |m|_1 <= hi."""
-    out = []
-
-    def rec(prefix, remaining_axes, total):
-        if remaining_axes == 1:
-            for v in range(0, hi - total + 1):
-                m = prefix + (v,)
-                if lo <= total + v <= hi:
-                    out.append(m)
-            return
-        for v in range(0, hi - total + 1):
-            rec(prefix + (v,), remaining_axes - 1, total + v)
-
-    rec((), d, 0)
-    return out
+    """All m in N^d with lo <= |m|_1 <= hi, in lexicographic order."""
+    return [m for m in itertools.product(range(hi + 1), repeat=d) if lo <= sum(m) <= hi]
 
 
 @dataclass(frozen=True)
@@ -261,8 +256,6 @@ def _sweep_row(config, H, omega, hc, rho, dt):
     t_cap = config.t_cap
     if t_cap is None:
         t_cap = min(t_pred, config.max_steps * dt)
-    if not math.isfinite(t_cap):
-        t_cap = config.max_steps * dt
     try:
         record = escape_time(
             H,

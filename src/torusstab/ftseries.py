@@ -287,16 +287,17 @@ class FourierTaylorSeries:
         I = np.asarray(I, dtype=float)
         if theta.shape != (self.d,) or I.shape != (self.d,):
             raise ValueError("point dimension mismatch")
-        # the kernel sums real parts, and Im f = Re(-i f)
-        real = HamiltonianVectorField(self, check_real=False).energy(theta, I)[0]
-        imag = HamiltonianVectorField(self * -1j, check_real=False).energy(theta, I)[0]
-        scale = float(np.abs(self.C) @ np.prod(np.abs(I) ** self.M, axis=1))
-        if abs(imag) > reality_tol * max(scale, 1.0):
+        # the plain sum of c e^{2 pi i k.theta} I^m, independent of the
+        # vector-field kernel so that each can check the other
+        terms = self.C * np.exp(1j * TWO_PI * (self.K @ theta)) * np.prod(I**self.M, axis=1)
+        value = complex(terms.sum())
+        scale = float(np.abs(terms).sum())
+        if abs(value.imag) > reality_tol * max(scale, 1.0):
             raise RealityViolationError(
-                f"imaginary residual {imag:.3e} exceeds {reality_tol:.1e} "
+                f"imaginary residual {value.imag:.3e} exceeds {reality_tol:.1e} "
                 f"relative to term mass {scale:.3e}"
             )
-        return float(real)
+        return value.real
 
     # -- norms, selection, structure ----------------------------------------
 
@@ -500,8 +501,8 @@ class HamiltonianVectorField:
     Taylor indices.  A block holds at most PAIR_BLOCK entries (or the columns
     of one index) and only the rows of the modes its terms use, so a call's
     product has at most N PAIR_BLOCK / 2 entries per block, and the weights
-    at most max(2 (1+d), PAIR_BLOCK / u) per term.  The same kernel gives
-    FourierTaylorSeries.evaluate.  `n` counts the folded terms.
+    at most max(2 (1+d), PAIR_BLOCK / u) per term.  FourierTaylorSeries.evaluate
+    is the plain term sum, so it checks this kernel.  `n` counts the folded terms.
     """
 
     def __init__(self, series, check_real=True):

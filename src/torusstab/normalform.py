@@ -136,7 +136,6 @@ def lie_transform(H, chi, order=6, widths=None, chop=0.0):
     if order < 1:
         raise ValueError("order must be >= 1")
     weight = widths.weight if widths is not None else None
-    prunes = weight is not None and chop > 0.0
 
     result = H
     bracket = H
@@ -147,7 +146,7 @@ def lie_transform(H, chi, order=6, widths=None, chop=0.0):
     for n in range(1, order + 1):
         bracket = bracket.poisson_bracket(chi)
         masses = bracket.masses(weight)
-        if prunes:
+        if chop > 0.0:
             pruned = masses < chop
             dropped += float(masses[pruned].sum())
             kept = ~pruned

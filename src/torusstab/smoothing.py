@@ -114,8 +114,6 @@ def lacunary_series(d, ell, j_max=10, seed=0, amplitude=1.0):
             # random split of |k|_1 = n over d components, signs random beyond
             # the first nonzero one (the conjugate supplies the mirror)
             parts = rng.multinomial(n, np.full(d, 1.0 / d))
-            while not parts.any():  # pragma: no cover - multinomial of n>=1 is nonzero
-                parts = rng.multinomial(n, np.full(d, 1.0 / d))
             signs = rng.choice((-1, 1), size=d)
             k = tuple(int(p * s_) for p, s_ in zip(parts, signs))
             phase = rng.uniform(0.0, TWO_PI)

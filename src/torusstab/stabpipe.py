@@ -1,5 +1,5 @@
 """The stability-proof pipeline: Taylor split, coefficient smoothing,
-parameter schedule, remainder bounds, and predicted stability times.
+parameter schedule, remainder bounds, and the predicted stability time.
 
 The schedule follows the choices a = 1/(tau+1), b = 6(a ell + 1),
 K = ceil((rho_tilde/rho)^a), s = (rho/rho_tilde)^a |b log rho|,
@@ -13,7 +13,8 @@ a calibrated value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, replace
 
 from .errors import (
     DominanceViolationError,
@@ -27,10 +28,6 @@ from .normalform import XI, NormalFormParams, resonant_normal_form
 from .smoothing import holder_norm_majorant, sharp_cutoff
 
 RHO_MAX = math.exp(-6.0)
-
-# what a stage may fail with: a precondition or a numerical fault; anything
-# else is a programming error and is not wrapped in a PipelineStageError
-_STAGE_FAULTS = (ValueError, NumericalFault)
 
 
 @dataclass(frozen=True)
@@ -83,27 +80,17 @@ class RemainderBounds:
 
     @property
     def dominant(self):
-        values = {
-            "analytic": self.analytic,
-            "smoothing_gap": self.smoothing_gap,
-            "taylor": self.taylor,
-        }
+        values = asdict(self)
         return max(values, key=values.get)
-
-    @property
-    def total(self):
-        return self.analytic + self.smoothing_gap + self.taylor
 
 
 @dataclass(frozen=True)
 class StabilityPrediction:
-    """Internal-form time t_star and the headline-form time with its exponent."""
+    """Headline-form time t_theorem with its rho and |log rho| exponents."""
 
-    t_star: float
     t_theorem: float
     exponent: float
     log_exponent: float
-    b: float
 
 
 def taylor_split(f, hc, rho):
@@ -207,9 +194,7 @@ def remainder_bounds(schedule, hc):
             f"ell = {hc.ell} must exceed (3-a)/(1-a) = 3 + 2/tau = {gate} for tau = {schedule.tau}"
         )
     if not schedule.valid:
-        raise PreconditionError(
-            f"schedule flags failed: {', '.join(schedule.failed_flags())}"
-        )
+        raise PreconditionError(f"schedule flags failed: {', '.join(schedule.failed_flags())}")
     rho = schedule.rho
     a, b, ell = schedule.a, schedule.b, hc.ell
     log_b = abs(b * math.log(rho))
@@ -221,28 +206,17 @@ def remainder_bounds(schedule, hc):
 
 
 def predicted_stability_time(rho, hc, tau):
-    """Stability-time prediction, in both internal and headline forms.
-
-    t_star = 1/(6 rho^{1+a(ell-1)} |b log rho|^{ell-1}) and
-    t_theorem = 1 / (rho^{1+(ell-1)/(tau+1)} |log rho|^{ell-1}); the rho
-    exponents are identical, the constants differ by 6 b^{ell-1}.
-    """
+    """Stability-time prediction t_theorem = 1 / (rho^{1+(ell-1)/(tau+1)}
+    |log rho|^{ell-1}), the headline shape with its constant set to 1."""
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
     _check_tau(tau)
-    a = 1.0 / (tau + 1.0)
-    b = 6.0 * (a * hc.ell + 1.0)
     ell = hc.ell
     exponent = 1.0 + (ell - 1.0) / (tau + 1.0)
-    log_abs = abs(math.log(rho))
-    t_star = 1.0 / (6.0 * rho ** (1.0 + a * (ell - 1.0)) * (b * log_abs) ** (ell - 1.0))
-    t_theorem = 1.0 / (rho**exponent * log_abs ** (ell - 1.0))
     return StabilityPrediction(
-        t_star=t_star,
-        t_theorem=t_theorem,
+        t_theorem=1.0 / (rho**exponent * abs(math.log(rho)) ** (ell - 1.0)),
         exponent=exponent,
         log_exponent=ell - 1.0,
-        b=b,
     )
 
 
@@ -261,12 +235,12 @@ class PipelineReport:
     rho: float
     coeff_norm_max: float
     schedule: ParameterSchedule
-    split: TaylorSplit | None
-    smoothed: SmoothedSplit | None
-    normal_form: object
-    bounds: RemainderBounds | None
-    prediction: StabilityPrediction | None
-    failure: str | None
+    split: TaylorSplit | None = None
+    smoothed: SmoothedSplit | None = None
+    normal_form: object = None
+    bounds: RemainderBounds | None = None
+    prediction: StabilityPrediction | None = None
+    failure: str | None = None
 
     @property
     def certified(self):
@@ -292,12 +266,10 @@ class PipelineReport:
             lines.append(f"nf.certified = {int(nf.certified)}")
             lines.append(f"nf.stop = {nf.stop}")
         if self.bounds is not None:
-            lines.append(f"bound.analytic = {self.bounds.analytic!r}")
-            lines.append(f"bound.smoothing_gap = {self.bounds.smoothing_gap!r}")
-            lines.append(f"bound.taylor = {self.bounds.taylor!r}")
+            for name, value in asdict(self.bounds).items():
+                lines.append(f"bound.{name} = {value!r}")
             lines.append(f"bound.dominant = {self.bounds.dominant}")
         if self.prediction is not None:
-            lines.append(f"t_star = {self.prediction.t_star!r}")
             lines.append(f"t_theorem = {self.prediction.t_theorem!r}")
             lines.append(f"exponent = {self.prediction.exponent!r}")
         lines.append(f"failure = {self.failure or 'none'}")
@@ -311,9 +283,7 @@ def perturbation_of(H, omega, tol=1e-9):
     f = H - linear
     stray = f.select(lambda nk, nm, c: (nk == 0) & (nm <= 1))
     if stray and stray.coefficient_mass() > tol * max(H.coefficient_mass(), 1.0):
-        raise PreconditionError(
-            "Hamiltonian linear part does not match the supplied frequency"
-        )
+        raise PreconditionError("Hamiltonian linear part does not match the supplied frequency")
     return f - stray
 
 
@@ -325,9 +295,20 @@ def coefficient_norm_max(P, hc):
     return best
 
 
+@contextmanager
+def _stage(name):
+    """Re-raise a precondition or numerical fault of the block as a
+    PipelineStageError tagged `name`; anything else is a programming error
+    and passes unwrapped."""
+    try:
+        yield
+    except (ValueError, NumericalFault) as exc:
+        raise PipelineStageError(name, exc) from exc
+
+
 def run_pipeline(H, omega, gamma, tau, hc, rho):
     """Full pipeline: split -> schedule -> coefficient smoothing -> certificate
-    check -> resonant normal form -> remainder bounds -> predicted times.
+    check -> resonant normal form -> remainder bounds -> predicted time.
 
     A schedule with failed flags produces a report with `failure` naming them;
     failures in later stages raise PipelineStageError with the stage tag.
@@ -335,29 +316,16 @@ def run_pipeline(H, omega, gamma, tau, hc, rho):
     f = perturbation_of(H, omega)
     if not f:
         # integrable case: nothing to certify, infinite predicted time
-        schedule = parameter_schedule(rho, gamma, tau, hc, coeff_norm_max=1e-300)
         return PipelineReport(
             rho=float(rho),
             coeff_norm_max=0.0,
-            schedule=schedule,
-            split=None,
-            smoothed=None,
-            normal_form=None,
-            bounds=None,
-            prediction=replace(
-                predicted_stability_time(rho, hc, tau),
-                t_star=math.inf,
-                t_theorem=math.inf,
-            ),
-            failure=None,
+            schedule=parameter_schedule(rho, gamma, tau, hc, coeff_norm_max=1e-300),
+            prediction=replace(predicted_stability_time(rho, hc, tau), t_theorem=math.inf),
         )
 
-    try:
+    with _stage("taylor_split"):
         split = taylor_split(f, hc, rho)
         cmax = coefficient_norm_max(split.P, hc)
-    except _STAGE_FAULTS as exc:
-        raise PipelineStageError("taylor_split", exc) from exc
-
     schedule = parameter_schedule(rho, gamma, tau, hc, cmax)
     if not schedule.valid:
         return PipelineReport(
@@ -365,44 +333,26 @@ def run_pipeline(H, omega, gamma, tau, hc, rho):
             coeff_norm_max=cmax,
             schedule=schedule,
             split=split,
-            smoothed=None,
-            normal_form=None,
-            bounds=None,
-            prediction=None,
             failure="schedule flags failed: " + ", ".join(schedule.failed_flags()),
         )
 
-    try:
+    with _stage("smooth_coefficients"):
         smoothed = smooth_coefficients(split, schedule.s)
-    except _STAGE_FAULTS as exc:
-        raise PipelineStageError("smooth_coefficients", exc) from exc
-
-    try:
+    with _stage("certificate"):
         cert = diophantine_constant(omega, tau, schedule.K)
         if cert.gamma_K < gamma:
             raise PreconditionError(
                 f"supplied gamma = {gamma} exceeds the certified gamma_K = "
                 f"{cert.gamma_K:.6e} at K = {schedule.K}"
             )
-    except _STAGE_FAULTS as exc:
-        raise PipelineStageError("certificate", exc) from exc
-
-    try:
+    with _stage("normal_form"):
         params = NormalFormParams(
-            alpha=schedule.alpha,
-            K=schedule.K,
-            widths=AnalyticityWidths(schedule.s, rho),
+            alpha=schedule.alpha, K=schedule.K, widths=AnalyticityWidths(schedule.s, rho)
         )
         nf = resonant_normal_form(FourierTaylorSeries.linear(omega) + smoothed.P_s, omega, params)
-    except _STAGE_FAULTS as exc:
-        raise PipelineStageError("normal_form", exc) from exc
-
-    try:
+    with _stage("remainder_bounds"):
         bounds = remainder_bounds(schedule, hc)
         prediction = predicted_stability_time(rho, hc, tau)
-    except _STAGE_FAULTS as exc:
-        raise PipelineStageError("remainder_bounds", exc) from exc
-
     return PipelineReport(
         rho=float(rho),
         coeff_norm_max=cmax,
@@ -412,5 +362,4 @@ def run_pipeline(H, omega, gamma, tau, hc, rho):
         normal_form=nf,
         bounds=bounds,
         prediction=prediction,
-        failure=None,
     )

@@ -10,11 +10,11 @@ from torusstab import HamiltonianVectorField
 def cutoff_gap():
     """sup |g - g_s| over the uniform n^d angle grid theta = j/n.
 
-    The difference series is evaluated with the kernel behind
-    FourierTaylorSeries.evaluate, batched over the grid.  Pointwise
-    |g - g_s| <= the mass of the modes g_s lacks, so a sharp cutoff gives at
-    most smooth(g, s).dropped_tail_mass here; a mode lost from both g_s and
-    the tail shows as an excess.
+    The difference series is evaluated with the vector-field kernel's
+    energy, batched over the grid.  Pointwise |g - g_s| <= the mass of the
+    modes g_s lacks, so a sharp cutoff gives at most
+    smooth(g, s).dropped_tail_mass here; a mode lost from both g_s and the
+    tail shows as an excess.
     """
 
     def gap(g, g_s, n=64):

@@ -4,7 +4,15 @@ import math
 
 import pytest
 
-from torusstab import FourierTaylorSeries, golden_frequency, lacunary_series
+from torusstab import (
+    FourierTaylorSeries,
+    HolderClass,
+    LieDivergenceError,
+    build_test_hamiltonian,
+    golden_frequency,
+    lacunary_series,
+    stabpipe,
+)
 from torusstab.cli import main
 
 
@@ -147,6 +155,24 @@ class TestPredict:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    def test_stage_failures_keep_their_exit_codes(self, tmp_path, capsys, monkeypatch):
+        src = tmp_path / "H.txt"
+        build_test_hamiltonian(HolderClass(6.5, 2), seed=0).save(src)
+        # gamma above the certified gamma_K fails the certificate stage
+        assert main(["predict", "--rho", "1e-3", "--gamma", "5", "--input", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: pipeline stage 'certificate' failed")
+        assert "Traceback" not in err
+
+        def diverge(*args):
+            raise LieDivergenceError("bracket norm grew")
+
+        monkeypatch.setattr(stabpipe, "resonant_normal_form", diverge)
+        assert main(["predict", "--rho", "1e-3", "--input", str(src)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical fault: pipeline stage 'normal_form' failed")
+        assert "Traceback" not in err
+
     def test_key_overflow_exit_code(self, tmp_path, capsys):
         # modes +-(2^31, 2^31): the packed (k, m) keys would pass 2^63
         big = 1 << 31
@@ -263,6 +289,9 @@ class TestSweepFitPlots:
             ("seed = 2\nC_1 = 1\n", "C_1"),
             ("seed = 2\nell 3\n", "ell 3"),
             ("seed = abc\n", "seed: 'abc'"),
+            ("dynamics_only = flase\n", "dynamics_only: 'flase'"),
+            ("t_cap = nan\n", "t_cap must be None or positive and finite"),
+            ("dt = 0\n", "dt must be None or positive and finite"),
         ],
     )
     def test_bad_config_file_exit_code(self, tmp_path, capsys, text, named):

@@ -66,10 +66,29 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "line, key",
-        [("seed = x", "seed"), ("rho_list = 0.1, y", "rho_list")],
+        [("seed = x", "seed"), ("rho_list = 0.1, y", "rho_list"),
+         ("dynamics_only = flase", "dynamics_only"), ("dynamics_only = 2", "dynamics_only")],
     )
     def test_bad_value_names_key(self, line, key):
         with pytest.raises(ValueError, match=f"bad value for config key {key}: '"):
+            parse_config(line)
+
+    @pytest.mark.parametrize(
+        "word, value",
+        [("1", True), ("True", True), ("yes", True), ("0", False), ("false", False),
+         ("NO", False)],
+    )
+    def test_flag_words(self, word, value):
+        config = parse_config(f"rho_list = 1e-3\ndynamics_only = {word}")
+        assert config.dynamics_only is value
+
+    @pytest.mark.parametrize(
+        "line, key",
+        [("t_cap = nan", "t_cap"), ("t_cap = inf", "t_cap"), ("t_cap = 0", "t_cap"),
+         ("dt = -0.01", "dt"), ("dt = nan", "dt")],
+    )
+    def test_step_and_cap_must_be_positive_and_finite(self, line, key):
+        with pytest.raises(ValueError, match=f"{key} must be None or positive and finite"):
             parse_config(line)
 
     def test_unknown_key_rejected(self):

@@ -174,6 +174,33 @@ class TestLieTransform:
         assert kept_any and removed > 0.0
         assert res.dropped_mass == pytest.approx(removed, rel=1e-12)
 
+    def test_chop_without_widths_prunes_by_coefficient_mass(self):
+        f = FourierTaylorSeries.cosine(D, (1, 0), m=(2, 0), amplitude=1e-3) + (
+            FourierTaylorSeries.cosine(D, (1, -2), m=(0, 3), amplitude=1e-4)
+        )
+        H = FourierTaylorSeries.linear(OMEGA) + f
+        chi = solve_homological(f, OMEGA)
+        chop = 1e-6
+        res = lie_transform(H, chi, order=3, chop=chop)
+        expected = H
+        removed = 0.0
+        bracket = H
+        for n in range(1, 4):
+            bracket = bracket.poisson_bracket(chi)
+            kept = {}
+            for key, c in bracket.items():
+                if abs(c) < chop:
+                    removed += abs(c)
+                else:
+                    kept[key] = c
+            bracket = FourierTaylorSeries(D, kept)
+            expected = expected + bracket * (1.0 / math.factorial(n))
+        # the chop drops terms from the first bracket on, and nothing of the
+        # last bracket survives it
+        assert removed > 0.0 and not bracket
+        assert res.dropped_mass == pytest.approx(removed, rel=1e-12)
+        assert (res.series - expected).coefficient_mass() <= 1e-15 * H.coefficient_mass()
+
 
 class TestResonantNormalForm:
     def test_acceptance_instance_certified(self):

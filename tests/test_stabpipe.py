@@ -8,6 +8,8 @@ from torusstab import (
     DominanceViolationError,
     FourierTaylorSeries,
     HolderClass,
+    LieDivergenceError,
+    PipelineStageError,
     PreconditionError,
     RHO_MAX,
     build_test_hamiltonian,
@@ -21,6 +23,7 @@ from torusstab import (
     remainder_bounds,
     run_pipeline,
     smooth_coefficients,
+    stabpipe,
     taylor_split,
 )
 
@@ -150,18 +153,15 @@ class TestPredictedTimes:
         assert pred.log_exponent == pytest.approx(5.0)
         assert pred.t_theorem == pytest.approx(1.5087649965990064e9, rel=1e-12)
 
-    def test_internal_and_headline_forms_share_exponent(self):
+    def test_headline_form_scales_with_exponent(self):
         p1 = predicted_stability_time(1e-6, HC65, 1.0)
         p2 = predicted_stability_time(1e-7, HC65, 1.0)
-        # both forms must scale with the same rho power once the log factor
+        # the time must scale with the stated rho power once the log factor
         # is divided out
-        for attr in ("t_star", "t_theorem"):
-            ratio = (getattr(p2, attr) * abs(math.log(1e-7)) ** p1.log_exponent) / (
-                getattr(p1, attr) * abs(math.log(1e-6)) ** p1.log_exponent
-            )
-            assert math.log(ratio) / math.log(10.0) == pytest.approx(
-                p1.exponent, rel=1e-12
-            )
+        ratio = (p2.t_theorem * abs(math.log(1e-7)) ** p1.log_exponent) / (
+            p1.t_theorem * abs(math.log(1e-6)) ** p1.log_exponent
+        )
+        assert math.log(ratio) / math.log(10.0) == pytest.approx(p1.exponent, rel=1e-12)
 
     def test_diffusion_reference_above_prediction(self):
         for exp in (4, 6, 8):
@@ -221,3 +221,44 @@ class TestPipeline:
         f = perturbation_of(H, OMEGA)
         split = taylor_split(f, HC65, 1e-3)
         assert coefficient_norm_max(split.P, HC65) > 0
+
+
+class TestStageTags:
+    """Each pipeline stage wraps its preconditions and numerical faults in a
+    PipelineStageError tagged with the stage; other errors pass unwrapped."""
+
+    def test_order_one_term_tagged_taylor_split(self):
+        H = FourierTaylorSeries.linear(OMEGA) + FourierTaylorSeries.cosine(
+            D, (1, 0), m=(1, 0), amplitude=1e-12
+        )
+        with pytest.raises(PipelineStageError) as info:
+            run_pipeline(H, OMEGA, 0.5, 1.0, HC65, 1e-3)
+        assert info.value.stage == "taylor_split"
+        assert isinstance(info.value.cause, PreconditionError)
+
+    def test_gamma_above_certified_tagged_certificate(self):
+        H = build_test_hamiltonian(HC65, seed=0)
+        with pytest.raises(PipelineStageError) as info:
+            run_pipeline(H, OMEGA, 5.0, 1.0, HC65, 1e-3)
+        assert info.value.stage == "certificate"
+        assert "gamma_K" in str(info.value)
+
+    def test_numerical_fault_tagged_normal_form(self, monkeypatch):
+        def diverge(*args):
+            raise LieDivergenceError("bracket norm grew")
+
+        monkeypatch.setattr(stabpipe, "resonant_normal_form", diverge)
+        H = build_test_hamiltonian(HC65, seed=0)
+        with pytest.raises(PipelineStageError) as info:
+            run_pipeline(H, OMEGA, 0.5, 1.0, HC65, 1e-3)
+        assert info.value.stage == "normal_form"
+        assert isinstance(info.value.cause, LieDivergenceError)
+
+    def test_programming_error_passes_unwrapped(self, monkeypatch):
+        def broken(*args):
+            raise TypeError("not a stage fault")
+
+        monkeypatch.setattr(stabpipe, "remainder_bounds", broken)
+        H = build_test_hamiltonian(HC65, seed=0)
+        with pytest.raises(TypeError):
+            run_pipeline(H, OMEGA, 0.5, 1.0, HC65, 1e-3)
