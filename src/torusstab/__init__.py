@@ -50,7 +50,6 @@ from .normalform import (
     LieResult,
     NormalFormParams,
     NormalFormResult,
-    apply_transform,
     lie_transform,
     resonant_normal_form,
     solve_homological,

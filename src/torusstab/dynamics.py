@@ -59,11 +59,11 @@ def ballistic_bound(H, threshold, radius):
     return math.inf if sup == 0.0 else threshold / sup
 
 
-def _midpoint_step(field, theta, I, dt, tol=FIXED_POINT_TOL, max_sweeps=MAX_SWEEPS):
+def _midpoint_step(field, theta, I, dt):
     """One implicit-midpoint step on a batch; returns the new (theta, I)."""
     wt = theta
     wI = I
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         td, Id = field(wt, wI)
         td *= 0.5 * dt
         td += theta
@@ -71,11 +71,11 @@ def _midpoint_step(field, theta, I, dt, tol=FIXED_POINT_TOL, max_sweeps=MAX_SWEE
         Id += I
         delta = max(np.abs(td - wt).max(), np.abs(Id - wI).max())
         wt, wI = td, Id
-        if delta <= tol:
+        if delta <= FIXED_POINT_TOL:
             break
     else:
         raise StepFailureError(
-            f"fixed-point iteration did not reach {tol:.1e} in {max_sweeps} sweeps"
+            f"fixed-point iteration did not reach {FIXED_POINT_TOL:.1e} in {MAX_SWEEPS} sweeps"
         )
     return 2.0 * wt - theta, 2.0 * wI - I
 

@@ -62,6 +62,13 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be None or positive and finite, got {value!r}")
+        for name in ("max_steps", "n_samples"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if not (math.isfinite(self.threshold_factor) and self.threshold_factor > 0):
+            raise ValueError(
+                f"threshold_factor must be positive and finite, got {self.threshold_factor!r}"
+            )
         if not self.dynamics_only and any(r >= RHO_MAX for r in rhos):
             raise ValueError(
                 f"pipeline runs require every rho < e^-6 = {RHO_MAX:.4e}; "

@@ -421,9 +421,6 @@ class FourierTaylorSeries:
         with open(path) as fh:
             return cls.from_text(fh.read())
 
-    def vector_field(self, check_real=True):
-        return HamiltonianVectorField(self, check_real=check_real)
-
 
 def _pack(*operands, below=0):
     """Pack the (k, m) rows of each (K, M) operand into int64 keys, in one

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _midpoint_step
 from .errors import (
     LieDivergenceError,
     MeanNotRemovedError,
@@ -33,12 +32,6 @@ DIVERGENCE_FACTOR = 1e3
 CHOP_SHARE = 1e-3
 # the theorem's constant xi > 1 in the entry bound alpha rho / (256 xi K)
 XI = 2.0
-# apply_transform flows each generator in FLOW_STEPS steps of 1/FLOW_STEPS,
-# each a triple jump of implicit-midpoint substeps with the YOSHIDA weights
-# (Yoshida, Phys. Lett. A 150, 1990): symplectic and fourth order
-FLOW_STEPS = 16
-_CBRT2 = 2.0 ** (1.0 / 3.0)
-YOSHIDA = (1.0 / (2.0 - _CBRT2), -_CBRT2 / (2.0 - _CBRT2), 1.0 / (2.0 - _CBRT2))
 
 
 @dataclass(frozen=True)
@@ -79,7 +72,6 @@ class LieResult:
 class NormalFormResult:
     h: FourierTaylorSeries
     f_star: FourierTaylorSeries
-    generators: tuple
     contraction: float
     target_contraction: float
     action_shift_bound: float
@@ -198,7 +190,7 @@ def resonant_normal_form(H, omega, params):
     chop = CHOP_SHARE * target * f0_norm
 
     current = H
-    generators = []
+    iterations = 0
     dropped = 0.0
     previous = math.inf
     while True:
@@ -208,13 +200,13 @@ def resonant_normal_form(H, omega, params):
         contraction = star_norm / f0_norm if f0_norm > 0.0 else 0.0
         # at least one averaging pass: the change of variables must actually
         # remove the sub-cutoff modes, not merely certify the domain shrink
-        if contraction <= target and (generators or not f_nr):
+        if contraction <= target and (iterations or not f_nr):
             stop = "certified"
             break
         if contraction >= previous:
             stop = "stalled"
             break
-        if len(generators) >= 2 * K:
+        if iterations >= 2 * K:
             stop = "capped"
             break
         previous = contraction
@@ -222,45 +214,20 @@ def resonant_normal_form(H, omega, params):
         lie = lie_transform(current, chi, widths=widths, chop=chop)
         current = lie.series
         dropped += lie.dropped_mass + lie.tail_mass
-        generators.append(chi)
+        iterations += 1
 
     return NormalFormResult(
         h=current.fourier_zero_part(),
         f_star=f_star,
-        generators=tuple(generators),
         contraction=contraction,
         target_contraction=target,
         action_shift_bound=8.0 * K / params.alpha * f0_norm,
         angle_shift_bound=32.0 * K / (3.0 * params.alpha * widths.rho) * f0_norm * widths.sigma,
         certified=stop == "certified",
         stop=stop,
-        iterations=len(generators),
+        iterations=iterations,
         f_initial_norm=f0_norm,
         dropped_mass=dropped,
         params=params,
     )
 
-
-def apply_transform(generators, point, direction="forward"):
-    """Compose the time +-1 Hamiltonian flows of the generators at a real point.
-
-    `forward` maps normal-form coordinates to original ones (time +1 flows in
-    listed order); `inverse` undoes it (time -1 flows in reverse order).
-    Each flow takes FLOW_STEPS triple-jump steps, so the error is fourth
-    order in the size of the generator's field.  The flow is accurate to
-    1e-12 for generators whose field moves a point by about 1e-2 or less in
-    unit time: for chi = a I_1 sin 2 pi theta_1 the error against the exact
-    flow is 5.5e-14 at a = 0.01 and 5e-9 at a = 0.1.  A substep whose
-    fixed-point iteration fails raises StepFailureError.
-    """
-    if direction not in ("forward", "inverse"):
-        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    theta, I = (np.array(x, dtype=float, ndmin=2) for x in point)
-    ordered = list(generators) if direction == "forward" else list(reversed(generators))
-    h = (1.0 if direction == "forward" else -1.0) / FLOW_STEPS
-    for chi in ordered:
-        field = chi.vector_field(check_real=False)
-        for _ in range(FLOW_STEPS):
-            for w in YOSHIDA:
-                theta, I = _midpoint_step(field, theta, I, w * h)
-    return theta[0], I[0]

@@ -2,7 +2,7 @@
 printing a single PASS/FAIL line (bypassing capture) plus a hard assert.
 
 Run with plain `pytest`; the no-escape check integrates ~160k batched
-split steps and dominates the runtime (about a minute and a half).
+split steps and dominates the runtime (30-35 s).
 """
 
 import math
@@ -16,7 +16,6 @@ from torusstab import (
     FourierTaylorSeries,
     HolderClass,
     NormalFormParams,
-    apply_transform,
     ballistic_bound,
     build_test_hamiltonian,
     default_dt,
@@ -130,8 +129,8 @@ def test_pipeline_certifies_down_the_ladder(report):
     report("pipeline-certifies", ok, "; ".join(details))
 
 
-def test_homological_and_symplectic_exactness(report):
-    """Residual <= 1e-13, Jacobian symplecticity defect <= 1e-6, round trip <= 1e-8."""
+def test_homological_exactness(report):
+    """Residual of omega . d_theta chi = f <= 1e-13 of f."""
     f = FourierTaylorSeries.cosine(D, (1, -1), m=(2, 0), amplitude=1e-3) + (
         FourierTaylorSeries.sine(D, (2, 1), m=(1, 1), amplitude=5e-4)
     )
@@ -142,32 +141,7 @@ def test_homological_and_symplectic_exactness(report):
         resid = resid + chi.partial_theta(ax) * w[ax]
     resid = resid - f
     rel_resid = resid.coefficient_mass() / f.coefficient_mass()
-
-    J = np.block([[np.zeros((D, D)), np.eye(D)], [-np.eye(D), np.zeros((D, D))]])
-    rng = np.random.default_rng(1)
-    h = 1e-5
-    defect = 0.0
-    rt_err = 0.0
-    for _ in range(10):
-        x0 = np.concatenate([rng.random(D), rng.uniform(-0.1, 0.1, D)])
-        M = np.zeros((2 * D, 2 * D))
-        for j in range(2 * D):
-            e = np.zeros(2 * D)
-            e[j] = h
-            plus = np.concatenate(
-                apply_transform((chi,), (x0[:D] + e[:D], x0[D:] + e[D:]), "forward")
-            )
-            minus = np.concatenate(
-                apply_transform((chi,), (x0[:D] - e[:D], x0[D:] - e[D:]), "forward")
-            )
-            M[:, j] = (plus - minus) / (2 * h)
-        defect = max(defect, float(np.max(np.abs(M.T @ J @ M - J))))
-        fwd = apply_transform((chi,), (x0[:D], x0[D:]), "forward")
-        back = apply_transform((chi,), fwd, "inverse")
-        rt_err = max(rt_err, float(np.max(np.abs(np.concatenate(back) - x0))))
-    ok = rel_resid <= 1e-13 and defect <= 1e-6 and rt_err <= 1e-8
-    report("homological-symplectic-exactness", ok,
-           f"residual={rel_resid:.1e}, defect={defect:.1e}, roundtrip={rt_err:.1e}")
+    report("homological-exactness", rel_resid <= 1e-13, f"residual={rel_resid:.1e}")
 
 
 def test_schedule_and_exponent_identities(report):

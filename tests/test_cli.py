@@ -234,6 +234,20 @@ class TestEscape:
         assert out["method"] == "split-midpoint"
         assert list(out).index("method") == list(out).index("dt") + 1
 
+    def test_step_failure_exit_code(self, tmp_path, capsys):
+        # the midpoint iteration cannot converge at dt = 2 on an O(1) twist
+        H = FourierTaylorSeries.linear(golden_frequency(2)) + (
+            FourierTaylorSeries.cosine(2, (1, 0), m=(2, 0))
+        )
+        src = tmp_path / "H.txt"
+        H.save(src)
+        assert main(["escape", "--input", str(src), "--rho", "1", "--t-cap", "2",
+                     "--dt", "2", "--n-samples", "4"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical fault: fixed-point iteration did not reach")
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("dt", ["0", "-0.01", "nan"])
     def test_bad_dt_exit_code(self, capsys, dt):
         assert main(["escape", "--rho", "0.1", "--t-cap", "1", "--dt", dt]) == 2
@@ -292,6 +306,10 @@ class TestSweepFitPlots:
             ("dynamics_only = flase\n", "dynamics_only: 'flase'"),
             ("t_cap = nan\n", "t_cap must be None or positive and finite"),
             ("dt = 0\n", "dt must be None or positive and finite"),
+            ("max_steps = 0\n", "max_steps must be >= 1"),
+            ("n_samples = 0\n", "n_samples must be >= 1"),
+            ("threshold_factor = -1\n", "threshold_factor must be positive and finite"),
+            ("j_max = -1\n", "j_max must be >= 0"),
         ],
     )
     def test_bad_config_file_exit_code(self, tmp_path, capsys, text, named):

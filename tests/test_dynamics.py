@@ -9,6 +9,7 @@ from torusstab import (
     FourierTaylorSeries,
     HamiltonianVectorField,
     HolderClass,
+    StepFailureError,
     ballistic_bound,
     default_dt,
     escape_time,
@@ -124,6 +125,13 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(H, ((0, 0), (0, 0)), t_end=1.0, dt=-0.01)
 
+    def test_step_failure(self):
+        # at dt = 2, dt/2 times the Lipschitz constant of this O(1) twist's
+        # field is far above 1: the midpoint fixed-point iteration diverges
+        H = FourierTaylorSeries.linear(OMEGA) + FourierTaylorSeries.cosine(D, (1, 0), m=(2, 0))
+        with pytest.raises(StepFailureError):
+            integrate(H, ((0.1, 0.2), (1.0, 0.1)), t_end=2.0, dt=2.0)
+
     @pytest.mark.parametrize(
         "t_end, dt, record_every, name",
         [
@@ -148,7 +156,7 @@ class TestIntegrate:
     def test_midpoint_step_second_order(self):
         # halving dt reduces the one-step error by about 2^3 (local order 3)
         H = coupled_hamiltonian(0.1)
-        field = H.vector_field()
+        field = HamiltonianVectorField(H)
         theta = np.array([[0.2, 0.6]])
         I = np.array([[0.1, -0.2]])
 

@@ -651,7 +651,7 @@ class TestEvaluators:
         rng = np.random.default_rng(7)
         thetas = rng.random((20, 2))
         Is = rng.uniform(-1, 1, (20, 2))
-        batch = f.vector_field().energy(thetas, Is)
+        batch = HamiltonianVectorField(f).energy(thetas, Is)
         for i in range(20):
             assert batch[i] == pytest.approx(f.evaluate(thetas[i], Is[i]), abs=1e-12)
 
@@ -661,7 +661,7 @@ class TestEvaluators:
             + FourierTaylorSeries.cosine(D, (1, -1), m=(2, 0), amplitude=0.3)
             + FourierTaylorSeries.sine(D, (0, 1), m=(1, 1), amplitude=0.2)
         )
-        field = H.vector_field()
+        field = HamiltonianVectorField(H)
         theta = np.array([[0.12, 0.81]])
         I = np.array([[0.4, -0.3]])
         td, Id = field(theta, I)
@@ -732,7 +732,7 @@ class TestEvaluators:
 
     def test_energy_matches_evaluate(self):
         H = FourierTaylorSeries.cosine(D, (1, 1), m=(0, 2)) + 2.0
-        field = H.vector_field()
+        field = HamiltonianVectorField(H)
         theta = np.array([[0.3, 0.4], [0.9, 0.1]])
         I = np.array([[0.2, 0.5], [-0.1, 0.7]])
         e = field.energy(theta, I)

@@ -21,7 +21,7 @@ PUBLIC_NAMES = [
     "RealityViolationError", "RemainderBounds", "SlopeReport", "SmallDivisorError",
     "SmallnessViolationError", "SmoothedSplit", "SmoothingResult",
     "StabilityPrediction", "StepFailureError", "SweepRow", "TWO_PI", "TaylorSplit",
-    "Trajectory", "apply_transform", "ballistic_bound", "build_test_hamiltonian",
+    "Trajectory", "ballistic_bound", "build_test_hamiltonian",
     "coefficient_norm_max", "cp_tail_majorant", "default_dt",
     "diffusion_time_reference", "diophantine_constant", "dominance_threshold",
     "emit_plots", "escape_time", "fit_exponent", "fit_exponent_rows",
@@ -35,7 +35,6 @@ PUBLIC_NAMES = [
 ]
 
 PUBLIC_PARAMETERS = {
-    "apply_transform": ('generators', 'point', 'direction'),
     "ballistic_bound": ('H', 'threshold', 'radius'),
     "build_test_hamiltonian": ('hc', 'seed', 'amplitude', 'j_max'),
     "coefficient_norm_max": ('P', 'hc'),
@@ -95,13 +94,14 @@ def test_public_function_parameters_are_pinned():
 
 def test_import_loads_no_scipy():
     # the package needs only numpy: no scipy module loads on import, nor when
-    # apply_transform flows a generator
+    # integrate flows a series
     child = """
 import sys
 import torusstab, torusstab.cli
-from torusstab import FourierTaylorSeries, apply_transform
-chi = FourierTaylorSeries.cosine(2, (1, 0), amplitude=1e-3)
-apply_transform([chi], ((0.1, 0.2), (0.0, 0.0)))
+from torusstab import FourierTaylorSeries, golden_frequency, integrate
+H = FourierTaylorSeries.linear(golden_frequency(2)) + FourierTaylorSeries.cosine(
+    2, (1, 0), m=(2, 0), amplitude=1e-3)
+integrate(H, ((0.1, 0.2), (0.0, 0.0)), t_end=0.1, dt=0.01)
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
