@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 2 for precondition/model violations and files
-that cannot be read or written, 3 for numerical faults.  All computation is
-serial and deterministic.
+Exit codes: 0 on success, 1 when `smooth-verify`, `nf` or `predict --input`
+completes but its check or certificate does not pass, 2 for
+precondition/model violations and files that cannot be read or written, 3
+for numerical faults.  All computation is serial and deterministic.
 """
 
 from __future__ import annotations

@@ -108,9 +108,9 @@ _CONFIG_KEYS = {
 }
 
 
-def _key_values(text, keys, kind):
-    """{key: converted value} of flat `key = value` text with `#` comments;
-    `keys` maps every allowed key to the conversion of its value."""
+def parse_config(text):
+    """Parse flat `key = value` config text with `#` comments into an
+    ExperimentConfig."""
     values = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -119,18 +119,13 @@ def _key_values(text, keys, kind):
         if "=" not in line:
             raise ValueError(f"malformed line: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in keys:
-            raise ValueError(f"unknown {kind} key: {key}")
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"unknown config key: {key}")
         try:
-            values[key] = keys[key](value)
+            values[key] = _CONFIG_KEYS[key](value)
         except ValueError:
-            raise ValueError(f"bad value for {kind} key {key}: {value!r}") from None
-    return values
-
-
-def parse_config(text):
-    """Parse flat `key = value` config text into an ExperimentConfig."""
-    return ExperimentConfig(**_key_values(text, _CONFIG_KEYS, "config"))
+            raise ValueError(f"bad value for config key {key}: {value!r}") from None
+    return ExperimentConfig(**values)
 
 
 def load_config(path):
@@ -321,6 +316,13 @@ def fit_exponent(rhos, times, model="pure-power", log_exponent=None):
     power-with-log:  log t = c0 - p log rho - log_exponent * log|log rho|,
     with the log-exponent held fixed (pass ell - 1).
     """
+    if model == "power-with-log":
+        if log_exponent is None:
+            raise ValueError("power-with-log model needs log_exponent (= ell - 1)")
+    elif model != "pure-power":
+        raise ValueError(f"unknown fit model {model!r}")
+    elif log_exponent is not None:
+        raise ValueError("log_exponent must be omitted for the pure-power model")
     rhos = np.asarray(rhos, dtype=float)
     times = np.asarray(times, dtype=float)
     good = np.isfinite(times) & (times > 0)
@@ -328,12 +330,8 @@ def fit_exponent(rhos, times, model="pure-power", log_exponent=None):
     if len(rhos) < 4:
         raise InsufficientDataError(f"only {len(rhos)} usable rows (need >= 4)")
     y = np.log(times)
-    if model == "power-with-log":
-        if log_exponent is None:
-            raise ValueError("power-with-log model needs log_exponent (= ell - 1)")
+    if log_exponent is not None:
         y = y + log_exponent * np.log(np.abs(np.log(rhos)))
-    elif model != "pure-power":
-        raise ValueError(f"unknown fit model {model!r}")
     x = -np.log(rhos)
     p, c0 = np.polyfit(x, y, 1)
     residuals = y - (c0 + p * x)

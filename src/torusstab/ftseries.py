@@ -11,10 +11,10 @@ indices) and C (n coefficients), sorted by (k, m) with no repeated key and
 no zero coefficient; two series are equal iff their arrays are equal.
 Each (k, m) is packed into one int64 key (Kronecker substitution in a mixed
 radix from the columns' ranges; a ValueError names the spans if a key could
-reach 2^63), terms are merged by one stable sort of the keys, and a product
-adds its operands' keys.  A Poisson bracket is one pass over the term pairs:
-each pair's key, less the place value of m_i, takes its axis-i entry with
-an exact integer weight, and zero-weight entries are dropped.
+reach 2^63), and terms are merged by one stable sort of the keys.  A Poisson
+bracket is one pass over the term pairs: the sum of a pair's keys, less the
+place value of m_i, takes its axis-i entry with an exact integer weight,
+and zero-weight entries are dropped.
 A real-valued series satisfies c_{-k,m} = conj(c_{k,m}) for every stored
 term.
 
@@ -31,15 +31,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 
 from .errors import RealityViolationError
 
 TWO_PI = 2.0 * math.pi
-# term pairs formed at once by a series product (entries, d per pair, by a
-# Poisson bracket): it bounds their working memory, whatever the operands' sizes
+# entries formed at once by a Poisson bracket (d per term pair): it bounds
+# their working memory, whatever the operands' sizes
 PAIR_BLOCK = 1 << 18
 
 
@@ -105,10 +104,6 @@ class FourierTaylorSeries:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def zero(cls, d):
-        return cls(d)
-
-    @classmethod
     def constant(cls, d, value):
         z = (0,) * d
         return cls(d, {(z, z): value})
@@ -151,10 +146,6 @@ class FourierTaylorSeries:
 
     # -- canonical access -----------------------------------------------------
 
-    @property
-    def terms(self):
-        return MappingProxyType(dict(self.items()))
-
     def items(self):
         """((k, m), c) for every term, in (k, m) order."""
         keys = zip(map(tuple, self.K.tolist()), map(tuple, self.M.tolist()))
@@ -175,9 +166,6 @@ class FourierTaylorSeries:
             and np.array_equal(self.M, other.M)
             and np.array_equal(self.C, other.C)
         )
-
-    def __hash__(self):
-        return hash((self.d, self.K.tobytes(), self.M.tobytes(), self.C.tobytes()))
 
     def __repr__(self):
         return f"FourierTaylorSeries(d={self.d}, nterms={len(self)})"
@@ -203,20 +191,10 @@ class FourierTaylorSeries:
         return self + (-other if isinstance(other, FourierTaylorSeries) else -complex(other))
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self._of(self.d, self.K, self.M, self.C * other)
-        self._check_same_d(other)
-        (ka, kb), places, spans, lo = _pack((self.K, self.M), (other.K, other.M))
-        keys, C = ka[:0], self.C[:0]
-        rows = max(1, PAIR_BLOCK // max(len(other), 1))
-        for i in range(0, len(self), rows):
-            block = slice(i, i + rows)
-            _, keys, C = _sort_sum(
-                np.concatenate([keys, (ka[block, None] + kb).ravel()]),
-                np.concatenate([C, (self.C[block, None] * other.C).ravel()]),
-            )
-        digits = keys[:, None] // places % spans + lo
-        return self._of(self.d, digits[:, : self.d], digits[:, self.d :], C)
+        """Scalar multiple; a series times a series is not defined here."""
+        if not isinstance(other, (int, float, complex)):
+            return NotImplemented
+        return self._of(self.d, self.K, self.M, self.C * other)
 
     __rmul__ = __mul__
 
@@ -326,9 +304,6 @@ class FourierTaylorSeries:
         with np.errstate(over="ignore"):
             return float(self.masses(weight).sum())
 
-    def coefficient_mass(self):
-        return self.mass()
-
     def weighted_norm(self, widths):
         """Coefficient majorant sum |c| rho^{|m|_1} e^{sigma |k|_1}; inf on overflow."""
         return self.mass(widths.weight)
@@ -362,7 +337,7 @@ class FourierTaylorSeries:
 
     def is_real(self, tol=1e-12):
         """Check c_{-k,m} = conj(c_{k,m}) up to tol relative to the total mass."""
-        scale = max(self.coefficient_mass(), 1e-300)
+        scale = max(self.mass(), 1e-300)
         # c_{k,m} - conj(c_{-k,m}) at every key of the series or its mirror
         _, _, gap = _merge((self.K, self.M, self.C), (-self.K, self.M, -self.C.conj()))
         return not np.any(np.abs(gap) > tol * scale)

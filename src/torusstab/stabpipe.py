@@ -282,7 +282,7 @@ def perturbation_of(H, omega, tol=1e-9):
     linear = FourierTaylorSeries.linear(w)
     f = H - linear
     stray = f.select(lambda nk, nm, c: (nk == 0) & (nm <= 1))
-    if stray and stray.coefficient_mass() > tol * max(H.coefficient_mass(), 1.0):
+    if stray and stray.mass() > tol * max(H.mass(), 1.0):
         raise PreconditionError("Hamiltonian linear part does not match the supplied frequency")
     return f - stray
 

@@ -8,6 +8,7 @@ from torusstab import (
     FourierTaylorSeries,
     HolderClass,
     LieDivergenceError,
+    SweepRow,
     build_test_hamiltonian,
     golden_frequency,
     lacunary_series,
@@ -297,6 +298,21 @@ class TestSweepFitPlots:
         assert (outdir / "pred.dat").exists()
         assert (outdir / "plot.gp").exists()
 
+    def test_log_exponent_without_its_model_exit_code(self, tmp_path, capsys):
+        csv = tmp_path / "sweep.csv"
+        csv.write_text("".join(
+            SweepRow(rho=r, t_pred=1.0 / r**2, t_diff_ref=0.0, min_escape=None,
+                     censored_fraction=1.0, max_drift=0.0, schedule_flags="-",
+                     contraction=math.nan).to_csv() + "\n"
+            for r in (0.1, 0.05, 0.02, 0.01)
+        ))
+        assert main(["fit", "--csv", str(csv)]) == 0
+        capsys.readouterr()
+        assert main(["fit", "--csv", str(csv), "--log-exponent", "5.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: log_exponent must be omitted")
+        assert "Traceback" not in captured.err + captured.out
+
     @pytest.mark.parametrize(
         "text, named",
         [
@@ -320,6 +336,31 @@ class TestSweepFitPlots:
         assert captured.err.startswith("error:")
         assert named in captured.err
         assert "Traceback" not in captured.err + captured.out
+
+
+class TestCheckNotPassed:
+    """Exit 1: the run completes, but its check or certificate does not pass."""
+
+    @pytest.mark.parametrize(
+        "argv, series, line",
+        [
+            # the amplitude puts the smoothing parameter s out of range
+            (["predict", "--rho", "1e-3"],
+             lambda: build_test_hamiltonian(HolderClass(6.5, 2), seed=0, amplitude=1e-9),
+             "failure = schedule flags failed: s_in_range"),
+            # a 3.5-Holder series has tail slope 3.5, not the claimed 6.5
+            (["smooth-verify", "--ell", "6.5"],
+             lambda: lacunary_series(2, 3.5, j_max=12, seed=0),
+             "passed = 0"),
+        ],
+    )
+    def test_exit_code(self, tmp_path, capsys, argv, series, line):
+        src = tmp_path / "H.txt"
+        series().save(src)
+        assert main(argv + ["--input", str(src)]) == 1
+        captured = capsys.readouterr()
+        assert line in captured.out.splitlines()
+        assert captured.err == ""
 
 
 class TestFileErrors:

@@ -101,8 +101,9 @@ class TestBuildHamiltonian:
         H = build_test_hamiltonian(HC65, seed=0, amplitude=1e-12, j_max=4)
         # linear part is the golden frequency
         w = golden_frequency(2)
-        assert H.terms[((0, 0), (1, 0))] == w.omega[0]
-        assert H.terms[((0, 0), (0, 1))] == pytest.approx(w.omega[1])
+        terms = dict(H.items())
+        assert terms[((0, 0), (1, 0))] == w.omega[0]
+        assert terms[((0, 0), (0, 1))] == pytest.approx(w.omega[1])
         f = H - FourierTaylorSeries.linear(w)
         assert f.min_taylor_order() >= 2
         assert f.max_taylor_order() <= HC65.q - 2
@@ -123,7 +124,7 @@ class TestBuildHamiltonian:
         f2 = build_test_hamiltonian(HC65, seed=1, amplitude=2e-6, j_max=3) - (
             FourierTaylorSeries.linear(w)
         )
-        assert f2.coefficient_mass() == pytest.approx(2 * f1.coefficient_mass(), rel=1e-12)
+        assert f2.mass() == pytest.approx(2 * f1.mass(), rel=1e-12)
 
 
 class TestSweep:
@@ -224,6 +225,12 @@ class TestFit:
     def test_unknown_model(self):
         with pytest.raises(ValueError):
             fit_exponent([1, 2, 3, 4], [1, 2, 3, 4], model="cubic-spline")
+
+    def test_log_exponent_rejected_without_its_model(self):
+        # pure-power has no log term, so a log_exponent would be ignored
+        rhos = np.array([10.0**-e for e in range(3, 9)])
+        with pytest.raises(ValueError, match="^log_exponent must be omitted"):
+            fit_exponent(rhos, 7.3 / rhos**3.5, log_exponent=5.5)
 
 
 class TestPlots:

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
 from torusstab import ftseries
@@ -69,12 +69,12 @@ class TestConstruction:
     def test_duplicate_keys_accumulate(self):
         f = FourierTaylorSeries(D, {((1, 0), (0, 0)): 1.0})
         g = f + f
-        assert g.terms[((1, 0), (0, 0))] == 2.0
+        assert dict(g.items())[((1, 0), (0, 0))] == 2.0
 
     def test_cancellation_removes_term(self):
         f = FourierTaylorSeries(D, {((1, 0), (0, 0)): 1.0})
         assert not (f - f)
-        assert (f - f) == FourierTaylorSeries.zero(D)
+        assert (f - f) == FourierTaylorSeries(D)
 
     def test_negative_taylor_index_rejected(self):
         with pytest.raises(ValueError):
@@ -86,8 +86,7 @@ class TestConstruction:
 
     def test_linear(self):
         f = FourierTaylorSeries.linear((2.0, 3.0))
-        assert f.terms[((0, 0), (1, 0))] == 2.0
-        assert f.terms[((0, 0), (0, 1))] == 3.0
+        assert dict(f.items()) == {((0, 0), (1, 0)): 2.0, ((0, 0), (0, 1)): 3.0}
 
     def test_cosine_evaluates_to_cos(self):
         f = FourierTaylorSeries.cosine(D, (1, 0), amplitude=2.0, phase=0.3)
@@ -104,14 +103,14 @@ class TestConstruction:
 
 
 class TestAlgebra:
-    def test_product_matches_pointwise(self):
+    def test_series_product_undefined(self):
+        # the normal form needs brackets only; a product of two series raises
         f = FourierTaylorSeries.cosine(D, (1, -1), m=(1, 0)) + 0.5
-        g = FourierTaylorSeries.sine(D, (0, 1)) * FourierTaylorSeries.monomial(
-            D, (0, 2), 3.0
-        )
-        theta, I = (0.21, 0.68), (0.4, -0.7)
-        lhs = (f * g).evaluate(theta, I)
-        assert lhs == pytest.approx(f.evaluate(theta, I) * g.evaluate(theta, I), rel=1e-12)
+        g = FourierTaylorSeries.monomial(D, (0, 2), 3.0)
+        with pytest.raises(TypeError):
+            f * g
+        with pytest.raises(TypeError):
+            g * f
 
     @given(f=series_strategy(real=True), g=series_strategy(real=True))
     @settings(max_examples=40, deadline=None)
@@ -144,7 +143,7 @@ class TestCalculus:
     def test_partial_I_exact(self):
         f = FourierTaylorSeries.monomial(D, (3, 1), 2.0)
         df = f.partial_I(0)
-        assert df.terms[((0, 0), (2, 1))] == 6.0
+        assert dict(df.items())[((0, 0), (2, 1))] == 6.0
 
     def test_mixed_partials_commute(self):
         f = FourierTaylorSeries.cosine(D, (1, 2), m=(2, 1))
@@ -166,9 +165,7 @@ class TestCalculus:
     def test_bracket_antisymmetry(self, f, g):
         lhs = f.poisson_bracket(g)
         rhs = g.poisson_bracket(f)
-        assert (lhs + rhs).coefficient_mass() <= 1e-12 * max(
-            lhs.coefficient_mass() + rhs.coefficient_mass(), 1.0
-        )
+        assert (lhs + rhs).mass() <= 1e-12 * max(lhs.mass() + rhs.mass(), 1.0)
 
     @given(f=series_strategy(max_terms=3), g=series_strategy(max_terms=3),
            h=series_strategy(max_terms=3))
@@ -179,11 +176,9 @@ class TestCalculus:
             + g.poisson_bracket(h).poisson_bracket(f)
             + h.poisson_bracket(f).poisson_bracket(g)
         )
-        scale = max(
-            f.coefficient_mass() * g.coefficient_mass() * h.coefficient_mass(), 1.0
-        )
+        scale = max(f.mass() * g.mass() * h.mass(), 1.0)
         # floating-point cancellation only; exact identity over the rationals
-        assert j.coefficient_mass() <= 1e-9 * scale
+        assert j.mass() <= 1e-9 * scale
 
     @given(
         k=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
@@ -200,14 +195,6 @@ class TestCalculus:
         f = FourierTaylorSeries.harmonic(D, k, m, c1)
         g = FourierTaylorSeries.harmonic(D, [n * v for v in k], [n * v for v in m], c2)
         assert not f.poisson_bracket(g)
-
-    def test_leibniz_rule(self):
-        f = FourierTaylorSeries.cosine(D, (1, 0), m=(1, 0))
-        g = FourierTaylorSeries.sine(D, (0, 1), m=(0, 2))
-        h = FourierTaylorSeries.monomial(D, (1, 1))
-        lhs = f.poisson_bracket(g * h)
-        rhs = f.poisson_bracket(g) * h + g * f.poisson_bracket(h)
-        assert (lhs - rhs).coefficient_mass() <= 1e-12
 
 
 class TestNormsAndStructure:
@@ -237,14 +224,6 @@ class TestNormsAndStructure:
         big = AnalyticityWidths(0.2, 0.8)
         assert f.weighted_norm(small) <= f.weighted_norm(big) * (1 + 1e-12) + 1e-300
 
-    def test_norm_submultiplicative(self):
-        f = FourierTaylorSeries.cosine(D, (1, 0), m=(1, 0)) + 0.3
-        g = FourierTaylorSeries.sine(D, (2, -1), m=(0, 2)) + 1.0
-        w = AnalyticityWidths(0.25, 0.6)
-        assert (f * g).weighted_norm(w) <= f.weighted_norm(w) * g.weighted_norm(w) * (
-            1 + 1e-12
-        )
-
     def test_parts_partition(self):
         f = FourierTaylorSeries.cosine(D, (1, 0), m=(1, 0)) + FourierTaylorSeries.monomial(
             D, (2, 0)
@@ -255,7 +234,7 @@ class TestNormsAndStructure:
         f = FourierTaylorSeries.cosine(D, (1, 0), m=(2, 0), amplitude=3.0)
         a = f.angle_coefficient((2, 0))
         assert a.is_pure_angle()
-        assert a.coefficient_mass() == pytest.approx(3.0)
+        assert a.mass() == pytest.approx(3.0)
         assert f.taylor_monomials() == [(2, 0)]
 
     def test_is_real(self):
@@ -355,7 +334,7 @@ def dict_partial_I(f, axis):
 
 
 def dict_bracket(f, g):
-    out = FourierTaylorSeries.zero(D)
+    out = FourierTaylorSeries(D)
     for i in range(D):
         out = dict_sum(out, dict_product(dict_partial_theta(f, i), dict_partial_I(g, i)))
         out = dict_sum(
@@ -366,18 +345,17 @@ def dict_bracket(f, g):
 
 def assert_matches(result, reference, scale):
     # the array store may sum repeated keys in another order than the dict
-    assert (result - reference).coefficient_mass() <= 1e-13 * max(scale, 1e-300)
+    assert (result - reference).mass() <= 1e-13 * max(scale, 1e-300)
 
 
 class TestArrayStore:
     """The sorted (K, M, C) arrays against the per-term dict algebra."""
 
     def _check(self, f, g):
-        def mass(a, b):  # sum |c_a| |c_b| over the term pairs of a * b
-            return a.coefficient_mass() * b.coefficient_mass()
+        def mass(a, b):  # sum |c_a| |c_b| over the term pairs of a and b
+            return a.mass() * b.mass()
 
-        assert_matches(f * g, dict_product(f, g), mass(f, g))
-        assert_matches(f + g, dict_sum(f, g), f.coefficient_mass() + g.coefficient_mass())
+        assert_matches(f + g, dict_sum(f, g), f.mass() + g.mass())
         bracket_mass = sum(
             mass(f.partial_theta(i), g.partial_I(i)) + mass(f.partial_I(i), g.partial_theta(i))
             for i in range(D)
@@ -391,7 +369,7 @@ class TestArrayStore:
 
     @given(f=series_strategy(max_terms=8), g=series_strategy(max_terms=8))
     @settings(max_examples=20, deadline=None)
-    def test_blocked_product_matches_dict_reference(self, f, g):
+    def test_blocked_bracket_matches_dict_reference(self, f, g):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ftseries, "PAIR_BLOCK", 3)
             self._check(f, g)
@@ -428,7 +406,7 @@ class TestArrayStore:
         if real:
             f = f + mirror(f)
         terms = dict(f.items())
-        scale = max(f.coefficient_mass(), 1e-300)
+        scale = max(f.mass(), 1e-300)
         expected = all(
             np.abs(terms.get((tuple(-v for v in k), m), 0j) - c.conjugate()) <= tol * scale
             for (k, m), c in terms.items()
@@ -460,23 +438,6 @@ def lexsort_sum(f, g):
     return FourierTaylorSeries._of(f.d, *lexsort_merge(arrays(f), arrays(g)))
 
 
-def lexsort_product(f, g):
-    """Reference product: K/M pair arrays merged into the running result in
-    blocks of PAIR_BLOCK pairs."""
-    d = f.d
-    K, M, C = f.K[:0], f.M[:0], f.C[:0]
-    rows = max(1, ftseries.PAIR_BLOCK // max(len(g), 1))
-    for i in range(0, len(f), rows):
-        block = slice(i, i + rows)
-        pairs = (
-            (f.K[block, None] + g.K).reshape(-1, d),
-            (f.M[block, None] + g.M).reshape(-1, d),
-            (f.C[block, None] * g.C).ravel(),
-        )
-        K, M, C = lexsort_merge((K, M, C), pairs)
-    return FourierTaylorSeries._of(d, K, M, C)
-
-
 def lexsort_bracket(f, g):
     """Reference bracket in the one-pass order: per block of PAIR_BLOCK
     entries, each pair's entry for axis 0, then axis 1, ..., at
@@ -502,7 +463,7 @@ def lexsort_bracket(f, g):
 
 
 def lexsort_is_real(f, tol):
-    scale = max(f.coefficient_mass(), 1e-300)
+    scale = max(f.mass(), 1e-300)
     _, _, gap = lexsort_merge(arrays(f), (-f.K, f.M, -f.C.conj()))
     return not np.any(np.abs(gap) > tol * scale)
 
@@ -535,7 +496,7 @@ def term_arrays(draw, bounds, max_rows=40):
 @st.composite
 def packed_key_cases(draw):
     """Dimension 1-3 and three term arrays; up to two mode columns reach
-    |k| = 2^20, so that the keys of a product still fit in int64."""
+    |k| = 2^20, so that the keys of a bracket still fit in int64."""
     d = draw(st.integers(min_value=1, max_value=3))
     wide = draw(st.sets(st.integers(min_value=0, max_value=d - 1), max_size=2))
     bounds = [WIDE if j in wide else 3 for j in range(d)]
@@ -554,7 +515,10 @@ class TestPackedKeys:
     @given(case=packed_key_cases())
     @example(case=empty_case(2))
     @example(case=empty_case(3))
+    # no shrink phase: shrinking a failing case of this test can take
+    # minutes, and the unshrunk case shows the same fault
     @settings(max_examples=60, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate],
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_matches_lexsort_reference_bit_for_bit(self, monkeypatch, block, case):
         if block is not None:
@@ -562,7 +526,6 @@ class TestPackedKeys:
         d, parts = case
         assert_same_terms(ftseries._merge(*parts), lexsort_merge(*parts))
         f, g, h = (FourierTaylorSeries._of(d, *lexsort_merge(p)) for p in parts)
-        assert_same_terms(arrays(f * g), arrays(lexsort_product(f, g)))
         assert_same_terms(arrays(f + g), arrays(lexsort_sum(f, g)))
         assert_same_terms(arrays(f.poisson_bracket(g)), arrays(lexsort_bracket(f, g)))
         # h plus its conjugate terms at -k is real up to the rounding of sums
@@ -575,10 +538,10 @@ class TestPackedKeys:
         big = 1 << 31
         with pytest.raises(ValueError, match=r"column spans \[4294967297, 4294967297, 1, 1\]"):
             FourierTaylorSeries(D, {((big, big), (0, 0)): 1.0, ((-big, -big), (0, 0)): 1.0})
-        # each operand's keys fit, the product's do not
+        # each operand's keys fit, the bracket's do not
         half = FourierTaylorSeries.cosine(D, (1 << 30, 1 << 30))
-        with pytest.raises(ValueError, match="overflow int64: column spans"):
-            half * half
+        with pytest.raises(ValueError, match=r"column spans \[4294967297, 4294967297, 2, 2\]"):
+            half.poisson_bracket(half)
 
 
 class TestSerialization:
@@ -604,7 +567,7 @@ class TestSerialization:
         assert FourierTaylorSeries.load(path) == f
 
     def test_zero_series_round_trip(self):
-        z = FourierTaylorSeries.zero(3)
+        z = FourierTaylorSeries(3)
         assert FourierTaylorSeries.from_text(z.to_text()) == z
 
     def test_malformed_line_rejected(self):
@@ -695,7 +658,7 @@ class TestEvaluators:
 
     @pytest.mark.parametrize("block", [None, 1, 40])
     @given(f=pooled_series(), real=st.booleans())
-    @example(f=FourierTaylorSeries.zero(D), real=False)
+    @example(f=FourierTaylorSeries(D), real=False)
     @example(  # k = 0 only: one mode, cos = 1 and sin = 0
         f=FourierTaylorSeries(D, {((0, 0), (0, 0)): 1.5, ((0, 0), (2, 1)): -0.5 + 0.25j}),
         real=False,

@@ -53,11 +53,11 @@ class TestHomological:
         )
         chi = solve_homological(f, OMEGA)
         w = OMEGA.as_array()
-        resid = FourierTaylorSeries.zero(D)
+        resid = FourierTaylorSeries(D)
         for ax in range(D):
             resid = resid + chi.partial_theta(ax) * w[ax]
         resid = resid - f
-        assert resid.coefficient_mass() <= 1e-13 * f.coefficient_mass()
+        assert resid.mass() <= 1e-13 * f.mass()
 
     def test_solution_of_real_input_is_real(self):
         f = FourierTaylorSeries.cosine(D, (1, -1), m=(1, 1), amplitude=0.4, phase=0.9)
@@ -131,7 +131,7 @@ class TestLieTransform:
         res = lie_transform(H, chi, order=1)
         low = res.series.fourier_nonzero_part().select(lambda nk, nm, c: nk <= 1)
         # what survives at |k| <= 1 is the order-1 piece of {f, chi}, O(eps^2)
-        assert low.coefficient_mass() <= 1e-5 * f.coefficient_mass()
+        assert low.mass() <= 1e-5 * f.mass()
 
     def test_energy_conservation_under_flow(self):
         # H o Psi evaluated at x equals H evaluated at Psi(x), with Psi the
@@ -211,7 +211,7 @@ class TestLieTransform:
         # last bracket survives it
         assert removed > 0.0 and not bracket
         assert res.dropped_mass == pytest.approx(removed, rel=1e-12)
-        assert (res.series - expected).coefficient_mass() <= 1e-15 * H.coefficient_mass()
+        assert (res.series - expected).mass() <= 1e-15 * H.mass()
 
 
 class TestResonantNormalForm:
@@ -228,15 +228,16 @@ class TestResonantNormalForm:
         H, params = acceptance_instance()
         nf = resonant_normal_form(H, OMEGA, params)
         low = nf.f_star.select(lambda nk, nm, c: (nk > 0) & (nk <= params.K))
-        assert low.coefficient_mass() <= 1e-11 * nf.f_initial_norm
+        assert low.mass() <= 1e-11 * nf.f_initial_norm
 
     def test_integrable_part_contains_original_mean(self):
         H, params = acceptance_instance()
         nf = resonant_normal_form(H, OMEGA, params)
         # omega.I survives untouched in h
+        h = dict(nf.h.items())
         for j, w in enumerate(OMEGA.omega):
             m = tuple(1 if i == j else 0 for i in range(D))
-            assert nf.h.terms[((0, 0), m)].real == pytest.approx(w, rel=1e-9)
+            assert h[((0, 0), m)].real == pytest.approx(w, rel=1e-9)
 
     def test_smallness_gate(self):
         H, params = acceptance_instance(eps=1.0)

@@ -1,5 +1,6 @@
-"""The package's public names and the parameters of its public functions, pinned:
-removing or adding a name or a parameter edits these lists."""
+"""The package's public names, the parameters of its public functions and the
+public attributes of FourierTaylorSeries, pinned: removing or adding one edits
+these lists."""
 
 import inspect
 import os
@@ -73,6 +74,16 @@ PUBLIC_PARAMETERS = {
     "verify_smoothing_estimate": ('g', 'hc', 'p', 's_list'),
 }
 
+# the series' data (d, K, M, C), constructors, calculus, norms and text form
+SERIES_ATTRIBUTES = [
+    "C", "K", "M", "angle_coefficient", "constant", "cosine", "d", "evaluate",
+    "fourier_nonzero_part", "fourier_zero_part", "from_text", "harmonic",
+    "is_pure_angle", "is_real", "items", "linear", "load", "mass", "masses",
+    "max_fourier_order", "max_taylor_order", "min_taylor_order", "monomial",
+    "partial_I", "partial_theta", "poisson_bracket", "save", "select", "sine",
+    "taylor_monomials", "to_text", "weighted_norm",
+]
+
 
 def test_public_names_are_pinned():
     names = sorted(
@@ -90,6 +101,11 @@ def test_public_function_parameters_are_pinned():
         if inspect.isfunction(getattr(torusstab, name))
     }
     assert functions == PUBLIC_PARAMETERS
+
+
+def test_series_attributes_are_pinned():
+    series = torusstab.FourierTaylorSeries
+    assert sorted(name for name in dir(series) if not name.startswith("_")) == SERIES_ATTRIBUTES
 
 
 def test_import_loads_no_scipy():

@@ -97,7 +97,8 @@ class TestOneCutoff:
             + FourierTaylorSeries.cosine(D, (2, -3), amplitude=0.125, phase=1.1)
         )
         res = smooth(g, 0.25)
-        split = taylor_split(g * FourierTaylorSeries.monomial(D, (2, 0)), HolderClass(6.5, 2), 0.2)
+        g_I2 = FourierTaylorSeries(D, {(k, (2, 0)): c for (k, _), c in g.items()})  # g I_1^2
+        split = taylor_split(g_I2, HolderClass(6.5, 2), 0.2)
         sm = smooth_coefficients(split, 0.25)
         kept = {(4, 0), (-4, 0), (-1, 3), (1, -3)}
         assert set(map(tuple, res.g_s.K.tolist())) == kept
