@@ -168,9 +168,7 @@ def cmd_sweep(args):
 
 def cmd_fit(args):
     rows = read_sweep_csv(args.csv)
-    report = fit_exponent_rows(
-        rows, model=args.model, source=args.source, log_exponent=args.log_exponent
-    )
+    report = fit_exponent_rows(rows, source=args.source, log_exponent=args.log_exponent)
     print(f"model = {report.model}")
     print(f"p = {report.p!r}")
     print(f"c0 = {report.c0!r}")
@@ -262,11 +260,10 @@ def build_parser():
 
     p = sub.add_parser("fit", help="fit the stability exponent from a sweep CSV")
     p.add_argument("--csv", required=True)
-    p.add_argument("--model", choices=("pure-power", "power-with-log"),
-                   default="pure-power")
     p.add_argument("--source", choices=("t_pred", "min_escape"), default="t_pred")
     p.add_argument("--log-exponent", type=float,
-                   help="fixed |log rho| exponent (use ell - 1)")
+                   help="fit the power-with-log model with this fixed |log rho| "
+                   "exponent (use ell - 1); omit for a pure power")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("plots", help="emit gnuplot data files from a sweep CSV")

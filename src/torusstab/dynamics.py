@@ -60,19 +60,24 @@ def ballistic_bound(H, threshold, radius):
 
 
 def _midpoint_step(field, theta, I, dt):
-    """One implicit-midpoint step on a batch; returns the new (theta, I)."""
+    """One implicit-midpoint step on a batch; returns the new (theta, I).
+    A fixed-point iterate that is not finite raises StepFailureError at once."""
     wt = theta
     wI = I
-    for _ in range(MAX_SWEEPS):
+    for sweep in range(1, MAX_SWEEPS + 1):
         td, Id = field(wt, wI)
         td *= 0.5 * dt
         td += theta
         Id *= 0.5 * dt
         Id += I
-        delta = max(np.abs(td - wt).max(), np.abs(Id - wI).max())
+        dtheta, dI = np.abs(td - wt).max(), np.abs(Id - wI).max()
         wt, wI = td, Id
-        if delta <= FIXED_POINT_TOL:
+        if max(dtheta, dI) <= FIXED_POINT_TOL:
             break
+        if not math.isfinite(dtheta + dI):
+            raise StepFailureError(
+                f"fixed-point iterate {sweep} is not finite: the step diverged"
+            )
     else:
         raise StepFailureError(
             f"fixed-point iteration did not reach {FIXED_POINT_TOL:.1e} in {MAX_SWEEPS} sweeps"
@@ -166,17 +171,19 @@ def integrate(H, start, t_end, dt, record_every=None, r_max=None):
     k = 1
     t = 0.0
     domain_exit = False
-    for n in range(1, n_steps + 1):
-        step_dt = dt if n < n_steps else t_end - t
-        theta, I = _split_step(field, omega, theta, I, step_dt)
-        t += step_dt
-        if r_max is not None and np.max(np.abs(I)) > r_max:
-            domain_exit = True
-        if n % record_every == 0 or n == n_steps or domain_exit:
-            ts[k], thetas[k], Is[k] = t, theta[0], I[0]
-            k += 1
-        if domain_exit:
-            break
+    # a diverging step raises StepFailureError, so its overflow need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, n_steps + 1):
+            step_dt = dt if n < n_steps else t_end - t
+            theta, I = _split_step(field, omega, theta, I, step_dt)
+            t += step_dt
+            if r_max is not None and np.max(np.abs(I)) > r_max:
+                domain_exit = True
+            if n % record_every == 0 or n == n_steps or domain_exit:
+                ts[k], thetas[k], Is[k] = t, theta[0], I[0]
+                k += 1
+            if domain_exit:
+                break
     ts, thetas, Is = ts[:k], thetas[:k], Is[:k]
     thetas %= 1.0
     return Trajectory(
@@ -257,26 +264,28 @@ def escape_time(H, rho, threshold, t_cap, n_samples, seed, dt=None):
     max_energy_drift = 0.0
     n_steps = max(1, int(math.ceil(t_cap / dt - 1e-9)))
     t = 0.0
-    for n in range(1, n_steps + 1):
-        step_dt = dt if n < n_steps else t_cap - t
-        theta, I = _split_step(field, omega, theta, I, step_dt)
-        t += step_dt
-        drift = np.max(np.abs(I - I0), axis=1)
-        np.maximum(max_drift, drift, out=max_drift)
-        hit = drift >= threshold
-        if hit.any():
-            escaped = active[hit]
-            escape_times[escaped] = t
-            censored[escaped] = False
-            keep = ~hit
-            active, theta, I, I0, max_drift, e0 = (
-                a[keep] for a in (active, theta, I, I0, max_drift, e0)
-            )
-            if len(active) == 0:
-                break
-        if n % ENERGY_CHECK_EVERY == 0 or n == n_steps:
-            e = _energy(field, omega, theta, I)
-            max_energy_drift = max(max_energy_drift, _relative_drift(e, e0))
+    # a diverging step raises StepFailureError, so its overflow need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, n_steps + 1):
+            step_dt = dt if n < n_steps else t_cap - t
+            theta, I = _split_step(field, omega, theta, I, step_dt)
+            t += step_dt
+            drift = np.max(np.abs(I - I0), axis=1)
+            np.maximum(max_drift, drift, out=max_drift)
+            hit = drift >= threshold
+            if hit.any():
+                escaped = active[hit]
+                escape_times[escaped] = t
+                censored[escaped] = False
+                keep = ~hit
+                active, theta, I, I0, max_drift, e0 = (
+                    a[keep] for a in (active, theta, I, I0, max_drift, e0)
+                )
+                if len(active) == 0:
+                    break
+            if n % ENERGY_CHECK_EVERY == 0 or n == n_steps:
+                e = _energy(field, omega, theta, I)
+                max_energy_drift = max(max_energy_drift, _relative_drift(e, e0))
     bound = ballistic_bound(H.fourier_nonzero_part(), threshold, rho * (1.0 + threshold / rho))
     bad = (~censored) & (escape_times < bound * (1.0 - 1e-12))
     if bad.any():

@@ -244,8 +244,9 @@ def _sweep_row(config, H, omega, hc, rho, dt):
     if not config.dynamics_only:
         try:
             report = run_pipeline(H, omega, config.gamma, config.tau, hc, rho)
-            flags = ";".join(
-                f"{name}:{int(ok)}" for name, ok in sorted(report.schedule.flags.items())
+            sch = report.schedule  # None for an integrable H: no flags
+            flags = "-" if sch is None else ";".join(
+                f"{name}:{int(ok)}" for name, ok in sorted(sch.flags.items())
             )
             if report.failure:
                 error = report.failure
@@ -309,20 +310,13 @@ class FitReport:
     n_points: int
 
 
-def fit_exponent(rhos, times, model="pure-power", log_exponent=None):
+def fit_exponent(rhos, times, log_exponent=None):
     """Least-squares fit of log t against -log rho.
 
-    pure-power:      log t = c0 - p log rho
-    power-with-log:  log t = c0 - p log rho - log_exponent * log|log rho|,
+    pure-power (no log_exponent):  log t = c0 - p log rho
+    power-with-log:                log t = c0 - p log rho - log_exponent * log|log rho|,
     with the log-exponent held fixed (pass ell - 1).
     """
-    if model == "power-with-log":
-        if log_exponent is None:
-            raise ValueError("power-with-log model needs log_exponent (= ell - 1)")
-    elif model != "pure-power":
-        raise ValueError(f"unknown fit model {model!r}")
-    elif log_exponent is not None:
-        raise ValueError("log_exponent must be omitted for the pure-power model")
     rhos = np.asarray(rhos, dtype=float)
     times = np.asarray(times, dtype=float)
     good = np.isfinite(times) & (times > 0)
@@ -336,7 +330,7 @@ def fit_exponent(rhos, times, model="pure-power", log_exponent=None):
     p, c0 = np.polyfit(x, y, 1)
     residuals = y - (c0 + p * x)
     return FitReport(
-        model=model,
+        model="pure-power" if log_exponent is None else "power-with-log",
         p=float(p),
         c0=float(c0),
         residuals=tuple(float(r) for r in residuals),
@@ -344,7 +338,7 @@ def fit_exponent(rhos, times, model="pure-power", log_exponent=None):
     )
 
 
-def fit_exponent_rows(rows, model="pure-power", source="t_pred", log_exponent=None):
+def fit_exponent_rows(rows, source="t_pred", log_exponent=None):
     rhos = [r.rho for r in rows]
     if source == "t_pred":
         times = [r.t_pred for r in rows]
@@ -352,7 +346,7 @@ def fit_exponent_rows(rows, model="pure-power", source="t_pred", log_exponent=No
         times = [r.min_escape if r.min_escape is not None else math.nan for r in rows]
     else:
         raise ValueError(f"unknown fit source {source!r}")
-    return fit_exponent(rhos, times, model=model, log_exponent=log_exponent)
+    return fit_exponent(rhos, times, log_exponent=log_exponent)
 
 
 def emit_plots(rows, outdir):

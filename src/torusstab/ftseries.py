@@ -197,6 +197,8 @@ class FourierTaylorSeries:
         return self._of(self.d, self.K, self.M, self.C * other)
 
     __rmul__ = __mul__
+    # numpy defers to the operators above: a series times an array raises TypeError
+    __array_ufunc__ = None
 
     # -- calculus -------------------------------------------------------------
 
@@ -337,10 +339,9 @@ class FourierTaylorSeries:
 
     def is_real(self, tol=1e-12):
         """Check c_{-k,m} = conj(c_{k,m}) up to tol relative to the total mass."""
-        scale = max(self.mass(), 1e-300)
         # c_{k,m} - conj(c_{-k,m}) at every key of the series or its mirror
         _, _, gap = _merge((self.K, self.M, self.C), (-self.K, self.M, -self.C.conj()))
-        return not np.any(np.abs(gap) > tol * scale)
+        return not np.any(np.abs(gap) > tol * self.mass())
 
     # -- serialization --------------------------------------------------------
 

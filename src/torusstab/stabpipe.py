@@ -4,10 +4,11 @@ parameter schedule, remainder bounds, and the predicted stability time.
 The schedule follows the choices a = 1/(tau+1), b = 6(a ell + 1),
 K = ceil((rho_tilde/rho)^a), s = (rho/rho_tilde)^a |b log rho|,
 alpha = gamma/K^tau, with rho_tilde chosen so that the smallness condition
-saturates exactly (at the real-valued K).  The theory proves each bound
-only up to a constant it does not compute, so every bound and predicted
-time here is the theorem's shape with its constant set to 1: a shape, never
-a calibrated value.
+is an equality; then K s >= b |log rho| >= 36 for rho < e^-6, so the
+schedule flags only the two conditions that can fail, rho_ok and
+s_in_range.  The theory proves each bound only up to a constant it does
+not compute, so every bound and predicted time here is the theorem's shape
+with its constant set to 1: a shape, never a calibrated value.
 """
 
 from __future__ import annotations
@@ -52,14 +53,11 @@ class SmoothedSplit:
 @dataclass(frozen=True)
 class ParameterSchedule:
     rho: float
-    gamma: float
     tau: float
-    ell: float
     a: float
     b: float
     rho_tilde: float
     K: int
-    K_real: float
     s: float
     alpha: float
     flags: dict
@@ -132,44 +130,40 @@ def smooth_coefficients(split, s):
     )
 
 
-def parameter_schedule(rho, gamma, tau, hc, coeff_norm_max):
-    """Compute (a, b, rho_tilde, K, s, alpha) and the validity flags.
-
-    Flags report failures as diagnostics; no exception is raised here.  The
-    smallness flag is evaluated at the real-valued K (the integer ceiling on
-    the cutoff would otherwise break the structurally-saturated inequality
-    by an O(1/K) factor).
-    """
-    for name, value in (("rho", rho), ("gamma", gamma), ("coeff_norm_max", coeff_norm_max)):
+def _check_inputs(rho, gamma, tau, **more):
+    """Reject by name a bad tau, or a rho, gamma or `more` value <= 0 or not finite."""
+    for name, value in (("rho", rho), ("gamma", gamma), *more.items()):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
     _check_tau(tau)
+
+
+def parameter_schedule(rho, gamma, tau, hc, coeff_norm_max):
+    """(a, b, rho_tilde, K, s, alpha) and the flags rho_ok (rho < min(s, e^-6))
+    and s_in_range (0 < s <= 1), which report a failure without raising.  Inputs
+    that are not positive and finite, and a cutoff K that is not, raise ValueError."""
+    _check_inputs(rho, gamma, tau, coeff_norm_max=coeff_norm_max)
     a = 1.0 / (tau + 1.0)
     b = 6.0 * (a * hc.ell + 1.0)
     denom = 256.0 * XI * coeff_norm_max
     rho_tilde = (gamma / denom) ** (1.0 / (a * (tau + 1.0)))
-    K_real = (rho_tilde / rho) ** a
-    K = max(1, math.ceil(K_real))
+    cutoff = (rho_tilde / rho) ** a
+    if not math.isfinite(cutoff):
+        raise ValueError(f"cutoff K = (rho_tilde/rho)^a must be finite, got {cutoff!r}")
+    K = max(1, math.ceil(cutoff))
     s = (rho / rho_tilde) ** a * abs(b * math.log(rho))
     alpha = gamma / float(K) ** tau
-    smallness_lhs = coeff_norm_max * rho**2
-    smallness_rhs = gamma * rho / (256.0 * XI * K_real ** (tau + 1.0))
     flags = {
-        "smallness_ok": bool(smallness_lhs <= smallness_rhs * (1.0 + 1e-9)),
         "rho_ok": bool(rho < min(s, RHO_MAX)),
-        "Ks_ok": bool(K * s >= 6.0),
         "s_in_range": bool(0.0 < s <= 1.0),
     }
     return ParameterSchedule(
         rho=float(rho),
-        gamma=float(gamma),
         tau=float(tau),
-        ell=float(hc.ell),
         a=a,
         b=b,
         rho_tilde=rho_tilde,
         K=K,
-        K_real=K_real,
         s=s,
         alpha=alpha,
         flags=flags,
@@ -221,20 +215,21 @@ def predicted_stability_time(rho, hc, tau):
 
 
 def diffusion_time_reference(rho, hc, tau, epsilon, T0):
-    """Reference diffusion time T0 / rho^{1+(ell-1)/(tau+1)+epsilon}."""
-    _check_tau(tau)
+    """Reference diffusion time T0 / rho^{p+epsilon}, with p the headline
+    exponent of predicted_stability_time (which checks rho and tau)."""
+    exponent = predicted_stability_time(rho, hc, tau).exponent
     if not (math.isfinite(epsilon) and epsilon >= 0):
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
     if not (math.isfinite(T0) and T0 > 0):
         raise ValueError(f"T0 must be positive and finite, got {T0!r}")
-    return T0 / rho ** (1.0 + (hc.ell - 1.0) / (tau + 1.0) + epsilon)
+    return T0 / rho ** (exponent + epsilon)
 
 
 @dataclass(frozen=True)
 class PipelineReport:
     rho: float
     coeff_norm_max: float
-    schedule: ParameterSchedule
+    schedule: ParameterSchedule | None = None
     split: TaylorSplit | None = None
     smoothed: SmoothedSplit | None = None
     normal_form: object = None
@@ -250,10 +245,11 @@ class PipelineReport:
         """Flat key=value report block."""
         lines = [f"rho = {self.rho!r}", f"coeff_norm_max = {self.coeff_norm_max!r}"]
         sch = self.schedule
-        for name in ("a", "b", "rho_tilde", "K", "s", "alpha"):
-            lines.append(f"schedule.{name} = {getattr(sch, name)!r}")
-        for name, ok in sch.flags.items():
-            lines.append(f"schedule.{name} = {int(ok)}")
+        if sch is not None:
+            for name in ("a", "b", "rho_tilde", "K", "s", "alpha"):
+                lines.append(f"schedule.{name} = {getattr(sch, name)!r}")
+            for name, ok in sch.flags.items():
+                lines.append(f"schedule.{name} = {int(ok)}")
         if self.split is not None:
             lines.append(f"z_bound = {self.split.Z_bound!r}")
         if self.smoothed is not None:
@@ -310,16 +306,17 @@ def run_pipeline(H, omega, gamma, tau, hc, rho):
     """Full pipeline: split -> schedule -> coefficient smoothing -> certificate
     check -> resonant normal form -> remainder bounds -> predicted time.
 
+    A bad rho, gamma or tau raises ValueError before any stage runs, and an
+    integrable H (f = 0) gets a report with no schedule and t_theorem = inf.
     A schedule with failed flags produces a report with `failure` naming them;
     failures in later stages raise PipelineStageError with the stage tag.
     """
+    _check_inputs(rho, gamma, tau)
     f = perturbation_of(H, omega)
     if not f:
-        # integrable case: nothing to certify, infinite predicted time
         return PipelineReport(
             rho=float(rho),
             coeff_norm_max=0.0,
-            schedule=parameter_schedule(rho, gamma, tau, hc, coeff_norm_max=1e-300),
             prediction=replace(predicted_stability_time(rho, hc, tau), t_theorem=math.inf),
         )
 

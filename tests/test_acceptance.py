@@ -181,11 +181,10 @@ def test_fit_correctness(report):
     t_pred = np.array(
         [predicted_stability_time(r, hc, 1.0).t_theorem for r in rhos]
     )
-    rep_log = fit_exponent(rhos, t_pred, model="power-with-log",
-                           log_exponent=hc.ell - 1.0)
+    rep_log = fit_exponent(rhos, t_pred, log_exponent=hc.ell - 1.0)
     p_target = 1.0 + (hc.ell - 1.0) / 2.0
     pure = 4.2 / rhos**2.75
-    rep_pure = fit_exponent(rhos, pure, model="pure-power")
+    rep_pure = fit_exponent(rhos, pure)
     ok = abs(rep_log.p - p_target) <= 1e-6 and abs(rep_pure.p - 2.75) <= 1e-10
     report("fit-correctness", ok,
            f"log-model dev={abs(rep_log.p - p_target):.1e}, "

@@ -8,10 +8,10 @@ from torusstab import (
     FourierTaylorSeries,
     HolderClass,
     LieDivergenceError,
-    SweepRow,
     build_test_hamiltonian,
     golden_frequency,
     lacunary_series,
+    dynamics,
     stabpipe,
 )
 from torusstab.cli import main
@@ -174,6 +174,29 @@ class TestPredict:
         assert err.startswith("numerical fault: pipeline stage 'normal_form' failed")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("rho", ["1e-3", "1e-8", "1e-13"])
+    def test_integrable_input_has_no_schedule(self, tmp_path, capsys, rho):
+        # H = omega.I: nothing to certify, so no schedule lines and t = inf
+        src = tmp_path / "H.txt"
+        FourierTaylorSeries.linear(golden_frequency(2)).save(src)
+        assert main(["predict", "--rho", rho, "--input", str(src)]) in (0, 1)
+        captured = capsys.readouterr()
+        out = parse_kv(captured.out)
+        assert not any(key.startswith("schedule.") for key in out)
+        assert out["t_theorem"] == "inf"
+        assert out["failure"] == "none"
+        assert captured.err == ""
+
+    def test_infinite_cutoff_exit_code(self, tmp_path, capsys):
+        # a 1e-300 amplitude makes rho_tilde/rho, and so the cutoff K, overflow
+        src = tmp_path / "H.txt"
+        build_test_hamiltonian(HolderClass(6.5, 2), seed=0, amplitude=1e-300).save(src)
+        assert main(["predict", "--rho", "1e-20", "--input", str(src)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cutoff K ")
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+
     def test_key_overflow_exit_code(self, tmp_path, capsys):
         # modes +-(2^31, 2^31): the packed (k, m) keys would pass 2^63
         big = 1 << 31
@@ -249,6 +272,31 @@ class TestEscape:
         assert captured.out == ""
         assert "Traceback" not in captured.err
 
+    def test_diverging_step_exit_code(self, capsys):
+        # at dt = 2 the midpoint iterates of the amplitude-1 H overflow: one
+        # fault line, no RuntimeWarning (the suite makes those errors)
+        assert main(["escape", "--amplitude", "1", "--rho", "0.1", "--t-cap", "4",
+                     "--dt", "2", "--n-samples", "2"]) == 3
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("numerical fault: fixed-point iterate ")
+        assert line.endswith("is not finite: the step diverged")
+        assert captured.out == ""
+
+    def test_ballistic_fault_exit_code(self, tmp_path, capsys, monkeypatch):
+        # the first escape (t = 0.011) beats a ballistic bound of 1
+        H = FourierTaylorSeries.linear(golden_frequency(2)) + FourierTaylorSeries.cosine(
+            2, (1, 0)
+        )
+        src = tmp_path / "H.txt"
+        H.save(src)
+        monkeypatch.setattr(dynamics, "ballistic_bound", lambda *args: 1.0)
+        assert main(["escape", "--input", str(src), "--rho", "0.1", "--threshold", "0.05",
+                     "--t-cap", "1", "--n-samples", "4", "--dt", "0.001"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical fault: sample 0 escaped at t=1.100000e-02")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("dt", ["0", "-0.01", "nan"])
     def test_bad_dt_exit_code(self, capsys, dt):
         assert main(["escape", "--rho", "0.1", "--t-cap", "1", "--dt", dt]) == 2
@@ -288,30 +336,16 @@ class TestSweepFitPlots:
         csv = tmp_path / "sweep.csv"
         assert main(["sweep", "--config", str(config), "--csv", str(csv)]) == 0
         capsys.readouterr()
-        assert main(["fit", "--csv", str(csv), "--model", "power-with-log",
-                     "--source", "t_pred", "--log-exponent", "5.5"]) == 0
+        assert main(["fit", "--csv", str(csv), "--source", "t_pred",
+                     "--log-exponent", "5.5"]) == 0
         out = parse_kv(capsys.readouterr().out)
+        assert out["model"] == "power-with-log"
         # t_pred follows the headline shape exactly, so the fit is sharp
         assert float(out["p"]) == pytest.approx(1.0 + 5.5 / 2.0, abs=1e-9)
         outdir = tmp_path / "plots"
         assert main(["plots", "--csv", str(csv), "--outdir", str(outdir)]) == 0
         assert (outdir / "pred.dat").exists()
         assert (outdir / "plot.gp").exists()
-
-    def test_log_exponent_without_its_model_exit_code(self, tmp_path, capsys):
-        csv = tmp_path / "sweep.csv"
-        csv.write_text("".join(
-            SweepRow(rho=r, t_pred=1.0 / r**2, t_diff_ref=0.0, min_escape=None,
-                     censored_fraction=1.0, max_drift=0.0, schedule_flags="-",
-                     contraction=math.nan).to_csv() + "\n"
-            for r in (0.1, 0.05, 0.02, 0.01)
-        ))
-        assert main(["fit", "--csv", str(csv)]) == 0
-        capsys.readouterr()
-        assert main(["fit", "--csv", str(csv), "--log-exponent", "5.5"]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: log_exponent must be omitted")
-        assert "Traceback" not in captured.err + captured.out
 
     @pytest.mark.parametrize(
         "text, named",

@@ -9,8 +9,10 @@ from torusstab import (
     FourierTaylorSeries,
     HamiltonianVectorField,
     HolderClass,
+    NumericalFault,
     StepFailureError,
     ballistic_bound,
+    build_test_hamiltonian,
     default_dt,
     escape_time,
     golden_frequency,
@@ -19,7 +21,7 @@ from torusstab import (
     sample_initial_conditions,
     theta_gradient_majorant,
 )
-from torusstab import ftseries
+from torusstab import dynamics, ftseries
 from torusstab.dynamics import _midpoint_step, _split, _split_step
 
 D = 2
@@ -336,6 +338,28 @@ class TestEscapeTime:
         r2 = escape_time(H, 0.05, threshold=0.025, t_cap=0.5, n_samples=4, seed=7)
         assert np.array_equal(r1.escape_times, r2.escape_times)
         assert r1.max_drift_at_cap == r2.max_drift_at_cap
+
+    def test_ballistic_bound_fault_can_fire(self, monkeypatch):
+        # the first escape, at t = 0.011, lies above the real bound 0.00796;
+        # a bound of 1 puts it below, and the run must fault
+        H = FourierTaylorSeries.linear(OMEGA) + FourierTaylorSeries.cosine(D, (1, 0))
+
+        def run():
+            return escape_time(H, 0.1, threshold=0.05, t_cap=1.0, n_samples=4, seed=0,
+                               dt=0.001)
+
+        assert run().min_escape == pytest.approx(0.011)
+        monkeypatch.setattr(dynamics, "ballistic_bound", lambda *args: 1.0)
+        with pytest.raises(NumericalFault, match=r"^sample 0 escaped at t=1\.100000e-02, "
+                           "faster than the ballistic bound"):
+            run()
+
+    def test_diverging_step_fails_without_warning(self):
+        # at dt = 2 the midpoint iterates of this O(1) H overflow; the suite
+        # turns a RuntimeWarning into an error, so the overflow must not warn
+        H = build_test_hamiltonian(HolderClass(6.5, 2), amplitude=1.0)
+        with pytest.raises(StepFailureError, match="is not finite: the step diverged"):
+            escape_time(H, 0.1, threshold=0.05, t_cap=4.0, n_samples=2, seed=0, dt=2.0)
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="n_samples"):

@@ -156,6 +156,28 @@ class TestSweep:
         csv = tmp_path / "sweep.csv"
         (row,) = sweep(cfg, csv_path=csv)
         assert row.error == "schedule flags failed: s_in_range"
+        assert row.schedule_flags == "rho_ok:1;s_in_range:0"
+        assert read_sweep_csv(csv)[0].error == row.error
+
+    def test_integrable_row_has_no_flags(self, tmp_path):
+        # amplitude 0 leaves H = omega.I: nothing to certify, so no schedule
+        cfg = ExperimentConfig(
+            rho_list=(1e-3,), amplitude=0.0, t_cap=0.02, n_samples=2, dynamics_only=False
+        )
+        csv = tmp_path / "sweep.csv"
+        (row,) = sweep(cfg, csv_path=csv)
+        assert row.t_pred == math.inf
+        assert row.error == ""
+        assert read_sweep_csv(csv)[0].schedule_flags == "-"
+
+    def test_diverging_step_error_kept_in_csv(self, tmp_path):
+        # at dt = 2 the midpoint iteration on the amplitude-1 H diverges
+        cfg = parse_config("amplitude = 1\ndt = 2\nt_cap = 4\nn_samples = 2\nrho_list = 0.1\n")
+        csv = tmp_path / "sweep.csv"
+        (row,) = sweep(cfg, csv_path=csv)
+        assert row.error.startswith("dynamics: ")
+        assert "not finite" in row.error
+        assert row.min_escape is None and math.isnan(row.censored_fraction)
         assert read_sweep_csv(csv)[0].error == row.error
 
     def test_row_round_trip(self):
@@ -168,7 +190,7 @@ class TestSweep:
             max_drift=1e-14,
             schedule_flags="dynamics-only",
             contraction=math.nan,
-            error="schedule flags failed: Ks_ok, rho_ok; dynamics: a, b",
+            error="schedule flags failed: rho_ok, s_in_range; dynamics: a, b",
         )
         back = SweepRow.from_csv(row.to_csv())
         assert back.rho == row.rho
@@ -187,17 +209,19 @@ class TestFit:
     def test_pure_power_exact_recovery(self):
         rhos = np.array([10.0**-e for e in range(3, 9)])
         times = 7.3 / rhos**3.5
-        rep = fit_exponent(rhos, times, model="pure-power")
+        rep = fit_exponent(rhos, times)
+        assert rep.model == "pure-power"
         assert rep.p == pytest.approx(3.5, abs=1e-10)
         assert math.exp(rep.c0) == pytest.approx(7.3, rel=1e-9)
 
     def test_power_with_log_recovery(self):
         rhos = np.array([10.0**-e for e in range(3, 9)])
         times = 2.0 / (rhos**3.5 * np.abs(np.log(rhos)) ** 5.5)
-        rep = fit_exponent(rhos, times, model="power-with-log", log_exponent=5.5)
+        rep = fit_exponent(rhos, times, log_exponent=5.5)
+        assert rep.model == "power-with-log"
         assert rep.p == pytest.approx(3.5, abs=1e-6)
         # fitting the same data without the log correction biases the exponent
-        naive = fit_exponent(rhos, times, model="pure-power")
+        naive = fit_exponent(rhos, times)
         assert abs(naive.p - 3.5) > 0.05
 
     def test_insufficient_data(self):
@@ -221,16 +245,6 @@ class TestFit:
         ]
         rep = fit_exponent_rows(rows, source="t_pred")
         assert rep.p == pytest.approx(2.0, abs=1e-10)
-
-    def test_unknown_model(self):
-        with pytest.raises(ValueError):
-            fit_exponent([1, 2, 3, 4], [1, 2, 3, 4], model="cubic-spline")
-
-    def test_log_exponent_rejected_without_its_model(self):
-        # pure-power has no log term, so a log_exponent would be ignored
-        rhos = np.array([10.0**-e for e in range(3, 9)])
-        with pytest.raises(ValueError, match="^log_exponent must be omitted"):
-            fit_exponent(rhos, 7.3 / rhos**3.5, log_exponent=5.5)
 
 
 class TestPlots:

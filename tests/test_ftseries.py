@@ -111,6 +111,12 @@ class TestAlgebra:
             f * g
         with pytest.raises(TypeError):
             g * f
+        # an array is not a scalar either, and numpy must not map over it
+        with pytest.raises(TypeError):
+            f * np.array([1.0, 2.0])
+        with pytest.raises(TypeError):
+            np.array([1.0, 2.0]) * f
+        assert np.float64(2.0) * f == 2.0 * f
 
     @given(f=series_strategy(real=True), g=series_strategy(real=True))
     @settings(max_examples=40, deadline=None)

@@ -1,7 +1,8 @@
-"""The package's public names, the parameters of its public functions and the
-public attributes of FourierTaylorSeries, pinned: removing or adding one edits
-these lists."""
+"""The package's public names, the parameters of its public functions, the
+public attributes of FourierTaylorSeries and the options of each CLI
+subcommand, pinned: removing or adding one edits these lists."""
 
+import argparse
 import inspect
 import os
 import subprocess
@@ -10,6 +11,7 @@ import types
 from pathlib import Path
 
 import torusstab
+from torusstab.cli import build_parser
 
 PUBLIC_NAMES = [
     "AnalyticityWidths", "DiophantineCertificate",
@@ -46,8 +48,8 @@ PUBLIC_PARAMETERS = {
     "dominance_threshold": ('tau',),
     "emit_plots": ('rows', 'outdir'),
     "escape_time": ('H', 'rho', 'threshold', 't_cap', 'n_samples', 'seed', 'dt'),
-    "fit_exponent": ('rhos', 'times', 'model', 'log_exponent'),
-    "fit_exponent_rows": ('rows', 'model', 'source', 'log_exponent'),
+    "fit_exponent": ('rhos', 'times', 'log_exponent'),
+    "fit_exponent_rows": ('rows', 'source', 'log_exponent'),
     "fourier_norm_bound_check": ('g', 'hc', 's_list'),
     "golden_frequency": ('d',),
     "holder_norm_majorant": ('g', 'hc'),
@@ -84,6 +86,22 @@ SERIES_ATTRIBUTES = [
     "taylor_monomials", "to_text", "weighted_norm",
 ]
 
+# every option of every subcommand, in the order `--help` lists them
+CLI_OPTIONS = {
+    "dioph": ('--omega', '--tau', '--K'),
+    "smooth": ('--input', '--s', '--output'),
+    "smooth-verify": ('--input', '--ell', '--d', '--p', '--j-max', '--seed', '--s-min-exp',
+                      '--s-max-exp'),
+    "nf": ('--input', '--omega', '--alpha', '--K', '--sigma', '--rho', '--output'),
+    "predict": ('--rho', '--ell', '--d', '--tau', '--gamma', '--epsilon', '--T0', '--input',
+                '--omega'),
+    "escape": ('--input', '--ell', '--amplitude', '--rho', '--threshold', '--t-cap',
+               '--n-samples', '--seed', '--dt'),
+    "sweep": ('--config', '--csv'),
+    "fit": ('--csv', '--source', '--log-exponent'),
+    "plots": ('--csv', '--outdir'),
+}
+
 
 def test_public_names_are_pinned():
     names = sorted(
@@ -106,6 +124,20 @@ def test_public_function_parameters_are_pinned():
 def test_series_attributes_are_pinned():
     series = torusstab.FourierTaylorSeries
     assert sorted(name for name in dir(series) if not name.startswith("_")) == SERIES_ATTRIBUTES
+
+
+def test_cli_options_are_pinned():
+    (commands,) = (
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    options = {
+        name: tuple(
+            flag for action in sub._actions for flag in action.option_strings
+            if flag not in ("-h", "--help")
+        )
+        for name, sub in commands.choices.items()
+    }
+    assert options == CLI_OPTIONS
 
 
 def test_import_loads_no_scipy():

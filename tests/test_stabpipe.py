@@ -26,6 +26,7 @@ from torusstab import (
     stabpipe,
     taylor_split,
 )
+from torusstab.normalform import XI
 
 D = 2
 OMEGA = golden_frequency(2)
@@ -97,12 +98,21 @@ class TestParameterSchedule:
             assert abs(sch.K * sch.s - target) <= target / sch.K + 1e-9
 
     def test_smallness_saturates_at_real_cutoff(self):
-        # the schedule is built to make the smallness inequality an equality
-        # at the real-valued K; the flag must therefore always pass
+        # rho_tilde makes the smallness inequality an equality at the
+        # real-valued cutoff (rho_tilde/rho)^a, so no flag reports it
         for rho in (1e-10, 1e-6, 1e-4):
-            for cmax in (1e-8, 1e-3, 10.0):
-                sch = parameter_schedule(rho, 0.5, 1.0, HC65, cmax)
-                assert sch.flags["smallness_ok"]
+            for tau in (0.3, 1.0, 2.0):
+                for cmax in (1e-8, 1e-3, 10.0):
+                    sch = parameter_schedule(rho, 0.5, tau, HC65, cmax)
+                    cutoff = (sch.rho_tilde / rho) ** sch.a
+                    rhs = 0.5 * rho / (256.0 * XI * cutoff ** (tau + 1.0))
+                    assert cmax * rho**2 == pytest.approx(rhs, rel=1e-9)
+                    assert set(sch.flags) == {"rho_ok", "s_in_range"}
+
+    def test_infinite_cutoff_rejected_by_name(self):
+        # a vanishing coefficient norm sends rho_tilde, and with it K, to inf
+        with pytest.raises(ValueError, match="^cutoff K "):
+            parameter_schedule(1e-20, 0.5, 1.0, HC65, 1e-300)
 
     def test_large_rho_flagged(self):
         sch = parameter_schedule(0.1, 0.5, 1.0, HC65, 1e-3)
@@ -171,8 +181,11 @@ class TestPredictedTimes:
             assert t_diff > pred.t_theorem
 
     def test_rho_domain(self):
-        with pytest.raises(ValueError):
-            predicted_stability_time(1.5, HC65, 1.0)
+        for rho in (-1.0, 0.0, 1.0, 1.5):
+            with pytest.raises(ValueError, match="^rho must lie in"):
+                predicted_stability_time(rho, HC65, 1.0)
+            with pytest.raises(ValueError, match="^rho must lie in"):
+                diffusion_time_reference(rho, HC65, 1.0, 0.1, 1.0)
 
 
 class TestPerturbationExtraction:
@@ -189,11 +202,25 @@ class TestPerturbationExtraction:
 
 class TestPipeline:
     def test_integrable_hamiltonian(self):
+        # nothing to certify: no schedule, and an infinite predicted time
         H = FourierTaylorSeries.linear(OMEGA)
-        report = run_pipeline(H, OMEGA, 0.5, 1.0, HC65, 1e-8)
-        assert report.failure is None
-        assert report.prediction.t_theorem == math.inf
-        assert report.bounds is None
+        for rho in (1e-3, 1e-8, 1e-13):
+            report = run_pipeline(H, OMEGA, 0.5, 1.0, HC65, rho)
+            assert report.failure is None
+            assert report.schedule is None
+            assert report.prediction.t_theorem == math.inf
+            assert report.bounds is None
+            assert "schedule." not in report.to_text()
+
+    @pytest.mark.parametrize(
+        "rho, gamma, tau, name",
+        [(math.nan, 0.5, 1.0, "rho"), (1e-3, 0.0, 1.0, "gamma"), (1e-3, 0.5, -1.0, "tau")],
+    )
+    def test_inputs_checked_before_any_stage(self, rho, gamma, tau, name):
+        # H's linear part does not match OMEGA, so a stage would fail otherwise
+        H = FourierTaylorSeries.linear((1.0, 2.0))
+        with pytest.raises(ValueError, match=f"^{name} must "):
+            run_pipeline(H, OMEGA, gamma, tau, HC65, rho)
 
     def test_certifying_run(self):
         H = build_test_hamiltonian(HC65, seed=0, amplitude=1e-12, j_max=4)
@@ -215,6 +242,7 @@ class TestPipeline:
         assert report.failure is not None
         assert "rho_ok" in report.failure
         assert not report.certified
+        assert "schedule.rho_ok = 0" in report.to_text().splitlines()
 
     def test_coefficient_norm_max_positive(self):
         H = build_test_hamiltonian(HC65, seed=0, amplitude=1e-12, j_max=4)
