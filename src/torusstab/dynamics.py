@@ -7,9 +7,12 @@ rotation.  It is symplectic, symmetric and second order for general
 non-separable f, and exact when f = 0.  On a small f the fixed point is
 reached in one sweep, since the rotation no longer moves the iterate.
 
-`integrate`'s step loop only steps and records (t, theta, I).  The energy
-never feeds back into a step, so Trajectory.energy is evaluated after the
-run, at theta mod 1, in batches bounded by ftseries.PAIR_BLOCK.
+A batch's state is one (N, 2d) array z = [theta | I] from start to end of a
+step: a half rotation adds the shift [omega h/2 | 0], built when the step
+size changes, and a sweep is one call field(z) -> [theta_dot | I_dot].
+`integrate`'s step loop only steps and records (t, z).  The energy never
+feeds back into a step, so Trajectory.energy is evaluated after the run, at
+theta mod 1, in batches bounded by ftseries.PAIR_BLOCK.
 
 Escape measurement samples initial conditions from a seeded, counter-based
 RNG; aggregation uses only order-independent reductions, so results do not
@@ -59,22 +62,19 @@ def ballistic_bound(H, threshold, radius):
     return math.inf if sup == 0.0 else threshold / sup
 
 
-def _midpoint_step(field, theta, I, dt):
-    """One implicit-midpoint step on a batch; returns the new (theta, I).
+def _midpoint_step(field, z, dt):
+    """One implicit-midpoint step on a batch of z = [theta | I]; returns the new z.
     A fixed-point iterate that is not finite raises StepFailureError at once."""
-    wt = theta
-    wI = I
+    w = z
     for sweep in range(1, MAX_SWEEPS + 1):
-        td, Id = field(wt, wI)
-        td *= 0.5 * dt
-        td += theta
-        Id *= 0.5 * dt
-        Id += I
-        dtheta, dI = np.abs(td - wt).max(), np.abs(Id - wI).max()
-        wt, wI = td, Id
-        if max(dtheta, dI) <= FIXED_POINT_TOL:
+        y = field(w)
+        y *= 0.5 * dt
+        y += z
+        delta = np.abs(y - w).max()
+        w = y
+        if delta <= FIXED_POINT_TOL:
             break
-        if not math.isfinite(dtheta + dI):
+        if not math.isfinite(delta):
             raise StepFailureError(
                 f"fixed-point iterate {sweep} is not finite: the step diverged"
             )
@@ -82,7 +82,9 @@ def _midpoint_step(field, theta, I, dt):
         raise StepFailureError(
             f"fixed-point iteration did not reach {FIXED_POINT_TOL:.1e} in {MAX_SWEEPS} sweeps"
         )
-    return 2.0 * wt - theta, 2.0 * wI - I
+    w *= 2.0
+    w -= z
+    return w
 
 
 def _split(H):
@@ -94,11 +96,16 @@ def _split(H):
     return linear_frequency(H), HamiltonianVectorField(f, check_real=False)
 
 
-def _split_step(field, omega, theta, I, dt):
-    """One split step on a batch: half rotation, midpoint step on f, half rotation."""
-    half = 0.5 * dt * omega
-    theta, I = _midpoint_step(field, theta + half, I, dt)
-    return theta + half, I
+def _half_rotation(omega, dt):
+    """The shift [omega dt/2 | 0] of z = [theta | I] by half a rotation."""
+    return np.concatenate([0.5 * dt * omega, np.zeros_like(omega)])
+
+
+def _split_step(field, half, z, dt):
+    """One split step on a batch of z: shift by `half`, midpoint step on f, shift."""
+    z = _midpoint_step(field, z + half, dt)
+    z += half
+    return z
 
 
 def _energy(field, omega, theta, I):
@@ -156,38 +163,38 @@ def integrate(H, start, t_end, dt, record_every=None, r_max=None):
     if record_every is not None and record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every!r}")
     omega, field = _split(H)
-    theta0, I0 = start
-    theta = np.asarray(theta0, dtype=float).reshape(1, -1).copy()
-    I = np.asarray(I0, dtype=float).reshape(1, -1).copy()
+    d = H.d
+    z = np.empty((1, 2 * d))
+    z[0, :d], z[0, d:] = start
     n_steps = max(1, int(math.ceil(abs(t_end / dt) - 1e-9)))
     if record_every is None:
         record_every = max(1, -(-n_steps // MAX_RECORDED_SAMPLES))
     # the start, every record_every-th step, and a last or exiting step
     rows = n_steps // record_every + 2
     ts = np.empty(rows)
-    thetas = np.empty((rows, H.d))
-    Is = np.empty((rows, H.d))
-    ts[0], thetas[0], Is[0] = 0.0, theta[0], I[0]
+    zs = np.empty((rows, 2 * d))
+    ts[0], zs[0] = 0.0, z[0]
     k = 1
     t = 0.0
+    step_dt, half = dt, _half_rotation(omega, dt)
     domain_exit = False
     # a diverging step raises StepFailureError, so its overflow need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, n_steps + 1):
-            step_dt = dt if n < n_steps else t_end - t
-            theta, I = _split_step(field, omega, theta, I, step_dt)
+            if n == n_steps:  # a last step that lands exactly on t_end
+                step_dt, half = t_end - t, _half_rotation(omega, t_end - t)
+            z = _split_step(field, half, z, step_dt)
             t += step_dt
-            if r_max is not None and np.max(np.abs(I)) > r_max:
+            if r_max is not None and np.max(np.abs(z[0, d:])) > r_max:
                 domain_exit = True
             if n % record_every == 0 or n == n_steps or domain_exit:
-                ts[k], thetas[k], Is[k] = t, theta[0], I[0]
+                ts[k], zs[k] = t, z[0]
                 k += 1
             if domain_exit:
                 break
-    ts, thetas, Is = ts[:k], thetas[:k], Is[:k]
-    thetas %= 1.0
+    thetas, Is = zs[:k, :d] % 1.0, zs[:k, d:].copy()
     return Trajectory(
-        t=ts,
+        t=ts[:k],
         theta=thetas,
         I=Is,
         energy=_recorded_energy(field, omega, thetas, Is),
@@ -255,7 +262,7 @@ def escape_time(H, rho, threshold, t_cap, n_samples, seed, dt=None):
     omega, field = _split(H)
     d = H.d
     theta, I0 = sample_initial_conditions(d, rho, n_samples, seed)
-    I = I0
+    z = np.hstack([theta, I0])
     active = np.arange(n_samples)
     escape_times = np.full(n_samples, float(t_cap))
     censored = np.ones(n_samples, dtype=bool)
@@ -264,13 +271,15 @@ def escape_time(H, rho, threshold, t_cap, n_samples, seed, dt=None):
     max_energy_drift = 0.0
     n_steps = max(1, int(math.ceil(t_cap / dt - 1e-9)))
     t = 0.0
+    step_dt, half = dt, _half_rotation(omega, dt)
     # a diverging step raises StepFailureError, so its overflow need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, n_steps + 1):
-            step_dt = dt if n < n_steps else t_cap - t
-            theta, I = _split_step(field, omega, theta, I, step_dt)
+            if n == n_steps:  # a last step that lands exactly on t_cap
+                step_dt, half = t_cap - t, _half_rotation(omega, t_cap - t)
+            z = _split_step(field, half, z, step_dt)
             t += step_dt
-            drift = np.max(np.abs(I - I0), axis=1)
+            drift = np.max(np.abs(z[:, d:] - I0), axis=1)
             np.maximum(max_drift, drift, out=max_drift)
             hit = drift >= threshold
             if hit.any():
@@ -278,13 +287,13 @@ def escape_time(H, rho, threshold, t_cap, n_samples, seed, dt=None):
                 escape_times[escaped] = t
                 censored[escaped] = False
                 keep = ~hit
-                active, theta, I, I0, max_drift, e0 = (
-                    a[keep] for a in (active, theta, I, I0, max_drift, e0)
+                active, z, I0, max_drift, e0 = (
+                    a[keep] for a in (active, z, I0, max_drift, e0)
                 )
                 if len(active) == 0:
                     break
             if n % ENERGY_CHECK_EVERY == 0 or n == n_steps:
-                e = _energy(field, omega, theta, I)
+                e = _energy(field, omega, z[:, :d], z[:, d:])
                 max_energy_drift = max(max_energy_drift, _relative_drift(e, e0))
     bound = ballistic_bound(H.fourier_nonzero_part(), threshold, rho * (1.0 + threshold / rho))
     bad = (~censored) & (escape_times < bound * (1.0 - 1e-12))

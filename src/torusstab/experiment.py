@@ -238,16 +238,15 @@ def _sweep_row(config, H, omega, hc, rho, dt):
     pred = predicted_stability_time(rho, hc, config.tau)
     t_pred = pred.t_theorem
     t_diff = diffusion_time_reference(rho, hc, config.tau, config.epsilon, config.T0)
-    flags = "dynamics-only"
+    flags = "dynamics-only" if config.dynamics_only else "-"
     contraction = math.nan
     error = ""
     if not config.dynamics_only:
         try:
             report = run_pipeline(H, omega, config.gamma, config.tau, hc, rho)
             sch = report.schedule  # None for an integrable H: no flags
-            flags = "-" if sch is None else ";".join(
-                f"{name}:{int(ok)}" for name, ok in sorted(sch.flags.items())
-            )
+            if sch is not None:
+                flags = ";".join(f"{name}:{int(ok)}" for name, ok in sorted(sch.flags.items()))
             if report.failure:
                 error = report.failure
             elif report.normal_form is not None:

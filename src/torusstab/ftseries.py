@@ -451,30 +451,33 @@ def theta_gradient_majorant(H, radius):
 
 
 class HamiltonianVectorField:
-    """Batched Hamiltonian vector field (theta_dot, I_dot) of a real series.
+    """Batched Hamiltonian vector field of a real series on z = [theta | I].
 
-    theta_dot = dH/dI, I_dot = -dH/dtheta, all real parts of the series sum.
-    A term whose mode k has a negative first nonzero entry is folded onto
-    (-k, m, conj c) at construction, which leaves Re c e^{2 pi i k.theta} I^m
-    unchanged, so for any series the kernel sums the half spectrum
+    field(z) maps the rows of an (N, 2d) array z = [theta | I] (or one point)
+    to z_dot = [theta_dot | I_dot], with theta_dot = dH/dI and I_dot =
+    -dH/dtheta, all real parts of the series sum.  A term whose mode k has a
+    negative first nonzero entry is folded onto (-k, m, conj c) at
+    construction, which leaves Re c e^{2 pi i k.theta} I^m unchanged, so for
+    any series the kernel sums the half spectrum
 
         Re f = sum_m A_m(theta) I^m,
         A_m = sum_k (a cos 2 pi k.theta - b sin 2 pi k.theta),  c_{k,m} = a + ib.
 
     A call takes one tan of the half phase per point and distinct mode k (u
-    of them), cos and sin from the half-angle formulas, and the action powers
-    by running products once per distinct Taylor index m (v of them).  One
-    product of [cos | sin] (N x 2u) with a weight matrix (2u x (1+d) v) gives
-    per point every A_m and B_{m,j} = sum_k 2 pi k_j (b cos + a sin), and
+    of them), cos and sin from the half-angle formulas, and a table of I_j^p
+    by running products.  The weight matrix has 1 + 2d column groups per
+    distinct Taylor index m: A_m, m_j A_m and B_{m,j} = sum_k 2 pi k_j (b cos
+    + a sin).  One product of [cos | sin] (N x 2u) with it, times the
+    gathered action powers and summed over m, gives
 
-        energy = sum_m A_m I^m,  I_dot_j = sum_m B_{m,j} I^m,
-        theta_dot_j = sum_m A_m m_j I^{m - e_j}.
+        energy = sum_m A_m I^m,  theta_dot_j = sum_m m_j A_m I^{m - e_j},
+        I_dot_j = sum_m B_{m,j} I^m.
 
     The weight matrix is stored and applied in column blocks of consecutive
     Taylor indices.  A block holds at most PAIR_BLOCK entries (or the columns
     of one index) and only the rows of the modes its terms use, so a call's
     product has at most N PAIR_BLOCK / 2 entries per block, and the weights
-    at most max(2 (1+d), PAIR_BLOCK / u) per term.  FourierTaylorSeries.evaluate
+    at most max(2 (1+2d), PAIR_BLOCK / u) per term.  FourierTaylorSeries.evaluate
     is the plain term sum, so it checks this kernel.  `n` counts the folded terms.
     """
 
@@ -494,17 +497,17 @@ class HamiltonianVectorField:
         u, v = len(modes), len(powers)
         self.Kt = modes.T.astype(float)
         self.pmax = int(M.max(initial=0))
-        # action exponents: m for the energy and I_dot, m - e_j with the
-        # factor m_j for theta_dot_j
-        self.exps = np.repeat(powers[None], 1 + d, axis=0)
+        # per column group, Taylor index and axis j, the place of I_j^{e_j} in
+        # the power table: m for the energy and I_dot, m - e_j for theta_dot_j
+        exps = np.repeat(powers[None], 1 + 2 * d, axis=0)
         for j in range(d):
-            self.exps[1 + j, :, j] = np.maximum(powers[:, j] - 1, 0)
-        self.factors = np.vstack([np.ones(v), powers.T])
-        # weight columns per Taylor index: A_m, then B_{m,1..d}
-        a, b = C.real, C.imag
-        weights = np.hstack([a[:, None], TWO_PI * K * b[:, None]])
-        weights_sin = np.hstack([-b[:, None], TWO_PI * K * a[:, None]])
-        width = max(1, PAIR_BLOCK // (2 * (1 + d) * max(u, 1)))
+            exps[1 + j, :, j] = np.maximum(powers[:, j] - 1, 0)
+        exps += (self.pmax + 1) * np.arange(d)
+        # weight columns per Taylor index: A_m, m_j A_m, then B_{m,j}
+        a, b = C.real[:, None], C.imag[:, None]
+        weights = np.hstack([a, M * a, TWO_PI * K * b])
+        weights_sin = np.hstack([-b, -M * b, TWO_PI * K * a])
+        width = max(1, PAIR_BLOCK // (2 * (1 + 2 * d) * max(u, 1)))
         order = np.argsort(power, kind="stable")
         bounds = np.searchsorted(power[order], np.arange(0, v + width, width))
         self.blocks = []
@@ -512,61 +515,56 @@ class HamiltonianVectorField:
             terms = order[lo:hi]
             rows, row = np.unique(mode[terms], return_inverse=True)
             ub, vb = len(rows), min(width, v - l0)
-            W = np.zeros((2 * ub, 1 + d, vb))
+            W = np.zeros((2 * ub, 1 + 2 * d, vb))
             col = power[terms] - l0
             W[row, :, col] = weights[terms]
             W[ub + row, :, col] = weights_sin[terms]
-            W = W.reshape(2 * ub, (1 + d) * vb)
+            W = W.reshape(2 * ub, (1 + 2 * d) * vb)
+            idx = exps[:, l0 : l0 + vb].reshape(-1, d).T
             rows = None if ub == u else np.concatenate([rows, u + rows])
-            self.blocks.append((rows, W, W[:, :vb], slice(l0, l0 + vb)))
+            parts = [(W[:, s].copy(), idx[:, s].copy()) for s in (slice(vb), slice(vb, None))]
+            self.blocks.append((rows, *parts))  # rows, the energy's part, z_dot's part
 
     def _angles(self, theta):
         """[cos | sin] of 2 pi k.theta per point and distinct mode, as (N, 2u),
         from t = tan(pi k.theta): q = 2/(1 + t^2), cos = q - 1, sin = t q."""
-        theta = np.atleast_2d(np.asarray(theta, dtype=float))
         turns = theta @ self.Kt
         turns -= np.rint(turns)  # exact; |turns| <= 1/2 keeps |t| <= 1.7e16
-        t = np.tan(np.pi * turns, out=turns)
+        t = np.tan(np.multiply(turns, np.pi, out=turns), out=turns)
         u = t.shape[1]
         cs = np.empty((len(t), 2 * u))
         q, sin = cs[:, :u], cs[:, u:]
-        np.divide(2.0, 1.0 + np.multiply(t, t, out=q), out=q)
+        np.divide(2.0, np.add(np.multiply(t, t, out=q), 1.0, out=q), out=q)
         np.multiply(t, q, out=sin)
         q -= 1.0  # q - 1 = cos
         return cs
 
-    def _powers(self, I, exps):
-        """prod_j I_j^{e_j} per point, for exponent rows exps[..., index, j]."""
-        I = np.atleast_2d(np.asarray(I, dtype=float))
+    def _power_table(self, I):
+        """I_j^p per point at column j (pmax + 1) + p, by running products."""
         pw = np.empty(I.shape + (self.pmax + 1,))
         pw[:, :, 0] = 1.0
         pw[:, :, 1:] = I[:, :, None]
         np.multiply.accumulate(pw, axis=2, out=pw)
-        P = pw[:, 0, exps[..., 0]]
-        for j in range(1, self.d):
-            P *= pw[:, j, exps[..., j]]
-        return P
+        return pw.reshape(len(I), -1)
 
-    @staticmethod
-    def _product(cs, rows, W):
-        return (cs if rows is None else cs[:, rows]) @ W
-
-    def __call__(self, theta, I):
+    def _sum(self, theta, I, part, groups):
+        """Each block's `part` of `groups` column groups, summed over m."""
         cs = self._angles(theta)
-        P = self._powers(I, self.exps) * self.factors
-        N, d = len(cs), self.d
-        theta_dot, I_dot = np.zeros((N, d)), np.zeros((N, d))
-        for rows, W, _, cols in self.blocks:
-            AB = self._product(cs, rows, W).reshape(N, 1 + d, -1)
-            Pb = P[:, :, cols]
-            theta_dot += np.einsum("nv,njv->nj", AB[:, 0], Pb[:, 1:])
-            I_dot += np.einsum("njv,nv->nj", AB[:, 1:], Pb[:, 0])
-        return theta_dot, I_dot
+        pw = self._power_table(I)
+        out = np.zeros((len(cs), groups))
+        for block in self.blocks:
+            rows, (W, idx) = block[0], block[part]
+            Q = (cs if rows is None else cs[:, rows]) @ W
+            P = pw.take(idx[0], axis=1)
+            for j in range(1, self.d):
+                P *= pw.take(idx[j], axis=1)
+            Q *= P
+            out += Q.reshape(len(Q), groups, W.shape[1] // groups).sum(axis=2)
+        return out
+
+    def __call__(self, z):
+        z = np.atleast_2d(z)
+        return self._sum(z[:, : self.d], z[:, self.d :], 2, 2 * self.d)
 
     def energy(self, theta, I):
-        cs = self._angles(theta)
-        P = self._powers(I, self.exps[0])
-        e = np.zeros(len(cs))
-        for rows, _, W_energy, cols in self.blocks:
-            e += np.einsum("nv,nv->n", self._product(cs, rows, W_energy), P[:, cols])
-        return e
+        return self._sum(np.atleast_2d(theta), np.atleast_2d(I), 1, 1)[:, 0]

@@ -199,6 +199,14 @@ def remainder_bounds(schedule, hc):
     )
 
 
+def _exp(x):
+    """e^x, or inf beyond float range: times are computed in log space."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def predicted_stability_time(rho, hc, tau):
     """Stability-time prediction t_theorem = 1 / (rho^{1+(ell-1)/(tau+1)}
     |log rho|^{ell-1}), the headline shape with its constant set to 1."""
@@ -208,7 +216,7 @@ def predicted_stability_time(rho, hc, tau):
     ell = hc.ell
     exponent = 1.0 + (ell - 1.0) / (tau + 1.0)
     return StabilityPrediction(
-        t_theorem=1.0 / (rho**exponent * abs(math.log(rho)) ** (ell - 1.0)),
+        t_theorem=_exp(-exponent * math.log(rho) - (ell - 1.0) * math.log(-math.log(rho))),
         exponent=exponent,
         log_exponent=ell - 1.0,
     )
@@ -222,7 +230,7 @@ def diffusion_time_reference(rho, hc, tau, epsilon, T0):
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
     if not (math.isfinite(T0) and T0 > 0):
         raise ValueError(f"T0 must be positive and finite, got {T0!r}")
-    return T0 / rho ** (exponent + epsilon)
+    return _exp(math.log(T0) - (exponent + epsilon) * math.log(rho))
 
 
 @dataclass(frozen=True)
@@ -239,7 +247,8 @@ class PipelineReport:
 
     @property
     def certified(self):
-        return self.failure is None and self.normal_form is not None and self.normal_form.certified
+        """No failure, and a certified normal form or no schedule (f = 0: nothing to normalise)."""
+        return self.failure is None and (self.schedule is None or self.normal_form.certified)
 
     def to_text(self):
         """Flat key=value report block."""

@@ -22,7 +22,7 @@ from torusstab import (
     theta_gradient_majorant,
 )
 from torusstab import dynamics, ftseries
-from torusstab.dynamics import _midpoint_step, _split, _split_step
+from torusstab.dynamics import _half_rotation, _midpoint_step, _split, _split_step
 
 D = 2
 OMEGA = golden_frequency(2)
@@ -159,19 +159,18 @@ class TestIntegrate:
         # halving dt reduces the one-step error by about 2^3 (local order 3)
         H = coupled_hamiltonian(0.1)
         field = HamiltonianVectorField(H)
-        theta = np.array([[0.2, 0.6]])
-        I = np.array([[0.1, -0.2]])
+        start = np.array([[0.2, 0.6, 0.1, -0.2]])
 
         def error(dt, n):
-            th, Ii = theta, I
+            z = start
             for _ in range(n):
-                th, Ii = _midpoint_step(field, th, Ii, dt)
-            return th, Ii
+                z = _midpoint_step(field, z, dt)
+            return z[:, D:]
 
-        ref_t, ref_I = error(1e-4, 400)
-        t1, I1 = error(0.04, 1)
-        t2, I2 = error(0.02, 2)
-        e1 = np.max(np.abs(I1 - ref_I[0] * 0 - ref_I))
+        ref_I = error(1e-4, 400)
+        I1 = error(0.04, 1)
+        I2 = error(0.02, 2)
+        e1 = np.max(np.abs(I1 - ref_I))
         e2 = np.max(np.abs(I2 - ref_I))
         assert e2 <= e1 / 3.0  # global order 2 over the same interval
 
@@ -179,13 +178,13 @@ class TestIntegrate:
         # the whole step: half rotation, midpoint on f, half rotation
         H = coupled_hamiltonian(0.1)
         omega, field = _split(H)
-        start = (np.array([[0.2, 0.6]]), np.array([[0.1, -0.2]]))
+        start = np.array([[0.2, 0.6, 0.1, -0.2]])
 
         def run(dt, n):
-            th, Ii = start
+            z = start
             for _ in range(n):
-                th, Ii = _split_step(field, omega, th, Ii, dt)
-            return np.hstack([th, Ii])
+                z = _split_step(field, _half_rotation(omega, dt), z, dt)
+            return z
 
         ref = run(1e-4, 400)
         e1 = np.max(np.abs(run(0.04, 1) - ref))
@@ -208,9 +207,9 @@ def count_field_calls(monkeypatch):
     calls = []
     original = HamiltonianVectorField.__call__
 
-    def counted(self, theta, I):
-        calls.append(np.atleast_2d(theta).shape[0])
-        return original(self, theta, I)
+    def counted(self, z):
+        calls.append(np.atleast_2d(z).shape[0])
+        return original(self, z)
 
     monkeypatch.setattr(HamiltonianVectorField, "__call__", counted)
     return calls
@@ -281,17 +280,17 @@ class TestRecording:
         t_end, dt, every = 0.375, 0.01, 3
         traj = integrate(H, self.START, t_end=t_end, dt=dt, record_every=every)
         omega, field = _split(H)
-        theta, I = np.array([self.START[0]], float), np.array([self.START[1]], float)
-        ts, thetas, Is = [0.0], [theta[0] % 1.0], [I[0].copy()]
+        z = np.array([self.START[0] + self.START[1]], float)
+        ts, thetas, Is = [0.0], [z[0, :D] % 1.0], [z[0, D:].copy()]
         t, n_steps = 0.0, 38
         for n in range(1, n_steps + 1):
             step_dt = dt if n < n_steps else t_end - t
-            theta, I = _split_step(field, omega, theta, I, step_dt)
+            z = _split_step(field, _half_rotation(omega, step_dt), z, step_dt)
             t += step_dt
             if n % every == 0 or n == n_steps:
                 ts.append(t)
-                thetas.append(theta[0] % 1.0)
-                Is.append(I[0].copy())
+                thetas.append(z[0, :D] % 1.0)
+                Is.append(z[0, D:].copy())
         assert traj.t.tobytes() == np.array(ts).tobytes()
         assert traj.theta.tobytes() == np.array(thetas).tobytes()
         assert traj.I.tobytes() == np.array(Is).tobytes()

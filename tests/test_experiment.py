@@ -170,6 +170,18 @@ class TestSweep:
         assert row.error == ""
         assert read_sweep_csv(csv)[0].schedule_flags == "-"
 
+    def test_failed_stage_row_is_not_dynamics_only(self, tmp_path):
+        # gamma = 5 exceeds the certified gamma_K, so the certificate stage
+        # raises: the pipeline ran and gave no schedule flags
+        cfg = ExperimentConfig(
+            rho_list=(1e-3,), gamma=5.0, t_cap=0.02, n_samples=2, dynamics_only=False
+        )
+        csv = tmp_path / "sweep.csv"
+        (row,) = sweep(cfg, csv_path=csv)
+        assert row.error.startswith("pipeline stage 'certificate' failed")
+        assert row.schedule_flags == "-"
+        assert read_sweep_csv(csv)[0].schedule_flags == "-"
+
     def test_diverging_step_error_kept_in_csv(self, tmp_path):
         # at dt = 2 the midpoint iteration on the amplitude-1 H diverges
         cfg = parse_config("amplitude = 1\ndt = 2\nt_cap = 4\nn_samples = 2\nrho_list = 0.1\n")

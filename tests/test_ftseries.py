@@ -604,7 +604,8 @@ def kernel_tol(g):
 def assert_kernel_matches_direct_sum(field, f, theta, I):
     """The energy, theta_dot and I_dot of f's kernel against the direct sums
     of f and of its exact partial_I and partial_theta."""
-    td, Id = field(theta, I)
+    zdot = field(np.hstack([theta, I]))
+    td, Id = zdot[:, :D], zdot[:, D:]
     assert np.all(np.abs(field.energy(theta, I) - direct_sum(f, theta, I)) <= kernel_tol(f))
     for j in range(D):
         g_I, g_theta = f.partial_I(j), f.partial_theta(j)
@@ -633,7 +634,8 @@ class TestEvaluators:
         field = HamiltonianVectorField(H)
         theta = np.array([[0.12, 0.81]])
         I = np.array([[0.4, -0.3]])
-        td, Id = field(theta, I)
+        zdot = field(np.hstack([theta, I]))
+        td, Id = zdot[:, :D], zdot[:, D:]
         for j in range(D):
             assert td[0, j] == pytest.approx(
                 H.partial_I(j).evaluate(theta[0], I[0]), abs=1e-13
@@ -655,7 +657,8 @@ class TestEvaluators:
         assert_kernel_matches_direct_sum(field, f, theta, I)
         if not real:
             return  # evaluate rejects a non-real series
-        td, Id = field(theta, I)
+        zdot = field(np.hstack([theta, I]))
+        td, Id = zdot[:, :D], zdot[:, D:]
         for j in range(D):
             g_I, g_theta = f.partial_I(j), f.partial_theta(j)
             for i in range(len(theta)):
@@ -668,6 +671,11 @@ class TestEvaluators:
     @example(  # k = 0 only: one mode, cos = 1 and sin = 0
         f=FourierTaylorSeries(D, {((0, 0), (0, 0)): 1.5, ((0, 0), (2, 1)): -0.5 + 0.25j}),
         real=False,
+    )
+    @example(  # no I_1 in any term: theta_dot_1 is exactly 0
+        f=FourierTaylorSeries(D, {((1, 2), (0, 3)): 0.5 - 0.25j, ((3, -1), (0, 1)): 0.75j,
+                                  ((0, 1), (0, 0)): 1.0}),
+        real=True,
     )
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -688,11 +696,22 @@ class TestEvaluators:
         field = HamiltonianVectorField(f, check_real=False)
         assert field.n == len(folded)
         if block == 1:
-            assert len(field.blocks) == len({m for _, m in folded})
+            powers = sorted({m for _, m in folded})
+            assert len(field.blocks) == len(powers)
+            # one Taylor index per block: column j of its field weights is
+            # theta_dot_j, whose factor m_j = 0 leaves it exactly 0
+            for m, (_, _, (W, _)) in zip(powers, field.blocks):
+                for j in range(D):
+                    if m[j] == 0:
+                        assert not W[:, j].any()
         rng = np.random.default_rng(len(f))
         theta = rng.random((7, D))
         I = rng.uniform(-1.5, 1.5, (7, D))
         assert_kernel_matches_direct_sum(field, f, theta, I)
+        zdot = field(np.hstack([theta, I]))
+        for j in range(D):
+            if all(m[j] == 0 for _, m in folded):
+                assert np.all(zdot[:, j] == 0)
 
     def test_vector_field_rejects_complex(self):
         g = FourierTaylorSeries.harmonic(D, (1, 0), coeff=1j)
@@ -739,11 +758,10 @@ class TestHalfAngleKernel:
 
     def test_powers_match_pow_for_negative_actions(self):
         field = self.field(m=(6, 6))
-        exps = np.array([(m, 0) for m in range(7)] + [(0, m) for m in range(7)])
         rng = np.random.default_rng(4)
         I = np.vstack([rng.uniform(-1.5, -0.01, (50, D)), rng.uniform(-1.5, 1.5, (50, D))])
         expected = np.hstack([I[:, :1] ** np.arange(7), I[:, 1:] ** np.arange(7)])
-        P = field._powers(I, exps)
+        P = field._power_table(I)
         assert np.all(np.abs(P - expected) <= 1e-15 * np.abs(expected))
 
     def test_kernel_matches_direct_sum_up_to_the_top_shell(self):
