@@ -12,7 +12,7 @@ step: a half rotation adds the shift [omega h/2 | 0], built when the step
 size changes, and a sweep is one call field(z) -> [theta_dot | I_dot].
 `integrate`'s step loop only steps and records (t, z).  The energy never
 feeds back into a step, so Trajectory.energy is evaluated after the run, at
-theta mod 1, in batches bounded by ftseries.PAIR_BLOCK.
+theta mod 1, in one call field.energy(z); the field bounds its own batches.
 
 Escape measurement samples initial conditions from a seeded, counter-based
 RNG; aggregation uses only order-independent reductions, so results do not
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ftseries
 from .errors import NumericalFault, RealityViolationError, StepFailureError
 from .ftseries import HamiltonianVectorField, theta_gradient_majorant
 
@@ -108,19 +107,9 @@ def _split_step(field, half, z, dt):
     return z
 
 
-def _energy(field, omega, theta, I):
-    """H = f + omega.I per point."""
-    return field.energy(theta, I) + I @ omega
-
-
-def _recorded_energy(field, omega, theta, I):
-    """_energy over many rows, in chunks whose [cos | sin] array holds at
-    most PAIR_BLOCK entries."""
-    rows = max(1, ftseries.PAIR_BLOCK // (2 * max(field.Kt.shape[1], 1)))
-    e = np.empty(len(theta))
-    for lo in range(0, len(theta), rows):
-        e[lo : lo + rows] = _energy(field, omega, theta[lo : lo + rows], I[lo : lo + rows])
-    return e
+def _energy(field, omega, z):
+    """H = f + omega.I at each row of z = [theta | I]."""
+    return field.energy(z) + z[:, len(omega) :] @ omega
 
 
 def _relative_drift(e, e0):
@@ -150,9 +139,6 @@ def integrate(H, start, t_end, dt, record_every=None, r_max=None):
     dt may be negative for backward runs.  The final step is shortened to
     land exactly on t_end.  Recording is decimated to at most
     MAX_RECORDED_SAMPLES samples unless record_every is given.
-
-    Trajectory.energy is evaluated after the run, at theta mod 1, in batches
-    whose [cos | sin] array holds at most ftseries.PAIR_BLOCK entries.
     """
     if dt == 0 or not math.isfinite(dt):
         raise ValueError(f"dt must be nonzero and finite, got {dt!r}")
@@ -192,12 +178,13 @@ def integrate(H, start, t_end, dt, record_every=None, r_max=None):
                 k += 1
             if domain_exit:
                 break
-    thetas, Is = zs[:k, :d] % 1.0, zs[:k, d:].copy()
+    zs = zs[:k]
+    zs[:, :d] %= 1.0
     return Trajectory(
         t=ts[:k],
-        theta=thetas,
-        I=Is,
-        energy=_recorded_energy(field, omega, thetas, Is),
+        theta=zs[:, :d],
+        I=zs[:, d:],
+        energy=_energy(field, omega, zs),
         dt=float(dt),
         method=METHOD,
         domain_exit=domain_exit,
@@ -232,7 +219,9 @@ class EscapeRecord:
 
 def sample_initial_conditions(d, rho, n_samples, seed):
     """Uniform product samples on T^d x B_rho (sup-norm ball), one derived
-    RNG stream per sample index."""
+    RNG stream per sample index; the seed must be >= 0."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
     thetas = np.empty((n_samples, d))
     Is = np.empty((n_samples, d))
     for i in range(n_samples):
@@ -267,7 +256,7 @@ def escape_time(H, rho, threshold, t_cap, n_samples, seed, dt=None):
     escape_times = np.full(n_samples, float(t_cap))
     censored = np.ones(n_samples, dtype=bool)
     max_drift = np.zeros(n_samples)
-    e0 = _energy(field, omega, theta, I0)
+    e0 = _energy(field, omega, z)
     max_energy_drift = 0.0
     n_steps = max(1, int(math.ceil(t_cap / dt - 1e-9)))
     t = 0.0
@@ -293,7 +282,7 @@ def escape_time(H, rho, threshold, t_cap, n_samples, seed, dt=None):
                 if len(active) == 0:
                     break
             if n % ENERGY_CHECK_EVERY == 0 or n == n_steps:
-                e = _energy(field, omega, z[:, :d], z[:, d:])
+                e = _energy(field, omega, z)
                 max_energy_drift = max(max_energy_drift, _relative_drift(e, e0))
     bound = ballistic_bound(H.fourier_nonzero_part(), threshold, rho * (1.0 + threshold / rho))
     bad = (~censored) & (escape_times < bound * (1.0 - 1e-12))

@@ -65,6 +65,8 @@ class ExperimentConfig:
         for name in ("max_steps", "n_samples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if not (math.isfinite(self.threshold_factor) and self.threshold_factor > 0):
             raise ValueError(
                 f"threshold_factor must be positive and finite, got {self.threshold_factor!r}"
@@ -351,8 +353,9 @@ def fit_exponent_rows(rows, source="t_pred", log_exponent=None):
 def emit_plots(rows, outdir):
     """Write gnuplot-ready two-column data (log10 rho vs log10 t) plus a stub.
 
-    Censored escape points go to a separate series file.  Returns the list of
-    written paths.
+    Rows whose every sample was censored go to a separate series file, at
+    t_pred; a row whose integration failed is in neither escape file.
+    Returns the list of written paths.
     """
     if not rows:
         raise ValueError("no rows to plot")
@@ -367,30 +370,19 @@ def emit_plots(rows, outdir):
                 fh.write(f"{x!r} {y!r}\n")
         paths.append(path)
 
-    write(
-        "pred.dat",
-        [
-            (math.log10(r.rho), math.log10(r.t_pred))
-            for r in rows
-            if math.isfinite(r.t_pred) and r.t_pred > 0
-        ],
-    )
-    write(
-        "escape.dat",
-        [
-            (math.log10(r.rho), math.log10(r.min_escape))
-            for r in rows
-            if r.min_escape is not None and r.min_escape > 0
-        ],
-    )
-    write(
-        "escape_censored.dat",
-        [
-            (math.log10(r.rho), math.log10(r.t_pred) if r.t_pred > 0 and math.isfinite(r.t_pred) else 0.0)
-            for r in rows
-            if r.min_escape is None
-        ],
-    )
+    def points(time, among):
+        """(log10 rho, log10 t) of the rows whose time is positive and finite."""
+        return [
+            (math.log10(r.rho), math.log10(t))
+            for r in among
+            if (t := time(r)) is not None and 0 < t < math.inf
+        ]
+
+    write("pred.dat", points(lambda r: r.t_pred, rows))
+    write("escape.dat", points(lambda r: r.min_escape, rows))
+    # a row whose integration raised has censored_fraction nan: not censored
+    censored = [r for r in rows if r.censored_fraction == 1.0]
+    write("escape_censored.dat", points(lambda r: r.t_pred, censored))
     stub = os.path.join(outdir, "plot.gp")
     with open(stub, "w") as fh:
         fh.write(

@@ -37,8 +37,9 @@ import numpy as np
 from .errors import RealityViolationError
 
 TWO_PI = 2.0 * math.pi
-# entries formed at once by a Poisson bracket (d per term pair): it bounds
-# their working memory, whatever the operands' sizes
+# entries formed at once by a Poisson bracket (d per term pair), and by each
+# temporary of a vector-field call: it bounds their working memory, whatever
+# the operands' sizes or the number of rows
 PAIR_BLOCK = 1 << 18
 
 
@@ -475,10 +476,13 @@ class HamiltonianVectorField:
 
     The weight matrix is stored and applied in column blocks of consecutive
     Taylor indices.  A block holds at most PAIR_BLOCK entries (or the columns
-    of one index) and only the rows of the modes its terms use, so a call's
-    product has at most N PAIR_BLOCK / 2 entries per block, and the weights
-    at most max(2 (1+2d), PAIR_BLOCK / u) per term.  FourierTaylorSeries.evaluate
-    is the plain term sum, so it checks this kernel.  `n` counts the folded terms.
+    of one index) and only the rows of the modes its terms use, so the
+    weights hold at most max(2 (1+2d), PAIR_BLOCK / u) entries per term.
+    field(z) and field.energy(z) (which takes the same stacked z) run in
+    chunks of `rows` rows, so that [cos | sin], the power table and each
+    block's products hold at most PAIR_BLOCK entries (or one row) whatever
+    N is.  FourierTaylorSeries.evaluate is the plain term sum, so it checks
+    this kernel.  `n` counts the folded terms.
     """
 
     def __init__(self, series, check_real=True):
@@ -510,6 +514,10 @@ class HamiltonianVectorField:
         width = max(1, PAIR_BLOCK // (2 * (1 + 2 * d) * max(u, 1)))
         order = np.argsort(power, kind="stable")
         bounds = np.searchsorted(power[order], np.arange(0, v + width, width))
+        # rows per chunk of a call, from the widest temporary per row: [cos |
+        # sin], the power table, or a block's z_dot products
+        widest = max(2 * u, d * (self.pmax + 1), 2 * d * min(width, v))
+        self.rows = max(1, PAIR_BLOCK // widest)
         self.blocks = []
         for l0, lo, hi in zip(range(0, v, width), bounds[:-1], bounds[1:]):
             terms = order[lo:hi]
@@ -547,10 +555,14 @@ class HamiltonianVectorField:
         np.multiply.accumulate(pw, axis=2, out=pw)
         return pw.reshape(len(I), -1)
 
-    def _sum(self, theta, I, part, groups):
-        """Each block's `part` of `groups` column groups, summed over m."""
-        cs = self._angles(theta)
-        pw = self._power_table(I)
+    def _sum(self, z, part, groups):
+        """Each block's `part` of `groups` column groups at the rows of z,
+        summed over m, in chunks of at most `rows` rows."""
+        if len(z) > self.rows:
+            chunks = range(0, len(z), self.rows)
+            return np.concatenate([self._sum(z[r : r + self.rows], part, groups) for r in chunks])
+        cs = self._angles(z[:, : self.d])
+        pw = self._power_table(z[:, self.d :])
         out = np.zeros((len(cs), groups))
         for block in self.blocks:
             rows, (W, idx) = block[0], block[part]
@@ -563,8 +575,7 @@ class HamiltonianVectorField:
         return out
 
     def __call__(self, z):
-        z = np.atleast_2d(z)
-        return self._sum(z[:, : self.d], z[:, self.d :], 2, 2 * self.d)
+        return self._sum(np.atleast_2d(z), 2, 2 * self.d)
 
-    def energy(self, theta, I):
-        return self._sum(np.atleast_2d(theta), np.atleast_2d(I), 1, 1)[:, 0]
+    def energy(self, z):
+        return self._sum(np.atleast_2d(z), 1, 1)[:, 0]

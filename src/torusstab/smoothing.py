@@ -100,11 +100,14 @@ def lacunary_series(d, ell, j_max=10, seed=0, amplitude=1.0):
     two random modes (each with its mirror) per shell.
 
     Lives exactly in C^ell for non-integer ell; the canonical family for slope
-    verification.  Deterministic in the seed.  A negative j_max or a non-finite
-    amplitude raises ValueError.
+    verification.  Deterministic in the seed, an integer or a sequence of
+    them.  A negative j_max or seed entry, or a non-finite amplitude, raises
+    ValueError.
     """
     if j_max < 0:
         raise ValueError(f"j_max must be >= 0, got {j_max!r}")
+    if np.min(seed) < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
     if not math.isfinite(amplitude):
         raise ValueError(f"amplitude must be finite, got {amplitude!r}")
     rng = np.random.default_rng(seed)

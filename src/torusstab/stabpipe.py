@@ -29,6 +29,9 @@ from .normalform import XI, NormalFormParams, resonant_normal_form
 from .smoothing import holder_norm_majorant, sharp_cutoff
 
 RHO_MAX = math.exp(-6.0)
+# mass of H's k = 0, |m|_1 <= 1 part, relative to H's, beyond omega.I that
+# perturbation_of rejects
+LINEAR_PART_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -97,8 +100,8 @@ def taylor_split(f, hc, rho):
     Z_bound is the angle-gradient majorant of Z on the tube of radius rho.
     Orders 0 and 1 are a model violation: the torus would not be invariant.
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    if not (rho > 0 and math.isfinite(rho)):
+        raise ValueError(f"rho must be positive and finite, got {rho!r}")
     if f and f.min_taylor_order() < 2:
         raise PreconditionError(
             "perturbation carries Taylor orders < 2; the torus would not be invariant"
@@ -281,13 +284,14 @@ class PipelineReport:
         return "\n".join(lines) + "\n"
 
 
-def perturbation_of(H, omega, tol=1e-9):
-    """Extract f from H = omega.I + f, checking the linear part matches omega."""
+def perturbation_of(H, omega):
+    """Extract f from H = omega.I + f, checking the linear part matches omega
+    to LINEAR_PART_TOL of H's mass."""
     w = omega.as_array() if hasattr(omega, "as_array") else omega
     linear = FourierTaylorSeries.linear(w)
     f = H - linear
     stray = f.select(lambda nk, nm, c: (nk == 0) & (nm <= 1))
-    if stray and stray.mass() > tol * max(H.mass(), 1.0):
+    if stray and stray.mass() > LINEAR_PART_TOL * max(H.mass(), 1.0):
         raise PreconditionError("Hamiltonian linear part does not match the supplied frequency")
     return f - stray
 

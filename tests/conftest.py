@@ -20,7 +20,8 @@ def cutoff_gap():
     def gap(g, g_s, n=64):
         axes = np.meshgrid(*(np.arange(n) / n,) * g.d, indexing="ij")
         theta = np.stack([a.ravel() for a in axes], axis=1)
-        values = HamiltonianVectorField(g - g_s).energy(theta, np.zeros_like(theta))
+        z = np.hstack([theta, np.zeros_like(theta)])
+        values = HamiltonianVectorField(g - g_s).energy(z)
         return float(np.max(np.abs(values), initial=0.0))
 
     return gap

@@ -216,6 +216,29 @@ def test_ballistic_sanity(report):
            f"{len(times)} escapes all >= {forced_bound:.4f}")
 
 
+def test_escape_power(report):
+    """The no-escape check can fail: at amplitude 1 a sample escapes at
+    rho = 0.1, never faster than the ballistic bound, and none at rho = 0.05."""
+    hc = HolderClass(6.5, D)
+    H = build_test_hamiltonian(hc, seed=0, amplitude=1.0, j_max=8)
+    details = []
+    escapes = {}
+    ok = True
+    for rho in (0.1, 0.05):
+        rec = escape_time(H, rho, threshold=0.5 * rho, t_cap=2.0, n_samples=10, seed=0)
+        bound = ballistic_bound(H.fourier_nonzero_part(), 0.5 * rho, 1.5 * rho)
+        times = rec.escape_times[~rec.censored]
+        escapes[rho] = len(times)
+        ok = ok and bool(np.all(times >= bound))
+        first = f"first at {times.min():.4f}" if len(times) else "none"
+        details.append(
+            f"rho={rho}: {len(times)}/10 escaped ({first}; bound {bound:.4f}), "
+            f"drift/threshold={rec.max_drift_at_cap / (0.5 * rho):.2f}"
+        )
+    ok = ok and escapes[0.1] >= 1 and escapes[0.05] == 0
+    report("escape-power", ok, "; ".join(details))
+
+
 @pytest.mark.slow
 def test_no_escape_property(report):
     """Zero of 150 seeded samples drifts rho/2 before the predicted time."""

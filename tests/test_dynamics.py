@@ -237,36 +237,55 @@ def count_energy_calls(monkeypatch):
     calls = []
     original = HamiltonianVectorField.energy
 
-    def counted(self, theta, I):
-        calls.append(np.atleast_2d(theta).shape[0])
-        return original(self, theta, I)
+    def counted(self, z):
+        calls.append(np.atleast_2d(z).shape[0])
+        return original(self, z)
 
     monkeypatch.setattr(HamiltonianVectorField, "energy", counted)
     return calls
 
 
+def count_angle_rows(monkeypatch):
+    """The rows of every [cos | sin] table the kernel builds."""
+    rows = []
+    original = HamiltonianVectorField._angles
+
+    def counted(self, theta):
+        rows.append(len(theta))
+        return original(self, theta)
+
+    monkeypatch.setattr(HamiltonianVectorField, "_angles", counted)
+    return rows
+
+
 class TestRecording:
     """integrate steps and records (t, theta, I) in its loop, and evaluates
-    the energies after the run in chunks of at most PAIR_BLOCK // (2u) rows."""
+    the energies after the run in one field.energy call; the field runs it
+    in chunks whose temporaries hold at most PAIR_BLOCK entries."""
 
     START = ((0.3, 0.7), (0.05, -0.05))
 
     @pytest.mark.parametrize("block", [None, 12])
     def test_energy_calls_after_the_run(self, monkeypatch, block):
-        # coupled_hamiltonian has u = 2 modes: PAIR_BLOCK = 12 gives 3-row chunks
+        # coupled_hamiltonian's f has u = 2 modes and pmax = 2; at PAIR_BLOCK
+        # = 12 each block holds one Taylor index (4 z_dot columns), so the
+        # power table's d (pmax + 1) = 6 columns are the widest: 2-row chunks
         if block is not None:
             monkeypatch.setattr(ftseries, "PAIR_BLOCK", block)
         H = coupled_hamiltonian(1e-12)
         field_calls = count_field_calls(monkeypatch)
         energy_calls = count_energy_calls(monkeypatch)
+        angle_rows = count_angle_rows(monkeypatch)
         traj = integrate(H, self.START, t_end=0.5, dt=0.01, record_every=1)
         assert field_calls == [1] * 50
-        chunk = 51 if block is None else 3
         assert len(traj.t) == 51
-        assert energy_calls == [chunk] * (51 // chunk) + ([51 % chunk] if 51 % chunk else [])
+        assert energy_calls == [51]
+        chunk = 51 if block is None else 2
+        chunks = [chunk] * (51 // chunk) + ([51 % chunk] if 51 % chunk else [])
+        assert angle_rows == [1] * 50 + chunks
 
     def test_chunked_energy_matches_evaluate(self, monkeypatch):
-        # 3-row chunks over 14 records: two full boundaries inside the record
+        # 2-row chunks over 14 records: six boundaries inside the record
         monkeypatch.setattr(ftseries, "PAIR_BLOCK", 12)
         H = coupled_hamiltonian(0.1)
         traj = integrate(H, ((0.2, 0.6), (0.1, -0.2)), t_end=0.13, dt=0.01)
@@ -307,6 +326,10 @@ class TestSampling:
         thetas, Is = sample_initial_conditions(2, 0.07, 200, seed=1)
         assert np.all((thetas >= 0) & (thetas < 1))
         assert np.all(np.abs(Is) <= 0.07)
+
+    def test_negative_seed_rejected_by_name(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            sample_initial_conditions(2, 0.1, 3, seed=-1)
 
 
 class TestEscapeTime:

@@ -11,6 +11,7 @@ from torusstab import (
     HolderClass,
     InsufficientDataError,
     build_test_hamiltonian,
+    default_dt,
     emit_plots,
     fit_exponent,
     fit_exponent_rows,
@@ -19,6 +20,7 @@ from torusstab import (
     read_sweep_csv,
     sweep,
 )
+from torusstab import experiment
 from torusstab.experiment import SweepRow
 
 HC65 = HolderClass(6.5, 2)
@@ -95,6 +97,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             parse_config("frobnicate = 3\n")
 
+    def test_negative_seed_rejected_by_name(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            parse_config("seed = -1")
+
 
 class TestBuildHamiltonian:
     def test_structure(self):
@@ -128,6 +134,26 @@ class TestBuildHamiltonian:
 
 
 class TestSweep:
+    def test_certified_row_and_default_cap(self, monkeypatch):
+        # rho = 1e-3 certifies, so the row carries the schedule flags and the
+        # contraction; t_cap defaults to min(t_pred, max_steps dt) = 10 dt
+        caps = []
+        original = experiment.escape_time
+
+        def spy(*args, **kwargs):
+            caps.append(kwargs["t_cap"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "escape_time", spy)
+        cfg = ExperimentConfig(rho_list=(1e-3,), dynamics_only=False, max_steps=10, n_samples=2)
+        (row,) = sweep(cfg)
+        assert row.error == ""
+        assert row.schedule_flags == "rho_ok:1;s_in_range:1"
+        assert 0.0 < row.contraction < 1e-14
+        assert row.censored_fraction == 1.0
+        H = build_test_hamiltonian(HC65, seed=0)
+        assert caps == [10 * default_dt(H)] and caps[0] < row.t_pred
+
     def test_dynamics_only_sweep_and_csv(self, tmp_path):
         cfg = ExperimentConfig(
             rho_list=(0.1, 0.05),
@@ -258,6 +284,21 @@ class TestFit:
         rep = fit_exponent_rows(rows, source="t_pred")
         assert rep.p == pytest.approx(2.0, abs=1e-10)
 
+    def test_fit_from_escape_rows(self):
+        # a censored row (no escape) is left out of the fit
+        rows = [
+            SweepRow(
+                rho=r, t_pred=0.0, t_diff_ref=0.0, min_escape=None if r == 0.2 else 3.0 / r**1.5,
+                censored_fraction=0.5, max_drift=0.0, schedule_flags="-", contraction=math.nan,
+            )
+            for r in (0.2, 0.1, 0.05, 0.02, 0.01)
+        ]
+        rep = fit_exponent_rows(rows, source="min_escape")
+        assert rep.n_points == 4
+        assert rep.p == pytest.approx(1.5, abs=1e-10)
+        with pytest.raises(ValueError, match="unknown fit source 'escape'"):
+            fit_exponent_rows(rows, source="escape")
+
 
 class TestPlots:
     def test_emit_and_parse_back(self, tmp_path):
@@ -275,6 +316,21 @@ class TestPlots:
         ]
         assert pred[0][0] == pytest.approx(math.log10(0.1))
         assert pred[0][1] == pytest.approx(math.log10(57.0))
+
+    def test_only_fully_censored_rows_are_censored_points(self, tmp_path):
+        # at dt = 2 the integration raises, so the sweep's row has no escape
+        # data; it and a row with no finite t_pred give no censored point
+        cfg = parse_config("amplitude = 1\ndt = 2\nt_cap = 4\nn_samples = 2\nrho_list = 0.1\n")
+        (failed,) = sweep(cfg)
+        assert failed.error.startswith("dynamics: ")
+        rows = [
+            failed,
+            SweepRow(0.05, math.inf, 400.0, None, 1.0, 0.0, "-", math.nan),
+            SweepRow(0.025, 180.0, 400.0, None, 1.0, 0.0, "-", math.nan),
+        ]
+        emit_plots(rows, tmp_path)
+        censored = (tmp_path / "escape_censored.dat").read_text().splitlines()
+        assert censored[1:] == [f"{math.log10(0.025)!r} {math.log10(180.0)!r}"]
 
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -604,9 +604,10 @@ def kernel_tol(g):
 def assert_kernel_matches_direct_sum(field, f, theta, I):
     """The energy, theta_dot and I_dot of f's kernel against the direct sums
     of f and of its exact partial_I and partial_theta."""
-    zdot = field(np.hstack([theta, I]))
+    z = np.hstack([theta, I])
+    zdot = field(z)
     td, Id = zdot[:, :D], zdot[:, D:]
-    assert np.all(np.abs(field.energy(theta, I) - direct_sum(f, theta, I)) <= kernel_tol(f))
+    assert np.all(np.abs(field.energy(z) - direct_sum(f, theta, I)) <= kernel_tol(f))
     for j in range(D):
         g_I, g_theta = f.partial_I(j), f.partial_theta(j)
         assert np.all(np.abs(td[:, j] - direct_sum(g_I, theta, I)) <= kernel_tol(g_I))
@@ -621,7 +622,7 @@ class TestEvaluators:
         rng = np.random.default_rng(7)
         thetas = rng.random((20, 2))
         Is = rng.uniform(-1, 1, (20, 2))
-        batch = HamiltonianVectorField(f).energy(thetas, Is)
+        batch = HamiltonianVectorField(f).energy(np.hstack([thetas, Is]))
         for i in range(20):
             assert batch[i] == pytest.approx(f.evaluate(thetas[i], Is[i]), abs=1e-12)
 
@@ -723,7 +724,7 @@ class TestEvaluators:
         field = HamiltonianVectorField(H)
         theta = np.array([[0.3, 0.4], [0.9, 0.1]])
         I = np.array([[0.2, 0.5], [-0.1, 0.7]])
-        e = field.energy(theta, I)
+        e = field.energy(np.hstack([theta, I]))
         for i in range(2):
             assert e[i] == pytest.approx(H.evaluate(theta[i], I[i]), abs=1e-13)
 
@@ -773,3 +774,61 @@ class TestHalfAngleKernel:
         theta = rng.random((40, D))
         I = rng.uniform(-1.5, 1.5, (40, D))
         assert_kernel_matches_direct_sum(HamiltonianVectorField(H), H, theta, I)
+
+
+class TestRowChunks:
+    """field(z) and field.energy(z) run in row chunks: no [cos | sin] table,
+    power table or block product holds more than PAIR_BLOCK entries, unless
+    it has a single row."""
+
+    SERIES = {
+        # few modes and a high Taylor order: the power table's d (pmax + 1)
+        # columns are the widest temporary, far wider than [cos | sin]
+        "high-order": lambda: (
+            FourierTaylorSeries.cosine(D, (1, 0), m=(60, 0))
+            + FourierTaylorSeries.sine(D, (0, 1), m=(3, 2), amplitude=0.5)
+        ),
+        # many modes: [cos | sin] is the widest
+        "many-modes": lambda: build_test_hamiltonian(
+            HolderClass(6.5, 2), seed=1, amplitude=1.0, j_max=4
+        ),
+        # one mode and 25 Taylor indices: a block's z_dot products are the widest
+        "many-indices": lambda: sum(
+            (FourierTaylorSeries.cosine(D, (1, 0), m=(a, b), amplitude=1.0 / (1 + a + b))
+             for a in range(5) for b in range(5)),
+            FourierTaylorSeries(D),
+        ),
+    }
+
+    @pytest.mark.parametrize("block", [1, 256, 1024])
+    @pytest.mark.parametrize("name", sorted(SERIES))
+    def test_no_temporary_exceeds_the_block(self, monkeypatch, name, block):
+        monkeypatch.setattr(ftseries, "PAIR_BLOCK", block)
+        f = self.SERIES[name]()
+        field = HamiltonianVectorField(f)
+        shapes = {"_angles": [], "_power_table": []}
+        for method, seen in shapes.items():
+            original = getattr(HamiltonianVectorField, method)
+
+            def spy(self, a, original=original, seen=seen):
+                out = original(self, a)
+                seen.append(out.shape)
+                return out
+
+            monkeypatch.setattr(HamiltonianVectorField, method, spy)
+        rng = np.random.default_rng(6)
+        n = 23
+        assert_kernel_matches_direct_sum(
+            field, f, rng.random((n, D)), rng.uniform(-1.5, 1.5, (n, D))
+        )
+        # one field(z) and one field.energy(z) call, each over all n rows
+        rows = [r for r, _ in shapes["_angles"]]
+        assert sum(rows) == 2 * n
+        assert rows == [r for r, _ in shapes["_power_table"]]
+        products = [W.shape[1] for b in field.blocks for W, _ in b[1:]]
+        for (r, cs_width), (_, pw_width) in zip(shapes["_angles"], shapes["_power_table"]):
+            for width in (cs_width, pw_width, *products):
+                assert r == 1 or r * width <= block, (r, width)
+        if name == "high-order" and block == 1024:
+            # 8-row chunks (1024 // 122): the bound is not met by single rows alone
+            assert max(rows) == 8

@@ -11,6 +11,8 @@ from torusstab import (
     TWO_PI,
     AnalyticityWidths,
     FourierTaylorSeries,
+    LieDivergenceError,
+    LieResult,
     MeanNotRemovedError,
     NormalFormParams,
     SmallDivisorError,
@@ -132,6 +134,16 @@ class TestLieTransform:
         low = res.series.fourier_nonzero_part().select(lambda nk, nm, c: nk <= 1)
         # what survives at |k| <= 1 is the order-1 piece of {f, chi}, O(eps^2)
         assert low.mass() <= 1e-5 * f.mass()
+
+    def test_oversized_generator_diverges(self):
+        # a generator 1e6 times the homological solution makes each bracket
+        # about 2e3 times the last
+        f = FourierTaylorSeries.cosine(D, (1, 0), m=(2, 0), amplitude=1e-3)
+        H = FourierTaylorSeries.linear(OMEGA) + f
+        chi = solve_homological(f, OMEGA)
+        lie_transform(H, chi * 1e5)  # about 2e2 per order: no divergence
+        with pytest.raises(LieDivergenceError, match="grew by 2.00e[+]03 at order 2"):
+            lie_transform(H, chi * 1e6)
 
     def test_energy_conservation_under_flow(self):
         # H o Psi evaluated at x equals H evaluated at Psi(x), with Psi the
@@ -260,5 +272,23 @@ class TestResonantNormalForm:
         nf = resonant_normal_form(H, OMEGA, params)
         assert nf.stop == "stalled"
         assert nf.iterations == 1
+        assert not nf.certified
+        assert nf.contraction > nf.target_contraction
+
+    def test_slow_contraction_is_capped(self, monkeypatch):
+        # a Lie step that only scales the remainder by 0.95 lowers the
+        # contraction every iteration but needs 144 of them; the cap is 2K = 120
+        def shrink(H, chi, widths=None, chop=0.0):
+            series = H.fourier_zero_part() + H.fourier_nonzero_part() * 0.95
+            return LieResult(series=series, tail_mass=0.0, dropped_mass=0.0)
+
+        monkeypatch.setattr(normalform, "lie_transform", shrink)
+        H = FourierTaylorSeries.linear(OMEGA) + FourierTaylorSeries.cosine(
+            D, (1, 0), m=(2, 0), amplitude=1e-9
+        )
+        params = NormalFormParams(alpha=0.2, K=60, widths=AnalyticityWidths(1.0, 0.5))
+        nf = resonant_normal_form(H, OMEGA, params)
+        assert nf.stop == "capped"
+        assert nf.iterations == 120
         assert not nf.certified
         assert nf.contraction > nf.target_contraction

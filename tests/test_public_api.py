@@ -60,7 +60,7 @@ PUBLIC_PARAMETERS = {
     "load_config": ('path',),
     "parameter_schedule": ('rho', 'gamma', 'tau', 'hc', 'coeff_norm_max'),
     "parse_config": ('text',),
-    "perturbation_of": ('H', 'omega', 'tol'),
+    "perturbation_of": ('H', 'omega'),
     "predicted_stability_time": ('rho', 'hc', 'tau'),
     "read_sweep_csv": ('path',),
     "remainder_bounds": ('schedule', 'hc'),

@@ -143,6 +143,11 @@ class TestLacunary:
         assert lacunary_series(D, 6.5, seed=9) == lacunary_series(D, 6.5, seed=9)
         assert lacunary_series(D, 6.5, seed=9) != lacunary_series(D, 6.5, seed=10)
 
+    @pytest.mark.parametrize("seed", [-1, [0, -2]])
+    def test_negative_seed_rejected_by_name(self, seed):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            lacunary_series(D, 6.5, seed=seed)
+
     def test_real_and_shell_amplitudes(self):
         g = lacunary_series(D, 6.5, j_max=5, seed=2, amplitude=3.0)
         assert g.is_real(tol=1e-14)

@@ -57,6 +57,12 @@ class TestTaylorSplit:
         with pytest.raises(PreconditionError):
             taylor_split(f, HC65, 0.1)
 
+    @pytest.mark.parametrize("rho", [0.0, -0.1, math.nan, math.inf])
+    def test_bad_rho_rejected_by_name(self, rho):
+        f = FourierTaylorSeries.cosine(D, (1, 0), m=(2, 0))
+        with pytest.raises(ValueError, match="rho must be positive and finite"):
+            taylor_split(f, HC65, rho)
+
 
 class TestSmoothCoefficients:
     def test_gap_majorants(self):
