@@ -255,7 +255,7 @@ def escape_time(H, rho, threshold, t_cap, n_samples, seed, dt=None):
     active = np.arange(n_samples)
     escape_times = np.full(n_samples, float(t_cap))
     censored = np.ones(n_samples, dtype=bool)
-    max_drift = np.zeros(n_samples)
+    max_drift = np.zeros((n_samples, d))  # per sample and action axis
     e0 = _energy(field, omega, z)
     max_energy_drift = 0.0
     n_steps = max(1, int(math.ceil(t_cap / dt - 1e-9)))
@@ -268,17 +268,14 @@ def escape_time(H, rho, threshold, t_cap, n_samples, seed, dt=None):
                 step_dt, half = t_cap - t, _half_rotation(omega, t_cap - t)
             z = _split_step(field, half, z, step_dt)
             t += step_dt
-            drift = np.max(np.abs(z[:, d:] - I0), axis=1)
-            np.maximum(max_drift, drift, out=max_drift)
-            hit = drift >= threshold
-            if hit.any():
+            dev = np.abs(z[:, d:] - I0)
+            np.maximum(max_drift, dev, out=max_drift)
+            if dev.max() >= threshold:
+                hit = dev.max(axis=1) >= threshold
                 escaped = active[hit]
                 escape_times[escaped] = t
                 censored[escaped] = False
-                keep = ~hit
-                active, z, I0, max_drift, e0 = (
-                    a[keep] for a in (active, z, I0, max_drift, e0)
-                )
+                active, z, I0, max_drift, e0 = (a[~hit] for a in (active, z, I0, max_drift, e0))
                 if len(active) == 0:
                     break
             if n % ENERGY_CHECK_EVERY == 0 or n == n_steps:

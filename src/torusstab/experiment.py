@@ -251,8 +251,11 @@ def _sweep_row(config, H, omega, hc, rho, dt):
                 flags = ";".join(f"{name}:{int(ok)}" for name, ok in sorted(sch.flags.items()))
             if report.failure:
                 error = report.failure
-            elif report.normal_form is not None:
-                contraction = report.normal_form.contraction
+            elif (nf := report.normal_form) is not None:
+                contraction = nf.contraction
+                if not nf.certified:
+                    error = (f"normal form {nf.stop}: contraction {contraction:.6e} "
+                             f"> target {nf.target_contraction:.6e}")
             if report.prediction is not None:
                 t_pred = report.prediction.t_theorem
         except PipelineStageError as exc:

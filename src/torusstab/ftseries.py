@@ -464,25 +464,26 @@ class HamiltonianVectorField:
         Re f = sum_m A_m(theta) I^m,
         A_m = sum_k (a cos 2 pi k.theta - b sin 2 pi k.theta),  c_{k,m} = a + ib.
 
-    A call takes one tan of the half phase per point and distinct mode k (u
-    of them), cos and sin from the half-angle formulas, and a table of I_j^p
-    by running products.  The weight matrix has 1 + 2d column groups per
+    A call works on (columns, points) tables, so that every write, gather
+    and sum runs along the batch: [cos ; sin] (2u x N) from one tan of the
+    half phase per distinct mode k (u of them) and point, and I_j^p (d (pmax
+    + 1) x N) by running products.  The weights have 1 + 2d row groups per
     distinct Taylor index m: A_m, m_j A_m and B_{m,j} = sum_k 2 pi k_j (b cos
-    + a sin).  One product of [cos | sin] (N x 2u) with it, times the
-    gathered action powers and summed over m, gives
+    + a sin).  Their product with [cos ; sin], times the gathered action
+    powers and summed over m, gives
 
         energy = sum_m A_m I^m,  theta_dot_j = sum_m m_j A_m I^{m - e_j},
         I_dot_j = sum_m B_{m,j} I^m.
 
-    The weight matrix is stored and applied in column blocks of consecutive
-    Taylor indices.  A block holds at most PAIR_BLOCK entries (or the columns
-    of one index) and only the rows of the modes its terms use, so the
-    weights hold at most max(2 (1+2d), PAIR_BLOCK / u) entries per term.
-    field(z) and field.energy(z) (which takes the same stacked z) run in
-    chunks of `rows` rows, so that [cos | sin], the power table and each
-    block's products hold at most PAIR_BLOCK entries (or one row) whatever
-    N is.  FourierTaylorSeries.evaluate is the plain term sum, so it checks
-    this kernel.  `n` counts the folded terms.
+    The weights are stored and applied in row blocks of consecutive Taylor
+    indices.  A block holds at most PAIR_BLOCK entries (or the rows of one
+    index) and only the columns of the modes its terms use, so the weights
+    hold at most max(2 (1+2d), PAIR_BLOCK / u) entries per term.  field(z)
+    and field.energy(z) (which takes the same stacked z) run in chunks of
+    `rows` points, so that [cos ; sin], the power table and each block's
+    products hold at most PAIR_BLOCK entries (or one point) whatever N is.
+    FourierTaylorSeries.evaluate is the plain term sum, so it checks this
+    kernel.  `n` counts the folded terms.
     """
 
     def __init__(self, series, check_real=True):
@@ -499,83 +500,82 @@ class HamiltonianVectorField:
         modes, mode = np.unique(K, axis=0, return_inverse=True)
         powers, power = np.unique(M, axis=0, return_inverse=True)
         u, v = len(modes), len(powers)
-        self.Kt = modes.T.astype(float)
+        self.modes = modes.astype(float)
         self.pmax = int(M.max(initial=0))
-        # per column group, Taylor index and axis j, the place of I_j^{e_j} in
-        # the power table: m for the energy and I_dot, m - e_j for theta_dot_j
+        # per row group, Taylor index and axis j, the row of I_j^{e_j} in the
+        # power table: m for the energy and I_dot, m - e_j for theta_dot_j
         exps = np.repeat(powers[None], 1 + 2 * d, axis=0)
         for j in range(d):
             exps[1 + j, :, j] = np.maximum(powers[:, j] - 1, 0)
         exps += (self.pmax + 1) * np.arange(d)
-        # weight columns per Taylor index: A_m, m_j A_m, then B_{m,j}
+        # weight rows per Taylor index: A_m, m_j A_m, then B_{m,j}
         a, b = C.real[:, None], C.imag[:, None]
         weights = np.hstack([a, M * a, TWO_PI * K * b])
         weights_sin = np.hstack([-b, -M * b, TWO_PI * K * a])
         width = max(1, PAIR_BLOCK // (2 * (1 + 2 * d) * max(u, 1)))
         order = np.argsort(power, kind="stable")
         bounds = np.searchsorted(power[order], np.arange(0, v + width, width))
-        # rows per chunk of a call, from the widest temporary per row: [cos |
-        # sin], the power table, or a block's z_dot products
+        # points per chunk of a call, from the tallest temporary per point:
+        # [cos ; sin], the power table, or a block's z_dot products
         widest = max(2 * u, d * (self.pmax + 1), 2 * d * min(width, v))
         self.rows = max(1, PAIR_BLOCK // widest)
         self.blocks = []
         for l0, lo, hi in zip(range(0, v, width), bounds[:-1], bounds[1:]):
             terms = order[lo:hi]
-            rows, row = np.unique(mode[terms], return_inverse=True)
-            ub, vb = len(rows), min(width, v - l0)
-            W = np.zeros((2 * ub, 1 + 2 * d, vb))
-            col = power[terms] - l0
-            W[row, :, col] = weights[terms]
-            W[ub + row, :, col] = weights_sin[terms]
-            W = W.reshape(2 * ub, (1 + 2 * d) * vb)
+            cols, col = np.unique(mode[terms], return_inverse=True)
+            ub, vb = len(cols), min(width, v - l0)
+            W = np.zeros((1 + 2 * d, vb, 2 * ub))
+            row = power[terms] - l0
+            W[:, row, col] = weights[terms].T
+            W[:, row, ub + col] = weights_sin[terms].T
+            W = W.reshape((1 + 2 * d) * vb, 2 * ub)
             idx = exps[:, l0 : l0 + vb].reshape(-1, d).T
-            rows = None if ub == u else np.concatenate([rows, u + rows])
-            parts = [(W[:, s].copy(), idx[:, s].copy()) for s in (slice(vb), slice(vb, None))]
-            self.blocks.append((rows, *parts))  # rows, the energy's part, z_dot's part
+            cols = None if ub == u else np.concatenate([cols, u + cols])
+            parts = [(W[s], idx[:, s].copy()) for s in (slice(vb), slice(vb, None))]
+            self.blocks.append((cols, *parts))  # cols, the energy's part, z_dot's part
 
     def _angles(self, theta):
-        """[cos | sin] of 2 pi k.theta per point and distinct mode, as (N, 2u),
+        """[cos ; sin] of 2 pi k.theta per distinct mode and point, as (2u, N),
         from t = tan(pi k.theta): q = 2/(1 + t^2), cos = q - 1, sin = t q."""
-        turns = theta @ self.Kt
+        turns = self.modes @ theta.T
         turns -= np.rint(turns)  # exact; |turns| <= 1/2 keeps |t| <= 1.7e16
         t = np.tan(np.multiply(turns, np.pi, out=turns), out=turns)
-        u = t.shape[1]
-        cs = np.empty((len(t), 2 * u))
-        q, sin = cs[:, :u], cs[:, u:]
+        cs = np.empty((2, *t.shape))
+        q, sin = cs
         np.divide(2.0, np.add(np.multiply(t, t, out=q), 1.0, out=q), out=q)
         np.multiply(t, q, out=sin)
         q -= 1.0  # q - 1 = cos
-        return cs
+        return cs.reshape(-1, t.shape[1])
 
     def _power_table(self, I):
-        """I_j^p per point at column j (pmax + 1) + p, by running products."""
-        pw = np.empty(I.shape + (self.pmax + 1,))
-        pw[:, :, 0] = 1.0
-        pw[:, :, 1:] = I[:, :, None]
-        np.multiply.accumulate(pw, axis=2, out=pw)
-        return pw.reshape(len(I), -1)
+        """I_j^p per point at row j (pmax + 1) + p, by running products."""
+        pw = np.empty((self.d, self.pmax + 1, len(I)))
+        pw[:, 0] = 1.0
+        pw[:, 1:] = I.T[:, None]
+        np.multiply.accumulate(pw, axis=1, out=pw)
+        return pw.reshape(-1, len(I))
 
     def _sum(self, z, part, groups):
-        """Each block's `part` of `groups` column groups at the rows of z,
-        summed over m, in chunks of at most `rows` rows."""
+        """Each block's `part` of `groups` row groups at the rows of z, summed
+        over m, as (groups, N), in chunks of at most `rows` points."""
         if len(z) > self.rows:
             chunks = range(0, len(z), self.rows)
-            return np.concatenate([self._sum(z[r : r + self.rows], part, groups) for r in chunks])
+            return np.hstack([self._sum(z[r : r + self.rows], part, groups) for r in chunks])
         cs = self._angles(z[:, : self.d])
         pw = self._power_table(z[:, self.d :])
-        out = np.zeros((len(cs), groups))
+        out = np.zeros((groups, len(z)))
         for block in self.blocks:
-            rows, (W, idx) = block[0], block[part]
-            Q = (cs if rows is None else cs[:, rows]) @ W
-            P = pw.take(idx[0], axis=1)
+            cols, (W, idx) = block[0], block[part]
+            Q = W @ (cs if cols is None else cs[cols])
+            P = pw.take(idx[0], axis=0)
             for j in range(1, self.d):
-                P *= pw.take(idx[j], axis=1)
+                P *= pw.take(idx[j], axis=0)
             Q *= P
-            out += Q.reshape(len(Q), groups, W.shape[1] // groups).sum(axis=2)
+            out += Q.reshape(groups, -1, len(z)).sum(axis=1)
         return out
 
     def __call__(self, z):
-        return self._sum(np.atleast_2d(z), 2, 2 * self.d)
+        return self._sum(np.atleast_2d(z), 2, 2 * self.d).T
 
     def energy(self, z):
-        return self._sum(np.atleast_2d(z), 1, 1)[:, 0]
+        return self._sum(np.atleast_2d(z), 1, 1)[0]

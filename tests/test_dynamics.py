@@ -332,6 +332,41 @@ class TestSampling:
             sample_initial_conditions(2, 0.1, 3, seed=-1)
 
 
+def reference_escape(H, rho, threshold, t_cap, n_samples, seed):
+    """escape_time's sample loop over _split_step with the per-row rule
+    max(|I - I0|, axis=1) >= threshold.  Returns the escape times, the
+    censored flags, the largest drift of the censored samples, every step's
+    |I - I0| of the active rows, and per crossing (sample, step, axis of the
+    largest component, whether it equals the threshold exactly)."""
+    omega, field = _split(H)
+    dt = default_dt(H)
+    theta, I0 = sample_initial_conditions(D, rho, n_samples, seed)
+    z = np.hstack([theta, I0])
+    active = np.arange(n_samples)
+    times = np.full(n_samples, float(t_cap))
+    censored = np.ones(n_samples, dtype=bool)
+    max_drift = np.zeros(n_samples)
+    devs, crossings = [], []
+    t, n_steps = 0.0, max(1, math.ceil(t_cap / dt - 1e-9))
+    for n in range(1, n_steps + 1):
+        step_dt = dt if n < n_steps else t_cap - t
+        z = _split_step(field, _half_rotation(omega, step_dt), z, step_dt)
+        t += step_dt
+        dev = np.abs(z[:, D:] - I0)
+        devs.append(dev)
+        drift = np.max(dev, axis=1)
+        max_drift = np.maximum(max_drift, drift)
+        hit = drift >= threshold
+        for i in np.flatnonzero(hit):
+            crossings.append((int(active[i]), n, int(dev[i].argmax()), bool(drift[i] == threshold)))
+        times[active[hit]] = t
+        censored[active[hit]] = False
+        active, z, I0, max_drift = (a[~hit] for a in (active, z, I0, max_drift))
+        if len(active) == 0:
+            break
+    return times, censored, float(np.max(max_drift, initial=0.0)), devs, crossings
+
+
 class TestEscapeTime:
     def test_all_censored_for_tiny_perturbation(self):
         H = coupled_hamiltonian(1e-12)
@@ -353,6 +388,23 @@ class TestEscapeTime:
         bound = rec.threshold / (2 * math.pi)  # sup force = 2 pi
         assert rec.min_escape >= bound * (1 - 1e-9)
         assert rec.min_escape <= 5 * bound  # and not absurdly later
+
+    def test_threshold_edge_matches_per_row_rule(self):
+        # the threshold is the largest |I - I0| entry of the first 20 steps,
+        # so sample 7 meets it exactly (>=) with its I_1 at step 20; sample 1
+        # then crosses with its I_2, and the censored samples' largest drift
+        # lies just under the threshold, which it would not once an escaped
+        # row were kept
+        H = coupled_hamiltonian(0.3)
+        args = dict(rho=0.3, t_cap=0.5, n_samples=8, seed=2)
+        threshold = np.max(reference_escape(H, threshold=math.inf, **args)[3][:20])
+        times, censored, max_drift, _, crossings = reference_escape(H, threshold=threshold, **args)
+        assert crossings == [(7, 20, 0, True), (1, 41, 1, False), (0, 51, 0, False)]
+        assert 0.9 * threshold < max_drift < threshold
+        rec = escape_time(H, threshold=threshold, **args)
+        assert rec.escape_times.tobytes() == times.tobytes()
+        assert rec.censored.tobytes() == censored.tobytes()
+        assert rec.max_drift_at_cap == max_drift
 
     def test_deterministic(self):
         H = coupled_hamiltonian(1e-6)

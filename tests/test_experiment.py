@@ -1,6 +1,7 @@
 """Experiment configs, test Hamiltonians, sweeps, fits, and plot data."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from torusstab import (
     read_sweep_csv,
     sweep,
 )
-from torusstab import experiment
+from torusstab import experiment, stabpipe
 from torusstab.experiment import SweepRow
 
 HC65 = HolderClass(6.5, 2)
@@ -153,6 +154,30 @@ class TestSweep:
         assert row.censored_fraction == 1.0
         H = build_test_hamiltonian(HC65, seed=0)
         assert caps == [10 * default_dt(H)] and caps[0] < row.t_pred
+
+    def test_stalled_normal_form_row_says_so(self, monkeypatch, tmp_path):
+        # a normal form that stops uncertified (stubbed: the real stall at
+        # rho = 1e-9 takes about 37 s) gives no failure to the report, so
+        # the row must name the stop and the contraction against its target
+        original = stabpipe.resonant_normal_form
+        targets = []
+
+        def stalled(*args, **kwargs):
+            nf = original(*args, **kwargs)
+            targets.append(nf.target_contraction)
+            return replace(nf, certified=False, stop="stalled",
+                           contraction=1.405 * nf.target_contraction)
+
+        monkeypatch.setattr(stabpipe, "resonant_normal_form", stalled)
+        cfg = ExperimentConfig(rho_list=(1e-3,), dynamics_only=False, max_steps=10, n_samples=2)
+        csv = tmp_path / "sweep.csv"
+        (row,) = sweep(cfg, csv_path=csv)
+        (target,) = targets
+        assert row.contraction == 1.405 * target
+        assert row.error == (
+            f"normal form stalled: contraction {row.contraction:.6e} > target {target:.6e}"
+        )
+        assert read_sweep_csv(csv)[0].error == row.error
 
     def test_dynamics_only_sweep_and_csv(self, tmp_path):
         cfg = ExperimentConfig(

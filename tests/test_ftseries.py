@@ -699,12 +699,12 @@ class TestEvaluators:
         if block == 1:
             powers = sorted({m for _, m in folded})
             assert len(field.blocks) == len(powers)
-            # one Taylor index per block: column j of its field weights is
+            # one Taylor index per block: row j of its field weights is
             # theta_dot_j, whose factor m_j = 0 leaves it exactly 0
             for m, (_, _, (W, _)) in zip(powers, field.blocks):
                 for j in range(D):
                     if m[j] == 0:
-                        assert not W[:, j].any()
+                        assert not W[j].any()
         rng = np.random.default_rng(len(f))
         theta = rng.random((7, D))
         I = rng.uniform(-1.5, 1.5, (7, D))
@@ -748,20 +748,20 @@ class TestHalfAngleKernel:
             rng.uniform(-50.0, 50.0, (200, D)),
             np.stack(np.meshgrid(quarters, quarters), axis=-1).reshape(-1, D),
         ])
-        turns = theta @ field.Kt
+        turns = field.modes @ theta.T
         turns -= np.rint(turns)
         # the grid puts k.theta on 0, +-1/4 and +-1/2 exactly
         assert {0.0, 0.25, -0.25, 0.5, -0.5} <= set(turns.ravel())
-        u = field.Kt.shape[1]
+        u = len(field.modes)
         cs = field._angles(theta)
-        assert np.all(np.abs(cs[:, :u] - np.cos(TWO_PI * turns)) <= 1e-15)
-        assert np.all(np.abs(cs[:, u:] - np.sin(TWO_PI * turns)) <= 1e-15)
+        assert np.all(np.abs(cs[:u] - np.cos(TWO_PI * turns)) <= 1e-15)
+        assert np.all(np.abs(cs[u:] - np.sin(TWO_PI * turns)) <= 1e-15)
 
     def test_powers_match_pow_for_negative_actions(self):
         field = self.field(m=(6, 6))
         rng = np.random.default_rng(4)
         I = np.vstack([rng.uniform(-1.5, -0.01, (50, D)), rng.uniform(-1.5, 1.5, (50, D))])
-        expected = np.hstack([I[:, :1] ** np.arange(7), I[:, 1:] ** np.arange(7)])
+        expected = np.hstack([I[:, :1] ** np.arange(7), I[:, 1:] ** np.arange(7)]).T
         P = field._power_table(I)
         assert np.all(np.abs(P - expected) <= 1e-15 * np.abs(expected))
 
@@ -822,13 +822,35 @@ class TestRowChunks:
             field, f, rng.random((n, D)), rng.uniform(-1.5, 1.5, (n, D))
         )
         # one field(z) and one field.energy(z) call, each over all n rows
-        rows = [r for r, _ in shapes["_angles"]]
+        rows = [r for _, r in shapes["_angles"]]
         assert sum(rows) == 2 * n
-        assert rows == [r for r, _ in shapes["_power_table"]]
-        products = [W.shape[1] for b in field.blocks for W, _ in b[1:]]
-        for (r, cs_width), (_, pw_width) in zip(shapes["_angles"], shapes["_power_table"]):
+        assert rows == [r for _, r in shapes["_power_table"]]
+        products = [W.shape[0] for b in field.blocks for W, _ in b[1:]]
+        for (cs_width, r), (pw_width, _) in zip(shapes["_angles"], shapes["_power_table"]):
             for width in (cs_width, pw_width, *products):
                 assert r == 1 or r * width <= block, (r, width)
         if name == "high-order" and block == 1024:
             # 8-row chunks (1024 // 122): the bound is not met by single rows alone
             assert max(rows) == 8
+
+    @pytest.mark.parametrize("name", sorted(SERIES))
+    def test_chunked_batch_matches_row_by_row_calls(self, monkeypatch, name):
+        # at PAIR_BLOCK = 1024 the 23 rows run in chunks of 8, 13 or 10 rows,
+        # the last one short, so chunks that were joined on the wrong axis,
+        # dropped or reordered show in the shapes or the values
+        monkeypatch.setattr(ftseries, "PAIR_BLOCK", 1024)
+        f = self.SERIES[name]()
+        field = HamiltonianVectorField(f)
+        n = 23
+        assert 1 < field.rows < n and n % field.rows
+        rng = np.random.default_rng(7)
+        z = np.hstack([rng.random((n, D)), rng.uniform(-1.5, 1.5, (n, D))])
+        zdot, e = field(z), field.energy(z)
+        assert zdot.shape == (n, 2 * D) and e.shape == (n,)
+        by_row = np.vstack([field(row) for row in z])
+        e_by_row = np.concatenate([field.energy(row) for row in z])
+        assert np.all(np.abs(e - e_by_row) <= kernel_tol(f))
+        for j in range(D):
+            tol_I, tol_theta = kernel_tol(f.partial_I(j)), kernel_tol(f.partial_theta(j))
+            assert np.all(np.abs(zdot[:, j] - by_row[:, j]) <= tol_I)
+            assert np.all(np.abs(zdot[:, D + j] - by_row[:, D + j]) <= tol_theta)
