@@ -39,6 +39,7 @@ from .smoothing import (
     HolderClass,
     SlopeReport,
     SmoothingResult,
+    coefficient_norm_max,
     cp_tail_majorant,
     fourier_norm_bound_check,
     holder_norm_majorant,
@@ -62,7 +63,6 @@ from .stabpipe import (
     SmoothedSplit,
     StabilityPrediction,
     TaylorSplit,
-    coefficient_norm_max,
     diffusion_time_reference,
     dominance_threshold,
     parameter_schedule,

@@ -136,14 +136,13 @@ class FourierTaylorSeries:
     @classmethod
     def linear(cls, omega):
         """omega . I for a frequency vector or plain sequence."""
-        values = tuple(omega.omega) if hasattr(omega, "omega") else tuple(omega)
+        values = np.array(omega.omega if hasattr(omega, "omega") else omega, dtype=complex)
         d = len(values)
-        terms = {}
-        for i, w in enumerate(values):
-            if w != 0:
-                m = tuple(1 if j == i else 0 for j in range(d))
-                terms[((0,) * d, m)] = w
-        return cls(d, terms)
+        if d < 1:
+            raise ValueError("dimension must be >= 1")
+        axes = np.flatnonzero(values)[::-1]  # e_i orders before e_j for i > j
+        M = np.eye(d, dtype=np.int64)[axes]
+        return cls._of(d, np.zeros_like(M), M, values[axes])
 
     # -- canonical access -----------------------------------------------------
 
@@ -329,15 +328,6 @@ class FourierTaylorSeries:
     def max_taylor_order(self):
         return int(self._orders()[1].max(initial=0))
 
-    def taylor_monomials(self):
-        """Sorted list of action multi-indices carrying at least one term."""
-        return [tuple(m) for m in np.unique(self.M, axis=0).tolist()]
-
-    def angle_coefficient(self, m):
-        """The pure-angle coefficient series a_m(theta) of I^m."""
-        rows = np.all(self.M == np.asarray(m, dtype=np.int64), axis=1)
-        return self._of(self.d, self.K[rows], np.zeros_like(self.M[rows]), self.C[rows])
-
     def is_real(self, tol=1e-12):
         """Check c_{-k,m} = conj(c_{k,m}) up to tol relative to the total mass."""
         # c_{k,m} - conj(c_{-k,m}) at every key of the series or its mirror
@@ -406,21 +396,20 @@ def _pack(*operands, below=0):
     sum's minimum, so a sum's key less `below` m_i place values still
     unpacks.  Returns the keys per operand and the place values, spans and
     lowest entries that unpack a sum's key."""
-    cols = [[*K.T, *M.T] for K, M in operands]
-    lows = [[int(c.min()) if len(c) else 0 for c in op] for op in cols]
-    d = len(cols[0]) // 2
-    lows[0][d:] = [v - below for v in lows[0][d:]]
+    rows = [np.hstack([K, M]) for K, M in operands]
+    width = rows[0].shape[1]
+    lows = [r.min(axis=0).tolist() if len(r) else [0] * width for r in rows]
+    highs = [r.max(axis=0).tolist() if len(r) else [0] * width for r in rows]
+    lows[0][width // 2 :] = [v - below for v in lows[0][width // 2 :]]
     lo = [sum(v) for v in zip(*lows)]
-    hi = [sum(int(c.max()) if len(c) else 0 for c in v) for v in zip(*cols)]
+    hi = [sum(v) for v in zip(*highs)]
     spans = [h - l + 1 for l, h in zip(lo, hi)]
     if math.prod(spans) >= 1 << 63 or min(lo) < -(1 << 63) or max(hi) >= 1 << 63:
         raise ValueError(f"(k, m) keys overflow int64: column spans {spans}")
-    places = [math.prod(spans[j + 1 :]) for j in range(len(spans))]
-    keys = [np.zeros(len(op[0]), dtype=np.int64) for op in cols]
-    for key, op, low in zip(keys, cols, lows):
-        for c, l, place in zip(op, low, places):
-            key += (c - l) * place
-    return keys, np.array(places), np.array(spans), lo
+    places = np.array([math.prod(spans[j + 1 :]) for j in range(width)])
+    # each digit times its place is below prod(spans) < 2^63, so is their sum
+    keys = [(r - low) @ places for r, low in zip(rows, lows)]
+    return keys, places, np.array(spans), lo
 
 
 def _sort_sum(keys, C):

@@ -86,8 +86,24 @@ def holder_norm_majorant(g, hc):
     """
     if not g.is_pure_angle():
         raise ValueError("Holder majorant operates on pure-angle series only")
-    total = g.mass(lambda nk, nm: 1.0 + (TWO_PI * nk) ** hc.ell)
-    return (1.0 + 2.0 ** (1.0 - hc.mu)) * total
+    return coefficient_norm_max(g, hc)
+
+
+def coefficient_norm_max(P, hc):
+    """max over the Taylor indices m of P of the Holder majorant of the
+    coefficient a_m(theta) of I^m (0 for an empty P), in one pass.
+
+    P's weighted masses are grouped by m by a stable sort, which keeps each
+    a_m's terms in k order, and each group is summed.  The positive factor is
+    applied once, to the largest sum: rounding is monotone, so the max
+    commutes with it.
+    """
+    order = np.lexsort(P.M.T)
+    M, masses = P.M[order], P.masses(lambda nk, nm: 1.0 + (TWO_PI * nk) ** hc.ell)[order]
+    bounds = [0, *(np.flatnonzero((M[1:] != M[:-1]).any(axis=1)) + 1).tolist(), len(M)]
+    with np.errstate(over="ignore"):
+        sums = [masses[lo:hi].sum() for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return (1.0 + 2.0 ** (1.0 - hc.mu)) * float(max(sums))
 
 
 def cp_tail_majorant(g, s, p):

@@ -26,7 +26,8 @@ from .errors import (
 from .freqlib import _check_tau, diophantine_constant
 from .ftseries import AnalyticityWidths, FourierTaylorSeries, theta_gradient_majorant
 from .normalform import XI, NormalFormParams, resonant_normal_form
-from .smoothing import holder_norm_majorant, sharp_cutoff
+# holder_norm_majorant is looked up here by bench/layers.py
+from .smoothing import coefficient_norm_max, holder_norm_majorant, sharp_cutoff  # noqa: F401
 
 RHO_MAX = math.exp(-6.0)
 # mass of H's k = 0, |m|_1 <= 1 part, relative to H's, beyond omega.I that
@@ -286,22 +287,12 @@ class PipelineReport:
 
 def perturbation_of(H, omega):
     """Extract f from H = omega.I + f, checking the linear part matches omega
-    to LINEAR_PART_TOL of H's mass."""
-    w = omega.as_array() if hasattr(omega, "as_array") else omega
-    linear = FourierTaylorSeries.linear(w)
-    f = H - linear
-    stray = f.select(lambda nk, nm, c: (nk == 0) & (nm <= 1))
+    to LINEAR_PART_TOL of H's mass.  f is H's terms with k != 0 or |m|_1 > 1;
+    only H's k = 0, |m|_1 <= 1 terms are merged with omega.I for the check."""
+    stray = H.select(lambda nk, nm, c: (nk == 0) & (nm <= 1)) - FourierTaylorSeries.linear(omega)
     if stray and stray.mass() > LINEAR_PART_TOL * max(H.mass(), 1.0):
         raise PreconditionError("Hamiltonian linear part does not match the supplied frequency")
-    return f - stray
-
-
-def coefficient_norm_max(P, hc):
-    """max over monomials 2 <= |m|_1 <= q-2 of the Holder majorant of a_m."""
-    best = 0.0
-    for m in P.taylor_monomials():
-        best = max(best, holder_norm_majorant(P.angle_coefficient(m), hc))
-    return best
+    return H.select(lambda nk, nm, c: (nk > 0) | (nm > 1))
 
 
 @contextmanager
@@ -320,7 +311,8 @@ def run_pipeline(H, omega, gamma, tau, hc, rho):
     check -> resonant normal form -> remainder bounds -> predicted time.
 
     A bad rho, gamma or tau raises ValueError before any stage runs, and an
-    integrable H (f = 0) gets a report with no schedule and t_theorem = inf.
+    integrable H (f = 0) gets a report with no schedule and t_theorem = inf;
+    an f with no terms of orders 2..q-2 fails the taylor_split stage.
     A schedule with failed flags produces a report with `failure` naming them;
     failures in later stages raise PipelineStageError with the stage tag.
     """
@@ -335,6 +327,8 @@ def run_pipeline(H, omega, gamma, tau, hc, rho):
 
     with _stage("taylor_split"):
         split = taylor_split(f, hc, rho)
+        if not split.P:
+            raise PreconditionError(f"perturbation has no terms of Taylor orders 2..{hc.q - 2}")
         cmax = coefficient_norm_max(split.P, hc)
     schedule = parameter_schedule(rho, gamma, tau, hc, cmax)
     if not schedule.valid:

@@ -166,6 +166,22 @@ class TestPredict:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    def test_empty_polynomial_part_exit_code(self, tmp_path, capsys):
+        # only Taylor order 5 = q - 1 at ell = 6.5: no coefficient to take a norm of
+        H = FourierTaylorSeries.linear(golden_frequency(2)) + (
+            FourierTaylorSeries.cosine(2, (2, 0), m=(5, 0), amplitude=1e-12)
+        )
+        src = tmp_path / "H.txt"
+        H.save(src)
+        assert main(["predict", "--rho", "1e-3", "--ell", "6.5", "--input", str(src)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: pipeline stage 'taylor_split' failed: perturbation has no terms of "
+            "Taylor orders 2..4\n"
+        )
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_stage_failures_keep_their_exit_codes(self, tmp_path, capsys, monkeypatch):
         src = tmp_path / "H.txt"
         build_test_hamiltonian(HolderClass(6.5, 2), seed=0).save(src)

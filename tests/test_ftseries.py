@@ -237,11 +237,11 @@ class TestNormsAndStructure:
         assert f.fourier_zero_part() + f.fourier_nonzero_part() == f
 
     def test_angle_coefficient(self):
-        f = FourierTaylorSeries.cosine(D, (1, 0), m=(2, 0), amplitude=3.0)
-        a = f.angle_coefficient((2, 0))
-        assert a.is_pure_angle()
-        assert a.mass() == pytest.approx(3.0)
-        assert f.taylor_monomials() == [(2, 0)]
+        # the only I^m with |m|_1 = 2 carries a_m = 3 cos(2 pi theta_1)
+        a_m = FourierTaylorSeries.cosine(D, (1, 0), m=(2, 0), amplitude=3.0)
+        f = a_m + FourierTaylorSeries.cosine(D, (1, 1), m=(0, 3))
+        assert f.select(lambda nk, nm, c: nm == 2) == a_m
+        assert a_m.mass() == pytest.approx(3.0)
 
     def test_is_real(self):
         f = FourierTaylorSeries.cosine(D, (1, -2))

@@ -78,12 +78,12 @@ PUBLIC_PARAMETERS = {
 
 # the series' data (d, K, M, C), constructors, calculus, norms and text form
 SERIES_ATTRIBUTES = [
-    "C", "K", "M", "angle_coefficient", "constant", "cosine", "d", "evaluate",
+    "C", "K", "M", "constant", "cosine", "d", "evaluate",
     "fourier_nonzero_part", "fourier_zero_part", "from_text", "harmonic",
     "is_pure_angle", "is_real", "items", "linear", "load", "mass", "masses",
     "max_fourier_order", "max_taylor_order", "min_taylor_order", "monomial",
     "partial_I", "partial_theta", "poisson_bracket", "save", "select", "sine",
-    "taylor_monomials", "to_text", "weighted_norm",
+    "to_text", "weighted_norm",
 ]
 
 # every option of every subcommand, in the order `--help` lists them

@@ -102,8 +102,7 @@ class TestOneCutoff:
         sm = smooth_coefficients(split, 0.25)
         kept = {(4, 0), (-4, 0), (-1, 3), (1, -3)}
         assert set(map(tuple, res.g_s.K.tolist())) == kept
-        assert sm.P_s.taylor_monomials() == [(2, 0)]
-        assert sm.P_s.angle_coefficient((2, 0)) == res.g_s
+        assert sm.P_s == FourierTaylorSeries(D, {(k, (2, 0)): c for (k, _), c in res.g_s.items()})
         assert res.dropped_tail_mass == sm.dropped_mass == cp_tail_majorant(g, 0.25, 0)
         assert res.dropped_tail_mass == pytest.approx(2.0 + 0.125, rel=1e-15)  # |k|_1 = 5
 

@@ -2,11 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from torusstab import (
     DominanceViolationError,
     FourierTaylorSeries,
+    Frequency,
     HolderClass,
     LieDivergenceError,
     PipelineStageError,
@@ -17,6 +19,7 @@ from torusstab import (
     diffusion_time_reference,
     dominance_threshold,
     golden_frequency,
+    holder_norm_majorant,
     parameter_schedule,
     perturbation_of,
     predicted_stability_time,
@@ -194,6 +197,27 @@ class TestPredictedTimes:
                 diffusion_time_reference(rho, HC65, 1.0, 0.1, 1.0)
 
 
+def three_merge_perturbation(H, omega):
+    """perturbation_of by its definition: f = H - omega.I less the stray
+    k = 0, |m|_1 <= 1 terms of f, which must be negligible."""
+    w = omega.as_array() if hasattr(omega, "as_array") else omega
+    f = H - FourierTaylorSeries.linear(w)
+    stray = f.select(lambda nk, nm, c: (nk == 0) & (nm <= 1))
+    if stray and stray.mass() > stabpipe.LINEAR_PART_TOL * max(H.mass(), 1.0):
+        raise PreconditionError("Hamiltonian linear part does not match the supplied frequency")
+    return f - stray
+
+
+# kept by f: k != 0 at |m|_1 = 0 and 1, and k = 0 at |m|_1 = 2
+F_EDGES = (
+    FourierTaylorSeries.cosine(D, (1, 0), m=(2, 0), amplitude=1e-3)
+    + FourierTaylorSeries.cosine(D, (0, 1), amplitude=2e-3)
+    + FourierTaylorSeries.sine(D, (1, -1), m=(0, 1), amplitude=3e-3)
+    + FourierTaylorSeries.monomial(D, (1, 1), 4e-3)
+)
+W = OMEGA.omega
+
+
 class TestPerturbationExtraction:
     def test_splits_linear_part(self):
         f = FourierTaylorSeries.cosine(D, (1, 0), m=(2, 0), amplitude=1e-3)
@@ -204,6 +228,39 @@ class TestPerturbationExtraction:
         H = FourierTaylorSeries.linear((1.0, 2.0))
         with pytest.raises(PreconditionError):
             perturbation_of(H, OMEGA)
+
+    @pytest.mark.parametrize(
+        "linear, extra, omega",
+        [
+            (W, 1e-12, OMEGA),  # a negligible constant term, dropped
+            (W, 0.0, OMEGA),
+            (W, 0.0, W),  # omega as a plain tuple
+            ((1.5, 0.0), 0.0, Frequency((1.5, 0.0))),  # a zero component
+            ((1.5, 0.0), 0.0, (1.5, 0.0)),
+            ((W[0] + 1e-12, W[1]), 0.0, OMEGA),  # linear part off by < LINEAR_PART_TOL
+        ],
+    )
+    def test_accepted_as_by_three_merges(self, linear, extra, omega):
+        H = FourierTaylorSeries.linear(linear) + F_EDGES + extra
+        f = perturbation_of(H, omega)
+        assert f == three_merge_perturbation(H, omega)
+        assert f == F_EDGES
+
+    @pytest.mark.parametrize(
+        "linear, extra, omega",
+        [
+            (W, 0.5, OMEGA),  # a constant term beyond tolerance
+            ((W[0] + 1e-3, W[1]), 0.0, OMEGA),  # linear part off by > LINEAR_PART_TOL
+            ((W[0] + 1e-3, W[1]), 0.0, W),
+            ((1.5, 1e-3), 0.0, (1.5, 0.0)),  # a zero component not matched
+        ],
+    )
+    def test_rejected_as_by_three_merges(self, linear, extra, omega):
+        H = FourierTaylorSeries.linear(linear) + F_EDGES + extra
+        with pytest.raises(PreconditionError):
+            three_merge_perturbation(H, omega)
+        with pytest.raises(PreconditionError, match="linear part does not match"):
+            perturbation_of(H, omega)
 
 
 class TestPipeline:
@@ -250,11 +307,35 @@ class TestPipeline:
         assert not report.certified
         assert "schedule.rho_ok = 0" in report.to_text().splitlines()
 
-    def test_coefficient_norm_max_positive(self):
-        H = build_test_hamiltonian(HC65, seed=0, amplitude=1e-12, j_max=4)
-        f = perturbation_of(H, OMEGA)
-        split = taylor_split(f, HC65, 1e-3)
-        assert coefficient_norm_max(split.P, HC65) > 0
+    def test_coefficient_norm_max_matches_definition(self):
+        # max over m of (1 + 2^{1-mu}) sum_k |a_m^_k| (1 + (2 pi |k|_1)^ell), each
+        # a_m built as a series of its own: exactly the one-pass value.  The
+        # random P's masses span six decades, so a sum in another order differs.
+        rng = np.random.default_rng(5)
+        rough = FourierTaylorSeries(D, {
+            (tuple(rng.integers(-9, 10, size=D).tolist()), m): 10.0 ** rng.uniform(-6, 0)
+            for m in ((2, 0), (1, 2), (0, 4)) for _ in range(60)
+        })
+        for ell in (5.5, 6.5, 7.5):
+            hc = HolderClass(ell, D)
+            for seed in (0, 2, None):
+                if seed is None:
+                    P = rough
+                else:
+                    H = build_test_hamiltonian(hc, seed=seed)
+                    P = taylor_split(perturbation_of(H, OMEGA), hc, 1e-3).P
+                by_m = {}
+                for (k, m), c in P.items():
+                    by_m.setdefault(m, {})[(k, (0, 0))] = c
+                assert len(by_m) > 1
+                majorants = []
+                for terms in by_m.values():
+                    a_m = FourierTaylorSeries(D, terms)
+                    total = a_m.mass(lambda nk, nm: 1.0 + (2.0 * math.pi * nk) ** ell)
+                    majorants.append((1.0 + 2.0 ** (1.0 - hc.mu)) * total)
+                    assert holder_norm_majorant(a_m, hc) == majorants[-1]
+                assert coefficient_norm_max(P, hc) == max(majorants)
+        assert coefficient_norm_max(FourierTaylorSeries(D), HC65) == 0.0
 
 
 class TestStageTags:
@@ -266,6 +347,16 @@ class TestStageTags:
             D, (1, 0), m=(1, 0), amplitude=1e-12
         )
         with pytest.raises(PipelineStageError) as info:
+            run_pipeline(H, OMEGA, 0.5, 1.0, HC65, 1e-3)
+        assert info.value.stage == "taylor_split"
+        assert isinstance(info.value.cause, PreconditionError)
+
+    def test_empty_polynomial_part_tagged_taylor_split(self):
+        # orders >= q - 1 = 5 only: rejected by name, not as a zero norm in the schedule
+        H = FourierTaylorSeries.linear(OMEGA) + FourierTaylorSeries.cosine(
+            D, (2, 0), m=(5, 0), amplitude=1e-12
+        )
+        with pytest.raises(PipelineStageError, match=r"Taylor orders 2\.\.4") as info:
             run_pipeline(H, OMEGA, 0.5, 1.0, HC65, 1e-3)
         assert info.value.stage == "taylor_split"
         assert isinstance(info.value.cause, PreconditionError)
