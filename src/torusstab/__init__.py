@@ -63,7 +63,6 @@ from .stabpipe import (
     SmoothedSplit,
     StabilityPrediction,
     TaylorSplit,
-    diffusion_time_reference,
     dominance_threshold,
     parameter_schedule,
     perturbation_of,

@@ -32,7 +32,7 @@ from .smoothing import (
     smooth,
     verify_smoothing_estimate,
 )
-from .stabpipe import diffusion_time_reference, predicted_stability_time, run_pipeline
+from .stabpipe import predicted_stability_time, run_pipeline
 
 
 def _frequency(args):
@@ -118,11 +118,9 @@ def cmd_predict(args):
         sys.stdout.write(report.to_text())
         return 0 if report.certified else 1
     pred = predicted_stability_time(args.rho, hc, args.tau)
-    t_diff = diffusion_time_reference(args.rho, hc, args.tau, args.epsilon, args.T0)
     print(f"t_theorem = {pred.t_theorem!r}")
     print(f"exponent = {pred.exponent!r}")
     print(f"log_exponent = {pred.log_exponent!r}")
-    print(f"t_diffusion_ref = {t_diff!r}")
     return 0
 
 
@@ -235,8 +233,6 @@ def build_parser():
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--tau", type=float, default=1.0)
     p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--T0", type=float, default=1.0)
     p.add_argument("--input", help="Hamiltonian series file for the full pipeline")
     p.add_argument("--omega", help="comma-separated frequency (default: golden)")
     p.set_defaults(func=cmd_predict)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -20,20 +20,9 @@ from .errors import InsufficientDataError, PipelineStageError
 from .freqlib import golden_frequency
 from .ftseries import FourierTaylorSeries
 from .smoothing import HolderClass, lacunary_series
-from .stabpipe import (
-    RHO_MAX,
-    predicted_stability_time,
-    diffusion_time_reference,
-    run_pipeline,
-)
+from .stabpipe import RHO_MAX, predicted_stability_time, run_pipeline
 
-CSV_HEADER = "# torusstab sweep schema v2"
-# v2 appends `error`, last so that its commas need no quoting; v1 rows (8
-# columns) still read, with an empty error
-CSV_COLUMNS = (
-    "rho,t_pred,t_diff_ref,min_escape,censored_fraction,max_drift,schedule_flags,contraction,"
-    "error"
-)
+CSV_HEADER = "# torusstab sweep schema v3"
 
 
 @dataclass(frozen=True)
@@ -51,8 +40,6 @@ class ExperimentConfig:
     n_samples: int = 50
     threshold_factor: float = 0.5
     dynamics_only: bool = True
-    epsilon: float = 0.1
-    T0: float = 1.0
 
     def __post_init__(self):
         rhos = tuple(float(r) for r in self.rho_list)
@@ -98,16 +85,11 @@ def _flag(value):
     return value in ("1", "true", "yes")
 
 
-# every key a file may set, with the conversion of its value
-_CONFIG_KEYS = {
-    **dict.fromkeys(
-        ("ell", "tau", "gamma", "amplitude", "threshold_factor", "epsilon", "T0"), float
-    ),
-    **dict.fromkeys(("j_max", "seed", "max_steps", "n_samples"), int),
-    **dict.fromkeys(("dt", "t_cap"), _optional_float),
-    "rho_list": _float_list,
-    "dynamics_only": _flag,
-}
+# every field of ExperimentConfig is a key a file may set, converted by its
+# annotation
+_CONVERTERS = {"float": float, "int": int, "float | None": _optional_float,
+               "tuple": _float_list, "bool": _flag}
+_CONFIG_KEYS = {f.name: _CONVERTERS[f.type] for f in fields(ExperimentConfig)}
 
 
 def parse_config(text):
@@ -123,6 +105,8 @@ def parse_config(text):
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key: {key}")
+        if key in values:
+            raise ValueError(f"config key set twice: {key}")
         try:
             values[key] = _CONFIG_KEYS[key](value)
         except ValueError:
@@ -157,51 +141,51 @@ def _compositions(d, lo, hi):
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One sweep row.  Its fields, in order, are the CSV's columns; `error`
+    stays last, so that its commas need no quoting."""
+
     rho: float
     t_pred: float
-    t_diff_ref: float
     min_escape: float | None
     censored_fraction: float
     max_drift: float
     schedule_flags: str
     contraction: float
+    t_cap: float = math.nan  # how long the samples ran; nan in v1 and v2 files
     error: str = ""
 
     def to_csv(self):
-        def num(v):
-            return "nan" if v is None else repr(float(v))
+        def cell(f):
+            value = getattr(self, f.name)
+            if f.type == "str":
+                return value
+            return "nan" if value is None else repr(float(value))
 
-        return ",".join(
-            [
-                repr(self.rho),
-                num(self.t_pred),
-                num(self.t_diff_ref),
-                num(self.min_escape),
-                num(self.censored_fraction),
-                num(self.max_drift),
-                self.schedule_flags or "-",
-                num(self.contraction),
-                self.error,
-            ]
-        )
+        return ",".join(cell(f) for f in fields(self))
 
     @classmethod
-    def from_csv(cls, line):
-        parts = line.strip().split(",", 8)
-        if len(parts) < 8:
+    def from_csv(cls, line, columns):
+        """Parse a row written under the columns line `columns`.  A column
+        SweepRow lacks (v1 and v2's t_diff_ref) is skipped, and a field the
+        file lacks takes its default."""
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in columns:
+                raise ValueError(f"sweep columns line lacks {f.name}")
+        cells = line.strip().split(",", len(columns) - 1)
+        if len(cells) < len(columns):
             raise ValueError(f"malformed sweep row: {line!r}")
-        min_escape = float(parts[3])
-        return cls(
-            rho=float(parts[0]),
-            t_pred=float(parts[1]),
-            t_diff_ref=float(parts[2]),
-            min_escape=None if math.isnan(min_escape) else min_escape,
-            censored_fraction=float(parts[4]),
-            max_drift=float(parts[5]),
-            schedule_flags=parts[6],
-            contraction=float(parts[7]),
-            error=parts[8] if len(parts) == 9 else "",
-        )
+        types = {f.name: f.type for f in fields(cls)}
+        values = {}
+        for name, cell in zip(columns, cells):
+            if name in types:
+                value = cell if types[name] == "str" else float(cell)
+                if types[name] == "float | None" and math.isnan(value):
+                    value = None
+                values[name] = value
+        return cls(**values)
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 def sweep(config, csv_path=None):
@@ -221,7 +205,7 @@ def sweep(config, csv_path=None):
     fh = None
     if csv_path is not None:
         fh = open(csv_path, "w")
-        fh.write(CSV_HEADER + "\n" + CSV_COLUMNS + "\n")
+        fh.write(CSV_HEADER + "\n" + ",".join(CSV_COLUMNS) + "\n")
         fh.flush()
     try:
         for rho in config.rho_list:
@@ -239,7 +223,6 @@ def sweep(config, csv_path=None):
 def _sweep_row(config, H, omega, hc, rho, dt):
     pred = predicted_stability_time(rho, hc, config.tau)
     t_pred = pred.t_theorem
-    t_diff = diffusion_time_reference(rho, hc, config.tau, config.epsilon, config.T0)
     flags = "dynamics-only" if config.dynamics_only else "-"
     contraction = math.nan
     error = ""
@@ -284,24 +267,31 @@ def _sweep_row(config, H, omega, hc, rho, dt):
     return SweepRow(
         rho=float(rho),
         t_pred=t_pred,
-        t_diff_ref=t_diff,
         min_escape=min_escape,
         censored_fraction=censored_fraction,
         max_drift=max_drift,
         schedule_flags=flags,
         contraction=contraction,
+        t_cap=t_cap,
         error=error,
     )
 
 
 def read_sweep_csv(path):
-    rows = []
+    """The rows of a sweep CSV of any schema version, each read by the
+    file's own `rho,...` columns line."""
+    rows, columns = [], None
     with open(path) as fh:
         for raw in fh:
             line = raw.strip()
-            if not line or line.startswith("#") or line.startswith("rho,"):
+            if not line or line.startswith("#"):
                 continue
-            rows.append(SweepRow.from_csv(line))
+            if line.startswith("rho,"):
+                columns = line.split(",")
+            elif columns is None:
+                raise ValueError(f"sweep row before the columns line: {line!r}")
+            else:
+                rows.append(SweepRow.from_csv(line, columns))
     return rows
 
 
@@ -321,6 +311,8 @@ def fit_exponent(rhos, times, log_exponent=None):
     power-with-log:                log t = c0 - p log rho - log_exponent * log|log rho|,
     with the log-exponent held fixed (pass ell - 1).
     """
+    if log_exponent is not None and not math.isfinite(log_exponent):
+        raise ValueError(f"log_exponent must be finite, got {log_exponent!r}")
     rhos = np.asarray(rhos, dtype=float)
     times = np.asarray(times, dtype=float)
     good = np.isfinite(times) & (times > 0)
@@ -343,21 +335,19 @@ def fit_exponent(rhos, times, log_exponent=None):
 
 
 def fit_exponent_rows(rows, source="t_pred", log_exponent=None):
-    rhos = [r.rho for r in rows]
-    if source == "t_pred":
-        times = [r.t_pred for r in rows]
-    elif source == "min_escape":
-        times = [r.min_escape if r.min_escape is not None else math.nan for r in rows]
-    else:
+    if source not in ("t_pred", "min_escape"):
         raise ValueError(f"unknown fit source {source!r}")
-    return fit_exponent(rhos, times, log_exponent=log_exponent)
+    # a row without an escape has min_escape None, which reads as nan
+    times = [getattr(r, source) for r in rows]
+    return fit_exponent([r.rho for r in rows], times, log_exponent=log_exponent)
 
 
 def emit_plots(rows, outdir):
     """Write gnuplot-ready two-column data (log10 rho vs log10 t) plus a stub.
 
     Rows whose every sample was censored go to a separate series file, at
-    t_pred; a row whose integration failed is in neither escape file.
+    the t_cap their samples ran to; a row without a finite t_cap (v1 and v2
+    files) or whose integration failed is in neither escape file.
     Returns the list of written paths.
     """
     if not rows:
@@ -385,7 +375,7 @@ def emit_plots(rows, outdir):
     write("escape.dat", points(lambda r: r.min_escape, rows))
     # a row whose integration raised has censored_fraction nan: not censored
     censored = [r for r in rows if r.censored_fraction == 1.0]
-    write("escape_censored.dat", points(lambda r: r.t_pred, censored))
+    write("escape_censored.dat", points(lambda r: r.t_cap, censored))
     stub = os.path.join(outdir, "plot.gp")
     with open(stub, "w") as fh:
         fh.write(

@@ -226,17 +226,6 @@ def predicted_stability_time(rho, hc, tau):
     )
 
 
-def diffusion_time_reference(rho, hc, tau, epsilon, T0):
-    """Reference diffusion time T0 / rho^{p+epsilon}, with p the headline
-    exponent of predicted_stability_time (which checks rho and tau)."""
-    exponent = predicted_stability_time(rho, hc, tau).exponent
-    if not (math.isfinite(epsilon) and epsilon >= 0):
-        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
-    if not (math.isfinite(T0) and T0 > 0):
-        raise ValueError(f"T0 must be positive and finite, got {T0!r}")
-    return _exp(math.log(T0) - (exponent + epsilon) * math.log(rho))
-
-
 @dataclass(frozen=True)
 class PipelineReport:
     rho: float

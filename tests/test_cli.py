@@ -5,6 +5,7 @@ import math
 import pytest
 
 from torusstab import (
+    ExperimentConfig,
     FourierTaylorSeries,
     HolderClass,
     LieDivergenceError,
@@ -13,6 +14,7 @@ from torusstab import (
     lacunary_series,
     dynamics,
     stabpipe,
+    sweep,
 )
 from torusstab.cli import main
 
@@ -151,7 +153,6 @@ class TestPredict:
         captured = capsys.readouterr()
         out = parse_kv(captured.out)
         assert out["t_theorem"] == "inf"
-        assert out["t_diffusion_ref"] == "inf"
         assert "Traceback" not in captured.err
 
     def test_pipeline_precondition_exit_code(self, tmp_path, capsys):
@@ -248,8 +249,8 @@ class TestBadInput:
             (["predict", "--rho", "1e-3", "--tau", "-1"], "tau"),
             (["predict", "--rho", "1e-3", "--tau", "nan"], "tau"),
             (["predict", "--rho", "1e-3", "--ell", "inf"], "ell"),
-            (["predict", "--rho", "1e-3", "--epsilon", "nan"], "epsilon"),
-            (["predict", "--rho", "1e-3", "--T0", "nan"], "T0"),
+            (["fit", "--log-exponent", "nan", "--csv"], "log_exponent"),
+            (["fit", "--log-exponent", "inf", "--csv"], "log_exponent"),
             (["dioph", "--K", "5", "--tau", "nan"], "tau"),
             (["smooth-verify", "--d", "0"], "d"),
             (["predict", "--rho", "1e-3", "--tau", "-1", "--input"], "tau"),
@@ -265,6 +266,11 @@ class TestBadInput:
         if argv[-1] == "--input":
             src = tmp_path / "H.txt"
             FourierTaylorSeries.linear(golden_frequency(2)).save(src)
+            argv = argv + [str(src)]
+        elif argv[-1] == "--csv":
+            src = tmp_path / "sweep.csv"
+            sweep(ExperimentConfig(rho_list=(0.1, 0.05, 0.02, 0.01), t_cap=0.1, n_samples=1),
+                  csv_path=src)
             argv = argv + [str(src)]
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -411,6 +417,8 @@ class TestSweepFitPlots:
             ("threshold_factor = -1\n", "threshold_factor must be positive and finite"),
             ("j_max = -1\n", "j_max must be >= 0"),
             ("seed = -1\n", "seed must be >= 0"),
+            ("seed = 1\nseed = 2\n", "config key set twice: seed"),
+            ("epsilon = 0.1\n", "unknown config key: epsilon"),
         ],
     )
     def test_bad_config_file_exit_code(self, tmp_path, capsys, text, named):

@@ -22,7 +22,8 @@ from torusstab import (
     sweep,
 )
 from torusstab import experiment, stabpipe
-from torusstab.experiment import SweepRow
+from torusstab.cli import main as cli_main
+from torusstab.experiment import CSV_COLUMNS, CSV_HEADER, SweepRow
 
 HC65 = HolderClass(6.5, 2)
 
@@ -45,7 +46,7 @@ class TestConfig:
     @pytest.mark.parametrize(
         "key",
         ["xi", "xi_const", "C_1", "C_B", "C_9", "C_A", "C_2", "C_3", "kmax", "mmax", "outdir",
-         "d", "omega"],
+         "d", "omega", "epsilon", "T0"],
     )
     def test_unknown_keys_rejected_by_name(self, key):
         with pytest.raises(ValueError, match=f"unknown config key: {key}"):
@@ -154,6 +155,21 @@ class TestSweep:
         assert row.censored_fraction == 1.0
         H = build_test_hamiltonian(HC65, seed=0)
         assert caps == [10 * default_dt(H)] and caps[0] < row.t_pred
+        assert row.t_cap == caps[0]
+
+    def test_censored_points_drawn_at_t_cap(self, tmp_path):
+        # the default cap stops the samples at 10 dt, orders of magnitude
+        # below t_pred: the censored point is drawn where they stopped
+        cfg = ExperimentConfig(rho_list=(0.1, 0.05), max_steps=10, n_samples=2)
+        csv = tmp_path / "sweep.csv"
+        sweep(cfg, csv_path=csv)
+        cap = 10 * default_dt(build_test_hamiltonian(HC65, seed=0))
+        rows = read_sweep_csv(csv)
+        assert [(r.censored_fraction, r.t_cap) for r in rows] == [(1.0, cap)] * 2
+        assert all(r.t_pred > 900 * cap for r in rows)
+        emit_plots(rows, tmp_path / "out")
+        censored = (tmp_path / "out" / "escape_censored.dat").read_text().splitlines()
+        assert censored[1:] == [f"{math.log10(r)!r} {math.log10(cap)!r}" for r in (0.1, 0.05)]
 
     def test_stalled_normal_form_row_says_so(self, monkeypatch, tmp_path):
         # a normal form that stops uncertified (stubbed: the real stall at
@@ -197,7 +213,7 @@ class TestSweep:
         assert [r.t_pred for r in parsed] == [r.t_pred for r in rows]
         assert parsed[0].min_escape is None
         header = csv.read_text().splitlines()[0]
-        assert header == "# torusstab sweep schema v2"
+        assert header == "# torusstab sweep schema v3"
 
     def test_failed_schedule_error_kept_in_csv(self, tmp_path):
         # amplitude 1e-3 puts the smoothing width s out of range at rho = 1e-3
@@ -243,29 +259,126 @@ class TestSweep:
         assert row.min_escape is None and math.isnan(row.censored_fraction)
         assert read_sweep_csv(csv)[0].error == row.error
 
-    def test_row_round_trip(self):
+    def test_row_round_trip(self, tmp_path):
         row = SweepRow(
             rho=0.05,
             t_pred=123.456,
-            t_diff_ref=789.0,
             min_escape=None,
             censored_fraction=1.0,
             max_drift=1e-14,
             schedule_flags="dynamics-only",
             contraction=math.nan,
+            t_cap=0.25,
             error="schedule flags failed: rho_ok, s_in_range; dynamics: a, b",
         )
-        back = SweepRow.from_csv(row.to_csv())
-        assert back.rho == row.rho
-        assert back.t_pred == row.t_pred
+        csv = tmp_path / "sweep.csv"
+        csv.write_text(f"{CSV_HEADER}\n{','.join(CSV_COLUMNS)}\n{row.to_csv()}\n")
+        (back,) = read_sweep_csv(csv)
+        assert back.to_csv() == row.to_csv()
         assert back.min_escape is None
+        assert back.t_cap == 0.25
         assert back.error == row.error
 
-    def test_v1_row_still_parses(self):
-        back = SweepRow.from_csv("0.05,123.456,789.0,nan,1.0,1e-14,dynamics-only,nan")
+    def test_v1_row_still_parses(self, tmp_path):
+        csv = tmp_path / "sweep.csv"
+        csv.write_text(
+            "# torusstab sweep schema v1\n"
+            "rho,t_pred,t_diff_ref,min_escape,censored_fraction,max_drift,schedule_flags,"
+            "contraction\n"
+            "0.05,123.456,789.0,nan,1.0,1e-14,dynamics-only,nan\n"
+        )
+        (back,) = read_sweep_csv(csv)
         assert back.t_pred == 123.456
         assert back.schedule_flags == "dynamics-only"
+        assert math.isnan(back.t_cap)
         assert back.error == ""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("rho,t_pred\n0.1,1.0\n", "sweep columns line lacks min_escape"),
+            (f"{','.join(CSV_COLUMNS)}\n0.1,1.0,nan,1.0,0.0\n", "malformed sweep row"),
+            ("0.1,1.0,nan,1.0,0.0,-,nan,0.1,\n", "sweep row before the columns line"),
+        ],
+        ids=["missing-column", "short-row", "no-columns-line"],
+    )
+    def test_malformed_file_rejected(self, tmp_path, text, message):
+        csv = tmp_path / "sweep.csv"
+        csv.write_text(f"{CSV_HEADER}\n{text}")
+        with pytest.raises(ValueError, match=message):
+            read_sweep_csv(csv)
+
+
+# one sweep as each schema version wrote it: v1 has no error column, v1 and
+# v2 carry t_diff_ref and no t_cap
+RHOS = (0.1, 0.05, 0.02, 0.01)
+T_PRED = (57.255038647058555, 181.17405043259018, 1296.9696572379241, 7114.571298504987)
+FAILED = "schedule flags failed: rho_ok, s_in_range; dynamics: a, b"
+OLD_FILES = {
+    "v1": (
+        "# torusstab sweep schema v1\n"
+        "rho,t_pred,t_diff_ref,min_escape,censored_fraction,max_drift,schedule_flags,"
+        "contraction\n"
+        "0.1,57.255038647058555,7079.45784384137,nan,1.0,6.5e-15,dynamics-only,nan\n"
+        "0.05,181.17405043259018,102085.83450873457,0.05,0.5,1.4e-15,dynamics-only,nan\n"
+        "0.02,1296.9696572379241,3475637.8388934773,nan,1.0,2.0e-16,dynamics-only,nan\n"
+        "0.01,7114.571298504987,50118723.362727106,nan,1.0,4.9e-17,dynamics-only,nan\n"
+    ),
+    "v2": (
+        "# torusstab sweep schema v2\n"
+        "rho,t_pred,t_diff_ref,min_escape,censored_fraction,max_drift,schedule_flags,"
+        "contraction,error\n"
+        "0.1,57.255038647058555,7079.45784384137,nan,1.0,6.5e-15,dynamics-only,nan,\n"
+        "0.05,181.17405043259018,102085.83450873457,0.05,0.5,1.4e-15,dynamics-only,nan,\n"
+        f"0.02,1296.9696572379241,3475637.8388934773,nan,nan,nan,-,nan,{FAILED}\n"
+        "0.01,7114.571298504987,50118723.362727106,nan,1.0,4.9e-17,dynamics-only,nan,\n"
+    ),
+    "v3": (
+        "# torusstab sweep schema v3\n"
+        "rho,t_pred,min_escape,censored_fraction,max_drift,schedule_flags,contraction,t_cap,"
+        "error\n"
+        "0.1,57.255038647058555,nan,1.0,6.5e-15,dynamics-only,nan,0.1,\n"
+        "0.05,181.17405043259018,0.05,0.5,1.4e-15,dynamics-only,nan,0.1,\n"
+        f"0.02,1296.9696572379241,nan,nan,nan,-,nan,0.1,{FAILED}\n"
+        "0.01,7114.571298504987,nan,1.0,4.9e-17,dynamics-only,nan,0.1,\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("version", sorted(OLD_FILES))
+class TestEveryVersionReads:
+    @pytest.fixture
+    def csv(self, tmp_path, version):
+        path = tmp_path / f"sweep-{version}.csv"
+        path.write_text(OLD_FILES[version])
+        return path
+
+    def test_rows(self, csv, version):
+        rows = read_sweep_csv(csv)
+        assert tuple(r.rho for r in rows) == RHOS
+        assert tuple(r.t_pred for r in rows) == T_PRED
+        assert [r.min_escape for r in rows] == [None, 0.05, None, None]
+        assert rows[2].error == ("" if version == "v1" else FAILED)
+        assert rows[0].error == ""
+        caps = [r.t_cap for r in rows]
+        if version == "v3":
+            assert caps == [0.1] * 4
+        else:
+            assert all(map(math.isnan, caps))
+
+    def test_fit_and_plots_run(self, csv, version, tmp_path, capsys):
+        assert cli_main(["fit", "--csv", str(csv), "--log-exponent", "5.5"]) == 0
+        out = capsys.readouterr().out
+        assert "n_points = 4" in out
+        # t_pred follows the headline shape 1 + 5.5/2 exactly
+        (p,) = [float(line.split(" = ")[1]) for line in out.splitlines() if line[:2] == "p "]
+        assert p == pytest.approx(3.75, abs=1e-9)
+        outdir = tmp_path / "plots"
+        assert cli_main(["plots", "--csv", str(csv), "--outdir", str(outdir)]) == 0
+        censored = (outdir / "escape_censored.dat").read_text().splitlines()[1:]
+        # v1 and v2 rows do not say how long their samples ran: no point
+        expected = [f"{math.log10(r)!r} {math.log10(0.1)!r}" for r in (0.1, 0.01)]
+        assert censored == (expected if version == "v3" else [])
 
 
 class TestFit:
@@ -300,7 +413,7 @@ class TestFit:
     def test_fit_from_rows(self):
         rows = [
             SweepRow(
-                rho=r, t_pred=1.0 / r**2, t_diff_ref=0.0, min_escape=None,
+                rho=r, t_pred=1.0 / r**2, min_escape=None,
                 censored_fraction=1.0, max_drift=0.0,
                 schedule_flags="-", contraction=math.nan,
             )
@@ -313,7 +426,7 @@ class TestFit:
         # a censored row (no escape) is left out of the fit
         rows = [
             SweepRow(
-                rho=r, t_pred=0.0, t_diff_ref=0.0, min_escape=None if r == 0.2 else 3.0 / r**1.5,
+                rho=r, t_pred=0.0, min_escape=None if r == 0.2 else 3.0 / r**1.5,
                 censored_fraction=0.5, max_drift=0.0, schedule_flags="-", contraction=math.nan,
             )
             for r in (0.2, 0.1, 0.05, 0.02, 0.01)
@@ -328,8 +441,8 @@ class TestFit:
 class TestPlots:
     def test_emit_and_parse_back(self, tmp_path):
         rows = [
-            SweepRow(0.1, 57.0, 100.0, None, 1.0, 0.0, "-", math.nan),
-            SweepRow(0.05, 180.0, 400.0, 90.0, 0.5, 0.0, "-", math.nan),
+            SweepRow(0.1, 57.0, None, 1.0, 0.0, "-", math.nan),
+            SweepRow(0.05, 180.0, 90.0, 0.5, 0.0, "-", math.nan),
         ]
         paths = emit_plots(rows, tmp_path / "out")
         names = {p.split("/")[-1] for p in map(str, paths)}
@@ -344,18 +457,18 @@ class TestPlots:
 
     def test_only_fully_censored_rows_are_censored_points(self, tmp_path):
         # at dt = 2 the integration raises, so the sweep's row has no escape
-        # data; it and a row with no finite t_pred give no censored point
+        # data; it and a row with no finite t_cap give no censored point
         cfg = parse_config("amplitude = 1\ndt = 2\nt_cap = 4\nn_samples = 2\nrho_list = 0.1\n")
         (failed,) = sweep(cfg)
         assert failed.error.startswith("dynamics: ")
         rows = [
             failed,
-            SweepRow(0.05, math.inf, 400.0, None, 1.0, 0.0, "-", math.nan),
-            SweepRow(0.025, 180.0, 400.0, None, 1.0, 0.0, "-", math.nan),
+            SweepRow(0.05, 180.0, None, 1.0, 0.0, "-", math.nan, t_cap=math.inf),
+            SweepRow(0.025, 180.0, None, 1.0, 0.0, "-", math.nan, t_cap=0.5),
         ]
         emit_plots(rows, tmp_path)
         censored = (tmp_path / "escape_censored.dat").read_text().splitlines()
-        assert censored[1:] == [f"{math.log10(0.025)!r} {math.log10(180.0)!r}"]
+        assert censored[1:] == [f"{math.log10(0.025)!r} {math.log10(0.5)!r}"]
 
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """The package's public names, the parameters of its public functions, the
-public attributes of FourierTaylorSeries and the options of each CLI
-subcommand, pinned: removing or adding one edits these lists."""
+public attributes of FourierTaylorSeries, the options of each CLI subcommand
+and the sweep CSV's columns, pinned: removing or adding one edits these
+lists."""
 
 import argparse
 import inspect
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import torusstab
 from torusstab.cli import build_parser
+from torusstab.experiment import CSV_COLUMNS, CSV_HEADER
 
 PUBLIC_NAMES = [
     "AnalyticityWidths", "DiophantineCertificate",
@@ -26,7 +28,7 @@ PUBLIC_NAMES = [
     "StabilityPrediction", "StepFailureError", "SweepRow", "TWO_PI", "TaylorSplit",
     "Trajectory", "ballistic_bound", "build_test_hamiltonian",
     "coefficient_norm_max", "cp_tail_majorant", "default_dt",
-    "diffusion_time_reference", "diophantine_constant", "dominance_threshold",
+    "diophantine_constant", "dominance_threshold",
     "emit_plots", "escape_time", "fit_exponent", "fit_exponent_rows",
     "fourier_norm_bound_check", "golden_frequency", "holder_norm_majorant", "integrate",
     "lacunary_series", "lie_transform", "linear_frequency",
@@ -43,7 +45,6 @@ PUBLIC_PARAMETERS = {
     "coefficient_norm_max": ('P', 'hc'),
     "cp_tail_majorant": ('g', 's', 'p'),
     "default_dt": ('H',),
-    "diffusion_time_reference": ('rho', 'hc', 'tau', 'epsilon', 'T0'),
     "diophantine_constant": ('freq', 'tau', 'K'),
     "dominance_threshold": ('tau',),
     "emit_plots": ('rows', 'outdir'),
@@ -93,14 +94,18 @@ CLI_OPTIONS = {
     "smooth-verify": ('--input', '--ell', '--d', '--p', '--j-max', '--seed', '--s-min-exp',
                       '--s-max-exp'),
     "nf": ('--input', '--omega', '--alpha', '--K', '--sigma', '--rho', '--output'),
-    "predict": ('--rho', '--ell', '--d', '--tau', '--gamma', '--epsilon', '--T0', '--input',
-                '--omega'),
+    "predict": ('--rho', '--ell', '--d', '--tau', '--gamma', '--input', '--omega'),
     "escape": ('--input', '--ell', '--amplitude', '--rho', '--threshold', '--t-cap',
                '--n-samples', '--seed', '--dt'),
     "sweep": ('--config', '--csv'),
     "fit": ('--csv', '--source', '--log-exponent'),
     "plots": ('--csv', '--outdir'),
 }
+
+# the sweep CSV's columns, in file order: the fields of SweepRow
+SWEEP_SCHEMA = "# torusstab sweep schema v3"
+SWEEP_COLUMNS = ('rho', 't_pred', 'min_escape', 'censored_fraction', 'max_drift',
+                 'schedule_flags', 'contraction', 't_cap', 'error')
 
 
 def test_public_names_are_pinned():
@@ -138,6 +143,14 @@ def test_cli_options_are_pinned():
         for name, sub in commands.choices.items()
     }
     assert options == CLI_OPTIONS
+
+
+def test_sweep_columns_are_pinned(tmp_path):
+    assert (CSV_HEADER, CSV_COLUMNS) == (SWEEP_SCHEMA, SWEEP_COLUMNS)
+    csv = tmp_path / "sweep.csv"
+    torusstab.sweep(torusstab.ExperimentConfig(rho_list=(0.1,), t_cap=0.1, n_samples=1),
+                    csv_path=csv)
+    assert csv.read_text().splitlines()[:2] == [SWEEP_SCHEMA, ",".join(SWEEP_COLUMNS)]
 
 
 def test_import_loads_no_scipy():

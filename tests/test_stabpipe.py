@@ -16,7 +16,6 @@ from torusstab import (
     RHO_MAX,
     build_test_hamiltonian,
     coefficient_norm_max,
-    diffusion_time_reference,
     dominance_threshold,
     golden_frequency,
     holder_norm_majorant,
@@ -182,19 +181,10 @@ class TestPredictedTimes:
         )
         assert math.log(ratio) / math.log(10.0) == pytest.approx(p1.exponent, rel=1e-12)
 
-    def test_diffusion_reference_above_prediction(self):
-        for exp in (4, 6, 8):
-            rho = 10.0**-exp
-            pred = predicted_stability_time(rho, HC65, 1.0)
-            t_diff = diffusion_time_reference(rho, HC65, 1.0, 0.1, 1.0)
-            assert t_diff > pred.t_theorem
-
     def test_rho_domain(self):
         for rho in (-1.0, 0.0, 1.0, 1.5):
             with pytest.raises(ValueError, match="^rho must lie in"):
                 predicted_stability_time(rho, HC65, 1.0)
-            with pytest.raises(ValueError, match="^rho must lie in"):
-                diffusion_time_reference(rho, HC65, 1.0, 0.1, 1.0)
 
 
 def three_merge_perturbation(H, omega):
