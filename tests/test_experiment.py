@@ -368,11 +368,10 @@ class TestEveryVersionReads:
 
     def test_fit_and_plots_run(self, csv, version, tmp_path, capsys):
         assert cli_main(["fit", "--csv", str(csv), "--log-exponent", "5.5"]) == 0
-        out = capsys.readouterr().out
-        assert "n_points = 4" in out
-        # t_pred follows the headline shape 1 + 5.5/2 exactly
-        (p,) = [float(line.split(" = ")[1]) for line in out.splitlines() if line[:2] == "p "]
-        assert p == pytest.approx(3.75, abs=1e-9)
+        out = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
+        assert out["n_points"] == "4"
+        # t_pred follows the headline shape, exponent 1 + 5.5/2, exactly
+        assert float(out["p"]) == pytest.approx(3.75, abs=1e-9)
         outdir = tmp_path / "plots"
         assert cli_main(["plots", "--csv", str(csv), "--outdir", str(outdir)]) == 0
         censored = (outdir / "escape_censored.dat").read_text().splitlines()[1:]
