@@ -8,19 +8,7 @@ stability times, and long-time symplectic integration to measure escape
 times against the predictions.
 """
 
-from .errors import (
-    DominanceViolationError,
-    InsufficientDataError,
-    LieDivergenceError,
-    MeanNotRemovedError,
-    NumericalFault,
-    PipelineStageError,
-    PreconditionError,
-    RealityViolationError,
-    SmallDivisorError,
-    SmallnessViolationError,
-    StepFailureError,
-)
+from .errors import NumericalFault, PipelineStageError, PreconditionError
 from .freqlib import (
     DiophantineCertificate,
     Frequency,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFault, RealityViolationError, StepFailureError
+from .errors import NumericalFault
 from .ftseries import HamiltonianVectorField, theta_gradient_majorant
 
 METHOD = "split-midpoint"
@@ -63,7 +63,7 @@ def ballistic_bound(H, threshold, radius):
 
 def _midpoint_step(field, z, dt):
     """One implicit-midpoint step on a batch of z = [theta | I]; returns the new z.
-    A fixed-point iterate that is not finite raises StepFailureError at once."""
+    A fixed-point iterate that is not finite raises NumericalFault at once."""
     w = z
     for sweep in range(1, MAX_SWEEPS + 1):
         y = field(w)
@@ -74,11 +74,11 @@ def _midpoint_step(field, z, dt):
         if delta <= FIXED_POINT_TOL:
             break
         if not math.isfinite(delta):
-            raise StepFailureError(
+            raise NumericalFault(
                 f"fixed-point iterate {sweep} is not finite: the step diverged"
             )
     else:
-        raise StepFailureError(
+        raise NumericalFault(
             f"fixed-point iteration did not reach {FIXED_POINT_TOL:.1e} in {MAX_SWEEPS} sweeps"
         )
     w *= 2.0
@@ -90,7 +90,7 @@ def _split(H):
     """(omega, vector field of f) for a real H = omega.I + f, where omega.I
     is the k=0, |m|_1=1 part of H."""
     if not H.is_real(tol=1e-9):
-        raise RealityViolationError("vector field requires a real-valued series")
+        raise NumericalFault("vector field requires a real-valued series")
     f = H.select(lambda nk, nm, c: (nk > 0) | (nm != 1))
     return linear_frequency(H), HamiltonianVectorField(f, check_real=False)
 
@@ -164,7 +164,7 @@ def integrate(H, start, t_end, dt, record_every=None, r_max=None):
     t = 0.0
     step_dt, half = dt, _half_rotation(omega, dt)
     domain_exit = False
-    # a diverging step raises StepFailureError, so its overflow need not warn
+    # a diverging step raises NumericalFault, so its overflow need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, n_steps + 1):
             if n == n_steps:  # a last step that lands exactly on t_end
@@ -261,7 +261,7 @@ def escape_time(H, rho, threshold, t_cap, n_samples, seed, dt=None):
     n_steps = max(1, int(math.ceil(t_cap / dt - 1e-9)))
     t = 0.0
     step_dt, half = dt, _half_rotation(omega, dt)
-    # a diverging step raises StepFailureError, so its overflow need not warn
+    # a diverging step raises NumericalFault, so its overflow need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, n_steps + 1):
             if n == n_steps:  # a last step that lands exactly on t_cap

@@ -1,7 +1,12 @@
-"""Shared exception hierarchy.
+"""The package's failure taxonomy: the CLI exit-code contract.
 
-Two families matter for the CLI exit codes: precondition failures (exit 2)
-and numerical faults discovered mid-computation (exit 3).
+A violated hypothesis of the theorem or of an operation (the dominance gate
+ell > 3 + 2/tau, the smallness bound, a k = 0 mode in a homological solve,
+too few points for a fit) raises PreconditionError, exit 2.  Arithmetic
+that breaks mid-computation (a small divisor, a complex series where a real
+one is needed, a diverging Lie series or midpoint step) raises
+NumericalFault, exit 3.  The message names what failed.  A pipeline stage
+wraps either in PipelineStageError, which exits with its cause's code.
 """
 
 
@@ -11,46 +16,6 @@ class PreconditionError(ValueError):
 
 class NumericalFault(RuntimeError):
     """A numerical invariant broke during a computation."""
-
-
-class RealityViolationError(NumericalFault):
-    """A nominally real-valued series produced a complex result."""
-
-
-class MeanNotRemovedError(PreconditionError):
-    """Homological solve received a series with a k=0 mode."""
-
-
-class SmallDivisorError(NumericalFault):
-    """A divisor |omega.k| fell below the safety floor."""
-
-    def __init__(self, k, divisor, floor):
-        self.k = tuple(k)
-        self.divisor = divisor
-        self.floor = floor
-        super().__init__(
-            f"small divisor |omega.k|={divisor:.3e} below floor {floor:.1e} at k={self.k}"
-        )
-
-
-class SmallnessViolationError(PreconditionError):
-    """Perturbation norm exceeds the normal-form smallness threshold."""
-
-
-class LieDivergenceError(NumericalFault):
-    """Lie series brackets grew faster than the divergence guard allows."""
-
-
-class StepFailureError(NumericalFault):
-    """Implicit-midpoint inner iteration failed to converge."""
-
-
-class DominanceViolationError(PreconditionError):
-    """Regularity too low for the smoothing-gap term to dominate."""
-
-
-class InsufficientDataError(PreconditionError):
-    """Not enough usable data points for a fit."""
 
 
 class PipelineStageError(RuntimeError):

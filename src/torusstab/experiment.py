@@ -16,7 +16,7 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 from .dynamics import default_dt, escape_time
-from .errors import InsufficientDataError, PipelineStageError
+from .errors import PipelineStageError, PreconditionError
 from .freqlib import golden_frequency
 from .ftseries import FourierTaylorSeries
 from .smoothing import HolderClass, lacunary_series
@@ -178,7 +178,12 @@ class SweepRow:
         values = {}
         for name, cell in zip(columns, cells):
             if name in types:
-                value = cell if types[name] == "str" else float(cell)
+                try:
+                    value = cell if types[name] == "str" else float(cell)
+                except ValueError:
+                    raise ValueError(
+                        f"bad value for sweep column {name}: {cell!r} in row {line.strip()!r}"
+                    ) from None
                 if types[name] == "float | None" and math.isnan(value):
                     value = None
                 values[name] = value
@@ -318,7 +323,7 @@ def fit_exponent(rhos, times, log_exponent=None):
     good = np.isfinite(times) & (times > 0)
     rhos, times = rhos[good], times[good]
     if len(rhos) < 4:
-        raise InsufficientDataError(f"only {len(rhos)} usable rows (need >= 4)")
+        raise PreconditionError(f"only {len(rhos)} usable rows (need >= 4)")
     y = np.log(times)
     if log_exponent is not None:
         y = y + log_exponent * np.log(np.abs(np.log(rhos)))

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RealityViolationError
+from .errors import NumericalFault
 
 TWO_PI = 2.0 * math.pi
 # entries formed at once by a Poisson bracket (d per term pair), and by each
@@ -273,7 +273,7 @@ class FourierTaylorSeries:
         value = complex(terms.sum())
         scale = float(np.abs(terms).sum())
         if abs(value.imag) > reality_tol * max(scale, 1.0):
-            raise RealityViolationError(
+            raise NumericalFault(
                 f"imaginary residual {value.imag:.3e} exceeds {reality_tol:.1e} "
                 f"relative to term mass {scale:.3e}"
             )
@@ -477,7 +477,7 @@ class HamiltonianVectorField:
 
     def __init__(self, series, check_real=True):
         if check_real and not series.is_real(tol=1e-9):
-            raise RealityViolationError("vector field requires a real-valued series")
+            raise NumericalFault("vector field requires a real-valued series")
         self.d = d = series.d
         K, M, C = series.K, series.M, series.C
         first = K[np.arange(len(K)), (K != 0).argmax(axis=1)]  # 0 for k = 0

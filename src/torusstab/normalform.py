@@ -16,12 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    LieDivergenceError,
-    MeanNotRemovedError,
-    SmallDivisorError,
-    SmallnessViolationError,
-)
+from .errors import NumericalFault, PreconditionError
 from .ftseries import TWO_PI, AnalyticityWidths, FourierTaylorSeries
 
 DIVISOR_FLOOR = 1e-12
@@ -96,7 +91,7 @@ def solve_homological(f_nr, omega):
     """Solve omega . d_theta chi = f_nr mode-wise: chi_{k,m} = f_{k,m}/(2 pi i omega.k).
 
     The first term in (k, m) order with |omega.k| below DIVISOR_FLOOR raises:
-    MeanNotRemovedError if its k is 0, SmallDivisorError otherwise.
+    a PreconditionError if its k is 0, a NumericalFault otherwise.
     """
     w = omega.as_array() if hasattr(omega, "as_array") else np.asarray(omega, dtype=float)
     # np.vecdot rounds each row as np.dot(k, w) does; K @ w rounds some rows
@@ -108,8 +103,11 @@ def solve_homological(f_nr, omega):
         k = tuple(f_nr.K[i].tolist())
         if not any(k):
             m = tuple(f_nr.M[i].tolist())
-            raise MeanNotRemovedError(f"k=0 mode present at m={m}; remove the mean first")
-        raise SmallDivisorError(k, abs(float(divisor[i])), DIVISOR_FLOOR)
+            raise PreconditionError(f"k=0 mode present at m={m}; remove the mean first")
+        raise NumericalFault(
+            f"small divisor |omega.k|={abs(divisor[i]):.3e} below floor {DIVISOR_FLOOR:.1e} "
+            f"at k={k}"
+        )
     # c / (i x) written out: numpy's complex division would round differently
     x = TWO_PI * divisor
     C = f_nr.C
@@ -149,7 +147,7 @@ def lie_transform(H, chi, order=6, widths=None, chop=0.0):
         with np.errstate(over="ignore"):
             mass = float(masses.sum())
         if prev_mass is not None and prev_mass > 0.0 and mass > DIVERGENCE_FACTOR * prev_mass:
-            raise LieDivergenceError(
+            raise NumericalFault(
                 f"bracket norm grew by {mass / prev_mass:.2e} at order {n}"
             )
         prev_mass = mass
@@ -171,7 +169,7 @@ def resonant_normal_form(H, omega, params):
     to lower the contraction ("stalled"), or after 2K iterations ("capped");
     only "certified" gives certified=True.
 
-    Raises SmallnessViolationError if the perturbation fails the entry bound
+    Raises PreconditionError if the perturbation fails the entry bound
     |||f|||_{sigma,rho} <= alpha rho / (256 xi K).  That bound also keeps the
     action and angle shifts within 1/(32 xi) and 1/(24 xi) of rho and sigma.
     """
@@ -182,7 +180,7 @@ def resonant_normal_form(H, omega, params):
     f0 = H.fourier_nonzero_part()
     f0_norm = f0.weighted_norm(widths)
     if f0_norm > params.smallness_threshold:
-        raise SmallnessViolationError(
+        raise PreconditionError(
             f"|||f|||_(sigma,rho) = {f0_norm:.6e} exceeds alpha*rho/(256*xi*K) = "
             f"{params.smallness_threshold:.6e}"
         )

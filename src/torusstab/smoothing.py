@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError
+from .errors import PreconditionError
 from .ftseries import TWO_PI, FourierTaylorSeries
 
 
@@ -173,7 +173,7 @@ def verify_smoothing_estimate(g, hc, p, s_list):
             s_used.append(float(s))
             errors.append(err)
     if len(s_used) < 4:
-        raise InsufficientDataError(
+        raise PreconditionError(
             f"only {len(s_used)} usable s values (need >= 4); {len(saturated)} saturated"
         )
     slope, intercept = np.polyfit(np.log(s_used), np.log(errors), 1)
@@ -209,7 +209,7 @@ def fourier_norm_bound_check(g, hc, s_list):
         ratios.append(res.fourier_norm_at_s / maj if maj > 0 else 0.0)
     n = len(ratios)
     if n == 0:
-        raise InsufficientDataError("empty s sweep")
+        raise PreconditionError("empty s sweep")
     third = max(1, n // 3)
     first = float(np.mean(ratios[:third]))
     last = float(np.mean(ratios[-third:]))

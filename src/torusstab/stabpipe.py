@@ -17,12 +17,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 
-from .errors import (
-    DominanceViolationError,
-    NumericalFault,
-    PipelineStageError,
-    PreconditionError,
-)
+from .errors import NumericalFault, PipelineStageError, PreconditionError
 from .freqlib import _check_tau, diophantine_constant
 from .ftseries import AnalyticityWidths, FourierTaylorSeries, theta_gradient_majorant
 from .normalform import XI, NormalFormParams, resonant_normal_form
@@ -183,12 +178,12 @@ def dominance_threshold(tau):
 def remainder_bounds(schedule, hc):
     """The three drift-rate bound shapes and the dominant tag.
 
-    Raises DominanceViolationError when ell <= 3 + 2/tau, and a precondition
-    error when the schedule flags are not all true.
+    Raises PreconditionError when ell <= 3 + 2/tau or when the schedule
+    flags are not all true.
     """
     gate = dominance_threshold(schedule.tau)
     if hc.ell <= gate:
-        raise DominanceViolationError(
+        raise PreconditionError(
             f"ell = {hc.ell} must exceed (3-a)/(1-a) = 3 + 2/tau = {gate} for tau = {schedule.tau}"
         )
     if not schedule.valid:
@@ -296,8 +291,8 @@ def _stage(name):
 
 
 def run_pipeline(H, omega, gamma, tau, hc, rho):
-    """Full pipeline: split -> schedule -> coefficient smoothing -> certificate
-    check -> resonant normal form -> remainder bounds -> predicted time.
+    """Full pipeline: split -> schedule -> remainder bounds and predicted time
+    -> coefficient smoothing -> certificate check -> resonant normal form.
 
     A bad rho, gamma or tau raises ValueError before any stage runs, and an
     integrable H (f = 0) gets a report with no schedule and t_theorem = inf;
@@ -329,6 +324,10 @@ def run_pipeline(H, omega, gamma, tau, hc, rho):
             failure="schedule flags failed: " + ", ".join(schedule.failed_flags()),
         )
 
+    # closed-form shapes: the dominance gate fails before any costly stage
+    with _stage("remainder_bounds"):
+        bounds = remainder_bounds(schedule, hc)
+        prediction = predicted_stability_time(rho, hc, tau)
     with _stage("smooth_coefficients"):
         smoothed = smooth_coefficients(split, schedule.s)
     with _stage("certificate"):
@@ -343,9 +342,6 @@ def run_pipeline(H, omega, gamma, tau, hc, rho):
             alpha=schedule.alpha, K=schedule.K, widths=AnalyticityWidths(schedule.s, rho)
         )
         nf = resonant_normal_form(FourierTaylorSeries.linear(omega) + smoothed.P_s, omega, params)
-    with _stage("remainder_bounds"):
-        bounds = remainder_bounds(schedule, hc)
-        prediction = predicted_stability_time(rho, hc, tau)
     return PipelineReport(
         rho=float(rho),
         coeff_norm_max=cmax,

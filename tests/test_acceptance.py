@@ -12,10 +12,10 @@ import pytest
 
 from torusstab import (
     AnalyticityWidths,
-    DominanceViolationError,
     FourierTaylorSeries,
     HolderClass,
     NormalFormParams,
+    PreconditionError,
     ballistic_bound,
     build_test_hamiltonian,
     default_dt,
@@ -166,8 +166,8 @@ def test_schedule_and_exponent_identities(report):
     try:
         sch_bad = parameter_schedule(1e-8, 0.5, 0.5, hc, 1e-3)
         remainder_bounds(sch_bad, hc)
-    except DominanceViolationError:
-        gate_raises = True
+    except PreconditionError as exc:
+        gate_raises = "must exceed (3-a)/(1-a)" in str(exc)
     checks.append(gate_raises)
     ok = all(checks)
     report("schedule-exponent-identities", ok,

@@ -5,13 +5,16 @@ import math
 import pytest
 
 from torusstab import (
+    AnalyticityWidths,
     ExperimentConfig,
     FourierTaylorSeries,
     HolderClass,
-    LieDivergenceError,
+    NormalFormParams,
+    NumericalFault,
     build_test_hamiltonian,
     golden_frequency,
     lacunary_series,
+    resonant_normal_form,
     dynamics,
     stabpipe,
     sweep,
@@ -109,14 +112,19 @@ class TestNF:
             FourierTaylorSeries.cosine(2, (1, 0), m=(2, 0), amplitude=1e-6)
         )
         src = tmp_path / "H.txt"
+        dst = tmp_path / "h.txt"
         H.save(src)
         rc = main(["nf", "--input", str(src), "--alpha", "0.2", "--K", "5",
-                   "--sigma", "1.2", "--rho", "0.5"])
+                   "--sigma", "1.2", "--rho", "0.5", "--output", str(dst)])
         assert rc == 0
         out = parse_kv(capsys.readouterr().out)
         assert out["certified"] == "1"
         assert out["stop"] == "certified"
         assert float(out["contraction"]) <= math.exp(-1.0)
+        # --output writes the integrable part of the same normal form
+        params = NormalFormParams(alpha=0.2, K=5, widths=AnalyticityWidths(1.2, 0.5))
+        h = resonant_normal_form(H, golden_frequency(2), params).h
+        assert FourierTaylorSeries.load(dst) == h
 
     @pytest.mark.parametrize("flag", ["--order", "--rel-chop", "--xi"])
     def test_chop_and_order_flags_removed(self, tmp_path, flag):
@@ -193,7 +201,7 @@ class TestPredict:
         assert "Traceback" not in err
 
         def diverge(*args):
-            raise LieDivergenceError("bracket norm grew")
+            raise NumericalFault("bracket norm grew")
 
         monkeypatch.setattr(stabpipe, "resonant_normal_form", diverge)
         assert main(["predict", "--rho", "1e-3", "--input", str(src)]) == 3
@@ -454,6 +462,52 @@ class TestCheckNotPassed:
         captured = capsys.readouterr()
         assert line in captured.out.splitlines()
         assert captured.err == ""
+
+
+class TestExitCodeTable:
+    """Exit 2 for a precondition, 3 for a numerical fault: one real CLI path
+    per failure kind, each with its one stderr line."""
+
+    @pytest.mark.parametrize(
+        "argv, series, code, line",
+        [
+            # omega = (1, 1) is resonant at k = +-(1, -1)
+            (["nf", "--omega", "1,1", "--alpha", "0.2", "--K", "5", "--sigma", "1.2",
+              "--rho", "0.5"],
+             lambda: FourierTaylorSeries.linear((1.0, 1.0)) + FourierTaylorSeries.cosine(
+                 2, (1, -1), m=(2, 0), amplitude=1e-12),
+             3,
+             "numerical fault: small divisor |omega.k|=0.000e+00 below floor 1.0e-12 "
+             "at k=(-1, 1)"),
+            # a lone e^{2 pi i theta_1} term has no conjugate partner
+            (["escape", "--rho", "0.1", "--t-cap", "0.1", "--n-samples", "2"],
+             lambda: FourierTaylorSeries.linear(golden_frequency(2)) + FourierTaylorSeries(
+                 2, {((1, 0), (2, 0)): 1e-6j}),
+             3,
+             "numerical fault: vector field requires a real-valued series"),
+            # the dominance gate 3 + 2/tau = 7 at tau = 0.5 is above ell = 6.5
+            (["predict", "--tau", "0.5", "--gamma", "0.01", "--rho", "1e-4"],
+             lambda: build_test_hamiltonian(HolderClass(6.5, 2), seed=0),
+             2,
+             "error: pipeline stage 'remainder_bounds' failed: ell = 6.5 must exceed "
+             "(3-a)/(1-a) = 3 + 2/tau = 7.0 for tau = 0.5"),
+            (["fit"], None, 2, "error: only 3 usable rows (need >= 4)"),
+        ],
+        ids=["small-divisor", "complex-series", "dominance-gate", "too-few-rows"],
+    )
+    def test_exit_code_and_line(self, tmp_path, capsys, argv, series, code, line):
+        src = tmp_path / "input"
+        if series is None:
+            sweep(ExperimentConfig(rho_list=(0.1, 0.05, 0.02), t_cap=0.1, n_samples=1),
+                  csv_path=src)
+            argv = argv + ["--csv", str(src)]
+        else:
+            series().save(src)
+            argv = argv + ["--input", str(src)]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.err == line + "\n"
+        assert captured.out == ""
 
 
 class TestFileErrors:

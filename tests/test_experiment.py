@@ -10,7 +10,7 @@ from torusstab import (
     ExperimentConfig,
     FourierTaylorSeries,
     HolderClass,
-    InsufficientDataError,
+    PreconditionError,
     build_test_hamiltonian,
     default_dt,
     emit_plots,
@@ -299,8 +299,10 @@ class TestSweep:
             ("rho,t_pred\n0.1,1.0\n", "sweep columns line lacks min_escape"),
             (f"{','.join(CSV_COLUMNS)}\n0.1,1.0,nan,1.0,0.0\n", "malformed sweep row"),
             ("0.1,1.0,nan,1.0,0.0,-,nan,0.1,\n", "sweep row before the columns line"),
+            (f"{','.join(CSV_COLUMNS)}\n0.1,abc,nan,1.0,0.0,-,nan,0.1,\n",
+             "bad value for sweep column t_pred: 'abc' in row '0.1,abc,"),
         ],
-        ids=["missing-column", "short-row", "no-columns-line"],
+        ids=["missing-column", "short-row", "no-columns-line", "not-a-number"],
     )
     def test_malformed_file_rejected(self, tmp_path, text, message):
         csv = tmp_path / "sweep.csv"
@@ -400,7 +402,7 @@ class TestFit:
         assert abs(naive.p - 3.5) > 0.05
 
     def test_insufficient_data(self):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(PreconditionError, match=r"only 3 usable rows \(need >= 4\)"):
             fit_exponent([0.1, 0.01, 0.001], [1.0, 10.0, 100.0])
 
     def test_nonfinite_rows_excluded(self):

@@ -11,12 +11,10 @@ from torusstab import (
     TWO_PI,
     AnalyticityWidths,
     FourierTaylorSeries,
-    LieDivergenceError,
     LieResult,
-    MeanNotRemovedError,
     NormalFormParams,
-    SmallDivisorError,
-    SmallnessViolationError,
+    NumericalFault,
+    PreconditionError,
     golden_frequency,
     lie_transform,
     resonant_normal_form,
@@ -68,26 +66,29 @@ class TestHomological:
 
     def test_mean_mode_rejected(self):
         f = FourierTaylorSeries.monomial(D, (2, 0))
-        with pytest.raises(MeanNotRemovedError):
+        with pytest.raises(PreconditionError, match=r"k=0 mode present at m=\(2, 0\)"):
             solve_homological(f, OMEGA)
 
     def test_small_divisor_guard(self):
         # omega = (1, 2) is resonant at k = (2, -1)
         f = FourierTaylorSeries.cosine(D, (2, -1))
-        with pytest.raises(SmallDivisorError) as exc:
-            solve_homological(f, (1.0, 2.0))
         # cosine carries k = +-(2, -1); (-2, 1) is first in (k, m) order
-        assert exc.value.k == (-2, 1)
-        assert exc.value.divisor < DIVISOR_FLOOR
+        with pytest.raises(
+            NumericalFault,
+            match=r"small divisor \|omega.k\|=0\.000e\+00 below floor 1\.0e-12 at k=\(-2, 1\)",
+        ):
+            solve_homological(f, (1.0, 2.0))
 
     @pytest.mark.parametrize(
-        "k_first, error", [((-2, 1), SmallDivisorError), ((2, -1), MeanNotRemovedError)]
+        "k_first, family, message",
+        [((-2, 1), NumericalFault, "small divisor"), ((2, -1), PreconditionError, "k=0 mode")],
+        ids=["small-divisor", "mean-mode"],
     )
-    def test_first_small_term_raises(self, k_first, error):
+    def test_first_small_term_raises(self, k_first, family, message):
         # omega = (1, 2) is resonant at k = +-(2, -1); (-2, 1) sorts before
         # the mean term, (2, -1) after it
         f = FourierTaylorSeries(D, {(k_first, (1, 0)): 1.0, ((0, 0), (2, 0)): 1.0})
-        with pytest.raises(error):
+        with pytest.raises(family, match=message):
             solve_homological(f, (1.0, 2.0))
 
     @given(
@@ -109,12 +110,15 @@ class TestHomological:
         try:
             for (k, m), c in f.items():
                 if not any(k):
-                    raise MeanNotRemovedError(f"k=0 mode present at m={m}")
+                    raise PreconditionError(f"k=0 mode present at m={m}")
                 divisor = float(np.dot(k, w))
                 if abs(divisor) < DIVISOR_FLOOR:
-                    raise SmallDivisorError(k, abs(divisor), DIVISOR_FLOOR)
+                    raise NumericalFault(
+                        f"small divisor |omega.k|={abs(divisor):.3e} below floor "
+                        f"{DIVISOR_FLOOR:.1e} at k={k}"
+                    )
                 expected[(k, m)] = c / (TWO_PI * 1j * divisor)
-        except (MeanNotRemovedError, SmallDivisorError) as exc:
+        except (PreconditionError, NumericalFault) as exc:
             with pytest.raises(type(exc)) as raised:
                 solve_homological(f, omega)
             assert str(exc) in str(raised.value)
@@ -142,7 +146,7 @@ class TestLieTransform:
         H = FourierTaylorSeries.linear(OMEGA) + f
         chi = solve_homological(f, OMEGA)
         lie_transform(H, chi * 1e5)  # about 2e2 per order: no divergence
-        with pytest.raises(LieDivergenceError, match="grew by 2.00e[+]03 at order 2"):
+        with pytest.raises(NumericalFault, match="grew by 2.00e[+]03 at order 2"):
             lie_transform(H, chi * 1e6)
 
     def test_energy_conservation_under_flow(self):
@@ -253,7 +257,7 @@ class TestResonantNormalForm:
 
     def test_smallness_gate(self):
         H, params = acceptance_instance(eps=1.0)
-        with pytest.raises(SmallnessViolationError):
+        with pytest.raises(PreconditionError, match=r"exceeds alpha\*rho/\(256\*xi\*K\)"):
             resonant_normal_form(H, OMEGA, params)
 
     def test_integrable_input_trivial(self):

@@ -1,11 +1,13 @@
 """The package's public names, the parameters of its public functions, the
-public attributes of FourierTaylorSeries, the options of each CLI subcommand
-and the sweep CSV's columns, pinned: removing or adding one edits these
-lists."""
+public attributes of FourierTaylorSeries, its exception classes, the options
+of each CLI subcommand and the sweep CSV's columns, pinned: removing or
+adding one edits these lists."""
 
 import argparse
+import importlib
 import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 import types
@@ -16,16 +18,13 @@ from torusstab.cli import build_parser
 from torusstab.experiment import CSV_COLUMNS, CSV_HEADER
 
 PUBLIC_NAMES = [
-    "AnalyticityWidths", "DiophantineCertificate",
-    "DominanceViolationError", "EscapeRecord",
+    "AnalyticityWidths", "DiophantineCertificate", "EscapeRecord",
     "ExperimentConfig", "FitReport", "FourierNormReport",
     "FourierTaylorSeries", "Frequency", "HamiltonianVectorField", "HolderClass",
-    "InsufficientDataError", "LieDivergenceError", "LieResult", "MeanNotRemovedError",
-    "NormalFormParams", "NormalFormResult", "NumericalFault", "ParameterSchedule",
+    "LieResult", "NormalFormParams", "NormalFormResult", "NumericalFault", "ParameterSchedule",
     "PipelineReport", "PipelineStageError", "PreconditionError", "RHO_MAX",
-    "RealityViolationError", "RemainderBounds", "SlopeReport", "SmallDivisorError",
-    "SmallnessViolationError", "SmoothedSplit", "SmoothingResult",
-    "StabilityPrediction", "StepFailureError", "SweepRow", "TWO_PI", "TaylorSplit",
+    "RemainderBounds", "SlopeReport", "SmoothedSplit", "SmoothingResult",
+    "StabilityPrediction", "SweepRow", "TWO_PI", "TaylorSplit",
     "Trajectory", "ballistic_bound", "build_test_hamiltonian",
     "coefficient_norm_max", "cp_tail_majorant", "default_dt",
     "diophantine_constant", "dominance_threshold",
@@ -87,6 +86,10 @@ SERIES_ATTRIBUTES = [
     "to_text", "weighted_norm",
 ]
 
+# every exception class the package defines: the two families of the CLI's
+# exit codes (2 and 3) and the stage wrapper that takes its cause's code
+EXCEPTION_CLASSES = ["NumericalFault", "PipelineStageError", "PreconditionError"]
+
 # every option of every subcommand, in the order `--help` lists them
 CLI_OPTIONS = {
     "dioph": ('--omega', '--tau', '--K'),
@@ -129,6 +132,16 @@ def test_public_function_parameters_are_pinned():
 def test_series_attributes_are_pinned():
     series = torusstab.FourierTaylorSeries
     assert sorted(name for name in dir(series) if not name.startswith("_")) == SERIES_ATTRIBUTES
+
+
+def test_exception_classes_are_pinned():
+    classes = {
+        cls
+        for info in pkgutil.iter_modules(torusstab.__path__, "torusstab.")
+        for _, cls in inspect.getmembers(importlib.import_module(info.name), inspect.isclass)
+        if issubclass(cls, BaseException) and cls.__module__.startswith("torusstab")
+    }
+    assert sorted(cls.__name__ for cls in classes) == EXCEPTION_CLASSES
 
 
 def test_cli_options_are_pinned():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from torusstab import (
     FourierTaylorSeries,
     HolderClass,
-    InsufficientDataError,
+    PreconditionError,
     TWO_PI,
     cp_tail_majorant,
     fourier_norm_bound_check,
@@ -179,8 +179,10 @@ class TestSlopeVerification:
     def test_saturated_values_excluded(self):
         hc = HolderClass(6.5, 2)
         g = lacunary_series(D, 6.5, j_max=4, seed=0)  # max |k|_1 = 16
-        with pytest.raises(InsufficientDataError):
-            # only s <= 1/16 drop anything; grid ends at 2^-6: 2 usable points
+        with pytest.raises(
+            PreconditionError, match=r"only 3 usable s values \(need >= 4\); 3 saturated"
+        ):
+            # only s <= 1/16 drop anything; grid ends at 2^-6: 3 usable points
             verify_smoothing_estimate(g, hc, 0, [2.0**-j for j in range(1, 7)])
 
     def test_invalid_p(self):
@@ -202,5 +204,5 @@ class TestFourierNormBound:
     def test_empty_sweep_rejected(self):
         hc = HolderClass(6.5, 2)
         g = lacunary_series(D, 6.5, seed=0)
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(PreconditionError, match="empty s sweep"):
             fourier_norm_bound_check(g, hc, [])

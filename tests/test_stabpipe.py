@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from torusstab import (
-    DominanceViolationError,
     FourierTaylorSeries,
     Frequency,
     HolderClass,
-    LieDivergenceError,
+    NumericalFault,
     PipelineStageError,
     PreconditionError,
     RHO_MAX,
@@ -143,7 +142,7 @@ class TestRemainderBounds:
     def test_gate_violation_raises(self):
         # ell = 6.5 passes at tau = 1 (gate 5) but fails at tau = 0.5 (gate 7)
         sch = parameter_schedule(1e-8, 0.5, 0.5, HC65, 1e-3)
-        with pytest.raises(DominanceViolationError):
+        with pytest.raises(PreconditionError, match=r"ell = 6\.5 must exceed .* = 7\.0"):
             remainder_bounds(sch, HC65)
 
     def test_smoothing_gap_dominates_over_six_decades(self):
@@ -360,14 +359,27 @@ class TestStageTags:
 
     def test_numerical_fault_tagged_normal_form(self, monkeypatch):
         def diverge(*args):
-            raise LieDivergenceError("bracket norm grew")
+            raise NumericalFault("bracket norm grew")
 
         monkeypatch.setattr(stabpipe, "resonant_normal_form", diverge)
         H = build_test_hamiltonian(HC65, seed=0)
         with pytest.raises(PipelineStageError) as info:
             run_pipeline(H, OMEGA, 0.5, 1.0, HC65, 1e-3)
         assert info.value.stage == "normal_form"
-        assert isinstance(info.value.cause, LieDivergenceError)
+        assert isinstance(info.value.cause, NumericalFault)
+
+    def test_dominance_gate_fails_before_costly_stages(self, monkeypatch):
+        # the gate 3 + 2/tau = 7 at tau = 0.5 depends on ell and tau alone
+        def costly(*args):
+            raise AssertionError("a costly stage ran before the dominance gate")
+
+        for name in ("smooth_coefficients", "diophantine_constant", "resonant_normal_form"):
+            monkeypatch.setattr(stabpipe, name, costly)
+        H = build_test_hamiltonian(HC65, seed=0)
+        with pytest.raises(PipelineStageError, match=r"ell = 6\.5 must exceed") as info:
+            run_pipeline(H, OMEGA, 0.01, 0.5, HC65, 1e-4)
+        assert info.value.stage == "remainder_bounds"
+        assert isinstance(info.value.cause, PreconditionError)
 
     def test_programming_error_passes_unwrapped(self, monkeypatch):
         def broken(*args):
