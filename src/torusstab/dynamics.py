@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFault
+from .errors import NumericalFault, require_at_least, require_positive
 from .ftseries import HamiltonianVectorField, theta_gradient_majorant
 
 METHOD = "split-midpoint"
@@ -146,8 +146,8 @@ def integrate(H, start, t_end, dt, record_every=None, r_max=None):
         raise ValueError(f"t_end must be finite, got {t_end!r}")
     if t_end * dt <= 0:
         raise ValueError("t_end and dt must have the same sign")
-    if record_every is not None and record_every < 1:
-        raise ValueError(f"record_every must be >= 1, got {record_every!r}")
+    if record_every is not None:
+        require_at_least(1, record_every=record_every)
     omega, field = _split(H)
     d = H.d
     z = np.empty((1, 2 * d))
@@ -220,8 +220,7 @@ class EscapeRecord:
 def sample_initial_conditions(d, rho, n_samples, seed):
     """Uniform product samples on T^d x B_rho (sup-norm ball), one derived
     RNG stream per sample index; the seed must be >= 0."""
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed!r}")
+    require_at_least(0, seed=seed)
     thetas = np.empty((n_samples, d))
     Is = np.empty((n_samples, d))
     for i in range(n_samples):
@@ -239,15 +238,11 @@ def escape_time(H, rho, threshold, t_cap, n_samples, seed, dt=None):
     the ballistic a-priori bound (sup of ||I_dot|| on the reachable tube of
     radius rho + threshold), otherwise an integration fault is raised.
     """
-    for name, value in (("rho", rho), ("threshold", threshold), ("t_cap", t_cap)):
-        if not (value > 0 and math.isfinite(value)):
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    require_positive(rho=rho, threshold=threshold, t_cap=t_cap)
+    require_at_least(1, n_samples=n_samples)
     if dt is None:
         dt = default_dt(H)
-    if not (dt > 0 and math.isfinite(dt)):
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    require_positive(dt=dt)
     omega, field = _split(H)
     d = H.d
     theta, I0 = sample_initial_conditions(d, rho, n_samples, seed)

@@ -7,7 +7,11 @@ that breaks mid-computation (a small divisor, a complex series where a real
 one is needed, a diverging Lie series or midpoint step) raises
 NumericalFault, exit 3.  The message names what failed.  A pipeline stage
 wraps either in PipelineStageError, which exits with its cause's code.
+An input out of range raises ValueError naming it and its value, through
+require_positive and require_at_least.
 """
+
+import math
 
 
 class PreconditionError(ValueError):
@@ -25,3 +29,17 @@ class PipelineStageError(RuntimeError):
         self.stage = stage
         self.cause = cause
         super().__init__(f"pipeline stage '{stage}' failed: {cause}")
+
+
+def require_positive(**values):
+    """Raise ValueError naming the first value that is not positive and finite."""
+    for name, value in values.items():
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def require_at_least(bound, **values):
+    """Raise ValueError naming the first value below bound."""
+    for name, value in values.items():
+        if value < bound:
+            raise ValueError(f"{name} must be >= {bound}, got {value!r}")

@@ -16,7 +16,7 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 from .dynamics import default_dt, escape_time
-from .errors import PipelineStageError, PreconditionError
+from .errors import PipelineStageError, PreconditionError, require_at_least, require_positive
 from .freqlib import golden_frequency
 from .ftseries import FourierTaylorSeries
 from .smoothing import HolderClass, lacunary_series
@@ -49,15 +49,9 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be None or positive and finite, got {value!r}")
-        for name in ("max_steps", "n_samples"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
-        if not (math.isfinite(self.threshold_factor) and self.threshold_factor > 0):
-            raise ValueError(
-                f"threshold_factor must be positive and finite, got {self.threshold_factor!r}"
-            )
+        require_at_least(1, max_steps=self.max_steps, n_samples=self.n_samples)
+        require_at_least(0, seed=self.seed)
+        require_positive(threshold_factor=self.threshold_factor)
         if not self.dynamics_only and any(r >= RHO_MAX for r in rhos):
             raise ValueError(
                 f"pipeline runs require every rho < e^-6 = {RHO_MAX:.4e}; "

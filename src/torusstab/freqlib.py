@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import require_at_least
+
 # prefixes per block of the lattice search; bounds its working memory
 PREFIX_BLOCK = 1 << 18
 
@@ -104,8 +106,7 @@ def diophantine_constant(freq, tau, K):
     work, in blocks of PREFIX_BLOCK prefixes that carry the best (gamma, k) on.
     """
     K = int(K)
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    require_at_least(1, K=K)
     _check_tau(tau)
     w = freq.as_array()
     j = int(np.argmax(np.abs(w)))

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFault
+from .errors import NumericalFault, require_at_least, require_positive
 
 TWO_PI = 2.0 * math.pi
 # entries formed at once by a Poisson bracket (d per term pair), and by each
@@ -51,10 +51,7 @@ class AnalyticityWidths:
     rho: float
 
     def __post_init__(self):
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
-        if not (self.rho > 0 and math.isfinite(self.rho)):
-            raise ValueError(f"rho must be positive and finite, got {self.rho}")
+        require_positive(sigma=self.sigma, rho=self.rho)
 
     def weight(self, nk, nm):
         """Majorant weights rho^{|m|_1} e^{sigma |k|_1} of terms of orders (nk, nm)."""
@@ -69,8 +66,7 @@ class FourierTaylorSeries:
     def __init__(self, d, terms=None):
         """Series from a map (k, m) -> c; the indices are validated."""
         d = int(d)
-        if d < 1:
-            raise ValueError("dimension must be >= 1")
+        require_at_least(1, dimension=d)
         rows, coeffs = [], []
         for (k, m), c in (terms or {}).items():
             k = tuple(int(v) for v in k)
@@ -110,17 +106,6 @@ class FourierTaylorSeries:
         return cls(d, {(z, z): value})
 
     @classmethod
-    def monomial(cls, d, m, coeff=1.0):
-        """coeff * I^m."""
-        return cls(d, {((0,) * d, tuple(m)): coeff})
-
-    @classmethod
-    def harmonic(cls, d, k, m=None, coeff=1.0):
-        """Single (generally complex) term coeff e^{2 pi i k.theta} I^m."""
-        m = (0,) * d if m is None else tuple(m)
-        return cls(d, {(tuple(k), m): coeff})
-
-    @classmethod
     def cosine(cls, d, k, m=None, amplitude=1.0, phase=0.0):
         """amplitude * cos(2 pi k.theta + phase) * I^m, stored as a conjugate pair."""
         m = (0,) * d if m is None else tuple(m)
@@ -130,16 +115,11 @@ class FourierTaylorSeries:
         return cls(d, {(k, m): half, (neg, m): half.conjugate()})
 
     @classmethod
-    def sine(cls, d, k, m=None, amplitude=1.0):
-        return cls.cosine(d, k, m=m, amplitude=amplitude, phase=-0.5 * math.pi)
-
-    @classmethod
     def linear(cls, omega):
         """omega . I for a frequency vector or plain sequence."""
         values = np.array(omega.omega if hasattr(omega, "omega") else omega, dtype=complex)
         d = len(values)
-        if d < 1:
-            raise ValueError("dimension must be >= 1")
+        require_at_least(1, dimension=d)
         axes = np.flatnonzero(values)[::-1]  # e_i orders before e_j for i > j
         M = np.eye(d, dtype=np.int64)[axes]
         return cls._of(d, np.zeros_like(M), M, values[axes])
@@ -318,9 +298,6 @@ class FourierTaylorSeries:
 
     def is_pure_angle(self):
         return self.max_taylor_order() == 0
-
-    def max_fourier_order(self):
-        return int(self._orders()[0].max(initial=0))
 
     def min_taylor_order(self):
         return int(self._orders()[1].min()) if self else 0

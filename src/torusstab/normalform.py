@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFault, PreconditionError
+from .errors import NumericalFault, PreconditionError, require_at_least, require_positive
 from .ftseries import TWO_PI, AnalyticityWidths, FourierTaylorSeries
 
 DIVISOR_FLOOR = 1e-12
@@ -38,10 +38,8 @@ class NormalFormParams:
     widths: AnalyticityWidths
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
-        if self.K < 1:
-            raise ValueError("K must be >= 1")
+        require_positive(alpha=self.alpha)
+        require_at_least(1, K=self.K)
         if self.K * self.widths.sigma < 6.0:
             raise ValueError(
                 f"K*sigma = {self.K * self.widths.sigma:.3f} violates K*sigma >= 6"
@@ -123,8 +121,7 @@ def lie_transform(H, chi, order=6, widths=None, chop=0.0):
     dropped and reported, and a growth factor above DIVERGENCE_FACTOR
     between consecutive brackets aborts with a divergence error.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    require_at_least(1, order=order)
     weight = widths.weight if widths is not None else None
 
     result = H

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, require_at_least
 from .ftseries import TWO_PI, FourierTaylorSeries
 
 
@@ -29,8 +29,7 @@ class HolderClass:
     d: int
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d!r}")
+        require_at_least(1, d=self.d)
         if not math.isfinite(self.ell):
             raise ValueError(f"ell must be finite, got {self.ell!r}")
         if not self.ell > 2 * self.d + 1:
@@ -120,8 +119,7 @@ def lacunary_series(d, ell, j_max=10, seed=0, amplitude=1.0):
     them.  A negative j_max or seed entry, or a non-finite amplitude, raises
     ValueError.
     """
-    if j_max < 0:
-        raise ValueError(f"j_max must be >= 0, got {j_max!r}")
+    require_at_least(0, j_max=j_max)
     if np.min(seed) < 0:
         raise ValueError(f"seed must be >= 0, got {seed!r}")
     if not math.isfinite(amplitude):

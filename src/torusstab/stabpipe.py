@@ -17,7 +17,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 
-from .errors import NumericalFault, PipelineStageError, PreconditionError
+from .errors import NumericalFault, PipelineStageError, PreconditionError, require_positive
 from .freqlib import _check_tau, diophantine_constant
 from .ftseries import AnalyticityWidths, FourierTaylorSeries, theta_gradient_majorant
 from .normalform import XI, NormalFormParams, resonant_normal_form
@@ -96,8 +96,7 @@ def taylor_split(f, hc, rho):
     Z_bound is the angle-gradient majorant of Z on the tube of radius rho.
     Orders 0 and 1 are a model violation: the torus would not be invariant.
     """
-    if not (rho > 0 and math.isfinite(rho)):
-        raise ValueError(f"rho must be positive and finite, got {rho!r}")
+    require_positive(rho=rho)
     if f and f.min_taylor_order() < 2:
         raise PreconditionError(
             "perturbation carries Taylor orders < 2; the torus would not be invariant"
@@ -131,9 +130,7 @@ def smooth_coefficients(split, s):
 
 def _check_inputs(rho, gamma, tau, **more):
     """Reject by name a bad tau, or a rho, gamma or `more` value <= 0 or not finite."""
-    for name, value in (("rho", rho), ("gamma", gamma), *more.items()):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    require_positive(rho=rho, gamma=gamma, **more)
     _check_tau(tau)
 
 

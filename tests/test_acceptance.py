@@ -132,7 +132,7 @@ def test_pipeline_certifies_down_the_ladder(report):
 def test_homological_exactness(report):
     """Residual of omega . d_theta chi = f <= 1e-13 of f."""
     f = FourierTaylorSeries.cosine(D, (1, -1), m=(2, 0), amplitude=1e-3) + (
-        FourierTaylorSeries.sine(D, (2, 1), m=(1, 1), amplitude=5e-4)
+        FourierTaylorSeries.cosine(D, (2, 1), m=(1, 1), amplitude=5e-4, phase=-0.5 * math.pi)
     )
     chi = solve_homological(f, OMEGA)
     w = OMEGA.as_array()
@@ -194,16 +194,16 @@ def test_fit_correctness(report):
 def test_ballistic_sanity(report):
     """Bound arithmetic 1/(4 pi rho) and no sub-ballistic measured escapes."""
     rho = 0.05
-    H = FourierTaylorSeries.linear(OMEGA) + FourierTaylorSeries.sine(
-        D, (1, 0), m=(2, 0)
+    H = FourierTaylorSeries.linear(OMEGA) + FourierTaylorSeries.cosine(
+        D, (1, 0), m=(2, 0), phase=-0.5 * math.pi
     )
     bound = ballistic_bound(H, 0.5 * rho, rho)
     exact = 1.0 / (4.0 * math.pi * rho)
     arithmetic_ok = abs(bound - exact) <= 1e-14 * exact
     # a strongly forced instance that does escape; escape_time itself raises a
     # numerical fault if any uncensored time beats the reachable-tube bound
-    H_forced = FourierTaylorSeries.linear(OMEGA) + FourierTaylorSeries.sine(
-        D, (1, 0), amplitude=1.0
+    H_forced = FourierTaylorSeries.linear(OMEGA) + FourierTaylorSeries.cosine(
+        D, (1, 0), amplitude=1.0, phase=-0.5 * math.pi
     )
     rec = escape_time(H_forced, 0.01, threshold=0.005, t_cap=5.0,
                       n_samples=8, seed=2, dt=1e-4)

@@ -31,7 +31,9 @@ def coupled_hamiltonian(eps=1e-3):
     return (
         FourierTaylorSeries.linear(OMEGA)
         + FourierTaylorSeries.cosine(D, (1, -1), m=(2, 0), amplitude=eps)
-        + FourierTaylorSeries.sine(D, (0, 1), m=(1, 1), amplitude=0.5 * eps)
+        + FourierTaylorSeries.cosine(
+            D, (0, 1), m=(1, 1), amplitude=0.5 * eps, phase=-0.5 * math.pi
+        )
     )
 
 
@@ -46,8 +48,8 @@ class TestHelpers:
         assert default_dt(slow) == 0.01
 
     def test_theta_gradient_majorant_hand_value(self):
-        H = FourierTaylorSeries.linear(OMEGA) + FourierTaylorSeries.sine(
-            D, (1, 0), m=(2, 0)
+        H = FourierTaylorSeries.linear(OMEGA) + FourierTaylorSeries.cosine(
+            D, (1, 0), m=(2, 0), phase=-0.5 * math.pi
         )
         # two coefficients of 1/2, |k|_1 = 1, |m|_1 = 2
         assert theta_gradient_majorant(H, 0.05) == pytest.approx(
@@ -58,8 +60,8 @@ class TestHelpers:
         # omega.I + I_1^2 sin(2 pi theta_1), threshold rho/2, radius rho:
         # bound = (rho/2) / (2 pi rho^2) = 1/(4 pi rho)
         rho = 0.05
-        H = FourierTaylorSeries.linear(OMEGA) + FourierTaylorSeries.sine(
-            D, (1, 0), m=(2, 0)
+        H = FourierTaylorSeries.linear(OMEGA) + FourierTaylorSeries.cosine(
+            D, (1, 0), m=(2, 0), phase=-0.5 * math.pi
         )
         assert ballistic_bound(H, 0.5 * rho, rho) == pytest.approx(
             1.0 / (4.0 * math.pi * rho), rel=1e-14
@@ -112,8 +114,8 @@ class TestIntegrate:
         assert len(traj.t) == 11  # start + every 100th of 1000 steps
 
     def test_domain_exit_truncates(self):
-        H = FourierTaylorSeries.linear(OMEGA) + FourierTaylorSeries.sine(
-            D, (1, 0), m=(0, 0), amplitude=1.0
+        H = FourierTaylorSeries.linear(OMEGA) + FourierTaylorSeries.cosine(
+            D, (1, 0), m=(0, 0), amplitude=1.0, phase=-0.5 * math.pi
         )
         traj = integrate(H, ((0.0, 0.0), (0.0, 0.0)), t_end=10.0, dt=0.01, r_max=0.05)
         assert traj.domain_exit
@@ -377,8 +379,8 @@ class TestEscapeTime:
         assert rec.method == "split-midpoint"
 
     def test_strong_forcing_escapes(self):
-        H = FourierTaylorSeries.linear(OMEGA) + FourierTaylorSeries.sine(
-            D, (1, 0), amplitude=1.0
+        H = FourierTaylorSeries.linear(OMEGA) + FourierTaylorSeries.cosine(
+            D, (1, 0), amplitude=1.0, phase=-0.5 * math.pi
         )
         rec = escape_time(
             H, 0.01, threshold=0.005, t_cap=5.0, n_samples=8, seed=2, dt=1e-4

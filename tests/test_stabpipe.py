@@ -201,8 +201,8 @@ def three_merge_perturbation(H, omega):
 F_EDGES = (
     FourierTaylorSeries.cosine(D, (1, 0), m=(2, 0), amplitude=1e-3)
     + FourierTaylorSeries.cosine(D, (0, 1), amplitude=2e-3)
-    + FourierTaylorSeries.sine(D, (1, -1), m=(0, 1), amplitude=3e-3)
-    + FourierTaylorSeries.monomial(D, (1, 1), 4e-3)
+    + FourierTaylorSeries.cosine(D, (1, -1), m=(0, 1), amplitude=3e-3, phase=-0.5 * math.pi)
+    + FourierTaylorSeries(D, {((0, 0), (1, 1)): 4e-3})
 )
 W = OMEGA.omega
 
