@@ -37,6 +37,11 @@ class HolderClass:
                 f"regularity ell={self.ell} must exceed 2d+1={2 * self.d + 1} for d={self.d}"
             )
 
+    def check_dimension(self, series):
+        """Refuse a series on another T^d x R^d than this class's."""
+        if series.d != self.d:
+            raise PreconditionError(f"series has d = {series.d}, Holder class has d = {self.d}")
+
     @property
     def q(self):
         return int(math.floor(self.ell))
@@ -160,6 +165,9 @@ def verify_smoothing_estimate(g, hc, p, s_list):
     Errors are computed with the dropped-mode tail majorant; s values where
     nothing is dropped are reported as saturated and excluded from the fit.
     """
+    hc.check_dimension(g)
+    if not g.is_pure_angle():
+        raise ValueError("smoothing operates on pure-angle series only")
     if not (0 <= p <= hc.ell and p == int(p)):
         raise ValueError(f"p must be an integer in [0, ell], got {p}")
     s_used, errors, saturated = [], [], []
@@ -200,6 +208,7 @@ class FourierNormReport:
 
 def fourier_norm_bound_check(g, hc, s_list):
     """Ratio |||g_s|||_s / C^ell-majorant across an s sweep; PASS iff no growth trend."""
+    hc.check_dimension(g)
     maj = holder_norm_majorant(g, hc)
     ratios = []
     for s in s_list:

@@ -232,8 +232,8 @@ class PipelineReport:
 
     @property
     def certified(self):
-        """No failure, and a certified normal form or no schedule (f = 0: nothing to normalise)."""
-        return self.failure is None and (self.schedule is None or self.normal_form.certified)
+        """No failure: the schedule holds and the normal form, if any, is certified."""
+        return self.failure is None
 
     def to_text(self):
         """Flat key=value report block."""
@@ -291,13 +291,14 @@ def run_pipeline(H, omega, gamma, tau, hc, rho):
     """Full pipeline: split -> schedule -> remainder bounds and predicted time
     -> coefficient smoothing -> certificate check -> resonant normal form.
 
-    A bad rho, gamma or tau raises ValueError before any stage runs, and an
-    integrable H (f = 0) gets a report with no schedule and t_theorem = inf;
-    an f with no terms of orders 2..q-2 fails the taylor_split stage.
-    A schedule with failed flags produces a report with `failure` naming them;
-    failures in later stages raise PipelineStageError with the stage tag.
+    A bad rho, gamma or tau, or an H whose d is not hc.d, is refused before
+    any stage runs; an integrable H (f = 0) gets a report with no schedule and
+    t_theorem = inf; an f with no terms of orders 2..q-2 fails taylor_split.
+    A failed schedule flag or an uncertified normal form gives a report whose
+    `failure` says why; later stages raise PipelineStageError with their tag.
     """
     _check_inputs(rho, gamma, tau)
+    hc.check_dimension(H)
     f = perturbation_of(H, omega)
     if not f:
         return PipelineReport(
@@ -339,6 +340,8 @@ def run_pipeline(H, omega, gamma, tau, hc, rho):
             alpha=schedule.alpha, K=schedule.K, widths=AnalyticityWidths(schedule.s, rho)
         )
         nf = resonant_normal_form(FourierTaylorSeries.linear(omega) + smoothed.P_s, omega, params)
+    failure = None if nf.certified else (f"normal form {nf.stop}: contraction {nf.contraction:.6e}"
+                                         f" > target {nf.target_contraction:.6e}")
     return PipelineReport(
         rho=float(rho),
         coeff_norm_max=cmax,
@@ -348,4 +351,5 @@ def run_pipeline(H, omega, gamma, tau, hc, rho):
         normal_form=nf,
         bounds=bounds,
         prediction=prediction,
+        failure=failure,
     )

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, output format, exit codes."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -208,6 +209,29 @@ class TestPredict:
         err = capsys.readouterr().err
         assert err.startswith("numerical fault: pipeline stage 'normal_form' failed")
         assert "Traceback" not in err
+
+    def test_stalled_normal_form_names_the_failure(self, tmp_path, capsys, monkeypatch):
+        # a normal form that stops uncertified (stubbed: a real stall takes
+        # tens of seconds) is the report's failure, with its contraction
+        original = stabpipe.resonant_normal_form
+
+        def stalled(*args, **kwargs):
+            nf = original(*args, **kwargs)
+            return replace(nf, certified=False, stop="stalled",
+                           contraction=1.405 * nf.target_contraction)
+
+        monkeypatch.setattr(stabpipe, "resonant_normal_form", stalled)
+        src = tmp_path / "H.txt"
+        build_test_hamiltonian(HolderClass(6.5, 2), seed=0).save(src)
+        assert main(["predict", "--rho", "1e-3", "--input", str(src)]) == 1
+        captured = capsys.readouterr()
+        out = parse_kv(captured.out)
+        assert out["nf.stop"] == "stalled"
+        assert out["failure"] == (
+            f"normal form stalled: contraction {float(out['nf.contraction']):.6e} "
+            f"> target {float(out['nf.target_contraction']):.6e}"
+        )
+        assert captured.err == ""
 
     @pytest.mark.parametrize("rho", ["1e-3", "1e-8", "1e-13"])
     def test_integrable_input_has_no_schedule(self, tmp_path, capsys, rho):
@@ -492,8 +516,24 @@ class TestExitCodeTable:
              "error: pipeline stage 'remainder_bounds' failed: ell = 6.5 must exceed "
              "(3-a)/(1-a) = 3 + 2/tau = 7.0 for tau = 0.5"),
             (["fit"], None, 2, "error: only 3 usable rows (need >= 4)"),
+            # a d = 2 series against a d = 1 Holder class, whose ell > 2d+1 = 3
+            # is weaker than the ell > 5 that d = 2 needs
+            (["predict", "--rho", "1e-3", "--d", "1", "--ell", "4.5", "--tau", "2"],
+             lambda: build_test_hamiltonian(HolderClass(6.5, 2), seed=0),
+             2,
+             "error: series has d = 2, Holder class has d = 1"),
+            (["smooth-verify", "--d", "1", "--ell", "4.5"],
+             lambda: lacunary_series(2, 4.5, j_max=12, seed=0),
+             2,
+             "error: series has d = 2, Holder class has d = 1"),
+            # refused before any check runs, so no PASS line is printed
+            (["smooth-verify"],
+             lambda: build_test_hamiltonian(HolderClass(6.5, 2), seed=0),
+             2,
+             "error: smoothing operates on pure-angle series only"),
         ],
-        ids=["small-divisor", "complex-series", "dominance-gate", "too-few-rows"],
+        ids=["small-divisor", "complex-series", "dominance-gate", "too-few-rows",
+             "predict-dimension", "smooth-verify-dimension", "smooth-verify-not-pure-angle"],
     )
     def test_exit_code_and_line(self, tmp_path, capsys, argv, series, code, line):
         src = tmp_path / "input"

@@ -1,9 +1,10 @@
 """The package's public names, the parameters of its public functions, the
-public attributes of FourierTaylorSeries, its exception classes, the options
-of each CLI subcommand and the sweep CSV's columns, pinned: removing or
-adding one edits these lists."""
+public attributes of FourierTaylorSeries, the fields of its public
+dataclasses, its exception classes, the options of each CLI subcommand and
+the sweep CSV's columns, pinned: removing or adding one edits these lists."""
 
 import argparse
+import dataclasses
 import importlib
 import inspect
 import os
@@ -86,6 +87,39 @@ SERIES_ATTRIBUTES = [
     "to_text", "weighted_norm",
 ]
 
+# the fields of every public dataclass, in declaration order
+DATACLASS_FIELDS = {
+    "AnalyticityWidths": ('sigma', 'rho'),
+    "DiophantineCertificate": ('tau', 'K', 'gamma_K', 'attained_k'),
+    "EscapeRecord": ('rho', 'threshold', 'n_samples', 'escape_times', 'censored', 't_cap',
+                     'max_drift_at_cap', 'max_energy_drift', 'seed', 'dt', 'method'),
+    "ExperimentConfig": ('ell', 'tau', 'gamma', 'rho_list', 'amplitude', 'j_max', 'seed', 'dt',
+                         't_cap', 'max_steps', 'n_samples', 'threshold_factor',
+                         'dynamics_only'),
+    "FitReport": ('model', 'p', 'c0', 'residuals', 'n_points'),
+    "FourierNormReport": ('s_list', 'ratios', 'sup_ratio', 'first_third_mean',
+                          'last_third_mean', 'majorant', 'passed'),
+    "Frequency": ('omega',),
+    "HolderClass": ('ell', 'd'),
+    "LieResult": ('series', 'tail_mass', 'dropped_mass'),
+    "NormalFormParams": ('alpha', 'K', 'widths'),
+    "NormalFormResult": ('h', 'f_star', 'contraction', 'target_contraction',
+                         'action_shift_bound', 'angle_shift_bound', 'certified', 'stop',
+                         'iterations', 'f_initial_norm', 'dropped_mass', 'params'),
+    "ParameterSchedule": ('rho', 'tau', 'a', 'b', 'rho_tilde', 'K', 's', 'alpha', 'flags'),
+    "PipelineReport": ('rho', 'coeff_norm_max', 'schedule', 'split', 'smoothed', 'normal_form',
+                       'bounds', 'prediction', 'failure'),
+    "RemainderBounds": ('analytic', 'smoothing_gap', 'taylor'),
+    "SlopeReport": ('slope', 'intercept', 'target', 's_used', 'errors', 'saturated', 'passed'),
+    "SmoothedSplit": ('P_s', 'grad_I_gap', 'grad_theta_gap', 'dropped_mass', 's'),
+    "SmoothingResult": ('g_s', 's', 'fourier_norm_at_s', 'dropped_tail_mass'),
+    "StabilityPrediction": ('t_theorem', 'exponent', 'log_exponent'),
+    "SweepRow": ('rho', 't_pred', 'min_escape', 'censored_fraction', 'max_drift',
+                 'schedule_flags', 'contraction', 't_cap', 'error'),
+    "TaylorSplit": ('P', 'Z', 'Z_bound', 'rho'),
+    "Trajectory": ('t', 'theta', 'I', 'energy', 'dt', 'method', 'domain_exit'),
+}
+
 # every exception class the package defines: the two families of the CLI's
 # exit codes (2 and 3) and the stage wrapper that takes its cause's code
 EXCEPTION_CLASSES = ["NumericalFault", "PipelineStageError", "PreconditionError"]
@@ -132,6 +166,15 @@ def test_public_function_parameters_are_pinned():
 def test_series_attributes_are_pinned():
     series = torusstab.FourierTaylorSeries
     assert sorted(name for name in dir(series) if not name.startswith("_")) == SERIES_ATTRIBUTES
+
+
+def test_dataclass_fields_are_pinned():
+    classes = {name: getattr(torusstab, name) for name in PUBLIC_NAMES}
+    assert {
+        name: tuple(f.name for f in dataclasses.fields(cls))
+        for name, cls in classes.items()
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+    } == DATACLASS_FIELDS
 
 
 def test_exception_classes_are_pinned():
