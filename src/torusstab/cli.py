@@ -101,8 +101,6 @@ def cmd_nf(args):
         result.h.save(args.output)
     print(f"contraction = {result.contraction!r}")
     print(f"target_contraction = {result.target_contraction!r}")
-    print(f"action_shift_ratio = {result.action_shift_ratio!r}")
-    print(f"angle_shift_ratio = {result.angle_shift_ratio!r}")
     print(f"iterations = {result.iterations}")
     print(f"certified = {int(result.certified)}")
     print(f"stop = {result.stop}")

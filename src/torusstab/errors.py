@@ -8,7 +8,8 @@ one is needed, a diverging Lie series or midpoint step) raises
 NumericalFault, exit 3.  The message names what failed.  A pipeline stage
 wraps either in PipelineStageError, which exits with its cause's code.
 An input out of range raises ValueError naming it and its value, through
-require_positive and require_at_least.
+require_positive and require_at_least, and a series of another d raises
+PreconditionError through require_dimension.
 """
 
 import math
@@ -36,6 +37,12 @@ def require_positive(**values):
     for name, value in values.items():
         if not (value > 0 and math.isfinite(value)):
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def require_dimension(series, d, owner):
+    """Raise PreconditionError when series lives on another T^d x R^d than owner's d."""
+    if series.d != d:
+        raise PreconditionError(f"series has d = {series.d}, {owner} has d = {d}")
 
 
 def require_at_least(bound, **values):

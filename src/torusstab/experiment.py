@@ -16,11 +16,12 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 from .dynamics import default_dt, escape_time
-from .errors import PipelineStageError, PreconditionError, require_at_least, require_positive
+from .errors import NumericalFault, PipelineStageError, PreconditionError
+from .errors import require_at_least, require_positive
 from .freqlib import golden_frequency
 from .ftseries import FourierTaylorSeries
 from .smoothing import HolderClass, lacunary_series
-from .stabpipe import RHO_MAX, predicted_stability_time, run_pipeline
+from .stabpipe import RHO_MAX, _gate_ratio, predicted_stability_time, run_pipeline
 
 CSV_HEADER = "# torusstab sweep schema v3"
 
@@ -43,6 +44,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         rhos = tuple(float(r) for r in self.rho_list)
+        for rho in rhos:  # every row starts from its headline time: refuse a rho without one
+            predicted_stability_time(rho, self.holder, self.tau)
         if any(b >= a for a, b in zip(rhos, rhos[1:])):
             raise ValueError("rho_list must be strictly decreasing")
         for name in ("dt", "t_cap"):
@@ -228,9 +231,9 @@ def _sweep_row(config, H, omega, hc, rho, dt):
     if not config.dynamics_only:
         try:
             report = run_pipeline(H, omega, config.gamma, config.tau, hc, rho)
-            sch = report.schedule  # None for an integrable H: no flags
-            if sch is not None:
-                flags = ";".join(f"{name}:{int(ok)}" for name, ok in sorted(sch.flags.items()))
+            if report.gates:  # none for an integrable H
+                ratio, name = max((_gate_ratio(v, b), name) for name, v, b in report.gates)
+                flags = f"{name}:{ratio!r}"
             error = report.failure or ""
             if report.normal_form is not None:
                 contraction = report.normal_form.contraction
@@ -254,7 +257,7 @@ def _sweep_row(config, H, omega, hc, rho, dt):
         min_escape = record.min_escape
         censored_fraction = record.censored_fraction
         max_drift = record.max_drift_at_cap
-    except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
+    except (ValueError, NumericalFault) as exc:  # recorded, the sweep continues
         min_escape = None
         censored_fraction = math.nan
         max_drift = math.nan

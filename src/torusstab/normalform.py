@@ -1,12 +1,12 @@
 """Constructive resonant normal forms via Lie series.
 
-The certificate targets: remainder contraction e^{-K sigma/6} between the
-(sigma, rho) and (sigma/6, rho/2) domains, and identity-closeness ratios
-1/(32 xi) and 1/(24 xi) for the action and angle shifts of the change of
-variables, with the theorem's constant xi fixed at XI = 2.  The integrable
-part of H = omega.I + f is linear, so no Hessian bound enters.  For a
-Diophantine frequency every mode 0 < |k|_1 <= K is non-resonant, so the
-normal form is a pure average: the integrable part only gains k=0 terms.
+The certificate target is the remainder contraction e^{-K sigma/6} between
+the (sigma, rho) and (sigma/6, rho/2) domains, reached from a perturbation
+within the entry bound alpha rho / (256 xi K), with the theorem's constant
+xi fixed at XI = 2.  The integrable part of H = omega.I + f is linear, so
+no Hessian bound enters.  For a Diophantine frequency every mode
+0 < |k|_1 <= K is non-resonant, so the normal form is a pure average: the
+integrable part only gains k=0 terms.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFault, PreconditionError, require_at_least, require_positive
+from .errors import NumericalFault, PreconditionError
+from .errors import require_at_least, require_dimension, require_positive
 from .ftseries import TWO_PI, AnalyticityWidths, FourierTaylorSeries
 
 DIVISOR_FLOOR = 1e-12
@@ -68,8 +69,6 @@ class NormalFormResult:
     contraction: float
     target_contraction: float
     action_shift_bound: float
-    angle_shift_bound: float
-    certified: bool
     stop: str  # "certified", "stalled" or "capped"
     iterations: int
     f_initial_norm: float
@@ -77,12 +76,8 @@ class NormalFormResult:
     params: NormalFormParams
 
     @property
-    def action_shift_ratio(self):
-        return self.action_shift_bound / self.params.widths.rho
-
-    @property
-    def angle_shift_ratio(self):
-        return self.angle_shift_bound / self.params.widths.sigma
+    def certified(self):
+        return self.stop == "certified"
 
 
 def solve_homological(f_nr, omega):
@@ -166,10 +161,10 @@ def resonant_normal_form(H, omega, params):
     to lower the contraction ("stalled"), or after 2K iterations ("capped");
     only "certified" gives certified=True.
 
-    Raises PreconditionError if the perturbation fails the entry bound
-    |||f|||_{sigma,rho} <= alpha rho / (256 xi K).  That bound also keeps the
-    action and angle shifts within 1/(32 xi) and 1/(24 xi) of rho and sigma.
+    Raises PreconditionError if omega's d is not H's, or if the perturbation
+    fails the entry bound |||f|||_{sigma,rho} <= alpha rho / (256 xi K).
     """
+    require_dimension(H, len(getattr(omega, "omega", omega)), "frequency")
     widths = params.widths
     inner = AnalyticityWidths(widths.sigma / 6.0, widths.rho / 2.0)
     K = params.K
@@ -217,8 +212,6 @@ def resonant_normal_form(H, omega, params):
         contraction=contraction,
         target_contraction=target,
         action_shift_bound=8.0 * K / params.alpha * f0_norm,
-        angle_shift_bound=32.0 * K / (3.0 * params.alpha * widths.rho) * f0_norm * widths.sigma,
-        certified=stop == "certified",
         stop=stop,
         iterations=iterations,
         f_initial_norm=f0_norm,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError, require_at_least
+from .errors import PreconditionError, require_at_least, require_dimension
 from .ftseries import TWO_PI, FourierTaylorSeries
 
 
@@ -36,11 +36,6 @@ class HolderClass:
             raise ValueError(
                 f"regularity ell={self.ell} must exceed 2d+1={2 * self.d + 1} for d={self.d}"
             )
-
-    def check_dimension(self, series):
-        """Refuse a series on another T^d x R^d than this class's."""
-        if series.d != self.d:
-            raise PreconditionError(f"series has d = {series.d}, Holder class has d = {self.d}")
 
     @property
     def q(self):
@@ -69,10 +64,15 @@ def sharp_cutoff(g, s):
     return g.select(lambda nk, nm, c: nk <= cutoff), g.select(lambda nk, nm, c: nk > cutoff)
 
 
+def _check_pure_angle(g):
+    if not g.is_pure_angle():
+        order = g.max_taylor_order()
+        raise ValueError(f"smoothing operates on pure-angle series only, got Taylor order {order}")
+
+
 def smooth(g, s):
     """Sharp cutoff at |k|_1 <= 1/s; keeps the Fourier-norm equality exactly."""
-    if not g.is_pure_angle():
-        raise ValueError("smoothing operates on pure-angle series only")
+    _check_pure_angle(g)
     g_s, tail = sharp_cutoff(g, s)
     return SmoothingResult(
         g_s=g_s,
@@ -88,8 +88,7 @@ def holder_norm_majorant(g, hc):
     Uses |e^{i xi x} - e^{i xi y}| <= 2^{1-mu} |xi|^mu |x-y|^mu, giving
     (1 + 2^{1-mu}) sum_k |g^_k| (1 + (2 pi |k|_1)^ell).
     """
-    if not g.is_pure_angle():
-        raise ValueError("Holder majorant operates on pure-angle series only")
+    _check_pure_angle(g)
     return coefficient_norm_max(g, hc)
 
 
@@ -165,9 +164,8 @@ def verify_smoothing_estimate(g, hc, p, s_list):
     Errors are computed with the dropped-mode tail majorant; s values where
     nothing is dropped are reported as saturated and excluded from the fit.
     """
-    hc.check_dimension(g)
-    if not g.is_pure_angle():
-        raise ValueError("smoothing operates on pure-angle series only")
+    require_dimension(g, hc.d, "Holder class")
+    _check_pure_angle(g)
     if not (0 <= p <= hc.ell and p == int(p)):
         raise ValueError(f"p must be an integer in [0, ell], got {p}")
     s_used, errors, saturated = [], [], []
@@ -208,7 +206,7 @@ class FourierNormReport:
 
 def fourier_norm_bound_check(g, hc, s_list):
     """Ratio |||g_s|||_s / C^ell-majorant across an s sweep; PASS iff no growth trend."""
-    hc.check_dimension(g)
+    require_dimension(g, hc.d, "Holder class")
     maj = holder_norm_majorant(g, hc)
     ratios = []
     for s in s_list:

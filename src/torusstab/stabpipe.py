@@ -4,11 +4,12 @@ parameter schedule, remainder bounds, and the predicted stability time.
 The schedule follows the choices a = 1/(tau+1), b = 6(a ell + 1),
 K = ceil((rho_tilde/rho)^a), s = (rho/rho_tilde)^a |b log rho|,
 alpha = gamma/K^tau, with rho_tilde chosen so that the smallness condition
-is an equality; then K s >= b |log rho| >= 36 for rho < e^-6, so the
-schedule flags only the two conditions that can fail, rho_ok and
-s_in_range.  The theory proves each bound only up to a constant it does
-not compute, so every bound and predicted time here is the theorem's shape
-with its constant set to 1: a shape, never a calibrated value.
+is an equality; then K s >= b |log rho| >= 36 for rho < e^-6.  Each
+inequality the certificate uses is a gate of the report: rho_ok,
+s_in_range, dominance, gamma_K, K_sigma, smallness and contraction, in
+pipeline order.  The theory proves each bound only up to a constant it
+does not compute, so every bound and predicted time here is the theorem's
+shape with its constant set to 1: a shape, never a calibrated value.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 
-from .errors import NumericalFault, PipelineStageError, PreconditionError, require_positive
+from .errors import NumericalFault, PipelineStageError, PreconditionError
+from .errors import require_dimension, require_positive
 from .freqlib import _check_tau, diophantine_constant
 from .ftseries import AnalyticityWidths, FourierTaylorSeries, theta_gradient_majorant
 from .normalform import XI, NormalFormParams, resonant_normal_form
@@ -28,6 +30,8 @@ RHO_MAX = math.exp(-6.0)
 # mass of H's k = 0, |m|_1 <= 1 part, relative to H's, beyond omega.I that
 # perturbation_of rejects
 LINEAR_PART_TOL = 1e-9
+# the gates that hold only when value < bound; the others hold at value <= bound
+_STRICT_GATES = ("rho_ok", "dominance")
 
 
 @dataclass(frozen=True)
@@ -59,14 +63,6 @@ class ParameterSchedule:
     K: int
     s: float
     alpha: float
-    flags: dict
-
-    @property
-    def valid(self):
-        return all(self.flags.values())
-
-    def failed_flags(self):
-        return sorted(name for name, ok in self.flags.items() if not ok)
 
 
 @dataclass(frozen=True)
@@ -135,9 +131,9 @@ def _check_inputs(rho, gamma, tau, **more):
 
 
 def parameter_schedule(rho, gamma, tau, hc, coeff_norm_max):
-    """(a, b, rho_tilde, K, s, alpha) and the flags rho_ok (rho < min(s, e^-6))
-    and s_in_range (0 < s <= 1), which report a failure without raising.  Inputs
-    that are not positive and finite, and a cutoff K that is not, raise ValueError."""
+    """(a, b, rho_tilde, K, s, alpha).  Inputs that are not positive and
+    finite, and a cutoff K that is not, raise ValueError; run_pipeline checks
+    the gates rho_ok (rho < min(s, e^-6)) and s_in_range (s <= 1)."""
     _check_inputs(rho, gamma, tau, coeff_norm_max=coeff_norm_max)
     a = 1.0 / (tau + 1.0)
     b = 6.0 * (a * hc.ell + 1.0)
@@ -149,10 +145,6 @@ def parameter_schedule(rho, gamma, tau, hc, coeff_norm_max):
     K = max(1, math.ceil(cutoff))
     s = (rho / rho_tilde) ** a * abs(b * math.log(rho))
     alpha = gamma / float(K) ** tau
-    flags = {
-        "rho_ok": bool(rho < min(s, RHO_MAX)),
-        "s_in_range": bool(0.0 < s <= 1.0),
-    }
     return ParameterSchedule(
         rho=float(rho),
         tau=float(tau),
@@ -162,7 +154,6 @@ def parameter_schedule(rho, gamma, tau, hc, coeff_norm_max):
         K=K,
         s=s,
         alpha=alpha,
-        flags=flags,
     )
 
 
@@ -175,16 +166,13 @@ def dominance_threshold(tau):
 def remainder_bounds(schedule, hc):
     """The three drift-rate bound shapes and the dominant tag.
 
-    Raises PreconditionError when ell <= 3 + 2/tau or when the schedule
-    flags are not all true.
+    Raises PreconditionError when ell <= 3 + 2/tau.
     """
     gate = dominance_threshold(schedule.tau)
     if hc.ell <= gate:
         raise PreconditionError(
             f"ell = {hc.ell} must exceed (3-a)/(1-a) = 3 + 2/tau = {gate} for tau = {schedule.tau}"
         )
-    if not schedule.valid:
-        raise PreconditionError(f"schedule flags failed: {', '.join(schedule.failed_flags())}")
     rho = schedule.rho
     a, b, ell = schedule.a, schedule.b, hc.ell
     log_b = abs(b * math.log(rho))
@@ -207,7 +195,7 @@ def predicted_stability_time(rho, hc, tau):
     """Stability-time prediction t_theorem = 1 / (rho^{1+(ell-1)/(tau+1)}
     |log rho|^{ell-1}), the headline shape with its constant set to 1."""
     if not 0.0 < rho < 1.0:
-        raise ValueError("rho must lie in (0, 1)")
+        raise ValueError(f"rho must lie in (0, 1), got {rho!r}")
     _check_tau(tau)
     ell = hc.ell
     exponent = 1.0 + (ell - 1.0) / (tau + 1.0)
@@ -216,6 +204,11 @@ def predicted_stability_time(rho, hc, tau):
         exponent=exponent,
         log_exponent=ell - 1.0,
     )
+
+
+def _gate_ratio(value, bound):
+    """value / bound, the gate's margin: at most 1 where it holds."""
+    return value / bound if bound else math.inf
 
 
 @dataclass(frozen=True)
@@ -228,22 +221,25 @@ class PipelineReport:
     normal_form: object = None
     bounds: RemainderBounds | None = None
     prediction: StabilityPrediction | None = None
-    failure: str | None = None
+    gates: tuple = ()  # (name, value, bound) of each inequality that was checked, in order
+
+    @property
+    def failure(self):
+        """The gates that fail, by name, or None when every gate holds."""
+        failed = [name for name, value, bound in self.gates
+                  if not (value < bound if name in _STRICT_GATES else value <= bound)]
+        return "failed gates: " + ", ".join(failed) if failed else None
 
     @property
     def certified(self):
-        """No failure: the schedule holds and the normal form, if any, is certified."""
         return self.failure is None
 
     def to_text(self):
         """Flat key=value report block."""
         lines = [f"rho = {self.rho!r}", f"coeff_norm_max = {self.coeff_norm_max!r}"]
-        sch = self.schedule
-        if sch is not None:
+        if self.schedule is not None:
             for name in ("a", "b", "rho_tilde", "K", "s", "alpha"):
-                lines.append(f"schedule.{name} = {getattr(sch, name)!r}")
-            for name, ok in sch.flags.items():
-                lines.append(f"schedule.{name} = {int(ok)}")
+                lines.append(f"schedule.{name} = {getattr(self.schedule, name)!r}")
         if self.split is not None:
             lines.append(f"z_bound = {self.split.Z_bound!r}")
         if self.smoothed is not None:
@@ -262,6 +258,8 @@ class PipelineReport:
         if self.prediction is not None:
             lines.append(f"t_theorem = {self.prediction.t_theorem!r}")
             lines.append(f"exponent = {self.prediction.exponent!r}")
+        for name, value, bound in self.gates:
+            lines.append(f"gate.{name} = {value!r} / {bound!r} = {_gate_ratio(value, bound)!r}")
         lines.append(f"failure = {self.failure or 'none'}")
         return "\n".join(lines) + "\n"
 
@@ -270,6 +268,7 @@ def perturbation_of(H, omega):
     """Extract f from H = omega.I + f, checking the linear part matches omega
     to LINEAR_PART_TOL of H's mass.  f is H's terms with k != 0 or |m|_1 > 1;
     only H's k = 0, |m|_1 <= 1 terms are merged with omega.I for the check."""
+    require_dimension(H, len(getattr(omega, "omega", omega)), "frequency")
     stray = H.select(lambda nk, nm, c: (nk == 0) & (nm <= 1)) - FourierTaylorSeries.linear(omega)
     if stray and stray.mass() > LINEAR_PART_TOL * max(H.mass(), 1.0):
         raise PreconditionError("Hamiltonian linear part does not match the supplied frequency")
@@ -292,13 +291,14 @@ def run_pipeline(H, omega, gamma, tau, hc, rho):
     -> coefficient smoothing -> certificate check -> resonant normal form.
 
     A bad rho, gamma or tau, or an H whose d is not hc.d, is refused before
-    any stage runs; an integrable H (f = 0) gets a report with no schedule and
+    any stage runs; an integrable H (f = 0) gets a report with no gates and
     t_theorem = inf; an f with no terms of orders 2..q-2 fails taylor_split.
-    A failed schedule flag or an uncertified normal form gives a report whose
-    `failure` says why; later stages raise PipelineStageError with their tag.
+    Each gate enters the report as its stage passes.  A failed rho_ok or
+    s_in_range returns the report, a failed contraction ends it, and the
+    other gates raise PipelineStageError with their stage's tag.
     """
     _check_inputs(rho, gamma, tau)
-    hc.check_dimension(H)
+    require_dimension(H, hc.d, "Holder class")
     f = perturbation_of(H, omega)
     if not f:
         return PipelineReport(
@@ -313,19 +313,18 @@ def run_pipeline(H, omega, gamma, tau, hc, rho):
             raise PreconditionError(f"perturbation has no terms of Taylor orders 2..{hc.q - 2}")
         cmax = coefficient_norm_max(split.P, hc)
     schedule = parameter_schedule(rho, gamma, tau, hc, cmax)
-    if not schedule.valid:
-        return PipelineReport(
-            rho=float(rho),
-            coeff_norm_max=cmax,
-            schedule=schedule,
-            split=split,
-            failure="schedule flags failed: " + ", ".join(schedule.failed_flags()),
-        )
+    gates = [("rho_ok", float(rho), min(schedule.s, RHO_MAX)), ("s_in_range", schedule.s, 1.0)]
+    report = PipelineReport(
+        rho=float(rho), coeff_norm_max=cmax, schedule=schedule, split=split, gates=tuple(gates)
+    )
+    if not report.certified:
+        return report
 
     # closed-form shapes: the dominance gate fails before any costly stage
     with _stage("remainder_bounds"):
         bounds = remainder_bounds(schedule, hc)
         prediction = predicted_stability_time(rho, hc, tau)
+    gates.append(("dominance", dominance_threshold(tau), hc.ell))
     with _stage("smooth_coefficients"):
         smoothed = smooth_coefficients(split, schedule.s)
     with _stage("certificate"):
@@ -335,21 +334,22 @@ def run_pipeline(H, omega, gamma, tau, hc, rho):
                 f"supplied gamma = {gamma} exceeds the certified gamma_K = "
                 f"{cert.gamma_K:.6e} at K = {schedule.K}"
             )
+    gates.append(("gamma_K", gamma, cert.gamma_K))
     with _stage("normal_form"):
         params = NormalFormParams(
             alpha=schedule.alpha, K=schedule.K, widths=AnalyticityWidths(schedule.s, rho)
         )
         nf = resonant_normal_form(FourierTaylorSeries.linear(omega) + smoothed.P_s, omega, params)
-    failure = None if nf.certified else (f"normal form {nf.stop}: contraction {nf.contraction:.6e}"
-                                         f" > target {nf.target_contraction:.6e}")
-    return PipelineReport(
-        rho=float(rho),
-        coeff_norm_max=cmax,
-        schedule=schedule,
-        split=split,
+    gates += [
+        ("K_sigma", 6.0, params.K * params.widths.sigma),
+        ("smallness", nf.f_initial_norm, params.smallness_threshold),
+        ("contraction", nf.contraction, nf.target_contraction),
+    ]
+    return replace(
+        report,
         smoothed=smoothed,
         normal_form=nf,
         bounds=bounds,
         prediction=prediction,
-        failure=failure,
+        gates=tuple(gates),
     )

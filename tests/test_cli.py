@@ -212,13 +212,12 @@ class TestPredict:
 
     def test_stalled_normal_form_names_the_failure(self, tmp_path, capsys, monkeypatch):
         # a normal form that stops uncertified (stubbed: a real stall takes
-        # tens of seconds) is the report's failure, with its contraction
+        # tens of seconds) fails the contraction gate, whose line gives the margin
         original = stabpipe.resonant_normal_form
 
         def stalled(*args, **kwargs):
             nf = original(*args, **kwargs)
-            return replace(nf, certified=False, stop="stalled",
-                           contraction=1.405 * nf.target_contraction)
+            return replace(nf, stop="stalled", contraction=1.405 * nf.target_contraction)
 
         monkeypatch.setattr(stabpipe, "resonant_normal_form", stalled)
         src = tmp_path / "H.txt"
@@ -227,9 +226,11 @@ class TestPredict:
         captured = capsys.readouterr()
         out = parse_kv(captured.out)
         assert out["nf.stop"] == "stalled"
-        assert out["failure"] == (
-            f"normal form stalled: contraction {float(out['nf.contraction']):.6e} "
-            f"> target {float(out['nf.target_contraction']):.6e}"
+        assert out["nf.certified"] == "0"
+        assert out["failure"] == "failed gates: contraction"
+        contraction, target = float(out["nf.contraction"]), float(out["nf.target_contraction"])
+        assert out["gate.contraction"] == (
+            f"{contraction!r} / {target!r} = {contraction / target!r}"
         )
         assert captured.err == ""
 
@@ -435,6 +436,17 @@ class TestSweepFitPlots:
         assert (outdir / "pred.dat").exists()
         assert (outdir / "plot.gp").exists()
 
+    @pytest.mark.parametrize("rho_list, bad", [("0.1, -0.05", "-0.05"), ("1.5, 0.1", "1.5")])
+    def test_bad_rho_rejected_before_any_row(self, tmp_path, capsys, rho_list, bad):
+        config = tmp_path / "cfg.txt"
+        config.write_text(f"rho_list = {rho_list}\nt_cap = 0.1\nn_samples = 1\n")
+        csv = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(config), "--csv", str(csv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: rho must lie in (0, 1), got {bad}\n"
+        assert captured.out == ""
+        assert not csv.exists()
+
     @pytest.mark.parametrize(
         "text, named",
         [
@@ -472,7 +484,7 @@ class TestCheckNotPassed:
             # the amplitude puts the smoothing parameter s out of range
             (["predict", "--rho", "1e-3"],
              lambda: build_test_hamiltonian(HolderClass(6.5, 2), seed=0, amplitude=1e-9),
-             "failure = schedule flags failed: s_in_range"),
+             "failure = failed gates: s_in_range"),
             # a 3.5-Holder series has tail slope 3.5, not the claimed 6.5
             (["smooth-verify", "--ell", "6.5"],
              lambda: lacunary_series(2, 3.5, j_max=12, seed=0),
@@ -530,10 +542,21 @@ class TestExitCodeTable:
             (["smooth-verify"],
              lambda: build_test_hamiltonian(HolderClass(6.5, 2), seed=0),
              2,
-             "error: smoothing operates on pure-angle series only"),
+             "error: smoothing operates on pure-angle series only, got Taylor order 4"),
+            # a d = 3 frequency for a d = 2 series, refused before any dot product
+            (["nf", "--omega", "1,1.4142135623730951,1.7320508075688772", "--alpha", "0.2",
+              "--K", "5", "--sigma", "1.2", "--rho", "0.5"],
+             lambda: build_test_hamiltonian(HolderClass(6.5, 2), seed=0),
+             2,
+             "error: series has d = 2, frequency has d = 3"),
+            (["predict", "--rho", "1e-3", "--omega", "1,1.4142135623730951,1.7320508075688772"],
+             lambda: build_test_hamiltonian(HolderClass(6.5, 2), seed=0),
+             2,
+             "error: series has d = 2, frequency has d = 3"),
         ],
         ids=["small-divisor", "complex-series", "dominance-gate", "too-few-rows",
-             "predict-dimension", "smooth-verify-dimension", "smooth-verify-not-pure-angle"],
+             "predict-dimension", "smooth-verify-dimension", "smooth-verify-not-pure-angle",
+             "nf-omega-dimension", "predict-omega-dimension"],
     )
     def test_exit_code_and_line(self, tmp_path, capsys, argv, series, code, line):
         src = tmp_path / "input"

@@ -10,6 +10,7 @@ from torusstab import (
     ExperimentConfig,
     FourierTaylorSeries,
     HolderClass,
+    NumericalFault,
     PreconditionError,
     build_test_hamiltonian,
     default_dt,
@@ -37,6 +38,12 @@ class TestConfig:
     def test_rho_list_must_decrease(self):
         with pytest.raises(ValueError):
             ExperimentConfig(rho_list=(0.1, 0.2))
+
+    @pytest.mark.parametrize("rhos, bad", [((0.1, -0.05), -0.05), ((1.5, 0.1), 1.5),
+                                           ((0.1, math.nan, 0.05), math.nan)])
+    def test_every_rho_checked_up_front(self, rhos, bad):
+        with pytest.raises(ValueError, match=rf"^rho must lie in \(0, 1\), got {bad!r}$"):
+            ExperimentConfig(rho_list=rhos)
 
     def test_pipeline_mode_needs_small_rho(self):
         with pytest.raises(ValueError):
@@ -137,8 +144,9 @@ class TestBuildHamiltonian:
 
 class TestSweep:
     def test_certified_row_and_default_cap(self, monkeypatch):
-        # rho = 1e-3 certifies, so the row carries the schedule flags and the
-        # contraction; t_cap defaults to min(t_pred, max_steps dt) = 10 dt
+        # rho = 1e-3 certifies, so the row carries its worst gate, the dominance
+        # gate 5 / 6.5, and the contraction; t_cap defaults to
+        # min(t_pred, max_steps dt) = 10 dt
         caps = []
         original = experiment.escape_time
 
@@ -150,7 +158,7 @@ class TestSweep:
         cfg = ExperimentConfig(rho_list=(1e-3,), dynamics_only=False, max_steps=10, n_samples=2)
         (row,) = sweep(cfg)
         assert row.error == ""
-        assert row.schedule_flags == "rho_ok:1;s_in_range:1"
+        assert row.schedule_flags == f"dominance:{5.0 / 6.5!r}"
         assert 0.0 < row.contraction < 1e-14
         assert row.censored_fraction == 1.0
         H = build_test_hamiltonian(HC65, seed=0)
@@ -173,16 +181,15 @@ class TestSweep:
 
     def test_stalled_normal_form_row_says_so(self, monkeypatch, tmp_path):
         # a normal form that stops uncertified (stubbed: the real stall at
-        # rho = 1e-9 takes about 37 s) gives no failure to the report, so
-        # the row must name the stop and the contraction against its target
+        # rho = 1e-9 takes about 37 s) fails the contraction gate, and the
+        # row names it, with the contraction over its target as the worst gate
         original = stabpipe.resonant_normal_form
         targets = []
 
         def stalled(*args, **kwargs):
             nf = original(*args, **kwargs)
             targets.append(nf.target_contraction)
-            return replace(nf, certified=False, stop="stalled",
-                           contraction=1.405 * nf.target_contraction)
+            return replace(nf, stop="stalled", contraction=1.405 * nf.target_contraction)
 
         monkeypatch.setattr(stabpipe, "resonant_normal_form", stalled)
         cfg = ExperimentConfig(rho_list=(1e-3,), dynamics_only=False, max_steps=10, n_samples=2)
@@ -190,9 +197,8 @@ class TestSweep:
         (row,) = sweep(cfg, csv_path=csv)
         (target,) = targets
         assert row.contraction == 1.405 * target
-        assert row.error == (
-            f"normal form stalled: contraction {row.contraction:.6e} > target {target:.6e}"
-        )
+        assert row.error == "failed gates: contraction"
+        assert row.schedule_flags == f"contraction:{row.contraction / target!r}"
         assert read_sweep_csv(csv)[0].error == row.error
 
     def test_dynamics_only_sweep_and_csv(self, tmp_path):
@@ -222,8 +228,9 @@ class TestSweep:
         )
         csv = tmp_path / "sweep.csv"
         (row,) = sweep(cfg, csv_path=csv)
-        assert row.error == "schedule flags failed: s_in_range"
-        assert row.schedule_flags == "rho_ok:1;s_in_range:0"
+        assert row.error == "failed gates: s_in_range"
+        name, ratio = row.schedule_flags.split(":")
+        assert name == "s_in_range" and float(ratio) > 1.0
         assert read_sweep_csv(csv)[0].error == row.error
 
     def test_integrable_row_has_no_flags(self, tmp_path):
@@ -248,6 +255,22 @@ class TestSweep:
         assert row.error.startswith("pipeline stage 'certificate' failed")
         assert row.schedule_flags == "-"
         assert read_sweep_csv(csv)[0].schedule_flags == "-"
+
+    def test_programming_error_in_dynamics_propagates(self, monkeypatch):
+        # only the failure families are a row's error; anything else is a bug
+        def raising(exc):
+            def escape_time(*args, **kwargs):
+                raise exc
+
+            return escape_time
+
+        cfg = ExperimentConfig(rho_list=(0.1,), t_cap=0.02, n_samples=2)
+        monkeypatch.setattr(experiment, "escape_time", raising(TypeError("not a fault")))
+        with pytest.raises(TypeError, match="not a fault"):
+            sweep(cfg)
+        monkeypatch.setattr(experiment, "escape_time", raising(NumericalFault("not finite")))
+        (row,) = sweep(cfg)
+        assert row.error == "dynamics: not finite"
 
     def test_diverging_step_error_kept_in_csv(self, tmp_path):
         # at dt = 2 the midpoint iteration on the amplitude-1 H diverges

@@ -104,11 +104,11 @@ DATACLASS_FIELDS = {
     "LieResult": ('series', 'tail_mass', 'dropped_mass'),
     "NormalFormParams": ('alpha', 'K', 'widths'),
     "NormalFormResult": ('h', 'f_star', 'contraction', 'target_contraction',
-                         'action_shift_bound', 'angle_shift_bound', 'certified', 'stop',
-                         'iterations', 'f_initial_norm', 'dropped_mass', 'params'),
-    "ParameterSchedule": ('rho', 'tau', 'a', 'b', 'rho_tilde', 'K', 's', 'alpha', 'flags'),
+                         'action_shift_bound', 'stop', 'iterations', 'f_initial_norm',
+                         'dropped_mass', 'params'),
+    "ParameterSchedule": ('rho', 'tau', 'a', 'b', 'rho_tilde', 'K', 's', 'alpha'),
     "PipelineReport": ('rho', 'coeff_norm_max', 'schedule', 'split', 'smoothed', 'normal_form',
-                       'bounds', 'prediction', 'failure'),
+                       'bounds', 'prediction', 'gates'),
     "RemainderBounds": ('analytic', 'smoothing_gap', 'taylor'),
     "SlopeReport": ('slope', 'intercept', 'target', 's_used', 'errors', 'saturated', 'passed'),
     "SmoothedSplit": ('P_s', 'grad_I_gap', 'grad_theta_gap', 'dropped_mass', 's'),

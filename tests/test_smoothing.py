@@ -74,8 +74,15 @@ class TestSmooth:
             smooth(g, 0.0)
         with pytest.raises(ValueError):
             smooth(g, 1.5)
-        with pytest.raises(ValueError):
-            smooth(FourierTaylorSeries(D, {((0, 0), (1, 0)): 1.0}), 0.5)
+        # one rule with one message for every function of theta alone
+        mixed = FourierTaylorSeries(D, {((0, 0), (1, 0)): 1.0, ((1, 0), (0, 2)): 0.5})
+        message = "^smoothing operates on pure-angle series only, got Taylor order 2$"
+        hc = HolderClass(6.5, D)
+        for refuse in (lambda: smooth(mixed, 0.5),
+                       lambda: holder_norm_majorant(mixed, hc),
+                       lambda: verify_smoothing_estimate(mixed, hc, 0, [0.5, 0.25])):
+            with pytest.raises(ValueError, match=message):
+                refuse()
 
     @given(s1=st.floats(min_value=0.01, max_value=1.0),
            s2=st.floats(min_value=0.01, max_value=1.0))

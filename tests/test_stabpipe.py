@@ -33,6 +33,13 @@ D = 2
 OMEGA = golden_frequency(2)
 HC65 = HolderClass(6.5, 2)
 HC6 = HolderClass(6.0, 2)
+GATE_NAMES = ["rho_ok", "s_in_range", "dominance", "gamma_K", "K_sigma", "smallness",
+              "contraction"]
+
+
+def schedule_holds(sch):
+    """The two schedule gates of run_pipeline: rho < min(s, e^-6) and s <= 1."""
+    return sch.rho < min(sch.s, RHO_MAX) and sch.s <= 1.0
 
 
 class TestTaylorSplit:
@@ -95,7 +102,7 @@ class TestParameterSchedule:
         assert sch.K == 10**6
         assert sch.s == pytest.approx(6.631445067822851e-4, rel=1e-12)
         assert sch.alpha == pytest.approx(gamma / 10**6, rel=1e-12)
-        assert sch.valid, sch.failed_flags()
+        assert schedule_holds(sch)
 
     def test_cutoff_width_product_identity(self):
         # K * s = b |log rho| up to the integer ceiling on K
@@ -106,7 +113,7 @@ class TestParameterSchedule:
 
     def test_smallness_saturates_at_real_cutoff(self):
         # rho_tilde makes the smallness inequality an equality at the
-        # real-valued cutoff (rho_tilde/rho)^a, so no flag reports it
+        # real-valued cutoff (rho_tilde/rho)^a, so its gate reads at most 1
         for rho in (1e-10, 1e-6, 1e-4):
             for tau in (0.3, 1.0, 2.0):
                 for cmax in (1e-8, 1e-3, 10.0):
@@ -114,7 +121,6 @@ class TestParameterSchedule:
                     cutoff = (sch.rho_tilde / rho) ** sch.a
                     rhs = 0.5 * rho / (256.0 * XI * cutoff ** (tau + 1.0))
                     assert cmax * rho**2 == pytest.approx(rhs, rel=1e-9)
-                    assert set(sch.flags) == {"rho_ok", "s_in_range"}
 
     def test_infinite_cutoff_rejected_by_name(self):
         # a vanishing coefficient norm sends rho_tilde, and with it K, to inf
@@ -122,10 +128,13 @@ class TestParameterSchedule:
             parameter_schedule(1e-20, 0.5, 1.0, HC65, 1e-300)
 
     def test_large_rho_flagged(self):
-        sch = parameter_schedule(0.1, 0.5, 1.0, HC65, 1e-3)
-        assert not sch.flags["rho_ok"]
-        assert not sch.valid
-        assert "rho_ok" in sch.failed_flags()
+        # rho_ok is strict: rho = e^-6 itself fails it
+        H = build_test_hamiltonian(HC65, seed=0, amplitude=1e-12, j_max=4)
+        for rho in (0.1, RHO_MAX):
+            report = run_pipeline(H, OMEGA, 0.5, 1.0, HC65, rho)
+            assert report.gates[0] == ("rho_ok", rho, RHO_MAX)
+            assert report.failure.startswith("failed gates: rho_ok")
+            assert not report.certified
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -149,16 +158,22 @@ class TestRemainderBounds:
         for exp in range(7, 13):
             rho = 10.0**-exp
             sch = parameter_schedule(rho, 0.5, 1.0, HC65, 1e-3)
-            assert sch.valid, (rho, sch.failed_flags())
+            assert schedule_holds(sch), rho
             bounds = remainder_bounds(sch, HC65)
             assert bounds.dominant == "smoothing_gap"
             assert bounds.smoothing_gap >= bounds.analytic
             assert bounds.smoothing_gap >= bounds.taylor
 
-    def test_invalid_schedule_rejected(self):
-        sch = parameter_schedule(0.1, 0.5, 1.0, HC65, 1e-3)
-        with pytest.raises(PreconditionError):
-            remainder_bounds(sch, HC65)
+    def test_invalid_schedule_rejected(self, monkeypatch):
+        # a failed schedule gate returns the report before the bounds stage
+        def unreachable(*args):
+            raise AssertionError("remainder_bounds ran on a failed schedule")
+
+        monkeypatch.setattr(stabpipe, "remainder_bounds", unreachable)
+        H = build_test_hamiltonian(HC65, seed=0, amplitude=1e-12, j_max=4)
+        report = run_pipeline(H, OMEGA, 0.5, 1.0, HC65, 0.1)
+        assert report.failure is not None
+        assert report.bounds is None
 
 
 class TestPredictedTimes:
@@ -182,7 +197,7 @@ class TestPredictedTimes:
 
     def test_rho_domain(self):
         for rho in (-1.0, 0.0, 1.0, 1.5):
-            with pytest.raises(ValueError, match="^rho must lie in"):
+            with pytest.raises(ValueError, match=rf"^rho must lie in \(0, 1\), got {rho!r}$"):
                 predicted_stability_time(rho, HC65, 1.0)
 
 
@@ -217,6 +232,11 @@ class TestPerturbationExtraction:
         H = FourierTaylorSeries.linear((1.0, 2.0))
         with pytest.raises(PreconditionError):
             perturbation_of(H, OMEGA)
+
+    @pytest.mark.parametrize("omega", [Frequency((1.0, 2.0, 3.0)), (1.0, 2.0, 3.0)])
+    def test_frequency_of_another_dimension_rejected(self, omega):
+        with pytest.raises(PreconditionError, match="^series has d = 2, frequency has d = 3$"):
+            perturbation_of(FourierTaylorSeries.linear(OMEGA), omega)
 
     @pytest.mark.parametrize(
         "linear, extra, omega",
@@ -260,6 +280,7 @@ class TestPipeline:
             report = run_pipeline(H, OMEGA, 0.5, 1.0, HC65, rho)
             assert report.failure is None
             assert report.schedule is None
+            assert report.gates == ()
             assert report.prediction.t_theorem == math.inf
             assert report.bounds is None
             assert "schedule." not in report.to_text()
@@ -278,7 +299,8 @@ class TestPipeline:
         H = build_test_hamiltonian(HC65, seed=0, amplitude=1e-12, j_max=4)
         report = run_pipeline(H, OMEGA, 0.5, 1.0, HC65, rho=1e-3)
         assert report.failure is None, report.failure
-        assert report.schedule.valid
+        assert [name for name, _, _ in report.gates] == GATE_NAMES
+        assert all(value / bound <= 1.0 for _, value, bound in report.gates)
         assert report.normal_form.certified
         assert report.normal_form.contraction <= report.normal_form.target_contraction
         assert report.bounds.dominant == "smoothing_gap"
@@ -287,14 +309,33 @@ class TestPipeline:
         assert "nf.certified = 1" in text
         assert "nf.stop = certified" in text
         assert "failure = none" in text
+        nf = report.normal_form
+        assert (f"gate.contraction = {nf.contraction!r} / {nf.target_contraction!r} = "
+                f"{nf.contraction / nf.target_contraction!r}") in text.splitlines()
+
+    def test_gates_match_the_checks_they_stand_for(self):
+        H = build_test_hamiltonian(HC65, seed=0, amplitude=1e-12, j_max=4)
+        report = run_pipeline(H, OMEGA, 0.5, 1.0, HC65, rho=1e-3)
+        sch, nf = report.schedule, report.normal_form
+        assert report.gates == (
+            ("rho_ok", 1e-3, RHO_MAX),
+            ("s_in_range", sch.s, 1.0),
+            ("dominance", 5.0, 6.5),
+            ("gamma_K", 0.5, 1.0),
+            ("K_sigma", 6.0, sch.K * sch.s),
+            ("smallness", nf.f_initial_norm, nf.params.smallness_threshold),
+            ("contraction", nf.contraction, nf.target_contraction),
+        )
 
     def test_flagged_schedule_reported_not_raised(self):
         H = build_test_hamiltonian(HC65, seed=0, amplitude=1e-12, j_max=4)
         report = run_pipeline(H, OMEGA, 0.5, 1.0, HC65, rho=0.3)
-        assert report.failure is not None
-        assert "rho_ok" in report.failure
+        # both schedule gates fail at 0.3, and no later stage ran
+        assert report.failure == "failed gates: rho_ok, s_in_range"
         assert not report.certified
-        assert "schedule.rho_ok = 0" in report.to_text().splitlines()
+        assert [name for name, _, _ in report.gates] == GATE_NAMES[:2]
+        s = report.schedule.s
+        assert f"gate.s_in_range = {s!r} / 1.0 = {s!r}" in report.to_text().splitlines()
 
     def test_coefficient_norm_max_matches_definition(self):
         # max over m of (1 + 2^{1-mu}) sum_k |a_m^_k| (1 + (2 pi |k|_1)^ell), each
