@@ -14,6 +14,9 @@ size changes, and a sweep is one call field(z) -> [theta_dot | I_dot].
 feeds back into a step, so Trajectory.energy is evaluated after the run, at
 theta mod 1, in one call field.energy(z); the field bounds its own batches.
 
+The sweep and the checks step one H at several radii with one seed, so the
+last H's split field and the last seed's unit draws are kept between calls.
+
 Escape measurement samples initial conditions from a seeded, counter-based
 RNG; aggregation uses only order-independent reductions, so results do not
 depend on scheduling.  Runs with the same inputs, batch size and BLAS build
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,6 +42,8 @@ MAX_SWEEPS = 50
 MAX_RECORDED_SAMPLES = 100_000
 # steps between energy-drift checks of an escape run
 ENERGY_CHECK_EVERY = 1000
+# (H, (omega, field)) of the last _split; a series is immutable, so H is the key
+_last_split = (None, None)
 
 
 def linear_frequency(H):
@@ -88,11 +94,16 @@ def _midpoint_step(field, z, dt):
 
 def _split(H):
     """(omega, vector field of f) for a real H = omega.I + f, where omega.I
-    is the k=0, |m|_1=1 part of H."""
+    is the k=0, |m|_1=1 part of H.  The last H object's split is kept; one
+    that raises is not."""
+    global _last_split
+    if _last_split[0] is H:
+        return _last_split[1]
     if not H.is_real(tol=1e-9):
         raise NumericalFault("vector field requires a real-valued series")
     f = H.select(lambda nk, nm, c: (nk > 0) | (nm != 1))
-    return linear_frequency(H), HamiltonianVectorField(f, check_real=False)
+    _last_split = H, (linear_frequency(H), HamiltonianVectorField(f, check_real=False))
+    return _last_split[1]
 
 
 def _half_rotation(omega, dt):
@@ -217,17 +228,26 @@ class EscapeRecord:
         return float(np.mean(self.censored))
 
 
+@lru_cache(maxsize=1)
+def _unit_draws(d, n_samples, seed):
+    """Read-only (n_samples, 2d) rows of default_rng([seed, i]).random(2d)."""
+    u = np.empty((n_samples, 2 * d))
+    for i in range(n_samples):
+        u[i] = np.random.default_rng([seed, i]).random(2 * d)
+    u.flags.writeable = False
+    return u
+
+
 def sample_initial_conditions(d, rho, n_samples, seed):
     """Uniform product samples on T^d x B_rho (sup-norm ball), one derived
-    RNG stream per sample index; the seed must be >= 0."""
-    require_at_least(0, seed=seed)
-    thetas = np.empty((n_samples, d))
-    Is = np.empty((n_samples, d))
-    for i in range(n_samples):
-        rng = np.random.default_rng([seed, i])
-        thetas[i] = rng.random(d)
-        Is[i] = rng.uniform(-rho, rho, d)
-    return thetas, Is
+    RNG stream per sample index; the seed must be >= 0.  The last (d,
+    n_samples, seed)'s unit draws u are kept; I = -rho + 2 rho u[d:] is
+    numpy's uniform(-rho, rho) bit for bit, and the arrays are fresh."""
+    require_positive(rho=rho, diameter=2 * float(rho))  # the width of B_rho
+    require_at_least(1, dimension=d)
+    require_at_least(0, n_samples=n_samples, seed=seed)
+    u = _unit_draws(d, n_samples, seed)
+    return u[:, :d].copy(), -rho + (2 * rho) * u[:, d:]
 
 
 def escape_time(H, rho, threshold, t_cap, n_samples, seed, dt=None):

@@ -1,9 +1,12 @@
 """Split implicit-midpoint integration and Monte-Carlo escape measurement."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusstab import (
     FourierTaylorSeries,
@@ -21,7 +24,7 @@ from torusstab import (
     theta_gradient_majorant,
 )
 from torusstab import dynamics, ftseries
-from torusstab.dynamics import _half_rotation, _midpoint_step, _split, _split_step
+from torusstab.dynamics import _energy, _half_rotation, _midpoint_step, _split, _split_step
 
 D = 2
 OMEGA = golden_frequency(2)
@@ -332,6 +335,50 @@ class TestSampling:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             sample_initial_conditions(2, 0.1, 3, seed=-1)
 
+    @pytest.mark.parametrize(
+        "d, rho, n_samples, name",
+        [
+            (2, -0.1, 3, "rho"),
+            (2, 0.0, 3, "rho"),
+            (2, math.nan, 3, "rho"),
+            (2, math.inf, 3, "rho"),
+            (2, 1e308, 3, "diameter"),
+            (0, 0.1, 3, "dimension"),
+            (2, 0.1, -1, "n_samples"),
+        ],
+    )
+    def test_bad_input_rejected_by_name(self, monkeypatch, d, rho, n_samples, name):
+        # a negative rho raised numpy's "high - low < 0", a nan or infinite
+        # one or one with 2 rho > DBL_MAX OverflowError, rho = 0 returned
+        # zero actions and d = 0 empty samples
+        draws = []
+        monkeypatch.setattr(dynamics, "_unit_draws", lambda *args: draws.append(args))
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            sample_initial_conditions(d, rho, n_samples, seed=0)
+        assert draws == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2, 3]),
+        rho=st.floats(min_value=0.0, max_value=1e300, exclude_min=True),
+        n_samples=st.integers(0, 40),
+        seed=st.integers(0, 2**64),
+    )
+    def test_matches_per_sample_draws_bit_for_bit(self, d, rho, n_samples, seed):
+        # the reference draws random(d) and then uniform(-rho, rho, d) from
+        # each sample's stream; the kept unit draws must give the same bits
+        thetas, Is = np.empty((n_samples, d)), np.empty((n_samples, d))
+        for i in range(n_samples):
+            rng = np.random.default_rng([seed, i])
+            thetas[i] = rng.random(d)
+            Is[i] = rng.uniform(-rho, rho, d)
+        for _ in range(2):
+            got = sample_initial_conditions(d, rho, n_samples, seed)
+            for a, b in zip(got, (thetas, Is)):
+                assert a.shape == b.shape
+                assert np.array_equal(a.view(np.int64), b.view(np.int64))
+                a[...] = 0.5  # the next call must not see this
+
 
 def reference_escape(H, rho, threshold, t_cap, n_samples, seed):
     """escape_time's sample loop over _split_step with the per-row rule
@@ -472,3 +519,63 @@ class TestEscapeTime:
         with pytest.raises(ValueError, match="dt"):
             escape_time(coupled_hamiltonian(), 0.05, threshold=0.01, t_cap=1.0,
                         n_samples=1, seed=0, dt=dt)
+
+
+def count_field_builds(monkeypatch):
+    builds = []
+    original = HamiltonianVectorField.__init__
+
+    def counted(self, series, check_real=True):
+        builds.append(len(series))
+        original(self, series, check_real)
+
+    monkeypatch.setattr(HamiltonianVectorField, "__init__", counted)
+    return builds
+
+
+def record_bytes(rec):
+    return {f.name: np.asarray(getattr(rec, f.name)).tobytes() for f in fields(rec)}
+
+
+class TestSplitKept:
+    """_split keeps the last H object's (omega, field): the sweep and the
+    checks step one H at several radii."""
+
+    ARGS = dict(threshold=0.0005, t_cap=0.3, n_samples=6, seed=3)
+
+    def test_one_build_per_object(self, monkeypatch):
+        builds = count_field_builds(monkeypatch)
+        H = coupled_hamiltonian(0.3)
+        escape_time(H, 0.1, **self.ARGS)
+        integrate(H, ((0.3, 0.7), (0.05, -0.05)), t_end=0.1, dt=0.01)
+        warm = escape_time(H, 0.05, **self.ARGS)
+        assert len(builds) == 1
+        cold = escape_time(coupled_hamiltonian(0.3), 0.05, **self.ARGS)
+        assert len(builds) == 2
+        assert 0 < cold.censored.sum() < 6  # some samples escape, some are censored
+        assert record_bytes(warm) == record_bytes(cold)
+
+    def test_each_new_object_rebuilt(self, monkeypatch):
+        # each series here is built by one constructor call, so it takes the
+        # address (and so the id) of the last one freed; only the kept H
+        # stops a new series of other content from passing for it
+        builds = count_field_builds(monkeypatch)
+        z = np.array([[0.3, 0.7, 0.05, -0.05]])
+        w1, w2 = OMEGA.omega
+        for n, eps in enumerate(np.linspace(0.01, 0.5, 30), start=1):
+            H = FourierTaylorSeries(D, {((0, 0), (1, 0)): w1, ((0, 0), (0, 1)): w2,
+                                        ((1, -1), (2, 0)): eps, ((-1, 1), (2, 0)): eps})
+            omega, field = _split(H)
+            assert len(builds) == n
+            assert _energy(field, omega, z)[0] == pytest.approx(
+                H.evaluate(z[0, :D], z[0, D:]), rel=1e-14
+            )
+            del H, omega, field
+
+    def test_complex_series_fails_every_call(self):
+        H = FourierTaylorSeries.linear(OMEGA) + FourierTaylorSeries(D, {((1, 0), (1, 0)): 0.1})
+        for _ in range(2):
+            with pytest.raises(NumericalFault, match="requires a real-valued series"):
+                escape_time(H, 0.1, **self.ARGS)
+        with pytest.raises(NumericalFault, match="requires a real-valued series"):
+            integrate(H, ((0.3, 0.7), (0.05, -0.05)), t_end=0.1, dt=0.01)

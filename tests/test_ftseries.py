@@ -407,12 +407,15 @@ class TestArrayStore:
         real=False,
         tol=0.5,
     )
+    @example(  # a mass below 1e-300: tol * mass has no floor
+        f=FourierTaylorSeries(D, {((0, 0), (0, 0)): 2.2250738585e-313j}), real=False, tol=1e-12
+    )
     @settings(max_examples=60, deadline=None)
     def test_is_real_matches_mirror_check(self, f, real, tol):
         if real:
             f = f + mirror(f)
         terms = dict(f.items())
-        scale = max(f.mass(), 1e-300)
+        scale = f.mass()
         expected = all(
             np.abs(terms.get((tuple(-v for v in k), m), 0j) - c.conjugate()) <= tol * scale
             for (k, m), c in terms.items()
