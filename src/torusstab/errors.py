@@ -46,7 +46,7 @@ def require_dimension(series, d, owner):
 
 
 def require_at_least(bound, **values):
-    """Raise ValueError naming the first value below bound."""
+    """Raise ValueError naming the first value below bound, or nan."""
     for name, value in values.items():
-        if value < bound:
+        if not value >= bound:
             raise ValueError(f"{name} must be >= {bound}, got {value!r}")

@@ -11,10 +11,11 @@ indices) and C (n coefficients), sorted by (k, m) with no repeated key and
 no zero coefficient; two series are equal iff their arrays are equal.
 Each (k, m) is packed into one int64 key (Kronecker substitution in a mixed
 radix from the columns' ranges; a ValueError names the spans if a key could
-reach 2^63), and terms are merged by one stable sort of the keys.  A Poisson
-bracket is one pass over the term pairs: the sum of a pair's keys, less the
-place value of m_i, takes its axis-i entry with an exact integer weight,
-and zero-weight entries are dropped.
+reach 2^63); n terms are merged by one sort of the distinct values
+key * n + row, in the keys' stable order (a stable argsort where key * n
+could pass 2^63).  A Poisson bracket is one pass over the term pairs: the
+sum of a pair's keys, less the place value of m_i, takes its axis-i entry
+with an exact integer weight, and zero-weight entries are dropped.
 A real-valued series satisfies c_{-k,m} = conj(c_{k,m}) for every stored
 term.
 
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,8 +159,10 @@ class FourierTaylorSeries:
             raise ValueError(f"dimension mismatch: {self.d} vs {other.d}")
 
     def __add__(self, other):
-        if isinstance(other, (int, float, complex)):
+        if isinstance(other, numbers.Number):
             other = FourierTaylorSeries.constant(self.d, other)
+        elif not isinstance(other, FourierTaylorSeries):
+            return NotImplemented
         self._check_same_d(other)
         return self._of(self.d, *_merge((self.K, self.M, self.C), (other.K, other.M, other.C)))
 
@@ -168,11 +172,13 @@ class FourierTaylorSeries:
         return self._of(self.d, self.K, self.M, -self.C)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, FourierTaylorSeries) else -complex(other))
+        if not isinstance(other, (numbers.Number, FourierTaylorSeries)):
+            return NotImplemented
+        return self + -other
 
     def __mul__(self, other):
         """Scalar multiple; a series times a series is not defined here."""
-        if not isinstance(other, (int, float, complex)):
+        if not isinstance(other, numbers.Number):
             return NotImplemented
         return self._of(self.d, self.K, self.M, self.C * other)
 
@@ -235,7 +241,7 @@ class FourierTaylorSeries:
         keys, C = ka[:0], self.C[:0]
         rows = max(1, PAIR_BLOCK // (d * max(len(other), 1)))
         for r in range(0, len(self), rows):
-            _, keys, C = _sort_sum(*entries(slice(r, r + rows), keys, C))
+            _, keys, C = _sort_sum(*entries(slice(r, r + rows), keys, C), spans)
         digits = keys[:, None] // places % spans + lo
         return self._of(d, digits[:, :d], digits[:, d:], C * (TWO_PI * 1j))
 
@@ -389,12 +395,24 @@ def _pack(*operands, below=0):
     return keys, places, np.array(spans), lo
 
 
-def _sort_sum(keys, C):
+def _sort_sum(keys, C, spans):
     """Stably sort terms by key and sum repeated keys, each key's terms in
     input order; returns the input row of every distinct key, the distinct
-    keys in order and their sums."""
-    order = np.argsort(keys, kind="stable")
-    keys, C = keys[order], C[order]
+    keys in order and their sums.  The keys, all in [0, prod(spans)), are
+    overwritten by the n distinct values key * n + row, so any sort of them
+    gives the stable order; where the values could pass 2^63 - 1, a stable
+    argsort of the keys runs instead."""
+    n = len(C)
+    if math.prod(spans.tolist()) * n <= 1 << 63:
+        keys *= n
+        keys += np.arange(n)
+        keys.sort()
+        order = keys - keys // n * n  # each value's row; int64 % is slower
+        keys //= n
+    else:
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+    C = C[order]
     first = np.ones(len(C), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     starts = np.flatnonzero(first)
@@ -407,7 +425,8 @@ def _merge(*parts):
     """Concatenate (K, M, C) term arrays, sort the terms by (k, m) and sum
     repeated keys."""
     K, M, C = (np.concatenate(a) for a in zip(*parts))
-    rows, _, C = _sort_sum(_pack((K, M))[0][0], C)
+    (keys,), _, spans, _ = _pack((K, M))
+    rows, _, C = _sort_sum(keys, C, spans)
     return K[rows], M[rows], C
 
 

@@ -117,6 +117,7 @@ def lie_transform(H, chi, order=6, widths=None, chop=0.0):
     between consecutive brackets aborts with a divergence error.
     """
     require_at_least(1, order=order)
+    require_at_least(0, chop=chop)
     weight = widths.weight if widths is not None else None
 
     result = H

@@ -117,6 +117,15 @@ class TestAlgebra:
         with pytest.raises(TypeError):
             np.array([1.0, 2.0]) * f
         assert np.float64(2.0) * f == 2.0 * f
+        # numpy scalars are scalars; an array (0-d too) or a string is not
+        for two in (np.int64(2), np.float32(2.0)):
+            assert f * two == two * f == 2.0 * f
+            assert f + (two - 1) == (two - 1) + f == f + 1.0
+            assert f - two == f - 2.0
+        for other in ("x", None, np.array(2.0), np.array([1.0, 2.0])):
+            for op in (lambda: f + other, lambda: f - other, lambda: f * other):
+                with pytest.raises(TypeError):
+                    op()
 
     @given(f=series_strategy(real=True), g=series_strategy(real=True))
     @settings(max_examples=40, deadline=None)
@@ -472,9 +481,8 @@ def lexsort_bracket(f, g):
 
 
 def lexsort_is_real(f, tol):
-    scale = max(f.mass(), 1e-300)
     _, _, gap = lexsort_merge(arrays(f), (-f.K, f.M, -f.C.conj()))
-    return not np.any(np.abs(gap) > tol * scale)
+    return not np.any(np.abs(gap) > tol * f.mass())
 
 
 def assert_same_terms(got, want):
@@ -517,6 +525,22 @@ def empty_case(d):
     return d, [empty] * 3
 
 
+def wide_case():
+    """d = 2, both mode columns at +-2^27 and 20 distinct (k, m), repeated
+    over 40 rows per part: every key fits int64, but key * n + row can reach
+    2^63 for the n terms of each merge, sum, is_real check and bracket of
+    the test, so each of them runs the stable argsort."""
+    B = 1 << 27
+    modes = np.array([(-B, -B), (B, B), (-B, B), (0, 1), (B, 0)])
+    indices = np.array([(0, 0), (1, 0), (0, 1), (1, 1)])
+    rng = np.random.default_rng(0)
+    return 2, [
+        (modes[rng.integers(5, size=40)], indices[rng.integers(4, size=40)],
+         rng.standard_normal(40) + 1j * rng.standard_normal(40))
+        for _ in range(3)
+    ]
+
+
 class TestPackedKeys:
     """The packed int64 keys against the lexsort canonicaliser, bit for bit."""
 
@@ -524,6 +548,7 @@ class TestPackedKeys:
     @given(case=packed_key_cases())
     @example(case=empty_case(2))
     @example(case=empty_case(3))
+    @example(case=wide_case())
     # no shrink phase: shrinking a failing case of this test can take
     # minutes, and the unshrunk case shows the same fault
     @settings(max_examples=60, deadline=None,
@@ -542,6 +567,25 @@ class TestPackedKeys:
         for series in (f, near_real):
             for tol in (0.0, 1e-15, 1e-12, 0.5):
                 assert series.is_real(tol=tol) == lexsort_is_real(series, tol)
+
+    @pytest.mark.parametrize("n, span", [(32, 1 << 58), (27, ((1 << 63) + 1) // 27)])
+    def test_sort_sum_on_each_side_of_the_composite_limit(self, n, span):
+        """span * n = 2^63: the largest value key * n + row is 2^63 - 1 and
+        the composite sort runs; span * n = 2^63 + 1: it would overflow and
+        the stable argsort runs.  Both give Python's stable order."""
+        assert span * n == (1 << 63) + n % 2
+        rng = np.random.default_rng(n)
+        keys = rng.choice(np.array([0, 7, span // 2, span - 1]), size=n)
+        keys[-1] = span - 1
+        C = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        order = sorted(range(n), key=keys.tolist().__getitem__)
+        starts = [i for i in range(n) if i == 0 or keys[order[i]] != keys[order[i - 1]]]
+        rows = [order[i] for i in starts]
+        got = ftseries._sort_sum(keys.copy(), C, np.array([span]))
+        assert got[0].tolist() == rows
+        assert got[1].tolist() == keys[rows].tolist()
+        sums = np.add.reduceat(C[order], starts)
+        assert np.array_equal(got[2].view(np.int64), sums.view(np.int64))
 
     def test_key_overflow_rejected_by_name(self):
         big = 1 << 31

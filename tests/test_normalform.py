@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from torusstab import (
     TWO_PI,
     AnalyticityWidths,
+    ExperimentConfig,
     FourierTaylorSeries,
     LieResult,
     NormalFormParams,
@@ -35,6 +36,11 @@ def acceptance_instance(eps=1e-6):
     return H, params
 
 
+def lie_with_chop(chop):
+    H, _ = acceptance_instance()
+    return lie_transform(H, H, chop=chop)
+
+
 class TestParams:
     def test_k_sigma_floor(self):
         with pytest.raises(ValueError):
@@ -44,6 +50,21 @@ class TestParams:
         p = NormalFormParams(alpha=0.2, K=5, widths=AnalyticityWidths(1.2, 0.5))
         assert p.smallness_threshold == pytest.approx(0.2 * 0.5 / (256 * 2 * 5))
         assert p.target_contraction == pytest.approx(math.exp(-1.0))
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: NormalFormParams(alpha=1.0, K=math.nan, widths=AnalyticityWidths(1.2, 0.5)),
+             "K must be >= 1, got nan"),
+            (lambda: ExperimentConfig(max_steps=math.nan), "max_steps must be >= 1, got nan"),
+            (lambda: lie_with_chop(-1.0), "chop must be >= 0, got -1.0"),
+            (lambda: lie_with_chop(math.nan), "chop must be >= 0, got nan"),
+        ],
+        ids=["K-nan", "max_steps-nan", "chop-negative", "chop-nan"],
+    )
+    def test_nan_and_below_bound_rejected_by_name(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 class TestHomological:
