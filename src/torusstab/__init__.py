@@ -20,6 +20,7 @@ from .ftseries import (
     FourierTaylorSeries,
     HamiltonianVectorField,
     TWO_PI,
+    linear_frequency,
     theta_gradient_majorant,
 )
 from .smoothing import (
@@ -67,7 +68,6 @@ from .dynamics import (
     default_dt,
     escape_time,
     integrate,
-    linear_frequency,
     sample_initial_conditions,
 )
 from .experiment import (

@@ -24,7 +24,7 @@ from .experiment import (
 )
 from .freqlib import Frequency, diophantine_constant, golden_frequency
 from .ftseries import FourierTaylorSeries
-from .normalform import AnalyticityWidths, NormalFormParams, resonant_normal_form
+from .normalform import AnalyticityWidths, NormalFormParams, _frequency, resonant_normal_form
 from .smoothing import (
     HolderClass,
     fourier_norm_bound_check,
@@ -35,18 +35,14 @@ from .smoothing import (
 from .stabpipe import predicted_stability_time, run_pipeline
 
 
-def _frequency(args):
-    if args.omega is None:
-        return golden_frequency(2)
-    try:
-        omega = tuple(float(v) for v in args.omega.split(","))
-    except ValueError:
-        raise ValueError(f"bad value for --omega: {args.omega!r}") from None
-    return Frequency(omega)
-
-
 def cmd_dioph(args):
-    freq = _frequency(args)
+    freq = golden_frequency(2)
+    if args.omega is not None:
+        try:
+            omega = tuple(float(v) for v in args.omega.split(","))
+        except ValueError:
+            raise ValueError(f"bad value for --omega: {args.omega!r}") from None
+        freq = Frequency(omega)
     cert = diophantine_constant(freq, args.tau, args.K)
     print(f"omega = {','.join(repr(w) for w in freq.omega)}")
     print(f"tau = {args.tau!r}")
@@ -90,13 +86,8 @@ def cmd_smooth_verify(args):
 
 def cmd_nf(args):
     H = FourierTaylorSeries.load(args.input)
-    freq = _frequency(args)
-    params = NormalFormParams(
-        alpha=args.alpha,
-        K=args.K,
-        widths=AnalyticityWidths(args.sigma, args.rho),
-    )
-    result = resonant_normal_form(H, freq, params)
+    widths = AnalyticityWidths(args.sigma, args.rho)
+    result = resonant_normal_form(H, NormalFormParams(alpha=args.alpha, K=args.K, widths=widths))
     if args.output:
         result.h.save(args.output)
     print(f"contraction = {result.contraction!r}")
@@ -111,10 +102,12 @@ def cmd_predict(args):
     hc = HolderClass(args.ell, args.d)
     if args.input:
         H = FourierTaylorSeries.load(args.input)
-        freq = _frequency(args)
-        report = run_pipeline(H, freq, args.gamma, args.tau, hc, args.rho)
+        gamma = 0.5 if args.gamma is None else args.gamma
+        report = run_pipeline(H, Frequency(_frequency(H)), gamma, args.tau, hc, args.rho)
         sys.stdout.write(report.to_text())
         return 0 if report.certified else 1
+    if args.gamma is not None:
+        raise ValueError("--gamma is used only with --input")
     pred = predicted_stability_time(args.rho, hc, args.tau)
     print(f"t_theorem = {pred.t_theorem!r}")
     print(f"exponent = {pred.exponent!r}")
@@ -141,7 +134,6 @@ def cmd_escape(args):
     print(f"rho = {record.rho!r}")
     print(f"threshold = {record.threshold!r}")
     print(f"dt = {record.dt!r}")
-    print(f"method = {record.method}")
     print(f"t_cap = {record.t_cap!r}")
     print(f"n_samples = {record.n_samples}")
     print(f"censored_fraction = {record.censored_fraction!r}")
@@ -214,8 +206,7 @@ def build_parser():
     p.set_defaults(func=cmd_smooth_verify)
 
     p = sub.add_parser("nf", help="resonant normal form with certificate")
-    p.add_argument("--input", required=True)
-    p.add_argument("--omega", help="comma-separated frequency (default: golden)")
+    p.add_argument("--input", required=True, help="Hamiltonian series; omega is its linear part")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--sigma", type=float, required=True)
@@ -230,9 +221,8 @@ def build_parser():
     p.add_argument("--ell", type=float, default=6.5)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--tau", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=0.5)
+    p.add_argument("--gamma", type=float, help="default 0.5; only with --input")
     p.add_argument("--input", help="Hamiltonian series file for the full pipeline")
-    p.add_argument("--omega", help="comma-separated frequency (default: golden)")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("escape", help="Monte-Carlo escape-time measurement")

@@ -32,10 +32,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericalFault, require_at_least, require_positive
-from .ftseries import HamiltonianVectorField, theta_gradient_majorant
-
-METHOD = "split-midpoint"
+from .errors import NumericalFault, require_at_least, require_positive, require_real
+from .ftseries import HamiltonianVectorField, linear_frequency, theta_gradient_majorant
 
 FIXED_POINT_TOL = 1e-13
 MAX_SWEEPS = 50
@@ -44,14 +42,6 @@ MAX_RECORDED_SAMPLES = 100_000
 ENERGY_CHECK_EVERY = 1000
 # (H, (omega, field)) of the last _split; a series is immutable, so H is the key
 _last_split = (None, None)
-
-
-def linear_frequency(H):
-    """The frequency vector of the k=0, |m|=1 part of H."""
-    w = np.zeros(H.d)
-    rows = ~H.K.any(axis=1) & (H.M.sum(axis=1) == 1)
-    w[H.M[rows].argmax(axis=1)] = H.C[rows].real
-    return w
 
 
 def default_dt(H):
@@ -99,8 +89,7 @@ def _split(H):
     global _last_split
     if _last_split[0] is H:
         return _last_split[1]
-    if not H.is_real(tol=1e-9):
-        raise NumericalFault("vector field requires a real-valued series")
+    require_real(H, "vector field")
     f = H.select(lambda nk, nm, c: (nk > 0) | (nm != 1))
     _last_split = H, (linear_frequency(H), HamiltonianVectorField(f, check_real=False))
     return _last_split[1]
@@ -137,7 +126,6 @@ class Trajectory:
     I: np.ndarray
     energy: np.ndarray
     dt: float
-    method: str
     domain_exit: bool
 
     def relative_energy_drift(self):
@@ -197,7 +185,6 @@ def integrate(H, start, t_end, dt, record_every=None, r_max=None):
         I=zs[:, d:],
         energy=_energy(field, omega, zs),
         dt=float(dt),
-        method=METHOD,
         domain_exit=domain_exit,
     )
 
@@ -216,7 +203,6 @@ class EscapeRecord:
     max_energy_drift: float
     seed: int
     dt: float
-    method: str
 
     @property
     def min_escape(self):
@@ -317,5 +303,4 @@ def escape_time(H, rho, threshold, t_cap, n_samples, seed, dt=None):
         max_energy_drift=max_energy_drift,
         seed=int(seed),
         dt=float(dt),
-        method=METHOD,
     )

@@ -45,6 +45,12 @@ def require_dimension(series, d, owner):
         raise PreconditionError(f"series has d = {series.d}, {owner} has d = {d}")
 
 
+def require_real(series, owner):
+    """Raise NumericalFault unless series is real-valued to 1e-9 of its mass."""
+    if not series.is_real(tol=1e-9):
+        raise NumericalFault(f"{owner} requires a real-valued series")
+
+
 def require_at_least(bound, **values):
     """Raise ValueError naming the first value below bound, or nan."""
     for name, value in values.items():

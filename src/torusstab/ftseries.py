@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFault, require_at_least, require_positive
+from .errors import NumericalFault, require_at_least, require_positive, require_real
 
 TWO_PI = 2.0 * math.pi
 # entries formed at once by a Poisson bracket (d per term pair), and by each
@@ -118,7 +118,7 @@ class FourierTaylorSeries:
 
     @classmethod
     def linear(cls, omega):
-        """omega . I for a frequency vector or plain sequence."""
+        """omega . I for a frequency vector or sequence; linear_frequency inverts it."""
         values = np.array(omega.omega if hasattr(omega, "omega") else omega, dtype=complex)
         d = len(values)
         require_at_least(1, dimension=d)
@@ -372,6 +372,14 @@ class FourierTaylorSeries:
             return cls.from_text(fh.read())
 
 
+def linear_frequency(H):
+    """The frequency vector of the k=0, |m|=1 part of H: omega of H = omega.I + f."""
+    w = np.zeros(H.d)
+    rows = ~H.K.any(axis=1) & (H.M.sum(axis=1) == 1)
+    w[H.M[rows].argmax(axis=1)] = H.C[rows].real
+    return w
+
+
 def _pack(*operands, below=0):
     """Pack the (k, m) rows of each (K, M) operand into int64 keys, in one
     mixed radix in which the operands' keys add up to the key of their sum
@@ -472,8 +480,8 @@ class HamiltonianVectorField:
     """
 
     def __init__(self, series, check_real=True):
-        if check_real and not series.is_real(tol=1e-9):
-            raise NumericalFault("vector field requires a real-valued series")
+        if check_real:
+            require_real(series, "vector field")
         self.d = d = series.d
         K, M, C = series.K, series.M, series.C
         first = K[np.arange(len(K)), (K != 0).argmax(axis=1)]  # 0 for k = 0

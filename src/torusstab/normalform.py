@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFault, PreconditionError
-from .errors import require_at_least, require_dimension, require_positive
-from .ftseries import TWO_PI, AnalyticityWidths, FourierTaylorSeries
+from .errors import require_at_least, require_positive, require_real
+from .ftseries import TWO_PI, AnalyticityWidths, FourierTaylorSeries, linear_frequency
 
 DIVISOR_FLOOR = 1e-12
 # bracket growth between consecutive Lie-series orders taken as divergence
@@ -152,9 +152,17 @@ def lie_transform(H, chi, order=6, widths=None, chop=0.0):
     return LieResult(series=result, tail_mass=tail, dropped_mass=dropped)
 
 
-def resonant_normal_form(H, omega, params):
-    """Iterated averaging: remove modes 0 < |k|_1 <= K until the remainder
-    certificate contraction <= e^{-K sigma/6} holds.
+def _frequency(H):
+    """omega of H = omega.I + f; an H with no linear part is refused by name."""
+    omega = linear_frequency(H)
+    if not omega.any():
+        raise PreconditionError("series has no linear part omega.I")
+    return omega
+
+
+def resonant_normal_form(H, params):
+    """Iterated averaging of H = omega.I + f: remove modes 0 < |k|_1 <= K
+    until the remainder certificate contraction <= e^{-K sigma/6} holds.
 
     Each Lie step drops terms below CHOP_SHARE * e^{-K sigma/6} * |||f|||_{sigma,rho}
     and counts them in the contraction.  The loop stops, with the reason in
@@ -162,10 +170,11 @@ def resonant_normal_form(H, omega, params):
     to lower the contraction ("stalled"), or after 2K iterations ("capped");
     only "certified" gives certified=True.
 
-    Raises PreconditionError if omega's d is not H's, or if the perturbation
-    fails the entry bound |||f|||_{sigma,rho} <= alpha rho / (256 xi K).
+    Raises NumericalFault if H - omega.I is not real, PreconditionError if H
+    has no linear part or if f fails |||f|||_{sigma,rho} <= alpha rho / (256 xi K).
     """
-    require_dimension(H, len(getattr(omega, "omega", omega)), "frequency")
+    omega = _frequency(H)
+    require_real(H.select(lambda nk, nm, c: (nk > 0) | (nm != 1)), "normal form")
     widths = params.widths
     inner = AnalyticityWidths(widths.sigma / 6.0, widths.rho / 2.0)
     K = params.K

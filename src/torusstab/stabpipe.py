@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 
 from .errors import NumericalFault, PipelineStageError, PreconditionError
-from .errors import require_dimension, require_positive
+from .errors import require_dimension, require_positive, require_real
 from .freqlib import _check_tau, diophantine_constant
 from .ftseries import AnalyticityWidths, FourierTaylorSeries, theta_gradient_majorant
 from .normalform import XI, NormalFormParams, resonant_normal_form
@@ -265,14 +265,16 @@ class PipelineReport:
 
 
 def perturbation_of(H, omega):
-    """Extract f from H = omega.I + f, checking the linear part matches omega
-    to LINEAR_PART_TOL of H's mass.  f is H's terms with k != 0 or |m|_1 > 1;
-    only H's k = 0, |m|_1 <= 1 terms are merged with omega.I for the check."""
+    """f of H = omega.I + f: H's terms with k != 0 or |m|_1 > 1, real to 1e-9
+    of f's own mass.  The linear part must match omega to LINEAR_PART_TOL of
+    H's mass; only H's k = 0, |m|_1 <= 1 terms are merged with omega.I for it."""
     require_dimension(H, len(getattr(omega, "omega", omega)), "frequency")
     stray = H.select(lambda nk, nm, c: (nk == 0) & (nm <= 1)) - FourierTaylorSeries.linear(omega)
     if stray and stray.mass() > LINEAR_PART_TOL * max(H.mass(), 1.0):
         raise PreconditionError("Hamiltonian linear part does not match the supplied frequency")
-    return H.select(lambda nk, nm, c: (nk > 0) | (nm > 1))
+    f = H.select(lambda nk, nm, c: (nk > 0) | (nm > 1))
+    require_real(f, "pipeline")
+    return f
 
 
 @contextmanager
@@ -290,12 +292,12 @@ def run_pipeline(H, omega, gamma, tau, hc, rho):
     """Full pipeline: split -> schedule -> remainder bounds and predicted time
     -> coefficient smoothing -> certificate check -> resonant normal form.
 
-    A bad rho, gamma or tau, or an H whose d is not hc.d, is refused before
-    any stage runs; an integrable H (f = 0) gets a report with no gates and
-    t_theorem = inf; an f with no terms of orders 2..q-2 fails taylor_split.
-    Each gate enters the report as its stage passes.  A failed rho_ok or
-    s_in_range returns the report, a failed contraction ends it, and the
-    other gates raise PipelineStageError with their stage's tag.
+    A bad rho, gamma or tau, or an H that is not real or whose d is not hc.d,
+    is refused before any stage runs; an integrable H (f = 0) gets a report
+    with no gates and t_theorem = inf; an f with no terms of orders 2..q-2
+    fails taylor_split.  Each gate enters the report as its stage passes.  A
+    failed rho_ok or s_in_range returns the report, a failed contraction ends
+    it, and the other gates raise PipelineStageError with their stage's tag.
     """
     _check_inputs(rho, gamma, tau)
     require_dimension(H, hc.d, "Holder class")
@@ -339,7 +341,7 @@ def run_pipeline(H, omega, gamma, tau, hc, rho):
         params = NormalFormParams(
             alpha=schedule.alpha, K=schedule.K, widths=AnalyticityWidths(schedule.s, rho)
         )
-        nf = resonant_normal_form(FourierTaylorSeries.linear(omega) + smoothed.P_s, omega, params)
+        nf = resonant_normal_form(FourierTaylorSeries.linear(omega) + smoothed.P_s, params)
     gates += [
         ("K_sigma", 6.0, params.K * params.widths.sigma),
         ("smallness", nf.f_initial_norm, params.smallness_threshold),

@@ -97,7 +97,7 @@ def test_normal_form_contraction(report):
         D, (1, 0), m=(2, 0), amplitude=1e-6
     )
     params = NormalFormParams(alpha=0.2, K=5, widths=AnalyticityWidths(1.2, 0.5))
-    nf = resonant_normal_form(H, OMEGA, params)
+    nf = resonant_normal_form(H, params)
     ok = nf.certified and nf.contraction <= math.exp(-1.0)
     report("normal-form-contraction", ok,
            f"contraction={nf.contraction:.2e} <= {math.exp(-1):.3f}, stop={nf.stop}")

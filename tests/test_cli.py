@@ -61,17 +61,9 @@ class TestDioph:
         out = parse_kv(capsys.readouterr().out)
         assert float(out["gamma_K"]) == pytest.approx(0.8284271247461901)
 
-    @pytest.mark.parametrize("command", ["dioph", "nf", "predict"])
-    def test_bad_omega_names_the_flag(self, tmp_path, capsys, command):
-        src = tmp_path / "H.txt"
-        FourierTaylorSeries.linear(golden_frequency(2)).save(src)
-        argv = {
-            "dioph": ["dioph", "--K", "5"],
-            "nf": ["nf", "--input", str(src), "--alpha", "0.2", "--K", "5",
-                   "--sigma", "1.2", "--rho", "0.5"],
-            "predict": ["predict", "--rho", "1e-3", "--input", str(src)],
-        }[command]
-        assert main(argv + ["--omega", "1,abc"]) == 2
+    @pytest.mark.parametrize("command", ["dioph"])
+    def test_bad_omega_names_the_flag(self, capsys, command):
+        assert main([command, "--K", "5", "--omega", "1,abc"]) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: bad value for --omega: '1,abc'\n"
         assert captured.out == ""
@@ -124,8 +116,34 @@ class TestNF:
         assert float(out["contraction"]) <= math.exp(-1.0)
         # --output writes the integrable part of the same normal form
         params = NormalFormParams(alpha=0.2, K=5, widths=AnalyticityWidths(1.2, 0.5))
-        h = resonant_normal_form(H, golden_frequency(2), params).h
+        h = resonant_normal_form(H, params).h
         assert FourierTaylorSeries.load(dst) == h
+
+    def test_frequency_read_from_input(self, tmp_path, capsys):
+        # the linear part is (1, sqrt 2): the golden frequency would solve the
+        # wrong homological equation and certify a nonzero remainder
+        H = FourierTaylorSeries.linear((1.0, 2.0**0.5)) + (
+            FourierTaylorSeries.cosine(2, (0, 1), m=(2, 0), amplitude=1e-6)
+        )
+        src = tmp_path / "H.txt"
+        H.save(src)
+        assert main(["nf", "--input", str(src), "--alpha", "0.2", "--K", "5",
+                     "--sigma", "1.2", "--rho", "0.5"]) == 0
+        out = parse_kv(capsys.readouterr().out)
+        params = NormalFormParams(alpha=0.2, K=5, widths=AnalyticityWidths(1.2, 0.5))
+        assert out["contraction"] == repr(resonant_normal_form(H, params).contraction)
+        assert out["contraction"] == "0.0"
+
+    @pytest.mark.parametrize("command", ["nf", "predict"])
+    def test_omega_flag_removed(self, tmp_path, command):
+        # omega is the linear part of the input Hamiltonian
+        argv = {
+            "nf": ["nf", "--alpha", "0.2", "--K", "5", "--sigma", "1.2", "--rho", "0.5"],
+            "predict": ["predict", "--rho", "1e-3"],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--input", str(tmp_path / "H.txt"), "--omega", "1,1"])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("flag", ["--order", "--rel-chop", "--xi"])
     def test_chop_and_order_flags_removed(self, tmp_path, flag):
@@ -154,6 +172,13 @@ class TestPredict:
         out = parse_kv(capsys.readouterr().out)
         assert float(out["t_theorem"]) == pytest.approx(1.5087649965990064e9, rel=1e-9)
         assert float(out["exponent"]) == pytest.approx(3.5)
+
+    def test_gamma_without_input_refused(self, capsys):
+        # gamma is the Diophantine constant of the pipeline, which needs an H
+        assert main(["predict", "--rho", "1e-3", "--gamma", "7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --gamma is used only with --input\n"
+        assert captured.out == ""
 
     def test_tiny_rho_time_reads_inf(self, capsys):
         # rho^3.75 underflows to 0 below about 1e-86; the times are computed
@@ -320,8 +345,7 @@ class TestEscape:
         out = parse_kv(capsys.readouterr().out)
         assert out["censored_fraction"] == "1.0"
         assert out["min_escape"] == "none"
-        assert out["method"] == "split-midpoint"
-        assert list(out).index("method") == list(out).index("dt") + 1
+        assert list(out)[:4] == ["rho", "threshold", "dt", "t_cap"]
 
     def test_step_failure_exit_code(self, tmp_path, capsys):
         # the midpoint iteration cannot converge at dt = 2 on an O(1) twist
@@ -508,8 +532,7 @@ class TestExitCodeTable:
         "argv, series, code, line",
         [
             # omega = (1, 1) is resonant at k = +-(1, -1)
-            (["nf", "--omega", "1,1", "--alpha", "0.2", "--K", "5", "--sigma", "1.2",
-              "--rho", "0.5"],
+            (["nf", "--alpha", "0.2", "--K", "5", "--sigma", "1.2", "--rho", "0.5"],
              lambda: FourierTaylorSeries.linear((1.0, 1.0)) + FourierTaylorSeries.cosine(
                  2, (1, -1), m=(2, 0), amplitude=1e-12),
              3,
@@ -543,20 +566,34 @@ class TestExitCodeTable:
              lambda: build_test_hamiltonian(HolderClass(6.5, 2), seed=0),
              2,
              "error: smoothing operates on pure-angle series only, got Taylor order 4"),
-            # a d = 3 frequency for a d = 2 series, refused before any dot product
-            (["nf", "--omega", "1,1.4142135623730951,1.7320508075688772", "--alpha", "0.2",
-              "--K", "5", "--sigma", "1.2", "--rho", "0.5"],
-             lambda: build_test_hamiltonian(HolderClass(6.5, 2), seed=0),
+            # with no omega.I the averaging would remove nothing, while the
+            # domain shrink alone meets the target
+            (["nf", "--alpha", "0.2", "--K", "5", "--sigma", "1.2", "--rho", "0.5"],
+             lambda: FourierTaylorSeries.cosine(2, (1, 0), m=(2, 0), amplitude=1e-6),
              2,
-             "error: series has d = 2, frequency has d = 3"),
-            (["predict", "--rho", "1e-3", "--omega", "1,1.4142135623730951,1.7320508075688772"],
-             lambda: build_test_hamiltonian(HolderClass(6.5, 2), seed=0),
+             "error: series has no linear part omega.I"),
+            (["predict", "--rho", "1e-3"],
+             lambda: FourierTaylorSeries.cosine(2, (1, 0), m=(2, 0), amplitude=1e-6),
              2,
-             "error: series has d = 2, frequency has d = 3"),
+             "error: series has no linear part omega.I"),
+            # i f for the real f of the seed-0 H: f's mass is 1.5e-11 of H's,
+            # so its reality is measured against its own mass
+            (["predict", "--rho", "1e-3"],
+             lambda: FourierTaylorSeries.linear(golden_frequency(2)) + 1j * (
+                 build_test_hamiltonian(HolderClass(6.5, 2), seed=0)
+                 - FourierTaylorSeries.linear(golden_frequency(2))),
+             3,
+             "numerical fault: pipeline requires a real-valued series"),
+            (["nf", "--alpha", "0.2", "--K", "5", "--sigma", "1.2", "--rho", "0.5"],
+             lambda: FourierTaylorSeries.linear(golden_frequency(2)) + FourierTaylorSeries(
+                 2, {((1, 0), (2, 0)): 1e-6j}),
+             3,
+             "numerical fault: normal form requires a real-valued series"),
         ],
         ids=["small-divisor", "complex-series", "dominance-gate", "too-few-rows",
              "predict-dimension", "smooth-verify-dimension", "smooth-verify-not-pure-angle",
-             "nf-omega-dimension", "predict-omega-dimension"],
+             "nf-no-linear-part", "predict-no-linear-part", "predict-complex-series",
+             "nf-complex-series"],
     )
     def test_exit_code_and_line(self, tmp_path, capsys, argv, series, code, line):
         src = tmp_path / "input"

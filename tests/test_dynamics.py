@@ -202,7 +202,6 @@ class TestIntegrate:
         assert field.n == 2  # the two conjugate pairs of f; omega.I is not in the kernel
         assert np.array_equal(omega, OMEGA.omega)
         traj = integrate(H, ((0.2, 0.6), (0.1, -0.2)), t_end=0.05, dt=0.01)
-        assert traj.method == "split-midpoint"
         for theta, I, e in zip(traj.theta, traj.I, traj.energy):
             assert e == pytest.approx(H.evaluate(theta, I), rel=0, abs=1e-15)
 
@@ -423,7 +422,6 @@ class TestEscapeTime:
         assert rec.min_escape is None
         assert rec.max_drift_at_cap <= 1e-10
         assert rec.max_energy_drift <= 1e-12
-        assert rec.method == "split-midpoint"
 
     def test_strong_forcing_escapes(self):
         H = FourierTaylorSeries.linear(OMEGA) + FourierTaylorSeries.cosine(

@@ -254,20 +254,20 @@ class TestLieTransform:
 class TestResonantNormalForm:
     def test_acceptance_instance_certified(self):
         H, params = acceptance_instance()
-        nf = resonant_normal_form(H, OMEGA, params)
+        nf = resonant_normal_form(H, params)
         assert nf.certified and nf.stop == "certified"
         assert nf.contraction <= math.exp(-1.0)
         assert nf.iterations >= 1
 
     def test_low_modes_removed(self):
         H, params = acceptance_instance()
-        nf = resonant_normal_form(H, OMEGA, params)
+        nf = resonant_normal_form(H, params)
         low = nf.f_star.select(lambda nk, nm, c: (nk > 0) & (nk <= params.K))
         assert low.mass() <= 1e-11 * nf.f_initial_norm
 
     def test_integrable_part_contains_original_mean(self):
         H, params = acceptance_instance()
-        nf = resonant_normal_form(H, OMEGA, params)
+        nf = resonant_normal_form(H, params)
         # omega.I survives untouched in h
         h = dict(nf.h.items())
         for j, w in enumerate(OMEGA.omega):
@@ -277,18 +277,37 @@ class TestResonantNormalForm:
     def test_smallness_gate(self):
         H, params = acceptance_instance(eps=1.0)
         with pytest.raises(PreconditionError, match=r"exceeds alpha\*rho/\(256\*xi\*K\)"):
-            resonant_normal_form(H, OMEGA, params)
+            resonant_normal_form(H, params)
 
-    def test_frequency_of_another_dimension_rejected(self):
-        # refused by name before the homological solve's dot products
+    def test_frequency_is_read_from_H(self):
+        # omega = (1, sqrt 2) is H's own, not the golden one: one Lie step
+        # solves the right homological equation and removes the mode exactly
+        H = FourierTaylorSeries.linear((1.0, 2.0**0.5)) + FourierTaylorSeries.cosine(
+            D, (0, 1), m=(2, 0), amplitude=1e-6
+        )
+        _, params = acceptance_instance()
+        nf = resonant_normal_form(H, params)
+        assert nf.certified and nf.iterations == 1
+        assert nf.contraction == 0.0
+
+    def test_no_linear_part_refused(self):
+        # with omega = 0 the averaging removes nothing, and the domain shrink
+        # alone would meet the target
+        _, params = acceptance_instance()
+        f = FourierTaylorSeries.cosine(D, (1, 0), m=(2, 0), amplitude=1e-6)
+        with pytest.raises(PreconditionError, match=r"^series has no linear part omega\.I$"):
+            resonant_normal_form(f, params)
+
+    def test_complex_series_refused(self):
         H, params = acceptance_instance()
-        with pytest.raises(PreconditionError, match="^series has d = 2, frequency has d = 3$"):
-            resonant_normal_form(H, (1.0, 2.0**0.5, 3.0**0.5), params)
+        H = H + FourierTaylorSeries(D, {((1, 0), (2, 0)): 1e-6j})
+        with pytest.raises(NumericalFault, match="^normal form requires a real-valued series$"):
+            resonant_normal_form(H, params)
 
     def test_integrable_input_trivial(self):
         H = FourierTaylorSeries.linear(OMEGA) + FourierTaylorSeries(D, {((0, 0), (2, 0)): 1.0})
         params = NormalFormParams(alpha=0.2, K=5, widths=AnalyticityWidths(1.2, 0.5))
-        nf = resonant_normal_form(H, OMEGA, params)
+        nf = resonant_normal_form(H, params)
         assert nf.certified and nf.stop == "certified"
         assert nf.iterations == 0
         assert not nf.f_star
@@ -298,7 +317,7 @@ class TestResonantNormalForm:
         # cancellation term, so that step cannot lower the contraction
         monkeypatch.setattr(normalform, "CHOP_SHARE", 10.0)
         H, params = acceptance_instance()
-        nf = resonant_normal_form(H, OMEGA, params)
+        nf = resonant_normal_form(H, params)
         assert nf.stop == "stalled"
         assert nf.iterations == 1
         assert not nf.certified
@@ -316,7 +335,7 @@ class TestResonantNormalForm:
             D, (1, 0), m=(2, 0), amplitude=1e-9
         )
         params = NormalFormParams(alpha=0.2, K=60, widths=AnalyticityWidths(1.0, 0.5))
-        nf = resonant_normal_form(H, OMEGA, params)
+        nf = resonant_normal_form(H, params)
         assert nf.stop == "capped"
         assert nf.iterations == 120
         assert not nf.certified

@@ -65,7 +65,7 @@ PUBLIC_PARAMETERS = {
     "predicted_stability_time": ('rho', 'hc', 'tau'),
     "read_sweep_csv": ('path',),
     "remainder_bounds": ('schedule', 'hc'),
-    "resonant_normal_form": ('H', 'omega', 'params'),
+    "resonant_normal_form": ('H', 'params'),
     "run_pipeline": ('H', 'omega', 'gamma', 'tau', 'hc', 'rho'),
     "sample_initial_conditions": ('d', 'rho', 'n_samples', 'seed'),
     "smooth": ('g', 's'),
@@ -92,7 +92,7 @@ DATACLASS_FIELDS = {
     "AnalyticityWidths": ('sigma', 'rho'),
     "DiophantineCertificate": ('tau', 'K', 'gamma_K', 'attained_k'),
     "EscapeRecord": ('rho', 'threshold', 'n_samples', 'escape_times', 'censored', 't_cap',
-                     'max_drift_at_cap', 'max_energy_drift', 'seed', 'dt', 'method'),
+                     'max_drift_at_cap', 'max_energy_drift', 'seed', 'dt'),
     "ExperimentConfig": ('ell', 'tau', 'gamma', 'rho_list', 'amplitude', 'j_max', 'seed', 'dt',
                          't_cap', 'max_steps', 'n_samples', 'threshold_factor',
                          'dynamics_only'),
@@ -117,7 +117,7 @@ DATACLASS_FIELDS = {
     "SweepRow": ('rho', 't_pred', 'min_escape', 'censored_fraction', 'max_drift',
                  'schedule_flags', 'contraction', 't_cap', 'error'),
     "TaylorSplit": ('P', 'Z', 'Z_bound', 'rho'),
-    "Trajectory": ('t', 'theta', 'I', 'energy', 'dt', 'method', 'domain_exit'),
+    "Trajectory": ('t', 'theta', 'I', 'energy', 'dt', 'domain_exit'),
 }
 
 # every exception class the package defines: the two families of the CLI's
@@ -130,8 +130,8 @@ CLI_OPTIONS = {
     "smooth": ('--input', '--s', '--output'),
     "smooth-verify": ('--input', '--ell', '--d', '--p', '--j-max', '--seed', '--s-min-exp',
                       '--s-max-exp'),
-    "nf": ('--input', '--omega', '--alpha', '--K', '--sigma', '--rho', '--output'),
-    "predict": ('--rho', '--ell', '--d', '--tau', '--gamma', '--input', '--omega'),
+    "nf": ('--input', '--alpha', '--K', '--sigma', '--rho', '--output'),
+    "predict": ('--rho', '--ell', '--d', '--tau', '--gamma', '--input'),
     "escape": ('--input', '--ell', '--amplitude', '--rho', '--threshold', '--t-cap',
                '--n-samples', '--seed', '--dt'),
     "sweep": ('--config', '--csv'),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from torusstab import (
+    AnalyticityWidths,
     FourierTaylorSeries,
     Frequency,
     HolderClass,
@@ -238,6 +239,14 @@ class TestPerturbationExtraction:
         with pytest.raises(PreconditionError, match="^series has d = 2, frequency has d = 3$"):
             perturbation_of(FourierTaylorSeries.linear(OMEGA), omega)
 
+    @pytest.mark.parametrize("scale", [1e-3, 1e-15])
+    def test_complex_perturbation_rejected_at_any_scale(self, scale):
+        # f's reality is measured against f's own mass, not H's, which omega.I
+        # dominates: a 1e-15 imaginary f is refused too
+        H = FourierTaylorSeries.linear(OMEGA) + F_EDGES * (1j * scale)
+        with pytest.raises(NumericalFault, match="^pipeline requires a real-valued series$"):
+            perturbation_of(H, OMEGA)
+
     @pytest.mark.parametrize(
         "linear, extra, omega",
         [
@@ -270,6 +279,34 @@ class TestPerturbationExtraction:
             three_merge_perturbation(H, omega)
         with pytest.raises(PreconditionError, match="linear part does not match"):
             perturbation_of(H, omega)
+
+
+def series_bytes(series):
+    return series.K.tobytes() + series.M.tobytes() + series.C.tobytes()
+
+
+class TestRepeatable:
+    """run_pipeline keeps no state between calls: the benchmark ladder's
+    reports repeat bit for bit, on the same H or on a fresh equal one."""
+
+    def ladder(self, H):
+        runs = []
+        for rho in (1e-3, 5e-4, 3e-4):
+            report = run_pipeline(H, OMEGA, 0.5, 1.0, HC65, rho)
+            nf = report.normal_form
+            assert nf.params.widths == AnalyticityWidths(report.schedule.s, rho)
+            if nf.certified:
+                assert nf.contraction <= nf.target_contraction
+            runs.append((report.to_text(), series_bytes(nf.h), series_bytes(nf.f_star)))
+        return runs
+
+    def test_ladder_repeats_warm_and_cold(self):
+        H = build_test_hamiltonian(HC65, seed=1)
+        first = self.ladder(H)
+        assert self.ladder(H) == first
+        fresh = build_test_hamiltonian(HC65, seed=1)
+        assert fresh is not H and fresh == H
+        assert self.ladder(fresh) == first
 
 
 class TestPipeline:
