@@ -35,6 +35,13 @@ from .smoothing import (
 from .stabpipe import predicted_stability_time, run_pipeline
 
 
+def _refuse(args, where, *names):
+    """Refuse by name each option given that is used only `where` --input."""
+    for name in names:
+        if getattr(args, name) is not None:
+            raise ValueError(f"--{name.replace('_', '-')} is used only {where} --input")
+
+
 def cmd_dioph(args):
     freq = golden_frequency(2)
     if args.omega is not None:
@@ -67,9 +74,11 @@ def cmd_smooth(args):
 def cmd_smooth_verify(args):
     hc = HolderClass(args.ell, args.d)
     if args.input:
+        _refuse(args, "without", "j_max", "seed")
         g = FourierTaylorSeries.load(args.input)
     else:
-        g = lacunary_series(args.d, args.ell, j_max=args.j_max, seed=args.seed)
+        j_max = 12 if args.j_max is None else args.j_max
+        g = lacunary_series(args.d, args.ell, j_max=j_max, seed=args.seed or 0)
     s_list = [2.0**-j for j in range(args.s_min_exp, args.s_max_exp + 1)]
     report = verify_smoothing_estimate(g, hc, args.p, s_list)
     print(f"slope = {report.slope!r}")
@@ -106,8 +115,7 @@ def cmd_predict(args):
         report = run_pipeline(H, Frequency(_frequency(H)), gamma, args.tau, hc, args.rho)
         sys.stdout.write(report.to_text())
         return 0 if report.certified else 1
-    if args.gamma is not None:
-        raise ValueError("--gamma is used only with --input")
+    _refuse(args, "with", "gamma")
     pred = predicted_stability_time(args.rho, hc, args.tau)
     print(f"t_theorem = {pred.t_theorem!r}")
     print(f"exponent = {pred.exponent!r}")
@@ -117,10 +125,12 @@ def cmd_predict(args):
 
 def cmd_escape(args):
     if args.input:
+        _refuse(args, "without", "ell", "amplitude")
         H = FourierTaylorSeries.load(args.input)
     else:
-        hc = HolderClass(args.ell, 2)
-        H = build_test_hamiltonian(hc, seed=args.seed, amplitude=args.amplitude)
+        hc = HolderClass(6.5 if args.ell is None else args.ell, 2)
+        amplitude = 1e-12 if args.amplitude is None else args.amplitude
+        H = build_test_hamiltonian(hc, seed=args.seed, amplitude=amplitude)
     threshold = args.threshold if args.threshold is not None else 0.5 * args.rho
     record = escape_time(
         H,
@@ -199,8 +209,8 @@ def build_parser():
     p.add_argument("--ell", type=float, default=6.5)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--p", type=int, default=0)
-    p.add_argument("--j-max", type=int, default=12)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--j-max", type=int, help="default 12; only without --input")
+    p.add_argument("--seed", type=int, help="default 0; only without --input")
     p.add_argument("--s-min-exp", type=int, default=3, help="largest s is 2^-this")
     p.add_argument("--s-max-exp", type=int, default=10, help="smallest s is 2^-this")
     p.set_defaults(func=cmd_smooth_verify)
@@ -227,8 +237,8 @@ def build_parser():
 
     p = sub.add_parser("escape", help="Monte-Carlo escape-time measurement")
     p.add_argument("--input", help="Hamiltonian series file (default: built-in test)")
-    p.add_argument("--ell", type=float, default=6.5)
-    p.add_argument("--amplitude", type=float, default=1e-12)
+    p.add_argument("--ell", type=float, help="default 6.5; only without --input")
+    p.add_argument("--amplitude", type=float, help="default 1e-12; only without --input")
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--threshold", type=float, help="default rho/2")
     p.add_argument("--t-cap", type=float, required=True)

@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericalFault, require_at_least, require_positive, require_real
+from .errors import NumericalFault, require_at_least, require_positive
 from .ftseries import HamiltonianVectorField, linear_frequency, theta_gradient_majorant
 
 FIXED_POINT_TOL = 1e-13
@@ -83,15 +83,14 @@ def _midpoint_step(field, z, dt):
 
 
 def _split(H):
-    """(omega, vector field of f) for a real H = omega.I + f, where omega.I
-    is the k=0, |m|_1=1 part of H.  The last H object's split is kept; one
-    that raises is not."""
+    """(omega, vector field of f) for H = omega.I + f, where omega.I is the
+    k=0, |m|_1=1 part of H and f must be real to 1e-9 of its own mass.  The
+    last H object's split is kept; one that raises is not."""
     global _last_split
     if _last_split[0] is H:
         return _last_split[1]
-    require_real(H, "vector field")
     f = H.select(lambda nk, nm, c: (nk > 0) | (nm != 1))
-    _last_split = H, (linear_frequency(H), HamiltonianVectorField(f, check_real=False))
+    _last_split = H, (linear_frequency(H), HamiltonianVectorField(f))
     return _last_split[1]
 
 

@@ -63,7 +63,7 @@ class AnalyticityWidths:
 class FourierTaylorSeries:
     """Immutable sparse series; all operations return new values."""
 
-    __slots__ = ("d", "K", "M", "C")
+    __slots__ = ("d", "K", "M", "C", "_term_orders")
 
     def __init__(self, d, terms=None):
         """Series from a map (k, m) -> c; the indices are validated."""
@@ -92,6 +92,7 @@ class FourierTaylorSeries:
         for a in (K, M, C):
             a.flags.writeable = False
         self.d, self.K, self.M, self.C = d, K, M, C
+        self._term_orders = None
 
     @classmethod
     def _of(cls, d, K, M, C):
@@ -268,8 +269,12 @@ class FourierTaylorSeries:
     # -- norms, selection, structure ----------------------------------------
 
     def _orders(self):
-        """|k|_1 and |m|_1 of every term."""
-        return np.abs(self.K).sum(axis=1), self.M.sum(axis=1)
+        """|k|_1 and |m|_1 of every term, kept read-only: callbacks receive them."""
+        if self._term_orders is None:
+            nk, nm = np.abs(self.K).sum(axis=1), self.M.sum(axis=1)
+            nk.flags.writeable = nm.flags.writeable = False
+            self._term_orders = nk, nm
+        return self._term_orders
 
     def select(self, keep):
         """Sub-series of the terms where the mask keep(|k|_1, |m|_1, c) is true;

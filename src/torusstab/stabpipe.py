@@ -10,6 +10,8 @@ s_in_range, dominance, gamma_K, K_sigma, smallness and contraction, in
 pipeline order.  The theory proves each bound only up to a constant it
 does not compute, so every bound and predicted time here is the theorem's
 shape with its constant set to 1: a shape, never a calibrated value.
+perturbation_of keeps the last H object's f, so a ladder of radii on one H
+computes it once; every later stage runs on each call.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ RHO_MAX = math.exp(-6.0)
 LINEAR_PART_TOL = 1e-9
 # the gates that hold only when value < bound; the others hold at value <= bound
 _STRICT_GATES = ("rho_ok", "dominance")
+# (H, omega's values, f) of the last perturbation_of; holding H keeps its id unused
+_last_perturbation = (None, None, None)
 
 
 @dataclass(frozen=True)
@@ -267,13 +271,19 @@ class PipelineReport:
 def perturbation_of(H, omega):
     """f of H = omega.I + f: H's terms with k != 0 or |m|_1 > 1, real to 1e-9
     of f's own mass.  The linear part must match omega to LINEAR_PART_TOL of
-    H's mass; only H's k = 0, |m|_1 <= 1 terms are merged with omega.I for it."""
-    require_dimension(H, len(getattr(omega, "omega", omega)), "frequency")
+    H's mass; only H's k = 0, |m|_1 <= 1 terms are merged with omega.I for it.
+    The last H object's f is kept with omega's values; a call that raises keeps nothing."""
+    global _last_perturbation
+    values = tuple(getattr(omega, "omega", omega))
+    if _last_perturbation[0] is H and _last_perturbation[1] == values:
+        return _last_perturbation[2]
+    require_dimension(H, len(values), "frequency")
     stray = H.select(lambda nk, nm, c: (nk == 0) & (nm <= 1)) - FourierTaylorSeries.linear(omega)
     if stray and stray.mass() > LINEAR_PART_TOL * max(H.mass(), 1.0):
         raise PreconditionError("Hamiltonian linear part does not match the supplied frequency")
     f = H.select(lambda nk, nm, c: (nk > 0) | (nm > 1))
     require_real(f, "pipeline")
+    _last_perturbation = H, values, f
     return f
 
 

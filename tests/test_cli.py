@@ -413,6 +413,28 @@ class TestEscape:
         assert "Traceback" not in captured.err
 
 
+class TestInputOnlyOptions:
+    """An option that only builds the built-in series is refused by name
+    with --input, which replaces that series."""
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["escape", "--rho", "0.1", "--t-cap", "0.1", "--ell", "99"], "--ell"),
+            (["escape", "--rho", "0.1", "--t-cap", "0.1", "--amplitude", "5"], "--amplitude"),
+            (["smooth-verify", "--j-max", "3"], "--j-max"),
+            (["smooth-verify", "--seed", "2"], "--seed"),
+        ],
+    )
+    def test_refused_with_input(self, tmp_path, capsys, argv, option):
+        src = tmp_path / "g.txt"
+        lacunary_series(2, 6.5, j_max=12, seed=0).save(src)
+        assert main(argv + ["--input", str(src)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {option} is used only without --input\n"
+        assert captured.out == ""
+
+
 class TestNegativeSeed:
     @pytest.mark.parametrize(
         "argv",
@@ -584,6 +606,13 @@ class TestExitCodeTable:
                  - FourierTaylorSeries.linear(golden_frequency(2))),
              3,
              "numerical fault: pipeline requires a real-valued series"),
+            # the same i f: escape too measures it against its own mass
+            (["escape", "--rho", "0.05", "--t-cap", "0.1", "--n-samples", "2"],
+             lambda: FourierTaylorSeries.linear(golden_frequency(2)) + 1j * (
+                 build_test_hamiltonian(HolderClass(6.5, 2), seed=0)
+                 - FourierTaylorSeries.linear(golden_frequency(2))),
+             3,
+             "numerical fault: vector field requires a real-valued series"),
             (["nf", "--alpha", "0.2", "--K", "5", "--sigma", "1.2", "--rho", "0.5"],
              lambda: FourierTaylorSeries.linear(golden_frequency(2)) + FourierTaylorSeries(
                  2, {((1, 0), (2, 0)): 1e-6j}),
@@ -593,7 +622,7 @@ class TestExitCodeTable:
         ids=["small-divisor", "complex-series", "dominance-gate", "too-few-rows",
              "predict-dimension", "smooth-verify-dimension", "smooth-verify-not-pure-angle",
              "nf-no-linear-part", "predict-no-linear-part", "predict-complex-series",
-             "nf-complex-series"],
+             "escape-complex-perturbation", "nf-complex-series"],
     )
     def test_exit_code_and_line(self, tmp_path, capsys, argv, series, code, line):
         src = tmp_path / "input"

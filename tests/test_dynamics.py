@@ -577,3 +577,13 @@ class TestSplitKept:
                 escape_time(H, 0.1, **self.ARGS)
         with pytest.raises(NumericalFault, match="requires a real-valued series"):
             integrate(H, ((0.3, 0.7), (0.05, -0.05)), t_end=0.1, dt=0.01)
+
+    def test_complex_perturbation_measured_against_its_own_mass(self):
+        # i f at 1e-12 of omega: against H's mass, which omega.I dominates, it passed
+        f = FourierTaylorSeries.cosine(D, (1, 0), m=(2, 0), amplitude=1e-12)
+        H = FourierTaylorSeries.linear(OMEGA) + 1j * f
+        for _ in range(2):
+            with pytest.raises(NumericalFault, match="^vector field requires a real-valued"):
+                _split(H)
+        omega, field = _split(FourierTaylorSeries.linear(OMEGA) + f)
+        assert field.n == 1

@@ -400,6 +400,26 @@ class TestArrayStore:
         with pytest.raises(ValueError):
             f.K[0, 0] = 5
 
+    def test_kept_orders_are_read_only(self):
+        # select and masses pass the kept |k|_1 and |m|_1 to their callbacks:
+        # one that writes into them is refused and changes no later call
+        f = FourierTaylorSeries.cosine(D, (2, -1), m=(1, 0)) + FourierTaylorSeries(
+            D, {((0, 0), (0, 2)): 1.0}
+        )
+        nonzero = f.select(lambda nk, nm, c: nk > 0)
+        masses = f.masses(lambda nk, nm: 2.0**nk)
+
+        def bump(nk, nm, *c):
+            nk += 1
+            return nk > 0
+
+        for call in (lambda: f.select(bump), lambda: f.masses(bump)):
+            with pytest.raises(ValueError, match="read-only"):
+                call()
+        assert f.select(lambda nk, nm, c: nk > 0) == nonzero
+        assert np.array_equal(f.masses(lambda nk, nm: 2.0**nk), masses)
+        assert f._orders() is f._orders()  # computed once per series
+
     @given(f=series_strategy(max_terms=8, real=True))
     @settings(max_examples=40, deadline=None)
     def test_vector_field_folds_conjugate_pairs(self, f):

@@ -19,6 +19,7 @@ from torusstab import (
     dominance_threshold,
     golden_frequency,
     holder_norm_majorant,
+    normalform,
     parameter_schedule,
     perturbation_of,
     predicted_stability_time,
@@ -281,13 +282,72 @@ class TestPerturbationExtraction:
             perturbation_of(H, omega)
 
 
+def count_reality_checks(monkeypatch):
+    checks = []
+    original = stabpipe.require_real
+
+    def counted(series, owner):
+        checks.append(len(series))
+        original(series, owner)
+
+    monkeypatch.setattr(stabpipe, "require_real", counted)
+    return checks
+
+
+class TestPerturbationKept:
+    """perturbation_of keeps the last H object's f with omega's values: a
+    ladder of radii on one H computes f once."""
+
+    def test_one_perturbation_per_object(self, monkeypatch):
+        checks = count_reality_checks(monkeypatch)
+        H = build_test_hamiltonian(HC65, seed=1)
+        warm = [run_pipeline(H, OMEGA, 0.5, 1.0, HC65, rho).to_text() for rho in (1e-3, 5e-4)]
+        assert len(checks) == 1
+        assert perturbation_of(H, OMEGA) is perturbation_of(H, OMEGA.omega)
+        assert len(checks) == 1
+        fresh = build_test_hamiltonian(HC65, seed=1)
+        cold = [run_pipeline(fresh, OMEGA, 0.5, 1.0, HC65, rho).to_text() for rho in (1e-3, 5e-4)]
+        assert len(checks) == 2
+        assert cold == warm
+
+    def test_each_new_object_recomputed(self, monkeypatch):
+        # each series here is built by one constructor call, so it takes the
+        # address (and so the id) of the last one freed; only the kept H
+        # stops a new series of other content from passing for it
+        checks = count_reality_checks(monkeypatch)
+        for n, eps in enumerate(np.linspace(0.01, 0.5, 30), start=1):
+            H = FourierTaylorSeries(D, {((0, 0), (1, 0)): W[0], ((0, 0), (0, 1)): W[1],
+                                        ((1, -1), (2, 0)): eps, ((-1, 1), (2, 0)): eps})
+            f = perturbation_of(H, OMEGA)
+            assert len(checks) == n
+            assert len(f) == 2 and np.all(f.C == eps)
+            del H, f
+
+    def test_other_frequency_checked_after_a_kept_success(self):
+        H = FourierTaylorSeries.linear(OMEGA) + F_EDGES
+        assert perturbation_of(H, OMEGA) == F_EDGES
+        for omega in (Frequency((1.0, 2.0**0.5)), (W[0] + 1e-3, W[1])):
+            with pytest.raises(PreconditionError, match="linear part does not match"):
+                run_pipeline(H, omega, 0.5, 1.0, HC65, 1e-3)
+        with pytest.raises(PreconditionError, match="^series has d = 2, frequency has d = 3$"):
+            perturbation_of(H, (*W, 1.0))
+        assert perturbation_of(H, OMEGA) == F_EDGES
+
+    def test_complex_series_fails_every_call(self):
+        H = FourierTaylorSeries.linear(OMEGA) + F_EDGES * 1e-3j
+        for _ in range(3):
+            with pytest.raises(NumericalFault, match="^pipeline requires a real-valued series$"):
+                run_pipeline(H, OMEGA, 0.5, 1.0, HC65, 1e-3)
+
+
 def series_bytes(series):
     return series.K.tobytes() + series.M.tobytes() + series.C.tobytes()
 
 
 class TestRepeatable:
-    """run_pipeline keeps no state between calls: the benchmark ladder's
-    reports repeat bit for bit, on the same H or on a fresh equal one."""
+    """run_pipeline keeps only the last H's perturbation between calls: the
+    benchmark ladder's reports repeat bit for bit, and its stages run as
+    often, on the same H or on a fresh equal one."""
 
     def ladder(self, H):
         runs = []
@@ -307,6 +367,34 @@ class TestRepeatable:
         fresh = build_test_hamiltonian(HC65, seed=1)
         assert fresh is not H and fresh == H
         assert self.ladder(fresh) == first
+
+    def test_ladder_stage_calls_repeat_warm_and_cold(self, monkeypatch):
+        # the benchmark's traced run requires every pass to call its wrapped
+        # stages as often as the first did: keep no stage's result between calls
+        calls = {}
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for name in ("taylor_split", "coefficient_norm_max", "smooth_coefficients",
+                     "diophantine_constant", "resonant_normal_form", "remainder_bounds",
+                     "predicted_stability_time"):
+            count(stabpipe, name)
+        count(normalform, "lie_transform")
+        count(normalform, "solve_homological")
+        count(FourierTaylorSeries, "poisson_bracket")
+        H = build_test_hamiltonian(HC65, seed=1)
+        self.ladder(H)
+        cold, calls = calls, {}
+        self.ladder(H)
+        assert len(cold) == 10 and all(cold.values())
+        assert calls == cold
 
 
 class TestPipeline:
