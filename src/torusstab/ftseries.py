@@ -279,8 +279,11 @@ class FourierTaylorSeries:
     def select(self, keep):
         """Sub-series of the terms where the mask keep(|k|_1, |m|_1, c) is true;
         keep receives one array entry per term."""
-        rows = keep(*self._orders(), self.C)
-        return self._of(self.d, self.K[rows], self.M[rows], self.C[rows])
+        return self._rows(keep(*self._orders(), self.C))
+
+    def _rows(self, index):
+        """Sub-series of the terms at a boolean mask or sorted row indices."""
+        return self._of(self.d, self.K[index], self.M[index], self.C[index])
 
     def masses(self, weight=None):
         """|c| weight(|k|_1, |m|_1) of every term; weight receives arrays and

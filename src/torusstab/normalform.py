@@ -7,6 +7,14 @@ xi fixed at XI = 2.  The integrable part of H = omega.I + f is linear, so
 no Hessian bound enters.  For a Diophantine frequency every mode
 0 < |k|_1 <= K is non-resonant, so the normal form is a pure average: the
 integrable part only gains k=0 terms.
+
+Each Lie step drops what cannot matter at the certificate's scale, and
+counts it in the contraction: the bracket terms below the chop
+CHOP_SHARE e^{-K sigma/6} |||f|||_{sigma,rho}, and, before each bracket
+{X, chi} is formed, the rows of X whose a-priori bounds on their share of
+|||{X, chi}||| sum to no more than that chop (truncated multiplication, as
+in Poisson-series processors).  The skipped rows of one bracket together
+weigh no more than one chopped term; lie_transform gives the bound.
 """
 
 from __future__ import annotations
@@ -107,6 +115,35 @@ def solve_homological(f_nr, omega):
     return FourierTaylorSeries._of(f_nr.d, f_nr.K, f_nr.M, C.imag / x - 1j * (C.real / x))
 
 
+def _row_bound(chi, widths):
+    """lie_transform's row bound against chi: bound(X, masses) maps the
+    weighted masses |c_a| w_a of X's terms to their R_a, with V^m and V^k
+    summed over chi once.  A bound that overflows is not finite."""
+    chi_masses = chi.masses(widths.weight)
+    with np.errstate(invalid="ignore"):
+        v_m, v_k = chi_masses @ chi.M, chi_masses @ np.abs(chi.K)
+    scale = TWO_PI / widths.rho
+
+    def bound(X, masses):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return scale * masses * (np.abs(X.K) @ v_m + X.M @ v_k)
+
+    return bound
+
+
+def _rows_to_form(bounds, budget):
+    """Mask of the rows to form, and the summed bound of the others: the rows
+    of smallest bound are left out while their running sum stays <= budget.
+    A row whose bound is not finite is always formed."""
+    finite = np.flatnonzero(np.isfinite(bounds))
+    order = finite[np.argsort(bounds[finite])]
+    running = np.cumsum(bounds[order])
+    n = int(np.searchsorted(running, budget, side="right"))
+    form = np.ones(len(bounds), dtype=bool)
+    form[order[:n]] = False
+    return form, float(running[n - 1]) if n else 0.0
+
+
 def lie_transform(H, chi, order=6, widths=None, chop=0.0):
     """Truncated Lie series H o Psi = sum_{n<=order} ad_chi^n H / n!.
 
@@ -115,10 +152,31 @@ def lie_transform(H, chi, order=6, widths=None, chop=0.0):
     (coefficient mass otherwise); terms below `chop` in that measure are
     dropped and reported, and a growth factor above DIVERGENCE_FACTOR
     between consecutive brackets aborts with a divergence error.
+
+    With `chop > 0` and `widths`, each bracket {X, chi} is formed only from
+    the rows of X that can matter.  Term a of X contributes at most
+
+        R_a = (2 pi / rho) |c_a| w_a sum_i (|k_a,i| V^m_i + m_a,i V^k_i),
+
+    with V^m_i = sum_b |c_b| w_b m_b,i and V^k_i = sum_b |c_b| w_b |k_b,i|
+    over chi's terms b and w the weight rho^{|m|_1} e^{sigma |k|_1}, because
+    w(k_a + k_b, m_a + m_b - e_i) <= w_a w_b / rho and
+    |k_a,i m_b,i - m_a,i k_b,i| <= |k_a,i| m_b,i + m_a,i |k_b,i|.  The
+    rows of smallest R_a are left out while their running sum stays <= chop,
+    so together they weigh no more than one chopped term; a row whose
+    bracket vanishes axis by axis has R_a = 0.  `dropped_mass` counts the
+    chopped terms and the skipped rows' summed bounds, neither divided by
+    n!, and the divergence test sees each bracket's mass plus its skipped
+    sum.  A bracket with no row left is not formed, and the series stops
+    there with tail 0, as when the chop removes a whole bracket.
     """
     require_at_least(1, order=order)
     require_at_least(0, chop=chop)
     weight = widths.weight if widths is not None else None
+    prune = chop > 0.0 and widths is not None
+    if prune:
+        bound = _row_bound(chi, widths)
+        masses = H.masses(weight)
 
     result = H
     bracket = H
@@ -127,23 +185,29 @@ def lie_transform(H, chi, order=6, widths=None, chop=0.0):
     tail = 0.0
     fact = 1.0
     for n in range(1, order + 1):
-        bracket = bracket.poisson_bracket(chi)
+        skipped = 0.0
+        if prune:
+            form, skipped = _rows_to_form(bound(bracket, masses), chop)
+            dropped += skipped
+            if not form.all():
+                bracket = bracket._rows(form)
+        if bracket:
+            bracket = bracket.poisson_bracket(chi)
         masses = bracket.masses(weight)
         if chop > 0.0:
             pruned = masses < chop
             dropped += float(masses[pruned].sum())
             kept = ~pruned
             masses = masses[kept]
-            bracket = FourierTaylorSeries._of(
-                bracket.d, bracket.K[kept], bracket.M[kept], bracket.C[kept]
-            )
+            bracket = bracket._rows(kept)
         with np.errstate(over="ignore"):
             mass = float(masses.sum())
-        if prev_mass is not None and prev_mass > 0.0 and mass > DIVERGENCE_FACTOR * prev_mass:
+        grown = mass + skipped
+        if prev_mass is not None and prev_mass > 0.0 and grown > DIVERGENCE_FACTOR * prev_mass:
             raise NumericalFault(
-                f"bracket norm grew by {mass / prev_mass:.2e} at order {n}"
+                f"bracket norm grew by {grown / prev_mass:.2e} at order {n}"
             )
-        prev_mass = mass
+        prev_mass = grown
         fact *= n
         result = result + bracket * (1.0 / fact)
         tail = mass / fact
@@ -164,8 +228,9 @@ def resonant_normal_form(H, params):
     """Iterated averaging of H = omega.I + f: remove modes 0 < |k|_1 <= K
     until the remainder certificate contraction <= e^{-K sigma/6} holds.
 
-    Each Lie step drops terms below CHOP_SHARE * e^{-K sigma/6} * |||f|||_{sigma,rho}
-    and counts them in the contraction.  The loop stops, with the reason in
+    Each Lie step drops terms below CHOP_SHARE * e^{-K sigma/6} * |||f|||_{sigma,rho},
+    and skips bracket rows whose bounds sum to no more than that, and counts
+    both in the contraction (`dropped_mass`).  The loop stops, with the reason in
     `stop`, when the certificate holds ("certified"), when an iteration fails
     to lower the contraction ("stalled"), or after 2K iterations ("capped");
     only "certified" gives certified=True.

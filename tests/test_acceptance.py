@@ -104,12 +104,12 @@ def test_normal_form_contraction(report):
 
 
 def test_pipeline_certifies_down_the_ladder(report):
-    """Built-in H (seed 0) certifies at rho in {1e-3, 3e-4, 1e-4, 1e-5, 1e-6, 1e-7}."""
+    """Built-in H (seed 0) certifies at rho in {1e-3, 3e-4, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8}."""
     hc = HolderClass(6.5, D)
     H = build_test_hamiltonian(hc, seed=0, amplitude=1e-12, j_max=8)
     ok = True
     details = []
-    for rho in (1e-3, 3e-4, 1e-4, 1e-5, 1e-6, 1e-7):
+    for rho in (1e-3, 3e-4, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8):
         rep = run_pipeline(H, OMEGA, 0.5, 1.0, hc, rho)
         nf = rep.normal_form
         if nf is None:

@@ -36,6 +36,19 @@ def acceptance_instance(eps=1e-6):
     return H, params
 
 
+# one to three real terms a cos(2 pi k.theta + phase) I^m with small k and m
+COSINES = st.lists(
+    st.tuples(
+        st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+        st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        st.floats(1e-3, 1.0),
+        st.floats(-math.pi, math.pi),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
 def lie_with_chop(chop):
     H, _ = acceptance_instance()
     return lie_transform(H, H, chop=chop)
@@ -249,6 +262,90 @@ class TestLieTransform:
         assert removed > 0.0 and not bracket
         assert res.dropped_mass == pytest.approx(removed, rel=1e-12)
         assert (res.series - expected).mass() <= 1e-15 * H.mass()
+
+    @given(
+        x_terms=COSINES,
+        chi_terms=COSINES,
+        sigma=st.floats(0.05, 1.5),
+        rho=st.floats(0.05, 0.95),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_row_bound_covers_each_rows_bracket(self, x_terms, chi_terms, sigma, rho):
+        # R_a bounds |||{X_a, chi}||| for every one-term X_a of real X and chi
+        def real(terms):
+            return sum(
+                (FourierTaylorSeries.cosine(D, k, m, amplitude=a, phase=p)
+                 for k, m, a, p in terms),
+                FourierTaylorSeries(D),
+            )
+
+        X, chi = real(x_terms), real(chi_terms)
+        w = AnalyticityWidths(sigma, rho)
+        bounds = normalform._row_bound(chi, w)(X, X.masses(w.weight))
+        for a, bound in enumerate(bounds):
+            mass = X._rows([a]).poisson_bracket(chi).weighted_norm(w)
+            assert bound * (1 + 1e-12) >= mass
+
+    def test_skipped_row_counted_at_its_bound(self):
+        # the row of c e^{2 pi i theta_1} I_2 adds less than the chop; the
+        # omega.I rows add far more, and nothing of their bracket is chopped
+        sigma, rho, a, c = 0.5, 0.4, 1e-3, 1e-9
+        w = AnalyticityWidths(sigma, rho)
+        chi = FourierTaylorSeries.cosine(D, (1, 1), m=(2, 1), amplitude=a)
+        linear = FourierTaylorSeries.linear(OMEGA)
+        H = linear + FourierTaylorSeries(D, {((1, 0), (0, 1)): c})
+        # V^m = (2 S, S) and V^k = (S, S) with S = a rho^3 e^{2 sigma}, so
+        # R = (2 pi / rho) c rho e^sigma (|k_1| V^m_1 + m_2 V^k_2), with 3 S in brackets
+        S = a * rho**3 * math.exp(2 * sigma)
+        bound = TWO_PI / rho * c * rho * math.exp(sigma) * 3 * S
+        chop = bound * (1 + 1e-9)
+        formed = linear.poisson_bracket(chi)
+        assert formed.masses(w.weight).min() > 1e3 * chop
+        res = lie_transform(H, chi, order=1, widths=w, chop=chop)
+        assert res.dropped_mass == pytest.approx(bound, rel=1e-12)
+        assert res.series == H + formed * 1.0
+
+    def test_all_rows_skipped_stops_without_a_bracket(self, monkeypatch):
+        H = FourierTaylorSeries.cosine(D, (1, 0), m=(2, 0), amplitude=1e-12)
+        chi = FourierTaylorSeries.cosine(D, (0, 1), m=(1, 0), amplitude=1e-3)
+        w = AnalyticityWidths(0.5, 0.4)
+        bound = normalform._row_bound(chi, w)(H, H.masses(w.weight)).sum()
+        calls = []
+        bracket = FourierTaylorSeries.poisson_bracket
+        monkeypatch.setattr(
+            FourierTaylorSeries, "poisson_bracket",
+            lambda f, g: calls.append(1) or bracket(f, g),
+        )
+        res = lie_transform(H, chi, widths=w, chop=2 * bound)
+        assert not calls
+        assert res.series == H and res.tail_mass == 0.0
+        assert res.dropped_mass == bound > 0.0
+
+    def test_divergence_test_sees_skipped_rows(self, monkeypatch):
+        # a skipped sum of 1e4 first brackets, reported at the second order,
+        # is growth although the second bracket itself is small
+        f = FourierTaylorSeries.cosine(D, (1, 0), m=(2, 0), amplitude=1e-3)
+        H = FourierTaylorSeries.linear(OMEGA) + f
+        chi = solve_homological(f, OMEGA)
+        w = AnalyticityWidths(0.5, 0.4)
+        first = lie_transform(H, chi, order=1, widths=w, chop=1e-300).series - H
+        lie_transform(H, chi, order=2, widths=w, chop=1e-300)
+        skipped = iter([0.0, 1e4 * first.weighted_norm(w)])
+        monkeypatch.setattr(
+            normalform, "_rows_to_form",
+            lambda bounds, budget: (np.ones(len(bounds), dtype=bool), next(skipped)),
+        )
+        with pytest.raises(NumericalFault, match="at order 2"):
+            lie_transform(H, chi, order=2, widths=w, chop=1e-300)
+
+    def test_unbounded_rows_always_formed(self):
+        bounds = np.array([math.inf, math.nan, 0.0, 2.0, 1.0])
+        form, skipped = normalform._rows_to_form(bounds, math.inf)
+        assert form.tolist() == [True, True, False, False, False]
+        assert skipped == 3.0
+        form, skipped = normalform._rows_to_form(bounds, 1.5)
+        assert form.tolist() == [True, True, False, True, False]
+        assert skipped == 1.0
 
 
 class TestResonantNormalForm:

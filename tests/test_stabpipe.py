@@ -438,6 +438,18 @@ class TestPipeline:
         assert (f"gate.contraction = {nf.contraction!r} / {nf.target_contraction!r} = "
                 f"{nf.contraction / nf.target_contraction!r}") in text.splitlines()
 
+    def test_precision_frontier_stalls(self):
+        # the acceptance H one rung below the certified ladder: the normal
+        # form stalls above its target, and the contraction gate says so
+        hc = HolderClass(6.5, 2)
+        H = build_test_hamiltonian(hc, seed=0, amplitude=1e-12, j_max=8)
+        report = run_pipeline(H, OMEGA, 0.5, 1.0, hc, rho=1e-9)
+        nf = report.normal_form
+        assert nf.stop == "stalled" and not report.certified
+        assert nf.contraction > nf.target_contraction
+        assert report.failure == "failed gates: contraction"
+        assert "nf.stop = stalled" in report.to_text()
+
     def test_gates_match_the_checks_they_stand_for(self):
         H = build_test_hamiltonian(HC65, seed=0, amplitude=1e-12, j_max=4)
         report = run_pipeline(H, OMEGA, 0.5, 1.0, HC65, rho=1e-3)
