@@ -2,14 +2,17 @@
 
 All mode sizes are measured in the l1 norm |k|_1 = |k_1| + ... + |k_d|,
 matching the cutoff used by the smoothing equality.  Certificates come
-from an exact branch-and-bound search of the lattice ball, never from
-heuristics.
+from an exact search of the lattice ball, never from heuristics: branch and
+bound over every prefix for d >= 3, and for d = 2 over the only prefixes
+that can hold a minimiser, the continued-fraction denominators of the
+frequency ratio.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,9 +69,37 @@ def golden_frequency(d):
     return Frequency((1.0, (1.0 + math.sqrt(5.0)) / 2.0))
 
 
-def _prefix_blocks(d, j, K):
+def _record_prefixes(w, j, K):
+    """The convergent denominators q_n <= K of alpha = |w_i / w_j| <= 1 (d = 2,
+    i = 1 - j), the exact ratio of the floats; None if some 1 <= r <= 2K has
+    ||r alpha|| <= 8u(K + 2) (u = 2^-53), where rounding could reorder the
+    candidates."""
+    ni, di = abs(w[1 - j]).as_integer_ratio()
+    nj, dj = abs(w[j]).as_integer_ratio()
+    x, y = di * nj, ni * dj % (di * nj)  # alpha - floor(alpha) = y / x
+    qs, q_prev, q = [1], 0, 1
+    while q <= 2 * K:
+        if not y:
+            return None
+        a, r = divmod(x, y)
+        q_prev, q, x, y = q, a * q + q_prev, y, r
+        if q_prev < q <= K:
+            qs.append(q)
+    # min over r <= 2K of ||r alpha|| is ||q_prev alpha|| > 1 / (q_prev + q)
+    return qs if (q_prev + q) * (K + 2) <= 2**50 else None
+
+
+def _prefix_blocks(w, j, K):
     """Every k in Z^d with k_j = 0 and |k|_1 <= K, as (n, d) arrays of at most
-    PREFIX_BLOCK rows."""
+    PREFIX_BLOCK rows; for d = 2 only k_i = q at the record prefixes q, if any."""
+    d = len(w)
+    qs = _record_prefixes(w, j, K) if d == 2 else None
+    if qs is not None:
+        block = np.zeros((len(qs), 2), dtype=np.int64)
+        block[:, 1 - j] = qs
+        for lo in range(0, len(qs), PREFIX_BLOCK):
+            yield block[lo:lo + PREFIX_BLOCK]
+        return
     for outer in itertools.product(range(-K, K + 1), repeat=d - 2):
         r = K - sum(map(abs, outer))
         for lo in range(-r, r + 1, PREFIX_BLOCK):
@@ -102,17 +133,41 @@ def diophantine_constant(freq, tau, K):
     Branch and bound along the axis j of the largest |omega_j|: as |k|_1^tau >= 1,
     only k with |omega.k| <= gamma can attain gamma.  The unit vectors lie in the
     ball, so gamma <= min_i |omega_i| <= |omega_j|, and each prefix (the other d-1
-    coordinates) tries at most five k_j near the root of omega.k = 0: O(K^{d-1})
-    work, in blocks of PREFIX_BLOCK prefixes that carry the best (gamma, k) on.
+    coordinates) tries at most five k_j near the root of omega.k = 0, in blocks
+    of PREFIX_BLOCK prefixes that carry the best (gamma, k) on.  For d >= 3 every
+    prefix is tried: O(K^{d-1}) work.
+
+    For d = 2 only the record prefixes are tried.  Let i be the other axis,
+    alpha = |omega_i / omega_j| and k a minimiser with p = |k_i| >= 1 (p = 0
+    gives +-e_j, a unit vector).  F(k) <= F(e_i) = |omega_i|, so |omega.k| <=
+    |omega_i| and |k_j| >= (p - 1) alpha.  A q < p with ||q alpha|| <= |omega.k|
+    / |omega_j| would give k' = (q, -round(q alpha)) with |k'|_1 <= q + q alpha
+    + 1/2 < |k|_1, so F(k') <= F(k), with equality only if r alpha is an integer
+    for some r <= 2K.  Barring that, p is a record of q -> ||q alpha||, a
+    convergent denominator of alpha (Khinchin, Continued Fractions, ch. II):
+    O(log K) prefixes.  Rounding cannot reorder them either when every r <= 2K
+    has ||r alpha|| > 8u(K + 2) (u = 2^-53): then |omega.k| - |omega.k'| >=
+    |omega_j| ||(p -+ q) alpha|| outgrows the float error of both F values
+    (2uK |omega_j| in the dot product, a few u relative in the power and the
+    product).  Otherwise alpha is rational or nearly so, and every prefix is
+    tried: for omega = (5, 2), tau = 0, K = 4 the minimiser (1, -3) sits at 3,
+    not a convergent denominator of 2/5.  One sign per prefix is enough: the
+    window of -q mirrors that of q exactly, and k and -k share a representative.
+    So the d = 2 result is bit-identical to the search over all 2K + 1 prefixes,
+    as the tests check on thousands of cases.
     """
-    K = int(K)
+    try:
+        K = operator.index(K)  # numpy integers pass; 10.7, inf and '12' do not
+    except TypeError:
+        raise ValueError(f"K must be an integer >= 1, got {K!r}") from None
     require_at_least(1, K=K)
     _check_tau(tau)
     w = freq.as_array()
     j = int(np.argmax(np.abs(w)))
     units = np.eye(freq.d, dtype=np.int64)
-    gamma, k = _smallest(units, w, tau)
-    for prefixes in _prefix_blocks(freq.d, j, K):
+    # exact: units @ w == w and 1**tau == 1
+    gamma, k = float(np.abs(w).min()), units[0]
+    for prefixes in _prefix_blocks(w, j, K):
         room = K - np.abs(prefixes).sum(axis=1)
         root = -(prefixes @ w) / w[j]
         half = gamma / abs(w[j])

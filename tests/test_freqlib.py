@@ -66,6 +66,44 @@ def _exactness_cases(n, seed):
     return cases
 
 
+def _full_search_constant(omega, tau, K):
+    """(gamma_K, k) from the search over every prefix in [-K, K]: the record
+    prefixes switched off, so the oracle is the search they replace."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(freqlib, "_record_prefixes", lambda *args: None)
+        cert = diophantine_constant(Frequency(omega), tau, K)
+    return cert.gamma_K, cert.attained_k
+
+
+def _ratio_cases(n, seed):
+    """Seeded d = 2 (omega, tau, K), K <= 2000, tau in [0, 3]: omega integer,
+    multiples of 0.1 or p/q floats (rational or nearly so, with exact ties and
+    rounding ties), with a zero component, with |omega_i / omega_j| < 1e-3, or
+    generic."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < n:
+        kind = rng.integers(6)
+        if kind == 0:
+            omega = rng.integers(-9, 10, size=2) * 1.0
+        elif kind == 1:
+            omega = rng.integers(-9, 10, size=2) * 0.1
+        elif kind == 2:
+            omega = rng.integers(-99, 100, size=2) / rng.integers(1, 50, size=2)
+        elif kind == 3:
+            omega = rng.normal(size=2)
+            omega[rng.integers(2)] = 0.0
+        elif kind == 4:
+            omega = rng.normal() * np.array([1.0, rng.uniform(-1e-3, 1e-3)])
+            rng.shuffle(omega)
+        else:
+            omega = rng.normal(size=2)
+        omega[0] += not omega.any()
+        tau = float(rng.choice([0.0, 0.5, 1.0, 2.0, rng.uniform(0.0, 3.0)]))
+        cases.append((tuple(omega), tau, int(rng.integers(1, 2001))))
+    return cases
+
+
 class TestFrequency:
     def test_golden_components(self):
         freq = golden_frequency(2)
@@ -112,7 +150,7 @@ class TestDiophantineConstant:
         # |F_{n+1} - phi F_n| |k|_1 = phi^{-n} F_{n+2} -> phi^2/sqrt(5) > 1,
         # so the minimizer is always k = (1, 0); frozen via 50-digit arithmetic
         freq = golden_frequency(2)
-        for K in (1, 5, 34, 200, 2700, 10**5):
+        for K in (1, 5, 34, 200, 2700, 10**5, 10**6):
             cert = diophantine_constant(freq, 1.0, K)
             assert cert.gamma_K == 1.0
             assert cert.attained_k == (1, 0)
@@ -126,7 +164,11 @@ class TestDiophantineConstant:
     def test_blocks_carry_best_and_tie_break(self, monkeypatch):
         # three prefixes per block: the winner and its ties span many blocks
         monkeypatch.setattr(freqlib, "PREFIX_BLOCK", 3)
-        for omega, tau, K in _exactness_cases(40, seed=1):
+        # d = 2 with many records (golden, sqrt 2: 10 and 6 convergents), and
+        # one huge partial quotient
+        d2 = [((1.0, (1.0 + math.sqrt(5.0)) / 2.0), 0.5, 120),
+              ((math.sqrt(2.0), 1.0), 1.0, 150), ((1e-3, 1.0), 0.0, 60)]
+        for omega, tau, K in d2 + _exactness_cases(40, seed=1):
             cert = diophantine_constant(Frequency(omega), tau, K)
             assert (cert.gamma_K, cert.attained_k) == _reference_constant(omega, tau, K), (
                 omega, tau, K)
@@ -155,6 +197,70 @@ class TestDiophantineConstant:
             diophantine_constant(golden_frequency(2), 1.0, 0)
         with pytest.raises(ValueError):
             diophantine_constant(golden_frequency(2), -0.5, 5)
+        with pytest.raises(ValueError, match="K must be >= 1, got -3"):
+            diophantine_constant(golden_frequency(2), 1.0, np.int64(-3))
+
+    @pytest.mark.parametrize("K", [10.7, math.inf, "12", 2.0])
+    def test_cutoff_must_be_an_integer(self, K):
+        # a float was truncated to int(K) (10.7 certified K = 10) and inf raised
+        # OverflowError; each is now refused by name
+        with pytest.raises(ValueError, match=f"K must be an integer >= 1, got {K!r}"):
+            diophantine_constant(golden_frequency(2), 1.0, K)
+
+    def test_cutoff_accepts_numpy_integers(self):
+        cert = diophantine_constant(golden_frequency(2), 1.0, np.int64(12))
+        assert cert.K == 12 and type(cert.K) is int
+
+    def test_record_prefixes_are_the_convergent_denominators(self):
+        golden = golden_frequency(2).as_array()
+        assert freqlib._record_prefixes(golden, 1, 100) == [1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
+        assert freqlib._record_prefixes(np.array([1.0, math.sqrt(2.0)]), 1, 30) == [1, 3, 7, 17]
+        # a partial quotient beyond 2K: only q = 1
+        assert freqlib._record_prefixes(np.array([1e-7, 1.0]), 1, 1000) == [1]
+        # alpha rational with denominator <= 2K, or within rounding of it: all prefixes
+        for omega, K in (((5.0, 2.0), 4), ((1.0, 0.0), 7), ((3.0, -3.0), 5),
+                         ((-0.5, -0.7000000000000001), 569)):
+            w = np.array(omega)
+            j = int(np.argmax(np.abs(w)))
+            assert freqlib._record_prefixes(w, j, K) is None, omega
+
+    def test_intermediate_fraction_minimiser(self):
+        # 3 is an intermediate denominator of 2/5, not a convergent one, and
+        # (1, -3) ties (1, -2) at |omega.k| = 1 and wins the tie-break
+        cert = diophantine_constant(Frequency((5.0, 2.0)), 0.0, 4)
+        assert (cert.gamma_K, cert.attained_k) == (1.0, (1, -3))
+
+    def test_d2_matches_full_prefix_search(self):
+        cases = _ratio_cases(500, seed=2)
+        records = 0
+        for omega, tau, K in cases:
+            cert = diophantine_constant(Frequency(omega), tau, K)
+            assert (cert.gamma_K, cert.attained_k) == _full_search_constant(omega, tau, K), (
+                omega, tau, K)
+            w = np.array(omega)
+            j = int(np.argmax(np.abs(w)))
+            records += freqlib._record_prefixes(w, j, K) is not None
+        # both branches are compared: the records and the all-prefix fallback
+        assert 0.3 * len(cases) < records < 0.9 * len(cases)
+
+    def test_golden_at_pipeline_cutoffs_matches_full_prefix_search(self):
+        omega = golden_frequency(2).omega
+        for K in (270, 382, 493, 2700, 8536, 26992, 85355):
+            for tau in (0.5, 1.0, 2.0):
+                cert = diophantine_constant(Frequency(omega), tau, K)
+                assert (cert.gamma_K, cert.attained_k) == _full_search_constant(omega, tau, K)
+
+    @given(
+        a=st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
+        b=st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
+        K=st.integers(min_value=1, max_value=2000),
+        tau=st.floats(min_value=0.0, max_value=3.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_d2_matches_full_prefix_search_hypothesis(self, a, b, K, tau):
+        omega = (a, b) if (a, b) != (0.0, 0.0) else (1.0, b)
+        cert = diophantine_constant(Frequency(omega), tau, K)
+        assert (cert.gamma_K, cert.attained_k) == _full_search_constant(omega, tau, K)
 
     @given(
         w2=st.floats(min_value=0.1, max_value=10.0, allow_nan=False),
