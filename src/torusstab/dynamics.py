@@ -59,27 +59,31 @@ def ballistic_bound(H, threshold, radius):
 
 def _midpoint_step(field, z, dt):
     """One implicit-midpoint step on a batch of z = [theta | I]; returns the new z.
-    A fixed-point iterate that is not finite raises NumericalFault at once."""
-    w = z
+    The increment u = (dt/2) field(z + u) is iterated from u = 0 until it moves
+    by at most FIXED_POINT_TOL, and the step returns z + 2u.  The test is on u,
+    not on the iterate z + u, whose theta rounds coarser than the tolerance
+    once |theta| >= 512 and could straddle a rounding boundary for ever.
+    An increment that is not finite raises NumericalFault at once."""
+    w, u = z, 0.0
     for sweep in range(1, MAX_SWEEPS + 1):
-        y = field(w)
-        y *= 0.5 * dt
-        y += z
-        delta = np.abs(y - w).max()
-        w = y
+        v = field(w)
+        v *= 0.5 * dt
+        delta = np.abs(v - u).max()
+        u = v
         if delta <= FIXED_POINT_TOL:
             break
         if not math.isfinite(delta):
             raise NumericalFault(
                 f"fixed-point iterate {sweep} is not finite: the step diverged"
             )
+        w = z + u
     else:
         raise NumericalFault(
             f"fixed-point iteration did not reach {FIXED_POINT_TOL:.1e} in {MAX_SWEEPS} sweeps"
         )
-    w *= 2.0
-    w -= z
-    return w
+    u *= 2.0
+    u += z
+    return u
 
 
 def _split(H):

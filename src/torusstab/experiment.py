@@ -223,12 +223,17 @@ def sweep(config, csv_path=None):
 
 
 def _sweep_row(config, H, omega, hc, rho, dt):
-    pred = predicted_stability_time(rho, hc, config.tau)
-    t_pred = pred.t_theorem
+    """One sweep row.  A dynamics-only row's t_pred is the headline shape; a
+    pipeline row's is its report's prediction, and nan where the pipeline
+    gave none (a failed schedule or stage), so that its default cap is
+    max_steps * dt."""
     flags = "dynamics-only" if config.dynamics_only else "-"
     contraction = math.nan
     error = ""
-    if not config.dynamics_only:
+    if config.dynamics_only:
+        t_pred = predicted_stability_time(rho, hc, config.tau).t_theorem
+    else:
+        t_pred = math.nan
         try:
             report = run_pipeline(H, omega, config.gamma, config.tau, hc, rho)
             if report.gates:  # none for an integrable H
@@ -243,7 +248,9 @@ def _sweep_row(config, H, omega, hc, rho, dt):
             error = str(exc)
     t_cap = config.t_cap
     if t_cap is None:
-        t_cap = min(t_pred, config.max_steps * dt)
+        t_cap = config.max_steps * dt
+        if not math.isnan(t_pred):  # min(nan, x) is nan
+            t_cap = min(t_pred, t_cap)
     try:
         record = escape_time(
             H,

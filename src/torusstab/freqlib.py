@@ -89,11 +89,10 @@ def _record_prefixes(w, j, K):
     return qs if (q_prev + q) * (K + 2) <= 2**50 else None
 
 
-def _prefix_blocks(w, j, K):
+def _prefix_blocks(w, j, K, qs):
     """Every k in Z^d with k_j = 0 and |k|_1 <= K, as (n, d) arrays of at most
-    PREFIX_BLOCK rows; for d = 2 only k_i = q at the record prefixes q, if any."""
+    PREFIX_BLOCK rows; only k_i = q at the record prefixes qs, if given."""
     d = len(w)
-    qs = _record_prefixes(w, j, K) if d == 2 else None
     if qs is not None:
         block = np.zeros((len(qs), 2), dtype=np.int64)
         block[:, 1 - j] = qs
@@ -115,14 +114,24 @@ def _check_tau(tau):
         raise ValueError(f"tau must be finite and >= 0, got {tau!r}")
 
 
-def _smallest(ks, w, tau):
+def _exact_dots(ks, w):
+    """omega.k for each row of ks, rounded once from the exact values of the
+    floats omega: integers over their largest denominator, a power of two."""
+    ratios = [v.as_integer_ratio() for v in w.tolist()]
+    scale = max(den for _, den in ratios)
+    nums = np.array([num * (scale // den) for num, den in ratios], dtype=object)
+    return np.array([dot / scale for dot in (ks.astype(object) @ nums).tolist()], dtype=float)
+
+
+def _smallest(ks, w, tau, exact=False):
     """(gamma, k): the least |omega.k| |k|_1^tau over the nonzero rows of ks, taken
     at their representatives (first nonzero entry positive); ties go to the
-    lexicographically smallest representative."""
+    lexicographically smallest representative.  omega.k is a float dot
+    product, or with `exact` the exact value rounded once."""
     first = ks[np.arange(len(ks)), np.argmax(ks != 0, axis=1)]
     ks = ks[first != 0] * np.sign(first[first != 0])[:, None]
     norms = np.abs(ks).sum(axis=1).astype(float)
-    values = np.abs(ks @ w) * norms**tau
+    values = np.abs(_exact_dots(ks, w) if exact else ks @ w) * norms**tau
     tied = ks[values == values.min()]
     return float(values.min()), tied[np.lexsort(tied.T[::-1])[0]]
 
@@ -151,10 +160,14 @@ def diophantine_constant(freq, tau, K):
     (2uK |omega_j| in the dot product, a few u relative in the power and the
     product).  Otherwise alpha is rational or nearly so, and every prefix is
     tried: for omega = (5, 2), tau = 0, K = 4 the minimiser (1, -3) sits at 3,
-    not a convergent denominator of 2/5.  One sign per prefix is enough: the
-    window of -q mirrors that of q exactly, and k and -k share a representative.
-    So the d = 2 result is bit-identical to the search over all 2K + 1 prefixes,
-    as the tests check on thousands of cases.
+    not a convergent denominator of 2/5.  There omega.k is evaluated exactly,
+    from the floats' integer ratios, and rounded once: a float dot product can
+    round a tiny |omega.k| to zero, and for omega = (-0.5, -0.7000000000000001),
+    tau = 1, K = 569 it certified gamma_K = 0.0 at (35, -25), where the exact
+    minimum is 4.0e-15 at (7, -5).  One sign per prefix is enough: the window
+    of -q mirrors that of q exactly, and k and -k share a representative.  So
+    the record prefixes give the bits of the float search over all 2K + 1
+    prefixes, as the tests check on thousands of cases.
     """
     try:
         K = operator.index(K)  # numpy integers pass; 10.7, inf and '12' do not
@@ -167,7 +180,9 @@ def diophantine_constant(freq, tau, K):
     units = np.eye(freq.d, dtype=np.int64)
     # exact: units @ w == w and 1**tau == 1
     gamma, k = float(np.abs(w).min()), units[0]
-    for prefixes in _prefix_blocks(w, j, K):
+    qs = _record_prefixes(w, j, K) if freq.d == 2 else None
+    exact = freq.d == 2 and qs is None
+    for prefixes in _prefix_blocks(w, j, K, qs):
         room = K - np.abs(prefixes).sum(axis=1)
         root = -(prefixes @ w) / w[j]
         half = gamma / abs(w[j])
@@ -180,5 +195,5 @@ def diophantine_constant(freq, tau, K):
         ks[:, j] = lo[rows] + np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
         # the unit vectors ride along so that ks @ w never has a single row, for
         # which numpy takes a vector dot product that can round differently
-        gamma, k = _smallest(np.vstack([units, k, ks]), w, tau)
+        gamma, k = _smallest(np.vstack([units, k, ks]), w, tau, exact)
     return DiophantineCertificate(float(tau), K, gamma, tuple(int(v) for v in k))

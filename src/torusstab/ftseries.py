@@ -13,9 +13,12 @@ Each (k, m) is packed into one int64 key (Kronecker substitution in a mixed
 radix from the columns' ranges; a ValueError names the spans if a key could
 reach 2^63); n terms are merged by one sort of the distinct values
 key * n + row, in the keys' stable order (a stable argsort where key * n
-could pass 2^63).  A Poisson bracket is one pass over the term pairs: the
-sum of a pair's keys, less the place value of m_i, takes its axis-i entry
-with an exact integer weight, and zero-weight entries are dropped.
+could pass 2^63), and each key's terms are summed left to right, so one
+merge of several parts gives the bits of adding them one by one.  A row
+subset of a series is canonical as it stands.  A Poisson bracket is one
+pass over the term pairs: the sum of a pair's keys, less the place value of
+m_i, takes its axis-i entry with an exact integer weight, and zero-weight
+entries are dropped.
 A real-valued series satisfies c_{-k,m} = conj(c_{k,m}) for every stored
 term.
 
@@ -89,6 +92,10 @@ class FourierTaylorSeries:
         keep = C != 0
         if not keep.all():
             K, M, C = K[keep], M[keep], C[keep]
+        self._lock(d, K, M, C)
+
+    def _lock(self, d, K, M, C):
+        """Store canonical terms as they are, the arrays locked."""
         for a in (K, M, C):
             a.flags.writeable = False
         self.d, self.K, self.M, self.C = d, K, M, C
@@ -282,8 +289,11 @@ class FourierTaylorSeries:
         return self._rows(keep(*self._orders(), self.C))
 
     def _rows(self, index):
-        """Sub-series of the terms at a boolean mask or sorted row indices."""
-        return self._of(self.d, self.K[index], self.M[index], self.C[index])
+        """Sub-series of the terms at a boolean mask or sorted row indices;
+        rows of canonical terms are canonical, so they are only locked."""
+        out = FourierTaylorSeries.__new__(FourierTaylorSeries)
+        out._lock(self.d, self.K[index], self.M[index], self.C[index])
+        return out
 
     def masses(self, weight=None):
         """|c| weight(|k|_1, |m|_1) of every term; weight receives arrays and
@@ -321,9 +331,14 @@ class FourierTaylorSeries:
 
     def is_real(self, tol=1e-12):
         """Check c_{-k,m} = conj(c_{k,m}) up to tol relative to the total mass."""
-        # c_{k,m} - conj(c_{-k,m}) at every key of the series or its mirror
-        _, _, gap = _merge((self.K, self.M, self.C), (-self.K, self.M, -self.C.conj()))
-        return not np.any(np.abs(gap) > tol * self.mass())
+        # each term's mirror (-k, m) looked up among the sorted keys of the
+        # terms, packed in one radix with the mirrors' keys
+        n = len(self)
+        (keys,), _, _, _ = _pack((np.concatenate([self.K, -self.K]), np.vstack([self.M] * 2)))
+        at = np.searchsorted(keys[:n], keys[n:]).clip(max=n - 1)
+        mirror = np.where(keys[at] == keys[n:], self.C[at].conj(), 0)
+        # c_{k,m} - conj(c_{-k,m}), which is c_{k,m} without a mirror term
+        return not np.any(np.abs(self.C - mirror) > tol * self.mass())
 
     # -- serialization --------------------------------------------------------
 
@@ -395,29 +410,45 @@ def _pack(*operands, below=0):
     sum's minimum, so a sum's key less `below` m_i place values still
     unpacks.  Returns the keys per operand and the place values, spans and
     lowest entries that unpack a sum's key."""
-    rows = [np.hstack([K, M]) for K, M in operands]
-    width = rows[0].shape[1]
-    lows = [r.min(axis=0).tolist() if len(r) else [0] * width for r in rows]
-    highs = [r.max(axis=0).tolist() if len(r) else [0] * width for r in rows]
-    lows[0][width // 2 :] = [v - below for v in lows[0][width // 2 :]]
-    lo = [sum(v) for v in zip(*lows)]
+    # each operand as its (2d, n) digit columns: a reduction along a row is
+    # several times faster than one down a column of the (n, 2d) rows
+    digits = []
+    for K, M in operands:
+        d = K.shape[1]
+        D = np.empty((2 * d, len(K)), dtype=np.int64)
+        D[:d], D[d:] = K.T, M.T
+        digits.append(D)
+    width = len(digits[0])
+    lows = [D.min(axis=1) if D.shape[1] else np.zeros(width, np.int64) for D in digits]
+    highs = [D.max(axis=1).tolist() if D.shape[1] else [0] * width for D in digits]
+    lows[0][width // 2 :] -= below
+    lo = [sum(v) for v in zip(*(low.tolist() for low in lows))]
     hi = [sum(v) for v in zip(*highs)]
-    spans = [h - l + 1 for l, h in zip(lo, hi)]
-    if math.prod(spans) >= 1 << 63 or min(lo) < -(1 << 63) or max(hi) >= 1 << 63:
+    # spans and place values from the last column on, in Python ints
+    spans, places, total = [0] * width, [0] * width, 1
+    for j in reversed(range(width)):
+        spans[j], places[j] = hi[j] - lo[j] + 1, total
+        total *= spans[j]
+    if total >= 1 << 63 or min(lo) < -(1 << 63) or max(hi) >= 1 << 63:
         raise ValueError(f"(k, m) keys overflow int64: column spans {spans}")
-    places = np.array([math.prod(spans[j + 1 :]) for j in range(width)])
+    places = np.array(places)
     # each digit times its place is below prod(spans) < 2^63, so is their sum
-    keys = [(r - low) @ places for r, low in zip(rows, lows)]
+    keys = []
+    for D, low in zip(digits, lows):
+        D -= low[:, None]
+        keys.append(places @ D)
     return keys, places, np.array(spans), lo
 
 
-def _sort_sum(keys, C, spans):
+def _sort_sum(keys, C, spans, fold=False):
     """Stably sort terms by key and sum repeated keys, each key's terms in
     input order; returns the input row of every distinct key, the distinct
-    keys in order and their sums.  The keys, all in [0, prod(spans)), are
-    overwritten by the n distinct values key * n + row, so any sort of them
-    gives the stable order; where the values could pass 2^63 - 1, a stable
-    argsort of the keys runs instead."""
+    keys in order and their sums.  The sums are np.add.reduceat's, or with
+    `fold` the left-to-right ((x0 + x1) + x2) + ... of a chain of `+`, which
+    reduceat rounds otherwise from three terms on.  The keys, all in
+    [0, prod(spans)), are overwritten by the n distinct values key * n + row,
+    so any sort of them gives the stable order; where the values could pass
+    2^63 - 1, a stable argsort of the keys runs instead."""
     n = len(C)
     if math.prod(spans.tolist()) * n <= 1 << 63:
         keys *= n
@@ -433,16 +464,32 @@ def _sort_sum(keys, C, spans):
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     starts = np.flatnonzero(first)
     if len(starts) < len(C):
-        keys, C = keys[starts], np.add.reduceat(C, starts)
+        keys = keys[starts]
+        C = _fold(C, starts) if fold else np.add.reduceat(C, starts)
     return order[starts], keys, C
+
+
+def _fold(C, starts):
+    """The sum of each run C[starts[j] : starts[j + 1]], left to right: one
+    addition per run at each offset that some run reaches."""
+    sums = C[starts]
+    lengths = np.diff(starts, append=len(C))
+    runs = np.flatnonzero(lengths > 1)
+    offset = 1
+    while len(runs):
+        sums[runs] += C[starts[runs] + offset]
+        offset += 1
+        runs = runs[lengths[runs] > offset]
+    return sums
 
 
 def _merge(*parts):
     """Concatenate (K, M, C) term arrays, sort the terms by (k, m) and sum
-    repeated keys."""
+    repeated keys, each key's terms left to right in input order: merging
+    parts at once gives the bits of adding them one by one."""
     K, M, C = (np.concatenate(a) for a in zip(*parts))
     (keys,), _, spans, _ = _pack((K, M))
-    rows, _, C = _sort_sum(keys, C, spans)
+    rows, _, C = _sort_sum(keys, C, spans, fold=True)
     return K[rows], M[rows], C
 
 

@@ -14,7 +14,9 @@ CHOP_SHARE e^{-K sigma/6} |||f|||_{sigma,rho}, and, before each bracket
 {X, chi} is formed, the rows of X whose a-priori bounds on their share of
 |||{X, chi}||| sum to no more than that chop (truncated multiplication, as
 in Poisson-series processors).  The skipped rows of one bracket together
-weigh no more than one chopped term; lie_transform gives the bound.
+weigh no more than one chopped term; lie_transform gives the bound.  As in
+those processors, the terms of a Lie series are accumulated and merged into
+one result once, not re-sorted after every order.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .errors import NumericalFault, PreconditionError
 from .errors import require_at_least, require_positive, require_real
-from .ftseries import TWO_PI, AnalyticityWidths, FourierTaylorSeries, linear_frequency
+from .ftseries import TWO_PI, AnalyticityWidths, FourierTaylorSeries, _merge, linear_frequency
 
 DIVISOR_FLOOR = 1e-12
 # bracket growth between consecutive Lie-series orders taken as divergence
@@ -169,6 +171,10 @@ def lie_transform(H, chi, order=6, widths=None, chop=0.0):
     n!, and the divergence test sees each bracket's mass plus its skipped
     sum.  A bracket with no row left is not formed, and the series stops
     there with tail 0, as when the chop removes a whole bracket.
+
+    H and the kept brackets, each scaled by 1/n!, are merged once at the
+    end; the merge sums each key's terms in that order, left to right, so
+    the result has the bits of adding the orders one by one.
     """
     require_at_least(1, order=order)
     require_at_least(0, chop=chop)
@@ -178,7 +184,7 @@ def lie_transform(H, chi, order=6, widths=None, chop=0.0):
         bound = _row_bound(chi, widths)
         masses = H.masses(weight)
 
-    result = H
+    parts = [(H.K, H.M, H.C)]
     bracket = H
     dropped = 0.0
     prev_mass = None
@@ -209,10 +215,14 @@ def lie_transform(H, chi, order=6, widths=None, chop=0.0):
             )
         prev_mass = grown
         fact *= n
-        result = result + bracket * (1.0 / fact)
+        if bracket:
+            parts.append((bracket.K, bracket.M, bracket.C * (1.0 / fact)))
         tail = mass / fact
         if mass == 0.0:
             break
+    # one merge of H and the scaled brackets, each key's terms summed in that
+    # order: the bits of adding the orders one by one
+    result = FourierTaylorSeries._of(H.d, *_merge(*parts)) if len(parts) > 1 else H
     return LieResult(series=result, tail_mass=tail, dropped_mass=dropped)
 
 
@@ -255,11 +265,11 @@ def resonant_normal_form(H, params):
     chop = CHOP_SHARE * target * f0_norm
 
     current = H
+    f_star = f0
     iterations = 0
     dropped = 0.0
     previous = math.inf
     while True:
-        f_star = current.fourier_nonzero_part()
         f_nr = f_star.select(lambda nk, nm, c: (nk > 0) & (nk <= K))
         star_norm = f_star.weighted_norm(inner) + dropped
         contraction = star_norm / f0_norm if f0_norm > 0.0 else 0.0
@@ -278,6 +288,7 @@ def resonant_normal_form(H, params):
         chi = solve_homological(f_nr, omega)
         lie = lie_transform(current, chi, widths=widths, chop=chop)
         current = lie.series
+        f_star = current.fourier_nonzero_part()
         dropped += lie.dropped_mass + lie.tail_mass
         iterations += 1
 

@@ -138,6 +138,28 @@ class TestIntegrate:
         with pytest.raises(NumericalFault, match="did not reach 1.0e-13 in 50 sweeps"):
             integrate(H, ((0.1, 0.2), (1.0, 0.1)), t_end=2.0, dt=2.0)
 
+    def test_midpoint_step_converges_on_the_increment_near_theta_1024(self):
+        # one ulp of theta is 2.3e-13 > FIXED_POINT_TOL from 1024 on; this
+        # contracting field with slope -1/4 per sweep puts the fixed point
+        # 0.6 ulp above theta = 1024, so the iterate theta alternates between
+        # its two neighbours for ever, while the increment settles within
+        # 0.25 ulp = 5.7e-14 on the second sweep
+        ulp = math.ulp(1024.0)
+        centre = 1024.0 + 3 * ulp
+        calls = []
+
+        def field(w):
+            calls.append(w.copy())
+            out = np.zeros_like(w)
+            out[:, 0] = -0.5 * (w[:, 0] - centre)
+            return out
+
+        z = np.array([[1024.0, 0.25]])
+        new = _midpoint_step(field, z, 1.0)
+        assert len(calls) == 2
+        assert new.tolist() == [[1024.0 + ulp, 0.25]]
+        assert z.tolist() == [[1024.0, 0.25]]
+
     @pytest.mark.parametrize(
         "t_end, dt, record_every, name",
         [

@@ -233,6 +233,29 @@ class TestSweep:
         assert name == "s_in_range" and float(ratio) > 1.0
         assert read_sweep_csv(csv)[0].error == row.error
 
+    def test_failed_schedule_row_has_no_predicted_time(self, monkeypatch, tmp_path):
+        # amplitude 1e-8 puts s out of range at rho = 1e-3: the pipeline gives
+        # no prediction, so the row's t_pred is nan, not the headline shape,
+        # and the default cap is max_steps dt
+        caps = []
+        original = experiment.escape_time
+
+        def spy(*args, **kwargs):
+            caps.append(kwargs["t_cap"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "escape_time", spy)
+        cfg = ExperimentConfig(
+            rho_list=(1e-3,), amplitude=1e-8, dynamics_only=False, max_steps=10, n_samples=2
+        )
+        csv = tmp_path / "sweep.csv"
+        (row,) = sweep(cfg, csv_path=csv)
+        assert row.error == "failed gates: s_in_range"
+        assert math.isnan(row.t_pred)
+        dt = default_dt(build_test_hamiltonian(HC65, seed=0, amplitude=1e-8))
+        assert caps == [10 * dt] and row.t_cap == caps[0]
+        assert math.isnan(read_sweep_csv(csv)[0].t_pred)
+
     def test_integrable_row_has_no_flags(self, tmp_path):
         # amplitude 0 leaves H = omega.I: nothing to certify, so no schedule
         cfg = ExperimentConfig(

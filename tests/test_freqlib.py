@@ -1,6 +1,7 @@
 """Frequency vectors and exact non-resonance certificates."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,12 +33,29 @@ def _lattice_half_ball(d, K):
     return ks[first_nonzero_sign > 0]
 
 
+def _exact_fallback(omega, K):
+    """True where the search evaluates omega.k exactly: d = 2 and no record
+    prefixes (the ratio is within rounding of a fraction of denominator <= 2K)."""
+    w = np.asarray(omega, dtype=float)
+    return len(w) == 2 and freqlib._record_prefixes(w, int(np.argmax(np.abs(w))), K) is None
+
+
+def _exact_dot(omega, k):
+    """|omega.k| over the exact values of the floats omega, rounded once."""
+    return float(abs(sum(Fraction(o) * int(v) for o, v in zip(omega, k))))
+
+
 def _reference_constant(omega, tau, K):
     """Reference gamma_K and minimiser by brute force over the half ball; np.argmin
-    returns the first minimiser, the lexicographically smallest on ties."""
+    returns the first minimiser, the lexicographically smallest on ties.  omega.k
+    is exact, rounded once, where the search evaluates it so."""
     ks = _lattice_half_ball(len(omega), K)
     norms = np.abs(ks).sum(axis=1).astype(float)
-    values = np.abs(ks @ np.asarray(omega, dtype=float)) * norms**tau
+    if _exact_fallback(omega, K):
+        dots = np.array([_exact_dot(omega, k) for k in ks.tolist()])
+    else:
+        dots = np.abs(ks @ np.asarray(omega, dtype=float))
+    values = dots * norms**tau
     i = int(np.argmin(values))
     return float(values[i]), tuple(int(v) for v in ks[i])
 
@@ -67,10 +85,17 @@ def _exactness_cases(n, seed):
 
 
 def _full_search_constant(omega, tau, K):
-    """(gamma_K, k) from the search over every prefix in [-K, K]: the record
-    prefixes switched off, so the oracle is the search they replace."""
+    """(gamma_K, k) from the search over every prefix: where there are record
+    prefixes, all of 1..K take their place (one sign per prefix suffices), so
+    the oracle is the float search they replace; where there are none, the
+    search already tries every prefix, with omega.k exact."""
+    records = freqlib._record_prefixes
+
+    def every_prefix(w, j, K):
+        return None if records(w, j, K) is None else list(range(1, K + 1))
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(freqlib, "_record_prefixes", lambda *args: None)
+        mp.setattr(freqlib, "_record_prefixes", every_prefix)
         cert = diophantine_constant(Frequency(omega), tau, K)
     return cert.gamma_K, cert.attained_k
 
@@ -224,6 +249,16 @@ class TestDiophantineConstant:
             j = int(np.argmax(np.abs(w)))
             assert freqlib._record_prefixes(w, j, K) is None, omega
 
+    def test_fallback_evaluates_omega_dot_k_exactly(self):
+        # the float dot product of (35, -25) rounds to 0.0; over the exact
+        # values of these floats it is 1.7e-15, and the minimum is at (7, -5)
+        omega = (-0.5, -0.7000000000000001)
+        cert = diophantine_constant(Frequency(omega), 1.0, 569)
+        exact = Fraction(omega[0]) * 7 + Fraction(omega[1]) * -5
+        assert cert.attained_k == (7, -5)
+        assert cert.gamma_K == float(abs(exact)) * 12.0 == 3.9968028886505635e-15
+        assert _exact_fallback(omega, 569)
+
     def test_intermediate_fraction_minimiser(self):
         # 3 is an intermediate denominator of 2/5, not a convergent one, and
         # (1, -3) ties (1, -2) at |omega.k| = 1 and wins the tie-break
@@ -272,12 +307,14 @@ class TestDiophantineConstant:
         freq = Frequency((1.0, w2))
         cert = diophantine_constant(freq, tau, K)
         # brute force over the full (unhalved) punctured ball
+        exact = _exact_fallback((1.0, w2), K)
         best = math.inf
         for k1 in range(-K, K + 1):
             for k2 in range(-K, K + 1):
                 n = abs(k1) + abs(k2)
                 if 0 < n <= K:
-                    best = min(best, abs(k1 + w2 * k2) * n**tau)
+                    dot = _exact_dot((1.0, w2), (k1, k2)) if exact else abs(k1 + w2 * k2)
+                    best = min(best, dot * n**tau)
         assert cert.gamma_K == pytest.approx(best, rel=1e-12, abs=1e-300)
         if K > 1:
             prev = diophantine_constant(freq, tau, K - 1)

@@ -1,6 +1,8 @@
 """Sparse Fourier-Taylor algebra: arithmetic, calculus, norms, serialization."""
 
+import functools
 import math
+import operator
 import sys
 
 import numpy as np
@@ -452,9 +454,11 @@ class TestArrayStore:
         assert f.is_real(tol=tol) == expected
 
 
-def lexsort_merge(*parts):
+def lexsort_merge(*parts, fold=True):
     """Reference canonicaliser: a four-key lexsort of the (k, m) columns and
-    a row-wise key comparison, with the same stable order of repeated keys."""
+    a row-wise key comparison, with the same stable order of repeated keys,
+    summed by Python's left-to-right `+` (a merge) or, with fold=False, by
+    np.add.reduceat (a bracket)."""
     K, M, C = (np.concatenate(a) for a in zip(*parts))
     KM = np.hstack([K, M])
     order = np.lexsort(KM.T[::-1])
@@ -463,7 +467,11 @@ def lexsort_merge(*parts):
     first[1:] = np.any(KM[1:] != KM[:-1], axis=1)
     starts = np.flatnonzero(first)
     if len(starts) < len(C):
-        C = np.add.reduceat(C, starts)
+        if fold:
+            C = np.array([functools.reduce(operator.add, run.tolist())
+                          for run in np.split(C, starts[1:])], dtype=complex)
+        else:
+            C = np.add.reduceat(C, starts)
     rows = order[starts]
     return K[rows], M[rows], C
 
@@ -496,13 +504,31 @@ def lexsort_bracket(f, g):
             nz = w != 0
             e_i = np.eye(d, dtype=np.int64)[i]
             parts.append((pair_K[nz], pair_M[nz] - e_i, pair_C[nz] * w[nz]))
-        K, M, C = lexsort_merge(*parts)
+        K, M, C = lexsort_merge(*parts, fold=False)
     return FourierTaylorSeries._of(d, K, M, C * (TWO_PI * 1j))
 
 
 def lexsort_is_real(f, tol):
     _, _, gap = lexsort_merge(arrays(f), (-f.K, f.M, -f.C.conj()))
     return not np.any(np.abs(gap) > tol * f.mass())
+
+
+def merge_is_real(f, tol):
+    """is_real as one merge defines it: c_{k,m} - conj(c_{-k,m}) at every key
+    of f or of its mirror."""
+    _, _, gap = ftseries._merge(arrays(f), (-f.K, f.M, -f.C.conj()))
+    return not np.any(np.abs(gap) > tol * f.mass())
+
+
+@st.composite
+def shared_key_parts(draw):
+    """Three to six series over one pool of keys; a part may be the negated
+    running sum of the parts before it, so that every key cancels exactly."""
+    parts = [draw(pooled_series()) for _ in range(2)]
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        cancel = draw(st.booleans())
+        parts.append(-functools.reduce(operator.add, parts) if cancel else draw(pooled_series()))
+    return parts
 
 
 def assert_same_terms(got, want):
@@ -615,6 +641,45 @@ class TestPackedKeys:
         half = FourierTaylorSeries.cosine(D, (1 << 30, 1 << 30))
         with pytest.raises(ValueError, match=r"column spans \[4294967297, 4294967297, 2, 2\]"):
             half.poisson_bracket(half)
+
+
+class TestOneMerge:
+    """A merge of several parts sums each key's terms in input order, left
+    to right, as a chain of `+` does; rows of a series stay canonical."""
+
+    @given(parts=shared_key_parts())
+    @example(parts=[
+        FourierTaylorSeries(D, {((1, 0), (0, 0)): c}) for c in (1.0, 1e-17, -1.0, 3.0)
+    ])
+    @settings(max_examples=80, deadline=None)
+    def test_merge_equals_adding_the_parts_in_order(self, parts):
+        merged = FourierTaylorSeries._of(D, *ftseries._merge(*map(arrays, parts)))
+        folded = functools.reduce(operator.add, parts)
+        assert_same_terms(arrays(merged), arrays(folded))
+
+    @given(
+        f=pooled_series(),
+        kind=st.sampled_from(["real", "near-real", "complex"]),
+        tol=st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 0.5]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_is_real_matches_merge_definition(self, f, kind, tol):
+        if kind == "real":
+            f = f + mirror(f)
+        elif kind == "near-real":
+            f = f + mirror(f) * (1.0 + 2.0**-40)
+        assert f.is_real(tol=tol) == merge_is_real(f, tol)
+
+    @given(f=pooled_series(), nk_max=st.integers(0, 4), nm_min=st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_select_rows_are_canonical(self, f, nk_max, nm_min):
+        g = f.select(lambda nk, nm, c: (nk <= nk_max) & (nm >= nm_min))
+        assert not any(a.flags.writeable for a in (g.K, g.M, g.C))
+        keys = [tuple(k + m) for k, m in zip(g.K.tolist(), g.M.tolist())]
+        assert keys == sorted(set(keys))
+        assert np.all(g.C != 0)
+        kept = {(k, m): c for (k, m), c in f.items() if l1(k) <= nk_max and sum(m) >= nm_min}
+        assert g == FourierTaylorSeries(D, kept)
 
 
 class TestSerialization:

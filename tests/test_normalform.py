@@ -173,6 +173,31 @@ class TestLieTransform:
         # what survives at |k| <= 1 is the order-1 piece of {f, chi}, O(eps^2)
         assert low.mass() <= 1e-5 * f.mass()
 
+    @given(terms=COSINES, chi_terms=COSINES, order=st.integers(1, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_one_merge_equals_adding_orders_one_by_one(self, terms, chi_terms, order):
+        # H + {H, chi}/1! + {{H, chi}, chi}/2! + ..., each order added to the
+        # running sum in turn: the single merge gives the same bits
+        def real(cosines):
+            return sum(
+                (FourierTaylorSeries.cosine(D, k, m=m, amplitude=a, phase=p)
+                 for k, m, a, p in cosines),
+                FourierTaylorSeries(D),
+            )
+
+        H = FourierTaylorSeries.linear(OMEGA) + real(terms)
+        chi = real(chi_terms) * 1e-2
+        expected, bracket, fact = H, H, 1.0
+        for n in range(1, order + 1):
+            bracket = bracket.poisson_bracket(chi)
+            fact *= n
+            expected = expected + bracket * (1.0 / fact)
+            if not bracket:
+                break
+        got = lie_transform(H, chi, order=order).series
+        for a, b in zip((got.K, got.M, got.C), (expected.K, expected.M, expected.C)):
+            assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
     def test_oversized_generator_diverges(self):
         # a generator 1e6 times the homological solution makes each bracket
         # about 2e3 times the last
