@@ -89,10 +89,11 @@ def _record_prefixes(w, j, K):
     return qs if (q_prev + q) * (K + 2) <= 2**50 else None
 
 
-def _prefix_blocks(w, j, K, qs):
+def _prefix_blocks(w, j, K):
     """Every k in Z^d with k_j = 0 and |k|_1 <= K, as (n, d) arrays of at most
-    PREFIX_BLOCK rows; only k_i = q at the record prefixes qs, if given."""
+    PREFIX_BLOCK rows; for d = 2 only k_i = q at the record prefixes q, if any."""
     d = len(w)
+    qs = _record_prefixes(w, j, K) if d == 2 else None
     if qs is not None:
         block = np.zeros((len(qs), 2), dtype=np.int64)
         block[:, 1 - j] = qs
@@ -123,15 +124,25 @@ def _exact_dots(ks, w):
     return np.array([dot / scale for dot in (ks.astype(object) @ nums).tolist()], dtype=float)
 
 
-def _smallest(ks, w, tau, exact=False):
+def _smallest(ks, w, tau):
     """(gamma, k): the least |omega.k| |k|_1^tau over the nonzero rows of ks, taken
     at their representatives (first nonzero entry positive); ties go to the
-    lexicographically smallest representative.  omega.k is a float dot
-    product, or with `exact` the exact value rounded once."""
+    lexicographically smallest representative.  omega.k is the exact value
+    rounded once.  The float dot products bound every value, and only the rows
+    whose lower bound reaches the least upper bound are evaluated exactly."""
     first = ks[np.arange(len(ks)), np.argmax(ks != 0, axis=1)]
     ks = ks[first != 0] * np.sign(first[first != 0])[:, None]
-    norms = np.abs(ks).sum(axis=1).astype(float)
-    values = np.abs(_exact_dots(ks, w) if exact else ks @ w) * norms**tau
+    sizes = np.abs(ks)
+    powers = sizes.sum(axis=1).astype(float) ** tau
+    dots = np.abs(ks @ w)
+    # a d-term dot product errs by at most gamma_d sum |k_i omega_i|, plus a
+    # few 2^-1075 where it underflows; both margins are generous
+    slack = (len(w) + 2) * 2.0**-52 * (sizes @ np.abs(w)) + 2.0**-1060
+    lower = np.maximum(dots - slack, 0.0) * powers * (1 - 2.0**-48)
+    upper = (dots + slack) * powers * (1 + 2.0**-48)
+    near = lower <= upper.min()
+    ks = ks[near]
+    values = np.abs(_exact_dots(ks, w)) * powers[near]
     tied = ks[values == values.min()]
     return float(values.min()), tied[np.lexsort(tied.T[::-1])[0]]
 
@@ -156,18 +167,21 @@ def diophantine_constant(freq, tau, K):
     convergent denominator of alpha (Khinchin, Continued Fractions, ch. II):
     O(log K) prefixes.  Rounding cannot reorder them either when every r <= 2K
     has ||r alpha|| > 8u(K + 2) (u = 2^-53): then |omega.k| - |omega.k'| >=
-    |omega_j| ||(p -+ q) alpha|| outgrows the float error of both F values
-    (2uK |omega_j| in the dot product, a few u relative in the power and the
-    product).  Otherwise alpha is rational or nearly so, and every prefix is
-    tried: for omega = (5, 2), tau = 0, K = 4 the minimiser (1, -3) sits at 3,
-    not a convergent denominator of 2/5.  There omega.k is evaluated exactly,
-    from the floats' integer ratios, and rounded once: a float dot product can
-    round a tiny |omega.k| to zero, and for omega = (-0.5, -0.7000000000000001),
-    tau = 1, K = 569 it certified gamma_K = 0.0 at (35, -25), where the exact
-    minimum is 4.0e-15 at (7, -5).  One sign per prefix is enough: the window
-    of -q mirrors that of q exactly, and k and -k share a representative.  So
-    the record prefixes give the bits of the float search over all 2K + 1
-    prefixes, as the tests check on thousands of cases.
+    |omega_j| ||(p -+ q) alpha|| outgrows the rounding of both F values (a few
+    u relative, so a few u |omega_j|).  Otherwise alpha is rational or nearly
+    so, and every prefix is tried: for omega = (5, 2), tau = 0, K = 4 the
+    minimiser (1, -3) sits at 3, not a convergent denominator of 2/5.  One
+    sign per prefix is enough: the window of -q mirrors that of q exactly, and
+    k and -k share a representative.  So the record prefixes give the bits of
+    the search over all 2K + 1 prefixes, as the tests check on thousands of
+    cases.
+
+    In every dimension omega.k is evaluated exactly, from the floats' integer
+    ratios, and rounded once, so each k has one value whichever prefixes are
+    tried, and gamma_K is non-increasing in K.  A float dot product can round
+    a tiny |omega.k| to zero: for omega = (-0.5, -0.7000000000000001), tau = 1,
+    K = 569 it gave gamma_K = 0.0 at (35, -25), where the exact minimum is
+    4.0e-15 at (7, -5).
     """
     try:
         K = operator.index(K)  # numpy integers pass; 10.7, inf and '12' do not
@@ -180,9 +194,7 @@ def diophantine_constant(freq, tau, K):
     units = np.eye(freq.d, dtype=np.int64)
     # exact: units @ w == w and 1**tau == 1
     gamma, k = float(np.abs(w).min()), units[0]
-    qs = _record_prefixes(w, j, K) if freq.d == 2 else None
-    exact = freq.d == 2 and qs is None
-    for prefixes in _prefix_blocks(w, j, K, qs):
+    for prefixes in _prefix_blocks(w, j, K):
         room = K - np.abs(prefixes).sum(axis=1)
         root = -(prefixes @ w) / w[j]
         half = gamma / abs(w[j])
@@ -193,7 +205,6 @@ def diophantine_constant(freq, tau, K):
         rows = np.repeat(np.arange(len(prefixes)), counts)
         ks = prefixes[rows]
         ks[:, j] = lo[rows] + np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-        # the unit vectors ride along so that ks @ w never has a single row, for
-        # which numpy takes a vector dot product that can round differently
-        gamma, k = _smallest(np.vstack([units, k, ks]), w, tau, exact)
+        # the unit vectors ride along: the first gamma may sit at another unit than k
+        gamma, k = _smallest(np.vstack([units, k, ks]), w, tau)
     return DiophantineCertificate(float(tau), K, gamma, tuple(int(v) for v in k))

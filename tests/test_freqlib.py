@@ -33,29 +33,27 @@ def _lattice_half_ball(d, K):
     return ks[first_nonzero_sign > 0]
 
 
-def _exact_fallback(omega, K):
-    """True where the search evaluates omega.k exactly: d = 2 and no record
-    prefixes (the ratio is within rounding of a fraction of denominator <= 2K)."""
-    w = np.asarray(omega, dtype=float)
-    return len(w) == 2 and freqlib._record_prefixes(w, int(np.argmax(np.abs(w))), K) is None
-
-
 def _exact_dot(omega, k):
     """|omega.k| over the exact values of the floats omega, rounded once."""
     return float(abs(sum(Fraction(o) * int(v) for o, v in zip(omega, k))))
 
 
+def _exact_dots(omega, ks):
+    """_exact_dot for each row of ks: integer numerators over the common
+    denominator of the Fractions, one correctly rounded division per row."""
+    fracs = [Fraction(o) for o in omega]
+    den = math.lcm(*(f.denominator for f in fracs))
+    nums = np.array([f.numerator * (den // f.denominator) for f in fracs], dtype=object)
+    return np.array([abs(dot) / den for dot in (ks.astype(object) @ nums).tolist()])
+
+
 def _reference_constant(omega, tau, K):
-    """Reference gamma_K and minimiser by brute force over the half ball; np.argmin
-    returns the first minimiser, the lexicographically smallest on ties.  omega.k
-    is exact, rounded once, where the search evaluates it so."""
+    """Reference gamma_K and minimiser by brute force over the half ball, omega.k
+    exact and rounded once; np.argmin returns the first minimiser, the
+    lexicographically smallest on ties."""
     ks = _lattice_half_ball(len(omega), K)
     norms = np.abs(ks).sum(axis=1).astype(float)
-    if _exact_fallback(omega, K):
-        dots = np.array([_exact_dot(omega, k) for k in ks.tolist()])
-    else:
-        dots = np.abs(ks @ np.asarray(omega, dtype=float))
-    values = dots * norms**tau
+    values = _exact_dots(omega, ks) * norms**tau
     i = int(np.argmin(values))
     return float(values[i]), tuple(int(v) for v in ks[i])
 
@@ -85,17 +83,10 @@ def _exactness_cases(n, seed):
 
 
 def _full_search_constant(omega, tau, K):
-    """(gamma_K, k) from the search over every prefix: where there are record
-    prefixes, all of 1..K take their place (one sign per prefix suffices), so
-    the oracle is the float search they replace; where there are none, the
-    search already tries every prefix, with omega.k exact."""
-    records = freqlib._record_prefixes
-
-    def every_prefix(w, j, K):
-        return None if records(w, j, K) is None else list(range(1, K + 1))
-
+    """(gamma_K, k) from the search over every prefix in [-K, K]: the record
+    prefixes switched off, so the oracle is the search they replace."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(freqlib, "_record_prefixes", every_prefix)
+        mp.setattr(freqlib, "_record_prefixes", lambda *args: None)
         cert = diophantine_constant(Frequency(omega), tau, K)
     return cert.gamma_K, cert.attained_k
 
@@ -257,7 +248,19 @@ class TestDiophantineConstant:
         exact = Fraction(omega[0]) * 7 + Fraction(omega[1]) * -5
         assert cert.attained_k == (7, -5)
         assert cert.gamma_K == float(abs(exact)) * 12.0 == 3.9968028886505635e-15
-        assert _exact_fallback(omega, 569)
+
+    def test_records_and_fallback_value_k_alike(self):
+        # 1 / 1.7 rounds to 10/17: K = 8 takes the record prefixes, K = 9 every
+        # prefix, and (5, -3) must have one value in both (its float dot
+        # product gives 0.7999999999999972, so gamma_K would rise with K)
+        w = np.array([1.0, 1.7])
+        assert freqlib._record_prefixes(w, 1, 8) is not None
+        assert freqlib._record_prefixes(w, 1, 9) is None
+        exact = float(abs(5 - 3 * Fraction(1.7))) * 8.0
+        assert exact == 0.7999999999999989
+        for K in (8, 9):
+            cert = diophantine_constant(Frequency((1.0, 1.7)), 1.0, K)
+            assert (cert.gamma_K, cert.attained_k) == (exact, (5, -3))
 
     def test_intermediate_fraction_minimiser(self):
         # 3 is an intermediate denominator of 2/5, not a convergent one, and
@@ -307,16 +310,14 @@ class TestDiophantineConstant:
         freq = Frequency((1.0, w2))
         cert = diophantine_constant(freq, tau, K)
         # brute force over the full (unhalved) punctured ball
-        exact = _exact_fallback((1.0, w2), K)
         best = math.inf
         for k1 in range(-K, K + 1):
             for k2 in range(-K, K + 1):
                 n = abs(k1) + abs(k2)
                 if 0 < n <= K:
-                    dot = _exact_dot((1.0, w2), (k1, k2)) if exact else abs(k1 + w2 * k2)
-                    best = min(best, dot * n**tau)
+                    best = min(best, _exact_dot((1.0, w2), (k1, k2)) * n**tau)
         assert cert.gamma_K == pytest.approx(best, rel=1e-12, abs=1e-300)
         if K > 1:
             prev = diophantine_constant(freq, tau, K - 1)
-            assert cert.gamma_K <= prev.gamma_K + 1e-15
+            assert cert.gamma_K <= prev.gamma_K
 
