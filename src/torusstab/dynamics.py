@@ -28,20 +28,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import NumericalFault, require_at_least, require_positive
-from .ftseries import HamiltonianVectorField, linear_frequency, theta_gradient_majorant
+from .ftseries import HamiltonianVectorField, keep_last, linear_frequency, theta_gradient_majorant
 
 FIXED_POINT_TOL = 1e-13
 MAX_SWEEPS = 50
 MAX_RECORDED_SAMPLES = 100_000
 # steps between energy-drift checks of an escape run
 ENERGY_CHECK_EVERY = 1000
-# (H, (omega, field)) of the last _split; a series is immutable, so H is the key
-_last_split = (None, None)
 
 
 def default_dt(H):
@@ -86,16 +83,13 @@ def _midpoint_step(field, z, dt):
     return u
 
 
+@keep_last
 def _split(H):
     """(omega, vector field of f) for H = omega.I + f, where omega.I is the
     k=0, |m|_1=1 part of H and f must be real to 1e-9 of its own mass.  The
-    last H object's split is kept; one that raises is not."""
-    global _last_split
-    if _last_split[0] is H:
-        return _last_split[1]
+    last H object's split is kept."""
     f = H.select(lambda nk, nm, c: (nk > 0) | (nm != 1))
-    _last_split = H, (linear_frequency(H), HamiltonianVectorField(f))
-    return _last_split[1]
+    return linear_frequency(H), HamiltonianVectorField(f)
 
 
 def _half_rotation(omega, dt):
@@ -217,7 +211,7 @@ class EscapeRecord:
         return float(np.mean(self.censored))
 
 
-@lru_cache(maxsize=1)
+@keep_last
 def _unit_draws(d, n_samples, seed):
     """Read-only (n_samples, 2d) rows of default_rng([seed, i]).random(2d)."""
     u = np.empty((n_samples, 2 * d))

@@ -237,7 +237,9 @@ def _sweep_row(config, H, omega, hc, rho, dt):
         try:
             report = run_pipeline(H, omega, config.gamma, config.tau, hc, rho)
             if report.gates:  # none for an integrable H
-                ratio, name = max((_gate_ratio(v, b), name) for name, v, b in report.gates)
+                # dominance, (3 + 2/tau)/ell, is rho-independent; a failing one raises
+                ratio, name = max((_gate_ratio(v, b), name) for name, v, b in report.gates
+                                  if name != "dominance")
                 flags = f"{name}:{ratio!r}"
             error = report.failure or ""
             if report.normal_form is not None:

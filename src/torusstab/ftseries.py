@@ -33,6 +33,7 @@ norm used by every certificate in the package.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -401,6 +402,23 @@ def linear_frequency(H):
     rows = ~H.K.any(axis=1) & (H.M.sum(axis=1) == 1)
     w[H.M[rows].argmax(axis=1)] = H.C[rows].real
     return w
+
+
+def keep_last(fn):
+    """fn, keeping its last call's arguments and result for a call that
+    repeats them.  A series argument matches only itself (held, so that its
+    id is not reused), any other by ==; a call that raises keeps nothing."""
+    last = [None, None]
+
+    @functools.wraps(fn)
+    def kept(*args, **kwargs):
+        key = [("series", id(a)) if isinstance(a, FourierTaylorSeries) else a
+               for a in (*args, *kwargs, *kwargs.values())]
+        if key != last[0]:
+            last[:] = key, fn(*args, **kwargs), args, kwargs  # held, so no id is reused
+        return last[1]
+
+    return kept
 
 
 def _pack(*operands, below=0):

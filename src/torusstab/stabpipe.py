@@ -10,20 +10,20 @@ s_in_range, dominance, gamma_K, K_sigma, smallness and contraction, in
 pipeline order.  The theory proves each bound only up to a constant it
 does not compute, so every bound and predicted time here is the theorem's
 shape with its constant set to 1: a shape, never a calibrated value.
-perturbation_of keeps the last H object's f, so a ladder of radii on one H
-computes it once; every later stage runs on each call.
+A ladder of radii on one H does its rho-independent work once (keep_last); every
+stage still runs on each call and computes its rho-dependent values afresh.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 from .errors import NumericalFault, PipelineStageError, PreconditionError
 from .errors import require_dimension, require_positive, require_real
 from .freqlib import _check_tau, diophantine_constant
-from .ftseries import AnalyticityWidths, FourierTaylorSeries, theta_gradient_majorant
+from .ftseries import AnalyticityWidths, FourierTaylorSeries, keep_last, theta_gradient_majorant
 from .normalform import XI, NormalFormParams, resonant_normal_form
 # holder_norm_majorant is looked up here by bench/layers.py
 from .smoothing import coefficient_norm_max, holder_norm_majorant, sharp_cutoff  # noqa: F401
@@ -34,8 +34,6 @@ RHO_MAX = math.exp(-6.0)
 LINEAR_PART_TOL = 1e-9
 # the gates that hold only when value < bound; the others hold at value <= bound
 _STRICT_GATES = ("rho_ok", "dominance")
-# (H, omega's values, f) of the last perturbation_of; holding H keeps its id unused
-_last_perturbation = (None, None, None)
 
 
 @dataclass(frozen=True)
@@ -77,7 +75,7 @@ class RemainderBounds:
 
     @property
     def dominant(self):
-        values = asdict(self)
+        values = vars(self)  # the three fields in order, not copied
         return max(values, key=values.get)
 
 
@@ -90,25 +88,27 @@ class StabilityPrediction:
     log_exponent: float
 
 
+@keep_last
+def _taylor_parts(f, top):
+    """(P, Z): f's terms of action orders 2..top, and of orders > top."""
+    if f and f.min_taylor_order() < 2:
+        raise PreconditionError(
+            "perturbation carries Taylor orders < 2; the torus would not be invariant"
+        )
+    P = f.select(lambda nk, nm, c: (nm >= 2) & (nm <= top))
+    return P, f.select(lambda nk, nm, c: nm > top)
+
+
 def taylor_split(f, hc, rho):
     """Split f into P (action orders 2..q-2) and the high-order tail Z.
 
     Z_bound is the angle-gradient majorant of Z on the tube of radius rho.
     Orders 0 and 1 are a model violation: the torus would not be invariant.
+    P and Z of the last f object and q are kept; Z_bound is computed on each call.
     """
     require_positive(rho=rho)
-    if f and f.min_taylor_order() < 2:
-        raise PreconditionError(
-            "perturbation carries Taylor orders < 2; the torus would not be invariant"
-        )
-    top = hc.q - 2
-    Z = f.select(lambda nk, nm, c: nm > top)
-    return TaylorSplit(
-        P=f.select(lambda nk, nm, c: (nm >= 2) & (nm <= top)),
-        Z=Z,
-        Z_bound=theta_gradient_majorant(Z, rho),
-        rho=float(rho),
-    )
+    P, Z = _taylor_parts(f, hc.q - 2)
+    return TaylorSplit(P=P, Z=Z, Z_bound=theta_gradient_majorant(Z, rho), rho=float(rho))
 
 
 def smooth_coefficients(split, s):
@@ -256,7 +256,7 @@ class PipelineReport:
             lines.append(f"nf.certified = {int(nf.certified)}")
             lines.append(f"nf.stop = {nf.stop}")
         if self.bounds is not None:
-            for name, value in asdict(self.bounds).items():
+            for name, value in vars(self.bounds).items():
                 lines.append(f"bound.{name} = {value!r}")
             lines.append(f"bound.dominant = {self.bounds.dominant}")
         if self.prediction is not None:
@@ -272,19 +272,21 @@ def perturbation_of(H, omega):
     """f of H = omega.I + f: H's terms with k != 0 or |m|_1 > 1, real to 1e-9
     of f's own mass.  The linear part must match omega to LINEAR_PART_TOL of
     H's mass; only H's k = 0, |m|_1 <= 1 terms are merged with omega.I for it.
-    The last H object's f is kept with omega's values; a call that raises keeps nothing."""
-    global _last_perturbation
-    values = tuple(getattr(omega, "omega", omega))
-    if _last_perturbation[0] is H and _last_perturbation[1] == values:
-        return _last_perturbation[2]
+    The last H object's f and omega.I are kept with omega's values (keep_last)."""
+    return _perturbation(H, tuple(getattr(omega, "omega", omega)))[0]
+
+
+@keep_last
+def _perturbation(H, values):
+    """(f, omega.I) of perturbation_of, for omega's values."""
     require_dimension(H, len(values), "frequency")
-    stray = H.select(lambda nk, nm, c: (nk == 0) & (nm <= 1)) - FourierTaylorSeries.linear(omega)
+    linear = FourierTaylorSeries.linear(values)
+    stray = H.select(lambda nk, nm, c: (nk == 0) & (nm <= 1)) - linear
     if stray and stray.mass() > LINEAR_PART_TOL * max(H.mass(), 1.0):
         raise PreconditionError("Hamiltonian linear part does not match the supplied frequency")
     f = H.select(lambda nk, nm, c: (nk > 0) | (nm > 1))
     require_real(f, "pipeline")
-    _last_perturbation = H, values, f
-    return f
+    return f, linear
 
 
 @contextmanager
@@ -311,7 +313,7 @@ def run_pipeline(H, omega, gamma, tau, hc, rho):
     """
     _check_inputs(rho, gamma, tau)
     require_dimension(H, hc.d, "Holder class")
-    f = perturbation_of(H, omega)
+    f, linear = _perturbation(H, tuple(getattr(omega, "omega", omega)))
     if not f:
         return PipelineReport(
             rho=float(rho),
@@ -351,7 +353,7 @@ def run_pipeline(H, omega, gamma, tau, hc, rho):
         params = NormalFormParams(
             alpha=schedule.alpha, K=schedule.K, widths=AnalyticityWidths(schedule.s, rho)
         )
-        nf = resonant_normal_form(FourierTaylorSeries.linear(omega) + smoothed.P_s, params)
+        nf = resonant_normal_form(linear + smoothed.P_s, params)
     gates += [
         ("K_sigma", 6.0, params.K * params.widths.sigma),
         ("smallness", nf.f_initial_norm, params.smallness_threshold),

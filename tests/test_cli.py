@@ -21,6 +21,7 @@ from torusstab import (
     sweep,
 )
 from torusstab.cli import main
+from torusstab.experiment import CSV_COLUMNS, CSV_HEADER, SweepRow
 
 
 def parse_kv(output):
@@ -481,6 +482,29 @@ class TestSweepFitPlots:
         assert main(["plots", "--csv", str(csv), "--outdir", str(outdir)]) == 0
         assert (outdir / "pred.dat").exists()
         assert (outdir / "plot.gp").exists()
+
+    def test_fit_notes_a_dynamics_only_t_pred(self, tmp_path, capsys):
+        # a dynamics-only row's t_pred is the headline shape, so fitting it
+        # returns the shape's exponent by construction; the same numbers from
+        # pipeline rows fit without the note, and every other line is the same;
+        # a fit of the measured escape times never carries it
+        outputs = {}
+        for flags in ("dynamics-only", "s_in_range:0.5"):
+            rows = [SweepRow(rho=r, t_pred=1.0 / r**2, min_escape=3.0 / r, censored_fraction=0.0,
+                             max_drift=0.0, schedule_flags=flags, contraction=math.nan)
+                    for r in (0.1, 0.05, 0.02, 0.01)]
+            csv = tmp_path / "sweep.csv"
+            csv.write_text("\n".join([CSV_HEADER, ",".join(CSV_COLUMNS),
+                                       *(row.to_csv() for row in rows)]) + "\n")
+            assert main(["fit", "--csv", str(csv), "--source", "min_escape"]) == 0
+            assert "note" not in capsys.readouterr().out
+            assert main(["fit", "--csv", str(csv), "--source", "t_pred"]) == 0
+            outputs[flags] = capsys.readouterr().out.splitlines()
+        note = outputs["dynamics-only"].pop()
+        assert note == ("note = dynamics-only rows' t_pred is the headline shape, "
+                        "so the fit returns its exponent by construction")
+        assert outputs["dynamics-only"] == outputs["s_in_range:0.5"]
+        assert not any(line.startswith("note") for line in outputs["s_in_range:0.5"])
 
     @pytest.mark.parametrize("rho_list, bad", [("0.1, -0.05", "-0.05"), ("1.5, 0.1", "1.5")])
     def test_bad_rho_rejected_before_any_row(self, tmp_path, capsys, rho_list, bad):

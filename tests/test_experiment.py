@@ -144,8 +144,8 @@ class TestBuildHamiltonian:
 
 class TestSweep:
     def test_certified_row_and_default_cap(self, monkeypatch):
-        # rho = 1e-3 certifies, so the row carries its worst gate, the dominance
-        # gate 5 / 6.5, and the contraction; t_cap defaults to
+        # rho = 1e-3 certifies, so the row carries its worst per-rho gate,
+        # s_in_range at s / 1, and the contraction; t_cap defaults to
         # min(t_pred, max_steps dt) = 10 dt
         caps = []
         original = experiment.escape_time
@@ -158,12 +158,25 @@ class TestSweep:
         cfg = ExperimentConfig(rho_list=(1e-3,), dynamics_only=False, max_steps=10, n_samples=2)
         (row,) = sweep(cfg)
         assert row.error == ""
-        assert row.schedule_flags == f"dominance:{5.0 / 6.5!r}"
+        H = build_test_hamiltonian(HC65, seed=0)
+        s = stabpipe.run_pipeline(H, golden_frequency(2), 0.5, 1.0, HC65, 1e-3).schedule.s
+        assert row.schedule_flags == f"s_in_range:{s!r}"
         assert 0.0 < row.contraction < 1e-14
         assert row.censored_fraction == 1.0
-        H = build_test_hamiltonian(HC65, seed=0)
         assert caps == [10 * default_dt(H)] and caps[0] < row.t_pred
         assert row.t_cap == caps[0]
+
+    def test_certified_cells_show_a_per_rho_margin(self):
+        # the dominance ratio (3 + 2/tau)/ell = 5/6.5 is the largest gate
+        # ratio on both certified rows, and the same on each: the cell leaves
+        # it out and shows the worst gate that moves with rho
+        cfg = ExperimentConfig(rho_list=(1e-3, 1e-4), dynamics_only=False, max_steps=10,
+                               n_samples=2)
+        rows = sweep(cfg)
+        assert [r.error for r in rows] == ["", ""]
+        cells = [r.schedule_flags.split(":") for r in rows]
+        assert [name for name, _ in cells] == ["s_in_range", "gamma_K"]
+        assert 5.0 / 6.5 > float(cells[0][1]) > float(cells[1][1])
 
     def test_censored_points_drawn_at_t_cap(self, tmp_path):
         # the default cap stops the samples at 10 dt, orders of magnitude

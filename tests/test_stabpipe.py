@@ -29,6 +29,7 @@ from torusstab import (
     stabpipe,
     taylor_split,
 )
+from torusstab.ftseries import keep_last
 from torusstab.normalform import XI
 
 D = 2
@@ -340,14 +341,107 @@ class TestPerturbationKept:
                 run_pipeline(H, OMEGA, 0.5, 1.0, HC65, 1e-3)
 
 
+class TestKeepLast:
+    """ftseries.keep_last, and the rho-independent work each keep site holds."""
+
+    @staticmethod
+    def counted():
+        calls = []
+
+        @keep_last
+        def norm(P, hc):
+            calls.append((P, hc))
+            return len(calls)
+
+        return norm, calls
+
+    def test_hit_on_the_same_series_and_equal_values(self):
+        norm, calls = self.counted()
+        P = FourierTaylorSeries.cosine(D, (1, 0), m=(2, 0))
+        assert [norm(P, HC65), norm(P, HolderClass(6.5, 2))] == [1, 1]
+        # a keyword call is a key of its own, and repeats like a positional one
+        assert [norm(P, hc=HC65), norm(P, hc=HolderClass(6.5, 2))] == [2, 2]
+        assert len(calls) == 2
+
+    def test_miss_on_an_equal_series_or_other_values(self):
+        norm, calls = self.counted()
+        P = FourierTaylorSeries.cosine(D, (1, 0), m=(2, 0))
+        twin = FourierTaylorSeries.cosine(D, (1, 0), m=(2, 0))
+        assert twin == P and twin is not P
+        assert [norm(P, HC65), norm(twin, HC65), norm(twin, HC6), norm(twin, HC6)] == [1, 2, 3, 3]
+        f, linear = stabpipe._perturbation(F_EDGES + FourierTaylorSeries.linear(W), W)
+        other = (W[0], W[1] + 1e-12)
+        g, other_linear = stabpipe._perturbation(F_EDGES + FourierTaylorSeries.linear(W), other)
+        assert g == f and g is not f and other_linear != linear
+
+    def test_a_raising_call_keeps_nothing(self):
+        calls = []
+
+        @keep_last
+        def check(x):
+            calls.append(x)
+            if x < 0:
+                raise ValueError("negative")
+            return x
+
+        assert check(1) == 1
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                check(-1)
+        assert check(1) == 1 and calls == [1, -1, -1]
+        low = FourierTaylorSeries.cosine(D, (1, 0), m=(1, 0))
+        good = FourierTaylorSeries.cosine(D, (1, 0), m=(2, 0))
+        for _ in range(2):
+            with pytest.raises(PreconditionError, match="Taylor orders < 2"):
+                taylor_split(low, HC65, 0.1)
+        assert taylor_split(good, HC65, 0.1).P == good
+
+    def test_sites_keep_only_rho_independent_work(self, monkeypatch):
+        H = build_test_hamiltonian(HC65, seed=1)
+        f = perturbation_of(H, OMEGA) + FourierTaylorSeries.cosine(D, (2, 0), m=(5, 0))
+        first, second = taylor_split(f, HC65, 1e-3), taylor_split(f, HC65, 5e-4)
+        assert second.P is first.P and second.Z is first.Z
+        assert second.Z_bound == stabpipe.theta_gradient_majorant(first.Z, 5e-4) != first.Z_bound
+        masses = []
+        original = FourierTaylorSeries.masses
+        monkeypatch.setattr(FourierTaylorSeries, "masses",
+                            lambda *args: masses.append(1) or original(*args))
+        cmax = coefficient_norm_max(first.P, HC65)
+        assert coefficient_norm_max(second.P, HC65) == cmax and masses == [1]
+        assert coefficient_norm_max(first.P, HolderClass(6.7, 2)) != cmax and masses == [1, 1]
+        linear = stabpipe._perturbation(H, OMEGA.omega)[1]
+        assert stabpipe._perturbation(H, tuple(OMEGA.omega))[1] is linear
+        assert linear == FourierTaylorSeries.linear(OMEGA)
+
+    def test_interleaved_ladders_match_cold_runs(self):
+        # each cold rung runs on a freshly built H, so nothing kept applies
+        ladder = (1e-3, 5e-4, 3e-4)
+
+        def run(H, rho):
+            report = run_pipeline(H, OMEGA, 0.5, 1.0, HC65, rho)
+            nf = report.normal_form
+            return report.to_text(), series_bytes(nf.h), series_bytes(nf.f_star)
+
+        cold = {seed: [run(build_test_hamiltonian(HC65, seed=seed), rho) for rho in ladder]
+                for seed in (0, 1)}
+        H0, H1 = (build_test_hamiltonian(HC65, seed=seed) for seed in (0, 1))
+        warm = {0: [], 1: []}
+        for rho in ladder:
+            for seed, H in ((0, H0), (1, H1), (0, H0)):
+                warm[seed].append(run(H, rho))
+        assert warm[1] == cold[1]
+        assert warm[0][::2] == warm[0][1::2] == cold[0]
+
+
 def series_bytes(series):
     return series.K.tobytes() + series.M.tobytes() + series.C.tobytes()
 
 
 class TestRepeatable:
-    """run_pipeline keeps only the last H's perturbation between calls: the
-    benchmark ladder's reports repeat bit for bit, and its stages run as
-    often, on the same H or on a fresh equal one."""
+    """run_pipeline keeps only the rho-independent work of the last H between
+    calls (f and omega.I, the Taylor split's P and Z, P's coefficient norm):
+    the benchmark ladder's reports repeat bit for bit, and its stages are
+    called as often, on the same H or on a fresh equal one."""
 
     def ladder(self, H):
         runs = []
@@ -370,7 +464,8 @@ class TestRepeatable:
 
     def test_ladder_stage_calls_repeat_warm_and_cold(self, monkeypatch):
         # the benchmark's traced run requires every pass to call its wrapped
-        # stages as often as the first did: keep no stage's result between calls
+        # stages as often as the first did: a stage may keep work inside it,
+        # but is itself called on every rung, warm or cold
         calls = {}
 
         def count(owner, name):
