@@ -24,13 +24,11 @@ from .ftseries import (
     theta_gradient_majorant,
 )
 from .smoothing import (
-    FourierNormReport,
     HolderClass,
     SlopeReport,
     SmoothingResult,
     coefficient_norm_max,
     cp_tail_majorant,
-    fourier_norm_bound_check,
     holder_norm_majorant,
     lacunary_series,
     smooth,

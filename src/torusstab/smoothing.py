@@ -7,7 +7,10 @@ operator consistent with the Fourier-norm equality
     sum_k |(g_s)^_k| e^{|k|_1 s} = sum_{|k|_1 <= 1/s} |g^_k| e^{|k|_1 s},
 
 which therefore holds by construction.  The C^ell norm is replaced
-throughout by a computable coefficient majorant.
+throughout by a computable coefficient majorant, and the bound of |||g_s|||_s
+by it is one line of algebra: e^{|k|_1 s} <= e on every kept mode and the
+majorant is at least (1 + 2^{1-mu}) sum_k |g^_k|, so for any g and s
+|||g_s|||_s / majorant <= e / (1 + 2^{1-mu}) (1.13 at ell = 6.5).
 """
 
 from __future__ import annotations
@@ -191,40 +194,4 @@ def verify_smoothing_estimate(g, hc, p, s_list):
         errors=tuple(errors),
         saturated=tuple(saturated),
         passed=bool(slope >= target - 0.3),
-    )
-
-
-@dataclass(frozen=True)
-class FourierNormReport:
-    s_list: tuple
-    ratios: tuple
-    sup_ratio: float
-    first_third_mean: float
-    last_third_mean: float
-    majorant: float
-    passed: bool
-
-
-def fourier_norm_bound_check(g, hc, s_list):
-    """Ratio |||g_s|||_s / C^ell-majorant across an s sweep; PASS iff no growth trend."""
-    require_dimension(g, hc.d, "Holder class")
-    maj = holder_norm_majorant(g, hc)
-    ratios = []
-    for s in s_list:
-        res = smooth(g, s)
-        ratios.append(res.fourier_norm_at_s / maj if maj > 0 else 0.0)
-    n = len(ratios)
-    if n == 0:
-        raise PreconditionError("empty s sweep")
-    third = max(1, n // 3)
-    first = float(np.mean(ratios[:third]))
-    last = float(np.mean(ratios[-third:]))
-    return FourierNormReport(
-        s_list=tuple(float(s) for s in s_list),
-        ratios=tuple(ratios),
-        sup_ratio=float(max(ratios)),
-        first_third_mean=first,
-        last_third_mean=last,
-        majorant=maj,
-        passed=bool(last <= 2.0 * first),
     )

@@ -96,6 +96,7 @@ class TestSmoothVerify:
                    "--s-min-exp", "3", "--s-max-exp", "10"])
         assert rc == 0
         out = parse_kv(capsys.readouterr().out)
+        assert list(out) == ["slope", "target", "n_used", "saturated", "passed"]
         assert out["passed"] == "1"
         assert float(out["slope"]) == pytest.approx(6.5, abs=0.3)
 

@@ -20,7 +20,7 @@ from torusstab.experiment import CSV_COLUMNS, CSV_HEADER
 
 PUBLIC_NAMES = [
     "AnalyticityWidths", "DiophantineCertificate", "EscapeRecord",
-    "ExperimentConfig", "FitReport", "FourierNormReport",
+    "ExperimentConfig", "FitReport",
     "FourierTaylorSeries", "Frequency", "HamiltonianVectorField", "HolderClass",
     "LieResult", "NormalFormParams", "NormalFormResult", "NumericalFault", "ParameterSchedule",
     "PipelineReport", "PipelineStageError", "PreconditionError", "RHO_MAX",
@@ -30,7 +30,7 @@ PUBLIC_NAMES = [
     "coefficient_norm_max", "cp_tail_majorant", "default_dt",
     "diophantine_constant", "dominance_threshold",
     "emit_plots", "escape_time", "fit_exponent", "fit_exponent_rows",
-    "fourier_norm_bound_check", "golden_frequency", "holder_norm_majorant", "integrate",
+    "golden_frequency", "holder_norm_majorant", "integrate",
     "lacunary_series", "lie_transform", "linear_frequency",
     "load_config", "parameter_schedule", "parse_config", "perturbation_of",
     "predicted_stability_time", "read_sweep_csv", "remainder_bounds",
@@ -51,7 +51,6 @@ PUBLIC_PARAMETERS = {
     "escape_time": ('H', 'rho', 'threshold', 't_cap', 'n_samples', 'seed', 'dt'),
     "fit_exponent": ('rhos', 'times', 'log_exponent'),
     "fit_exponent_rows": ('rows', 'source', 'log_exponent'),
-    "fourier_norm_bound_check": ('g', 'hc', 's_list'),
     "golden_frequency": ('d',),
     "holder_norm_majorant": ('g', 'hc'),
     "integrate": ('H', 'start', 't_end', 'dt', 'record_every', 'r_max'),
@@ -97,8 +96,6 @@ DATACLASS_FIELDS = {
                          't_cap', 'max_steps', 'n_samples', 'threshold_factor',
                          'dynamics_only'),
     "FitReport": ('model', 'p', 'c0', 'residuals', 'n_points'),
-    "FourierNormReport": ('s_list', 'ratios', 'sup_ratio', 'first_third_mean',
-                          'last_third_mean', 'majorant', 'passed'),
     "Frequency": ('omega',),
     "HolderClass": ('ell', 'd'),
     "LieResult": ('series', 'tail_mass', 'dropped_mass'),

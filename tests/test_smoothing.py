@@ -12,7 +12,6 @@ from torusstab import (
     PreconditionError,
     TWO_PI,
     cp_tail_majorant,
-    fourier_norm_bound_check,
     holder_norm_majorant,
     lacunary_series,
     smooth,
@@ -197,19 +196,3 @@ class TestSlopeVerification:
         g = lacunary_series(D, 6.5, seed=0)
         with pytest.raises(ValueError):
             verify_smoothing_estimate(g, hc, 7, [0.5, 0.25, 0.125, 0.0625])
-
-
-class TestFourierNormBound:
-    def test_bounded_ratio(self):
-        hc = HolderClass(6.5, 2)
-        g = lacunary_series(D, 6.5, j_max=12, seed=4)
-        s_list = [2.0**-j for j in range(2, 11)]
-        rep = fourier_norm_bound_check(g, hc, s_list)
-        assert rep.passed
-        assert rep.sup_ratio <= 1.0  # majorant genuinely dominates here
-
-    def test_empty_sweep_rejected(self):
-        hc = HolderClass(6.5, 2)
-        g = lacunary_series(D, 6.5, seed=0)
-        with pytest.raises(PreconditionError, match="empty s sweep"):
-            fourier_norm_bound_check(g, hc, [])
