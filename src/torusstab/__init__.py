@@ -52,7 +52,6 @@ from .stabpipe import (
     TaylorSplit,
     dominance_threshold,
     parameter_schedule,
-    perturbation_of,
     predicted_stability_time,
     remainder_bounds,
     run_pipeline,

@@ -45,7 +45,7 @@ def cmd_dioph(args):
             raise ValueError(f"bad value for --omega: {args.omega!r}") from None
         freq = Frequency(omega)
     cert = diophantine_constant(freq, args.tau, args.K)
-    print(f"omega = {','.join(repr(w) for w in freq.omega)}")
+    print(f"omega = {','.join(repr(w) for w in freq)}")
     print(f"tau = {args.tau!r}")
     print(f"K = {cert.K}")
     print(f"gamma_K = {cert.gamma_K!r}")
@@ -102,7 +102,7 @@ def cmd_predict(args):
     if args.input:
         H = FourierTaylorSeries.load(args.input)
         gamma = 0.5 if args.gamma is None else args.gamma
-        report = run_pipeline(H, Frequency(_frequency(H)), gamma, args.tau, hc, args.rho)
+        report = run_pipeline(H, _frequency(H), gamma, args.tau, hc, args.rho)
         sys.stdout.write(report.to_text())
         return 0 if report.certified else 1
     _refuse(args, "with", "gamma")

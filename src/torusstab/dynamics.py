@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFault, require_at_least, require_positive
+from .errors import NumericalFault, require_at_least, require_positive, require_real
 from .ftseries import HamiltonianVectorField, keep_last, linear_frequency, theta_gradient_majorant
 
 FIXED_POINT_TOL = 1e-13
@@ -89,6 +89,7 @@ def _split(H):
     k=0, |m|_1=1 part of H and f must be real to 1e-9 of its own mass.  The
     last H object's split is kept."""
     f = H.select(lambda nk, nm, c: (nk > 0) | (nm != 1))
+    require_real(f, "vector field")
     return linear_frequency(H), HamiltonianVectorField(f)
 
 

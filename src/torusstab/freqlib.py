@@ -1,4 +1,4 @@
-"""Frequency vectors and finite-cutoff non-resonance certificates.
+"""Frequencies, validated float tuples, and finite-cutoff non-resonance certificates.
 
 All mode sizes are measured in the l1 norm |k|_1 = |k_1| + ... + |k_d|,
 matching the cutoff used by the smoothing equality.  Certificates come
@@ -23,28 +23,22 @@ from .errors import require_at_least
 PREFIX_BLOCK = 1 << 18
 
 
-@dataclass(frozen=True)
-class Frequency:
-    """A frequency vector omega in R^d, d >= 2, for the basis e^{2 pi i k.theta}."""
+class Frequency(tuple):
+    """omega in R^d for the basis e^{2 pi i k.theta}: d >= 2 finite floats, not all 0."""
 
-    omega: tuple
-
-    def __post_init__(self):
-        omega = tuple(float(w) for w in self.omega)
-        object.__setattr__(self, "omega", omega)
-        if len(omega) < 2:
+    def __new__(cls, omega):
+        self = super().__new__(cls, map(float, omega))
+        if len(self) < 2:
             raise ValueError("frequency dimension must be at least 2")
-        if not all(math.isfinite(w) for w in omega):
+        if not all(map(math.isfinite, self)):
             raise ValueError("frequency components must be finite")
-        if all(w == 0.0 for w in omega):
+        if not any(self):
             raise ValueError("frequency must be nonzero")
+        return self
 
     @property
     def d(self):
-        return len(self.omega)
-
-    def as_array(self):
-        return np.array(self.omega, dtype=float)
+        return len(self)
 
 
 @dataclass(frozen=True)
@@ -189,9 +183,9 @@ def diophantine_constant(freq, tau, K):
         raise ValueError(f"K must be an integer >= 1, got {K!r}") from None
     require_at_least(1, K=K)
     _check_tau(tau)
-    w = freq.as_array()
+    w = np.array(Frequency(freq))
     j = int(np.argmax(np.abs(w)))
-    units = np.eye(freq.d, dtype=np.int64)
+    units = np.eye(len(w), dtype=np.int64)
     # exact: units @ w == w and 1**tau == 1
     gamma, k = float(np.abs(w).min()), units[0]
     for prefixes in _prefix_blocks(w, j, K):

@@ -32,7 +32,6 @@ norm used by every certificate in the package.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import numbers
@@ -40,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFault, require_at_least, require_positive, require_real
+from .errors import NumericalFault, require_at_least, require_positive
 
 TWO_PI = 2.0 * math.pi
 # entries formed at once by a Poisson bracket (d per term pair), and by each
@@ -117,18 +116,9 @@ class FourierTaylorSeries:
         return cls(d, {(z, z): value})
 
     @classmethod
-    def cosine(cls, d, k, m=None, amplitude=1.0, phase=0.0):
-        """amplitude * cos(2 pi k.theta + phase) * I^m, stored as a conjugate pair."""
-        m = (0,) * d if m is None else tuple(m)
-        k = tuple(k)
-        neg = tuple(-v for v in k)
-        half = 0.5 * amplitude * cmath.exp(1j * phase)
-        return cls(d, {(k, m): half, (neg, m): half.conjugate()})
-
-    @classmethod
     def linear(cls, omega):
-        """omega . I for a frequency vector or sequence; linear_frequency inverts it."""
-        values = np.array(omega.omega if hasattr(omega, "omega") else omega, dtype=complex)
+        """omega . I for a sequence of floats omega; linear_frequency inverts it."""
+        values = np.array(omega, dtype=complex)
         d = len(values)
         require_at_least(1, dimension=d)
         axes = np.flatnonzero(values)[::-1]  # e_i orders before e_j for i > j
@@ -256,8 +246,8 @@ class FourierTaylorSeries:
 
     # -- evaluation -----------------------------------------------------------
 
-    def evaluate(self, theta, I, reality_tol=1e-12):
-        """Pointwise value; raises if the imaginary residual is not negligible."""
+    def evaluate(self, theta, I):
+        """Pointwise value; raises if |imag| exceeds 1e-12 max(term mass, 1)."""
         theta = np.asarray(theta, dtype=float)
         I = np.asarray(I, dtype=float)
         if theta.shape != (self.d,) or I.shape != (self.d,):
@@ -267,9 +257,9 @@ class FourierTaylorSeries:
         terms = self.C * np.exp(1j * TWO_PI * (self.K @ theta)) * np.prod(I**self.M, axis=1)
         value = complex(terms.sum())
         scale = float(np.abs(terms).sum())
-        if abs(value.imag) > reality_tol * max(scale, 1.0):
+        if abs(value.imag) > 1e-12 * max(scale, 1.0):
             raise NumericalFault(
-                f"imaginary residual {value.imag:.3e} exceeds {reality_tol:.1e} "
+                f"imaginary residual {value.imag:.3e} exceeds 1.0e-12 "
                 f"relative to term mass {scale:.3e}"
             )
         return value.real
@@ -518,7 +508,7 @@ def theta_gradient_majorant(H, radius):
 
 
 class HamiltonianVectorField:
-    """Batched Hamiltonian vector field of a real series on z = [theta | I].
+    """Batched Hamiltonian vector field of a series on z = [theta | I].
 
     field(z) maps the rows of an (N, 2d) array z = [theta | I] (or one point)
     to z_dot = [theta_dot | I_dot], with theta_dot = dH/dI and I_dot =
@@ -552,9 +542,7 @@ class HamiltonianVectorField:
     kernel.  `n` counts the folded terms.
     """
 
-    def __init__(self, series, check_real=True):
-        if check_real:
-            require_real(series, "vector field")
+    def __init__(self, series):
         self.d = d = series.d
         K, M, C = series.K, series.M, series.C
         first = K[np.arange(len(K)), (K != 0).argmax(axis=1)]  # 0 for k = 0

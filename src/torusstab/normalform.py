@@ -96,7 +96,7 @@ def solve_homological(f_nr, omega):
     The first term in (k, m) order with |omega.k| below DIVISOR_FLOOR raises:
     a PreconditionError if its k is 0, a NumericalFault otherwise.
     """
-    w = omega.as_array() if hasattr(omega, "as_array") else np.asarray(omega, dtype=float)
+    w = np.asarray(omega, dtype=float)
     # np.vecdot rounds each row as np.dot(k, w) does; K @ w rounds some rows
     # differently (another fused multiply-add order)
     divisor = np.vecdot(f_nr.K, w)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 from .errors import NumericalFault, PipelineStageError, PreconditionError
 from .errors import require_dimension, require_positive, require_real
-from .freqlib import _check_tau, diophantine_constant
+from .freqlib import Frequency, _check_tau, diophantine_constant
 from .ftseries import AnalyticityWidths, FourierTaylorSeries, keep_last, theta_gradient_majorant
 from .normalform import XI, NormalFormParams, resonant_normal_form
 # holder_norm_majorant is looked up here by bench/layers.py
@@ -30,7 +30,7 @@ from .smoothing import coefficient_norm_max, holder_norm_majorant, sharp_cutoff 
 
 RHO_MAX = math.exp(-6.0)
 # mass of H's k = 0, |m|_1 <= 1 part, relative to H's, beyond omega.I that
-# perturbation_of rejects
+# run_pipeline rejects
 LINEAR_PART_TOL = 1e-9
 # the gates that hold only when value < bound; the others hold at value <= bound
 _STRICT_GATES = ("rho_ok", "dominance")
@@ -268,19 +268,15 @@ class PipelineReport:
         return "\n".join(lines) + "\n"
 
 
-def perturbation_of(H, omega):
-    """f of H = omega.I + f: H's terms with k != 0 or |m|_1 > 1, real to 1e-9
-    of f's own mass.  The linear part must match omega to LINEAR_PART_TOL of
-    H's mass; only H's k = 0, |m|_1 <= 1 terms are merged with omega.I for it.
-    The last H object's f and omega.I are kept with omega's values (keep_last)."""
-    return _perturbation(H, tuple(getattr(omega, "omega", omega)))[0]
-
-
 @keep_last
-def _perturbation(H, values):
-    """(f, omega.I) of perturbation_of, for omega's values."""
-    require_dimension(H, len(values), "frequency")
-    linear = FourierTaylorSeries.linear(values)
+def _perturbation(H, omega):
+    """(f, omega.I) of H = omega.I + f: f is H's terms with k != 0 or |m|_1 > 1,
+    real to 1e-9 of f's own mass.  The linear part must match omega to
+    LINEAR_PART_TOL of H's mass; only H's k = 0, |m|_1 <= 1 terms are merged
+    with omega.I for it.  The last H object's f and omega.I are kept with
+    omega's values (keep_last)."""
+    require_dimension(H, len(omega), "frequency")
+    linear = FourierTaylorSeries.linear(omega)
     stray = H.select(lambda nk, nm, c: (nk == 0) & (nm <= 1)) - linear
     if stray and stray.mass() > LINEAR_PART_TOL * max(H.mass(), 1.0):
         raise PreconditionError("Hamiltonian linear part does not match the supplied frequency")
@@ -304,16 +300,18 @@ def run_pipeline(H, omega, gamma, tau, hc, rho):
     """Full pipeline: split -> schedule -> remainder bounds and predicted time
     -> coefficient smoothing -> certificate check -> resonant normal form.
 
-    A bad rho, gamma or tau, or an H that is not real or whose d is not hc.d,
-    is refused before any stage runs; an integrable H (f = 0) gets a report
-    with no gates and t_theorem = inf; an f with no terms of orders 2..q-2
-    fails taylor_split.  Each gate enters the report as its stage passes.  A
-    failed rho_ok or s_in_range returns the report, a failed contraction ends
-    it, and the other gates raise PipelineStageError with their stage's tag.
+    An omega that Frequency refuses, a bad rho, gamma or tau, or an H that
+    is not real or whose d is not hc.d or omega's, is refused before any
+    stage runs; an integrable H (f = 0) gets a report with no gates and
+    t_theorem = inf; an f with no terms of orders 2..q-2 fails taylor_split.
+    Each gate enters the report as its stage passes.  A failed rho_ok or
+    s_in_range returns the report, a failed contraction ends it, and the
+    other gates raise PipelineStageError with their stage's tag.
     """
+    omega = Frequency(omega)
     _check_inputs(rho, gamma, tau)
     require_dimension(H, hc.d, "Holder class")
-    f, linear = _perturbation(H, tuple(getattr(omega, "omega", omega)))
+    f, linear = _perturbation(H, omega)
     if not f:
         return PipelineReport(
             rho=float(rho),

@@ -34,6 +34,7 @@ from torusstab import (
     solve_homological,
     verify_smoothing_estimate,
 )
+from series_helpers import cosine
 
 D = 2
 OMEGA = golden_frequency(2)
@@ -86,7 +87,7 @@ def test_fourier_norm_equality_and_bound(report, cutoff_gap):
 
 def test_normal_form_contraction(report):
     """Golden-frequency instance: certified with contraction <= e^-1."""
-    H = FourierTaylorSeries.linear(OMEGA) + FourierTaylorSeries.cosine(
+    H = FourierTaylorSeries.linear(OMEGA) + cosine(
         D, (1, 0), m=(2, 0), amplitude=1e-6
     )
     params = NormalFormParams(alpha=0.2, K=5, widths=AnalyticityWidths(1.2, 0.5))
@@ -121,11 +122,11 @@ def test_pipeline_certifies_down_the_ladder(report):
 
 def test_homological_exactness(report):
     """Residual of omega . d_theta chi = f <= 1e-13 of f."""
-    f = FourierTaylorSeries.cosine(D, (1, -1), m=(2, 0), amplitude=1e-3) + (
-        FourierTaylorSeries.cosine(D, (2, 1), m=(1, 1), amplitude=5e-4, phase=-0.5 * math.pi)
+    f = cosine(D, (1, -1), m=(2, 0), amplitude=1e-3) + (
+        cosine(D, (2, 1), m=(1, 1), amplitude=5e-4, phase=-0.5 * math.pi)
     )
     chi = solve_homological(f, OMEGA)
-    w = OMEGA.as_array()
+    w = np.array(OMEGA)
     resid = FourierTaylorSeries(D)
     for ax in range(D):
         resid = resid + chi.partial_theta(ax) * w[ax]
@@ -184,7 +185,7 @@ def test_fit_correctness(report):
 def test_ballistic_sanity(report):
     """Bound arithmetic 1/(4 pi rho) and no sub-ballistic measured escapes."""
     rho = 0.05
-    H = FourierTaylorSeries.linear(OMEGA) + FourierTaylorSeries.cosine(
+    H = FourierTaylorSeries.linear(OMEGA) + cosine(
         D, (1, 0), m=(2, 0), phase=-0.5 * math.pi
     )
     bound = ballistic_bound(H, 0.5 * rho, rho)
@@ -192,7 +193,7 @@ def test_ballistic_sanity(report):
     arithmetic_ok = abs(bound - exact) <= 1e-14 * exact
     # a strongly forced instance that does escape; escape_time itself raises a
     # numerical fault if any uncensored time beats the reachable-tube bound
-    H_forced = FourierTaylorSeries.linear(OMEGA) + FourierTaylorSeries.cosine(
+    H_forced = FourierTaylorSeries.linear(OMEGA) + cosine(
         D, (1, 0), amplitude=1.0, phase=-0.5 * math.pi
     )
     rec = escape_time(H_forced, 0.01, threshold=0.005, t_cap=5.0,

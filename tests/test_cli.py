@@ -22,6 +22,7 @@ from torusstab import (
 )
 from torusstab.cli import main
 from torusstab.experiment import CSV_COLUMNS, CSV_HEADER, SweepRow
+from series_helpers import cosine
 
 
 def parse_kv(output):
@@ -104,7 +105,7 @@ class TestSmoothVerify:
 class TestNF:
     def test_acceptance_instance(self, tmp_path, capsys):
         H = FourierTaylorSeries.linear(golden_frequency(2)) + (
-            FourierTaylorSeries.cosine(2, (1, 0), m=(2, 0), amplitude=1e-6)
+            cosine(2, (1, 0), m=(2, 0), amplitude=1e-6)
         )
         src = tmp_path / "H.txt"
         dst = tmp_path / "h.txt"
@@ -125,7 +126,7 @@ class TestNF:
         # the linear part is (1, sqrt 2): the golden frequency would solve the
         # wrong homological equation and certify a nonzero remainder
         H = FourierTaylorSeries.linear((1.0, 2.0**0.5)) + (
-            FourierTaylorSeries.cosine(2, (0, 1), m=(2, 0), amplitude=1e-6)
+            cosine(2, (0, 1), m=(2, 0), amplitude=1e-6)
         )
         src = tmp_path / "H.txt"
         H.save(src)
@@ -158,7 +159,7 @@ class TestNF:
 
     def test_smallness_violation_exit(self, tmp_path, capsys):
         H = FourierTaylorSeries.linear(golden_frequency(2)) + (
-            FourierTaylorSeries.cosine(2, (1, 0), m=(2, 0), amplitude=1.0)
+            cosine(2, (1, 0), m=(2, 0), amplitude=1.0)
         )
         src = tmp_path / "H.txt"
         H.save(src)
@@ -194,7 +195,7 @@ class TestPredict:
     def test_pipeline_precondition_exit_code(self, tmp_path, capsys):
         # an order-1 perturbation term fails the Taylor-split precondition
         H = FourierTaylorSeries.linear(golden_frequency(2)) + (
-            FourierTaylorSeries.cosine(2, (1, 0), m=(1, 0), amplitude=1e-12)
+            cosine(2, (1, 0), m=(1, 0), amplitude=1e-12)
         )
         src = tmp_path / "H.txt"
         H.save(src)
@@ -206,7 +207,7 @@ class TestPredict:
     def test_empty_polynomial_part_exit_code(self, tmp_path, capsys):
         # only Taylor order 5 = q - 1 at ell = 6.5: no coefficient to take a norm of
         H = FourierTaylorSeries.linear(golden_frequency(2)) + (
-            FourierTaylorSeries.cosine(2, (2, 0), m=(5, 0), amplitude=1e-12)
+            cosine(2, (2, 0), m=(5, 0), amplitude=1e-12)
         )
         src = tmp_path / "H.txt"
         H.save(src)
@@ -352,7 +353,7 @@ class TestEscape:
     def test_step_failure_exit_code(self, tmp_path, capsys):
         # the midpoint iteration cannot converge at dt = 2 on an O(1) twist
         H = FourierTaylorSeries.linear(golden_frequency(2)) + (
-            FourierTaylorSeries.cosine(2, (1, 0), m=(2, 0))
+            cosine(2, (1, 0), m=(2, 0))
         )
         src = tmp_path / "H.txt"
         H.save(src)
@@ -376,7 +377,7 @@ class TestEscape:
 
     def test_ballistic_fault_exit_code(self, tmp_path, capsys, monkeypatch):
         # the first escape (t = 0.011) beats a ballistic bound of 1
-        H = FourierTaylorSeries.linear(golden_frequency(2)) + FourierTaylorSeries.cosine(
+        H = FourierTaylorSeries.linear(golden_frequency(2)) + cosine(
             2, (1, 0)
         )
         src = tmp_path / "H.txt"
@@ -580,7 +581,7 @@ class TestExitCodeTable:
         [
             # omega = (1, 1) is resonant at k = +-(1, -1)
             (["nf", "--alpha", "0.2", "--K", "5", "--sigma", "1.2", "--rho", "0.5"],
-             lambda: FourierTaylorSeries.linear((1.0, 1.0)) + FourierTaylorSeries.cosine(
+             lambda: FourierTaylorSeries.linear((1.0, 1.0)) + cosine(
                  2, (1, -1), m=(2, 0), amplitude=1e-12),
              3,
              "numerical fault: small divisor |omega.k|=0.000e+00 below floor 1.0e-12 "
@@ -616,11 +617,11 @@ class TestExitCodeTable:
             # with no omega.I the averaging would remove nothing, while the
             # domain shrink alone meets the target
             (["nf", "--alpha", "0.2", "--K", "5", "--sigma", "1.2", "--rho", "0.5"],
-             lambda: FourierTaylorSeries.cosine(2, (1, 0), m=(2, 0), amplitude=1e-6),
+             lambda: cosine(2, (1, 0), m=(2, 0), amplitude=1e-6),
              2,
              "error: series has no linear part omega.I"),
             (["predict", "--rho", "1e-3"],
-             lambda: FourierTaylorSeries.cosine(2, (1, 0), m=(2, 0), amplitude=1e-6),
+             lambda: cosine(2, (1, 0), m=(2, 0), amplitude=1e-6),
              2,
              "error: series has no linear part omega.I"),
             # i f for the real f of the seed-0 H: f's mass is 1.5e-11 of H's,

@@ -25,6 +25,7 @@ from torusstab import (
 )
 from torusstab import dynamics, ftseries
 from torusstab.dynamics import _energy, _half_rotation, _midpoint_step, _split, _split_step
+from series_helpers import cosine
 
 D = 2
 OMEGA = golden_frequency(2)
@@ -33,8 +34,8 @@ OMEGA = golden_frequency(2)
 def coupled_hamiltonian(eps=1e-3):
     return (
         FourierTaylorSeries.linear(OMEGA)
-        + FourierTaylorSeries.cosine(D, (1, -1), m=(2, 0), amplitude=eps)
-        + FourierTaylorSeries.cosine(
+        + cosine(D, (1, -1), m=(2, 0), amplitude=eps)
+        + cosine(
             D, (0, 1), m=(1, 1), amplitude=0.5 * eps, phase=-0.5 * math.pi
         )
     )
@@ -43,15 +44,15 @@ def coupled_hamiltonian(eps=1e-3):
 class TestHelpers:
     def test_linear_frequency(self):
         H = coupled_hamiltonian()
-        assert linear_frequency(H) == pytest.approx(np.array(OMEGA.omega))
+        assert linear_frequency(H) == pytest.approx(np.array(OMEGA))
 
     def test_default_dt(self):
-        assert default_dt(coupled_hamiltonian()) == pytest.approx(0.01 / OMEGA.omega[1])
+        assert default_dt(coupled_hamiltonian()) == pytest.approx(0.01 / OMEGA[1])
         slow = FourierTaylorSeries.linear((0.5, 0.1))
         assert default_dt(slow) == 0.01
 
     def test_theta_gradient_majorant_hand_value(self):
-        H = FourierTaylorSeries.linear(OMEGA) + FourierTaylorSeries.cosine(
+        H = FourierTaylorSeries.linear(OMEGA) + cosine(
             D, (1, 0), m=(2, 0), phase=-0.5 * math.pi
         )
         # two coefficients of 1/2, |k|_1 = 1, |m|_1 = 2
@@ -63,7 +64,7 @@ class TestHelpers:
         # omega.I + I_1^2 sin(2 pi theta_1), threshold rho/2, radius rho:
         # bound = (rho/2) / (2 pi rho^2) = 1/(4 pi rho)
         rho = 0.05
-        H = FourierTaylorSeries.linear(OMEGA) + FourierTaylorSeries.cosine(
+        H = FourierTaylorSeries.linear(OMEGA) + cosine(
             D, (1, 0), m=(2, 0), phase=-0.5 * math.pi
         )
         assert ballistic_bound(H, 0.5 * rho, rho) == pytest.approx(
@@ -79,7 +80,7 @@ class TestIntegrate:
     def test_linear_flow_exact(self):
         H = FourierTaylorSeries.linear(OMEGA)
         traj = integrate(H, ((0.1, 0.2), (0.3, -0.4)), t_end=2.0, dt=0.01)
-        w = np.array(OMEGA.omega)
+        w = np.array(OMEGA)
         expect = (np.array([0.1, 0.2]) + 2.0 * w) % 1.0
         assert traj.theta[-1] == pytest.approx(expect, abs=1e-12)
         assert traj.I[-1] == pytest.approx(np.array([0.3, -0.4]), abs=1e-14)
@@ -117,7 +118,7 @@ class TestIntegrate:
         assert len(traj.t) == 11  # start + every 100th of 1000 steps
 
     def test_domain_exit_truncates(self):
-        H = FourierTaylorSeries.linear(OMEGA) + FourierTaylorSeries.cosine(
+        H = FourierTaylorSeries.linear(OMEGA) + cosine(
             D, (1, 0), m=(0, 0), amplitude=1.0, phase=-0.5 * math.pi
         )
         traj = integrate(H, ((0.0, 0.0), (0.0, 0.0)), t_end=10.0, dt=0.01, r_max=0.05)
@@ -134,7 +135,7 @@ class TestIntegrate:
     def test_step_failure(self):
         # at dt = 2, dt/2 times the Lipschitz constant of this O(1) twist's
         # field is far above 1: the midpoint fixed-point iteration diverges
-        H = FourierTaylorSeries.linear(OMEGA) + FourierTaylorSeries.cosine(D, (1, 0), m=(2, 0))
+        H = FourierTaylorSeries.linear(OMEGA) + cosine(D, (1, 0), m=(2, 0))
         with pytest.raises(NumericalFault, match="did not reach 1.0e-13 in 50 sweeps"):
             integrate(H, ((0.1, 0.2), (1.0, 0.1)), t_end=2.0, dt=2.0)
 
@@ -222,7 +223,7 @@ class TestIntegrate:
         H = coupled_hamiltonian(0.1)
         omega, field = _split(H)
         assert field.n == 2  # the two conjugate pairs of f; omega.I is not in the kernel
-        assert np.array_equal(omega, OMEGA.omega)
+        assert np.array_equal(omega, OMEGA)
         traj = integrate(H, ((0.2, 0.6), (0.1, -0.2)), t_end=0.05, dt=0.01)
         for theta, I, e in zip(traj.theta, traj.I, traj.energy):
             assert e == pytest.approx(H.evaluate(theta, I), rel=0, abs=1e-15)
@@ -446,7 +447,7 @@ class TestEscapeTime:
         assert rec.max_energy_drift <= 1e-12
 
     def test_strong_forcing_escapes(self):
-        H = FourierTaylorSeries.linear(OMEGA) + FourierTaylorSeries.cosine(
+        H = FourierTaylorSeries.linear(OMEGA) + cosine(
             D, (1, 0), amplitude=1.0, phase=-0.5 * math.pi
         )
         rec = escape_time(
@@ -484,7 +485,7 @@ class TestEscapeTime:
     def test_ballistic_bound_fault_can_fire(self, monkeypatch):
         # the first escape, at t = 0.011, lies above the real bound 0.00796;
         # a bound of 1 puts it below, and the run must fault
-        H = FourierTaylorSeries.linear(OMEGA) + FourierTaylorSeries.cosine(D, (1, 0))
+        H = FourierTaylorSeries.linear(OMEGA) + cosine(D, (1, 0))
 
         def run():
             return escape_time(H, 0.1, threshold=0.05, t_cap=1.0, n_samples=4, seed=0,
@@ -545,9 +546,9 @@ def count_field_builds(monkeypatch):
     builds = []
     original = HamiltonianVectorField.__init__
 
-    def counted(self, series, check_real=True):
+    def counted(self, series):
         builds.append(len(series))
-        original(self, series, check_real)
+        original(self, series)
 
     monkeypatch.setattr(HamiltonianVectorField, "__init__", counted)
     return builds
@@ -581,7 +582,7 @@ class TestSplitKept:
         # stops a new series of other content from passing for it
         builds = count_field_builds(monkeypatch)
         z = np.array([[0.3, 0.7, 0.05, -0.05]])
-        w1, w2 = OMEGA.omega
+        w1, w2 = OMEGA
         for n, eps in enumerate(np.linspace(0.01, 0.5, 30), start=1):
             H = FourierTaylorSeries(D, {((0, 0), (1, 0)): w1, ((0, 0), (0, 1)): w2,
                                         ((1, -1), (2, 0)): eps, ((-1, 1), (2, 0)): eps})
@@ -602,7 +603,7 @@ class TestSplitKept:
 
     def test_complex_perturbation_measured_against_its_own_mass(self):
         # i f at 1e-12 of omega: against H's mass, which omega.I dominates, it passed
-        f = FourierTaylorSeries.cosine(D, (1, 0), m=(2, 0), amplitude=1e-12)
+        f = cosine(D, (1, 0), m=(2, 0), amplitude=1e-12)
         H = FourierTaylorSeries.linear(OMEGA) + 1j * f
         for _ in range(2):
             with pytest.raises(NumericalFault, match="^vector field requires a real-valued"):

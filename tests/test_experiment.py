@@ -117,8 +117,8 @@ class TestBuildHamiltonian:
         # linear part is the golden frequency
         w = golden_frequency(2)
         terms = dict(H.items())
-        assert terms[((0, 0), (1, 0))] == w.omega[0]
-        assert terms[((0, 0), (0, 1))] == pytest.approx(w.omega[1])
+        assert terms[((0, 0), (1, 0))] == w[0]
+        assert terms[((0, 0), (0, 1))] == pytest.approx(w[1])
         f = H - FourierTaylorSeries.linear(w)
         assert f.min_taylor_order() >= 2
         assert f.max_taylor_order() <= HC65.q - 2

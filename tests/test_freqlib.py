@@ -123,21 +123,33 @@ def _ratio_cases(n, seed):
 class TestFrequency:
     def test_golden_components(self):
         freq = golden_frequency(2)
-        assert freq.omega[0] == 1.0
-        assert freq.omega[1] == pytest.approx((1.0 + math.sqrt(5.0)) / 2.0, abs=0.0)
-        assert freq.d == 2
+        assert freq == (1.0, (1.0 + math.sqrt(5.0)) / 2.0)
+        assert np.array_equal(np.asarray(freq), freq) and freq.d == 2
+
+    def test_components_become_floats(self):
+        freq = Frequency(np.array([1, -2]))
+        assert freq == (1.0, -2.0) and all(type(w) is float for w in freq)
+
+    def test_plain_tuple_is_a_frequency(self):
+        omega = (1.0, math.sqrt(2.0))
+        assert diophantine_constant(omega, 1.0, 5) == diophantine_constant(
+            Frequency(omega), 1.0, 5)
 
     def test_golden_only_d2(self):
         with pytest.raises(ValueError):
             golden_frequency(3)
 
     def test_rejects_short_zero_nonfinite(self):
-        with pytest.raises(ValueError):
-            Frequency((1.0,))
-        with pytest.raises(ValueError):
-            Frequency((0.0, 0.0))
-        with pytest.raises(ValueError):
-            Frequency((1.0, math.inf))
+        # by the constructor, and by diophantine_constant given a plain tuple
+        for omega, message in [
+            ((1.0,), "^frequency dimension must be at least 2$"),
+            ((0.0, 0.0), "^frequency must be nonzero$"),
+            ((1.0, math.inf), "^frequency components must be finite$"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                Frequency(omega)
+            with pytest.raises(ValueError, match=message):
+                diophantine_constant(omega, 1.0, 5)
 
 
 class TestLatticeHalfBall:
@@ -228,7 +240,7 @@ class TestDiophantineConstant:
         assert cert.K == 12 and type(cert.K) is int
 
     def test_record_prefixes_are_the_convergent_denominators(self):
-        golden = golden_frequency(2).as_array()
+        golden = np.array(golden_frequency(2))
         assert freqlib._record_prefixes(golden, 1, 100) == [1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
         assert freqlib._record_prefixes(np.array([1.0, math.sqrt(2.0)]), 1, 30) == [1, 3, 7, 17]
         # a partial quotient beyond 2K: only q = 1
@@ -282,10 +294,10 @@ class TestDiophantineConstant:
         assert 0.3 * len(cases) < records < 0.9 * len(cases)
 
     def test_golden_at_pipeline_cutoffs_matches_full_prefix_search(self):
-        omega = golden_frequency(2).omega
+        omega = golden_frequency(2)
         for K in (270, 382, 493, 2700, 8536, 26992, 85355):
             for tau in (0.5, 1.0, 2.0):
-                cert = diophantine_constant(Frequency(omega), tau, K)
+                cert = diophantine_constant(omega, tau, K)
                 assert (cert.gamma_K, cert.attained_k) == _full_search_constant(omega, tau, K)
 
     @given(

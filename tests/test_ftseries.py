@@ -24,6 +24,7 @@ from torusstab import (
     smooth,
     theta_gradient_majorant,
 )
+from series_helpers import cosine
 
 D = 2
 
@@ -91,13 +92,13 @@ class TestConstruction:
         assert dict(f.items()) == {((0, 0), (1, 0)): 2.0, ((0, 0), (0, 1)): 3.0}
 
     def test_cosine_evaluates_to_cos(self):
-        f = FourierTaylorSeries.cosine(D, (1, 0), amplitude=2.0, phase=0.3)
+        f = cosine(D, (1, 0), amplitude=2.0, phase=0.3)
         theta = (0.17, 0.5)
         expected = 2.0 * math.cos(TWO_PI * theta[0] + 0.3)
         assert f.evaluate(theta, (0.0, 0.0)) == pytest.approx(expected, abs=1e-14)
 
     def test_sine_evaluates_to_sin(self):
-        f = FourierTaylorSeries.cosine(D, (0, 1), phase=-0.5 * math.pi)
+        f = cosine(D, (0, 1), phase=-0.5 * math.pi)
         theta = (0.1, 0.23)
         assert f.evaluate(theta, (0.0, 0.0)) == pytest.approx(
             math.sin(TWO_PI * theta[1]), abs=1e-14
@@ -107,7 +108,7 @@ class TestConstruction:
 class TestAlgebra:
     def test_series_product_undefined(self):
         # the normal form needs brackets only; a product of two series raises
-        f = FourierTaylorSeries.cosine(D, (1, -1), m=(1, 0)) + 0.5
+        f = cosine(D, (1, -1), m=(1, 0)) + 0.5
         g = FourierTaylorSeries(D, {((0, 0), (0, 2)): 3.0})
         with pytest.raises(TypeError):
             f * g
@@ -133,11 +134,8 @@ class TestAlgebra:
     @settings(max_examples=40, deadline=None)
     def test_ring_axioms_pointwise(self, f, g):
         theta, I = (0.3, 0.7), (0.5, -0.25)
-        fg = (f + g).evaluate(theta, I, reality_tol=1e-6)
-        assert fg == pytest.approx(
-            f.evaluate(theta, I, reality_tol=1e-6) + g.evaluate(theta, I, reality_tol=1e-6),
-            abs=1e-9,
-        )
+        fg = (f + g).evaluate(theta, I)
+        assert fg == pytest.approx(f.evaluate(theta, I) + g.evaluate(theta, I), abs=1e-9)
 
     def test_scalar_ops(self):
         f = FourierTaylorSeries(D, {((0, 0), (2, 0)): 1.0})
@@ -147,7 +145,7 @@ class TestAlgebra:
 
 class TestCalculus:
     def test_partial_theta_exact(self):
-        f = FourierTaylorSeries.cosine(D, (2, -1))
+        f = cosine(D, (2, -1))
         df = f.partial_theta(0)
         theta = (0.13, 0.77)
         h = 1e-6
@@ -163,7 +161,7 @@ class TestCalculus:
         assert dict(df.items())[((0, 0), (2, 1))] == 6.0
 
     def test_mixed_partials_commute(self):
-        f = FourierTaylorSeries.cosine(D, (1, 2), m=(2, 1))
+        f = cosine(D, (1, 2), m=(2, 1))
         a = f.partial_theta(0).partial_I(1)
         b = f.partial_I(1).partial_theta(0)
         assert a == b
@@ -171,8 +169,8 @@ class TestCalculus:
     def test_poisson_bracket_sympy_oracle(self):
         # {cos(2 pi (t1 - t2)) I1^2, sin(2 pi t2) I1 I2} at
         # (t, I) = (1/7, 2/5, 3/10, -1/4); value frozen from a symbolic engine
-        f = FourierTaylorSeries.cosine(D, (1, -1), m=(2, 0))
-        g = FourierTaylorSeries.cosine(D, (0, 1), m=(1, 1), phase=-0.5 * math.pi)
+        f = cosine(D, (1, -1), m=(2, 0))
+        g = cosine(D, (0, 1), m=(1, 1), phase=-0.5 * math.pi)
         pb = f.poisson_bracket(g)
         val = pb.evaluate((1 / 7, 2 / 5), (3 / 10, -1 / 4))
         assert val == pytest.approx(-0.18262752210065241, rel=1e-13)
@@ -242,20 +240,20 @@ class TestNormsAndStructure:
         assert f.weighted_norm(small) <= f.weighted_norm(big) * (1 + 1e-12) + 1e-300
 
     def test_parts_partition(self):
-        f = FourierTaylorSeries.cosine(D, (1, 0), m=(1, 0)) + FourierTaylorSeries(
+        f = cosine(D, (1, 0), m=(1, 0)) + FourierTaylorSeries(
             D, {((0, 0), (2, 0)): 1.0}
         )
         assert f.fourier_zero_part() + f.fourier_nonzero_part() == f
 
     def test_angle_coefficient(self):
         # the only I^m with |m|_1 = 2 carries a_m = 3 cos(2 pi theta_1)
-        a_m = FourierTaylorSeries.cosine(D, (1, 0), m=(2, 0), amplitude=3.0)
-        f = a_m + FourierTaylorSeries.cosine(D, (1, 1), m=(0, 3))
+        a_m = cosine(D, (1, 0), m=(2, 0), amplitude=3.0)
+        f = a_m + cosine(D, (1, 1), m=(0, 3))
         assert f.select(lambda nk, nm, c: nm == 2) == a_m
         assert a_m.mass() == pytest.approx(3.0)
 
     def test_is_real(self):
-        f = FourierTaylorSeries.cosine(D, (1, -2))
+        f = cosine(D, (1, -2))
         assert f.is_real()
         g = FourierTaylorSeries(D, {((1, 0), (0, 0)): 1j})
         assert not g.is_real()
@@ -392,7 +390,7 @@ class TestArrayStore:
             self._check(f, g)
 
     def test_store_is_sorted_and_read_only(self):
-        f = FourierTaylorSeries.cosine(D, (2, -1), m=(1, 0)) + FourierTaylorSeries(
+        f = cosine(D, (2, -1), m=(1, 0)) + FourierTaylorSeries(
             D, {((0, 0), (0, 2)): 1.0}
         )
         keys = [k + m for (k, m), _ in f.items()]
@@ -405,7 +403,7 @@ class TestArrayStore:
     def test_kept_orders_are_read_only(self):
         # select and masses pass the kept |k|_1 and |m|_1 to their callbacks:
         # one that writes into them is refused and changes no later call
-        f = FourierTaylorSeries.cosine(D, (2, -1), m=(1, 0)) + FourierTaylorSeries(
+        f = cosine(D, (2, -1), m=(1, 0)) + FourierTaylorSeries(
             D, {((0, 0), (0, 2)): 1.0}
         )
         nonzero = f.select(lambda nk, nm, c: nk > 0)
@@ -638,7 +636,7 @@ class TestPackedKeys:
         with pytest.raises(ValueError, match=r"column spans \[4294967297, 4294967297, 1, 1\]"):
             FourierTaylorSeries(D, {((big, big), (0, 0)): 1.0, ((-big, -big), (0, 0)): 1.0})
         # each operand's keys fit, the bracket's do not
-        half = FourierTaylorSeries.cosine(D, (1 << 30, 1 << 30))
+        half = cosine(D, (1 << 30, 1 << 30))
         with pytest.raises(ValueError, match=r"column spans \[4294967297, 4294967297, 2, 2\]"):
             half.poisson_bracket(half)
 
@@ -699,7 +697,7 @@ class TestSerialization:
         assert FourierTaylorSeries.from_text(f.to_text()) == f
 
     def test_save_load(self, tmp_path):
-        f = FourierTaylorSeries.cosine(D, (2, 1), m=(1, 1), amplitude=0.7, phase=1.1)
+        f = cosine(D, (2, 1), m=(1, 1), amplitude=0.7, phase=1.1)
         path = tmp_path / "series.txt"
         f.save(path)
         assert FourierTaylorSeries.load(path) == f
@@ -748,7 +746,7 @@ def assert_kernel_matches_direct_sum(field, f, theta, I):
 
 class TestEvaluators:
     def test_compiled_matches_scalar(self):
-        f = FourierTaylorSeries.cosine(D, (1, -1), m=(1, 0)) + FourierTaylorSeries.cosine(
+        f = cosine(D, (1, -1), m=(1, 0)) + cosine(
             D, (0, 2), m=(0, 3), phase=-0.5 * math.pi
         )
         rng = np.random.default_rng(7)
@@ -761,8 +759,8 @@ class TestEvaluators:
     def test_vector_field_matches_partials(self):
         H = (
             FourierTaylorSeries.linear((1.0, 1.5))
-            + FourierTaylorSeries.cosine(D, (1, -1), m=(2, 0), amplitude=0.3)
-            + FourierTaylorSeries.cosine(D, (0, 1), m=(1, 1), amplitude=0.2, phase=-0.5 * math.pi)
+            + cosine(D, (1, -1), m=(2, 0), amplitude=0.3)
+            + cosine(D, (0, 1), m=(1, 1), amplitude=0.2, phase=-0.5 * math.pi)
         )
         field = HamiltonianVectorField(H)
         theta = np.array([[0.12, 0.81]])
@@ -786,7 +784,7 @@ class TestEvaluators:
         rng = np.random.default_rng(len(f))
         theta = rng.random((7, D))
         I = rng.uniform(-1.5, 1.5, (7, D))
-        field = HamiltonianVectorField(f, check_real=False)
+        field = HamiltonianVectorField(f)
         assert_kernel_matches_direct_sum(field, f, theta, I)
         if not real:
             return  # evaluate rejects a non-real series
@@ -826,7 +824,7 @@ class TestEvaluators:
                 k, c = tuple(-v for v in k), c.conjugate()
             folded[(k, m)] = folded.get((k, m), 0j) + c
         folded = {key: c for key, c in folded.items() if c != 0}
-        field = HamiltonianVectorField(f, check_real=False)
+        field = HamiltonianVectorField(f)
         assert field.n == len(folded)
         if block == 1:
             powers = sorted({m for _, m in folded})
@@ -846,13 +844,8 @@ class TestEvaluators:
             if all(m[j] == 0 for _, m in folded):
                 assert np.all(zdot[:, j] == 0)
 
-    def test_vector_field_rejects_complex(self):
-        g = FourierTaylorSeries(D, {((1, 0), (0, 0)): 1j})
-        with pytest.raises(NumericalFault, match="vector field requires a real-valued series"):
-            HamiltonianVectorField(g)
-
     def test_energy_matches_evaluate(self):
-        H = FourierTaylorSeries.cosine(D, (1, 1), m=(0, 2)) + 2.0
+        H = cosine(D, (1, 1), m=(0, 2)) + 2.0
         field = HamiltonianVectorField(H)
         theta = np.array([[0.3, 0.4], [0.9, 0.1]])
         I = np.array([[0.2, 0.5], [-0.1, 0.7]])
@@ -869,7 +862,7 @@ class TestHalfAngleKernel:
 
     def field(self, m=(0, 0)):
         terms = {(k, m): 1.0 + 0.5j for k in self.MODES}
-        return HamiltonianVectorField(FourierTaylorSeries(D, terms), check_real=False)
+        return HamiltonianVectorField(FourierTaylorSeries(D, terms))
 
     def test_angles_match_cos_sin(self):
         field = self.field()
@@ -917,8 +910,8 @@ class TestRowChunks:
         # few modes and a high Taylor order: the power table's d (pmax + 1)
         # columns are the widest temporary, far wider than [cos | sin]
         "high-order": lambda: (
-            FourierTaylorSeries.cosine(D, (1, 0), m=(60, 0))
-            + FourierTaylorSeries.cosine(D, (0, 1), m=(3, 2), amplitude=0.5, phase=-0.5 * math.pi)
+            cosine(D, (1, 0), m=(60, 0))
+            + cosine(D, (0, 1), m=(3, 2), amplitude=0.5, phase=-0.5 * math.pi)
         ),
         # many modes: [cos | sin] is the widest
         "many-modes": lambda: build_test_hamiltonian(
@@ -926,7 +919,7 @@ class TestRowChunks:
         ),
         # one mode and 25 Taylor indices: a block's z_dot products are the widest
         "many-indices": lambda: sum(
-            (FourierTaylorSeries.cosine(D, (1, 0), m=(a, b), amplitude=1.0 / (1 + a + b))
+            (cosine(D, (1, 0), m=(a, b), amplitude=1.0 / (1 + a + b))
              for a in range(5) for b in range(5)),
             FourierTaylorSeries(D),
         ),

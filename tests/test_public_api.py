@@ -1,5 +1,6 @@
-"""The package's public names, the parameters of its public functions, the
-public attributes of FourierTaylorSeries, the fields of its public
+"""The package's public names, the parameters of its public functions (and of
+the vector field's constructor and the series' evaluate), the public
+attributes of FourierTaylorSeries, the fields of its public
 dataclasses, its exception classes, the options of each CLI subcommand and
 the sweep CSV's columns, pinned: removing or adding one edits these lists."""
 
@@ -7,6 +8,7 @@ import argparse
 import dataclasses
 import importlib
 import inspect
+import operator
 import os
 import pkgutil
 import subprocess
@@ -32,7 +34,7 @@ PUBLIC_NAMES = [
     "emit_plots", "escape_time", "fit_exponent", "fit_exponent_rows",
     "golden_frequency", "holder_norm_majorant", "integrate",
     "lacunary_series", "lie_transform", "linear_frequency",
-    "load_config", "parameter_schedule", "parse_config", "perturbation_of",
+    "load_config", "parameter_schedule", "parse_config",
     "predicted_stability_time", "read_sweep_csv", "remainder_bounds",
     "resonant_normal_form", "run_pipeline", "sample_initial_conditions", "smooth",
     "smooth_coefficients", "solve_homological", "sweep", "taylor_split",
@@ -60,7 +62,6 @@ PUBLIC_PARAMETERS = {
     "load_config": ('path',),
     "parameter_schedule": ('rho', 'gamma', 'tau', 'hc', 'coeff_norm_max'),
     "parse_config": ('text',),
-    "perturbation_of": ('H', 'omega'),
     "predicted_stability_time": ('rho', 'hc', 'tau'),
     "read_sweep_csv": ('path',),
     "remainder_bounds": ('schedule', 'hc'),
@@ -78,13 +79,19 @@ PUBLIC_PARAMETERS = {
 
 # the series' data (d, K, M, C), constructors, calculus, norms and text form
 SERIES_ATTRIBUTES = [
-    "C", "K", "M", "constant", "cosine", "d", "evaluate",
+    "C", "K", "M", "constant", "d", "evaluate",
     "fourier_nonzero_part", "fourier_zero_part", "from_text",
     "is_pure_angle", "is_real", "items", "linear", "load", "mass", "masses",
     "max_taylor_order", "min_taylor_order",
     "partial_I", "partial_theta", "poisson_bracket", "save", "select",
     "to_text", "weighted_norm",
 ]
+
+# the parameters of the vector field's constructor and of the series' evaluate
+CALLABLE_PARAMETERS = {
+    "HamiltonianVectorField": ('series',),
+    "FourierTaylorSeries.evaluate": ('self', 'theta', 'I'),
+}
 
 # the fields of every public dataclass, in declaration order
 DATACLASS_FIELDS = {
@@ -96,7 +103,6 @@ DATACLASS_FIELDS = {
                          't_cap', 'max_steps', 'n_samples', 'threshold_factor',
                          'dynamics_only'),
     "FitReport": ('model', 'p', 'c0', 'residuals', 'n_points'),
-    "Frequency": ('omega',),
     "HolderClass": ('ell', 'd'),
     "LieResult": ('series', 'tail_mass', 'dropped_mass'),
     "NormalFormParams": ('alpha', 'K', 'widths'),
@@ -165,6 +171,13 @@ def test_series_attributes_are_pinned():
     assert sorted(name for name in dir(series) if not name.startswith("_")) == SERIES_ATTRIBUTES
 
 
+def test_callable_parameters_are_pinned():
+    assert {
+        name: tuple(inspect.signature(operator.attrgetter(name)(torusstab)).parameters)
+        for name in CALLABLE_PARAMETERS
+    } == CALLABLE_PARAMETERS
+
+
 def test_dataclass_fields_are_pinned():
     classes = {name: getattr(torusstab, name) for name in PUBLIC_NAMES}
     assert {
@@ -213,8 +226,8 @@ def test_import_loads_no_scipy():
 import sys
 import torusstab, torusstab.cli
 from torusstab import FourierTaylorSeries, golden_frequency, integrate
-H = FourierTaylorSeries.linear(golden_frequency(2)) + FourierTaylorSeries.cosine(
-    2, (1, 0), m=(2, 0), amplitude=1e-3)
+H = FourierTaylorSeries.linear(golden_frequency(2)) + FourierTaylorSeries(
+    2, {((1, 0), (2, 0)): 5e-4, ((-1, 0), (2, 0)): 5e-4})
 integrate(H, ((0.1, 0.2), (0.0, 0.0)), t_end=0.1, dt=0.01)
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """

@@ -19,6 +19,7 @@ from torusstab import (
     taylor_split,
     verify_smoothing_estimate,
 )
+from series_helpers import cosine
 
 D = 2
 
@@ -39,9 +40,9 @@ class TestHolderClass:
 class TestSmooth:
     def test_cutoff_is_sharp(self):
         g = (
-            FourierTaylorSeries.cosine(D, (1, 0))
-            + FourierTaylorSeries.cosine(D, (3, 1))
-            + FourierTaylorSeries.cosine(D, (5, 0))
+            cosine(D, (1, 0))
+            + cosine(D, (3, 1))
+            + cosine(D, (5, 0))
         )
         res = smooth(g, 0.25)  # keeps |k|_1 <= 4
         assert max(sum(map(abs, k)) for (k, _), _ in res.g_s.items()) == 4
@@ -63,12 +64,12 @@ class TestSmooth:
         assert twice.dropped_tail_mass == 0.0
 
     def test_identity_when_nothing_dropped(self):
-        g = FourierTaylorSeries.cosine(D, (1, 0))
+        g = cosine(D, (1, 0))
         res = smooth(g, 0.9)
         assert res.g_s == g
 
     def test_rejects_bad_s_and_mixed_series(self):
-        g = FourierTaylorSeries.cosine(D, (1, 0))
+        g = cosine(D, (1, 0))
         with pytest.raises(ValueError):
             smooth(g, 0.0)
         with pytest.raises(ValueError):
@@ -97,10 +98,10 @@ class TestOneCutoff:
     def test_boundary_modes_agree(self):
         # s = 1/4 keeps |k|_1 = 4 and drops |k|_1 = 5, in every smoothing path
         g = (
-            FourierTaylorSeries.cosine(D, (4, 0), amplitude=0.5)
-            + FourierTaylorSeries.cosine(D, (-1, 3), amplitude=0.25, phase=0.3)
-            + FourierTaylorSeries.cosine(D, (5, 0), amplitude=2.0)
-            + FourierTaylorSeries.cosine(D, (2, -3), amplitude=0.125, phase=1.1)
+            cosine(D, (4, 0), amplitude=0.5)
+            + cosine(D, (-1, 3), amplitude=0.25, phase=0.3)
+            + cosine(D, (5, 0), amplitude=2.0)
+            + cosine(D, (2, -3), amplitude=0.125, phase=1.1)
         )
         res = smooth(g, 0.25)
         g_I2 = FourierTaylorSeries(D, {(k, (2, 0)): c for (k, _), c in g.items()})  # g I_1^2
@@ -115,13 +116,13 @@ class TestOneCutoff:
 
 class TestMajorants:
     def test_holder_majorant_hand_value(self):
-        g = FourierTaylorSeries.cosine(D, (1, 0))  # two coefficients of 1/2
+        g = cosine(D, (1, 0))  # two coefficients of 1/2
         hc = HolderClass(6.5, 2)
         expected = (1.0 + 2.0**0.5) * 2 * 0.5 * (1.0 + TWO_PI**6.5)
         assert holder_norm_majorant(g, hc) == pytest.approx(expected, rel=1e-14)
 
     def test_cp_tail_hand_value(self):
-        g = FourierTaylorSeries.cosine(D, (3, 0))
+        g = cosine(D, (3, 0))
         # s = 0.5 keeps |k|_1 <= 2, drops the pair at |k|_1 = 3
         assert cp_tail_majorant(g, 0.5, 2) == pytest.approx(
             2 * 0.5 * (TWO_PI * 3) ** 2, rel=1e-14

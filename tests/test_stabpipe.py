@@ -8,7 +8,6 @@ import pytest
 from torusstab import (
     AnalyticityWidths,
     FourierTaylorSeries,
-    Frequency,
     HolderClass,
     NumericalFault,
     PipelineStageError,
@@ -21,7 +20,6 @@ from torusstab import (
     holder_norm_majorant,
     normalform,
     parameter_schedule,
-    perturbation_of,
     predicted_stability_time,
     remainder_bounds,
     run_pipeline,
@@ -31,6 +29,7 @@ from torusstab import (
 )
 from torusstab.ftseries import keep_last
 from torusstab.normalform import XI
+from series_helpers import cosine
 
 D = 2
 OMEGA = golden_frequency(2)
@@ -48,9 +47,9 @@ def schedule_holds(sch):
 class TestTaylorSplit:
     def test_partition_by_order(self):
         f = (
-            FourierTaylorSeries.cosine(D, (1, 0), m=(2, 0))
-            + FourierTaylorSeries.cosine(D, (1, 0), m=(0, 4))
-            + FourierTaylorSeries.cosine(D, (2, 0), m=(5, 0))
+            cosine(D, (1, 0), m=(2, 0))
+            + cosine(D, (1, 0), m=(0, 4))
+            + cosine(D, (2, 0), m=(5, 0))
         )
         split = taylor_split(f, HC65, 0.1)  # q = 6, P keeps orders 2..4
         assert split.P + split.Z == f
@@ -58,26 +57,26 @@ class TestTaylorSplit:
         assert split.Z.min_taylor_order() >= 5
 
     def test_tail_bound_hand_value(self):
-        f = FourierTaylorSeries.cosine(D, (2, 0), m=(5, 0))
+        f = cosine(D, (2, 0), m=(5, 0))
         split = taylor_split(f, HC65, 0.1)
         # two coefficients 1/2, |k|_1 = 2, rho^5
         assert split.Z_bound == pytest.approx(2 * 0.5 * 2 * math.pi * 2 * 0.1**5)
 
     def test_low_order_rejected(self):
-        f = FourierTaylorSeries.cosine(D, (1, 0), m=(1, 0))
+        f = cosine(D, (1, 0), m=(1, 0))
         with pytest.raises(PreconditionError):
             taylor_split(f, HC65, 0.1)
 
     @pytest.mark.parametrize("rho", [0.0, -0.1, math.nan, math.inf])
     def test_bad_rho_rejected_by_name(self, rho):
-        f = FourierTaylorSeries.cosine(D, (1, 0), m=(2, 0))
+        f = cosine(D, (1, 0), m=(2, 0))
         with pytest.raises(ValueError, match="rho must be positive and finite"):
             taylor_split(f, HC65, rho)
 
 
 class TestSmoothCoefficients:
     def test_gap_majorants(self):
-        f = FourierTaylorSeries.cosine(D, (4, 0), m=(2, 0))
+        f = cosine(D, (4, 0), m=(2, 0))
         split = taylor_split(f, HC65, 0.2)
         sm = smooth_coefficients(split, 0.5)  # cutoff |k|_1 <= 2 drops everything
         assert not sm.P_s
@@ -86,7 +85,7 @@ class TestSmoothCoefficients:
         assert sm.grad_theta_gap == pytest.approx(2 * 0.5 * 2 * math.pi * 4 * half**2)
 
     def test_nothing_dropped(self):
-        f = FourierTaylorSeries.cosine(D, (1, 0), m=(2, 0))
+        f = cosine(D, (1, 0), m=(2, 0))
         split = taylor_split(f, HC65, 0.2)
         sm = smooth_coefficients(split, 0.5)
         assert sm.P_s == split.P
@@ -204,11 +203,15 @@ class TestPredictedTimes:
                 predicted_stability_time(rho, HC65, 1.0)
 
 
+def perturbation(H, omega):
+    """f of H = omega.I + f, as run_pipeline extracts it."""
+    return stabpipe._perturbation(H, omega)[0]
+
+
 def three_merge_perturbation(H, omega):
-    """perturbation_of by its definition: f = H - omega.I less the stray
+    """perturbation by its definition: f = H - omega.I less the stray
     k = 0, |m|_1 <= 1 terms of f, which must be negligible."""
-    w = omega.as_array() if hasattr(omega, "as_array") else omega
-    f = H - FourierTaylorSeries.linear(w)
+    f = H - FourierTaylorSeries.linear(omega)
     stray = f.select(lambda nk, nm, c: (nk == 0) & (nm <= 1))
     if stray and stray.mass() > stabpipe.LINEAR_PART_TOL * max(H.mass(), 1.0):
         raise PreconditionError("Hamiltonian linear part does not match the supplied frequency")
@@ -217,29 +220,30 @@ def three_merge_perturbation(H, omega):
 
 # kept by f: k != 0 at |m|_1 = 0 and 1, and k = 0 at |m|_1 = 2
 F_EDGES = (
-    FourierTaylorSeries.cosine(D, (1, 0), m=(2, 0), amplitude=1e-3)
-    + FourierTaylorSeries.cosine(D, (0, 1), amplitude=2e-3)
-    + FourierTaylorSeries.cosine(D, (1, -1), m=(0, 1), amplitude=3e-3, phase=-0.5 * math.pi)
+    cosine(D, (1, 0), m=(2, 0), amplitude=1e-3)
+    + cosine(D, (0, 1), amplitude=2e-3)
+    + cosine(D, (1, -1), m=(0, 1), amplitude=3e-3, phase=-0.5 * math.pi)
     + FourierTaylorSeries(D, {((0, 0), (1, 1)): 4e-3})
 )
-W = OMEGA.omega
+W = tuple(OMEGA)
 
 
 class TestPerturbationExtraction:
     def test_splits_linear_part(self):
-        f = FourierTaylorSeries.cosine(D, (1, 0), m=(2, 0), amplitude=1e-3)
+        f = cosine(D, (1, 0), m=(2, 0), amplitude=1e-3)
         H = FourierTaylorSeries.linear(OMEGA) + f
-        assert perturbation_of(H, OMEGA) == f
+        assert perturbation(H, OMEGA) == f
 
     def test_wrong_frequency_rejected(self):
         H = FourierTaylorSeries.linear((1.0, 2.0))
         with pytest.raises(PreconditionError):
-            perturbation_of(H, OMEGA)
+            perturbation(H, OMEGA)
 
-    @pytest.mark.parametrize("omega", [Frequency((1.0, 2.0, 3.0)), (1.0, 2.0, 3.0)])
+    @pytest.mark.parametrize("omega", [(1.0, 2.0, 3.0), (1.0, 2.0, 3.0, 4.0)])
     def test_frequency_of_another_dimension_rejected(self, omega):
-        with pytest.raises(PreconditionError, match="^series has d = 2, frequency has d = 3$"):
-            perturbation_of(FourierTaylorSeries.linear(OMEGA), omega)
+        message = f"^series has d = 2, frequency has d = {len(omega)}$"
+        with pytest.raises(PreconditionError, match=message):
+            perturbation(FourierTaylorSeries.linear(OMEGA), omega)
 
     @pytest.mark.parametrize("scale", [1e-3, 1e-15])
     def test_complex_perturbation_rejected_at_any_scale(self, scale):
@@ -247,22 +251,22 @@ class TestPerturbationExtraction:
         # dominates: a 1e-15 imaginary f is refused too
         H = FourierTaylorSeries.linear(OMEGA) + F_EDGES * (1j * scale)
         with pytest.raises(NumericalFault, match="^pipeline requires a real-valued series$"):
-            perturbation_of(H, OMEGA)
+            perturbation(H, OMEGA)
 
     @pytest.mark.parametrize(
         "linear, extra, omega",
         [
             (W, 1e-12, OMEGA),  # a negligible constant term, dropped
             (W, 0.0, OMEGA),
-            (W, 0.0, W),  # omega as a plain tuple
-            ((1.5, 0.0), 0.0, Frequency((1.5, 0.0))),  # a zero component
+            (W, 0.0, (W[0] + 1e-12, W[1])),  # omega off by < LINEAR_PART_TOL
+            ((0.0, 1.5), 0.0, (0.0, 1.5)),  # a zero component
             ((1.5, 0.0), 0.0, (1.5, 0.0)),
             ((W[0] + 1e-12, W[1]), 0.0, OMEGA),  # linear part off by < LINEAR_PART_TOL
         ],
     )
     def test_accepted_as_by_three_merges(self, linear, extra, omega):
         H = FourierTaylorSeries.linear(linear) + F_EDGES + extra
-        f = perturbation_of(H, omega)
+        f = perturbation(H, omega)
         assert f == three_merge_perturbation(H, omega)
         assert f == F_EDGES
 
@@ -271,7 +275,7 @@ class TestPerturbationExtraction:
         [
             (W, 0.5, OMEGA),  # a constant term beyond tolerance
             ((W[0] + 1e-3, W[1]), 0.0, OMEGA),  # linear part off by > LINEAR_PART_TOL
-            ((W[0] + 1e-3, W[1]), 0.0, W),
+            (W, 0.0, (W[0] + 1e-3, W[1])),  # omega off by > LINEAR_PART_TOL
             ((1.5, 1e-3), 0.0, (1.5, 0.0)),  # a zero component not matched
         ],
     )
@@ -280,7 +284,7 @@ class TestPerturbationExtraction:
         with pytest.raises(PreconditionError):
             three_merge_perturbation(H, omega)
         with pytest.raises(PreconditionError, match="linear part does not match"):
-            perturbation_of(H, omega)
+            perturbation(H, omega)
 
 
 def count_reality_checks(monkeypatch):
@@ -296,7 +300,7 @@ def count_reality_checks(monkeypatch):
 
 
 class TestPerturbationKept:
-    """perturbation_of keeps the last H object's f with omega's values: a
+    """run_pipeline keeps the last H object's f with omega's values: a
     ladder of radii on one H computes f once."""
 
     def test_one_perturbation_per_object(self, monkeypatch):
@@ -304,7 +308,7 @@ class TestPerturbationKept:
         H = build_test_hamiltonian(HC65, seed=1)
         warm = [run_pipeline(H, OMEGA, 0.5, 1.0, HC65, rho).to_text() for rho in (1e-3, 5e-4)]
         assert len(checks) == 1
-        assert perturbation_of(H, OMEGA) is perturbation_of(H, OMEGA.omega)
+        assert perturbation(H, OMEGA) is perturbation(H, W)
         assert len(checks) == 1
         fresh = build_test_hamiltonian(HC65, seed=1)
         cold = [run_pipeline(fresh, OMEGA, 0.5, 1.0, HC65, rho).to_text() for rho in (1e-3, 5e-4)]
@@ -319,20 +323,20 @@ class TestPerturbationKept:
         for n, eps in enumerate(np.linspace(0.01, 0.5, 30), start=1):
             H = FourierTaylorSeries(D, {((0, 0), (1, 0)): W[0], ((0, 0), (0, 1)): W[1],
                                         ((1, -1), (2, 0)): eps, ((-1, 1), (2, 0)): eps})
-            f = perturbation_of(H, OMEGA)
+            f = perturbation(H, OMEGA)
             assert len(checks) == n
             assert len(f) == 2 and np.all(f.C == eps)
             del H, f
 
     def test_other_frequency_checked_after_a_kept_success(self):
         H = FourierTaylorSeries.linear(OMEGA) + F_EDGES
-        assert perturbation_of(H, OMEGA) == F_EDGES
-        for omega in (Frequency((1.0, 2.0**0.5)), (W[0] + 1e-3, W[1])):
+        assert perturbation(H, OMEGA) == F_EDGES
+        for omega in ((1.0, 2.0**0.5), (W[0] + 1e-3, W[1])):
             with pytest.raises(PreconditionError, match="linear part does not match"):
                 run_pipeline(H, omega, 0.5, 1.0, HC65, 1e-3)
         with pytest.raises(PreconditionError, match="^series has d = 2, frequency has d = 3$"):
-            perturbation_of(H, (*W, 1.0))
-        assert perturbation_of(H, OMEGA) == F_EDGES
+            perturbation(H, (*W, 1.0))
+        assert perturbation(H, OMEGA) == F_EDGES
 
     def test_complex_series_fails_every_call(self):
         H = FourierTaylorSeries.linear(OMEGA) + F_EDGES * 1e-3j
@@ -357,7 +361,7 @@ class TestKeepLast:
 
     def test_hit_on_the_same_series_and_equal_values(self):
         norm, calls = self.counted()
-        P = FourierTaylorSeries.cosine(D, (1, 0), m=(2, 0))
+        P = cosine(D, (1, 0), m=(2, 0))
         assert [norm(P, HC65), norm(P, HolderClass(6.5, 2))] == [1, 1]
         # a keyword call is a key of its own, and repeats like a positional one
         assert [norm(P, hc=HC65), norm(P, hc=HolderClass(6.5, 2))] == [2, 2]
@@ -365,8 +369,8 @@ class TestKeepLast:
 
     def test_miss_on_an_equal_series_or_other_values(self):
         norm, calls = self.counted()
-        P = FourierTaylorSeries.cosine(D, (1, 0), m=(2, 0))
-        twin = FourierTaylorSeries.cosine(D, (1, 0), m=(2, 0))
+        P = cosine(D, (1, 0), m=(2, 0))
+        twin = cosine(D, (1, 0), m=(2, 0))
         assert twin == P and twin is not P
         assert [norm(P, HC65), norm(twin, HC65), norm(twin, HC6), norm(twin, HC6)] == [1, 2, 3, 3]
         f, linear = stabpipe._perturbation(F_EDGES + FourierTaylorSeries.linear(W), W)
@@ -389,8 +393,8 @@ class TestKeepLast:
             with pytest.raises(ValueError):
                 check(-1)
         assert check(1) == 1 and calls == [1, -1, -1]
-        low = FourierTaylorSeries.cosine(D, (1, 0), m=(1, 0))
-        good = FourierTaylorSeries.cosine(D, (1, 0), m=(2, 0))
+        low = cosine(D, (1, 0), m=(1, 0))
+        good = cosine(D, (1, 0), m=(2, 0))
         for _ in range(2):
             with pytest.raises(PreconditionError, match="Taylor orders < 2"):
                 taylor_split(low, HC65, 0.1)
@@ -398,7 +402,7 @@ class TestKeepLast:
 
     def test_sites_keep_only_rho_independent_work(self, monkeypatch):
         H = build_test_hamiltonian(HC65, seed=1)
-        f = perturbation_of(H, OMEGA) + FourierTaylorSeries.cosine(D, (2, 0), m=(5, 0))
+        f = perturbation(H, OMEGA) + cosine(D, (2, 0), m=(5, 0))
         first, second = taylor_split(f, HC65, 1e-3), taylor_split(f, HC65, 5e-4)
         assert second.P is first.P and second.Z is first.Z
         assert second.Z_bound == stabpipe.theta_gradient_majorant(first.Z, 5e-4) != first.Z_bound
@@ -409,8 +413,8 @@ class TestKeepLast:
         cmax = coefficient_norm_max(first.P, HC65)
         assert coefficient_norm_max(second.P, HC65) == cmax and masses == [1]
         assert coefficient_norm_max(first.P, HolderClass(6.7, 2)) != cmax and masses == [1, 1]
-        linear = stabpipe._perturbation(H, OMEGA.omega)[1]
-        assert stabpipe._perturbation(H, tuple(OMEGA.omega))[1] is linear
+        linear = stabpipe._perturbation(H, OMEGA)[1]
+        assert stabpipe._perturbation(H, W)[1] is linear
         assert linear == FourierTaylorSeries.linear(OMEGA)
 
     def test_interleaved_ladders_match_cold_runs(self):
@@ -515,6 +519,12 @@ class TestPipeline:
         with pytest.raises(ValueError, match=f"^{name} must "):
             run_pipeline(H, OMEGA, gamma, tau, HC65, rho)
 
+    def test_frequency_checked_before_any_stage(self):
+        # the linear part check would refuse this H first otherwise
+        H = FourierTaylorSeries.linear((1.0, 2.0))
+        with pytest.raises(ValueError, match="^frequency components must be finite$"):
+            run_pipeline(H, (1.0, math.inf), 0.5, 1.0, HC65, 1e-3)
+
     def test_certifying_run(self):
         H = build_test_hamiltonian(HC65, seed=0, amplitude=1e-12, j_max=4)
         report = run_pipeline(H, OMEGA, 0.5, 1.0, HC65, rho=1e-3)
@@ -585,7 +595,7 @@ class TestPipeline:
                     P = rough
                 else:
                     H = build_test_hamiltonian(hc, seed=seed)
-                    P = taylor_split(perturbation_of(H, OMEGA), hc, 1e-3).P
+                    P = taylor_split(perturbation(H, OMEGA), hc, 1e-3).P
                 by_m = {}
                 for (k, m), c in P.items():
                     by_m.setdefault(m, {})[(k, (0, 0))] = c
@@ -605,7 +615,7 @@ class TestStageTags:
     PipelineStageError tagged with the stage; other errors pass unwrapped."""
 
     def test_order_one_term_tagged_taylor_split(self):
-        H = FourierTaylorSeries.linear(OMEGA) + FourierTaylorSeries.cosine(
+        H = FourierTaylorSeries.linear(OMEGA) + cosine(
             D, (1, 0), m=(1, 0), amplitude=1e-12
         )
         with pytest.raises(PipelineStageError) as info:
@@ -615,7 +625,7 @@ class TestStageTags:
 
     def test_empty_polynomial_part_tagged_taylor_split(self):
         # orders >= q - 1 = 5 only: rejected by name, not as a zero norm in the schedule
-        H = FourierTaylorSeries.linear(OMEGA) + FourierTaylorSeries.cosine(
+        H = FourierTaylorSeries.linear(OMEGA) + cosine(
             D, (2, 0), m=(5, 0), amplitude=1e-12
         )
         with pytest.raises(PipelineStageError, match=r"Taylor orders 2\.\.4") as info:
