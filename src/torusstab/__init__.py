@@ -20,7 +20,6 @@ from .ftseries import (
     FourierTaylorSeries,
     HamiltonianVectorField,
     TWO_PI,
-    linear_frequency,
     theta_gradient_majorant,
 )
 from .smoothing import (

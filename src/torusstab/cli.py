@@ -102,7 +102,7 @@ def cmd_predict(args):
     if args.input:
         H = FourierTaylorSeries.load(args.input)
         gamma = 0.5 if args.gamma is None else args.gamma
-        report = run_pipeline(H, _frequency(H), gamma, args.tau, hc, args.rho)
+        report = run_pipeline(H, _frequency(H, "pipeline"), gamma, args.tau, hc, args.rho)
         sys.stdout.write(report.to_text())
         return 0 if report.certified else 1
     _refuse(args, "with", "gamma")

@@ -1,18 +1,20 @@
 """Long-time symplectic integration and Monte-Carlo escape measurement.
 
-The integrator splits H = omega.I + f (Strang, as in Wisdom-Holman): a
-step is an exact half rotation theta += omega h/2, one implicit-midpoint
-step on the field of f alone (a fixed-point iteration), and another half
-rotation.  It is symplectic, symmetric and second order for general
-non-separable f, and exact when f = 0.  On a small f the fixed point is
-reached in one sweep, since the rotation no longer moves the iterate.
+The integrator splits H = omega.I + c_0 + f (ftseries.split_linear; Strang,
+as in Wisdom-Holman): a step is an exact half rotation theta += omega h/2,
+one implicit-midpoint step on the field of f alone (a fixed-point
+iteration), and another half rotation.  It is symplectic, symmetric and
+second order for general non-separable f, and exact when f = 0.  On a small
+f the fixed point is reached in one sweep, since the rotation no longer
+moves the iterate.
 
 A batch's state is one (N, 2d) array z = [theta | I] from start to end of a
 step: a half rotation adds the shift [omega h/2 | 0], built when the step
 size changes, and a sweep is one call field(z) -> [theta_dot | I_dot].
-`integrate`'s step loop only steps and records (t, z).  The energy never
-feeds back into a step, so Trajectory.energy is evaluated after the run, at
-theta mod 1, in one call field.energy(z); the field bounds its own batches.
+`integrate`'s step loop only steps and records (t, z).  The energy (f +
+omega.I, without the offset c_0) never feeds back into a step, so
+Trajectory.energy is evaluated after the run, at theta mod 1, in one call
+field.energy(z); the field bounds its own batches.
 
 The sweep and the checks step one H at several radii with one seed, so the
 last H's split field and the last seed's unit draws are kept between calls.
@@ -31,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFault, require_at_least, require_positive, require_real
-from .ftseries import HamiltonianVectorField, keep_last, linear_frequency, theta_gradient_majorant
+from .errors import NumericalFault, require_at_least, require_positive
+from .ftseries import HamiltonianVectorField, keep_last, split_linear, theta_gradient_majorant
 
 FIXED_POINT_TOL = 1e-13
 MAX_SWEEPS = 50
@@ -42,8 +44,8 @@ ENERGY_CHECK_EVERY = 1000
 
 
 def default_dt(H):
-    """min(0.01, 0.01/||omega||_inf): resolves the fast angle."""
-    wmax = float(np.max(np.abs(linear_frequency(H)))) if len(H) else 0.0
+    """min(0.01, 0.01/||omega||_inf), omega of the kept split: resolves the fast angle."""
+    wmax = float(np.max(np.abs(_split(H)[0])))
     return 0.01 if wmax == 0.0 else min(0.01, 0.01 / wmax)
 
 
@@ -85,12 +87,10 @@ def _midpoint_step(field, z, dt):
 
 @keep_last
 def _split(H):
-    """(omega, vector field of f) for H = omega.I + f, where omega.I is the
-    k=0, |m|_1=1 part of H and f must be real to 1e-9 of its own mass.  The
-    last H object's split is kept."""
-    f = H.select(lambda nk, nm, c: (nk > 0) | (nm != 1))
-    require_real(f, "vector field")
-    return linear_frequency(H), HamiltonianVectorField(f)
+    """(omega, vector field of f) for split_linear's H = omega.I + c_0 + f.
+    The last H object's split is kept."""
+    omega, f = split_linear(H, "vector field")
+    return omega, HamiltonianVectorField(f)
 
 
 def _half_rotation(omega, dt):
@@ -106,7 +106,7 @@ def _split_step(field, half, z, dt):
 
 
 def _energy(field, omega, z):
-    """H = f + omega.I at each row of z = [theta | I]."""
+    """omega.I + f at each row of z = [theta | I]: H without its offset c_0."""
     return field.energy(z) + z[:, len(omega) :] @ omega
 
 

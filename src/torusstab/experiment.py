@@ -19,7 +19,7 @@ from .dynamics import default_dt, escape_time
 from .errors import NumericalFault, PipelineStageError, PreconditionError
 from .errors import require_at_least, require_positive
 from .freqlib import golden_frequency
-from .ftseries import FourierTaylorSeries
+from .ftseries import FourierTaylorSeries, split_linear
 from .smoothing import HolderClass, lacunary_series
 from .stabpipe import RHO_MAX, _gate_ratio, predicted_stability_time, run_pipeline
 
@@ -198,7 +198,6 @@ def sweep(config, csv_path=None):
     continues.
     """
     hc = config.holder
-    omega = golden_frequency(2)
     H = build_test_hamiltonian(
         hc, seed=config.seed, amplitude=config.amplitude, j_max=config.j_max
     )
@@ -211,7 +210,7 @@ def sweep(config, csv_path=None):
         fh.flush()
     try:
         for rho in config.rho_list:
-            row = _sweep_row(config, H, omega, hc, rho, dt)
+            row = _sweep_row(config, H, hc, rho, dt)
             rows.append(row)
             if fh is not None:
                 fh.write(row.to_csv() + "\n")
@@ -222,7 +221,7 @@ def sweep(config, csv_path=None):
     return rows
 
 
-def _sweep_row(config, H, omega, hc, rho, dt):
+def _sweep_row(config, H, hc, rho, dt):
     """One sweep row.  A dynamics-only row's t_pred is the headline shape; a
     pipeline row's is its report's prediction, and nan where the pipeline
     gave none (a failed schedule or stage), so that its default cap is
@@ -235,6 +234,7 @@ def _sweep_row(config, H, omega, hc, rho, dt):
     else:
         t_pred = math.nan
         try:
+            omega, _ = split_linear(H, "pipeline")
             report = run_pipeline(H, omega, config.gamma, config.tau, hc, rho)
             if report.gates:  # none for an integrable H
                 # dominance, (3 + 2/tau)/ell, is rho-independent; a failing one raises

@@ -117,7 +117,7 @@ class FourierTaylorSeries:
 
     @classmethod
     def linear(cls, omega):
-        """omega . I for a sequence of floats omega; linear_frequency inverts it."""
+        """omega . I for a sequence of floats omega; split_linear reads omega back."""
         values = np.array(omega, dtype=complex)
         d = len(values)
         require_at_least(1, dimension=d)
@@ -386,12 +386,21 @@ class FourierTaylorSeries:
             return cls.from_text(fh.read())
 
 
-def linear_frequency(H):
-    """The frequency vector of the k=0, |m|=1 part of H: omega of H = omega.I + f."""
-    w = np.zeros(H.d)
-    rows = ~H.K.any(axis=1) & (H.M.sum(axis=1) == 1)
-    w[H.M[rows].argmax(axis=1)] = H.C[rows].real
-    return w
+def split_linear(H, owner):
+    """(omega, f) of H = omega.I + c_0 + f, the one split every consumer reads:
+    omega is the real parts of H's k = 0, |m|_1 = 1 coefficients, and f is
+    H's other terms, less the real constant c_0 (an energy offset that no
+    flow or bound reads) and with the imaginary parts of c_0 and omega as terms.
+    Unless f is real to 1e-9 of its own mass, NumericalFault names `owner`."""
+    nk, nm = H._orders()
+    low = (nk == 0) & (nm <= 1)
+    linear = low & (nm == 1)
+    omega = np.zeros(H.d)
+    omega[H.M[linear].argmax(axis=1)] = H.C[linear].real
+    f = FourierTaylorSeries._of(H.d, H.K, H.M, np.where(low, 1j * H.C.imag, H.C))
+    if not f.is_real(tol=1e-9):
+        raise NumericalFault(f"{owner} requires a real-valued series")
+    return omega, f
 
 
 def keep_last(fn):

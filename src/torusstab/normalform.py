@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFault, PreconditionError
-from .errors import require_at_least, require_positive, require_real
-from .ftseries import TWO_PI, AnalyticityWidths, FourierTaylorSeries, _merge, linear_frequency
+from .errors import require_at_least, require_positive
+from .ftseries import TWO_PI, AnalyticityWidths, FourierTaylorSeries, _merge, split_linear
 
 DIVISOR_FLOOR = 1e-12
 # bracket growth between consecutive Lie-series orders taken as divergence
@@ -226,9 +226,9 @@ def lie_transform(H, chi, order=6, widths=None, chop=0.0):
     return LieResult(series=result, tail_mass=tail, dropped_mass=dropped)
 
 
-def _frequency(H):
-    """omega of H = omega.I + f; an H with no linear part is refused by name."""
-    omega = linear_frequency(H)
+def _frequency(H, owner):
+    """omega of split_linear(H, owner); an H with no linear part is refused by name."""
+    omega = split_linear(H, owner)[0]
     if not omega.any():
         raise PreconditionError("series has no linear part omega.I")
     return omega
@@ -245,11 +245,10 @@ def resonant_normal_form(H, params):
     to lower the contraction ("stalled"), or after 2K iterations ("capped");
     only "certified" gives certified=True.
 
-    Raises NumericalFault if H - omega.I is not real, PreconditionError if H
+    Raises NumericalFault if split_linear's f is not real, PreconditionError if H
     has no linear part or if f fails |||f|||_{sigma,rho} <= alpha rho / (256 xi K).
     """
-    omega = _frequency(H)
-    require_real(H.select(lambda nk, nm, c: (nk > 0) | (nm != 1)), "normal form")
+    omega = _frequency(H, "normal form")
     widths = params.widths
     inner = AnalyticityWidths(widths.sigma / 6.0, widths.rho / 2.0)
     K = params.K

@@ -21,9 +21,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 from .errors import NumericalFault, PipelineStageError, PreconditionError
-from .errors import require_dimension, require_positive, require_real
+from .errors import require_dimension, require_positive
 from .freqlib import Frequency, _check_tau, diophantine_constant
-from .ftseries import AnalyticityWidths, FourierTaylorSeries, keep_last, theta_gradient_majorant
+from .ftseries import AnalyticityWidths, FourierTaylorSeries, keep_last, split_linear
+from .ftseries import theta_gradient_majorant
 from .normalform import XI, NormalFormParams, resonant_normal_form
 # holder_norm_majorant is looked up here by bench/layers.py
 from .smoothing import coefficient_norm_max, holder_norm_majorant, sharp_cutoff  # noqa: F401
@@ -270,18 +271,16 @@ class PipelineReport:
 
 @keep_last
 def _perturbation(H, omega):
-    """(f, omega.I) of H = omega.I + f: f is H's terms with k != 0 or |m|_1 > 1,
-    real to 1e-9 of f's own mass.  The linear part must match omega to
-    LINEAR_PART_TOL of H's mass; only H's k = 0, |m|_1 <= 1 terms are merged
-    with omega.I for it.  The last H object's f and omega.I are kept with
-    omega's values (keep_last)."""
+    """(f, omega.I) of H = omega.I + f, with split_linear's f.  The linear
+    part must match omega to LINEAR_PART_TOL of H's mass; only H's k = 0,
+    |m|_1 <= 1 terms are merged with omega.I for it.  The last H object's f
+    and omega.I are kept with omega's values (keep_last)."""
     require_dimension(H, len(omega), "frequency")
+    f = split_linear(H, "pipeline")[1]
     linear = FourierTaylorSeries.linear(omega)
     stray = H.select(lambda nk, nm, c: (nk == 0) & (nm <= 1)) - linear
     if stray and stray.mass() > LINEAR_PART_TOL * max(H.mass(), 1.0):
         raise PreconditionError("Hamiltonian linear part does not match the supplied frequency")
-    f = H.select(lambda nk, nm, c: (nk > 0) | (nm > 1))
-    require_real(f, "pipeline")
     return f, linear
 
 

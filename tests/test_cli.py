@@ -572,6 +572,13 @@ class TestCheckNotPassed:
         assert captured.err == ""
 
 
+def complex_frequency_hamiltonian():
+    """omega.I + 1e-12 cos(2 pi theta_1) I_1^2 with 1e-3 i added to omega_1."""
+    return (FourierTaylorSeries.linear(golden_frequency(2))
+            + FourierTaylorSeries(2, {((0, 0), (1, 0)): 1e-3j})
+            + cosine(2, (1, 0), m=(2, 0), amplitude=1e-12))
+
+
 class TestExitCodeTable:
     """Exit 2 for a precondition, 3 for a numerical fault: one real CLI path
     per failure kind, each with its one stderr line."""
@@ -644,11 +651,26 @@ class TestExitCodeTable:
                  2, {((1, 0), (2, 0)): 1e-6j}),
              3,
              "numerical fault: normal form requires a real-valued series"),
+            # an imaginary part on omega_1 is f's, so every consumer of the
+            # split refuses it
+            (["escape", "--rho", "0.1", "--t-cap", "0.1", "--n-samples", "2"],
+             complex_frequency_hamiltonian,
+             3,
+             "numerical fault: vector field requires a real-valued series"),
+            (["nf", "--alpha", "0.2", "--K", "5", "--sigma", "1.2", "--rho", "0.5"],
+             complex_frequency_hamiltonian,
+             3,
+             "numerical fault: normal form requires a real-valued series"),
+            (["predict", "--rho", "1e-3"],
+             complex_frequency_hamiltonian,
+             3,
+             "numerical fault: pipeline requires a real-valued series"),
         ],
         ids=["small-divisor", "complex-series", "dominance-gate", "too-few-rows",
              "predict-dimension", "smooth-verify-dimension", "smooth-verify-not-pure-angle",
              "nf-no-linear-part", "predict-no-linear-part", "predict-complex-series",
-             "escape-complex-perturbation", "nf-complex-series"],
+             "escape-complex-perturbation", "nf-complex-series", "escape-complex-frequency",
+             "nf-complex-frequency", "predict-complex-frequency"],
     )
     def test_exit_code_and_line(self, tmp_path, capsys, argv, series, code, line):
         src = tmp_path / "input"

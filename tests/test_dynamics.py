@@ -19,7 +19,6 @@ from torusstab import (
     escape_time,
     golden_frequency,
     integrate,
-    linear_frequency,
     sample_initial_conditions,
     theta_gradient_majorant,
 )
@@ -44,7 +43,7 @@ def coupled_hamiltonian(eps=1e-3):
 class TestHelpers:
     def test_linear_frequency(self):
         H = coupled_hamiltonian()
-        assert linear_frequency(H) == pytest.approx(np.array(OMEGA))
+        assert ftseries.split_linear(H, "vector field")[0] == pytest.approx(np.array(OMEGA))
 
     def test_default_dt(self):
         assert default_dt(coupled_hamiltonian()) == pytest.approx(0.01 / OMEGA[1])
@@ -540,6 +539,27 @@ class TestEscapeTime:
         with pytest.raises(ValueError, match="dt"):
             escape_time(coupled_hamiltonian(), 0.05, threshold=0.01, t_cap=1.0,
                         n_samples=1, seed=0, dt=dt)
+
+
+class TestConstantOffset:
+    """H's constant c_0 is an energy offset that the split drops: it cannot
+    scale the relative energy drift down."""
+
+    H = build_test_hamiltonian(HolderClass(6.5, 2), 0, amplitude=1e-3)
+
+    def test_offset_does_not_hide_energy_drift(self):
+        plain, offset = (escape_time(G, 0.1, threshold=0.05, t_cap=2, n_samples=10, seed=0)
+                         for G in (self.H, self.H + 1e6))
+        assert plain.max_energy_drift > 1e-9
+        assert offset.max_energy_drift == plain.max_energy_drift
+
+    def test_trajectory_energy_leaves_out_the_offset(self):
+        start = ((0.3, 0.7), (0.05, -0.05))
+        plain, offset = (integrate(G, start, t_end=0.5, dt=0.01) for G in (self.H, self.H - 7.5))
+        assert np.array_equal(offset.energy, plain.energy)
+        assert plain.energy[0] == pytest.approx(
+            self.H.evaluate(np.array(start[0]), np.array(start[1])), rel=1e-14
+        )
 
 
 def count_field_builds(monkeypatch):

@@ -10,17 +10,19 @@ import pytest
 from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
-from torusstab import ftseries
+from torusstab import dynamics, ftseries, stabpipe
 from torusstab import (
     AnalyticityWidths,
     FourierTaylorSeries,
     HamiltonianVectorField,
     HolderClass,
+    NormalFormParams,
     NumericalFault,
     TWO_PI,
     build_test_hamiltonian,
     cp_tail_majorant,
     holder_norm_majorant,
+    resonant_normal_form,
     smooth,
     theta_gradient_majorant,
 )
@@ -678,6 +680,37 @@ class TestOneMerge:
         assert np.all(g.C != 0)
         kept = {(k, m): c for (k, m), c in f.items() if l1(k) <= nk_max and sum(m) >= nm_min}
         assert g == FourierTaylorSeries(D, kept)
+
+
+class TestSplitLinear:
+    """ftseries.split_linear, the one split of H = omega.I + c_0 + f that the
+    vector field, the pipeline and the normal form read."""
+
+    VALUE = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+    LOW = [(0, 0), (1, 0), (0, 1)]  # c_0, then omega_1 and omega_2
+
+    @given(f=series_strategy(max_terms=6, real=True), omega=st.tuples(VALUE, VALUE), c0=VALUE)
+    @settings(max_examples=60, deadline=None)
+    def test_parts_rebuild_H_bit_for_bit(self, f, omega, c0):
+        H = FourierTaylorSeries.linear(omega) + f + c0
+        w, g = ftseries.split_linear(H, "pipeline")
+        constant = dict(H.items()).get(((0, 0), (0, 0)), 0j)
+        assert FourierTaylorSeries.linear(w) + g + constant.real == H
+
+    @given(f=series_strategy(max_terms=6, real=True), omega=st.tuples(VALUE, VALUE), c0=VALUE,
+           m=st.sampled_from(LOW), imag=st.floats(min_value=1e-6, max_value=3.0),
+           sign=st.sampled_from([1.0, -1.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_imaginary_constant_or_frequency_refused_by_every_owner(
+            self, f, omega, c0, m, imag, sign):
+        H = (FourierTaylorSeries.linear(omega) + f + c0
+             + FourierTaylorSeries(D, {((0, 0), m): 1j * sign * imag}))
+        params = NormalFormParams(alpha=0.2, K=5, widths=AnalyticityWidths(1.2, 0.5))
+        for owner, consumer in [("vector field", lambda: dynamics._split(H)),
+                                ("pipeline", lambda: stabpipe._perturbation(H, omega)),
+                                ("normal form", lambda: resonant_normal_form(H, params))]:
+            with pytest.raises(NumericalFault, match=f"^{owner} requires a real-valued series$"):
+                consumer()
 
 
 class TestSerialization:

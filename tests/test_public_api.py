@@ -33,7 +33,7 @@ PUBLIC_NAMES = [
     "diophantine_constant", "dominance_threshold",
     "emit_plots", "escape_time", "fit_exponent", "fit_exponent_rows",
     "golden_frequency", "holder_norm_majorant", "integrate",
-    "lacunary_series", "lie_transform", "linear_frequency",
+    "lacunary_series", "lie_transform",
     "load_config", "parameter_schedule", "parse_config",
     "predicted_stability_time", "read_sweep_csv", "remainder_bounds",
     "resonant_normal_form", "run_pipeline", "sample_initial_conditions", "smooth",
@@ -58,7 +58,6 @@ PUBLIC_PARAMETERS = {
     "integrate": ('H', 'start', 't_end', 'dt', 'record_every', 'r_max'),
     "lacunary_series": ('d', 'ell', 'j_max', 'seed', 'amplitude'),
     "lie_transform": ('H', 'chi', 'order', 'widths', 'chop'),
-    "linear_frequency": ('H',),
     "load_config": ('path',),
     "parameter_schedule": ('rho', 'gamma', 'tau', 'hc', 'coeff_norm_max'),
     "parse_config": ('text',),

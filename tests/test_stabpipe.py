@@ -287,16 +287,16 @@ class TestPerturbationExtraction:
             perturbation(H, omega)
 
 
-def count_reality_checks(monkeypatch):
-    checks = []
-    original = stabpipe.require_real
+def count_splits(monkeypatch):
+    splits = []
+    original = stabpipe.split_linear
 
-    def counted(series, owner):
-        checks.append(len(series))
-        original(series, owner)
+    def counted(H, owner):
+        splits.append(len(H))
+        return original(H, owner)
 
-    monkeypatch.setattr(stabpipe, "require_real", counted)
-    return checks
+    monkeypatch.setattr(stabpipe, "split_linear", counted)
+    return splits
 
 
 class TestPerturbationKept:
@@ -304,27 +304,27 @@ class TestPerturbationKept:
     ladder of radii on one H computes f once."""
 
     def test_one_perturbation_per_object(self, monkeypatch):
-        checks = count_reality_checks(monkeypatch)
+        splits = count_splits(monkeypatch)
         H = build_test_hamiltonian(HC65, seed=1)
         warm = [run_pipeline(H, OMEGA, 0.5, 1.0, HC65, rho).to_text() for rho in (1e-3, 5e-4)]
-        assert len(checks) == 1
+        assert len(splits) == 1
         assert perturbation(H, OMEGA) is perturbation(H, W)
-        assert len(checks) == 1
+        assert len(splits) == 1
         fresh = build_test_hamiltonian(HC65, seed=1)
         cold = [run_pipeline(fresh, OMEGA, 0.5, 1.0, HC65, rho).to_text() for rho in (1e-3, 5e-4)]
-        assert len(checks) == 2
+        assert len(splits) == 2
         assert cold == warm
 
     def test_each_new_object_recomputed(self, monkeypatch):
         # each series here is built by one constructor call, so it takes the
         # address (and so the id) of the last one freed; only the kept H
         # stops a new series of other content from passing for it
-        checks = count_reality_checks(monkeypatch)
+        splits = count_splits(monkeypatch)
         for n, eps in enumerate(np.linspace(0.01, 0.5, 30), start=1):
             H = FourierTaylorSeries(D, {((0, 0), (1, 0)): W[0], ((0, 0), (0, 1)): W[1],
                                         ((1, -1), (2, 0)): eps, ((-1, 1), (2, 0)): eps})
             f = perturbation(H, OMEGA)
-            assert len(checks) == n
+            assert len(splits) == n
             assert len(f) == 2 and np.all(f.C == eps)
             del H, f
 
