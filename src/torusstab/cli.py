@@ -162,9 +162,9 @@ def cmd_fit(args):
     print(f"c0 = {report.c0!r}")
     print(f"n_points = {report.n_points}")
     print(f"max_residual = {max(abs(r) for r in report.residuals)!r}")
-    if args.source == "t_pred" and any(r.schedule_flags == "dynamics-only" for r in rows):
-        print("note = dynamics-only rows' t_pred is the headline shape, "
-              "so the fit returns its exponent by construction")
+    if args.source == "t_pred":
+        print("note = t_pred is the headline shape, so the fit returns its exponent "
+              "by construction")
     return 0
 
 

@@ -54,7 +54,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be None or positive and finite, got {value!r}")
         require_at_least(1, max_steps=self.max_steps, n_samples=self.n_samples)
         require_at_least(0, seed=self.seed)
-        require_positive(threshold_factor=self.threshold_factor)
+        require_positive(gamma=self.gamma, threshold_factor=self.threshold_factor)
         if not self.dynamics_only and any(r >= RHO_MAX for r in rhos):
             raise ValueError(
                 f"pipeline runs require every rho < e^-6 = {RHO_MAX:.4e}; "

@@ -146,31 +146,33 @@ def _rows_to_form(bounds, budget):
     return form, float(running[n - 1]) if n else 0.0
 
 
-def lie_transform(H, chi, order=6, widths=None, chop=0.0):
+def lie_transform(H, chi, order=6, *, widths, chop):
     """Truncated Lie series H o Psi = sum_{n<=order} ad_chi^n H / n!.
 
     Psi is the time-1 Hamiltonian flow of chi, so ad_chi H = {H, chi}.
-    Term masses are measured with the weighted norm at `widths` when given
-    (coefficient mass otherwise); terms below `chop` in that measure are
-    dropped and reported, and a growth factor above DIVERGENCE_FACTOR
-    between consecutive brackets aborts with a divergence error.
+    Every mass is a term's share |c_a| w_a of the weighted norm at `widths`,
+    w being the weight rho^{|m|_1} e^{sigma |k|_1}; bracket terms below `chop`
+    are dropped and reported, and a growth factor above DIVERGENCE_FACTOR
+    between consecutive brackets aborts with a divergence error.  Widths
+    (1e-9, 1) weigh a term at e^{1e-9 |k|_1}, about 1, and chop 0 drops no
+    term: the plain series.
 
-    With `chop > 0` and `widths`, each bracket {X, chi} is formed only from
-    the rows of X that can matter.  Term a of X contributes at most
+    Each bracket {X, chi} is formed only from the rows of X that can matter.
+    Term a of X contributes at most
 
         R_a = (2 pi / rho) |c_a| w_a sum_i (|k_a,i| V^m_i + m_a,i V^k_i),
 
     with V^m_i = sum_b |c_b| w_b m_b,i and V^k_i = sum_b |c_b| w_b |k_b,i|
-    over chi's terms b and w the weight rho^{|m|_1} e^{sigma |k|_1}, because
-    w(k_a + k_b, m_a + m_b - e_i) <= w_a w_b / rho and
-    |k_a,i m_b,i - m_a,i k_b,i| <= |k_a,i| m_b,i + m_a,i |k_b,i|.  The
+    over chi's terms b, because w(k_a + k_b, m_a + m_b - e_i) <= w_a w_b / rho
+    and |k_a,i m_b,i - m_a,i k_b,i| <= |k_a,i| m_b,i + m_a,i |k_b,i|.  The
     rows of smallest R_a are left out while their running sum stays <= chop,
     so together they weigh no more than one chopped term; a row whose
-    bracket vanishes axis by axis has R_a = 0.  `dropped_mass` counts the
-    chopped terms and the skipped rows' summed bounds, neither divided by
-    n!, and the divergence test sees each bracket's mass plus its skipped
-    sum.  A bracket with no row left is not formed, and the series stops
-    there with tail 0, as when the chop removes a whole bracket.
+    bracket vanishes axis by axis has R_a = 0, and at chop 0 only such rows
+    are left out.  `dropped_mass` counts the chopped terms and the skipped
+    rows' summed bounds, neither divided by n!, and the divergence test sees
+    each bracket's mass plus its skipped sum.  A bracket with no row left is
+    not formed, and the series stops there with tail 0, as when the chop
+    removes a whole bracket.
 
     H and the kept brackets, each scaled by 1/n!, are merged once at the
     end; the merge sums each key's terms in that order, left to right, so
@@ -178,11 +180,8 @@ def lie_transform(H, chi, order=6, widths=None, chop=0.0):
     """
     require_at_least(1, order=order)
     require_at_least(0, chop=chop)
-    weight = widths.weight if widths is not None else None
-    prune = chop > 0.0 and widths is not None
-    if prune:
-        bound = _row_bound(chi, widths)
-        masses = H.masses(weight)
+    bound = _row_bound(chi, widths)
+    masses = H.masses(widths.weight)
 
     parts = [(H.K, H.M, H.C)]
     bracket = H
@@ -191,21 +190,18 @@ def lie_transform(H, chi, order=6, widths=None, chop=0.0):
     tail = 0.0
     fact = 1.0
     for n in range(1, order + 1):
-        skipped = 0.0
-        if prune:
-            form, skipped = _rows_to_form(bound(bracket, masses), chop)
-            dropped += skipped
-            if not form.all():
-                bracket = bracket._rows(form)
+        form, skipped = _rows_to_form(bound(bracket, masses), chop)
+        dropped += skipped
+        if not form.all():
+            bracket = bracket._rows(form)
         if bracket:
             bracket = bracket.poisson_bracket(chi)
-        masses = bracket.masses(weight)
-        if chop > 0.0:
-            pruned = masses < chop
-            dropped += float(masses[pruned].sum())
-            kept = ~pruned
-            masses = masses[kept]
-            bracket = bracket._rows(kept)
+        masses = bracket.masses(widths.weight)
+        pruned = masses < chop
+        dropped += float(masses[pruned].sum())
+        kept = ~pruned
+        masses = masses[kept]
+        bracket = bracket._rows(kept)
         with np.errstate(over="ignore"):
             mass = float(masses.sum())
         grown = mass + skipped

@@ -4,12 +4,13 @@ parameter schedule, remainder bounds, and the predicted stability time.
 The schedule follows the choices a = 1/(tau+1), b = 6(a ell + 1),
 K = ceil((rho_tilde/rho)^a), s = (rho/rho_tilde)^a |b log rho|,
 alpha = gamma/K^tau, with rho_tilde chosen so that the smallness condition
-is an equality; then K s >= b |log rho| >= 36 for rho < e^-6.  Each
-inequality the certificate uses is a gate of the report: rho_ok,
-s_in_range, dominance, gamma_K, K_sigma, smallness and contraction, in
-pipeline order.  The theory proves each bound only up to a constant it
-does not compute, so every bound and predicted time here is the theorem's
-shape with its constant set to 1: a shape, never a calibrated value.
+is an equality; then K s >= b |log rho| > 36 for rho < e^-6, so the normal
+form's K sigma >= 6 holds wherever rho_ok does.  Each other inequality the
+certificate uses is a gate of the report: rho_ok, s_in_range, dominance,
+gamma_K, smallness and contraction, in pipeline order.  The theory proves
+each bound only up to a constant it does not compute, so every bound and
+predicted time here is the theorem's shape with its constant set to 1: a
+shape, never a calibrated value.
 A ladder of radii on one H does its rho-independent work once (keep_last); every
 stage still runs on each call and computes its rho-dependent values afresh.
 """
@@ -30,8 +31,9 @@ from .normalform import XI, NormalFormParams, resonant_normal_form
 from .smoothing import coefficient_norm_max, holder_norm_majorant, sharp_cutoff  # noqa: F401
 
 RHO_MAX = math.exp(-6.0)
-# mass of H's k = 0, |m|_1 <= 1 part, relative to H's, beyond omega.I that
-# run_pipeline rejects
+# summed |omega_H,i - omega_i| between H's linear part and the supplied
+# frequency, relative to the mass of H less its constant (at least 1), beyond
+# which run_pipeline refuses that frequency
 LINEAR_PART_TOL = 1e-9
 # the gates that hold only when value < bound; the others hold at value <= bound
 _STRICT_GATES = ("rho_ok", "dominance")
@@ -271,17 +273,17 @@ class PipelineReport:
 
 @keep_last
 def _perturbation(H, omega):
-    """(f, omega.I) of H = omega.I + f, with split_linear's f.  The linear
-    part must match omega to LINEAR_PART_TOL of H's mass; only H's k = 0,
-    |m|_1 <= 1 terms are merged with omega.I for it.  The last H object's f
-    and omega.I are kept with omega's values (keep_last)."""
+    """(f, omega.I) of H = omega.I + c_0 + f, with split_linear's f.  The
+    supplied omega must match split_linear's to LINEAR_PART_TOL of the mass
+    of omega_H.I + f, summed over the axes; the constant c_0 is ignored, as
+    by every consumer of the split, and so cannot widen the match.  The last
+    H object's f and omega.I are kept with omega's values (keep_last)."""
     require_dimension(H, len(omega), "frequency")
-    f = split_linear(H, "pipeline")[1]
-    linear = FourierTaylorSeries.linear(omega)
-    stray = H.select(lambda nk, nm, c: (nk == 0) & (nm <= 1)) - linear
-    if stray and stray.mass() > LINEAR_PART_TOL * max(H.mass(), 1.0):
+    omega_H, f = split_linear(H, "pipeline")
+    scale = max(f.mass() + abs(omega_H).sum(), 1.0)
+    if abs(omega_H - omega).sum() > LINEAR_PART_TOL * scale:
         raise PreconditionError("Hamiltonian linear part does not match the supplied frequency")
-    return f, linear
+    return f, FourierTaylorSeries.linear(omega)
 
 
 @contextmanager
@@ -352,7 +354,6 @@ def run_pipeline(H, omega, gamma, tau, hc, rho):
         )
         nf = resonant_normal_form(linear + smoothed.P_s, params)
     gates += [
-        ("K_sigma", 6.0, params.K * params.widths.sigma),
         ("smallness", nf.f_initial_norm, params.smallness_threshold),
         ("contraction", nf.contraction, nf.target_contraction),
     ]

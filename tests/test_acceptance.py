@@ -110,8 +110,8 @@ def test_pipeline_certifies_down_the_ladder(report):
             ok = False
             details.append(f"rho={rho:g}: {rep.failure}")
             continue
-        # certified means every gate holds, and a certified run has passed all seven
-        ok = ok and rep.certified and len(rep.gates) == 7
+        # certified means every gate holds, and a certified run has passed all six
+        ok = ok and rep.certified and len(rep.gates) == 6
         ok = ok and nf.contraction <= nf.target_contraction
         details.append(
             f"rho={rho:g}, K={rep.schedule.K}: {nf.stop} after {nf.iterations} iterations, "

@@ -15,6 +15,7 @@ from torusstab import (
     build_test_hamiltonian,
     golden_frequency,
     lacunary_series,
+    read_sweep_csv,
     resonant_normal_form,
     dynamics,
     stabpipe,
@@ -486,10 +487,10 @@ class TestSweepFitPlots:
         assert (outdir / "plot.gp").exists()
 
     def test_fit_notes_a_dynamics_only_t_pred(self, tmp_path, capsys):
-        # a dynamics-only row's t_pred is the headline shape, so fitting it
-        # returns the shape's exponent by construction; the same numbers from
-        # pipeline rows fit without the note, and every other line is the same;
-        # a fit of the measured escape times never carries it
+        # a dynamics-only row's t_pred is the headline shape, and so is a
+        # pipeline row's: fitting either returns the shape's exponent by
+        # construction, and both fits print the same lines, the note last; a
+        # fit of the measured escape times never carries it
         outputs = {}
         for flags in ("dynamics-only", "s_in_range:0.5"):
             rows = [SweepRow(rho=r, t_pred=1.0 / r**2, min_escape=3.0 / r, censored_fraction=0.0,
@@ -502,11 +503,31 @@ class TestSweepFitPlots:
             assert "note" not in capsys.readouterr().out
             assert main(["fit", "--csv", str(csv), "--source", "t_pred"]) == 0
             outputs[flags] = capsys.readouterr().out.splitlines()
-        note = outputs["dynamics-only"].pop()
-        assert note == ("note = dynamics-only rows' t_pred is the headline shape, "
-                        "so the fit returns its exponent by construction")
         assert outputs["dynamics-only"] == outputs["s_in_range:0.5"]
-        assert not any(line.startswith("note") for line in outputs["s_in_range:0.5"])
+        assert outputs["dynamics-only"][-1] == (
+            "note = t_pred is the headline shape, so the fit returns its exponent by construction"
+        )
+
+    def test_fit_notes_a_pipeline_t_pred(self, tmp_path, capsys):
+        # a pipeline row's t_pred is its report's predicted time, the same
+        # headline shape: the fit returns 1 + 5.5/2 to roundoff, with the note
+        config = tmp_path / "cfg.txt"
+        config.write_text(
+            "rho_list = 1e-3, 5e-4, 3e-4, 1e-4, 5e-5\n"
+            "t_cap = 0.01\n"
+            "dynamics_only = false\n"
+        )
+        csv = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(config), "--csv", str(csv)]) == 0
+        capsys.readouterr()
+        assert all(r.schedule_flags != "dynamics-only" for r in read_sweep_csv(csv))
+        assert main(["fit", "--csv", str(csv), "--source", "t_pred",
+                     "--log-exponent", "5.5"]) == 0
+        out = parse_kv(capsys.readouterr().out)
+        assert float(out["p"]) == pytest.approx(1.0 + 5.5 / 2.0, abs=1e-9)
+        assert out["note"] == (
+            "t_pred is the headline shape, so the fit returns its exponent by construction"
+        )
 
     @pytest.mark.parametrize("rho_list, bad", [("0.1, -0.05", "-0.05"), ("1.5, 0.1", "1.5")])
     def test_bad_rho_rejected_before_any_row(self, tmp_path, capsys, rho_list, bad):
@@ -531,6 +552,7 @@ class TestSweepFitPlots:
             ("max_steps = 0\n", "max_steps must be >= 1"),
             ("n_samples = 0\n", "n_samples must be >= 1"),
             ("threshold_factor = -1\n", "threshold_factor must be positive and finite"),
+            ("gamma = -1\n", "gamma must be positive and finite, got -1.0"),
             ("j_max = -1\n", "j_max must be >= 0"),
             ("seed = -1\n", "seed must be >= 0"),
             ("seed = 1\nseed = 2\n", "config key set twice: seed"),

@@ -1,5 +1,5 @@
-"""The package's public names, the parameters of its public functions (and of
-the vector field's constructor and the series' evaluate), the public
+"""The package's public names, the full signatures of its public functions (and
+of the vector field's constructor and the series' evaluate), the public
 attributes of FourierTaylorSeries, the fields of its public
 dataclasses, its exception classes, the options of each CLI subcommand and
 the sweep CSV's columns, pinned: removing or adding one edits these lists."""
@@ -41,39 +41,41 @@ PUBLIC_NAMES = [
     "theta_gradient_majorant", "verify_smoothing_estimate",
 ]
 
-PUBLIC_PARAMETERS = {
-    "ballistic_bound": ('H', 'threshold', 'radius'),
-    "build_test_hamiltonian": ('hc', 'seed', 'amplitude', 'j_max'),
-    "coefficient_norm_max": ('P', 'hc'),
-    "cp_tail_majorant": ('g', 's', 'p'),
-    "default_dt": ('H',),
-    "diophantine_constant": ('freq', 'tau', 'K'),
-    "dominance_threshold": ('tau',),
-    "emit_plots": ('rows', 'outdir'),
-    "escape_time": ('H', 'rho', 'threshold', 't_cap', 'n_samples', 'seed', 'dt'),
-    "fit_exponent": ('rhos', 'times', 'log_exponent'),
-    "fit_exponent_rows": ('rows', 'source', 'log_exponent'),
-    "golden_frequency": ('d',),
-    "holder_norm_majorant": ('g', 'hc'),
-    "integrate": ('H', 'start', 't_end', 'dt', 'record_every', 'r_max'),
-    "lacunary_series": ('d', 'ell', 'j_max', 'seed', 'amplitude'),
-    "lie_transform": ('H', 'chi', 'order', 'widths', 'chop'),
-    "load_config": ('path',),
-    "parameter_schedule": ('rho', 'gamma', 'tau', 'hc', 'coeff_norm_max'),
-    "parse_config": ('text',),
-    "predicted_stability_time": ('rho', 'hc', 'tau'),
-    "read_sweep_csv": ('path',),
-    "remainder_bounds": ('schedule', 'hc'),
-    "resonant_normal_form": ('H', 'params'),
-    "run_pipeline": ('H', 'omega', 'gamma', 'tau', 'hc', 'rho'),
-    "sample_initial_conditions": ('d', 'rho', 'n_samples', 'seed'),
-    "smooth": ('g', 's'),
-    "smooth_coefficients": ('split', 's'),
-    "solve_homological": ('f_nr', 'omega'),
-    "sweep": ('config', 'csv_path'),
-    "taylor_split": ('f', 'hc', 'rho'),
-    "theta_gradient_majorant": ('H', 'radius'),
-    "verify_smoothing_estimate": ('g', 'hc', 'p', 's_list'),
+# the full signature of every public function, defaults and keyword-only
+# markers included
+PUBLIC_SIGNATURES = {
+    "ballistic_bound": "(H, threshold, radius)",
+    "build_test_hamiltonian": "(hc, seed=0, amplitude=1e-12, j_max=8)",
+    "coefficient_norm_max": "(P, hc)",
+    "cp_tail_majorant": "(g, s, p)",
+    "default_dt": "(H)",
+    "diophantine_constant": "(freq, tau, K)",
+    "dominance_threshold": "(tau)",
+    "emit_plots": "(rows, outdir)",
+    "escape_time": "(H, rho, threshold, t_cap, n_samples, seed, dt=None)",
+    "fit_exponent": "(rhos, times, log_exponent=None)",
+    "fit_exponent_rows": "(rows, source='t_pred', log_exponent=None)",
+    "golden_frequency": "(d)",
+    "holder_norm_majorant": "(g, hc)",
+    "integrate": "(H, start, t_end, dt, record_every=None, r_max=None)",
+    "lacunary_series": "(d, ell, j_max=10, seed=0, amplitude=1.0)",
+    "lie_transform": "(H, chi, order=6, *, widths, chop)",
+    "load_config": "(path)",
+    "parameter_schedule": "(rho, gamma, tau, hc, coeff_norm_max)",
+    "parse_config": "(text)",
+    "predicted_stability_time": "(rho, hc, tau)",
+    "read_sweep_csv": "(path)",
+    "remainder_bounds": "(schedule, hc)",
+    "resonant_normal_form": "(H, params)",
+    "run_pipeline": "(H, omega, gamma, tau, hc, rho)",
+    "sample_initial_conditions": "(d, rho, n_samples, seed)",
+    "smooth": "(g, s)",
+    "smooth_coefficients": "(split, s)",
+    "solve_homological": "(f_nr, omega)",
+    "sweep": "(config, csv_path=None)",
+    "taylor_split": "(f, hc, rho)",
+    "theta_gradient_majorant": "(H, radius)",
+    "verify_smoothing_estimate": "(g, hc, p, s_list)",
 }
 
 # the series' data (d, K, M, C), constructors, calculus, norms and text form
@@ -86,10 +88,10 @@ SERIES_ATTRIBUTES = [
     "to_text", "weighted_norm",
 ]
 
-# the parameters of the vector field's constructor and of the series' evaluate
-CALLABLE_PARAMETERS = {
-    "HamiltonianVectorField": ('series',),
-    "FourierTaylorSeries.evaluate": ('self', 'theta', 'I'),
+# the signatures of the vector field's constructor and of the series' evaluate
+CALLABLE_SIGNATURES = {
+    "HamiltonianVectorField": "(series)",
+    "FourierTaylorSeries.evaluate": "(self, theta, I)",
 }
 
 # the fields of every public dataclass, in declaration order
@@ -158,11 +160,11 @@ def test_public_names_are_pinned():
 
 def test_public_function_parameters_are_pinned():
     functions = {
-        name: tuple(inspect.signature(getattr(torusstab, name)).parameters)
+        name: str(inspect.signature(getattr(torusstab, name)))
         for name in PUBLIC_NAMES
         if inspect.isfunction(getattr(torusstab, name))
     }
-    assert functions == PUBLIC_PARAMETERS
+    assert functions == PUBLIC_SIGNATURES
 
 
 def test_series_attributes_are_pinned():
@@ -172,9 +174,9 @@ def test_series_attributes_are_pinned():
 
 def test_callable_parameters_are_pinned():
     assert {
-        name: tuple(inspect.signature(operator.attrgetter(name)(torusstab)).parameters)
-        for name in CALLABLE_PARAMETERS
-    } == CALLABLE_PARAMETERS
+        name: str(inspect.signature(operator.attrgetter(name)(torusstab)))
+        for name in CALLABLE_SIGNATURES
+    } == CALLABLE_SIGNATURES
 
 
 def test_dataclass_fields_are_pinned():

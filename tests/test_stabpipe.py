@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from torusstab import (
     AnalyticityWidths,
@@ -35,8 +37,7 @@ D = 2
 OMEGA = golden_frequency(2)
 HC65 = HolderClass(6.5, 2)
 HC6 = HolderClass(6.0, 2)
-GATE_NAMES = ["rho_ok", "s_in_range", "dominance", "gamma_K", "K_sigma", "smallness",
-              "contraction"]
+GATE_NAMES = ["rho_ok", "s_in_range", "dominance", "gamma_K", "smallness", "contraction"]
 
 
 def schedule_holds(sch):
@@ -112,6 +113,23 @@ class TestParameterSchedule:
             sch = parameter_schedule(rho, 0.5, 1.0, HC65, 1e-3)
             target = sch.b * abs(math.log(rho))
             assert abs(sch.K * sch.s - target) <= target / sch.K + 1e-9
+
+    @given(
+        log_rho=st.floats(-40.0, -6.0, exclude_max=True),
+        gamma=st.floats(1e-3, 1.0),
+        tau=st.floats(0.1, 4.0),
+        ell=st.floats(5.5, 12.0),
+        log_cmax=st.floats(-40.0, 0.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_schedule_gates_imply_k_sigma(self, log_rho, gamma, tau, ell, log_cmax):
+        # K = ceil((rho_tilde/rho)^a) gives K s >= b |log rho| > 36 wherever
+        # rho_ok and s_in_range hold, so the normal form's K sigma >= 6 needs
+        # no gate of its own
+        rho = math.exp(log_rho)
+        sch = parameter_schedule(rho, gamma, tau, HolderClass(ell, D), math.exp(log_cmax))
+        assume(schedule_holds(sch))
+        assert sch.K * sch.s >= sch.b * abs(math.log(rho)) * (1.0 - 1e-12) > 36.0
 
     def test_smallness_saturates_at_real_cutoff(self):
         # rho_tilde makes the smallness inequality an equality at the
@@ -210,12 +228,14 @@ def perturbation(H, omega):
 
 def three_merge_perturbation(H, omega):
     """perturbation by its definition: f = H - omega.I less the stray
-    k = 0, |m|_1 <= 1 terms of f, which must be negligible."""
+    k = 0, |m|_1 <= 1 terms of f; those of |m|_1 = 1 must be negligible
+    against H less its constant, and the constant is dropped at any size."""
     f = H - FourierTaylorSeries.linear(omega)
-    stray = f.select(lambda nk, nm, c: (nk == 0) & (nm <= 1))
-    if stray and stray.mass() > stabpipe.LINEAR_PART_TOL * max(H.mass(), 1.0):
+    stray = f.select(lambda nk, nm, c: (nk == 0) & (nm == 1))
+    scale = H.select(lambda nk, nm, c: nk + nm > 0).mass()
+    if stray and stray.mass() > stabpipe.LINEAR_PART_TOL * max(scale, 1.0):
         raise PreconditionError("Hamiltonian linear part does not match the supplied frequency")
-    return f - stray
+    return f - f.select(lambda nk, nm, c: (nk == 0) & (nm <= 1))
 
 
 # kept by f: k != 0 at |m|_1 = 0 and 1, and k = 0 at |m|_1 = 2
@@ -262,6 +282,7 @@ class TestPerturbationExtraction:
             ((0.0, 1.5), 0.0, (0.0, 1.5)),  # a zero component
             ((1.5, 0.0), 0.0, (1.5, 0.0)),
             ((W[0] + 1e-12, W[1]), 0.0, OMEGA),  # linear part off by < LINEAR_PART_TOL
+            (W, 0.5, OMEGA),  # a constant term of any size, dropped
         ],
     )
     def test_accepted_as_by_three_merges(self, linear, extra, omega):
@@ -273,10 +294,11 @@ class TestPerturbationExtraction:
     @pytest.mark.parametrize(
         "linear, extra, omega",
         [
-            (W, 0.5, OMEGA),  # a constant term beyond tolerance
+            (W, 0.5, (W[0] + 1e-3, W[1])),  # omega off, next to a dropped constant
             ((W[0] + 1e-3, W[1]), 0.0, OMEGA),  # linear part off by > LINEAR_PART_TOL
             (W, 0.0, (W[0] + 1e-3, W[1])),  # omega off by > LINEAR_PART_TOL
             ((1.5, 1e-3), 0.0, (1.5, 0.0)),  # a zero component not matched
+            (W, 1e12, (W[0] + 1e-3, W[1])),  # a large constant does not widen the match
         ],
     )
     def test_rejected_as_by_three_merges(self, linear, extra, omega):
@@ -285,6 +307,12 @@ class TestPerturbationExtraction:
             three_merge_perturbation(H, omega)
         with pytest.raises(PreconditionError, match="linear part does not match"):
             perturbation(H, omega)
+
+    def test_constant_offset_leaves_the_report_unchanged(self):
+        # an energy offset c_0 moves no flow and no bound
+        H = build_test_hamiltonian(HC65, seed=0)
+        shifted = run_pipeline(H + 0.5, OMEGA, 0.5, 1.0, HC65, 1e-3).to_text()
+        assert shifted == run_pipeline(H, OMEGA, 0.5, 1.0, HC65, 1e-3).to_text()
 
 
 def count_splits(monkeypatch):
@@ -564,7 +592,6 @@ class TestPipeline:
             ("s_in_range", sch.s, 1.0),
             ("dominance", 5.0, 6.5),
             ("gamma_K", 0.5, 1.0),
-            ("K_sigma", 6.0, sch.K * sch.s),
             ("smallness", nf.f_initial_norm, nf.params.smallness_threshold),
             ("contraction", nf.contraction, nf.target_contraction),
         )
