@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .dynamics import escape_time
-from .errors import NumericalFault, PipelineStageError
+from .errors import NumericalFault, PipelineStageError, PreconditionError
 from .experiment import (
     ExperimentConfig,
     build_test_hamiltonian,
@@ -23,8 +23,8 @@ from .experiment import (
     sweep,
 )
 from .freqlib import Frequency, diophantine_constant, golden_frequency
-from .ftseries import FourierTaylorSeries
-from .normalform import AnalyticityWidths, NormalFormParams, _frequency, resonant_normal_form
+from .ftseries import FourierTaylorSeries, split_linear
+from .normalform import AnalyticityWidths, NormalFormParams, resonant_normal_form
 from .smoothing import HolderClass, lacunary_series, smooth, verify_smoothing_estimate
 from .stabpipe import predicted_stability_time, run_pipeline
 
@@ -86,7 +86,8 @@ def cmd_smooth_verify(args):
 def cmd_nf(args):
     H = FourierTaylorSeries.load(args.input)
     widths = AnalyticityWidths(args.sigma, args.rho)
-    result = resonant_normal_form(H, NormalFormParams(alpha=args.alpha, K=args.K, widths=widths))
+    params = NormalFormParams(alpha=args.alpha, K=args.K, widths=widths)
+    result = resonant_normal_form(*split_linear(H, "normal form"), params)
     if args.output:
         result.h.save(args.output)
     print(f"contraction = {result.contraction!r}")
@@ -102,7 +103,10 @@ def cmd_predict(args):
     if args.input:
         H = FourierTaylorSeries.load(args.input)
         gamma = 0.5 if args.gamma is None else args.gamma
-        report = run_pipeline(H, _frequency(H, "pipeline"), gamma, args.tau, hc, args.rho)
+        omega = split_linear(H, "pipeline")[0]
+        if not omega.any():
+            raise PreconditionError("series has no linear part omega.I")
+        report = run_pipeline(H, omega, gamma, args.tau, hc, args.rho)
         sys.stdout.write(report.to_text())
         return 0 if report.certified else 1
     _refuse(args, "with", "gamma")

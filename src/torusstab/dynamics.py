@@ -145,11 +145,12 @@ def integrate(H, start, t_end, dt, record_every=None, r_max=None):
         raise ValueError("t_end and dt must have the same sign")
     if record_every is not None:
         require_at_least(1, record_every=record_every)
+    require_positive(**{"t_end/dt": t_end / dt})  # a step count that overflows is refused
     omega, field = _split(H)
     d = H.d
     z = np.empty((1, 2 * d))
     z[0, :d], z[0, d:] = start
-    n_steps = max(1, int(math.ceil(abs(t_end / dt) - 1e-9)))
+    n_steps = max(1, int(math.ceil(t_end / dt - 1e-9)))
     if record_every is None:
         record_every = max(1, -(-n_steps // MAX_RECORDED_SAMPLES))
     # the start, every record_every-th step, and a last or exiting step
@@ -247,6 +248,7 @@ def escape_time(H, rho, threshold, t_cap, n_samples, seed, dt=None):
     if dt is None:
         dt = default_dt(H)
     require_positive(dt=dt)
+    require_positive(**{"t_cap/dt": t_cap / dt})  # a step count that overflows is refused
     omega, field = _split(H)
     d = H.d
     theta, I0 = sample_initial_conditions(d, rho, n_samples, seed)

@@ -236,6 +236,9 @@ def _sweep_row(config, H, hc, rho, dt):
         try:
             omega, _ = split_linear(H, "pipeline")
             report = run_pipeline(H, omega, config.gamma, config.tau, hc, rho)
+        except (PipelineStageError, ValueError) as exc:  # recorded, the sweep continues
+            error = str(exc)
+        else:
             if report.gates:  # none for an integrable H
                 # dominance, (3 + 2/tau)/ell, is rho-independent; a failing one raises
                 ratio, name = max((_gate_ratio(v, b), name) for name, v, b in report.gates
@@ -246,8 +249,6 @@ def _sweep_row(config, H, hc, rho, dt):
                 contraction = report.normal_form.contraction
             if report.prediction is not None:
                 t_pred = report.prediction.t_theorem
-        except PipelineStageError as exc:
-            error = str(exc)
     t_cap = config.t_cap
     if t_cap is None:
         t_cap = config.max_steps * dt

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFault, PreconditionError
-from .errors import require_at_least, require_positive
-from .ftseries import TWO_PI, AnalyticityWidths, FourierTaylorSeries, _merge, split_linear
+from .errors import require_at_least, require_dimension, require_positive
+from .ftseries import TWO_PI, AnalyticityWidths, FourierTaylorSeries, _merge
 
 DIVISOR_FLOOR = 1e-12
 # bracket growth between consecutive Lie-series orders taken as divergence
@@ -222,17 +222,10 @@ def lie_transform(H, chi, order=6, *, widths, chop):
     return LieResult(series=result, tail_mass=tail, dropped_mass=dropped)
 
 
-def _frequency(H, owner):
-    """omega of split_linear(H, owner); an H with no linear part is refused by name."""
-    omega = split_linear(H, owner)[0]
-    if not omega.any():
-        raise PreconditionError("series has no linear part omega.I")
-    return omega
-
-
-def resonant_normal_form(H, params):
-    """Iterated averaging of H = omega.I + f: remove modes 0 < |k|_1 <= K
-    until the remainder certificate contraction <= e^{-K sigma/6} holds.
+def resonant_normal_form(omega, f, params):
+    """Iterated averaging of omega.I + f, split_linear's split of an H, whose
+    check of f's reality it trusts: remove modes 0 < |k|_1 <= K until the
+    remainder certificate contraction <= e^{-K sigma/6} holds.
 
     Each Lie step drops terms below CHOP_SHARE * e^{-K sigma/6} * |||f|||_{sigma,rho},
     and skips bracket rows whose bounds sum to no more than that, and counts
@@ -241,15 +234,17 @@ def resonant_normal_form(H, params):
     to lower the contraction ("stalled"), or after 2K iterations ("capped");
     only "certified" gives certified=True.
 
-    Raises NumericalFault if split_linear's f is not real, PreconditionError if H
-    has no linear part or if f fails |||f|||_{sigma,rho} <= alpha rho / (256 xi K).
+    Raises PreconditionError if omega is 0, if f's d is not omega's, or if
+    f fails |||f|||_{sigma,rho} <= alpha rho / (256 xi K).
     """
-    omega = _frequency(H, "normal form")
+    if not any(omega):
+        raise PreconditionError("series has no linear part omega.I")
+    require_dimension(f, len(omega), "frequency")
     widths = params.widths
     inner = AnalyticityWidths(widths.sigma / 6.0, widths.rho / 2.0)
     K = params.K
 
-    f0 = H.fourier_nonzero_part()
+    f0 = f.fourier_nonzero_part()
     f0_norm = f0.weighted_norm(widths)
     if f0_norm > params.smallness_threshold:
         raise PreconditionError(
@@ -259,7 +254,7 @@ def resonant_normal_form(H, params):
     target = params.target_contraction
     chop = CHOP_SHARE * target * f0_norm
 
-    current = H
+    current = FourierTaylorSeries.linear(omega) + f
     f_star = f0
     iterations = 0
     dropped = 0.0

@@ -166,8 +166,8 @@ def parameter_schedule(rho, gamma, tau, hc, coeff_norm_max):
 
 def dominance_threshold(tau):
     """Regularity gate (3-a)/(1-a) = 3 + 2/tau below which the Taylor tail
-    cannot be dominated."""
-    return 3.0 + 2.0 / tau
+    cannot be dominated; at tau = 0, a = 1 and the gate is inf."""
+    return 3.0 + 2.0 / tau if tau else math.inf
 
 
 def remainder_bounds(schedule, hc):
@@ -273,17 +273,15 @@ class PipelineReport:
 
 @keep_last
 def _perturbation(H, omega):
-    """(f, omega.I) of H = omega.I + c_0 + f, with split_linear's f.  The
-    supplied omega must match split_linear's to LINEAR_PART_TOL of the mass
-    of omega_H.I + f, summed over the axes; the constant c_0 is ignored, as
-    by every consumer of the split, and so cannot widen the match.  The last
-    H object's f and omega.I are kept with omega's values (keep_last)."""
+    """split_linear's f of H = omega.I + c_0 + f, once the supplied omega
+    matches split_linear's to LINEAR_PART_TOL; c_0 is ignored, as by every
+    consumer of the split.  The last (H object, omega)'s f is kept."""
     require_dimension(H, len(omega), "frequency")
     omega_H, f = split_linear(H, "pipeline")
     scale = max(f.mass() + abs(omega_H).sum(), 1.0)
     if abs(omega_H - omega).sum() > LINEAR_PART_TOL * scale:
         raise PreconditionError("Hamiltonian linear part does not match the supplied frequency")
-    return f, FourierTaylorSeries.linear(omega)
+    return f
 
 
 @contextmanager
@@ -312,7 +310,7 @@ def run_pipeline(H, omega, gamma, tau, hc, rho):
     omega = Frequency(omega)
     _check_inputs(rho, gamma, tau)
     require_dimension(H, hc.d, "Holder class")
-    f, linear = _perturbation(H, omega)
+    f = _perturbation(H, omega)
     if not f:
         return PipelineReport(
             rho=float(rho),
@@ -352,7 +350,7 @@ def run_pipeline(H, omega, gamma, tau, hc, rho):
         params = NormalFormParams(
             alpha=schedule.alpha, K=schedule.K, widths=AnalyticityWidths(schedule.s, rho)
         )
-        nf = resonant_normal_form(linear + smoothed.P_s, params)
+        nf = resonant_normal_form(omega, smoothed.P_s, params)
     gates += [
         ("smallness", nf.f_initial_norm, params.smallness_threshold),
         ("contraction", nf.contraction, nf.target_contraction),

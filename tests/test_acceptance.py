@@ -87,11 +87,9 @@ def test_fourier_norm_equality_and_bound(report, cutoff_gap):
 
 def test_normal_form_contraction(report):
     """Golden-frequency instance: certified with contraction <= e^-1."""
-    H = FourierTaylorSeries.linear(OMEGA) + cosine(
-        D, (1, 0), m=(2, 0), amplitude=1e-6
-    )
+    f = cosine(D, (1, 0), m=(2, 0), amplitude=1e-6)
     params = NormalFormParams(alpha=0.2, K=5, widths=AnalyticityWidths(1.2, 0.5))
-    nf = resonant_normal_form(H, params)
+    nf = resonant_normal_form(OMEGA, f, params)
     ok = nf.certified and nf.contraction <= math.exp(-1.0)
     report("normal-form-contraction", ok,
            f"contraction={nf.contraction:.2e} <= {math.exp(-1):.3f}, stop={nf.stop}")

@@ -23,6 +23,7 @@ from torusstab import (
 )
 from torusstab.cli import main
 from torusstab.experiment import CSV_COLUMNS, CSV_HEADER, SweepRow
+from torusstab.ftseries import split_linear
 from series_helpers import cosine
 
 
@@ -120,8 +121,23 @@ class TestNF:
         assert float(out["contraction"]) <= math.exp(-1.0)
         # --output writes the integrable part of the same normal form
         params = NormalFormParams(alpha=0.2, K=5, widths=AnalyticityWidths(1.2, 0.5))
-        h = resonant_normal_form(H, params).h
+        h = resonant_normal_form(*split_linear(H, "normal form"), params).h
         assert FourierTaylorSeries.load(dst) == h
+
+    def test_output_leaves_out_the_constant(self, tmp_path):
+        # c_0 is an energy offset, dropped by the split as by every consumer
+        f = cosine(2, (1, 0), m=(2, 0), amplitude=1e-6)
+        H = FourierTaylorSeries.linear(golden_frequency(2)) + f
+        argv = ["nf", "--alpha", "0.2", "--K", "5", "--sigma", "1.2", "--rho", "0.5"]
+        outputs = []
+        for n, series in enumerate((H, H + 0.5)):
+            src, dst = tmp_path / f"H{n}.txt", tmp_path / f"h{n}.txt"
+            series.save(src)
+            assert main(argv + ["--input", str(src), "--output", str(dst)]) == 0
+            outputs.append(dst.read_text())
+        assert outputs[0] == outputs[1]
+        params = NormalFormParams(alpha=0.2, K=5, widths=AnalyticityWidths(1.2, 0.5))
+        assert outputs[0] == resonant_normal_form(golden_frequency(2), f, params).h.to_text()
 
     def test_frequency_read_from_input(self, tmp_path, capsys):
         # the linear part is (1, sqrt 2): the golden frequency would solve the
@@ -135,7 +151,8 @@ class TestNF:
                      "--sigma", "1.2", "--rho", "0.5"]) == 0
         out = parse_kv(capsys.readouterr().out)
         params = NormalFormParams(alpha=0.2, K=5, widths=AnalyticityWidths(1.2, 0.5))
-        assert out["contraction"] == repr(resonant_normal_form(H, params).contraction)
+        nf = resonant_normal_form(*split_linear(H, "normal form"), params)
+        assert out["contraction"] == repr(nf.contraction)
         assert out["contraction"] == "0.0"
 
     @pytest.mark.parametrize("command", ["nf", "predict"])
@@ -687,12 +704,24 @@ class TestExitCodeTable:
              complex_frequency_hamiltonian,
              3,
              "numerical fault: pipeline requires a real-valued series"),
+            # at tau = 0, a = 1 and the gate (3-a)/(1-a) is infinite
+            (["predict", "--rho", "1e-3", "--tau", "0"],
+             lambda: build_test_hamiltonian(HolderClass(6.5, 2), seed=0),
+             2,
+             "error: pipeline stage 'remainder_bounds' failed: ell = 6.5 must exceed "
+             "(3-a)/(1-a) = 3 + 2/tau = inf for tau = 0.0"),
+            # 1e300 / 1e-300 steps overflow
+            (["escape", "--rho", "0.1", "--t-cap", "1e300", "--n-samples", "2", "--dt", "1e-300"],
+             lambda: build_test_hamiltonian(HolderClass(6.5, 2), seed=0),
+             2,
+             "error: t_cap/dt must be positive and finite, got inf"),
         ],
         ids=["small-divisor", "complex-series", "dominance-gate", "too-few-rows",
              "predict-dimension", "smooth-verify-dimension", "smooth-verify-not-pure-angle",
              "nf-no-linear-part", "predict-no-linear-part", "predict-complex-series",
              "escape-complex-perturbation", "nf-complex-series", "escape-complex-frequency",
-             "nf-complex-frequency", "predict-complex-frequency"],
+             "nf-complex-frequency", "predict-complex-frequency", "dominance-gate-at-tau-0",
+             "escape-step-count-overflow"],
     )
     def test_exit_code_and_line(self, tmp_path, capsys, argv, series, code, line):
         src = tmp_path / "input"

@@ -170,6 +170,8 @@ class TestIntegrate:
             (math.nan, 0.01, None, "t_end"),
             (1.0, 0.01, 0, "record_every"),
             (1.0, 0.01, -1, "record_every"),
+            (1e300, 1e-300, None, "t_end/dt"),  # a step count that overflows
+            (-1e300, -1e-300, None, "t_end/dt"),
         ],
     )
     def test_bad_input_rejected_by_name(self, monkeypatch, t_end, dt, record_every, name):
@@ -531,6 +533,14 @@ class TestEscapeTime:
         with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
             escape_time(coupled_hamiltonian(), rho, threshold=threshold, t_cap=t_cap,
                         n_samples=2, seed=0)
+        assert calls == []
+
+    def test_step_count_overflow_rejected_by_name(self, monkeypatch):
+        # t_cap/dt = inf used to raise OverflowError in int()
+        calls = count_field_calls(monkeypatch)
+        with pytest.raises(ValueError, match="^t_cap/dt must be positive and finite, got inf$"):
+            escape_time(coupled_hamiltonian(), 0.05, threshold=0.01, t_cap=1e300,
+                        n_samples=2, seed=0, dt=1e-300)
         assert calls == []
 
     @pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, math.inf])

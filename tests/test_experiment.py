@@ -292,6 +292,31 @@ class TestSweep:
         assert row.schedule_flags == "-"
         assert read_sweep_csv(csv)[0].schedule_flags == "-"
 
+    def test_failed_schedule_value_error_row_recorded(self, tmp_path):
+        # at rho = 1e-320 the cutoff K overflows in parameter_schedule, which
+        # runs outside any stage: the row records it and the sweep goes on
+        cfg = ExperimentConfig(rho_list=(1e-3, 1e-320), t_cap=0.01, n_samples=2,
+                               dynamics_only=False)
+        csv = tmp_path / "sweep.csv"
+        rows = sweep(cfg, csv_path=csv)
+        assert rows[0].error == ""
+        assert rows[1].error.startswith("cutoff K = (rho_tilde/rho)^a must be finite")
+        assert [r.error for r in read_sweep_csv(csv)] == [r.error for r in rows]
+
+    def test_dominance_gate_at_tau_0_row_recorded(self):
+        # at tau = 0 the gate 3 + 2/tau is inf, and fails by name
+        cfg = ExperimentConfig(rho_list=(1e-3,), tau=0.0, t_cap=0.01, n_samples=2,
+                               dynamics_only=False)
+        (row,) = sweep(cfg)
+        assert row.error == ("pipeline stage 'remainder_bounds' failed: ell = 6.5 must exceed "
+                             "(3-a)/(1-a) = 3 + 2/tau = inf for tau = 0.0")
+
+    def test_step_count_overflow_row_recorded(self):
+        cfg = ExperimentConfig(rho_list=(0.1, 0.05), dt=1e-300, t_cap=1e300, n_samples=2)
+        rows = sweep(cfg)
+        assert [r.error for r in rows] == ["dynamics: t_cap/dt must be positive and finite, "
+                                           "got inf"] * 2
+
     def test_programming_error_in_dynamics_propagates(self, monkeypatch):
         # only the failure families are a row's error; anything else is a bug
         def raising(exc):

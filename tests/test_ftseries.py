@@ -684,7 +684,19 @@ class TestOneMerge:
 
 class TestSplitLinear:
     """ftseries.split_linear, the one split of H = omega.I + c_0 + f that the
-    vector field, the pipeline and the normal form read."""
+    vector field, the pipeline and nf read."""
+
+    @given(f=series_strategy(max_terms=6, real=True),
+           orders=st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6))))
+    @settings(max_examples=60, deadline=None)
+    def test_selection_by_orders_keeps_a_real_series_real(self, f, orders):
+        # a term and its mirror (-k, m) share |k|_1 and |m|_1, so the pipeline's
+        # P_s, a selection of the split's checked f, needs no second check
+        def keep(nk, nm, c):
+            return np.array([pair in orders for pair in zip(nk.tolist(), nm.tolist())], bool)
+
+        assert f.is_real(tol=0.0)
+        assert f.select(keep).is_real(tol=0.0)
 
     VALUE = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
     LOW = [(0, 0), (1, 0), (0, 1)]  # c_0, then omega_1 and omega_2
@@ -708,7 +720,8 @@ class TestSplitLinear:
         params = NormalFormParams(alpha=0.2, K=5, widths=AnalyticityWidths(1.2, 0.5))
         for owner, consumer in [("vector field", lambda: dynamics._split(H)),
                                 ("pipeline", lambda: stabpipe._perturbation(H, omega)),
-                                ("normal form", lambda: resonant_normal_form(H, params))]:
+                                ("normal form", lambda: resonant_normal_form(
+                                    *ftseries.split_linear(H, "normal form"), params))]:
             with pytest.raises(NumericalFault, match=f"^{owner} requires a real-valued series$"):
                 consumer()
 

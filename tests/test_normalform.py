@@ -22,6 +22,7 @@ from torusstab import (
     solve_homological,
 )
 from torusstab import normalform
+from torusstab.ftseries import split_linear
 from torusstab.normalform import DIVISOR_FLOOR
 from series_helpers import cosine
 
@@ -32,11 +33,10 @@ PLAIN = AnalyticityWidths(1e-9, 1.0)
 
 
 def acceptance_instance(eps=1e-6):
-    H = FourierTaylorSeries.linear(OMEGA) + cosine(
-        D, (1, 0), m=(2, 0), amplitude=eps
-    )
+    """(f, params) of the acceptance instance H = OMEGA.I + f."""
+    f = cosine(D, (1, 0), m=(2, 0), amplitude=eps)
     params = NormalFormParams(alpha=0.2, K=5, widths=AnalyticityWidths(1.2, 0.5))
-    return H, params
+    return f, params
 
 
 # one to three real terms a cos(2 pi k.theta + phase) I^m with small k and m
@@ -53,7 +53,7 @@ COSINES = st.lists(
 
 
 def lie_with_chop(chop):
-    H, _ = acceptance_instance()
+    H = FourierTaylorSeries.linear(OMEGA) + acceptance_instance()[0]
     return lie_transform(H, H, widths=PLAIN, chop=chop)
 
 
@@ -351,21 +351,21 @@ class TestLieTransform:
 
 class TestResonantNormalForm:
     def test_acceptance_instance_certified(self):
-        H, params = acceptance_instance()
-        nf = resonant_normal_form(H, params)
+        f, params = acceptance_instance()
+        nf = resonant_normal_form(OMEGA, f, params)
         assert nf.certified and nf.stop == "certified"
         assert nf.contraction <= math.exp(-1.0)
         assert nf.iterations >= 1
 
     def test_low_modes_removed(self):
-        H, params = acceptance_instance()
-        nf = resonant_normal_form(H, params)
+        f, params = acceptance_instance()
+        nf = resonant_normal_form(OMEGA, f, params)
         low = nf.f_star.select(lambda nk, nm, c: (nk > 0) & (nk <= params.K))
         assert low.mass() <= 1e-11 * nf.f_initial_norm
 
     def test_integrable_part_contains_original_mean(self):
-        H, params = acceptance_instance()
-        nf = resonant_normal_form(H, params)
+        f, params = acceptance_instance()
+        nf = resonant_normal_form(OMEGA, f, params)
         # omega.I survives untouched in h
         h = dict(nf.h.items())
         for j, w in enumerate(OMEGA):
@@ -373,39 +373,48 @@ class TestResonantNormalForm:
             assert h[((0, 0), m)].real == pytest.approx(w, rel=1e-9)
 
     def test_smallness_gate(self):
-        H, params = acceptance_instance(eps=1.0)
+        f, params = acceptance_instance(eps=1.0)
         with pytest.raises(PreconditionError, match=r"exceeds alpha\*rho/\(256\*xi\*K\)"):
-            resonant_normal_form(H, params)
+            resonant_normal_form(OMEGA, f, params)
 
     def test_frequency_is_read_from_H(self):
-        # omega = (1, sqrt 2) is H's own, not the golden one: one Lie step
-        # solves the right homological equation and removes the mode exactly
+        # omega = (1, sqrt 2) is H's own, not the golden one: split as nf
+        # splits H, one Lie step solves the right homological equation and
+        # removes the mode exactly
         H = FourierTaylorSeries.linear((1.0, 2.0**0.5)) + cosine(
             D, (0, 1), m=(2, 0), amplitude=1e-6
         )
         _, params = acceptance_instance()
-        nf = resonant_normal_form(H, params)
+        nf = resonant_normal_form(*split_linear(H, "normal form"), params)
         assert nf.certified and nf.iterations == 1
         assert nf.contraction == 0.0
 
     def test_no_linear_part_refused(self):
         # with omega = 0 the averaging removes nothing, and the domain shrink
         # alone would meet the target
-        _, params = acceptance_instance()
-        f = cosine(D, (1, 0), m=(2, 0), amplitude=1e-6)
+        f, params = acceptance_instance()
         with pytest.raises(PreconditionError, match=r"^series has no linear part omega\.I$"):
-            resonant_normal_form(f, params)
+            resonant_normal_form((0.0, 0.0), f, params)
+
+    @pytest.mark.parametrize("omega", [(1.0, 2.0, 3.0), (1.0,)])
+    def test_frequency_of_another_dimension_refused(self, omega):
+        f, params = acceptance_instance()
+        message = f"^series has d = 2, frequency has d = {len(omega)}$"
+        with pytest.raises(PreconditionError, match=message):
+            resonant_normal_form(omega, f, params)
 
     def test_complex_series_refused(self):
-        H, params = acceptance_instance()
-        H = H + FourierTaylorSeries(D, {((1, 0), (2, 0)): 1e-6j})
+        # reality is checked once, by the split the normal form's input comes from
+        f, params = acceptance_instance()
+        imaginary = FourierTaylorSeries(D, {((1, 0), (2, 0)): 1e-6j})
+        H = FourierTaylorSeries.linear(OMEGA) + f + imaginary
         with pytest.raises(NumericalFault, match="^normal form requires a real-valued series$"):
-            resonant_normal_form(H, params)
+            resonant_normal_form(*split_linear(H, "normal form"), params)
 
     def test_integrable_input_trivial(self):
-        H = FourierTaylorSeries.linear(OMEGA) + FourierTaylorSeries(D, {((0, 0), (2, 0)): 1.0})
+        f = FourierTaylorSeries(D, {((0, 0), (2, 0)): 1.0})
         params = NormalFormParams(alpha=0.2, K=5, widths=AnalyticityWidths(1.2, 0.5))
-        nf = resonant_normal_form(H, params)
+        nf = resonant_normal_form(OMEGA, f, params)
         assert nf.certified and nf.stop == "certified"
         assert nf.iterations == 0
         assert not nf.f_star
@@ -414,8 +423,8 @@ class TestResonantNormalForm:
         # a chop ten times the target remainder drops the first Lie step's own
         # cancellation term, so that step cannot lower the contraction
         monkeypatch.setattr(normalform, "CHOP_SHARE", 10.0)
-        H, params = acceptance_instance()
-        nf = resonant_normal_form(H, params)
+        f, params = acceptance_instance()
+        nf = resonant_normal_form(OMEGA, f, params)
         assert nf.stop == "stalled"
         assert nf.iterations == 1
         assert not nf.certified
@@ -429,11 +438,9 @@ class TestResonantNormalForm:
             return LieResult(series=series, tail_mass=0.0, dropped_mass=0.0)
 
         monkeypatch.setattr(normalform, "lie_transform", shrink)
-        H = FourierTaylorSeries.linear(OMEGA) + cosine(
-            D, (1, 0), m=(2, 0), amplitude=1e-9
-        )
+        f = cosine(D, (1, 0), m=(2, 0), amplitude=1e-9)
         params = NormalFormParams(alpha=0.2, K=60, widths=AnalyticityWidths(1.0, 0.5))
-        nf = resonant_normal_form(H, params)
+        nf = resonant_normal_form(OMEGA, f, params)
         assert nf.stop == "capped"
         assert nf.iterations == 120
         assert not nf.certified

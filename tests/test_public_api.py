@@ -11,6 +11,7 @@ import inspect
 import operator
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import types
@@ -66,7 +67,7 @@ PUBLIC_SIGNATURES = {
     "predicted_stability_time": "(rho, hc, tau)",
     "read_sweep_csv": "(path)",
     "remainder_bounds": "(schedule, hc)",
-    "resonant_normal_form": "(H, params)",
+    "resonant_normal_form": "(omega, f, params)",
     "run_pipeline": "(H, omega, gamma, tau, hc, rho)",
     "sample_initial_conditions": "(d, rho, n_samples, seed)",
     "smooth": "(g, s)",
@@ -218,6 +219,20 @@ def test_sweep_columns_are_pinned(tmp_path):
     torusstab.sweep(torusstab.ExperimentConfig(rho_list=(0.1,), t_cap=0.1, n_samples=1),
                     csv_path=csv)
     assert csv.read_text().splitlines()[:2] == [SWEEP_SCHEMA, ",".join(SWEEP_COLUMNS)]
+
+
+def test_readme_example_runs():
+    # the README's one python block, run as a reader would: its first line
+    # of output is the certificate, True
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"^```python\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", block], env=env, capture_output=True, text=True, check=True,
+        timeout=120,
+    )
+    assert out.stdout.splitlines()[0] == "True"
 
 
 def test_import_loads_no_scipy():

@@ -29,6 +29,7 @@ from torusstab import (
     stabpipe,
     taylor_split,
 )
+from torusstab import ftseries
 from torusstab.ftseries import keep_last
 from torusstab.normalform import XI
 from series_helpers import cosine
@@ -223,7 +224,7 @@ class TestPredictedTimes:
 
 def perturbation(H, omega):
     """f of H = omega.I + f, as run_pipeline extracts it."""
-    return stabpipe._perturbation(H, omega)[0]
+    return stabpipe._perturbation(H, omega)
 
 
 def three_merge_perturbation(H, omega):
@@ -356,6 +357,29 @@ class TestPerturbationKept:
             assert len(f) == 2 and np.all(f.C == eps)
             del H, f
 
+    def test_warm_rung_neither_splits_nor_checks_reality(self, monkeypatch):
+        # H is split, and f's reality checked, once per H object: the normal
+        # form takes the pipeline's omega and P_s, with no split of its own
+        counts = {"split_linear": 0, "is_real": 0}
+
+        def counted(name, original):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            return call
+
+        split = counted("split_linear", stabpipe.split_linear)
+        for module in (ftseries, stabpipe, normalform):  # each name it is read by
+            monkeypatch.setattr(module, "split_linear", split, raising=False)
+        monkeypatch.setattr(FourierTaylorSeries, "is_real",
+                            counted("is_real", FourierTaylorSeries.is_real))
+        H = build_test_hamiltonian(HC65, seed=1)
+        run_pipeline(H, OMEGA, 0.5, 1.0, HC65, 1e-3)
+        assert counts == {"split_linear": 1, "is_real": 1}
+        report = run_pipeline(H, OMEGA, 0.5, 1.0, HC65, 5e-4)
+        assert report.normal_form is not None
+        assert counts == {"split_linear": 1, "is_real": 1}
+
     def test_other_frequency_checked_after_a_kept_success(self):
         H = FourierTaylorSeries.linear(OMEGA) + F_EDGES
         assert perturbation(H, OMEGA) == F_EDGES
@@ -401,10 +425,10 @@ class TestKeepLast:
         twin = cosine(D, (1, 0), m=(2, 0))
         assert twin == P and twin is not P
         assert [norm(P, HC65), norm(twin, HC65), norm(twin, HC6), norm(twin, HC6)] == [1, 2, 3, 3]
-        f, linear = stabpipe._perturbation(F_EDGES + FourierTaylorSeries.linear(W), W)
-        other = (W[0], W[1] + 1e-12)
-        g, other_linear = stabpipe._perturbation(F_EDGES + FourierTaylorSeries.linear(W), other)
-        assert g == f and g is not f and other_linear != linear
+        H = F_EDGES + FourierTaylorSeries.linear(W)
+        f = perturbation(H, W)
+        g = perturbation(H, (W[0], W[1] + 1e-12))  # the same H at another omega
+        assert g == f and g is not f
 
     def test_a_raising_call_keeps_nothing(self):
         calls = []
@@ -441,9 +465,7 @@ class TestKeepLast:
         cmax = coefficient_norm_max(first.P, HC65)
         assert coefficient_norm_max(second.P, HC65) == cmax and masses == [1]
         assert coefficient_norm_max(first.P, HolderClass(6.7, 2)) != cmax and masses == [1, 1]
-        linear = stabpipe._perturbation(H, OMEGA)[1]
-        assert stabpipe._perturbation(H, W)[1] is linear
-        assert linear == FourierTaylorSeries.linear(OMEGA)
+        assert perturbation(H, W) is perturbation(H, OMEGA)
 
     def test_interleaved_ladders_match_cold_runs(self):
         # each cold rung runs on a freshly built H, so nothing kept applies
@@ -471,7 +493,7 @@ def series_bytes(series):
 
 class TestRepeatable:
     """run_pipeline keeps only the rho-independent work of the last H between
-    calls (f and omega.I, the Taylor split's P and Z, P's coefficient norm):
+    calls (f, the Taylor split's P and Z, P's coefficient norm):
     the benchmark ladder's reports repeat bit for bit, and its stages are
     called as often, on the same H or on a fresh equal one."""
 
