@@ -19,8 +19,8 @@ from .dynamics import default_dt, escape_time
 from .errors import NumericalFault, PipelineStageError, PreconditionError
 from .errors import require_at_least, require_positive
 from .freqlib import golden_frequency
-from .ftseries import FourierTaylorSeries, split_linear
-from .smoothing import HolderClass, lacunary_series
+from .ftseries import FourierTaylorSeries, _merge, split_linear
+from .smoothing import HolderClass, _lacunary_draws
 from .stabpipe import RHO_MAX, _gate_ratio, predicted_stability_time, run_pipeline
 
 CSV_HEADER = "# torusstab sweep schema v3"
@@ -125,10 +125,11 @@ def build_test_hamiltonian(hc, seed=0, amplitude=1e-12, j_max=8):
     construction and is byte-reproducible.
     """
     H = FourierTaylorSeries.linear(golden_frequency(2))
+    parts = [(H.K, H.M, H.C)]
     for idx, m in enumerate(_compositions(2, 2, hc.q - 2)):
-        a_m = lacunary_series(2, hc.ell, j_max=j_max, seed=[seed, idx], amplitude=amplitude)
-        H = H + FourierTaylorSeries(2, {(k, m): c for (k, _), c in a_m.items()})
-    return H
+        K, C = _lacunary_draws(2, hc.ell, j_max, [seed, idx], amplitude)
+        parts.append((K, np.broadcast_to(m, K.shape), C))
+    return FourierTaylorSeries._of(2, *_merge(*parts))
 
 
 def _compositions(d, lo, hi):

@@ -187,24 +187,6 @@ class FourierTaylorSeries:
 
     # -- calculus -------------------------------------------------------------
 
-    def partial_theta(self, axis):
-        """Exact d/d theta_axis: multiplies c_{k,m} by 2 pi i k_axis."""
-        if not 0 <= axis < self.d:
-            raise ValueError(f"axis {axis} out of range for d={self.d}")
-        rows = self.K[:, axis] != 0
-        K = self.K[rows]
-        return self._of(self.d, K, self.M[rows], self.C[rows] * (TWO_PI * 1j * K[:, axis]))
-
-    def partial_I(self, axis):
-        """Exact d/d I_axis: shifts m_axis down with factor m_axis."""
-        if not 0 <= axis < self.d:
-            raise ValueError(f"axis {axis} out of range for d={self.d}")
-        rows = self.M[:, axis] > 0
-        M = self.M[rows]
-        C = self.C[rows] * M[:, axis]
-        M[:, axis] -= 1  # a uniform shift keeps the (k, m) order
-        return self._of(self.d, self.K[rows], M, C)
-
     def poisson_bracket(self, other):
         """{f, g} = sum_i (d_theta_i f d_I_i g - d_I_i f d_theta_i g), in one
         pass over the term pairs.

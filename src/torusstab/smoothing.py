@@ -15,13 +15,14 @@ majorant is at least (1 + 2^{1-mu}) sum_k |g^_k|, so for any g and s
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreconditionError, require_at_least, require_dimension
-from .ftseries import TWO_PI, FourierTaylorSeries, keep_last
+from .ftseries import TWO_PI, FourierTaylorSeries, _merge, keep_last
 
 
 @dataclass(frozen=True)
@@ -123,32 +124,41 @@ def lacunary_series(d, ell, j_max=10, seed=0, amplitude=1.0):
     two random modes (each with its mirror) per shell.
 
     Lives exactly in C^ell for non-integer ell; the canonical family for slope
-    verification.  Deterministic in the seed, an integer or a sequence of
-    them.  A negative j_max or seed entry, or a non-finite amplitude, raises
-    ValueError.
+    verification.  Deterministic in the seed, an integer or a non-empty
+    sequence of them.  A j_max outside [0, 62] (2^j_max must fit an int64),
+    an empty or negative seed, or a non-finite amplitude raises ValueError.
     """
+    K, C = _lacunary_draws(d, ell, j_max, seed, amplitude)
+    return FourierTaylorSeries._of(d, *_merge((K, np.zeros_like(K), C)))
+
+
+def _lacunary_draws(d, ell, j_max, seed, amplitude):
+    """The modes (K) and coefficients (C) that lacunary_series draws, each mode
+    followed by its mirror, in draw order: merging them sums a repeated mode
+    in that order."""
     require_at_least(0, j_max=j_max)
+    if j_max > 62:
+        raise ValueError(f"j_max must be at most 62 (2^j_max must fit an int64), got {j_max}")
+    if np.size(seed) == 0:
+        raise ValueError(f"seed must be an integer or a non-empty sequence, got {seed!r}")
     if np.min(seed) < 0:
         raise ValueError(f"seed must be >= 0, got {seed!r}")
     if not math.isfinite(amplitude):
         raise ValueError(f"amplitude must be finite, got {amplitude!r}")
     rng = np.random.default_rng(seed)
-    terms = {}
-    z = (0,) * d
+    pvals = np.full(d, 1.0 / d)
+    parts, bits, C = [], [], []
     for j in range(j_max + 1):
-        n = 2**j
+        scale = amplitude * 2.0 ** (-j * ell)
         for _ in range(2):
-            # random split of |k|_1 = n over d components, signs random beyond
+            # random split of |k|_1 = 2^j over d components, signs random beyond
             # the first nonzero one (the conjugate supplies the mirror)
-            parts = rng.multinomial(n, np.full(d, 1.0 / d))
-            signs = rng.choice((-1, 1), size=d)
-            k = tuple(int(p * s_) for p, s_ in zip(parts, signs))
-            phase = rng.uniform(0.0, TWO_PI)
-            c = amplitude * 2.0 ** (-j * ell) * np.exp(1j * phase)
-            neg = tuple(-v for v in k)
-            terms[(k, z)] = terms.get((k, z), 0j) + c
-            terms[(neg, z)] = terms.get((neg, z), 0j) + np.conj(c)
-    return FourierTaylorSeries(d, terms)
+            parts.append(rng.multinomial(2**j, pvals))
+            bits.append(rng.integers(0, 2, size=d))
+            c = scale * cmath.exp(1j * rng.uniform(0.0, TWO_PI))
+            C += (c, c.conjugate())
+    k = np.array(parts) * (2 * np.array(bits) - 1)
+    return np.stack((k, -k), axis=1).reshape(-1, d), np.array(C)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
-"""Series builders shared by several test files."""
+"""Series builders and exact derivatives shared by several test files."""
 
 import cmath
 
-from torusstab import FourierTaylorSeries
+from torusstab import TWO_PI, FourierTaylorSeries
 
 
 def cosine(d, k, m=None, amplitude=1.0, phase=0.0):
@@ -12,3 +12,19 @@ def cosine(d, k, m=None, amplitude=1.0, phase=0.0):
     neg = tuple(-v for v in k)
     half = 0.5 * amplitude * cmath.exp(1j * phase)
     return FourierTaylorSeries(d, {(k, m): half, (neg, m): half.conjugate()})
+
+
+def partial_theta(f, axis):
+    """Exact d/d theta_axis of f: multiplies c_{k,m} by 2 pi i k_axis."""
+    rows = f.K[:, axis] != 0
+    K = f.K[rows]
+    return FourierTaylorSeries._of(f.d, K, f.M[rows], f.C[rows] * (TWO_PI * 1j * K[:, axis]))
+
+
+def partial_I(f, axis):
+    """Exact d/d I_axis of f: shifts m_axis down with factor m_axis."""
+    rows = f.M[:, axis] > 0
+    M = f.M[rows]
+    C = f.C[rows] * M[:, axis]
+    M[:, axis] -= 1  # a uniform shift keeps the (k, m) order
+    return FourierTaylorSeries._of(f.d, f.K[rows], M, C)

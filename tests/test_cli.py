@@ -103,6 +103,22 @@ class TestSmoothVerify:
         assert out["passed"] == "1"
         assert float(out["slope"]) == pytest.approx(6.5, abs=0.3)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["smooth-verify", "--j-max", "63"], ["sweep", "--config", "{config}"]],
+    )
+    def test_undrawable_j_max_refused_by_name(self, tmp_path, capsys, argv):
+        # 2^j_max must fit the generator's C long; the sweep's built-in H
+        # draws its coefficients from the same series
+        config = tmp_path / "cfg.txt"
+        config.write_text("j_max = 70\nrho_list = 0.1\nt_cap = 0.1\nn_samples = 1\n")
+        assert main([a.format(config=config) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: j_max must be at most 62")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
 
 class TestNF:
     def test_acceptance_instance(self, tmp_path, capsys):

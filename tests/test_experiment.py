@@ -1,5 +1,6 @@
 """Experiment configs, test Hamiltonians, sweeps, fits, and plot data."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -18,6 +19,7 @@ from torusstab import (
     fit_exponent,
     fit_exponent_rows,
     golden_frequency,
+    lacunary_series,
     parse_config,
     read_sweep_csv,
     sweep,
@@ -140,6 +142,33 @@ class TestBuildHamiltonian:
             FourierTaylorSeries.linear(w)
         )
         assert f2.mass() == pytest.approx(2 * f1.mass(), rel=1e-12)
+
+
+    @pytest.mark.parametrize(
+        "build, expected",
+        [
+            *((lambda ell=ell, seed=seed: build_test_hamiltonian(HolderClass(ell, 2), seed), digest)
+              for (ell, seed), digest in {
+                  (5.5, 0): "55594eb63983c361", (5.5, 1): "1ceec08920175d0b",
+                  (5.5, 3): "55dec51a45255c68", (6.5, 0): "b6638f2538fbd8ab",
+                  (6.5, 1): "78dd36171b12213d", (6.5, 3): "121480da8cec263f",
+                  (7.5, 0): "51711292454eafd2", (7.5, 1): "23cce1b76f399733",
+                  (7.5, 3): "94244fbf850be409",
+              }.items()),
+            (lambda: lacunary_series(2, 6.5, j_max=12, seed=0), "cb658cb2df3e0108"),
+            (lambda: lacunary_series(3, 7.5, j_max=10, seed=[4, 2], amplitude=3.0),
+             "9e9f5b70b7b07062"),
+        ],
+    )
+    def test_bits_are_pinned(self, build, expected):
+        # every check, sweep and benchmark starts from these series: a change
+        # to how they are drawn or merged that moves one bit fails here
+        series = build()
+        h = hashlib.sha256()
+        for a in (series.K, series.M, series.C):
+            h.update(str((a.dtype.str, a.shape)).encode())
+            h.update(a.tobytes())
+        assert h.hexdigest()[:16] == expected
 
 
 class TestSweep:

@@ -84,8 +84,7 @@ SERIES_ATTRIBUTES = [
     "C", "K", "M", "constant", "d", "evaluate",
     "fourier_nonzero_part", "fourier_zero_part", "from_text",
     "is_pure_angle", "is_real", "items", "linear", "load", "mass", "masses",
-    "max_taylor_order", "min_taylor_order",
-    "partial_I", "partial_theta", "poisson_bracket", "save", "select",
+    "max_taylor_order", "min_taylor_order", "poisson_bracket", "save", "select",
     "to_text", "weighted_norm",
 ]
 

@@ -1,6 +1,7 @@
 """Sharp-cutoff smoothing: norm equality, tail majorants, slope verification."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from torusstab import (
     taylor_split,
     verify_smoothing_estimate,
 )
-from series_helpers import cosine
+from series_helpers import cosine, partial_theta
 
 D = 2
 
@@ -140,7 +141,7 @@ class TestMajorants:
             for axis in range(D):
                 dg, dg_s = g, g_s
                 for _ in range(p):
-                    dg, dg_s = dg.partial_theta(axis), dg_s.partial_theta(axis)
+                    dg, dg_s = partial_theta(dg, axis), partial_theta(dg_s, axis)
                 assert cutoff_gap(dg, dg_s) <= bound * (1.0 + 1e-12)
 
 
@@ -153,6 +154,17 @@ class TestLacunary:
     def test_negative_seed_rejected_by_name(self, seed):
         with pytest.raises(ValueError, match="seed must be >= 0"):
             lacunary_series(D, 6.5, seed=seed)
+
+    @pytest.mark.parametrize(
+        "kwargs, named",
+        [
+            ({"j_max": 63}, "j_max must be at most 62"),
+            ({"seed": []}, "seed must be an integer or a non-empty sequence, got []"),
+        ],
+    )
+    def test_undrawable_input_rejected_by_name(self, kwargs, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            lacunary_series(D, 6.5, **kwargs)
 
     def test_real_and_shell_amplitudes(self):
         g = lacunary_series(D, 6.5, j_max=5, seed=2, amplitude=3.0)
