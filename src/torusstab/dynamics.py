@@ -58,16 +58,16 @@ def ballistic_bound(H, threshold, radius):
 
 def _midpoint_step(field, z, dt):
     """One implicit-midpoint step on a batch of z = [theta | I]; returns the new z.
-    The increment u = (dt/2) field(z + u) is iterated from u = 0 until it moves
-    by at most FIXED_POINT_TOL, and the step returns z + 2u.  The test is on u,
-    not on the iterate z + u, whose theta rounds coarser than the tolerance
-    once |theta| >= 512 and could straddle a rounding boundary for ever.
-    An increment that is not finite raises NumericalFault at once."""
-    w, u = z, 0.0
+    The increment u = (dt/2) field(z + u) is iterated from u = 0 (the first
+    sweep's move is measured from 0) until it moves by at most FIXED_POINT_TOL,
+    and the step returns z + 2u.  The test is on u, not on the iterate z + u,
+    whose theta rounds coarser than the tolerance once |theta| >= 512 and could
+    straddle a rounding boundary for ever.  A non-finite u raises NumericalFault at once."""
+    w, u = z, None
     for sweep in range(1, MAX_SWEEPS + 1):
         v = field(w)
         v *= 0.5 * dt
-        delta = np.abs(v - u).max()
+        delta = np.maximum.reduce(np.abs(v if u is None else v - u), axis=None)
         u = v
         if delta <= FIXED_POINT_TOL:
             break
@@ -271,7 +271,7 @@ def escape_time(H, rho, threshold, t_cap, n_samples, seed, dt=None):
             t += step_dt
             dev = np.abs(z[:, d:] - I0)
             np.maximum(max_drift, dev, out=max_drift)
-            if dev.max() >= threshold:
+            if np.maximum.reduce(dev, axis=None) >= threshold:
                 hit = dev.max(axis=1) >= threshold
                 escaped = active[hit]
                 escape_times[escaped] = t

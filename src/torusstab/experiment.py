@@ -19,8 +19,8 @@ from .dynamics import default_dt, escape_time
 from .errors import NumericalFault, PipelineStageError, PreconditionError
 from .errors import require_at_least, require_positive
 from .freqlib import golden_frequency
-from .ftseries import FourierTaylorSeries, _merge, split_linear
-from .smoothing import HolderClass, _lacunary_draws
+from .ftseries import FourierTaylorSeries, split_linear
+from .smoothing import HolderClass, _lacunary_draws, _series_of_draws
 from .stabpipe import RHO_MAX, _gate_ratio, predicted_stability_time, run_pipeline
 
 CSV_HEADER = "# torusstab sweep schema v3"
@@ -129,7 +129,7 @@ def build_test_hamiltonian(hc, seed=0, amplitude=1e-12, j_max=8):
     for idx, m in enumerate(_compositions(2, 2, hc.q - 2)):
         K, C = _lacunary_draws(2, hc.ell, j_max, [seed, idx], amplitude)
         parts.append((K, np.broadcast_to(m, K.shape), C))
-    return FourierTaylorSeries._of(2, *_merge(*parts))
+    return _series_of_draws(2, j_max, *parts)
 
 
 def _compositions(d, lo, hi):

@@ -585,12 +585,12 @@ class HamiltonianVectorField:
         turns = self.modes @ theta.T
         turns -= np.rint(turns)  # exact; |turns| <= 1/2 keeps |t| <= 1.7e16
         t = np.tan(np.multiply(turns, np.pi, out=turns), out=turns)
-        cs = np.empty((2, *t.shape))
-        q, sin = cs
+        cs = np.empty((2 * len(t), t.shape[1]))
+        q, sin = cs[: len(t)], cs[len(t) :]
         np.divide(2.0, np.add(np.multiply(t, t, out=q), 1.0, out=q), out=q)
         np.multiply(t, q, out=sin)
         q -= 1.0  # q - 1 = cos
-        return cs.reshape(-1, t.shape[1])
+        return cs
 
     def _power_table(self, I):
         """I_j^p per point at row j (pmax + 1) + p, by running products."""
@@ -608,7 +608,7 @@ class HamiltonianVectorField:
             return np.hstack([self._sum(z[r : r + self.rows], part, groups) for r in chunks])
         cs = self._angles(z[:, : self.d])
         pw = self._power_table(z[:, self.d :])
-        out = np.zeros((groups, len(z)))
+        out = None
         for block in self.blocks:
             cols, (W, idx) = block[0], block[part]
             Q = W @ (cs if cols is None else cs[cols])
@@ -616,11 +616,12 @@ class HamiltonianVectorField:
             for j in range(1, self.d):
                 P *= pw.take(idx[j], axis=0)
             Q *= P
-            out += Q.reshape(groups, -1, len(z)).sum(axis=1)
-        return out
+            Q = np.add.reduce(Q.reshape(groups, -1, len(z)), axis=1)
+            out = Q if out is None else np.add(out, Q, out=out)
+        return np.zeros((groups, len(z))) if out is None else out
 
     def __call__(self, z):
-        return self._sum(np.atleast_2d(z), 2, 2 * self.d).T
+        return self._sum(z if getattr(z, "ndim", 0) == 2 else np.atleast_2d(z), 2, 2 * self.d).T
 
     def energy(self, z):
-        return self._sum(np.atleast_2d(z), 1, 1)[0]
+        return self._sum(z if getattr(z, "ndim", 0) == 2 else np.atleast_2d(z), 1, 1)[0]

@@ -125,11 +125,20 @@ def lacunary_series(d, ell, j_max=10, seed=0, amplitude=1.0):
 
     Lives exactly in C^ell for non-integer ell; the canonical family for slope
     verification.  Deterministic in the seed, an integer or a non-empty
-    sequence of them.  A j_max outside [0, 62] (2^j_max must fit an int64),
-    an empty or negative seed, or a non-finite amplitude raises ValueError.
+    sequence of them.  A j_max outside [0, 62] or too large for d (2^j_max
+    and the modes' keys must fit an int64), an empty or negative seed, or a
+    non-finite amplitude raises ValueError.
     """
     K, C = _lacunary_draws(d, ell, j_max, seed, amplitude)
-    return FourierTaylorSeries._of(d, *_merge((K, np.zeros_like(K), C)))
+    return _series_of_draws(d, j_max, (K, np.zeros_like(K), C))
+
+
+def _series_of_draws(d, j_max, *parts):
+    """The merged (K, M, C) draws as a series; keys past int64 are refused by j_max and d."""
+    try:
+        return FourierTaylorSeries._of(d, *_merge(*parts))
+    except ValueError as exc:
+        raise ValueError(f"j_max = {j_max} is too large for d = {d}: {exc}") from exc
 
 
 def _lacunary_draws(d, ell, j_max, seed, amplitude):

@@ -103,6 +103,18 @@ class TestSmoothVerify:
         assert out["passed"] == "1"
         assert float(out["slope"]) == pytest.approx(6.5, abs=0.3)
 
+    def refusal(self, tmp_path, capsys, argv, j_max):
+        """stderr of argv, whose sweep config sets j_max: exit 2, one line on
+        stderr, no traceback and nothing on stdout."""
+        config = tmp_path / "cfg.txt"
+        config.write_text(f"j_max = {j_max}\nrho_list = 0.1\nt_cap = 0.1\nn_samples = 1\n")
+        assert main([a.format(config=config) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        return captured.err
+
     @pytest.mark.parametrize(
         "argv",
         [["smooth-verify", "--j-max", "63"], ["sweep", "--config", "{config}"]],
@@ -110,14 +122,18 @@ class TestSmoothVerify:
     def test_undrawable_j_max_refused_by_name(self, tmp_path, capsys, argv):
         # 2^j_max must fit the generator's C long; the sweep's built-in H
         # draws its coefficients from the same series
-        config = tmp_path / "cfg.txt"
-        config.write_text("j_max = 70\nrho_list = 0.1\nt_cap = 0.1\nn_samples = 1\n")
-        assert main([a.format(config=config) for a in argv]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: j_max must be at most 62")
-        assert captured.err.count("\n") == 1
-        assert "Traceback" not in captured.err
-        assert captured.out == ""
+        err = self.refusal(tmp_path, capsys, argv, 70)
+        assert err.startswith("error: j_max must be at most 62")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["smooth-verify", "--j-max", "40"], ["sweep", "--config", "{config}"]],
+    )
+    def test_unpackable_j_max_refused_by_name(self, tmp_path, capsys, argv):
+        # 2^40 draws, but the (k, m) keys of a d = 2 series whose modes reach
+        # |k|_1 = 2^40 overflow int64: the refusal names j_max and d
+        err = self.refusal(tmp_path, capsys, argv, 40)
+        assert err.startswith("error: j_max = 40 is too large for d = 2: ")
 
 
 class TestNF:

@@ -160,6 +160,19 @@ class TestIntegrate:
         assert new.tolist() == [[1024.0 + ulp, 0.25]]
         assert z.tolist() == [[1024.0, 0.25]]
 
+    def test_midpoint_step_stops_on_a_non_finite_first_sweep(self):
+        # the first sweep's move is measured from u = 0: a nan there raises
+        # at once, neither passing as converged nor sweeping on
+        calls = []
+
+        def field(w):
+            calls.append(w.copy())
+            return np.full_like(w, math.nan)
+
+        with pytest.raises(NumericalFault, match="^fixed-point iterate 1 is not finite"):
+            _midpoint_step(field, np.array([[0.1, 0.2, 0.3, 0.4]]), 0.01)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize(
         "t_end, dt, record_every, name",
         [

@@ -821,6 +821,26 @@ class TestEvaluators:
                 -partial_theta(H, j).evaluate(theta[0], I[0]), abs=1e-13
             )
 
+    def test_one_point_gives_the_bits_of_its_row(self):
+        # a 1-D point goes through np.atleast_2d, a 2-D batch is taken as it is
+        H = build_test_hamiltonian(HolderClass(6.5, 2), seed=1, amplitude=1.0, j_max=4)
+        field = HamiltonianVectorField(H)
+        point = np.array([0.12, 0.81, 0.4, -0.3])
+        zdot, e = field(point), field.energy(point)
+        assert zdot.shape == (1, 2 * D) and e.shape == (1,)
+        assert zdot.tobytes() == field(point[None]).tobytes()
+        assert e.tobytes() == field.energy(point[None]).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_zero_series_gives_zeros(self, n):
+        # f = 0 has no weight blocks, so nothing starts the block sum
+        field = HamiltonianVectorField(FourierTaylorSeries(D))
+        assert field.blocks == []
+        z = np.random.default_rng(8).uniform(-1.0, 1.0, (n, 2 * D))
+        zdot, e = field(z), field.energy(z)
+        assert zdot.shape == (n, 2 * D) and e.shape == (n,)
+        assert not zdot.any() and not e.any()
+
     @given(f=series_strategy(max_terms=8), real=st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_folded_kernel_matches_complex_sum(self, f, real):

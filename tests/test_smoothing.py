@@ -166,6 +166,14 @@ class TestLacunary:
         with pytest.raises(ValueError, match=re.escape(named)):
             lacunary_series(D, 6.5, **kwargs)
 
+    @pytest.mark.parametrize("d, j_max", [(2, 40), (3, 25)])
+    def test_unpackable_j_max_rejected_with_d(self, d, j_max):
+        # 2^j_max draws, but the modes' keys overflow int64; j_max = 31 still packs
+        with pytest.raises(ValueError, match=f"^j_max = {j_max} is too large for d = {d}: "):
+            lacunary_series(d, 6.5, j_max=j_max)
+        g = lacunary_series(2, 6.5, j_max=31)
+        assert max(sum(map(abs, k)) for (k, _), _ in g.items()) == 2**31
+
     def test_real_and_shell_amplitudes(self):
         g = lacunary_series(D, 6.5, j_max=5, seed=2, amplitude=3.0)
         assert g.is_real(tol=1e-14)
