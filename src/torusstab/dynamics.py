@@ -241,7 +241,9 @@ def escape_time(H, rho, threshold, t_cap, n_samples, seed, dt=None):
     Integrates the batch synchronously, freezing each sample at its first
     crossing; censored samples carry t_cap.  Every uncensored time must pass
     the ballistic a-priori bound (sup of ||I_dot|| on the reachable tube of
-    radius rho + threshold), otherwise an integration fault is raised.
+    radius rho + threshold), otherwise an integration fault is raised.  The
+    energy drift is measured on the active rows every ENERGY_CHECK_EVERY
+    steps and at the last step, and on each row at its escape.
     """
     require_positive(rho=rho, threshold=threshold, t_cap=t_cap)
     require_at_least(1, n_samples=n_samples)
@@ -273,6 +275,9 @@ def escape_time(H, rho, threshold, t_cap, n_samples, seed, dt=None):
             np.maximum(max_drift, dev, out=max_drift)
             if np.maximum.reduce(dev, axis=None) >= threshold:
                 hit = dev.max(axis=1) >= threshold
+                # the escaping rows' drift counts before they are dropped
+                e = _energy(field, omega, z[hit])
+                max_energy_drift = max(max_energy_drift, _relative_drift(e, e0[hit]))
                 escaped = active[hit]
                 escape_times[escaped] = t
                 censored[escaped] = False

@@ -94,12 +94,12 @@ class FourierTaylorSeries:
             K, M, C = K[keep], M[keep], C[keep]
         self._lock(d, K, M, C)
 
-    def _lock(self, d, K, M, C):
-        """Store canonical terms as they are, the arrays locked."""
-        for a in (K, M, C):
+    def _lock(self, d, K, M, C, orders=None):
+        """Store canonical terms as they are, and their orders if known, all locked."""
+        for a in (K, M, C, *(orders or ())):
             a.flags.writeable = False
         self.d, self.K, self.M, self.C = d, K, M, C
-        self._term_orders = None
+        self._term_orders = orders
 
     @classmethod
     def _of(cls, d, K, M, C):
@@ -251,7 +251,8 @@ class FourierTaylorSeries:
     def _orders(self):
         """|k|_1 and |m|_1 of every term, kept read-only: callbacks receive them."""
         if self._term_orders is None:
-            nk, nm = np.abs(self.K).sum(axis=1), self.M.sum(axis=1)
+            ones = np.ones(self.d, dtype=np.int64)  # an integer product is exact
+            nk, nm = np.abs(self.K) @ ones, self.M @ ones
             nk.flags.writeable = nm.flags.writeable = False
             self._term_orders = nk, nm
         return self._term_orders
@@ -263,9 +264,11 @@ class FourierTaylorSeries:
 
     def _rows(self, index):
         """Sub-series of the terms at a boolean mask or sorted row indices;
-        rows of canonical terms are canonical, so they are only locked."""
+        rows of canonical terms are canonical, so they are only locked, with
+        the rows of the orders if this series keeps them."""
         out = FourierTaylorSeries.__new__(FourierTaylorSeries)
-        out._lock(self.d, self.K[index], self.M[index], self.C[index])
+        orders = None if self._term_orders is None else tuple(a[index] for a in self._term_orders)
+        out._lock(self.d, self.K[index], self.M[index], self.C[index], orders)
         return out
 
     def masses(self, weight=None):
@@ -513,8 +516,10 @@ class HamiltonianVectorField:
 
     A call works on (columns, points) tables, so that every write, gather
     and sum runs along the batch: [cos ; sin] (2u x N) from one tan of the
-    half phase per distinct mode k (u of them) and point, and I_j^p (d (pmax
-    + 1) x N) by running products.  The weights have 1 + 2d row groups per
+    half phase pi k.theta per distinct mode k (u of them) and point, with
+    each theta reduced once to theta - floor(theta), so the field is exactly
+    1-periodic in theta; and I_j^p ((pmax + 1) d x N) by running products
+    down the powers.  The weights have 1 + 2d row groups per
     distinct Taylor index m: A_m, m_j A_m and B_{m,j} = sum_k 2 pi k_j (b cos
     + a sin).  Their product with [cos ; sin], times the gathered action
     powers and summed over m, gives
@@ -545,14 +550,14 @@ class HamiltonianVectorField:
         modes, mode = np.unique(K, axis=0, return_inverse=True)
         powers, power = np.unique(M, axis=0, return_inverse=True)
         u, v = len(modes), len(powers)
-        self.modes = modes.astype(float)
+        self.modes = np.pi * modes  # (u x d): the half phase per turn of theta
         self.pmax = int(M.max(initial=0))
-        # per row group, Taylor index and axis j, the row of I_j^{e_j} in the
-        # power table: m for the energy and I_dot, m - e_j for theta_dot_j
+        # per row group, Taylor index and axis j, the row p d + j of I_j^p in the
+        # power table: p = m_j for the energy and I_dot, m_j - 1 for theta_dot_j
         exps = np.repeat(powers[None], 1 + 2 * d, axis=0)
         for j in range(d):
             exps[1 + j, :, j] = np.maximum(powers[:, j] - 1, 0)
-        exps += (self.pmax + 1) * np.arange(d)
+        exps = exps * d + np.arange(d)
         # weight rows per Taylor index: A_m, m_j A_m, then B_{m,j}
         a, b = C.real[:, None], C.imag[:, None]
         weights = np.hstack([a, M * a, TWO_PI * K * b])
@@ -581,10 +586,10 @@ class HamiltonianVectorField:
 
     def _angles(self, theta):
         """[cos ; sin] of 2 pi k.theta per distinct mode and point, as (2u, N),
-        from t = tan(pi k.theta): q = 2/(1 + t^2), cos = q - 1, sin = t q."""
-        turns = self.modes @ theta.T
-        turns -= np.rint(turns)  # exact; |turns| <= 1/2 keeps |t| <= 1.7e16
-        t = np.tan(np.multiply(turns, np.pi, out=turns), out=turns)
+        from t = tan(pi k.(theta - floor(theta))), a half phase within
+        pi |k|_1: q = 2/(1 + t^2), cos = q - 1, sin = t q."""
+        t = self.modes @ (theta - np.floor(theta)).T
+        np.tan(t, out=t)
         cs = np.empty((2 * len(t), t.shape[1]))
         q, sin = cs[: len(t)], cs[len(t) :]
         np.divide(2.0, np.add(np.multiply(t, t, out=q), 1.0, out=q), out=q)
@@ -593,11 +598,11 @@ class HamiltonianVectorField:
         return cs
 
     def _power_table(self, I):
-        """I_j^p per point at row j (pmax + 1) + p, by running products."""
-        pw = np.empty((self.d, self.pmax + 1, len(I)))
-        pw[:, 0] = 1.0
-        pw[:, 1:] = I.T[:, None]
-        np.multiply.accumulate(pw, axis=1, out=pw)
+        """I_j^p per point at row p d + j, by running products down p."""
+        pw = np.empty((self.pmax + 1, self.d, len(I)))
+        pw[0] = 1.0
+        pw[1:] = I.T
+        np.multiply.accumulate(pw, axis=0, out=pw)
         return pw.reshape(-1, len(I))
 
     def _sum(self, z, part, groups):

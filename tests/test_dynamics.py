@@ -489,6 +489,16 @@ class TestEscapeTime:
         assert rec.censored.tobytes() == censored.tobytes()
         assert rec.max_drift_at_cap == max_drift
 
+    @pytest.mark.parametrize("threshold", [1e-4, 5e-5, 2e-5])
+    def test_energy_drift_measured_when_every_sample_escapes_early(self, threshold):
+        # every sample escapes within 21 steps, long before the first
+        # periodic check: each escaping row's drift is measured as it leaves
+        H = build_test_hamiltonian(HolderClass(6.5, 2), 0, amplitude=0.3)
+        rec = escape_time(H, 0.1, threshold=threshold, t_cap=20, n_samples=10, seed=0)
+        assert rec.censored_fraction == 0.0
+        assert rec.escape_times.max() <= 21 * rec.dt * (1 + 1e-12)
+        assert 1e-9 < rec.max_energy_drift < 1e-6
+
     def test_deterministic(self):
         H = coupled_hamiltonian(1e-6)
         r1 = escape_time(H, 0.05, threshold=0.025, t_cap=0.5, n_samples=4, seed=7)

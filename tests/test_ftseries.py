@@ -674,7 +674,11 @@ class TestOneMerge:
     @settings(max_examples=60, deadline=None)
     def test_select_rows_are_canonical(self, f, nk_max, nm_min):
         g = f.select(lambda nk, nm, c: (nk <= nk_max) & (nm >= nm_min))
-        assert not any(a.flags.writeable for a in (g.K, g.M, g.C))
+        assert not any(a.flags.writeable for a in (g.K, g.M, g.C, *g._orders()))
+        # the selection keeps the rows of f's orders: they are g's own orders
+        assert g._term_orders is not None
+        fresh = (np.abs(g.K).sum(axis=1), g.M.sum(axis=1))
+        assert all(np.array_equal(a, b) for a, b in zip(g._orders(), fresh))
         keys = [tuple(k + m) for k, m in zip(g.K.tolist(), g.M.tolist())]
         assert keys == sorted(set(keys))
         assert np.all(g.C != 0)
@@ -939,20 +943,22 @@ class TestHalfAngleKernel:
             rng.uniform(-50.0, 50.0, (200, D)),
             np.stack(np.meshgrid(quarters, quarters), axis=-1).reshape(-1, D),
         ])
-        turns = field.modes @ theta.T
-        turns -= np.rint(turns)
-        # the grid puts k.theta on 0, +-1/4 and +-1/2 exactly
-        assert {0.0, 0.25, -0.25, 0.5, -0.5} <= set(turns.ravel())
+        # the half phase pi k.(theta - floor(theta)); the modes hold pi k
+        half = field.modes @ (theta - np.floor(theta)).T
+        # the grid puts the half phase on 0 and on the poles of tan
+        t = np.tan(half)
+        assert np.any(t == 0.0) and np.any(np.abs(t) >= 1e12)
         u = len(field.modes)
         cs = field._angles(theta)
-        assert np.all(np.abs(cs[:u] - np.cos(TWO_PI * turns)) <= 1e-15)
-        assert np.all(np.abs(cs[u:] - np.sin(TWO_PI * turns)) <= 1e-15)
+        assert np.all(np.abs(cs[:u] - np.cos(2.0 * half)) <= 1e-15)
+        assert np.all(np.abs(cs[u:] - np.sin(2.0 * half)) <= 1e-15)
 
     def test_powers_match_pow_for_negative_actions(self):
         field = self.field(m=(6, 6))
         rng = np.random.default_rng(4)
         I = np.vstack([rng.uniform(-1.5, -0.01, (50, D)), rng.uniform(-1.5, 1.5, (50, D))])
-        expected = np.hstack([I[:, :1] ** np.arange(7), I[:, 1:] ** np.arange(7)]).T
+        # row p d + j holds I_j^p
+        expected = (I.T[None] ** np.arange(7)[:, None, None]).reshape(-1, len(I))
         P = field._power_table(I)
         assert np.all(np.abs(P - expected) <= 1e-15 * np.abs(expected))
 
@@ -965,6 +971,21 @@ class TestHalfAngleKernel:
         theta = rng.random((40, D))
         I = rng.uniform(-1.5, 1.5, (40, D))
         assert_kernel_matches_direct_sum(HamiltonianVectorField(H), H, theta, I)
+
+    def test_field_is_one_periodic_to_the_bit(self):
+        # big and small are the same points of the torus, exactly; theta is
+        # reduced before any product with k, so their fields share every bit
+        H = build_test_hamiltonian(HolderClass(6.5, 2), seed=1, amplitude=1.0, j_max=8)
+        field = HamiltonianVectorField(H)
+        rng = np.random.default_rng(9)
+        n = np.array([12345.0, -4096.0])
+        big = rng.random((50, D)) + n
+        small = big - n
+        I = rng.uniform(-0.5, 0.5, (50, D))
+        z_big, z_small = np.hstack([big, I]), np.hstack([small, I])
+        assert not np.array_equal(z_big, z_small)
+        assert np.array_equal(field(z_big), field(z_small))
+        assert np.array_equal(field.energy(z_big), field.energy(z_small))
 
 
 class TestRowChunks:
