@@ -16,8 +16,8 @@ omega.I, without the offset c_0) never feeds back into a step, so
 Trajectory.energy is evaluated after the run, at theta mod 1, in one call
 field.energy(z); the field bounds its own batches.
 
-The sweep and the checks step one H at several radii with one seed, so the
-last H's split field and the last seed's unit draws are kept between calls.
+The sweep and the checks step one H at several radii with one seed: the split
+and field are stored on H and its f, and the last seed's unit draws are kept.
 
 Escape measurement samples initial conditions from a seeded, counter-based
 RNG; aggregation uses only order-independent reductions, so results do not
@@ -28,13 +28,14 @@ matrix products round a row differently in a batch of another shape).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalFault, require_at_least, require_positive
-from .ftseries import HamiltonianVectorField, keep_last, split_linear, theta_gradient_majorant
+from .ftseries import HamiltonianVectorField, split_linear, theta_gradient_majorant
 
 FIXED_POINT_TOL = 1e-13
 MAX_SWEEPS = 50
@@ -44,8 +45,8 @@ ENERGY_CHECK_EVERY = 1000
 
 
 def default_dt(H):
-    """min(0.01, 0.01/||omega||_inf), omega of the kept split: resolves the fast angle."""
-    wmax = float(np.max(np.abs(_split(H)[0])))
+    """min(0.01, 0.01/||omega||_inf), omega of H's split: resolves the fast angle."""
+    wmax = float(np.max(np.abs(split_linear(H, "vector field")[0])))
     return 0.01 if wmax == 0.0 else min(0.01, 0.01 / wmax)
 
 
@@ -85,12 +86,11 @@ def _midpoint_step(field, z, dt):
     return u
 
 
-@keep_last
 def _split(H):
-    """(omega, vector field of f) for split_linear's H = omega.I + c_0 + f.
-    The last H object's split is kept."""
+    """(omega, vector field of f) for split_linear's H = omega.I + c_0 + f;
+    the field is stored on f."""
     omega, f = split_linear(H, "vector field")
-    return omega, HamiltonianVectorField(f)
+    return omega, f._derived(HamiltonianVectorField)
 
 
 def _half_rotation(omega, dt):
@@ -213,7 +213,7 @@ class EscapeRecord:
         return float(np.mean(self.censored))
 
 
-@keep_last
+@functools.lru_cache(maxsize=1)
 def _unit_draws(d, n_samples, seed):
     """Read-only (n_samples, 2d) rows of default_rng([seed, i]).random(2d)."""
     u = np.empty((n_samples, 2 * d))
@@ -226,8 +226,8 @@ def _unit_draws(d, n_samples, seed):
 def sample_initial_conditions(d, rho, n_samples, seed):
     """Uniform product samples on T^d x B_rho (sup-norm ball), one derived
     RNG stream per sample index; the seed must be >= 0.  The last (d,
-    n_samples, seed)'s unit draws u are kept; I = -rho + 2 rho u[d:] is
-    numpy's uniform(-rho, rho) bit for bit, and the arrays are fresh."""
+    n_samples, seed)'s unit draws u are kept (lru_cache); I = -rho + 2 rho u[d:]
+    is numpy's uniform(-rho, rho) bit for bit, and the arrays are fresh."""
     require_positive(rho=rho, diameter=2 * float(rho))  # the width of B_rho
     require_at_least(1, dimension=d)
     require_at_least(0, n_samples=n_samples, seed=seed)

@@ -122,8 +122,9 @@ def build_test_hamiltonian(hc, seed=0, amplitude=1e-12, j_max=8):
     omega is the golden frequency; each coefficient a_m is a lacunary series
     with |a^_k| = amplitude 2^{-j ell} at |k|_1 = 2^j and phases drawn from a
     per-monomial derived seed, so the whole series lies in C^ell by
-    construction and is byte-reproducible.
+    construction and is byte-reproducible.  The seed must be >= 0.
     """
+    require_at_least(0, seed=seed)
     H = FourierTaylorSeries.linear(golden_frequency(2))
     parts = [(H.K, H.M, H.C)]
     for idx, m in enumerate(_compositions(2, 2, hc.q - 2)):

@@ -85,14 +85,15 @@ def _record_prefixes(w, j, K):
 
 def _prefix_blocks(w, j, K):
     """Every k in Z^d with k_j = 0 and |k|_1 <= K, as (n, d) arrays of at most
-    PREFIX_BLOCK rows; for d = 2 only k_i = q at the record prefixes q, if any."""
+    PREFIX_BLOCK rows; for d = 2 only k_i = q at the record prefixes q, if any,
+    in one block: the q grow at least as the Fibonacci numbers and stay below
+    2^50, so there are fewer than 80 of them."""
     d = len(w)
     qs = _record_prefixes(w, j, K) if d == 2 else None
     if qs is not None:
         block = np.zeros((len(qs), 2), dtype=np.int64)
         block[:, 1 - j] = qs
-        for lo in range(0, len(qs), PREFIX_BLOCK):
-            yield block[lo:lo + PREFIX_BLOCK]
+        yield block
         return
     for outer in itertools.product(range(-K, K + 1), repeat=d - 2):
         r = K - sum(map(abs, outer))

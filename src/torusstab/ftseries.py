@@ -32,7 +32,7 @@ norm used by every certificate in the package.
 
 from __future__ import annotations
 
-import functools
+import cmath
 import math
 import numbers
 from dataclasses import dataclass
@@ -66,22 +66,27 @@ class AnalyticityWidths:
 class FourierTaylorSeries:
     """Immutable sparse series; all operations return new values."""
 
-    __slots__ = ("d", "K", "M", "C", "_term_orders")
+    __slots__ = ("d", "K", "M", "C", "_store")
 
     def __init__(self, d, terms=None):
-        """Series from a map (k, m) -> c; the indices are validated."""
+        """Series from a map (k, m) -> c; the indices and coefficients are validated."""
         d = int(d)
         require_at_least(1, dimension=d)
         rows, coeffs = [], []
         for (k, m), c in (terms or {}).items():
             k = tuple(int(v) for v in k)
             m = tuple(int(v) for v in m)
+            c = complex(c)
             if len(k) != d or len(m) != d:
                 raise ValueError(f"index length mismatch for d={d}: k={k}, m={m}")
             if any(v < 0 for v in m):
                 raise ValueError(f"Taylor multi-index must be non-negative, got {m}")
+            if any(not -(1 << 63) <= v < 1 << 63 for v in k + m):
+                raise ValueError(f"index does not fit int64: k={k}, m={m}")
+            if not cmath.isfinite(c):
+                raise ValueError(f"coefficient must be finite, got {c!r} at k={k}, m={m}")
             rows.append(k + m)
-            coeffs.append(complex(c))
+            coeffs.append(c)
         KM = np.array(rows, dtype=np.int64).reshape(len(rows), 2 * d)
         self._set(d, *_merge((KM[:, :d], KM[:, d:], np.array(coeffs, dtype=complex))))
 
@@ -94,12 +99,21 @@ class FourierTaylorSeries:
             K, M, C = K[keep], M[keep], C[keep]
         self._lock(d, K, M, C)
 
-    def _lock(self, d, K, M, C, orders=None):
+    def _lock(self, d, K, M, C, orders=()):
         """Store canonical terms as they are, and their orders if known, all locked."""
-        for a in (K, M, C, *(orders or ())):
+        for a in (K, M, C, *orders):
             a.flags.writeable = False
         self.d, self.K, self.M, self.C = d, K, M, C
-        self._term_orders = orders
+        self._store = {_term_orders: orders} if orders else {}
+
+    def _derived(self, compute, *args):
+        """compute(self, *args), never None, stored on this series per (compute,
+        args): a series never changes.  A compute that raises stores nothing."""
+        key = (compute, *args) if args else compute
+        value = self._store.get(key)
+        if value is None:
+            value = self._store[key] = compute(self, *args)
+        return value
 
     @classmethod
     def _of(cls, d, K, M, C):
@@ -249,13 +263,8 @@ class FourierTaylorSeries:
     # -- norms, selection, structure ----------------------------------------
 
     def _orders(self):
-        """|k|_1 and |m|_1 of every term, kept read-only: callbacks receive them."""
-        if self._term_orders is None:
-            ones = np.ones(self.d, dtype=np.int64)  # an integer product is exact
-            nk, nm = np.abs(self.K) @ ones, self.M @ ones
-            nk.flags.writeable = nm.flags.writeable = False
-            self._term_orders = nk, nm
-        return self._term_orders
+        """|k|_1 and |m|_1 of every term, read-only for callbacks; a hit is one dict lookup."""
+        return self._store.get(_term_orders) or self._derived(_term_orders)
 
     def select(self, keep):
         """Sub-series of the terms where the mask keep(|k|_1, |m|_1, c) is true;
@@ -265,9 +274,9 @@ class FourierTaylorSeries:
     def _rows(self, index):
         """Sub-series of the terms at a boolean mask or sorted row indices;
         rows of canonical terms are canonical, so they are only locked, with
-        the rows of the orders if this series keeps them."""
+        the rows of the orders if this series has them (and no other stored value)."""
         out = FourierTaylorSeries.__new__(FourierTaylorSeries)
-        orders = None if self._term_orders is None else tuple(a[index] for a in self._term_orders)
+        orders = tuple(a[index] for a in self._store.get(_term_orders, ()))
         out._lock(self.d, self.K[index], self.M[index], self.C[index], orders)
         return out
 
@@ -342,21 +351,22 @@ class FourierTaylorSeries:
             line = raw.strip()
             if not line:
                 continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("d="):
-                    d = int(body[2:])
-                continue
-            parts = [p.strip() for p in line.split("|")]
-            if len(parts) != 3:
-                raise ValueError(f"malformed series line: {raw!r}")
-            k = tuple(int(v) for v in parts[0].split())
-            m = tuple(int(v) for v in parts[1].split())
-            re_s, im_s = parts[2].split()
+            try:
+                if line.startswith("#"):
+                    body = line[1:].strip()
+                    if body.startswith("d="):
+                        d = int(body[2:])
+                    continue
+                k_s, m_s, c_s = line.split("|")
+                k = tuple(int(v) for v in k_s.split())
+                m = tuple(int(v) for v in m_s.split())
+                re_s, im_s = c_s.split()
+                c = complex(float(re_s), float(im_s))
+            except ValueError:
+                raise ValueError(f"malformed series line: {raw!r}") from None
             if d is None:
                 d = len(k)
-            key = (k, m)
-            terms[key] = terms.get(key, 0j) + complex(float(re_s), float(im_s))
+            terms[k, m] = terms.get((k, m), 0j) + c
         if d is None:
             raise ValueError("series text carries no dimension header and no terms")
         return cls(d, terms)
@@ -371,38 +381,33 @@ class FourierTaylorSeries:
             return cls.from_text(fh.read())
 
 
+def _term_orders(series):
+    ones = np.ones(series.d, dtype=np.int64)  # an integer product is exact
+    nk, nm = np.abs(series.K) @ ones, series.M @ ones
+    nk.flags.writeable = nm.flags.writeable = False
+    return nk, nm
+
+
 def split_linear(H, owner):
-    """(omega, f) of H = omega.I + c_0 + f, the one split every consumer reads:
-    omega is the real parts of H's k = 0, |m|_1 = 1 coefficients, and f is
-    H's other terms, less the real constant c_0 (an energy offset that no
-    flow or bound reads) and with the imaginary parts of c_0 and omega as terms.
-    Unless f is real to 1e-9 of its own mass, NumericalFault names `owner`."""
+    """The one split (omega, f) of H = omega.I + c_0 + f, stored on H: omega
+    (read-only) is the real parts of H's k = 0, |m|_1 = 1 coefficients, f is H's
+    other terms, less the real constant c_0 (an energy offset no flow or bound
+    reads), with the imaginary parts of c_0 and omega as terms.  Unless f is real
+    to 1e-9 of its mass (stored on f), NumericalFault names `owner`."""
+    omega, f = H._derived(_split_of)
+    if not f._derived(FourierTaylorSeries.is_real, 1e-9):
+        raise NumericalFault(f"{owner} requires a real-valued series")
+    return omega, f
+
+
+def _split_of(H):
     nk, nm = H._orders()
     low = (nk == 0) & (nm <= 1)
     linear = low & (nm == 1)
     omega = np.zeros(H.d)
     omega[H.M[linear].argmax(axis=1)] = H.C[linear].real
-    f = FourierTaylorSeries._of(H.d, H.K, H.M, np.where(low, 1j * H.C.imag, H.C))
-    if not f.is_real(tol=1e-9):
-        raise NumericalFault(f"{owner} requires a real-valued series")
-    return omega, f
-
-
-def keep_last(fn):
-    """fn, keeping its last call's arguments and result for a call that
-    repeats them.  A series argument matches only itself (held, so that its
-    id is not reused), any other by ==; a call that raises keeps nothing."""
-    last = [None, None]
-
-    @functools.wraps(fn)
-    def kept(*args, **kwargs):
-        key = [("series", id(a)) if isinstance(a, FourierTaylorSeries) else a
-               for a in (*args, *kwargs, *kwargs.values())]
-        if key != last[0]:
-            last[:] = key, fn(*args, **kwargs), args, kwargs  # held, so no id is reused
-        return last[1]
-
-    return kept
+    omega.flags.writeable = False
+    return omega, FourierTaylorSeries._of(H.d, H.K, H.M, np.where(low, 1j * H.C.imag, H.C))
 
 
 def _pack(*operands, below=0):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, require_at_least, require_dimension
-from .ftseries import TWO_PI, FourierTaylorSeries, _merge, keep_last
+from .ftseries import TWO_PI, FourierTaylorSeries, _merge
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,6 @@ def holder_norm_majorant(g, hc):
     return coefficient_norm_max(g, hc)
 
 
-@keep_last
 def coefficient_norm_max(P, hc):
     """max over the Taylor indices m of P of the Holder majorant of the
     coefficient a_m(theta) of I^m (0 for an empty P), in one pass.
@@ -104,8 +103,12 @@ def coefficient_norm_max(P, hc):
     P's weighted masses are grouped by m by a stable sort, which keeps each
     a_m's terms in k order, and each group is summed.  The positive factor is
     applied once, to the largest sum: rounding is monotone, so the max
-    commutes with it.  The value of the last (P object, hc) is kept.
+    commutes with it.  The value is stored on P per Holder class.
     """
+    return P._derived(_coefficient_norm_max, hc)
+
+
+def _coefficient_norm_max(P, hc):
     order = np.lexsort(P.M.T)
     M, masses = P.M[order], P.masses(lambda nk, nm: 1.0 + (TWO_PI * nk) ** hc.ell)[order]
     bounds = [0, *(np.flatnonzero((M[1:] != M[:-1]).any(axis=1)) + 1).tolist(), len(M)]

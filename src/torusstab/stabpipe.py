@@ -11,8 +11,8 @@ gamma_K, smallness and contraction, in pipeline order.  The theory proves
 each bound only up to a constant it does not compute, so every bound and
 predicted time here is the theorem's shape with its constant set to 1: a
 shape, never a calibrated value.
-A ladder of radii on one H does its rho-independent work once (keep_last); every
-stage still runs on each call and computes its rho-dependent values afresh.
+A ladder on one H does its rho-independent work once (stored on the series);
+every stage still runs on each call and computes its rho-dependent values afresh.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from .errors import NumericalFault, PipelineStageError, PreconditionError
 from .errors import require_dimension, require_positive
 from .freqlib import Frequency, _check_tau, diophantine_constant
-from .ftseries import AnalyticityWidths, FourierTaylorSeries, keep_last, split_linear
+from .ftseries import AnalyticityWidths, FourierTaylorSeries, split_linear
 from .ftseries import theta_gradient_majorant
 from .normalform import XI, NormalFormParams, resonant_normal_form
 # holder_norm_majorant is looked up here by bench/layers.py
@@ -91,7 +91,6 @@ class StabilityPrediction:
     log_exponent: float
 
 
-@keep_last
 def _taylor_parts(f, top):
     """(P, Z): f's terms of action orders 2..top, and of orders > top."""
     if f and f.min_taylor_order() < 2:
@@ -107,10 +106,10 @@ def taylor_split(f, hc, rho):
 
     Z_bound is the angle-gradient majorant of Z on the tube of radius rho.
     Orders 0 and 1 are a model violation: the torus would not be invariant.
-    P and Z of the last f object and q are kept; Z_bound is computed on each call.
+    P and Z are stored on f per q; Z_bound is computed on each call.
     """
     require_positive(rho=rho)
-    P, Z = _taylor_parts(f, hc.q - 2)
+    P, Z = f._derived(_taylor_parts, hc.q - 2)
     return TaylorSplit(P=P, Z=Z, Z_bound=theta_gradient_majorant(Z, rho), rho=float(rho))
 
 
@@ -271,11 +270,10 @@ class PipelineReport:
         return "\n".join(lines) + "\n"
 
 
-@keep_last
 def _perturbation(H, omega):
     """split_linear's f of H = omega.I + c_0 + f, once the supplied omega
     matches split_linear's to LINEAR_PART_TOL; c_0 is ignored, as by every
-    consumer of the split.  The last (H object, omega)'s f is kept."""
+    consumer of the split.  A passed check is stored on H per omega."""
     require_dimension(H, len(omega), "frequency")
     omega_H, f = split_linear(H, "pipeline")
     scale = max(f.mass() + abs(omega_H).sum(), 1.0)
@@ -310,7 +308,7 @@ def run_pipeline(H, omega, gamma, tau, hc, rho):
     omega = Frequency(omega)
     _check_inputs(rho, gamma, tau)
     require_dimension(H, hc.d, "Holder class")
-    f = _perturbation(H, omega)
+    f = H._derived(_perturbation, omega)
     if not f:
         return PipelineReport(
             rho=float(rho),

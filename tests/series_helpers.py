@@ -1,4 +1,4 @@
-"""Series builders and exact derivatives shared by several test files."""
+"""Series builders, exact derivatives and a call counter shared by several test files."""
 
 import cmath
 
@@ -28,3 +28,17 @@ def partial_I(f, axis):
     C = f.C[rows] * M[:, axis]
     M[:, axis] -= 1  # a uniform shift keeps the (k, m) order
     return FourierTaylorSeries._of(f.d, f.K[rows], M, C)
+
+
+def count_calls(monkeypatch, owner, name):
+    """The first argument of each call of owner.name made from now on: the
+    series whose value a computation stored on that series derives from."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(first, *args, **kwargs):
+        calls.append(first)
+        return original(first, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls

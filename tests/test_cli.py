@@ -21,10 +21,11 @@ from torusstab import (
     stabpipe,
     sweep,
 )
+from torusstab import ftseries
 from torusstab.cli import main
 from torusstab.experiment import CSV_COLUMNS, CSV_HEADER, SweepRow
 from torusstab.ftseries import split_linear
-from series_helpers import cosine
+from series_helpers import cosine, count_calls
 
 
 def parse_kv(output):
@@ -253,6 +254,16 @@ class TestPredict:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    def test_input_split_once(self, tmp_path, capsys, monkeypatch):
+        # the CLI's check for a linear part and the pipeline read one split
+        src = tmp_path / "H.txt"
+        build_test_hamiltonian(HolderClass(6.5, 2), seed=0).save(src)
+        splits = count_calls(monkeypatch, ftseries, "_split_of")
+        checks = count_calls(monkeypatch, FourierTaylorSeries, "is_real")
+        assert main(["predict", "--rho", "1e-3", "--input", str(src)]) == 0
+        assert "certified = 1" in capsys.readouterr().out
+        assert len(splits) == len(checks) == 1
 
     def test_empty_polynomial_part_exit_code(self, tmp_path, capsys):
         # only Taylor order 5 = q - 1 at ell = 6.5: no coefficient to take a norm of
@@ -507,9 +518,9 @@ class TestNegativeSeed:
             argv = argv + [str(src)]
         assert main(argv) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: seed must be >= 0, got ")
+        # the value passed, not a seed derived from it
+        assert captured.err == "error: seed must be >= 0, got -1\n"
         assert captured.out == ""
-        assert "Traceback" not in captured.err
 
 
 class TestSweepFitPlots:
@@ -652,7 +663,8 @@ def complex_frequency_hamiltonian():
 
 class TestExitCodeTable:
     """Exit 2 for a precondition, 3 for a numerical fault: one real CLI path
-    per failure kind, each with its one stderr line."""
+    per failure kind, each with its one stderr line.  A row's series is a
+    series builder, or the text of a series file."""
 
     @pytest.mark.parametrize(
         "argv, series, code, line",
@@ -747,13 +759,22 @@ class TestExitCodeTable:
              lambda: build_test_hamiltonian(HolderClass(6.5, 2), seed=0),
              2,
              "error: t_cap/dt must be positive and finite, got inf"),
+            # a series file's text, refused as it is read
+            (["predict", "--rho", "1e-3"],
+             "0 0 | 1 0 | 1.0 0.0\n99999999999999999999 0 | 2 0 | 1e-20 0.0\n",
+             2,
+             "error: index does not fit int64: k=(99999999999999999999, 0), m=(2, 0)"),
+            (["escape", "--rho", "0.1", "--t-cap", "0.1", "--n-samples", "2"],
+             "0 0 | 1 0 | 1.0 0.0\n1 0 | 2 0 | nan 0.0\n-1 0 | 2 0 | nan 0.0\n",
+             2,
+             "error: coefficient must be finite, got (nan+0j) at k=(1, 0), m=(2, 0)"),
         ],
         ids=["small-divisor", "complex-series", "dominance-gate", "too-few-rows",
              "predict-dimension", "smooth-verify-dimension", "smooth-verify-not-pure-angle",
              "nf-no-linear-part", "predict-no-linear-part", "predict-complex-series",
              "escape-complex-perturbation", "nf-complex-series", "escape-complex-frequency",
              "nf-complex-frequency", "predict-complex-frequency", "dominance-gate-at-tau-0",
-             "escape-step-count-overflow"],
+             "escape-step-count-overflow", "file-index-past-int64", "file-nonfinite-coefficient"],
     )
     def test_exit_code_and_line(self, tmp_path, capsys, argv, series, code, line):
         src = tmp_path / "input"
@@ -762,7 +783,7 @@ class TestExitCodeTable:
                   csv_path=src)
             argv = argv + ["--csv", str(src)]
         else:
-            series().save(src)
+            src.write_text(series if isinstance(series, str) else series().to_text())
             argv = argv + ["--input", str(src)]
         assert main(argv) == code
         captured = capsys.readouterr()

@@ -24,7 +24,7 @@ from torusstab import (
 )
 from torusstab import dynamics, ftseries
 from torusstab.dynamics import _energy, _half_rotation, _midpoint_step, _split, _split_step
-from series_helpers import cosine
+from series_helpers import cosine, count_calls
 
 D = 2
 OMEGA = golden_frequency(2)
@@ -612,8 +612,8 @@ def record_bytes(rec):
 
 
 class TestSplitKept:
-    """_split keeps the last H object's (omega, field): the sweep and the
-    checks step one H at several radii."""
+    """H's split is stored on H and its field on f: the sweep and the checks
+    step one H at several radii."""
 
     ARGS = dict(threshold=0.0005, t_cap=0.3, n_samples=6, seed=3)
 
@@ -630,21 +630,31 @@ class TestSplitKept:
         assert record_bytes(warm) == record_bytes(cold)
 
     def test_each_new_object_rebuilt(self, monkeypatch):
-        # each series here is built by one constructor call, so it takes the
-        # address (and so the id) of the last one freed; only the kept H
-        # stops a new series of other content from passing for it
+        # an equal but distinct H has a store of its own: its field is built afresh
         builds = count_field_builds(monkeypatch)
         z = np.array([[0.3, 0.7, 0.05, -0.05]])
-        w1, w2 = OMEGA
-        for n, eps in enumerate(np.linspace(0.01, 0.5, 30), start=1):
-            H = FourierTaylorSeries(D, {((0, 0), (1, 0)): w1, ((0, 0), (0, 1)): w2,
-                                        ((1, -1), (2, 0)): eps, ((-1, 1), (2, 0)): eps})
+        Hs = [coupled_hamiltonian(0.3) for _ in range(3)]
+        kept = []
+        for n, H in enumerate(Hs, start=1):
             omega, field = _split(H)
             assert len(builds) == n
             assert _energy(field, omega, z)[0] == pytest.approx(
                 H.evaluate(z[0, :D], z[0, D:]), rel=1e-14
             )
-            del H, omega, field
+            kept.append(field)
+        assert len(set(map(id, kept))) == 3
+        assert [_split(H)[1] for H in Hs] == kept and len(builds) == 3
+
+    def test_escape_batch_builds_one_field_and_draws_once(self, monkeypatch):
+        builds = count_field_builds(monkeypatch)
+        splits = count_calls(monkeypatch, ftseries, "_split_of")
+        dynamics._unit_draws.cache_clear()
+        H = coupled_hamiltonian(0.3)
+        default_dt(H)
+        for rho in (0.1, 0.05, 0.025):
+            escape_time(H, rho, **self.ARGS)
+        assert len(splits) == 1 and splits[0] is H and len(builds) == 1
+        assert dynamics._unit_draws.cache_info().misses == 1
 
     def test_complex_series_fails_every_call(self):
         H = FourierTaylorSeries.linear(OMEGA) + FourierTaylorSeries(D, {((1, 0), (1, 0)): 0.1})

@@ -24,9 +24,10 @@ from torusstab import (
     read_sweep_csv,
     sweep,
 )
-from torusstab import experiment, stabpipe
+from torusstab import dynamics, experiment, ftseries, stabpipe
 from torusstab.cli import main as cli_main
 from torusstab.experiment import CSV_COLUMNS, CSV_HEADER, SweepRow
+from series_helpers import count_calls
 
 HC65 = HolderClass(6.5, 2)
 
@@ -126,6 +127,11 @@ class TestBuildHamiltonian:
         assert f.max_taylor_order() <= HC65.q - 2
         assert H.is_real(tol=1e-12)
 
+    def test_negative_seed_named_as_passed(self):
+        # not the [seed, idx] each coefficient's draws derive from it
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            build_test_hamiltonian(HC65, seed=-1)
+
     def test_deterministic(self):
         a = build_test_hamiltonian(HC65, seed=5, amplitude=1e-6, j_max=3)
         b = build_test_hamiltonian(HC65, seed=5, amplitude=1e-6, j_max=3)
@@ -194,6 +200,19 @@ class TestSweep:
         assert row.censored_fraction == 1.0
         assert caps == [10 * default_dt(H)] and caps[0] < row.t_pred
         assert row.t_cap == caps[0]
+
+    def test_rows_split_h_once(self, monkeypatch):
+        # each row's pipeline, its escape run and the default dt read one split
+        # of the one H, and one field of its f
+        splits = count_calls(monkeypatch, ftseries, "_split_of")
+        checks = count_calls(monkeypatch, FourierTaylorSeries, "is_real")
+        builds = count_calls(monkeypatch, dynamics, "HamiltonianVectorField")
+        cfg = ExperimentConfig(rho_list=(1e-3, 5e-4, 3e-4), dynamics_only=False, max_steps=10,
+                               n_samples=2)
+        rows = sweep(cfg)
+        assert [r.censored_fraction for r in rows] == [1.0] * 3
+        assert len(splits) == len(checks) == len(builds) == 1
+        assert checks[0] is builds[0]  # f
 
     def test_certified_cells_show_a_per_rho_margin(self):
         # the dominance ratio (3 + 2/tau)/ell = 5/6.5 is the largest gate

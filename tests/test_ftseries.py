@@ -675,8 +675,9 @@ class TestOneMerge:
     def test_select_rows_are_canonical(self, f, nk_max, nm_min):
         g = f.select(lambda nk, nm, c: (nk <= nk_max) & (nm >= nm_min))
         assert not any(a.flags.writeable for a in (g.K, g.M, g.C, *g._orders()))
-        # the selection keeps the rows of f's orders: they are g's own orders
-        assert g._term_orders is not None
+        # the selection keeps the rows of f's orders, and nothing else f
+        # stores: they are g's own orders
+        assert list(g._store) == [ftseries._term_orders]
         fresh = (np.abs(g.K).sum(axis=1), g.M.sum(axis=1))
         assert all(np.array_equal(a, b) for a, b in zip(g._orders(), fresh))
         keys = [tuple(k + m) for k, m in zip(g.K.tolist(), g.M.tolist())]
@@ -759,6 +760,27 @@ class TestSerialization:
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError):
             FourierTaylorSeries.from_text("1 0 | 0 0\n")
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("1 0 | 0 0", "malformed series line: '1 0 | 0 0'"),
+            ("1 0 | 2 0 | 1e-20", "malformed series line: '1 0 | 2 0 | 1e-20'"),
+            ("1 x | 2 0 | 1 0", "malformed series line: '1 x | 2 0 | 1 0'"),
+            ("# d=x", "malformed series line: '# d=x'"),
+            ("99999999999999999999 0 | 2 0 | 1e-20 0",
+             "index does not fit int64: k=(99999999999999999999, 0), m=(2, 0)"),
+            ("1 0 | 2 0 | nan 0", "coefficient must be finite, got (nan+0j) at k=(1, 0), m=(2, 0)"),
+            ("1 0 | 2 0 | 1e308 0\n1 0 | 2 0 | 1e308 0",
+             "coefficient must be finite, got (inf+0j) at k=(1, 0), m=(2, 0)"),
+        ],
+    )
+    def test_bad_line_rejected_by_name(self, line, message):
+        # an index past int64 raised OverflowError, a missing field "not
+        # enough values to unpack", and a nan loaded and failed later
+        with pytest.raises(ValueError) as info:
+            FourierTaylorSeries.from_text(f"# d=2\n{line}\n")
+        assert str(info.value) == message
 
 
 def mirror(f):

@@ -1,6 +1,7 @@
 """Parameter schedule, remainder bounds, and the certifying pipeline."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -29,10 +30,10 @@ from torusstab import (
     stabpipe,
     taylor_split,
 )
-from torusstab import ftseries
-from torusstab.ftseries import keep_last
+from torusstab import ftseries, smoothing
+from torusstab.ftseries import split_linear
 from torusstab.normalform import XI
-from series_helpers import cosine
+from series_helpers import cosine, count_calls
 
 D = 2
 OMEGA = golden_frequency(2)
@@ -316,46 +317,30 @@ class TestPerturbationExtraction:
         assert shifted == run_pipeline(H, OMEGA, 0.5, 1.0, HC65, 1e-3).to_text()
 
 
-def count_splits(monkeypatch):
-    splits = []
-    original = stabpipe.split_linear
-
-    def counted(H, owner):
-        splits.append(len(H))
-        return original(H, owner)
-
-    monkeypatch.setattr(stabpipe, "split_linear", counted)
-    return splits
-
-
 class TestPerturbationKept:
-    """run_pipeline keeps the last H object's f with omega's values: a
-    ladder of radii on one H computes f once."""
+    """run_pipeline's f, and its check of omega, are stored on H: a ladder of
+    radii on one H computes f once."""
 
     def test_one_perturbation_per_object(self, monkeypatch):
-        splits = count_splits(monkeypatch)
+        splits = count_calls(monkeypatch, ftseries, "_split_of")
         H = build_test_hamiltonian(HC65, seed=1)
         warm = [run_pipeline(H, OMEGA, 0.5, 1.0, HC65, rho).to_text() for rho in (1e-3, 5e-4)]
-        assert len(splits) == 1
+        assert same(splits, [H])
         assert perturbation(H, OMEGA) is perturbation(H, W)
-        assert len(splits) == 1
+        assert same(splits, [H])
         fresh = build_test_hamiltonian(HC65, seed=1)
         cold = [run_pipeline(fresh, OMEGA, 0.5, 1.0, HC65, rho).to_text() for rho in (1e-3, 5e-4)]
-        assert len(splits) == 2
+        assert same(splits, [H, fresh])
         assert cold == warm
 
     def test_each_new_object_recomputed(self, monkeypatch):
-        # each series here is built by one constructor call, so it takes the
-        # address (and so the id) of the last one freed; only the kept H
-        # stops a new series of other content from passing for it
-        splits = count_splits(monkeypatch)
-        for n, eps in enumerate(np.linspace(0.01, 0.5, 30), start=1):
-            H = FourierTaylorSeries(D, {((0, 0), (1, 0)): W[0], ((0, 0), (0, 1)): W[1],
-                                        ((1, -1), (2, 0)): eps, ((-1, 1), (2, 0)): eps})
-            f = perturbation(H, OMEGA)
-            assert len(splits) == n
-            assert len(f) == 2 and np.all(f.C == eps)
-            del H, f
+        # an equal but distinct H has a store of its own: it is split afresh
+        splits = count_calls(monkeypatch, ftseries, "_split_of")
+        Hs = [FourierTaylorSeries.linear(OMEGA) + F_EDGES for _ in range(3)]
+        fs = [perturbation(H, OMEGA) for H in Hs]
+        assert same(splits, Hs)
+        assert all(f == F_EDGES for f in fs) and len(set(map(id, fs))) == 3
+        assert same([perturbation(H, OMEGA) for H in Hs], fs) and same(splits, Hs)
 
     def test_warm_rung_neither_splits_nor_checks_reality(self, monkeypatch):
         # H is split, and f's reality checked, once per H object: the normal
@@ -397,60 +382,85 @@ class TestPerturbationKept:
                 run_pipeline(H, OMEGA, 0.5, 1.0, HC65, 1e-3)
 
 
-class TestKeepLast:
-    """ftseries.keep_last, and the rho-independent work each keep site holds."""
+def same(objects, expected):
+    """Whether objects are the expected objects, one by one."""
+    return len(objects) == len(expected) and all(map(operator.is_, objects, expected))
+
+
+def count_rho_independent_runs(monkeypatch):
+    """The series each rho-independent computation of a rung runs on, by name."""
+    return {name: count_calls(monkeypatch, owner, name) for owner, name in (
+        (ftseries, "_split_of"), (FourierTaylorSeries, "is_real"),
+        (stabpipe, "_taylor_parts"), (smoothing, "_coefficient_norm_max"))}
+
+
+def rho_independent_parts(H):
+    """H, its f and f's P: the series those computations run on."""
+    f = split_linear(H, "pipeline")[1]
+    return {"_split_of": [H], "is_real": [f], "_taylor_parts": [f],
+            "_coefficient_norm_max": [taylor_split(f, HC65, 1e-3).P]}
+
+
+class TestDerivedStore:
+    """FourierTaylorSeries._derived, the one store of values computed from a
+    series, and the rho-independent work each caller stores there."""
 
     @staticmethod
     def counted():
         calls = []
 
-        @keep_last
         def norm(P, hc):
             calls.append((P, hc))
             return len(calls)
 
         return norm, calls
 
-    def test_hit_on_the_same_series_and_equal_values(self):
+    def test_hit_on_the_same_series_and_equal_values(self, monkeypatch):
         norm, calls = self.counted()
         P = cosine(D, (1, 0), m=(2, 0))
-        assert [norm(P, HC65), norm(P, HolderClass(6.5, 2))] == [1, 1]
-        # a keyword call is a key of its own, and repeats like a positional one
-        assert [norm(P, hc=HC65), norm(P, hc=HolderClass(6.5, 2))] == [2, 2]
-        assert len(calls) == 2
+        assert [P._derived(norm, HC65), P._derived(norm, HolderClass(6.5, 2))] == [1, 1]
+        assert len(calls) == 1
+        runs = count_calls(monkeypatch, smoothing, "_coefficient_norm_max")
+        cmax = coefficient_norm_max(P, HC65)
+        assert coefficient_norm_max(P, hc=HolderClass(6.5, 2)) == cmax and same(runs, [P])
 
     def test_miss_on_an_equal_series_or_other_values(self):
         norm, calls = self.counted()
         P = cosine(D, (1, 0), m=(2, 0))
         twin = cosine(D, (1, 0), m=(2, 0))
         assert twin == P and twin is not P
-        assert [norm(P, HC65), norm(twin, HC65), norm(twin, HC6), norm(twin, HC6)] == [1, 2, 3, 3]
-        H = F_EDGES + FourierTaylorSeries.linear(W)
-        f = perturbation(H, W)
-        g = perturbation(H, (W[0], W[1] + 1e-12))  # the same H at another omega
+        assert [P._derived(norm, HC65), twin._derived(norm, HC65), twin._derived(norm, HC6),
+                twin._derived(norm, HC6)] == [1, 2, 3, 3]
+        f, g = (split_linear(F_EDGES + FourierTaylorSeries.linear(W), "pipeline")[1]
+                for _ in range(2))
         assert g == f and g is not f
 
-    def test_a_raising_call_keeps_nothing(self):
+    def test_a_raising_call_stores_nothing(self, monkeypatch):
         calls = []
 
-        @keep_last
-        def check(x):
+        def check(series, x):
             calls.append(x)
             if x < 0:
                 raise ValueError("negative")
             return x
 
-        assert check(1) == 1
+        P = cosine(D, (1, 0), m=(2, 0))
+        assert P._derived(check, 1) == 1
+        stored = list(P._store)
         for _ in range(2):
             with pytest.raises(ValueError):
-                check(-1)
-        assert check(1) == 1 and calls == [1, -1, -1]
+                P._derived(check, -1)
+        assert list(P._store) == stored
+        assert P._derived(check, 1) == 1 and calls == [1, -1, -1]
+        parts = count_calls(monkeypatch, stabpipe, "_taylor_parts")
         low = cosine(D, (1, 0), m=(1, 0))
         good = cosine(D, (1, 0), m=(2, 0))
         for _ in range(2):
             with pytest.raises(PreconditionError, match="Taylor orders < 2"):
                 taylor_split(low, HC65, 0.1)
         assert taylor_split(good, HC65, 0.1).P == good
+        assert taylor_split(good, HC65, 0.2).P == good
+        assert same(parts, [low, low, good])
 
     def test_sites_keep_only_rho_independent_work(self, monkeypatch):
         H = build_test_hamiltonian(HC65, seed=1)
@@ -467,8 +477,28 @@ class TestKeepLast:
         assert coefficient_norm_max(first.P, HolderClass(6.7, 2)) != cmax and masses == [1, 1]
         assert perturbation(H, W) is perturbation(H, OMEGA)
 
-    def test_interleaved_ladders_match_cold_runs(self):
-        # each cold rung runs on a freshly built H, so nothing kept applies
+    def test_a_row_subset_carries_only_the_orders(self):
+        H = build_test_hamiltonian(HC65, seed=1)
+        run_pipeline(H, OMEGA, 0.5, 1.0, HC65, 1e-3)
+        f = split_linear(H, "pipeline")[1]
+        P = taylor_split(f, HC65, 1e-3).P
+        assert len(f._store) > 1 and len(P._store) > 1  # the orders and more
+        for part in (f.select(lambda nk, nm, c: nm >= 2), P.fourier_nonzero_part()):
+            assert list(part._store) == [ftseries._term_orders]
+
+    def test_one_ladder_runs_rho_independent_work_once(self, monkeypatch):
+        runs = count_rho_independent_runs(monkeypatch)
+        H = build_test_hamiltonian(HC65, seed=1)
+        for rho in (1e-3, 5e-4, 3e-4):
+            run_pipeline(H, OMEGA, 0.5, 1.0, HC65, rho)
+        expected = rho_independent_parts(H)
+        assert runs.keys() == expected.keys()
+        assert all(same(runs[name], expected[name]) for name in runs)
+
+    def test_interleaved_ladders_match_cold_runs(self, monkeypatch):
+        # each cold rung runs on a freshly built H, so nothing stored applies;
+        # the warm ladders switch between H0 and H1 on every rung, and each
+        # H's rho-independent work still runs once
         ladder = (1e-3, 5e-4, 3e-4)
 
         def run(H, rho):
@@ -479,12 +509,15 @@ class TestKeepLast:
         cold = {seed: [run(build_test_hamiltonian(HC65, seed=seed), rho) for rho in ladder]
                 for seed in (0, 1)}
         H0, H1 = (build_test_hamiltonian(HC65, seed=seed) for seed in (0, 1))
+        runs = count_rho_independent_runs(monkeypatch)
         warm = {0: [], 1: []}
         for rho in ladder:
             for seed, H in ((0, H0), (1, H1), (0, H0)):
                 warm[seed].append(run(H, rho))
         assert warm[1] == cold[1]
         assert warm[0][::2] == warm[0][1::2] == cold[0]
+        parts = [rho_independent_parts(H) for H in (H0, H1)]
+        assert all(same(runs[name], parts[0][name] + parts[1][name]) for name in runs)
 
 
 def series_bytes(series):
@@ -492,8 +525,8 @@ def series_bytes(series):
 
 
 class TestRepeatable:
-    """run_pipeline keeps only the rho-independent work of the last H between
-    calls (f, the Taylor split's P and Z, P's coefficient norm):
+    """run_pipeline stores only rho-independent work on the series it derives
+    from (f, the Taylor split's P and Z, P's coefficient norm):
     the benchmark ladder's reports repeat bit for bit, and its stages are
     called as often, on the same H or on a fresh equal one."""
 
