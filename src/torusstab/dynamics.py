@@ -115,9 +115,12 @@ def _relative_drift(e, e0):
     return float(np.max(np.abs(e - e0) / np.maximum(np.abs(e0), 1.0)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Recorded samples of one integration run; theta reduced mod 1."""
+    """Recorded samples of one integration run; theta reduced mod 1.
+
+    Compared and hashed by identity: == over its array fields would be
+    elementwise, and arrays do not hash."""
 
     t: np.ndarray
     theta: np.ndarray
@@ -188,9 +191,12 @@ def integrate(H, start, t_end, dt, record_every=None, r_max=None):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EscapeRecord:
-    """Per-rho Monte-Carlo escape-time measurements with censoring flags."""
+    """Per-rho Monte-Carlo escape-time measurements with censoring flags.
+
+    Compared and hashed by identity: == over its array fields would be
+    elementwise, and arrays do not hash."""
 
     rho: float
     threshold: float

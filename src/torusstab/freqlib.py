@@ -125,7 +125,7 @@ def _smallest(ks, w, tau):
     lexicographically smallest representative.  omega.k is the exact value
     rounded once.  The float dot products bound every value, and only the rows
     whose lower bound reaches the least upper bound are evaluated exactly."""
-    first = ks[np.arange(len(ks)), np.argmax(ks != 0, axis=1)]
+    first = ks[np.arange(len(ks)), (ks != 0).argmax(axis=1)]
     ks = ks[first != 0] * np.sign(first[first != 0])[:, None]
     sizes = np.abs(ks)
     powers = sizes.sum(axis=1).astype(float) ** tau
@@ -185,7 +185,7 @@ def diophantine_constant(freq, tau, K):
     require_at_least(1, K=K)
     _check_tau(tau)
     w = np.array(Frequency(freq))
-    j = int(np.argmax(np.abs(w)))
+    j = int(np.abs(w).argmax())
     units = np.eye(len(w), dtype=np.int64)
     # exact: units @ w == w and 1**tau == 1
     gamma, k = float(np.abs(w).min()), units[0]
@@ -199,7 +199,7 @@ def diophantine_constant(freq, tau, K):
         counts = np.maximum(hi - lo + 1, 0)
         rows = np.repeat(np.arange(len(prefixes)), counts)
         ks = prefixes[rows]
-        ks[:, j] = lo[rows] + np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+        ks[:, j] = lo[rows] + np.arange(len(rows)) - np.repeat(counts.cumsum() - counts, counts)
         # the unit vectors ride along: the first gamma may sit at another unit than k
-        gamma, k = _smallest(np.vstack([units, k, ks]), w, tau)
+        gamma, k = _smallest(np.concatenate([units, k[None], ks]), w, tau)
     return DiophantineCertificate(float(tau), K, gamma, tuple(int(v) for v in k))

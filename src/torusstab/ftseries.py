@@ -102,7 +102,7 @@ class FourierTaylorSeries:
     def _lock(self, d, K, M, C, orders=()):
         """Store canonical terms as they are, and their orders if known, all locked."""
         for a in (K, M, C, *orders):
-            a.flags.writeable = False
+            a.setflags(write=False)
         self.d, self.K, self.M, self.C = d, K, M, C
         self._store = {_term_orders: orders} if orders else {}
 
@@ -135,7 +135,7 @@ class FourierTaylorSeries:
         values = np.array(omega, dtype=complex)
         d = len(values)
         require_at_least(1, dimension=d)
-        axes = np.flatnonzero(values)[::-1]  # e_i orders before e_j for i > j
+        axes = values.nonzero()[0][::-1]  # e_i orders before e_j for i > j
         M = np.eye(d, dtype=np.int64)[axes]
         return cls._of(d, np.zeros_like(M), M, values[axes])
 
@@ -227,8 +227,9 @@ class FourierTaylorSeries:
             parts_keys, parts_C = [keys], [C]
             for i in range(d):
                 w = self.K[block, i, None] * other.M[:, i] - self.M[block, i, None] * other.K[:, i]
-                nz = np.flatnonzero(w)
-                w = w.ravel()[nz]
+                w = w.ravel()
+                nz = w.nonzero()[0]
+                w = w[nz]
                 parts_keys.append(pair_keys[nz] - places[d + i])
                 parts_C.append(pair_C[nz] * w)
             return np.concatenate(parts_keys), np.concatenate(parts_C)
@@ -275,9 +276,15 @@ class FourierTaylorSeries:
         """Sub-series of the terms at a boolean mask or sorted row indices;
         rows of canonical terms are canonical, so they are only locked, with
         the rows of the orders if this series has them (and no other stored value)."""
+        index = np.asarray(index)
+        if index.dtype == bool:
+            index = index.nonzero()[0]
+        # take copies rows several times faster than indexing (n, d) arrays
         out = FourierTaylorSeries.__new__(FourierTaylorSeries)
-        orders = tuple(a[index] for a in self._store.get(_term_orders, ()))
-        out._lock(self.d, self.K[index], self.M[index], self.C[index], orders)
+        orders = self._store.get(_term_orders)
+        orders = (orders[0].take(index), orders[1].take(index)) if orders else ()
+        K, M = self.K.take(index, axis=0), self.M.take(index, axis=0)
+        out._lock(self.d, K, M, self.C.take(index), orders)
         return out
 
     def masses(self, weight=None):
@@ -288,7 +295,11 @@ class FourierTaylorSeries:
             return a
         with np.errstate(over="ignore", invalid="ignore"):
             w = weight(*self._orders())
-            return np.where(np.isfinite(w), a * w, math.inf)
+            finite = np.isfinite(w)
+            if finite.all():
+                a *= w
+                return a
+            return np.where(finite, a * w, math.inf)
 
     def mass(self, weight=None):
         """sum |c| weight(|k|_1, |m|_1) over the terms; inf if a weight overflows."""
@@ -464,12 +475,13 @@ def _sort_sum(keys, C, spans, fold=False):
         order = keys - keys // n * n  # each value's row; int64 % is slower
         keys //= n
     else:
-        order = np.argsort(keys, kind="stable")
+        order = keys.argsort(kind="stable")
         keys = keys[order]
     C = C[order]
-    first = np.ones(len(C), dtype=bool)
+    first = np.empty(len(C), dtype=bool)
+    first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
+    starts = first.nonzero()[0]
     if len(starts) < len(C):
         keys = keys[starts]
         C = _fold(C, starts) if fold else np.add.reduceat(C, starts)
@@ -480,8 +492,8 @@ def _fold(C, starts):
     """The sum of each run C[starts[j] : starts[j + 1]], left to right: one
     addition per run at each offset that some run reaches."""
     sums = C[starts]
-    lengths = np.diff(starts, append=len(C))
-    runs = np.flatnonzero(lengths > 1)
+    lengths = np.concatenate((starts[1:], [len(C)])) - starts
+    runs = (lengths > 1).nonzero()[0]
     offset = 1
     while len(runs):
         sums[runs] += C[starts[runs] + offset]
@@ -497,7 +509,7 @@ def _merge(*parts):
     K, M, C = (np.concatenate(a) for a in zip(*parts))
     (keys,), _, spans, _ = _pack((K, M))
     rows, _, C = _sort_sum(keys, C, spans, fold=True)
-    return K[rows], M[rows], C
+    return K.take(rows, axis=0), M.take(rows, axis=0), C
 
 
 def theta_gradient_majorant(H, radius):

@@ -100,7 +100,7 @@ def solve_homological(f_nr, omega):
     # np.vecdot rounds each row as np.dot(k, w) does; K @ w rounds some rows
     # differently (another fused multiply-add order)
     divisor = np.vecdot(f_nr.K, w)
-    small = np.flatnonzero(np.abs(divisor) < DIVISOR_FLOOR)
+    small = (np.abs(divisor) < DIVISOR_FLOOR).nonzero()[0]
     if len(small):
         i = small[0]
         k = tuple(f_nr.K[i].tolist())
@@ -136,12 +136,16 @@ def _row_bound(chi, widths):
 def _rows_to_form(bounds, budget):
     """Mask of the rows to form, and the summed bound of the others: the rows
     of smallest bound are left out while their running sum stays <= budget.
-    A row whose bound is not finite is always formed."""
-    finite = np.flatnonzero(np.isfinite(bounds))
-    order = finite[np.argsort(bounds[finite])]
-    running = np.cumsum(bounds[order])
-    n = int(np.searchsorted(running, budget, side="right"))
-    form = np.ones(len(bounds), dtype=bool)
+    A row whose bound is not finite is always formed.  When the running sum
+    over every row stays <= budget, no row is formed (decided from that same
+    sum, so a tie at the budget falls as in any other cut), and lie_transform
+    ends the series at that order, its skipped sum counted."""
+    finite = np.isfinite(bounds).nonzero()[0]
+    order = finite[bounds[finite].argsort()]
+    running = bounds[order].cumsum()
+    n = int(running.searchsorted(budget, side="right"))
+    form = np.empty(len(bounds), dtype=bool)
+    form.fill(True)
     form[order[:n]] = False
     return form, float(running[n - 1]) if n else 0.0
 
@@ -170,9 +174,10 @@ def lie_transform(H, chi, order=6, *, widths, chop):
     bracket vanishes axis by axis has R_a = 0, and at chop 0 only such rows
     are left out.  `dropped_mass` counts the chopped terms and the skipped
     rows' summed bounds, neither divided by n!, and the divergence test sees
-    each bracket's mass plus its skipped sum.  A bracket with no row left is
-    not formed, and the series stops there with tail 0, as when the chop
-    removes a whole bracket.
+    each bracket's mass plus its skipped sum.  The series ends at the first
+    order that forms no row, with tail 0, as when the chop removes a whole
+    bracket; that order's skipped sum is still counted in `dropped_mass` and
+    seen by the divergence test.
 
     H and the kept brackets, each scaled by 1/n!, are merged once at the
     end; the merge sums each key's terms in that order, left to right, so
@@ -192,27 +197,31 @@ def lie_transform(H, chi, order=6, *, widths, chop):
     for n in range(1, order + 1):
         form, skipped = _rows_to_form(bound(bracket, masses), chop)
         dropped += skipped
-        if not form.all():
-            bracket = bracket._rows(form)
-        if bracket:
+        fact *= n
+        mass = 0.0
+        # a bracket with no row to form ends the series, as one whose terms
+        # are all chopped does
+        if form.any():
+            if not form.all():
+                bracket = bracket._rows(form)
             bracket = bracket.poisson_bracket(chi)
-        masses = bracket.masses(widths.weight)
-        pruned = masses < chop
-        dropped += float(masses[pruned].sum())
-        kept = ~pruned
-        masses = masses[kept]
-        bracket = bracket._rows(kept)
-        with np.errstate(over="ignore"):
-            mass = float(masses.sum())
+            masses = bracket.masses(widths.weight)
+            pruned = masses < chop
+            if pruned.any():
+                dropped += float(masses[pruned].sum())
+                kept = ~pruned
+                masses = masses[kept]
+                bracket = bracket._rows(kept)
+            if bracket:
+                parts.append((bracket.K, bracket.M, bracket.C * (1.0 / fact)))
+                with np.errstate(over="ignore"):
+                    mass = float(masses.sum())
         grown = mass + skipped
         if prev_mass is not None and prev_mass > 0.0 and grown > DIVERGENCE_FACTOR * prev_mass:
             raise NumericalFault(
                 f"bracket norm grew by {grown / prev_mass:.2e} at order {n}"
             )
         prev_mass = grown
-        fact *= n
-        if bracket:
-            parts.append((bracket.K, bracket.M, bracket.C * (1.0 / fact)))
         tail = mass / fact
         if mass == 0.0:
             break
@@ -259,13 +268,17 @@ def resonant_normal_form(omega, f, params):
     iterations = 0
     dropped = 0.0
     previous = math.inf
+
+    def sub_cutoff(series):
+        """The modes 0 < |k|_1 <= K of a series, which averaging removes."""
+        return series.select(lambda nk, nm, c: (nk > 0) & (nk <= K))
+
     while True:
-        f_nr = f_star.select(lambda nk, nm, c: (nk > 0) & (nk <= K))
         star_norm = f_star.weighted_norm(inner) + dropped
         contraction = star_norm / f0_norm if f0_norm > 0.0 else 0.0
         # at least one averaging pass: the change of variables must actually
         # remove the sub-cutoff modes, not merely certify the domain shrink
-        if contraction <= target and (iterations or not f_nr):
+        if contraction <= target and (iterations or not sub_cutoff(f_star)):
             stop = "certified"
             break
         if contraction >= previous:
@@ -275,7 +288,7 @@ def resonant_normal_form(omega, f, params):
             stop = "capped"
             break
         previous = contraction
-        chi = solve_homological(f_nr, omega)
+        chi = solve_homological(sub_cutoff(f_star), omega)
         lie = lie_transform(current, chi, widths=widths, chop=chop)
         current = lie.series
         f_star = current.fourier_nonzero_part()

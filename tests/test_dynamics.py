@@ -452,6 +452,18 @@ def reference_escape(H, rho, threshold, t_cap, n_samples, seed):
 
 
 class TestEscapeTime:
+    def test_records_compare_and_hash_by_identity(self):
+        # field-wise == would compare the arrays elementwise and raise, and
+        # arrays do not hash
+        H = coupled_hamiltonian(1e-12)
+        recs = [escape_time(H, 0.05, threshold=0.025, t_cap=0.1, n_samples=3, seed=0)
+                for _ in range(2)]
+        runs = [integrate(H, ((0.1, 0.2), (0.01, 0.02)), 0.1, 0.01) for _ in range(2)]
+        for a, b in (recs, runs):
+            assert (a == b) is False and a != b and a == a
+            assert len({hash(a), hash(b)}) == 2
+        assert np.array_equal(recs[0].escape_times, recs[1].escape_times)
+
     def test_all_censored_for_tiny_perturbation(self):
         H = coupled_hamiltonian(1e-12)
         rec = escape_time(H, 0.05, threshold=0.025, t_cap=1.0, n_samples=5, seed=0)

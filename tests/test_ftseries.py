@@ -26,7 +26,7 @@ from torusstab import (
     smooth,
     theta_gradient_majorant,
 )
-from series_helpers import cosine, partial_I, partial_theta
+from series_helpers import cosine, partial_I, partial_theta, reference_masses
 
 D = 2
 
@@ -240,6 +240,23 @@ class TestNormsAndStructure:
         small = AnalyticityWidths(0.1, 0.4)
         big = AnalyticityWidths(0.2, 0.8)
         assert f.weighted_norm(small) <= f.weighted_norm(big) * (1 + 1e-12) + 1e-300
+
+    @given(
+        f=series_strategy(max_terms=8),
+        sigma=st.floats(0.01, 500.0),
+        rho=st.floats(1e-300, 10.0),
+    )
+    @example(f=cosine(D, (1, 0), m=(1, 1)), sigma=0.3, rho=0.7)  # finite weights
+    @example(f=cosine(D, (3, 0)), sigma=300.0, rho=0.7)  # e^{900} overflows to inf
+    # 0 * inf is nan, beside a finite weight e^{300}
+    @example(f=cosine(D, (3, 0), m=(2, 0)) + cosine(D, (1, 0)), sigma=300.0, rho=1e-200)
+    @settings(max_examples=80, deadline=None)
+    def test_masses_match_the_general_rule_bit_for_bit(self, f, sigma, rho):
+        # finite weights are multiplied in place; otherwise a term whose
+        # weight is not finite gets inf
+        weight = AnalyticityWidths(sigma, rho).weight
+        got = f.masses(weight)
+        assert got.tobytes() == reference_masses(f, weight).tobytes()
 
     def test_parts_partition(self):
         f = cosine(D, (1, 0), m=(1, 0)) + FourierTaylorSeries(

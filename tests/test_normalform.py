@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from torusstab import (
@@ -23,8 +23,13 @@ from torusstab import (
 )
 from torusstab import normalform
 from torusstab.ftseries import split_linear
-from torusstab.normalform import DIVISOR_FLOOR
-from series_helpers import cosine, partial_theta
+from torusstab.normalform import DIVERGENCE_FACTOR, DIVISOR_FLOOR
+from series_helpers import (
+    cosine,
+    partial_theta,
+    reference_lie_transform,
+    reference_rows_to_form,
+)
 
 D = 2
 OMEGA = golden_frequency(2)
@@ -347,6 +352,175 @@ class TestLieTransform:
         form, skipped = normalform._rows_to_form(bounds, 1.5)
         assert form.tolist() == [True, True, False, True, False]
         assert skipped == 1.0
+
+
+def real_series(cosines):
+    return sum(
+        (cosine(D, k, m=m, amplitude=a, phase=p) for k, m, a, p in cosines),
+        FourierTaylorSeries(D),
+    )
+
+
+def lie_outcome(run):
+    """The result arrays' and masses' bytes, or the NumericalFault raised."""
+    try:
+        res = run()
+    except NumericalFault as exc:
+        return "NumericalFault", str(exc)
+    s = res.series
+    masses = np.array([res.tail_mass, res.dropped_mass])
+    return tuple((a.dtype.str, a.shape, a.tobytes()) for a in (s.K, s.M, s.C, masses))
+
+
+def ending_chop(H, chi, w, at, order=6):
+    """A chop at or above the summed row bounds of order `at` in a chop-0 run,
+    which makes `at` the order that forms no row; None if `at` is not reached."""
+    log = []
+    reference_lie_transform(H, chi, order, widths=w, chop=0.0, log=log)
+    if len(log) < at:
+        return None
+    bounds = np.sort(log[at - 1][1])
+    return float(np.cumsum(bounds)[-1]) * (1 + 2.0**-20) if len(bounds) else 0.0
+
+
+def first_order_without_rows(H, chi, w, chop, order=6):
+    log = []
+    try:
+        reference_lie_transform(H, chi, order, widths=w, chop=chop, log=log)
+    except NumericalFault:
+        return None
+    ends = [n for n, bounds in log if not reference_rows_to_form(bounds, chop)[0].any()]
+    return ends[0] if ends else None
+
+
+class TestLieAgainstReference:
+    """lie_transform ends at the first order that forms no row; the reference
+    runs that order in full.  Both give the same bits or the same fault."""
+
+    @given(
+        terms=COSINES,
+        chi_terms=COSINES,
+        scale=st.floats(1e-4, 1e-1),
+        sigma=st.floats(0.05, 1.5),
+        rho=st.floats(0.05, 0.95),
+        at=st.integers(0, 3),
+        share=st.floats(0.0, 1.0),
+        order=st.integers(1, 6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_bit_for_bit(self, terms, chi_terms, scale, sigma, rho, at,
+                                           share, order):
+        # at = 1, 2, 3: a chop that makes that order form no row; at = 0: a
+        # chop anywhere from 1e-16 of |||H||| up to all of it
+        H = FourierTaylorSeries.linear(OMEGA) + real_series(terms)
+        chi = real_series(chi_terms) * scale
+        w = AnalyticityWidths(sigma, rho)
+        chop = ending_chop(H, chi, w, at, order) if at else None
+        if chop is None:
+            chop = H.weighted_norm(w) * 10.0 ** (-16.0 * share)
+        event(f"no row formed first at order {first_order_without_rows(H, chi, w, chop, order)}")
+        want = lie_outcome(
+            lambda: reference_lie_transform(H, chi, order, widths=w, chop=chop))
+        got = lie_outcome(lambda: lie_transform(H, chi, order, widths=w, chop=chop))
+        assert got == want
+
+    @pytest.mark.parametrize("at", [1, 2, 3])
+    def test_series_ends_at_the_order_without_rows(self, at, monkeypatch):
+        f = cosine(D, (1, 0), m=(2, 0), amplitude=1e-3) + (
+            cosine(D, (1, -2), m=(0, 3), amplitude=1e-4)
+        )
+        H = FourierTaylorSeries.linear(OMEGA) + f
+        chi = solve_homological(f, OMEGA)
+        w = AnalyticityWidths(0.5, 0.4)
+        chop = ending_chop(H, chi, w, at)
+        assert first_order_without_rows(H, chi, w, chop) == at
+        calls = []
+        bracket = FourierTaylorSeries.poisson_bracket
+        monkeypatch.setattr(
+            FourierTaylorSeries, "poisson_bracket",
+            lambda f, g: calls.append(1) or bracket(f, g),
+        )
+        got = lie_outcome(lambda: lie_transform(H, chi, widths=w, chop=chop))
+        assert len(calls) == at - 1
+        monkeypatch.undo()
+        assert got == lie_outcome(lambda: reference_lie_transform(H, chi, widths=w, chop=chop))
+        res = lie_transform(H, chi, widths=w, chop=chop)
+        assert res.tail_mass == 0.0 and res.dropped_mass > 0.0
+
+    @pytest.mark.parametrize("trips", [False, True])
+    def test_skipped_sum_of_an_order_without_rows_meets_the_divergence_test(
+        self, trips, monkeypatch
+    ):
+        # order 2 forms no row; its skipped sum alone is the growth against
+        # order 1, and 1e3 times order 1's mass (plus a hair) trips the test
+        f = cosine(D, (1, 0), m=(2, 0), amplitude=1e-3)
+        H = FourierTaylorSeries.linear(OMEGA) + f
+        chi = solve_homological(f, OMEGA)
+        w = AnalyticityWidths(0.5, 0.4)
+        first = lie_transform(H, chi, order=1, widths=w, chop=1e-300)
+        skipped = DIVERGENCE_FACTOR * first.tail_mass * (1.5 if trips else 0.5)
+
+        def rows_to_form():
+            answers = iter([None, skipped])
+
+            def rule(bounds, budget):
+                answer = next(answers)
+                if answer is None:
+                    return np.ones(len(bounds), dtype=bool), 0.0
+                return np.zeros(len(bounds), dtype=bool), answer
+            return rule
+
+        want = lie_outcome(lambda: reference_lie_transform(
+            H, chi, 2, widths=w, chop=1e-300, rows_to_form=rows_to_form()))
+        monkeypatch.setattr(normalform, "_rows_to_form", rows_to_form())
+        got = lie_outcome(lambda: lie_transform(H, chi, 2, widths=w, chop=1e-300))
+        assert got == want
+        if trips:
+            assert got == ("NumericalFault", "bracket norm grew by 1.50e+03 at order 2")
+        else:
+            monkeypatch.setattr(normalform, "_rows_to_form", rows_to_form())
+            res = lie_transform(H, chi, 2, widths=w, chop=1e-300)
+            assert res.dropped_mass == skipped and res.tail_mass == 0.0
+
+
+class TestRowsToForm:
+    """_rows_to_form against sorting the finite bounds and taking their running sum."""
+
+    @pytest.mark.parametrize("bounds, budget", [
+        ([], 1.0),
+        ([math.inf, math.inf], 1.0),
+        ([math.inf, math.nan, math.inf], math.inf),
+        ([1.0, 2.0, 3.0], 6.0),  # running sum exactly at the budget: every row left out
+        ([1.0, 2.0, 3.0], 3.0),  # exactly at the budget after two rows
+        ([0.1, 0.2, 0.3], 0.1 + 0.2 + 0.3),
+        ([0.3, 0.2, 0.1], 0.6),  # the sorted running sum is 0.6000000000000001
+        ([2.0, 0.0, math.inf, 1.0, math.nan, 0.5], 1.5),
+        ([2.0, 0.0, math.inf, 1.0, math.nan, 0.5], 0.0),
+        ([0.0, 0.0], 0.0),
+    ])
+    def test_matches_sort_then_cumsum(self, bounds, budget):
+        bounds = np.array(bounds, dtype=float)
+        form, skipped = normalform._rows_to_form(bounds, budget)
+        want_form, want_skipped = reference_rows_to_form(bounds, budget)
+        assert form.dtype == bool and form.tolist() == want_form.tolist()
+        assert repr(skipped) == repr(want_skipped)
+
+    @given(
+        bounds=st.lists(st.one_of(st.floats(0.0, 10.0), st.just(math.inf), st.just(0.0)),
+                        max_size=12),
+        cut=st.integers(0, 12),
+        nudge=st.sampled_from([0.0, -1.0, 1.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_sort_then_cumsum_at_every_cut(self, bounds, cut, nudge):
+        # budgets at, just below and just above each running sum
+        bounds = np.array(bounds, dtype=float)
+        running = np.cumsum(np.sort(bounds[np.isfinite(bounds)]))
+        budget = float(running[min(cut, len(running) - 1)]) if len(running) else 1.0
+        budget = max(0.0, np.nextafter(budget, nudge * math.inf) if nudge else budget)
+        form, skipped = normalform._rows_to_form(bounds, budget)
+        want_form, want_skipped = reference_rows_to_form(bounds, budget)
+        assert form.tolist() == want_form.tolist() and repr(skipped) == repr(want_skipped)
 
 
 class TestResonantNormalForm:
