@@ -22,17 +22,7 @@ from .ftseries import (
     TWO_PI,
     theta_gradient_majorant,
 )
-from .smoothing import (
-    HolderClass,
-    SlopeReport,
-    SmoothingResult,
-    coefficient_norm_max,
-    cp_tail_majorant,
-    holder_norm_majorant,
-    lacunary_series,
-    smooth,
-    verify_smoothing_estimate,
-)
+from .smoothing import HolderClass, coefficient_norm_max, holder_norm_majorant
 from .normalform import (
     LieResult,
     NormalFormParams,

@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 1 when `smooth-verify`, `nf` or `predict --input`
-completes but its check or certificate does not pass, 2 for
-precondition/model violations and files that cannot be read or written, 3
-for numerical faults.  All computation is serial and deterministic.
+Exit codes: 0 on success, 1 when `nf` or `predict --input` completes but
+its certificate does not pass, 2 for precondition/model violations and
+files that cannot be read or written, 3 for numerical faults.  All
+computation is serial and deterministic.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .experiment import (
 from .freqlib import Frequency, diophantine_constant, golden_frequency
 from .ftseries import FourierTaylorSeries, split_linear
 from .normalform import AnalyticityWidths, NormalFormParams, resonant_normal_form
-from .smoothing import HolderClass, lacunary_series, smooth, verify_smoothing_estimate
+from .smoothing import HolderClass
 from .stabpipe import predicted_stability_time, run_pipeline
 
 
@@ -52,35 +52,6 @@ def cmd_dioph(args):
     print(f"alpha = {cert.alpha!r}")
     print(f"attained_k = {','.join(str(v) for v in cert.attained_k)}")
     return 0
-
-
-def cmd_smooth(args):
-    g = FourierTaylorSeries.load(args.input)
-    res = smooth(g, args.s)
-    if args.output:
-        res.g_s.save(args.output)
-    print(f"s = {res.s!r}")
-    print(f"fourier_norm_at_s = {res.fourier_norm_at_s!r}")
-    print(f"dropped_tail_mass = {res.dropped_tail_mass!r}")
-    return 0
-
-
-def cmd_smooth_verify(args):
-    hc = HolderClass(args.ell, args.d)
-    if args.input:
-        _refuse(args, "without", "j_max", "seed")
-        g = FourierTaylorSeries.load(args.input)
-    else:
-        j_max = 12 if args.j_max is None else args.j_max
-        g = lacunary_series(args.d, args.ell, j_max=j_max, seed=args.seed or 0)
-    s_list = [2.0**-j for j in range(args.s_min_exp, args.s_max_exp + 1)]
-    report = verify_smoothing_estimate(g, hc, args.p, s_list)
-    print(f"slope = {report.slope!r}")
-    print(f"target = {report.target!r}")
-    print(f"n_used = {len(report.s_used)}")
-    print(f"saturated = {len(report.saturated)}")
-    print(f"passed = {int(report.passed)}")
-    return 0 if report.passed else 1
 
 
 def cmd_nf(args):
@@ -192,23 +163,6 @@ def build_parser():
     p.add_argument("--tau", type=float, default=1.0)
     p.add_argument("--K", type=int, required=True)
     p.set_defaults(func=cmd_dioph)
-
-    p = sub.add_parser("smooth", help="sharp Fourier cutoff of a pure-angle series")
-    p.add_argument("--input", required=True)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_smooth)
-
-    p = sub.add_parser("smooth-verify", help="tail-decay slope check across an s sweep")
-    p.add_argument("--input", help="series file; omit to use a lacunary test series")
-    p.add_argument("--ell", type=float, default=6.5)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--p", type=int, default=0)
-    p.add_argument("--j-max", type=int, help="default 12; only without --input")
-    p.add_argument("--seed", type=int, help="default 0; only without --input")
-    p.add_argument("--s-min-exp", type=int, default=3, help="largest s is 2^-this")
-    p.add_argument("--s-max-exp", type=int, default=10, help="smallest s is 2^-this")
-    p.set_defaults(func=cmd_smooth_verify)
 
     p = sub.add_parser("nf", help="resonant normal form with certificate")
     p.add_argument("--input", required=True, help="Hamiltonian series; omega is its linear part")

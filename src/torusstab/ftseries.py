@@ -316,9 +316,6 @@ class FourierTaylorSeries:
     def fourier_nonzero_part(self):
         return self.select(lambda nk, nm, c: nk > 0)
 
-    def is_pure_angle(self):
-        return self.max_taylor_order() == 0
-
     def min_taylor_order(self):
         return int(self._orders()[1].min()) if self else 0
 

@@ -142,7 +142,8 @@ def _rows_to_form(bounds, budget):
     ends the series at that order, its skipped sum counted."""
     finite = np.isfinite(bounds).nonzero()[0]
     order = finite[bounds[finite].argsort()]
-    running = bounds[order].cumsum()
+    with np.errstate(over="ignore"):  # a running sum past the float max is inf
+        running = bounds[order].cumsum()
     n = int(running.searchsorted(budget, side="right"))
     form = np.empty(len(bounds), dtype=bool)
     form.fill(True)

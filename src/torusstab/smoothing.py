@@ -1,16 +1,22 @@
-"""Analytic smoothing of periodic Holder functions by sharp Fourier cutoff.
+"""Analytic smoothing of the Holder coefficients of a perturbation by sharp
+Fourier cutoff.
 
-For functions given by their Fourier data on the torus the smoothing
-operator is the sharp l1-ball truncation at |k|_1 <= 1/s: it is the unique
-operator consistent with the Fourier-norm equality
+The pipeline smooths each Taylor coefficient a_m(theta) of the polynomial
+part P = sum_m a_m(theta) I^m of f (`stabpipe.smooth_coefficients`).  The
+smoothing operator is the sharp l1-ball truncation at |k|_1 <= 1/s of every
+a_m at once: `sharp_cutoff` splits P into P_s and a dropped tail that share
+no term and sum to P.  So for every a_m the Fourier-norm equality
 
-    sum_k |(g_s)^_k| e^{|k|_1 s} = sum_{|k|_1 <= 1/s} |g^_k| e^{|k|_1 s},
+    sum_k |(a_m,s)^_k| e^{|k|_1 s} = sum_{|k|_1 <= 1/s} |(a_m)^_k| e^{|k|_1 s}
 
-which therefore holds by construction.  The C^ell norm is replaced
-throughout by a computable coefficient majorant, and the bound of |||g_s|||_s
-by it is one line of algebra: e^{|k|_1 s} <= e on every kept mode and the
-majorant is at least (1 + 2^{1-mu}) sum_k |g^_k|, so for any g and s
-|||g_s|||_s / majorant <= e / (1 + 2^{1-mu}) (1.13 at ell = 6.5).
+holds by construction, and sup |a_m - a_m,s| is at most the mass of a_m's
+dropped modes.  The C^ell norm of a_m is replaced throughout by a computable
+coefficient majorant, and the bound of |||a_m,s|||_s by it is one line of
+algebra: e^{|k|_1 s} <= e on every kept mode and the majorant is at least
+(1 + 2^{1-mu}) sum_k |(a_m)^_k|, so for any a_m and s
+|||a_m,s|||_s / majorant <= e / (1 + 2^{1-mu}) (1.13 at ell = 6.5).
+
+The lacunary draws of the test Hamiltonian's coefficients live here too.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError, require_at_least, require_dimension
+from .errors import require_at_least
 from .ftseries import TWO_PI, FourierTaylorSeries, _merge
 
 
@@ -50,16 +56,6 @@ class HolderClass:
         return self.ell - self.q
 
 
-@dataclass(frozen=True)
-class SmoothingResult:
-    """Sharp-cutoff smoothing of a pure-angle series at width s."""
-
-    g_s: FourierTaylorSeries
-    s: float
-    fourier_norm_at_s: float
-    dropped_tail_mass: float
-
-
 def sharp_cutoff(g, s):
     """Split g at |k|_1 <= 1/s into (g_s, dropped tail); s must lie in (0, 1]."""
     if not 0.0 < s <= 1.0:
@@ -68,31 +64,15 @@ def sharp_cutoff(g, s):
     return g.select(lambda nk, nm, c: nk <= cutoff), g.select(lambda nk, nm, c: nk > cutoff)
 
 
-def _check_pure_angle(g):
-    if not g.is_pure_angle():
-        order = g.max_taylor_order()
-        raise ValueError(f"smoothing operates on pure-angle series only, got Taylor order {order}")
-
-
-def smooth(g, s):
-    """Sharp cutoff at |k|_1 <= 1/s; keeps the Fourier-norm equality exactly."""
-    _check_pure_angle(g)
-    g_s, tail = sharp_cutoff(g, s)
-    return SmoothingResult(
-        g_s=g_s,
-        s=float(s),
-        fourier_norm_at_s=g_s.mass(lambda nk, nm: np.exp(s * nk)),
-        dropped_tail_mass=tail.mass(),
-    )
-
-
 def holder_norm_majorant(g, hc):
     """Certified coefficient upper bound on the Holder C^ell norm.
 
     Uses |e^{i xi x} - e^{i xi y}| <= 2^{1-mu} |xi|^mu |x-y|^mu, giving
     (1 + 2^{1-mu}) sum_k |g^_k| (1 + (2 pi |k|_1)^ell).
     """
-    _check_pure_angle(g)
+    order = g.max_taylor_order()
+    if order:
+        raise ValueError(f"smoothing operates on pure-angle series only, got Taylor order {order}")
     return coefficient_norm_max(g, hc)
 
 
@@ -117,25 +97,6 @@ def _coefficient_norm_max(P, hc):
     return (1.0 + 2.0 ** (1.0 - hc.mu)) * float(max(sums))
 
 
-def cp_tail_majorant(g, s, p):
-    """C^p-style majorant of g - g_s: mass of dropped modes weighted (2 pi |k|_1)^p."""
-    return sharp_cutoff(g, s)[1].mass(lambda nk, nm: (TWO_PI * nk) ** p)
-
-
-def lacunary_series(d, ell, j_max=10, seed=0, amplitude=1.0):
-    """Real pure-angle test function with |g^_k| = amplitude 2^{-j ell} at |k|_1 = 2^j,
-    two random modes (each with its mirror) per shell.
-
-    Lives exactly in C^ell for non-integer ell; the canonical family for slope
-    verification.  Deterministic in the seed, an integer or a non-empty
-    sequence of them.  A j_max outside [0, 62] or too large for d (2^j_max
-    and the modes' keys must fit an int64), an empty or negative seed, or a
-    non-finite amplitude raises ValueError.
-    """
-    K, C = _lacunary_draws(d, ell, j_max, seed, amplitude)
-    return _series_of_draws(d, j_max, (K, np.zeros_like(K), C))
-
-
 def _series_of_draws(d, j_max, *parts):
     """The merged (K, M, C) draws as a series; keys past int64 are refused by j_max and d."""
     try:
@@ -145,16 +106,18 @@ def _series_of_draws(d, j_max, *parts):
 
 
 def _lacunary_draws(d, ell, j_max, seed, amplitude):
-    """The modes (K) and coefficients (C) that lacunary_series draws, each mode
-    followed by its mirror, in draw order: merging them sums a repeated mode
-    in that order."""
+    """The modes (K) and coefficients (C) of a real lacunary function of theta,
+    |c| = amplitude 2^{-j ell} at |k|_1 = 2^j with two random modes per shell,
+    each mode followed by its mirror, in draw order: merging them sums a
+    repeated mode in that order.  It lies in C^ell for non-integer ell.
+
+    The seed is build_test_hamiltonian's checked one with the monomial's
+    index.  A j_max outside [0, 62] or a non-finite amplitude raises
+    ValueError.
+    """
     require_at_least(0, j_max=j_max)
     if j_max > 62:
         raise ValueError(f"j_max must be at most 62 (2^j_max must fit an int64), got {j_max}")
-    if np.size(seed) == 0:
-        raise ValueError(f"seed must be an integer or a non-empty sequence, got {seed!r}")
-    if np.min(seed) < 0:
-        raise ValueError(f"seed must be >= 0, got {seed!r}")
     if not math.isfinite(amplitude):
         raise ValueError(f"amplitude must be finite, got {amplitude!r}")
     rng = np.random.default_rng(seed)
@@ -171,49 +134,3 @@ def _lacunary_draws(d, ell, j_max, seed, amplitude):
             C += (c, c.conjugate())
     k = np.array(parts) * (2 * np.array(bits) - 1)
     return np.stack((k, -k), axis=1).reshape(-1, d), np.array(C)
-
-
-@dataclass(frozen=True)
-class SlopeReport:
-    slope: float
-    intercept: float
-    target: float
-    s_used: tuple
-    errors: tuple
-    saturated: tuple
-    passed: bool
-
-
-def verify_smoothing_estimate(g, hc, p, s_list):
-    """Fit log ||g - g_s||_{C^p} against log s; PASS iff slope >= ell - p - 0.3.
-
-    Errors are computed with the dropped-mode tail majorant; s values where
-    nothing is dropped are reported as saturated and excluded from the fit.
-    """
-    require_dimension(g, hc.d, "Holder class")
-    _check_pure_angle(g)
-    if not (0 <= p <= hc.ell and p == int(p)):
-        raise ValueError(f"p must be an integer in [0, ell], got {p}")
-    s_used, errors, saturated = [], [], []
-    for s in s_list:
-        err = cp_tail_majorant(g, s, p)
-        if err == 0.0:
-            saturated.append(float(s))
-        else:
-            s_used.append(float(s))
-            errors.append(err)
-    if len(s_used) < 4:
-        raise PreconditionError(
-            f"only {len(s_used)} usable s values (need >= 4); {len(saturated)} saturated"
-        )
-    slope, intercept = np.polyfit(np.log(s_used), np.log(errors), 1)
-    target = hc.ell - p
-    return SlopeReport(
-        slope=float(slope),
-        intercept=float(intercept),
-        target=float(target),
-        s_used=tuple(s_used),
-        errors=tuple(errors),
-        saturated=tuple(saturated),
-        passed=bool(slope >= target - 0.3),
-    )

@@ -1,14 +1,15 @@
-"""Series builders, exact derivatives, reference loops and a call counter shared by
-several test files."""
+"""Series builders, exact derivatives, reference loops, the smoothing slope fit
+and a call counter shared by several test files."""
 
 import cmath
 import math
 
 import numpy as np
 
-from torusstab import TWO_PI, FourierTaylorSeries, LieResult, NumericalFault
+from torusstab import TWO_PI, FourierTaylorSeries, LieResult, NumericalFault, taylor_split
 from torusstab import normalform
-from torusstab.ftseries import _merge
+from torusstab.ftseries import _merge, split_linear
+from torusstab.smoothing import sharp_cutoff
 from torusstab.normalform import DIVERGENCE_FACTOR
 
 
@@ -35,6 +36,24 @@ def partial_I(f, axis):
     C = f.C[rows] * M[:, axis]
     M[:, axis] -= 1  # a uniform shift keeps the (k, m) order
     return FourierTaylorSeries._of(f.d, f.K[rows], M, C)
+
+
+def worst_tail_slope_miss(H, hc, s_list=tuple(2.0**-j for j in range(2, 8))):
+    """The largest |slope - (ell - p)| over p in {0, 1} and the Taylor indices m
+    of P, the polynomial part of H's f that the pipeline smooths.  The slope
+    is the least-squares fit of log(tail) against log s, where tail is the
+    mass of the modes that sharp_cutoff drops from a_m at s, each weighted
+    (2 pi |k|_1)^p."""
+    P = taylor_split(split_linear(H, "smoothing check")[1], hc, 0.1).P
+    worst = 0.0
+    for m in np.unique(P.M, axis=0):
+        a_m = P.select(lambda nk, nm, c: (P.M == m).all(axis=1))
+        for p in (0, 1):
+            tails = [sharp_cutoff(a_m, s)[1].mass(lambda nk, nm: (TWO_PI * nk) ** p)
+                     for s in s_list]
+            slope = np.polyfit(np.log(s_list), np.log(tails), 1)[0]
+            worst = max(worst, abs(slope - (hc.ell - p)))
+    return worst
 
 
 def count_calls(monkeypatch, owner, name):
@@ -64,7 +83,8 @@ def reference_rows_to_form(bounds, budget):
     sum: the rows of smallest bound are left out while it stays <= budget."""
     finite = np.flatnonzero(np.isfinite(bounds))
     order = finite[np.argsort(bounds[finite])]
-    running = np.cumsum(bounds[order])
+    with np.errstate(over="ignore"):
+        running = np.cumsum(bounds[order])
     n = int(np.searchsorted(running, budget, side="right"))
     form = np.ones(len(bounds), dtype=bool)
     form[order[:n]] = False

@@ -2,7 +2,7 @@
 printing a single PASS/FAIL line (bypassing capture) plus a hard assert.
 
 Run with plain `pytest`; the no-escape check integrates ~160k batched
-split steps and dominates the runtime (about 18-20 s on a 2-core x86_64 box).
+split steps and dominates the runtime (about 15-20 s on a 2-core x86_64 box).
 """
 
 import math
@@ -24,17 +24,14 @@ from torusstab import (
     escape_time,
     fit_exponent,
     golden_frequency,
-    lacunary_series,
     parameter_schedule,
     predicted_stability_time,
     remainder_bounds,
     resonant_normal_form,
     run_pipeline,
-    smooth,
     solve_homological,
-    verify_smoothing_estimate,
 )
-from series_helpers import cosine, partial_theta
+from series_helpers import cosine, partial_theta, worst_tail_slope_miss
 
 D = 2
 OMEGA = golden_frequency(2)
@@ -54,35 +51,25 @@ def report(capfd):
 
 
 def test_smoothing_scaling(report):
-    """Fitted tail-decay slope within +-0.3 of ell - p on the lacunary family."""
-    s_list = [2.0**-j for j in range(3, 11)]
-    worst = math.inf
-    details = []
-    for ell in (5.5, 6.5):
-        hc = HolderClass(ell, D)
-        g = lacunary_series(D, ell, j_max=12, seed=0)
-        for p in (0, 1):
-            rep = verify_smoothing_estimate(g, hc, p, s_list)
-            dev = abs(rep.slope - (ell - p))
-            worst = min(worst, 0.3 - dev)
-            details.append(f"ell={ell} p={p} slope={rep.slope:.3f}")
-            if not rep.passed or dev > 0.3:
-                report("smoothing-scaling", False, "; ".join(details))
-    report("smoothing-scaling", True,
-           "; ".join(details) + f" (margin {worst:.3f} of 0.3)")
+    """The smoothing slope where the pipeline smooths: for each ell in {5.5,
+    6.5, 7.5}, every Taylor index m of the seed-0 test H's polynomial part P
+    and p in {0, 1}, the fitted slope of log (tail mass of a_m beyond |k|_1 =
+    1/s, weighted (2 pi |k|_1)^p) against log s, s = 2^-2 ... 2^-7, is
+    within 0.3 of ell - p.
 
-
-def test_fourier_norm_equality_and_bound(report, cutoff_gap):
-    """sup |g - g_s| <= dropped tail mass on a grid.  The bound of
-    |||g_s|||_s by the Holder majorant needs no check: it is the algebra in
-    the smoothing module's docstring."""
-    g = lacunary_series(D, 6.5, j_max=12, seed=0)
-    gap_ratio = 0.0
-    for s in (2.0**-j for j in range(1, 11)):
-        res = smooth(g, s)
-        gap_ratio = max(gap_ratio, cutoff_gap(g, res.g_s) / res.dropped_tail_mass)
-    report("fourier-norm-equality", gap_ratio <= 1.0 + 1e-12,
-           f"sup|g-g_s|/dropped mass={gap_ratio:.3f}")
+    The slope is not exact on these coefficients: the two modes of a shell
+    are drawn independently, and where they coincide or one is the other's
+    mirror their coefficients add with random phases, so some shells carry
+    only part of their stated mass.  These collisions bend the slope by up
+    to about 0.25.
+    """
+    misses = {ell: worst_tail_slope_miss(build_test_hamiltonian(HolderClass(ell, D), 0),
+                                         HolderClass(ell, D))
+              for ell in (5.5, 6.5, 7.5)}
+    report("smoothing-scaling", max(misses.values()) <= 0.3,
+           "worst |slope - (ell - p)| "
+           + ", ".join(f"{miss:.3f} at ell={ell}" for ell, miss in misses.items())
+           + " (bound 0.3)")
 
 
 def test_normal_form_contraction(report):

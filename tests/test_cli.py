@@ -14,7 +14,6 @@ from torusstab import (
     NumericalFault,
     build_test_hamiltonian,
     golden_frequency,
-    lacunary_series,
     read_sweep_csv,
     resonant_normal_form,
     dynamics,
@@ -72,69 +71,6 @@ class TestDioph:
         captured = capsys.readouterr()
         assert captured.err == "error: bad value for --omega: '1,abc'\n"
         assert captured.out == ""
-
-
-class TestSmooth:
-    def test_smooth_and_output(self, tmp_path, capsys, cutoff_gap):
-        g = lacunary_series(2, 6.5, j_max=6, seed=0)
-        src = tmp_path / "g.txt"
-        dst = tmp_path / "gs.txt"
-        g.save(src)
-        assert main(["smooth", "--input", str(src), "--s", "0.1",
-                     "--output", str(dst)]) == 0
-        out = parse_kv(capsys.readouterr().out)
-        assert "equality_residual" not in out
-        gs = FourierTaylorSeries.load(dst)
-        assert all(sum(map(abs, k)) <= 10 for (k, _), _ in gs.items())
-        assert cutoff_gap(g, gs) <= float(out["dropped_tail_mass"]) * (1.0 + 1e-12)
-
-    def test_bad_s_exit_code(self, tmp_path, capsys):
-        src = tmp_path / "g.txt"
-        lacunary_series(2, 6.5, j_max=3, seed=0).save(src)
-        assert main(["smooth", "--input", str(src), "--s", "2.0"]) == 2
-
-
-class TestSmoothVerify:
-    def test_lacunary_default_passes(self, capsys):
-        rc = main(["smooth-verify", "--ell", "6.5", "--p", "0",
-                   "--s-min-exp", "3", "--s-max-exp", "10"])
-        assert rc == 0
-        out = parse_kv(capsys.readouterr().out)
-        assert list(out) == ["slope", "target", "n_used", "saturated", "passed"]
-        assert out["passed"] == "1"
-        assert float(out["slope"]) == pytest.approx(6.5, abs=0.3)
-
-    def refusal(self, tmp_path, capsys, argv, j_max):
-        """stderr of argv, whose sweep config sets j_max: exit 2, one line on
-        stderr, no traceback and nothing on stdout."""
-        config = tmp_path / "cfg.txt"
-        config.write_text(f"j_max = {j_max}\nrho_list = 0.1\nt_cap = 0.1\nn_samples = 1\n")
-        assert main([a.format(config=config) for a in argv]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.count("\n") == 1
-        assert "Traceback" not in captured.err
-        assert captured.out == ""
-        return captured.err
-
-    @pytest.mark.parametrize(
-        "argv",
-        [["smooth-verify", "--j-max", "63"], ["sweep", "--config", "{config}"]],
-    )
-    def test_undrawable_j_max_refused_by_name(self, tmp_path, capsys, argv):
-        # 2^j_max must fit the generator's C long; the sweep's built-in H
-        # draws its coefficients from the same series
-        err = self.refusal(tmp_path, capsys, argv, 70)
-        assert err.startswith("error: j_max must be at most 62")
-
-    @pytest.mark.parametrize(
-        "argv",
-        [["smooth-verify", "--j-max", "40"], ["sweep", "--config", "{config}"]],
-    )
-    def test_unpackable_j_max_refused_by_name(self, tmp_path, capsys, argv):
-        # 2^40 draws, but the (k, m) keys of a d = 2 series whose modes reach
-        # |k|_1 = 2^40 overflow int64: the refusal names j_max and d
-        err = self.refusal(tmp_path, capsys, argv, 40)
-        assert err.startswith("error: j_max = 40 is too large for d = 2: ")
 
 
 class TestNF:
@@ -374,7 +310,7 @@ class TestBadInput:
             (["fit", "--log-exponent", "nan", "--csv"], "log_exponent"),
             (["fit", "--log-exponent", "inf", "--csv"], "log_exponent"),
             (["dioph", "--K", "5", "--tau", "nan"], "tau"),
-            (["smooth-verify", "--d", "0"], "d"),
+            (["predict", "--rho", "1e-3", "--d", "0"], "d"),
             (["predict", "--rho", "1e-3", "--tau", "-1", "--input"], "tau"),
             (["predict", "--rho", "nan", "--input"], "rho"),
             (["predict", "--rho", "1e-3", "--gamma", "nan", "--input"], "gamma"),
@@ -486,13 +422,11 @@ class TestInputOnlyOptions:
         [
             (["escape", "--rho", "0.1", "--t-cap", "0.1", "--ell", "99"], "--ell"),
             (["escape", "--rho", "0.1", "--t-cap", "0.1", "--amplitude", "5"], "--amplitude"),
-            (["smooth-verify", "--j-max", "3"], "--j-max"),
-            (["smooth-verify", "--seed", "2"], "--seed"),
         ],
     )
     def test_refused_with_input(self, tmp_path, capsys, argv, option):
         src = tmp_path / "g.txt"
-        lacunary_series(2, 6.5, j_max=12, seed=0).save(src)
+        FourierTaylorSeries.linear(golden_frequency(2)).save(src)
         assert main(argv + ["--input", str(src)]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {option} is used only without --input\n"
@@ -506,12 +440,11 @@ class TestNegativeSeed:
             ["escape", "--rho", "0.1", "--t-cap", "0.1", "--n-samples", "2", "--seed", "-1"],
             ["escape", "--rho", "0.1", "--t-cap", "0.1", "--n-samples", "2", "--seed", "-1",
              "--input"],
-            ["smooth-verify", "--seed", "-1"],
         ],
     )
     def test_rejected_by_name(self, tmp_path, capsys, argv):
-        # the built-in H and the lacunary series draw from the seed, and so
-        # does escape's sampling for a series read from a file
+        # the built-in H draws from the seed, and so does escape's sampling
+        # for a series read from a file
         if argv[-1] == "--input":
             src = tmp_path / "H.txt"
             build_test_hamiltonian(HolderClass(6.5, 2), seed=0).save(src)
@@ -614,6 +547,10 @@ class TestSweepFitPlots:
             ("threshold_factor = -1\n", "threshold_factor must be positive and finite"),
             ("gamma = -1\n", "gamma must be positive and finite, got -1.0"),
             ("j_max = -1\n", "j_max must be >= 0"),
+            # 2^j_max must fit the generator's C long
+            ("j_max = 70\n", "j_max must be at most 62"),
+            # 2^40 draws, but the (k, m) keys of the d = 2 series overflow int64
+            ("j_max = 40\n", "j_max = 40 is too large for d = 2: "),
             ("seed = -1\n", "seed must be >= 0"),
             ("seed = 1\nseed = 2\n", "config key set twice: seed"),
             ("epsilon = 0.1\n", "unknown config key: epsilon"),
@@ -625,12 +562,14 @@ class TestSweepFitPlots:
         assert main(["sweep", "--config", str(config)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
         assert named in captured.err
-        assert "Traceback" not in captured.err + captured.out
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
 
 
 class TestCheckNotPassed:
-    """Exit 1: the run completes, but its check or certificate does not pass."""
+    """Exit 1: the run completes, but its certificate does not pass."""
 
     @pytest.mark.parametrize(
         "argv, series, line",
@@ -639,10 +578,6 @@ class TestCheckNotPassed:
             (["predict", "--rho", "1e-3"],
              lambda: build_test_hamiltonian(HolderClass(6.5, 2), seed=0, amplitude=1e-9),
              "failure = failed gates: s_in_range"),
-            # a 3.5-Holder series has tail slope 3.5, not the claimed 6.5
-            (["smooth-verify", "--ell", "6.5"],
-             lambda: lacunary_series(2, 3.5, j_max=12, seed=0),
-             "passed = 0"),
         ],
     )
     def test_exit_code(self, tmp_path, capsys, argv, series, line):
@@ -695,15 +630,6 @@ class TestExitCodeTable:
              lambda: build_test_hamiltonian(HolderClass(6.5, 2), seed=0),
              2,
              "error: series has d = 2, Holder class has d = 1"),
-            (["smooth-verify", "--d", "1", "--ell", "4.5"],
-             lambda: lacunary_series(2, 4.5, j_max=12, seed=0),
-             2,
-             "error: series has d = 2, Holder class has d = 1"),
-            # refused before any check runs, so no PASS line is printed
-            (["smooth-verify"],
-             lambda: build_test_hamiltonian(HolderClass(6.5, 2), seed=0),
-             2,
-             "error: smoothing operates on pure-angle series only, got Taylor order 4"),
             # with no omega.I the averaging would remove nothing, while the
             # domain shrink alone meets the target
             (["nf", "--alpha", "0.2", "--K", "5", "--sigma", "1.2", "--rho", "0.5"],
@@ -770,7 +696,7 @@ class TestExitCodeTable:
              "error: coefficient must be finite, got (nan+0j) at k=(1, 0), m=(2, 0)"),
         ],
         ids=["small-divisor", "complex-series", "dominance-gate", "too-few-rows",
-             "predict-dimension", "smooth-verify-dimension", "smooth-verify-not-pure-angle",
+             "predict-dimension",
              "nf-no-linear-part", "predict-no-linear-part", "predict-complex-series",
              "escape-complex-perturbation", "nf-complex-series", "escape-complex-frequency",
              "nf-complex-frequency", "predict-complex-frequency", "dominance-gate-at-tau-0",

@@ -19,7 +19,6 @@ from torusstab import (
     fit_exponent,
     fit_exponent_rows,
     golden_frequency,
-    lacunary_series,
     parse_config,
     read_sweep_csv,
     sweep,
@@ -161,9 +160,6 @@ class TestBuildHamiltonian:
                   (7.5, 0): "51711292454eafd2", (7.5, 1): "23cce1b76f399733",
                   (7.5, 3): "94244fbf850be409",
               }.items()),
-            (lambda: lacunary_series(2, 6.5, j_max=12, seed=0), "cb658cb2df3e0108"),
-            (lambda: lacunary_series(3, 7.5, j_max=10, seed=[4, 2], amplitude=3.0),
-             "9e9f5b70b7b07062"),
         ],
     )
     def test_bits_are_pinned(self, build, expected):

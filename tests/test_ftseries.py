@@ -20,12 +20,11 @@ from torusstab import (
     NumericalFault,
     TWO_PI,
     build_test_hamiltonian,
-    cp_tail_majorant,
     holder_norm_majorant,
     resonant_normal_form,
-    smooth,
     theta_gradient_majorant,
 )
+from torusstab.smoothing import sharp_cutoff
 from series_helpers import cosine, partial_I, partial_theta, reference_masses
 
 D = 2
@@ -316,7 +315,7 @@ class TestSharedReductions:
             sum(abs(c) * TWO_PI * l1(k) * rho ** sum(m) for (k, m), c in terms),
         )
         assert close(
-            cp_tail_majorant(f, s, p),
+            sharp_cutoff(f, s)[1].mass(lambda nk, nm: (TWO_PI * nk) ** p),
             sum(abs(c) * (TWO_PI * l1(k)) ** p for (k, m), c in terms if l1(k) > 1.0 / s),
         )
         g = f.select(lambda nk, nm, c: nm == 0)
@@ -327,7 +326,7 @@ class TestSharedReductions:
             * sum(abs(c) * (1.0 + (TWO_PI * l1(k)) ** hc.ell) for (k, _), c in g.items()),
         )
         assert close(
-            smooth(g, s).dropped_tail_mass,
+            sharp_cutoff(g, s)[1].mass(),
             sum(abs(c) for (k, _), c in g.items() if l1(k) > 1.0 / s),
         )
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from torusstab import (
@@ -374,9 +374,13 @@ def lie_outcome(run):
 
 def ending_chop(H, chi, w, at, order=6):
     """A chop at or above the summed row bounds of order `at` in a chop-0 run,
-    which makes `at` the order that forms no row; None if `at` is not reached."""
+    which makes `at` the order that forms no row; None if `at` is not reached
+    or that run diverges."""
     log = []
-    reference_lie_transform(H, chi, order, widths=w, chop=0.0, log=log)
+    try:
+        reference_lie_transform(H, chi, order, widths=w, chop=0.0, log=log)
+    except NumericalFault:  # the plain series diverges before `at`
+        return None
     if len(log) < at:
         return None
     bounds = np.sort(log[at - 1][1])
@@ -407,6 +411,11 @@ class TestLieAgainstReference:
         share=st.floats(0.0, 1.0),
         order=st.integers(1, 6),
     )
+    # a recorded draw whose chop-0 run diverges at order 3, so ending_chop gives None
+    @example(terms=[((0, 0), (0, 0), 1.0, 0.0)],
+             chi_terms=[((0, 0), (0, 0), 1.0, 0.0), ((0, 0), (0, 2), 1.0, 0.0),
+                        ((2, 2), (0, 0), 1.0, 0.0)],
+             scale=0.0625, sigma=1.5, rho=0.125, at=1, share=0.0, order=3)
     @settings(max_examples=150, deadline=None)
     def test_matches_reference_bit_for_bit(self, terms, chi_terms, scale, sigma, rho, at,
                                            share, order):
@@ -497,6 +506,11 @@ class TestRowsToForm:
         ([2.0, 0.0, math.inf, 1.0, math.nan, 0.5], 1.5),
         ([2.0, 0.0, math.inf, 1.0, math.nan, 0.5], 0.0),
         ([0.0, 0.0], 0.0),
+        # finite bounds whose running sum passes the float max: at budget inf
+        # no row is formed and the skipped sum is inf, at 1.5e308 one row is
+        # formed and 1e308 skipped
+        ([1e308, 1e308], math.inf),
+        ([1e308, 1e308], 1.5e308),
     ])
     def test_matches_sort_then_cumsum(self, bounds, budget):
         bounds = np.array(bounds, dtype=float)

@@ -27,19 +27,18 @@ PUBLIC_NAMES = [
     "FourierTaylorSeries", "Frequency", "HamiltonianVectorField", "HolderClass",
     "LieResult", "NormalFormParams", "NormalFormResult", "NumericalFault", "ParameterSchedule",
     "PipelineReport", "PipelineStageError", "PreconditionError", "RHO_MAX",
-    "RemainderBounds", "SlopeReport", "SmoothedSplit", "SmoothingResult",
+    "RemainderBounds", "SmoothedSplit",
     "StabilityPrediction", "SweepRow", "TWO_PI", "TaylorSplit",
     "Trajectory", "ballistic_bound", "build_test_hamiltonian",
-    "coefficient_norm_max", "cp_tail_majorant", "default_dt",
+    "coefficient_norm_max", "default_dt",
     "diophantine_constant", "dominance_threshold",
     "emit_plots", "escape_time", "fit_exponent", "fit_exponent_rows",
-    "golden_frequency", "holder_norm_majorant", "integrate",
-    "lacunary_series", "lie_transform",
+    "golden_frequency", "holder_norm_majorant", "integrate", "lie_transform",
     "load_config", "parameter_schedule", "parse_config",
     "predicted_stability_time", "read_sweep_csv", "remainder_bounds",
-    "resonant_normal_form", "run_pipeline", "sample_initial_conditions", "smooth",
+    "resonant_normal_form", "run_pipeline", "sample_initial_conditions",
     "smooth_coefficients", "solve_homological", "sweep", "taylor_split",
-    "theta_gradient_majorant", "verify_smoothing_estimate",
+    "theta_gradient_majorant",
 ]
 
 # the full signature of every public function, defaults and keyword-only
@@ -48,7 +47,6 @@ PUBLIC_SIGNATURES = {
     "ballistic_bound": "(H, threshold, radius)",
     "build_test_hamiltonian": "(hc, seed=0, amplitude=1e-12, j_max=8)",
     "coefficient_norm_max": "(P, hc)",
-    "cp_tail_majorant": "(g, s, p)",
     "default_dt": "(H)",
     "diophantine_constant": "(freq, tau, K)",
     "dominance_threshold": "(tau)",
@@ -59,7 +57,6 @@ PUBLIC_SIGNATURES = {
     "golden_frequency": "(d)",
     "holder_norm_majorant": "(g, hc)",
     "integrate": "(H, start, t_end, dt, record_every=None, r_max=None)",
-    "lacunary_series": "(d, ell, j_max=10, seed=0, amplitude=1.0)",
     "lie_transform": "(H, chi, order=6, *, widths, chop)",
     "load_config": "(path)",
     "parameter_schedule": "(rho, gamma, tau, hc, coeff_norm_max)",
@@ -70,20 +67,18 @@ PUBLIC_SIGNATURES = {
     "resonant_normal_form": "(omega, f, params)",
     "run_pipeline": "(H, omega, gamma, tau, hc, rho)",
     "sample_initial_conditions": "(d, rho, n_samples, seed)",
-    "smooth": "(g, s)",
     "smooth_coefficients": "(split, s)",
     "solve_homological": "(f_nr, omega)",
     "sweep": "(config, csv_path=None)",
     "taylor_split": "(f, hc, rho)",
     "theta_gradient_majorant": "(H, radius)",
-    "verify_smoothing_estimate": "(g, hc, p, s_list)",
 }
 
 # the series' data (d, K, M, C), constructors, calculus, norms and text form
 SERIES_ATTRIBUTES = [
     "C", "K", "M", "constant", "d", "evaluate",
     "fourier_nonzero_part", "fourier_zero_part", "from_text",
-    "is_pure_angle", "is_real", "items", "linear", "load", "mass", "masses",
+    "is_real", "items", "linear", "load", "mass", "masses",
     "max_taylor_order", "min_taylor_order", "poisson_bracket", "save", "select",
     "to_text", "weighted_norm",
 ]
@@ -114,9 +109,7 @@ DATACLASS_FIELDS = {
     "PipelineReport": ('rho', 'coeff_norm_max', 'schedule', 'split', 'smoothed', 'normal_form',
                        'bounds', 'prediction', 'gates'),
     "RemainderBounds": ('analytic', 'smoothing_gap', 'taylor'),
-    "SlopeReport": ('slope', 'intercept', 'target', 's_used', 'errors', 'saturated', 'passed'),
     "SmoothedSplit": ('P_s', 'grad_I_gap', 'grad_theta_gap', 'dropped_mass', 's'),
-    "SmoothingResult": ('g_s', 's', 'fourier_norm_at_s', 'dropped_tail_mass'),
     "StabilityPrediction": ('t_theorem', 'exponent', 'log_exponent'),
     "SweepRow": ('rho', 't_pred', 'min_escape', 'censored_fraction', 'max_drift',
                  'schedule_flags', 'contraction', 't_cap', 'error'),
@@ -131,9 +124,6 @@ EXCEPTION_CLASSES = ["NumericalFault", "PipelineStageError", "PreconditionError"
 # every option of every subcommand, in the order `--help` lists them
 CLI_OPTIONS = {
     "dioph": ('--omega', '--tau', '--K'),
-    "smooth": ('--input', '--s', '--output'),
-    "smooth-verify": ('--input', '--ell', '--d', '--p', '--j-max', '--seed', '--s-min-exp',
-                      '--s-max-exp'),
     "nf": ('--input', '--alpha', '--K', '--sigma', '--rho', '--output'),
     "predict": ('--rho', '--ell', '--d', '--tau', '--gamma', '--input'),
     "escape": ('--input', '--ell', '--amplitude', '--rho', '--threshold', '--t-cap',
