@@ -110,36 +110,29 @@ def _check_tau(tau):
         raise ValueError(f"tau must be finite and >= 0, got {tau!r}")
 
 
-def _exact_dots(ks, w):
-    """omega.k for each row of ks, rounded once from the exact values of the
-    floats omega: integers over their largest denominator, a power of two."""
-    ratios = [v.as_integer_ratio() for v in w.tolist()]
-    scale = max(den for _, den in ratios)
-    nums = np.array([num * (scale // den) for num, den in ratios], dtype=object)
-    return np.array([dot / scale for dot in (ks.astype(object) @ nums).tolist()], dtype=float)
-
-
 def _smallest(ks, w, tau):
     """(gamma, k): the least |omega.k| |k|_1^tau over the nonzero rows of ks, taken
     at their representatives (first nonzero entry positive); ties go to the
     lexicographically smallest representative.  omega.k is the exact value
-    rounded once.  The float dot products bound every value, and only the rows
-    whose lower bound reaches the least upper bound are evaluated exactly."""
-    first = ks[np.arange(len(ks)), (ks != 0).argmax(axis=1)]
-    ks = ks[first != 0] * np.sign(first[first != 0])[:, None]
+    rounded once: integers over the floats' largest denominator, a power of
+    two.  The float dot products bound every value, and only the rows whose
+    lower bound reaches the least upper bound are evaluated exactly."""
+    ks = ks[ks.any(axis=1)]
     sizes = np.abs(ks)
-    powers = sizes.sum(axis=1).astype(float) ** tau
+    powers = np.add.reduce(sizes, axis=1).astype(float) ** tau
     dots = np.abs(ks @ w)
-    # a d-term dot product errs by at most gamma_d sum |k_i omega_i|, plus a
-    # few 2^-1075 where it underflows; both margins are generous
+    # a d-term dot product errs by at most gamma_d sum |k_i omega_i|, plus a few
+    # 2^-1075 where it underflows (generous margins); a bound below 0 passes as 0
     slack = (len(w) + 2) * 2.0**-52 * (sizes @ np.abs(w)) + 2.0**-1060
-    lower = np.maximum(dots - slack, 0.0) * powers * (1 - 2.0**-48)
+    lower = (dots - slack) * powers * (1 - 2.0**-48)
     upper = (dots + slack) * powers * (1 + 2.0**-48)
     near = lower <= upper.min()
-    ks = ks[near]
-    values = np.abs(_exact_dots(ks, w)) * powers[near]
-    tied = ks[values == values.min()]
-    return float(values.min()), tied[np.lexsort(tied.T[::-1])[0]]
+    ratios = [v.as_integer_ratio() for v in w.tolist()]
+    scale = max(den for _, den in ratios)
+    nums = [num * (scale // den) for num, den in ratios]
+    reps = [k if next(filter(None, k)) > 0 else [-v for v in k] for k in ks[near].tolist()]
+    exact = [abs(sum(map(operator.mul, k, nums)) / scale) for k in reps]
+    return min(zip(map(operator.mul, exact, powers[near].tolist()), reps))
 
 
 def diophantine_constant(freq, tau, K):
@@ -190,16 +183,16 @@ def diophantine_constant(freq, tau, K):
     # exact: units @ w == w and 1**tau == 1
     gamma, k = float(np.abs(w).min()), units[0]
     for prefixes in _prefix_blocks(w, j, K):
-        room = K - np.abs(prefixes).sum(axis=1)
-        root = -(prefixes @ w) / w[j]
+        room = K - np.add.reduce(np.abs(prefixes), axis=1)
+        root = (prefixes @ w) / -w[j]
         half = gamma / abs(w[j])
-        # one extra integer each side: rounding at the ends drops no candidate
-        lo = np.maximum(np.ceil(root - half) - 1, -room).astype(np.int64)
-        hi = np.minimum(np.floor(root + half) + 1, room).astype(np.int64)
-        counts = np.maximum(hi - lo + 1, 0)
-        rows = np.repeat(np.arange(len(prefixes)), counts)
-        ks = prefixes[rows]
-        ks[:, j] = lo[rows] + np.arange(len(rows)) - np.repeat(counts.cumsum() - counts, counts)
+        # one extra integer each side: rounding at the ends drops no candidate;
+        # as half <= 1, a window holds at most five integers from its lowest
+        window = np.maximum(np.ceil(root - half) - 1, -room)[:, None] + np.arange(5)
+        hi = np.minimum(np.floor(root + half) + 1, room)
+        ks = prefixes.repeat(5, axis=0)
+        ks[:, j] = window.ravel()
+        ks = ks[(window <= hi[:, None]).ravel()]
         # the unit vectors ride along: the first gamma may sit at another unit than k
-        gamma, k = _smallest(np.concatenate([units, k[None], ks]), w, tau)
+        gamma, k = _smallest(np.concatenate([units, [k], ks]), w, tau)
     return DiophantineCertificate(float(tau), K, gamma, tuple(int(v) for v in k))

@@ -12,13 +12,13 @@ no zero coefficient; two series are equal iff their arrays are equal.
 Each (k, m) is packed into one int64 key (Kronecker substitution in a mixed
 radix from the columns' ranges; a ValueError names the spans if a key could
 reach 2^63); n terms are merged by one sort of the distinct values
-key * n + row, in the keys' stable order (a stable argsort where key * n
-could pass 2^63), and each key's terms are summed left to right, so one
+key * 2^b + row, 2^b >= n, in the keys' stable order (a stable argsort where
+those could pass 2^63), and each key's terms are summed left to right, so one
 merge of several parts gives the bits of adding them one by one.  A row
 subset of a series is canonical as it stands.  A Poisson bracket is one
-pass over the term pairs: the sum of a pair's keys, less the place value of
-m_i, takes its axis-i entry with an exact integer weight, and zero-weight
-entries are dropped.
+pass over the term pairs, all axes at once: the sum of a pair's keys, less
+the place value of m_i, takes its axis-i entry with an exact integer weight,
+and zero-weight entries are dropped.
 A real-valued series satisfies c_{-k,m} = conj(c_{k,m}) for every stored
 term.
 
@@ -33,6 +33,7 @@ norm used by every certificate in the package.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -90,21 +91,22 @@ class FourierTaylorSeries:
         KM = np.array(rows, dtype=np.int64).reshape(len(rows), 2 * d)
         self._set(d, *_merge((KM[:, :d], KM[:, d:], np.array(coeffs, dtype=complex))))
 
-    def _set(self, d, K, M, C):
-        """Store terms sorted by (k, m) with distinct keys: signed zeros are
-        cleared (as 0j + c does), zero terms dropped, the arrays locked."""
+    def _set(self, d, K, M, C, orders=()):
+        """Store terms sorted by (k, m) with distinct keys, and their orders if known:
+        signed zeros cleared (as 0j + c does), zero terms dropped (orders too), all locked."""
         C = C + 0j
-        keep = C != 0
-        if not keep.all():
-            K, M, C = K[keep], M[keep], C[keep]
-        self._lock(d, K, M, C)
+        keep = C.nonzero()[0]
+        if len(keep) < len(C):
+            K, M, C, orders = K.take(keep, axis=0), M.take(keep, axis=0), C[keep], ()
+        return self._lock(d, K, M, C, orders)
 
     def _lock(self, d, K, M, C, orders=()):
-        """Store canonical terms as they are, and their orders if known, all locked."""
+        """Store canonical terms and their orders if known, all locked; returns the series."""
         for a in (K, M, C, *orders):
             a.setflags(write=False)
         self.d, self.K, self.M, self.C = d, K, M, C
         self._store = {_term_orders: orders} if orders else {}
+        return self
 
     def _derived(self, compute, *args):
         """compute(self, *args), never None, stored on this series per (compute,
@@ -116,11 +118,9 @@ class FourierTaylorSeries:
         return value
 
     @classmethod
-    def _of(cls, d, K, M, C):
+    def _of(cls, d, K, M, C, orders=()):
         """Series of terms already sorted by (k, m) with distinct keys."""
-        out = cls.__new__(cls)
-        out._set(d, K, M, C)
-        return out
+        return cls.__new__(cls)._set(d, K, M, C, orders)
 
     # -- construction helpers -------------------------------------------------
 
@@ -210,36 +210,42 @@ class FourierTaylorSeries:
             2 pi i c_a c_b (k_a,i m_b,i - m_a,i k_b,i)  at  (k_a + k_b, m_a + m_b - e_i).
 
         The weight in brackets is an exact integer; entries whose weight is 0
-        are dropped before they are summed, so terms that cancel exactly
-        leave no roundoff residue.  This also drops every entry with
-        m_a,i + m_b,i = 0.  Pairs are formed in blocks of at most PAIR_BLOCK
-        entries, each summed into the running result by one sort, and the
-        2 pi i factor is applied to the final sums.
+        (as every one with m_a,i + m_b,i = 0) are dropped before they are
+        summed, so terms that cancel exactly leave no roundoff residue.  A
+        block of at most PAIR_BLOCK entries forms them as (d, rows, len(g))
+        tables, axis by axis, summed into the running result by one sort; exact
+        zeros go before the keys unpack, and 2 pi i scales the other sums.
         """
         self._check_same_d(other)
-        d = self.d
-        (ka, kb), places, spans, lo = _pack((self.K, self.M), (other.K, other.M), below=1)
-
-        def entries(block, keys, C):
-            """The running result (keys, C), then every pair's entry of axis 0, 1, ..."""
-            pair_keys = (ka[block, None] + kb).ravel()
-            pair_C = (self.C[block, None] * other.C).ravel()
-            parts_keys, parts_C = [keys], [C]
-            for i in range(d):
-                w = self.K[block, i, None] * other.M[:, i] - self.M[block, i, None] * other.K[:, i]
-                w = w.ravel()
-                nz = w.nonzero()[0]
-                w = w[nz]
-                parts_keys.append(pair_keys[nz] - places[d + i])
-                parts_C.append(pair_C[nz] * w)
-            return np.concatenate(parts_keys), np.concatenate(parts_C)
-
-        keys, C = ka[:0], self.C[:0]
+        d, n = self.d, len(self)
+        packed, D, places, spans, lo = _pack((self.K, self.M), (other.K, other.M), below=1)
+        keys, C = packed[:0], self.C[:0]
+        # per block of f's rows, (d, rows, len(other)) tables of every pair's
+        # weight and key for axis 0, 1, ...: the pair's key less m_i's place
         rows = max(1, PAIR_BLOCK // (d * max(len(other), 1)))
-        for r in range(0, len(self), rows):
-            _, keys, C = _sort_sum(*entries(slice(r, r + rows), keys, C), spans)
-        digits = keys[:, None] // places % spans + lo
-        return self._of(d, digits[:, :d], digits[:, d:], C * (TWO_PI * 1j))
+        for r in range(0, n, rows):
+            b = slice(r, min(r + rows, n))
+            w = D[:d, b, None] * D[d:, None, n:] - D[d:, b, None] * D[:d, None, n:]
+            nz = w.ravel().nonzero()[0]
+            entry_keys = (packed[b, None] + packed[n:] - places[d:, None, None]).take(nz)
+            entry = entry_keys, (self.C[b, None] * other.C * w).take(nz)
+            if r:  # the running result first
+                entry = np.concatenate((keys, entry[0])), np.concatenate((C, entry[1]))
+            _, keys, C = _sort_sum(*entry, spans)
+        nz = C.nonzero()[0]
+        if len(nz) < len(C):
+            keys, C = keys[nz], C[nz]
+        # digit rows: key // place_j (by a scalar, several times faster than
+        # by a column) less span_j times the row above, plus the lowest entry
+        digits = np.empty((2 * d, len(C)), dtype=np.int64)
+        for j, place in enumerate(places.tolist()):
+            np.floor_divide(keys, place, out=digits[j])
+        digits[1:] -= spans[1:, None] * digits[:-1]
+        digits += lo[:, None]
+        orders = np.add.reduce(np.abs(digits[:d])), np.add.reduce(digits[d:])
+        KM = np.ascontiguousarray(digits.T)
+        out = FourierTaylorSeries.__new__(FourierTaylorSeries)  # the + 0j clears signed zeros
+        return out._lock(d, KM[:, :d], KM[:, d:], C * (TWO_PI * 1j) + 0j, orders)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -280,31 +286,22 @@ class FourierTaylorSeries:
         if index.dtype == bool:
             index = index.nonzero()[0]
         # take copies rows several times faster than indexing (n, d) arrays
-        out = FourierTaylorSeries.__new__(FourierTaylorSeries)
         orders = self._store.get(_term_orders)
-        orders = (orders[0].take(index), orders[1].take(index)) if orders else ()
+        orders = (orders[0][index], orders[1][index]) if orders else ()
         K, M = self.K.take(index, axis=0), self.M.take(index, axis=0)
-        out._lock(self.d, K, M, self.C.take(index), orders)
-        return out
+        out = FourierTaylorSeries.__new__(FourierTaylorSeries)
+        return out._lock(self.d, K, M, self.C[index], orders)
 
     def masses(self, weight=None):
         """|c| weight(|k|_1, |m|_1) of every term; weight receives arrays and
         defaults to 1, and a term whose weight overflows gets inf."""
-        a = np.abs(self.C)
-        if weight is None:
-            return a
         with np.errstate(over="ignore", invalid="ignore"):
-            w = weight(*self._orders())
-            finite = np.isfinite(w)
-            if finite.all():
-                a *= w
-                return a
-            return np.where(finite, a * w, math.inf)
+            return _masses(self, weight)
 
     def mass(self, weight=None):
         """sum |c| weight(|k|_1, |m|_1) over the terms; inf if a weight overflows."""
-        with np.errstate(over="ignore"):
-            return float(self.masses(weight).sum())
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.add.reduce(_masses(self, weight)))
 
     def weighted_norm(self, widths):
         """Coefficient majorant sum |c| rho^{|m|_1} e^{sigma |k|_1}; inf on overflow."""
@@ -327,7 +324,7 @@ class FourierTaylorSeries:
         # each term's mirror (-k, m) looked up among the sorted keys of the
         # terms, packed in one radix with the mirrors' keys
         n = len(self)
-        (keys,), _, _, _ = _pack((np.concatenate([self.K, -self.K]), np.vstack([self.M] * 2)))
+        keys = _pack((np.concatenate([self.K, -self.K]), np.vstack([self.M] * 2)))[0]
         at = np.searchsorted(keys[:n], keys[n:]).clip(max=n - 1)
         mirror = np.where(keys[at] == keys[n:], self.C[at].conj(), 0)
         # c_{k,m} - conj(c_{-k,m}), which is c_{k,m} without a mirror term
@@ -390,10 +387,21 @@ class FourierTaylorSeries:
 
 
 def _term_orders(series):
-    ones = np.ones(series.d, dtype=np.int64)  # an integer product is exact
+    ones = np.array([1] * series.d)  # an integer product is exact
     nk, nm = np.abs(series.K) @ ones, series.M @ ones
     nk.flags.writeable = nm.flags.writeable = False
     return nk, nm
+
+
+def _masses(series, weight):  # masses' values, overflow unchecked
+    a = np.abs(series.C)
+    if weight is None:
+        return a
+    w = weight(*series._orders())
+    if math.isfinite(np.add.reduce(w)):  # no weight is inf or nan
+        a *= w
+        return a
+    return np.where(np.isfinite(w), a * w, math.inf)
 
 
 def split_linear(H, owner):
@@ -419,40 +427,34 @@ def _split_of(H):
 
 
 def _pack(*operands, below=0):
-    """Pack the (k, m) rows of each (K, M) operand into int64 keys, in one
-    mixed radix in which the operands' keys add up to the key of their sum
-    and keys order as rows.  The m columns' range reaches `below` under the
-    sum's minimum, so a sum's key less `below` m_i place values still
-    unpacks.  Returns the keys per operand and the place values, spans and
-    lowest entries that unpack a sum's key."""
-    # each operand as its (2d, n) digit columns: a reduction along a row is
-    # several times faster than one down a column of the (n, 2d) rows
-    digits = []
-    for K, M in operands:
-        d = K.shape[1]
-        D = np.empty((2 * d, len(K)), dtype=np.int64)
-        D[:d], D[d:] = K.T, M.T
-        digits.append(D)
-    width = len(digits[0])
-    lows = [D.min(axis=1) if D.shape[1] else np.zeros(width, np.int64) for D in digits]
-    highs = [D.max(axis=1).tolist() if D.shape[1] else [0] * width for D in digits]
-    lows[0][width // 2 :] -= below
-    lo = [sum(v) for v in zip(*(low.tolist() for low in lows))]
-    hi = [sum(v) for v in zip(*highs)]
-    # spans and place values from the last column on, in Python ints
-    spans, places, total = [0] * width, [0] * width, 1
-    for j in reversed(range(width)):
+    """Pack the (k, m) rows of the (K, M) operands into int64 keys, in one mixed
+    radix in which the operands' keys add up to the key of their sum and keys
+    order as rows; the m columns reach `below` under the sum's minimum, so a
+    sum's key less `below` m_i place values still unpacks.  Returns the keys
+    of all rows, the operands' (2d, n) digit table side by side, and the place
+    values, spans and lowest entries (arrays) that unpack a sum's key."""
+    d = operands[0][0].shape[1]
+    cuts = [0, *itertools.accumulate(len(K) for K, _ in operands)]
+    D = np.empty((2 * d, cuts[-1]), dtype=np.int64)  # rows reduce faster than columns
+    for (K, M), s, e in zip(operands, cuts, cuts[1:]):
+        D[:d, s:e], D[d:, s:e] = K.T, M.T
+    # each nonempty operand's lowest and highest digits; an empty one adds 0
+    starts, counts = zip(*([(s, e - s) for s, e in zip(cuts, cuts[1:]) if e > s] or [(0, 1)]))
+    lows = np.minimum.reduceat(D, starts, axis=1) if D.size else np.zeros((2 * d, 1), np.int64)
+    highs = np.maximum.reduceat(D, starts, axis=1).tolist() if D.size else lows.tolist()
+    if below:
+        lows[d:, 0] -= below
+    # the sum's lowest and highest entries, spans and place values, in Python ints
+    lo, hi = [sum(v) for v in lows.tolist()], [sum(v) for v in highs]
+    spans, places, total = [0] * 2 * d, [0] * 2 * d, 1
+    for j in reversed(range(2 * d)):
         spans[j], places[j] = hi[j] - lo[j] + 1, total
         total *= spans[j]
     if total >= 1 << 63 or min(lo) < -(1 << 63) or max(hi) >= 1 << 63:
         raise ValueError(f"(k, m) keys overflow int64: column spans {spans}")
-    places = np.array(places)
+    places, spans, lo = np.array((places, spans, lo))
     # each digit times its place is below prod(spans) < 2^63, so is their sum
-    keys = []
-    for D, low in zip(digits, lows):
-        D -= low[:, None]
-        keys.append(places @ D)
-    return keys, places, np.array(spans), lo
+    return places @ (D - (lows.repeat(counts, 1) if counts[1:] else lows)), D, places, spans, lo
 
 
 def _sort_sum(keys, C, spans, fold=False):
@@ -461,16 +463,18 @@ def _sort_sum(keys, C, spans, fold=False):
     keys in order and their sums.  The sums are np.add.reduceat's, or with
     `fold` the left-to-right ((x0 + x1) + x2) + ... of a chain of `+`, which
     reduceat rounds otherwise from three terms on.  The keys, all in
-    [0, prod(spans)), are overwritten by the n distinct values key * n + row,
-    so any sort of them gives the stable order; where the values could pass
-    2^63 - 1, a stable argsort of the keys runs instead."""
+    [0, prod(spans)), are overwritten by the n distinct values
+    key * 2^b + row, 2^b >= n, so any sort of them gives the stable order;
+    where the values could pass 2^63 - 1, a stable argsort of the keys runs
+    instead."""
     n = len(C)
-    if math.prod(spans.tolist()) * n <= 1 << 63:
-        keys *= n
-        keys += np.arange(n)
+    b = (n - 1).bit_length()
+    if math.prod(spans.tolist()) << b <= 1 << 63:
+        keys <<= b
+        keys |= np.arange(n)
         keys.sort()
-        order = keys - keys // n * n  # each value's row; int64 % is slower
-        keys //= n
+        order = keys & ((1 << b) - 1)  # each value's row
+        keys >>= b
     else:
         order = keys.argsort(kind="stable")
         keys = keys[order]
@@ -487,9 +491,12 @@ def _sort_sum(keys, C, spans, fold=False):
 
 def _fold(C, starts):
     """The sum of each run C[starts[j] : starts[j + 1]], left to right: one
-    addition per run at each offset that some run reaches."""
-    sums = C[starts]
+    addition per run at each offset that some run reaches (np.add.reduceat's
+    sums where no run has three terms)."""
     lengths = np.concatenate((starts[1:], [len(C)])) - starts
+    if np.maximum.reduce(lengths, initial=0) < 3:
+        return np.add.reduceat(C, starts)
+    sums = C[starts]
     runs = (lengths > 1).nonzero()[0]
     offset = 1
     while len(runs):
@@ -504,7 +511,7 @@ def _merge(*parts):
     repeated keys, each key's terms left to right in input order: merging
     parts at once gives the bits of adding them one by one."""
     K, M, C = (np.concatenate(a) for a in zip(*parts))
-    (keys,), _, spans, _ = _pack((K, M))
+    keys, _, _, spans, _ = _pack((K, M))
     rows, _, C = _sort_sum(keys, C, spans, fold=True)
     return K.take(rows, axis=0), M.take(rows, axis=0), C
 

@@ -112,9 +112,9 @@ def solve_homological(f_nr, omega):
             f"at k={k}"
         )
     # c / (i x) written out: numpy's complex division would round differently
-    x = TWO_PI * divisor
-    C = f_nr.C
-    return FourierTaylorSeries._of(f_nr.d, f_nr.K, f_nr.M, C.imag / x - 1j * (C.real / x))
+    C, x = f_nr.C, TWO_PI * divisor
+    chi = C.imag / x - 1j * (C.real / x)
+    return FourierTaylorSeries._of(f_nr.d, f_nr.K, f_nr.M, chi, f_nr._orders())
 
 
 def _row_bound(chi, widths):

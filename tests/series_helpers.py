@@ -14,9 +14,12 @@ from torusstab.normalform import DIVERGENCE_FACTOR
 
 
 def cosine(d, k, m=None, amplitude=1.0, phase=0.0):
-    """amplitude * cos(2 pi k.theta + phase) * I^m, stored as a conjugate pair."""
+    """amplitude * cos(2 pi k.theta + phase) * I^m, stored as a conjugate pair;
+    at k = 0 it is the one real term amplitude * cos(phase) I^m."""
     m = (0,) * d if m is None else tuple(m)
     k = tuple(k)
+    if not any(k):
+        return FourierTaylorSeries(d, {(k, m): amplitude * math.cos(phase)})
     neg = tuple(-v for v in k)
     half = 0.5 * amplitude * cmath.exp(1j * phase)
     return FourierTaylorSeries(d, {(k, m): half, (neg, m): half.conjugate()})

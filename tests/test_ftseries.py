@@ -98,6 +98,11 @@ class TestConstruction:
         expected = 2.0 * math.cos(TWO_PI * theta[0] + 0.3)
         assert f.evaluate(theta, (0.0, 0.0)) == pytest.approx(expected, abs=1e-14)
 
+    def test_cosine_at_k_zero_is_one_real_term(self):
+        # (k, m) and (-k, m) are one key at k = 0: the term is a cos(phase)
+        f = cosine(D, (0, 0), amplitude=1.0, phase=0.5)
+        assert f.items() == [(((0, 0), (0, 0)), complex(math.cos(0.5)))]
+
     def test_sine_evaluates_to_sin(self):
         f = cosine(D, (0, 1), phase=-0.5 * math.pi)
         theta = (0.1, 0.23)
@@ -603,6 +608,15 @@ def wide_case():
     ]
 
 
+def cancel_case():
+    """d = 2; g is f plus one term, so the bracket's entries from f's pairs
+    (a, a') and (a', a) cancel to exactly 0 beside the surviving entries of
+    the added term."""
+    f = (np.array([(1, 0), (0, 1)]), np.array([(0, 1), (1, 0)]), np.array([1.5 + 0.5j, -2.0]))
+    g = tuple(np.concatenate((a, b)) for a, b in zip(f, ([(2, 0)], [(1, 1)], [0.25j])))
+    return 2, [f, g, f]
+
+
 class TestPackedKeys:
     """The packed int64 keys against the lexsort canonicaliser, bit for bit."""
 
@@ -611,6 +625,7 @@ class TestPackedKeys:
     @example(case=empty_case(2))
     @example(case=empty_case(3))
     @example(case=wide_case())
+    @example(case=cancel_case())
     # no shrink phase: shrinking a failing case of this test can take
     # minutes, and the unshrunk case shows the same fault
     @settings(max_examples=60, deadline=None,
@@ -649,6 +664,19 @@ class TestPackedKeys:
         sums = np.add.reduceat(C[order], starts)
         assert np.array_equal(got[2].view(np.int64), sums.view(np.int64))
 
+    @given(f=pooled_series(), g=pooled_series())
+    @example(f=cosine(D, (1, 0), m=(1, 0)), g=FourierTaylorSeries(D))
+    @settings(max_examples=40, deadline=None)
+    def test_bracket_stores_its_orders(self, f, g):
+        # the bracket's |k|_1 and |m|_1 come from its digit rows, not from
+        # _term_orders: they must agree, read-only, and nothing else is stored
+        bracket = f.poisson_bracket(g)
+        assert list(bracket._store) == [ftseries._term_orders]
+        fresh = ftseries._term_orders(bracket)
+        for kept, want in zip(bracket._orders(), fresh):
+            assert not kept.flags.writeable and kept.dtype == want.dtype
+            assert np.array_equal(kept, want)
+
     def test_key_overflow_rejected_by_name(self):
         big = 1 << 31
         with pytest.raises(ValueError, match=r"column spans \[4294967297, 4294967297, 1, 1\]"):
@@ -667,11 +695,17 @@ class TestOneMerge:
     @example(parts=[
         FourierTaylorSeries(D, {((1, 0), (0, 0)): c}) for c in (1.0, 1e-17, -1.0, 3.0)
     ])
+    @example(parts=[  # one key sums to exactly 0 between two that survive
+        FourierTaylorSeries(D, {((0, 0), (1, 0)): 2.0, ((1, 0), (0, 0)): 0.5,
+                                ((2, 0), (0, 0)): 1j}),
+        FourierTaylorSeries(D, {((1, 0), (0, 0)): -0.5}),
+    ])
     @settings(max_examples=80, deadline=None)
     def test_merge_equals_adding_the_parts_in_order(self, parts):
         merged = FourierTaylorSeries._of(D, *ftseries._merge(*map(arrays, parts)))
         folded = functools.reduce(operator.add, parts)
         assert_same_terms(arrays(merged), arrays(folded))
+        assert np.all(merged.C != 0)  # a key that sums to 0 is dropped
 
     @given(
         f=pooled_series(),

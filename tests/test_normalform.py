@@ -21,7 +21,7 @@ from torusstab import (
     resonant_normal_form,
     solve_homological,
 )
-from torusstab import normalform
+from torusstab import ftseries, normalform
 from torusstab.ftseries import split_linear
 from torusstab.normalform import DIVERGENCE_FACTOR, DIVISOR_FLOOR
 from series_helpers import (
@@ -132,6 +132,26 @@ class TestHomological:
         f = FourierTaylorSeries(D, {(k_first, (1, 0)): 1.0, ((0, 0), (2, 0)): 1.0})
         with pytest.raises(family, match=message):
             solve_homological(f, (1.0, 2.0))
+
+    def test_chi_carries_the_orders_of_f_nr(self):
+        f = cosine(D, (1, -1), m=(2, 0)) + cosine(D, (3, 1), m=(1, 1), amplitude=0.2)
+        f_nr = f.select(lambda nk, nm, c: nk > 0)  # a selection keeps f's orders
+        chi = solve_homological(f_nr, OMEGA)
+        # the very arrays of f_nr's orders, and nothing else stored on chi
+        assert list(chi._store) == [ftseries._term_orders]
+        assert all(a is b for a, b in zip(chi._orders(), f_nr._orders()))
+        fresh = ftseries._term_orders(chi)
+        assert all(np.array_equal(a, b) for a, b in zip(chi._orders(), fresh))
+
+    def test_chi_term_that_underflows_drops_the_orders(self):
+        # 1e-323 / (2 pi omega.k) underflows to 0 at k = (1, 0) only
+        f = FourierTaylorSeries(
+            D, {((1, 0), (2, 0)): 1e-323, ((40, -25), (0, 2)): 1.0, ((-40, 25), (0, 2)): 1.0}
+        )
+        f_nr = f.select(lambda nk, nm, c: nk > 0)
+        chi = solve_homological(f_nr, OMEGA)
+        assert len(chi) == 2 and not chi._store
+        assert chi == FourierTaylorSeries(D, dict(list(chi.items())))
 
     @given(
         terms=st.dictionaries(
